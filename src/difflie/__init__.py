@@ -3,7 +3,8 @@
 Submodules:
   linalg        exact rational matrices (rank, kernel, solve, homology)
   permutations  shuffles, pointed shuffles, signatures, Koszul signs
-  multilinear   alternating and graded-symmetric multilinear maps, suspension
+  multilinear   graded symmetric multilinear maps (alternating maps are the
+                one-odd-degree case), suspension, arity-1 maps as matrices
   liealg        differential Lie algebras, representations, LieAct triples
   nr            the Nijenhuis-Richardson circle product and bracket
   linfty        L-infinity[1] structures: derived brackets, MC, twisting

@@ -23,8 +23,8 @@ from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from .cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                          UnknownFlavor, cochain_dim, cohomology_dims,
                          coords_to_altmap, twist_bridge_residual)
-from .extensions import (AbelianExtension, NotCocycle, build_extension,
-                         classify, extract_cocycle, matrix_from_altmap1)
+from .extensions import (NotCocycle, build_extension, classify,
+                         extract_cocycle, split_extension)
 from .deformations import (NotDeformation, Obstructed, TruncatedDeformation,
                            deformation_residuals, first_nontrivial_order,
                            rigidify_step)
@@ -237,13 +237,6 @@ def cmd_morphism_check(args):
     return (0 if nonzero == 0 else 1), report
 
 
-def _canonical_maps(gdim, vdim):
-    i = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
-    p = Matrix.block([[Matrix.identity(gdim), Matrix.zero(gdim, vdim)]])
-    s = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
-    return i, p, s
-
-
 def cmd_extension(args):
     obj = _load(args.path)
     try:
@@ -272,7 +265,7 @@ def cmd_extension(args):
                   "total": difflie_to_json(E.total)}
         return 0, report
     if args.action == "extract":
-        E = AbelianExtension(total, *_canonical_maps(gdim, vdim))
+        E = split_extension(total, gdim, vdim)
         rep2, psi2, chi2 = extract_cocycle(E)
         report = {"action": "extract", "rep": rep_to_json(rep2),
                   "psi": altmap_to_json(psi2), "chi": altmap_to_json(chi2),

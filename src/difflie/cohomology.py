@@ -23,9 +23,9 @@ from itertools import combinations
 from math import comb
 
 from .linalg import Matrix, homology_dim, vec_add, vec_is_zero, vec_scale, \
-    vec_sub, vec_zero, basis_vec
+    vec_zero, basis_vec
 from .liealg import rho_lambda
-from .multilinear import AltMap
+from .multilinear import AltMap, altmap1_from_matrix
 
 
 FLAVORS = ("ce", "do", "difflie", "tilde")
@@ -274,15 +274,6 @@ def cocycle_residual(spec, n, pair):
 # bridge to the twisted formal structure (adjoint coefficients)
 
 
-def _matrix_as_altmap(m):
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        col = [m.data[i][j] for i in range(m.rows)]
-        if not vec_is_zero(col):
-            f.coeffs[(j,)] = col
-    return f
-
-
 def _as_altmap0(v, dim):
     f = AltMap(0, dim, dim)
     f[()] = list(v)
@@ -296,7 +287,7 @@ def twist_bridge_residual(A, n, pair):
     from .linfty import Term, absolute_structure, twist_l1_formal
     dim = A.dim
     mu = A.algebra.bracket
-    dmap = _matrix_as_altmap(A.d)
+    dmap = altmap1_from_matrix(A.d)
     struct = absolute_structure(dim, A.weight)
     fterm = Term("s", pair.f)
     if n == 1:

@@ -14,17 +14,14 @@ complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, \
     vec_zero, basis_vec
 from .liealg import adjoint_rep
-from .multilinear import AltMap
-from .cohomology import (CocyclePair, cochain_dim, coords_to_altmap,
-                         cocycle_residual, difflie_differential,
-                         CochainComplexSpec)
-from .extensions import altmap1_from_matrix, matrix_from_altmap1
+from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
+from .cohomology import (CocyclePair, coords_to_altmap, cocycle_residual,
+                         difflie_differential, CochainComplexSpec)
 
 
 class NotDeformation(Exception):

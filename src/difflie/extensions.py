@@ -7,15 +7,14 @@ the inclusion i, projection p and a chosen section s as matrices; the kernel
 carries the zero bracket.
 """
 
-from fractions import Fraction
-
-from .linalg import Matrix, vec_is_zero, vec_zero
+from .linalg import Matrix, basis_vec, invert_matrix, vec_is_zero
 from .liealg import (DiffLieAlgebra, DiffRepresentation, LieAlgebra,
-                     is_diff_lie_algebra, is_diff_representation)
-from .multilinear import AltMap
+                     is_diff_lie_algebra, is_diff_representation,
+                     semidirect_bracket)
+from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
 from .cohomology import (CochainComplexSpec, CocyclePair, cohomology_dims,
                          cocycle_residual, difflie_differential,
-                         coords_to_altmap, cochain_dim)
+                         coords_to_altmap)
 
 
 class InvalidExtension(Exception):
@@ -28,38 +27,6 @@ class NotCocycle(Exception):
     def __init__(self, residual):
         super().__init__("pair is not a 2-cocycle")
         self.residual = residual
-
-
-def _invert(m):
-    assert m.rows == m.cols
-    cols = []
-    for j in range(m.rows):
-        e = vec_zero(m.rows)
-        e[j] = Fraction(1)
-        x = m.solve(e)
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix(m.rows, m.rows,
-                  [[cols[j][i] for j in range(m.rows)]
-                   for i in range(m.rows)])
-
-
-def altmap1_from_matrix(m):
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        col = [m.data[i][j] for i in range(m.rows)]
-        if not vec_is_zero(col):
-            f.coeffs[(j,)] = col
-    return f
-
-
-def matrix_from_altmap1(f):
-    out = Matrix.zero(f.tgt_dim, f.src_dim)
-    for (j,), vec in f.coeffs.items():
-        for i in range(f.tgt_dim):
-            out.data[i][j] = vec[i]
-    return out
 
 
 class AbelianExtension:
@@ -86,7 +53,7 @@ class AbelianExtension:
         if self.p * self.s != Matrix.identity(self.gdim):
             raise InvalidExtension("s is not a section of p")
         split = Matrix.block([[i, s]])
-        inv = _invert(split)
+        inv = invert_matrix(split)
         if inv is None:
             raise InvalidExtension("i and s do not split the total space")
         # i t + s p = Id with t i = Id, t s = 0
@@ -95,16 +62,16 @@ class AbelianExtension:
             raise InvalidExtension("total space axioms fail")
         # the kernel must be abelian and an ideal preserved by the operator
         for a in range(self.vdim):
-            iv = self.i.matvec(_basis(self.vdim, a))
+            iv = self.i.matvec(basis_vec(self.vdim, a))
             if not vec_is_zero(self.p.matvec(total.dv(iv))):
                 raise InvalidExtension("operator does not preserve kernel")
             for b in range(self.vdim):
                 if not vec_is_zero(
-                        total.br(iv, self.i.matvec(_basis(self.vdim, b)))):
+                        total.br(iv, self.i.matvec(basis_vec(self.vdim, b)))):
                     raise InvalidExtension("kernel is not abelian")
             for k in range(N):
                 if not vec_is_zero(
-                        self.p.matvec(total.br(_basis(N, k), iv))):
+                        self.p.matvec(total.br(basis_vec(N, k), iv))):
                     raise InvalidExtension("kernel is not an ideal")
 
     def base(self):
@@ -114,18 +81,12 @@ class AbelianExtension:
         for x in range(gdim):
             for y in range(x + 1, gdim):
                 val = self.p.matvec(self.total.br(
-                    self.s.matvec(_basis(gdim, x)),
-                    self.s.matvec(_basis(gdim, y))))
+                    self.s.matvec(basis_vec(gdim, x)),
+                    self.s.matvec(basis_vec(gdim, y))))
                 if not vec_is_zero(val):
                     br[(x, y)] = val
         d_g = self.p * self.total.d * self.s
         return DiffLieAlgebra(LieAlgebra(gdim, br), d_g, self.total.weight)
-
-
-def _basis(n, i):
-    v = vec_zero(n)
-    v[i] = Fraction(1)
-    return v
 
 
 def extract_cocycle(E):
@@ -136,11 +97,11 @@ def extract_cocycle(E):
     gdim, vdim = E.gdim, E.vdim
     rho = []
     for x in range(gdim):
-        sx = E.s.matvec(_basis(gdim, x))
+        sx = E.s.matvec(basis_vec(gdim, x))
         cols = []
         for a in range(vdim):
             cols.append(E.t.matvec(
-                E.total.br(sx, E.i.matvec(_basis(vdim, a)))))
+                E.total.br(sx, E.i.matvec(basis_vec(vdim, a)))))
         rho.append(Matrix(vdim, vdim,
                           [[cols[a][r] for a in range(vdim)]
                            for r in range(vdim)]))
@@ -152,8 +113,8 @@ def extract_cocycle(E):
     psi = AltMap(2, gdim, vdim)
     for x in range(gdim):
         for y in range(x + 1, gdim):
-            sx = E.s.matvec(_basis(gdim, x))
-            sy = E.s.matvec(_basis(gdim, y))
+            sx = E.s.matvec(basis_vec(gdim, x))
+            sy = E.s.matvec(basis_vec(gdim, y))
             val = E.t.matvec(E.total.br(sx, sy))
             if not vec_is_zero(val):
                 psi[(x, y)] = val
@@ -172,24 +133,18 @@ def build_extension(g, rep, psi, chi):
     res = cocycle_residual(spec, 2, CocyclePair(psi, chi))
     if not vec_is_zero(res):
         raise NotCocycle(res)
-    N = gdim + vdim
-    br = AltMap(2, N, N)
-    for x in range(gdim):
-        for y in range(x + 1, gdim):
-            gval = g.br(_basis(gdim, x), _basis(gdim, y))
-            pval = psi.value_on_basis((x, y))
-            br[(x, y)] = list(gval) + list(pval)
-    for x in range(gdim):
-        for a in range(vdim):
-            val = rep.rho[x].matvec(_basis(vdim, a))
-            if not vec_is_zero(val):
-                br[(x, gdim + a)] = vec_zero(gdim) + val
-    chi_m = matrix_from_altmap1(chi)
+    br = semidirect_bracket(gdim, vdim, rep.rho, g.algebra.bracket, psi)
     d_hat = Matrix.block([
         [g.d, Matrix.zero(gdim, vdim)],
-        [chi_m, rep.dV],
+        [matrix_from_altmap1(chi), rep.dV],
     ])
-    total = DiffLieAlgebra(LieAlgebra(N, br), d_hat, g.weight)
+    total = DiffLieAlgebra(LieAlgebra(gdim + vdim, br), d_hat, g.weight)
+    return split_extension(total, gdim, vdim)
+
+
+def split_extension(total, gdim, vdim):
+    """total on g (+) V as an extension with the canonical inclusion of V,
+    projection onto g and section of the projection."""
     i = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
     p = Matrix.block([[Matrix.identity(gdim), Matrix.zero(gdim, vdim)]])
     s = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
@@ -228,9 +183,9 @@ def equivalence_witness(E1, E2, phi=None):
         return False, None
     for x in range(N):
         for y in range(x + 1, N):
-            lhs = zeta.matvec(E1.total.br(_basis(N, x), _basis(N, y)))
-            rhs = E2.total.br(zeta.matvec(_basis(N, x)),
-                              zeta.matvec(_basis(N, y)))
+            lhs = zeta.matvec(E1.total.br(basis_vec(N, x), basis_vec(N, y)))
+            rhs = E2.total.br(zeta.matvec(basis_vec(N, x)),
+                              zeta.matvec(basis_vec(N, y)))
             if lhs != rhs:
                 return False, None
     return True, phi

@@ -28,11 +28,11 @@ reduction is the bridge to the ungraded residual checks.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .linalg import basis_vec, frac, vec_add, vec_is_zero, vec_scale, \
     vec_sub, vec_zero
-from .multilinear import GradedSymMap
+from .multilinear import GradedSymMap, GradedVectorSpace, altmap1_from_matrix
+from .nr import family_circ
 from .permutations import koszul_sign, shuffles
 
 
@@ -62,7 +62,7 @@ class HomotopyDiffLie:
             self._check_family(f, i, 0, "D")
 
     def _check_family(self, f, i, deg, name):
-        assert f.arity == i, "%s_%d has arity %d" % (name, i, f.arity)
+        assert f.arity == i >= 1, "%s_%d has arity %d" % (name, i, f.arity)
         assert f.space == self.space
         assert f.degree == deg
         degrees = self.space.degrees
@@ -89,32 +89,11 @@ class HomotopyDiffLie:
         return max(bound, 1)
 
 
-def _apply(family, arity, args):
-    f = family.get(arity)
-    if f is None:
-        return None
-    return f.evaluate(args)
-
-
 def linfty_residual(H, n, args):
     """The arity-n bracket-family residual on the given homogeneous args."""
     assert len(args) == n
     degs = [H.space.degree_of_vector(v) for v in args]
-    out = vec_zero(H.space.dim)
-    for i in range(1, n + 1):
-        if i not in H.mu or (n - i + 1) not in H.mu:
-            continue
-        outer = H.mu[n - i + 1]
-        for sigma in shuffles((i, n - i)):
-            eps = koszul_sign(sigma, degs)
-            perm = [args[k - 1] for k in sigma]
-            inner = H.mu[i].evaluate(perm[:i])
-            if vec_is_zero(inner):
-                continue
-            val = outer.evaluate([inner] + perm[i:])
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(eps, val))
-    return out
+    return family_circ(H.mu, H.mu, args, degs, H.space.dim)
 
 
 def _mu_of_D_terms(H, n, args, degs, pointed):
@@ -166,30 +145,12 @@ def _mu_of_D_terms(H, n, args, degs, pointed):
     return out
 
 
-def _D_of_mu_terms(H, n, args, degs):
-    out = vec_zero(H.space.dim)
-    for j in range(1, n + 1):
-        if j not in H.mu or (n - j + 1) not in H.D:
-            continue
-        outer = H.D[n - j + 1]
-        for sigma in shuffles((j, n - j)):
-            eps = koszul_sign(sigma, degs)
-            perm = [args[k - 1] for k in sigma]
-            inner = H.mu[j].evaluate(perm[:j])
-            if vec_is_zero(inner):
-                continue
-            val = outer.evaluate([inner] + perm[j:])
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(eps, val))
-    return out
-
-
 def homotopy_diff_residual(H, n, args):
     """The arity-n operator-family residual (pointed-shuffle form)."""
     assert len(args) == n
     degs = [H.space.degree_of_vector(v) for v in args]
     return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed=True),
-                   _D_of_mu_terms(H, n, args, degs))
+                   family_circ(H.D, H.mu, args, degs, H.space.dim))
 
 
 def homotopy_diff_residual_factorial(H, n, args):
@@ -197,20 +158,11 @@ def homotopy_diff_residual_factorial(H, n, args):
     assert len(args) == n
     degs = [H.space.degree_of_vector(v) for v in args]
     return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed=False),
-                   _D_of_mu_terms(H, n, args, degs))
+                   family_circ(H.D, H.mu, args, degs, H.space.dim))
 
 
-def _spanning_tuples(space, n):
-    """Sorted basis tuples spanning S^n(l); odd repeats contribute zero by
-    graded symmetry, so they are skipped."""
-    for key in combinations_with_replacement(range(space.dim), n):
-        ok = True
-        for a, b in zip(key, key[1:]):
-            if a == b and space.degrees[a] % 2:
-                ok = False
-                break
-        if ok:
-            yield key
+# kept under its old name, which callers of this module import
+_spanning_tuples = GradedVectorSpace.spanning_tuples
 
 
 def residual_tables(H, max_n=None):
@@ -223,7 +175,7 @@ def residual_tables(H, max_n=None):
     for n in range(1, max_n + 1):
         jac = GradedSymMap(n, 2, H.space)
         op = GradedSymMap(n, 1, H.space)
-        for key in _spanning_tuples(H.space, n):
+        for key in H.space.spanning_tuples(n):
             args = [basis_vec(dim, k) for k in key]
             v1 = linfty_residual(H, n, args)
             if not vec_is_zero(v1):
@@ -239,16 +191,9 @@ def suspend_diff_lie(A):
     """A differential Lie algebra, suspended into a single odd degree:
     mu_2 the bracket, D_1 the operator, same weight.  Both residual
     families vanish exactly when the ungraded axioms hold."""
-    from .multilinear import alt_to_graded, suspend_space
-    dim = A.dim
-    space = suspend_space(dim)
-    mu2 = alt_to_graded(A.algebra.bracket, space)
-    d1 = GradedSymMap(1, 0, space)
-    for j in range(dim):
-        col = [A.d.data[i][j] for i in range(dim)]
-        if not vec_is_zero(col):
-            d1.coeffs[(j,)] = col
-    return HomotopyDiffLie(space, {2: mu2}, {1: d1}, A.weight)
+    mu2 = A.algebra.bracket  # already the degree-1 map on the suspension
+    return HomotopyDiffLie(mu2.space, {2: mu2}, {1: altmap1_from_matrix(A.d)},
+                           A.weight)
 
 
 def homotopy_mc_check(H, max_n=None):

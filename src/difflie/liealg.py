@@ -13,8 +13,9 @@ residuals themselves; validate() helpers just assert the residuals vanish.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (Matrix, frac, fmt_scalar, parse_scalar, vec_add, vec_sub,
-                     vec_scale, vec_zero, vec_is_zero, basis_vec)
+from .linalg import (Matrix, frac, fmt_scalar, mat_combination, parse_scalar,
+                     vec_add, vec_sub, vec_scale, vec_zero, vec_is_zero,
+                     basis_vec)
 from .multilinear import AltMap, DimensionMismatch
 
 
@@ -63,11 +64,7 @@ class LieAlgebra:
                        for r in range(self.dim)])
 
     def ad_vec(self, v):
-        m = Matrix.zero(self.dim, self.dim)
-        for i, c in enumerate(v):
-            if c != 0:
-                m = m + self.ad(i).scale(c)
-        return m
+        return mat_combination(v, map(self.ad, range(self.dim)), self.dim)
 
 
 def jacobi_residual(L):
@@ -166,11 +163,7 @@ class DiffRepresentation:
 
     def rho_vec(self, x):
         """rho extended linearly to a g-vector."""
-        m = Matrix.zero(self.space_dim, self.space_dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                m = m + self.rho[i].scale(c)
-        return m
+        return mat_combination(x, self.rho, self.space_dim)
 
     def act(self, x, v):
         return self.rho_vec(x).matvec(v)
@@ -224,21 +217,31 @@ def trivial_rep(A, space_dim, dV=None):
         space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
 
 
+def semidirect_bracket(gdim, vdim, rho, g_bracket=None, psi=None):
+    """The bracket on g (+) V with [x, y] = g_bracket(x, y) + psi(x, y)
+    (psi valued in V; either part may be absent), [x, v] = rho(x) v and
+    [u, v] = 0 on V."""
+    N = gdim + vdim
+    b = AltMap(2, N, N)
+    for key in combinations(range(gdim), 2):
+        gval = vec_zero(gdim) if g_bracket is None \
+            else g_bracket.value_on_basis(key)
+        vval = vec_zero(vdim) if psi is None else psi.value_on_basis(key)
+        b[key] = gval + vval
+    for i in range(gdim):
+        for a in range(vdim):
+            col = [rho[i].data[r][a] for r in range(vdim)]
+            if not vec_is_zero(col):
+                b.coeffs[(i, gdim + a)] = vec_zero(gdim) + col
+    return b
+
+
 def trivial_extension(A, rep):
     """The differential Lie algebra g (+) V with bracket
     {x+u, y+v} = [x,y] + rho(x)v - rho(y)u and operator d_g + d_V."""
     n, m = A.dim, rep.space_dim
-    N = n + m
-    b = AltMap(2, N, N)
-    for i, j in combinations(range(n), 2):
-        vec = A.algebra.bracket.value_on_basis((i, j))
-        b[(i, j)] = list(vec) + [Fraction(0)] * m
-    for i in range(n):
-        for a in range(m):
-            col = [rep.rho[i].data[r][a] for r in range(m)]
-            if not vec_is_zero(col):
-                b[(i, n + a)] = [Fraction(0)] * n + col
-    alg = LieAlgebra(N, b)
+    alg = LieAlgebra(n + m, semidirect_bracket(n, m, rep.rho,
+                                               A.algebra.bracket))
     d = Matrix.block([[A.d, Matrix.zero(n, m)],
                       [Matrix.zero(m, n), rep.dV]])
     return DiffLieAlgebra(alg, d, A.weight)
@@ -261,11 +264,7 @@ class LieActTriple:
                 raise DimensionMismatch("rho matrix shape")
 
     def rho_vec(self, x):
-        m = Matrix.zero(self.h.dim, self.h.dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                m = m + self.rho[i].scale(c)
-        return m
+        return mat_combination(x, self.rho, self.h.dim)
 
 
 def lieact_residuals(T):
@@ -318,19 +317,11 @@ def semidirect_weighted(T, lam):
     lam = frac(lam)
     n, m = T.g.dim, T.h.dim
     N = n + m
-    b = AltMap(2, N, N)
-    for i, j in combinations(range(n), 2):
-        vec = T.g.bracket.value_on_basis((i, j))
-        b[(i, j)] = list(vec) + [Fraction(0)] * m
-    for i in range(n):
-        for a in range(m):
-            col = [T.rho[i].data[r][a] for r in range(m)]
-            if not vec_is_zero(col):
-                b[(i, n + a)] = [Fraction(0)] * n + col
+    b = semidirect_bracket(n, m, T.rho, T.g.bracket)
     for a, c in combinations(range(m), 2):
         vec = vec_scale(lam, T.h.bracket.value_on_basis((a, c)))
         if not vec_is_zero(vec):
-            b[(n + a, n + c)] = [Fraction(0)] * n + list(vec)
+            b[(n + a, n + c)] = vec_zero(n) + vec
     return LieAlgebra(N, b)
 
 

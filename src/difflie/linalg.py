@@ -233,6 +233,29 @@ class Matrix:
         return cls.from_rows(rows) if rows else cls(0, sum(m.cols for m in grid[0]) if grid else 0)
 
 
+def invert_matrix(m):
+    """The inverse of a square matrix, or None when it is singular."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    ident = Matrix.identity(n).data
+    R, pivots = Matrix(n, 2 * n, [m.data[i] + ident[i]
+                                  for i in range(n)]).rref()
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(n, n, [row[n:] for row in R.data])
+
+
+def mat_combination(coeffs, mats, n):
+    """sum_i coeffs[i] * mats[i] as an n x n matrix, over the nonzero
+    coefficients."""
+    out = Matrix.zero(n, n)
+    for c, m in zip(coeffs, mats):
+        if c != 0:
+            out = out + m.scale(c)
+    return out
+
+
 def homology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for a two-step complex at the middle spot.
 

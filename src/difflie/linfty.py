@@ -25,11 +25,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .linalg import (frac, vec_add, vec_scale, vec_zero, vec_is_zero)
-from .multilinear import (AltMap, GradedSymMap, GradedVectorSpace,
-                          NonHomogeneousInput)
-from .nr import circ_bar, nr_bracket
-from .permutations import shuffles, signature, koszul_sign
+from .linalg import (Matrix, basis_vec, frac, vec_add, vec_scale, vec_zero,
+                     vec_is_zero)
+from .liealg import semidirect_bracket
+from .multilinear import AltMap, GradedSymMap, altmap1_from_matrix
+from .nr import circ_bar, family_circ, nr_bracket
+from .permutations import LengthMismatch, koszul_sign, shuffles, signature
 
 
 class DegreeMismatch(Exception):
@@ -71,19 +72,10 @@ class LInftyStructure:
 def generalized_jacobi_residual(L, n, args):
     """sum_{i=1}^{n} sum_{sigma in Sh(i,n-i)} eps(sigma)
     l_{n-i+1}(l_i(x_{sigma(1)}..), x_{sigma(i+1)}..)."""
+    if len(args) != n:
+        raise LengthMismatch("expected %d arguments" % n)
     degs = [L.space.degree_of_vector(v) for v in args]
-    out = vec_zero(L.space.dim)
-    for i in range(1, n + 1):
-        for sigma in shuffles((i, n - i)):
-            eps = koszul_sign(sigma, degs)
-            inner = L.l(i, [args[sigma[t] - 1] for t in range(i)])
-            if vec_is_zero(inner):
-                continue
-            outer = L.l(n - i + 1,
-                        [inner] + [args[sigma[t] - 1] for t in range(i, n)])
-            if not vec_is_zero(outer):
-                out = vec_add(out, vec_scale(eps, outer))
-    return out
+    return family_circ(L.brackets, L.brackets, args, degs, L.space.dim)
 
 
 def mc_residual(L, alpha):
@@ -101,17 +93,13 @@ def twist(L, alpha, check=True):
     """The twisted structure l_n^alpha(x..) = sum_i 1/i! l_{n+i}(alpha^i, x..)."""
     if check and not vec_is_zero(mc_residual(L, alpha)):
         raise NotMaurerCartan("twisting element fails the MC equation")
-    from itertools import combinations_with_replacement
     space = L.space
     bound = L.arity_bound
     brackets = {}
     for n in range(1, bound + 1):
         ln = GradedSymMap(n, 1, space)
-        for key in combinations_with_replacement(range(space.dim), n):
-            odd = [i for i in key if space.degrees[i] % 2]
-            if len(odd) != len(set(odd)):
-                continue
-            basis_args = [_basis(space.dim, i) for i in key]
+        for key in space.spanning_tuples(n):
+            basis_args = [basis_vec(space.dim, i) for i in key]
             total = vec_zero(space.dim)
             for i in range(0, bound - n + 1):
                 term = L.l(n + i, [alpha] * i + basis_args)
@@ -123,12 +111,6 @@ def twist(L, alpha, check=True):
         if not ln.is_zero():
             brackets[n] = ln
     return LInftyStructure(space, brackets)
-
-
-def _basis(n, i):
-    v = vec_zero(n)
-    v[i] = Fraction(1)
-    return v
 
 
 def lambda_rescale(L, lam, variant="full"):
@@ -438,64 +420,50 @@ class AbsoluteStructure:
         c = self.lam ** (i - 2)
         if c == 0:
             return FormalElement()
-        res = _closed_form_sum(f, [t.f for t in a_terms], self.dim)
+        res = _closed_form_sum(f, [t.f for t in a_terms])
         return FormalElement([Term("a", res.scale(c * sign))])
 
 
-def _closed_form_sum(f, xis, dim):
-    """sum over Sh(m_{r}+1,...,m_1+1, n+1-r) of the sign-weighted
-    f(xi_r (x) ... (x) xi_1 (x) Id^{n+1-r}) tau^{-1}, where r = len(xis),
-    n = arity(f)-1, and the first shuffle block feeds the last xi."""
+def _closed_form_sum(f, xis):
+    """l_{r+2}(sf, xi_1, .., xi_r) without its power of lambda: the
+    insertion sum with the graded-symmetric sign (-1)^(sum_{i<j} m_i m_j),
+    m_i = arity(xi_i) - 1."""
+    ms = [xi.arity - 1 for xi in xis]
+    pref_exp = sum(sum(ms[:j]) * ms[j] for j in range(len(ms)))
+    return _insertion_sum(f, xis, -1 if pref_exp % 2 else 1)
+
+
+def _insertion_sum(f, xis, pref):
+    """pref times the sum over Sh(m_r+1, .., m_1+1, n+1-r) of the
+    sign-weighted f(xi_r (x) ... (x) xi_1 (x) Id^{n+1-r}) tau^{-1}, where
+    r = len(xis), n = arity(f)-1, m_i = arity(xi_i) - 1, and the first
+    shuffle block feeds the last xi; all maps act on one space."""
     r = len(xis)
-    n = f.arity - 1
-    ms = [xi.arity - 1 for xi in xis]  # m_1..m_r
-    pref_exp = sum(sum(ms[:j - 1]) * ms[j - 1] for j in range(1, r + 1))
-    pref = -1 if pref_exp % 2 else 1
-    blocks = tuple(ms[r - 1 - k] + 1 for k in range(r)) + (n + 1 - r,)
-    t = n + sum(ms) + 1
+    blocks = tuple(xi.arity for xi in reversed(xis)) + (f.arity - r,)
+    t = sum(blocks)
+    dim = f.src_dim
     out = AltMap(t, dim, dim)
-    if t > dim:
-        return out
     shs = shuffles(blocks)
+    signs = [signature(tau) for tau in shs]
     for key in combinations(range(dim), t):
         total = vec_zero(dim)
-        for tau in shs:
+        for tau, sign in zip(shs, signs):
             args = []
             pos = 0
-            ok = True
-            for k in range(r):
-                blk = blocks[k]
-                xi = xis[r - 1 - k]
+            for blk, xi in zip(blocks, reversed(xis)):
                 inner = xi.value_on_basis(
                     tuple(key[tau[pos + q] - 1] for q in range(blk)))
                 pos += blk
                 if vec_is_zero(inner):
-                    ok = False
                     break
                 args.append(inner)
-            if not ok:
-                continue
-            tail = [key[tau[p] - 1] for p in range(pos, t)]
-            val = _eval_mixed(f, args, tuple(tail))
-            if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(signature(tau), val))
+            else:
+                tail = tuple(key[tau[p] - 1] for p in range(pos, t))
+                val = f.evaluate_head(args, tail)
+                if not vec_is_zero(val):
+                    total = vec_add(total, vec_scale(sign, val))
         if not vec_is_zero(total):
             out.coeffs[key] = vec_scale(pref, total)
-    return out
-
-
-def _eval_mixed(f, head_vecs, tail_idx):
-    """f(v_1, ..., v_k, e_{t_1}, ..., e_{t_l}) with vector heads."""
-    from itertools import product
-    supports = [[i for i, c in enumerate(v) if c != 0] for v in head_vecs]
-    out = vec_zero(f.tgt_dim)
-    for combo in product(*supports):
-        c = Fraction(1)
-        for v, i in zip(head_vecs, combo):
-            c *= v[i]
-        val = f.value_on_basis(combo + tail_idx)
-        if not vec_is_zero(val):
-            out = vec_add(out, vec_scale(c, val))
     return out
 
 
@@ -520,43 +488,13 @@ def key_formula_check(f, xis, dim):
     if not 1 <= r <= n + 1:
         raise ValueError("need 1 <= r <= arity(f)")
     big_f = iota_M(f, dim)
-    lhs = big_f
-    for xi in xis:
-        lhs = circ_bar(lhs, iota_a_abs(xi, dim))
-    # closed form, assembled in the double space
-    ms = [xi.arity - 1 for xi in xis]
-    pref_exp = sum(ms[j] * (r - 1 - j) for j in range(r))
-    pref = -1 if pref_exp % 2 else 1
-    blocks = tuple(ms[r - 1 - k] + 1 for k in range(r)) + (n + 1 - r,)
-    t = n + sum(ms) + 1
     big_xis = [iota_a_abs(xi, dim) for xi in xis]
-    rhs = AltMap(t, 2 * dim, 2 * dim)
-    if t <= 2 * dim:
-        shs = shuffles(blocks)
-        for key in combinations(range(2 * dim), t):
-            total = vec_zero(2 * dim)
-            for tau in shs:
-                args = []
-                pos = 0
-                ok = True
-                for k in range(r):
-                    blk = blocks[k]
-                    xi = big_xis[r - 1 - k]
-                    inner = xi.value_on_basis(
-                        tuple(key[tau[pos + q] - 1] for q in range(blk)))
-                    pos += blk
-                    if vec_is_zero(inner):
-                        ok = False
-                        break
-                    args.append(inner)
-                if not ok:
-                    continue
-                tail = [key[tau[p] - 1] for p in range(pos, t)]
-                val = _eval_mixed(big_f, args, tuple(tail))
-                if not vec_is_zero(val):
-                    total = vec_add(total, vec_scale(signature(tau), val))
-            if not vec_is_zero(total):
-                rhs.coeffs[key] = vec_scale(pref, total)
+    lhs = big_f
+    for xi in big_xis:
+        lhs = circ_bar(lhs, xi)
+    # closed form, assembled in the double space
+    pref_exp = sum((xi.arity - 1) * (r - 1 - j) for j, xi in enumerate(xis))
+    rhs = _insertion_sum(big_f, big_xis, -1 if pref_exp % 2 else 1)
     return lhs - rhs
 
 
@@ -656,14 +594,7 @@ def pack_pi(pi, gdim, hdim):
 
 def pack_rho(rho_mats, gdim, hdim):
     """rho in Hom(g (x) h, h) from matrices rho(x_i) acting on h."""
-    N = gdim + hdim
-    out = AltMap(2, N, N)
-    for i in range(gdim):
-        for a in range(hdim):
-            col = [rho_mats[i].data[r][a] for r in range(hdim)]
-            if not vec_is_zero(col):
-                out[(i, gdim + a)] = [Fraction(0)] * gdim + col
-    return out
+    return semidirect_bracket(gdim, hdim, rho_mats)
 
 
 def pack_mu(mu, gdim, hdim):
@@ -676,13 +607,9 @@ def pack_mu(mu, gdim, hdim):
 
 def pack_D(D, gdim, hdim):
     """D: g -> h as an a'-element of the big space."""
-    N = gdim + hdim
-    out = AltMap(1, N, N)
-    for j in range(gdim):
-        col = [D.data[r][j] for r in range(hdim)]
-        if not vec_is_zero(col):
-            out.coeffs[(j,)] = [Fraction(0)] * gdim + col
-    return out
+    return altmap1_from_matrix(Matrix.block([
+        [Matrix.zero(gdim, gdim + hdim)],
+        [D, Matrix.zero(hdim, hdim)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +635,8 @@ def mc_residual_formal(struct, S, A, bound=6):
 def mc_check_absolute(pi, D, lam):
     """(s pi, D) is MC in the absolute structure iff (g, pi, D) is a
     differential Lie algebra of weight lam.  Returns (bool, residual)."""
-    dim = pi.src_dim
-    Dmap = AltMap(1, dim, dim)
-    for j in range(dim):
-        col = [D.data[r][j] for r in range(dim)]
-        if not vec_is_zero(col):
-            Dmap.coeffs[(j,)] = col
-    res = mc_residual_formal(absolute_structure(dim, lam), pi, Dmap)
+    res = mc_residual_formal(absolute_structure(pi.src_dim, lam), pi,
+                             altmap1_from_matrix(D))
     return res.is_zero(), res
 
 

@@ -1,17 +1,23 @@
-"""Alternating multilinear maps and graded symmetric multilinear maps.
+"""Graded symmetric multilinear maps, by coefficient tables.
 
-AltMap covers the ungraded picture (cochains, brackets on a Lie algebra):
-coefficients live on strictly increasing basis tuples and evaluation extends
-alternately.  GradedSymMap covers the suspended picture: coefficients live on
-sorted basis tuples of a graded space, normalized by the Koszul sign.  The
-suspension isomorphism mediates between the two.
+A GradedSymMap is a graded symmetric n-linear map from a graded space into
+a target of dimension tgt_dim (by default the space itself).  Coefficients
+live on sorted basis tuples, normalized by the Koszul sign; tuples repeating
+an odd-degree index are identically zero.
+
+An alternating map g^n -> V is the same object on the suspension sg, which
+sits in the single odd degree -1: there the Koszul sign is the permutation
+sign and the sorted tuples without odd repeats are the strictly increasing
+ones.  AltMap is only the constructor for that case (degree n - 1, one
+shared suspension per dimension), so cochains, Lie brackets and graded
+brackets share every operation below, and the suspension isomorphism is a
+relabelling.
 """
 
-from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
-from .linalg import frac, vec_zero, vec_add, vec_scale, vec_is_zero
-from .permutations import koszul_sign
+from .linalg import Matrix, frac, vec_zero, vec_add, vec_scale, vec_is_zero
 
 
 class ArityMismatch(Exception):
@@ -26,133 +32,6 @@ class NonHomogeneousInput(Exception):
     pass
 
 
-def _sort_with_sgn(idx):
-    """Sort an index tuple, tracking the permutation sign; None on repeats."""
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None, 0
-    return tuple(lst), sign
-
-
-class AltMap:
-    """Alternating k-linear map between ungraded spaces, by coefficients.
-
-    coeffs maps strictly increasing tuples of source basis indices (0-based)
-    to target vectors; missing tuples are zero.
-    """
-
-    def __init__(self, arity, src_dim, tgt_dim, coeffs=None):
-        assert arity >= 0
-        self.arity = arity
-        self.src_dim = src_dim
-        self.tgt_dim = tgt_dim
-        self.coeffs = {}
-        if coeffs:
-            for key, vec in coeffs.items():
-                self[key] = vec
-
-    def __setitem__(self, key, vec):
-        skey, sign = _sort_with_sgn(key)
-        if skey is None:
-            if not vec_is_zero([frac(x) for x in vec]):
-                raise ValueError("repeated index with nonzero value")
-            return
-        vec = [frac(x) for x in vec]
-        if len(vec) != self.tgt_dim:
-            raise DimensionMismatch("target vector length")
-        if sign < 0:
-            vec = vec_scale(-1, vec)
-        if vec_is_zero(vec):
-            self.coeffs.pop(skey, None)
-        else:
-            self.coeffs[skey] = vec
-
-    def value_on_basis(self, idx):
-        """Value on a tuple of basis indices, any order, with sign."""
-        if len(idx) != self.arity:
-            raise ArityMismatch("expected %d arguments" % self.arity)
-        skey, sign = _sort_with_sgn(idx)
-        if skey is None:
-            return vec_zero(self.tgt_dim)
-        vec = self.coeffs.get(skey)
-        if vec is None:
-            return vec_zero(self.tgt_dim)
-        return vec_scale(sign, vec)
-
-    def evaluate(self, args):
-        """Multilinear alternating extension to arbitrary vectors."""
-        if len(args) != self.arity:
-            raise ArityMismatch("expected %d arguments" % self.arity)
-        for v in args:
-            if len(v) != self.src_dim:
-                raise DimensionMismatch("source vector length")
-        supports = [[i for i, x in enumerate(v) if x != 0] for v in args]
-        out = vec_zero(self.tgt_dim)
-        for combo in product(*supports):
-            c = Fraction(1)
-            for v, i in zip(args, combo):
-                c *= v[i]
-            val = self.value_on_basis(combo)
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(c, val))
-        return out
-
-    def __add__(self, other):
-        assert (self.arity, self.src_dim, self.tgt_dim) == \
-               (other.arity, other.src_dim, other.tgt_dim)
-        out = AltMap(self.arity, self.src_dim, self.tgt_dim, self.coeffs)
-        for key, vec in other.coeffs.items():
-            cur = out.coeffs.get(key, vec_zero(self.tgt_dim))
-            s = vec_add(cur, vec)
-            if vec_is_zero(s):
-                out.coeffs.pop(key, None)
-            else:
-                out.coeffs[key] = s
-        return out
-
-    def scale(self, c):
-        c = frac(c)
-        out = AltMap(self.arity, self.src_dim, self.tgt_dim)
-        if c != 0:
-            for key, vec in self.coeffs.items():
-                out.coeffs[key] = vec_scale(c, vec)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, AltMap)
-                and (self.arity, self.src_dim, self.tgt_dim)
-                == (other.arity, other.src_dim, other.tgt_dim)
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return "AltMap(arity=%d, %d->%d, %d terms)" % (
-            self.arity, self.src_dim, self.tgt_dim, len(self.coeffs))
-
-    def copy(self):
-        return AltMap(self.arity, self.src_dim, self.tgt_dim, self.coeffs)
-
-
-def evaluate_alt(f, args):
-    return f.evaluate(args)
-
-
 class GradedVectorSpace:
     """Finite dimensional graded space, components = [(degree, dim), ...]."""
 
@@ -163,6 +42,7 @@ class GradedVectorSpace:
         self.degrees = []
         for deg, dim in components:
             self.degrees.extend([deg] * dim)
+        self.odd = [d % 2 for d in self.degrees]
         self.dim = len(self.degrees)
 
     def degree_of_basis(self, i):
@@ -178,53 +58,71 @@ class GradedVectorSpace:
     def basis_of_degree(self, deg):
         return [i for i in range(self.dim) if self.degrees[i] == deg]
 
+    def spanning_tuples(self, n):
+        """Sorted basis tuples spanning S^n of the space, in lexicographic
+        order; odd repeats contribute zero by graded symmetry, so they are
+        skipped."""
+        odd = self.odd
+        if all(odd):
+            return combinations(range(self.dim), n)
+        return (key for key in combinations_with_replacement(range(self.dim), n)
+                if not any(a == b and odd[a] for a, b in zip(key, key[1:])))
+
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and \
             self.components == other.components
 
 
-def _sym_sort(idx, degrees):
-    """Sort an index tuple with Koszul sign; None if an odd index repeats."""
+def _sym_sort(idx, odd):
+    """Sort an index tuple with Koszul sign; None if an odd index repeats.
+
+    odd[i] is the parity of the degree of basis vector i."""
     lst = list(idx)
     sign = 1
     for i in range(1, len(lst)):
         j = i
         while j > 0 and lst[j - 1] > lst[j]:
-            if (degrees[lst[j - 1]] % 2) and (degrees[lst[j]] % 2):
+            if odd[lst[j - 1]] and odd[lst[j]]:
                 sign = -sign
             lst[j - 1], lst[j] = lst[j], lst[j - 1]
             j -= 1
     for a, b in zip(lst, lst[1:]):
-        if a == b and degrees[a] % 2:
+        if a == b and odd[a]:
             return None, 0
     return tuple(lst), sign
 
 
 class GradedSymMap:
-    """Graded symmetric n-linear map on a graded space, by coefficients.
+    """Graded symmetric n-linear map of a given degree on a graded space.
 
-    coeffs maps sorted (non-decreasing) basis tuples to vectors in the same
-    space; tuples repeating an odd-degree index are identically zero.
+    coeffs maps sorted (non-decreasing) basis tuples to target vectors of
+    length tgt_dim; missing tuples are zero.
     """
 
-    def __init__(self, arity, degree, space, coeffs=None):
-        assert arity >= 1
+    def __init__(self, arity, degree, space, coeffs=None, tgt_dim=None):
+        assert arity >= 0
         self.arity = arity
         self.degree = degree
         self.space = space
+        self.src_dim = space.dim
+        self.tgt_dim = space.dim if tgt_dim is None else tgt_dim
         self.coeffs = {}
         if coeffs:
             for key, vec in coeffs.items():
                 self[key] = vec
 
+    def _blank(self):
+        return GradedSymMap(self.arity, self.degree, self.space,
+                            tgt_dim=self.tgt_dim)
+
     def __setitem__(self, key, vec):
-        skey, sign = _sym_sort(key, self.space.degrees)
+        skey, sign = _sym_sort(key, self.space.odd)
         vec = [frac(x) for x in vec]
         if skey is None:
             if not vec_is_zero(vec):
                 raise ValueError("repeated odd index with nonzero value")
             return
-        if len(vec) != self.space.dim:
+        if len(vec) != self.tgt_dim:
             raise DimensionMismatch("target vector length")
         if sign < 0:
             vec = vec_scale(-1, vec)
@@ -234,40 +132,53 @@ class GradedSymMap:
             self.coeffs[skey] = vec
 
     def value_on_basis(self, idx):
+        """Value on a tuple of basis indices, any order, with sign."""
         if len(idx) != self.arity:
             raise ArityMismatch("expected %d arguments" % self.arity)
-        skey, sign = _sym_sort(idx, self.space.degrees)
-        if skey is None:
-            return vec_zero(self.space.dim)
+        skey, sign = _sym_sort(idx, self.space.odd)
         vec = self.coeffs.get(skey)
         if vec is None:
-            return vec_zero(self.space.dim)
-        return vec_scale(sign, vec)
+            return vec_zero(self.tgt_dim)
+        return vec[:] if sign > 0 else [-x for x in vec]
 
     def evaluate(self, args):
-        """Graded symmetric multilinear extension; args must be homogeneous."""
+        """Graded symmetric multilinear extension; args must be homogeneous
+        (always true on a space concentrated in one degree)."""
         if len(args) != self.arity:
             raise ArityMismatch("expected %d arguments" % self.arity)
         for v in args:
-            self.space.degree_of_vector(v)
-        supports = [[i for i, x in enumerate(v) if x != 0] for v in args]
-        out = vec_zero(self.space.dim)
+            if len(v) != self.src_dim:
+                raise DimensionMismatch("source vector length")
+        if len(self.space.components) > 1:
+            for v in args:
+                self.space.degree_of_vector(v)
+        return self.evaluate_head(args)
+
+    def evaluate_head(self, heads, tail=()):
+        """f(v_1, .., v_k, e_{t_1}, .., e_{t_l}): vector heads followed by
+        the basis vectors of the index tuple tail."""
+        supports = [[i for i, x in enumerate(v) if x != 0] for v in heads]
+        out = vec_zero(self.tgt_dim)
         for combo in product(*supports):
-            c = Fraction(1)
-            for v, i in zip(args, combo):
-                c *= v[i]
-            val = self.value_on_basis(combo)
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(c, val))
+            val = self.value_on_basis(combo + tail)
+            if vec_is_zero(val):
+                continue
+            c = 1  # coefficients of 1, as on basis vectors, are not applied
+            for v, i in zip(heads, combo):
+                if v[i] != 1:
+                    c = v[i] if c == 1 else c * v[i]
+            out = vec_add(out, val if c == 1 else vec_scale(c, val))
         return out
 
     def __add__(self, other):
-        assert (self.arity, self.degree) == (other.arity, other.degree)
+        assert (self.arity, self.degree, self.tgt_dim) == \
+               (other.arity, other.degree, other.tgt_dim)
         assert self.space == other.space
-        out = GradedSymMap(self.arity, self.degree, self.space, self.coeffs)
+        out = self._blank()
+        out.coeffs = dict(self.coeffs)
         for key, vec in other.coeffs.items():
-            cur = out.coeffs.get(key, vec_zero(self.space.dim))
-            s = vec_add(cur, vec)
+            cur = out.coeffs.get(key)
+            s = vec if cur is None else vec_add(cur, vec)
             if vec_is_zero(s):
                 out.coeffs.pop(key, None)
             else:
@@ -276,30 +187,41 @@ class GradedSymMap:
 
     def scale(self, c):
         c = frac(c)
-        out = GradedSymMap(self.arity, self.degree, self.space)
+        out = self._blank()
         if c != 0:
-            for key, vec in self.coeffs.items():
-                out.coeffs[key] = vec_scale(c, vec)
+            out.coeffs = {key: vec_scale(c, vec)
+                          for key, vec in self.coeffs.items()}
         return out
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def is_zero(self):
         return not self.coeffs
 
     def __eq__(self, other):
         return (isinstance(other, GradedSymMap)
-                and (self.arity, self.degree) == (other.arity, other.degree)
+                and (self.arity, self.degree, self.tgt_dim)
+                == (other.arity, other.degree, other.tgt_dim)
                 and self.space == other.space and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        return "GradedSymMap(arity=%d, deg=%d, %d terms)" % (
-            self.arity, self.degree, len(self.coeffs))
+        return "GradedSymMap(arity=%d, deg=%d, %d->%d, %d terms)" % (
+            self.arity, self.degree, self.src_dim, self.tgt_dim,
+            len(self.coeffs))
 
 
-def evaluate_graded(f, args):
-    return f.evaluate(args)
+class AltMap(GradedSymMap):
+    """Alternating k-linear map from a src_dim-dimensional space into a
+    tgt_dim-dimensional one: the graded map on the suspension, of degree
+    k - 1, keyed by strictly increasing tuples of 0-based indices."""
+
+    def __init__(self, arity, src_dim, tgt_dim, coeffs=None):
+        super().__init__(arity, arity - 1, suspend_space(src_dim), coeffs,
+                         tgt_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +238,52 @@ def suspension_sign(v_degrees):
     return -1 if exp % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def suspend_space(dim, base_degree=0):
-    """The suspension of an ungraded space in the given degree."""
+    """The suspension of an ungraded space in the given degree (one shared,
+    never mutated object per argument pair)."""
     return GradedVectorSpace([(base_degree - 1, dim)])
 
 
 def alt_to_graded(f, space=None):
     """Transport an AltMap on an ungraded g to a GradedSymMap on sg.
 
-    For an ungraded source the suspension sign is +1 on every basis tuple, so
-    the coefficient tables coincide; the resulting map has degree arity-1.
+    For an ungraded source the suspension sign is +1 on every basis tuple,
+    and an AltMap already is the graded map on sg, so this only retags f
+    (onto the given copy of sg, if any); the result has degree arity-1.
     """
     if f.src_dim != f.tgt_dim:
         raise DimensionMismatch("suspension transport needs src = tgt")
-    if space is None:
-        space = suspend_space(f.src_dim)
-    out = GradedSymMap(f.arity, f.arity - 1, space)
-    for key, vec in f.coeffs.items():
-        out.coeffs[key] = vec[:]
+    out = GradedSymMap(f.arity, f.arity - 1,
+                       f.space if space is None else space)
+    out.coeffs = dict(f.coeffs)
     return out
 
 
 def graded_to_alt(F):
     """Inverse transport; round trip with alt_to_graded is the identity."""
     out = AltMap(F.arity, F.space.dim, F.space.dim)
-    for key, vec in F.coeffs.items():
-        out.coeffs[key] = vec[:]
+    out.coeffs = dict(F.coeffs)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# arity-1 maps and matrices
+
+
+def altmap1_from_matrix(m):
+    """The arity-1 map whose value on basis vector j is column j of m."""
+    f = AltMap(1, m.cols, m.rows)
+    for j in range(m.cols):
+        col = [m.data[i][j] for i in range(m.rows)]
+        if not vec_is_zero(col):
+            f.coeffs[(j,)] = col
+    return f
+
+
+def matrix_from_altmap1(f):
+    out = Matrix.zero(f.tgt_dim, f.src_dim)
+    for (j,), vec in f.coeffs.items():
+        for i in range(f.tgt_dim):
+            out.data[i][j] = vec[i]
     return out

@@ -1,120 +1,90 @@
 """The Nijenhuis-Richardson circle product and bracket.
 
-Ungraded version on alternating maps f in Hom(wedge^{p+1} V, V) (degree of f
-is p); graded version on graded-symmetric maps of a graded space.  In both
-pictures [mu,mu]_NR = 0 characterizes (L-infinity[1]-) algebra structures.
+Both act on graded symmetric maps of one graded space.  For f of arity n
+and g of arity m, f o-bar g is the map of arity m + n - 1 and degree
+|f| + |g| given by
+
+    sum over (m, n-1)-shuffles sigma of
+    eps(sigma) f(g(v_sigma(1), .., v_sigma(m)), v_sigma(m+1), ..),
+
+and [f, g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f.  An alternating map on
+an ungraded space is the graded map on its suspension, which sits in one odd
+degree; there eps is the permutation sign and |f| = arity - 1, so the same
+two functions are the classical product and bracket on Hom(wedge V, V).  In
+both pictures [mu,mu]_NR = 0 characterizes (L-infinity[1]-) algebra
+structures.
+
+family_circ evaluates the same sum summed over arities, for bracket and
+operator families, on arbitrary homogeneous vectors.
 """
 
 from .linalg import vec_zero, vec_add, vec_scale, vec_is_zero
-from .multilinear import AltMap, GradedSymMap, DimensionMismatch
-from .permutations import shuffles, signature, koszul_sign
-
-
-def _check_compat(f, g):
-    if not (f.src_dim == f.tgt_dim == g.src_dim == g.tgt_dim):
-        raise DimensionMismatch("circle product needs maps on one space")
-
-
-def _eval_head(f, head_vec, tail_idx):
-    """f(head_vec, x_{t1}, ..., x_{tk}) with tail basis indices."""
-    out = vec_zero(f.tgt_dim)
-    for i, c in enumerate(head_vec):
-        if c != 0:
-            val = f.value_on_basis((i,) + tail_idx)
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(c, val))
-    return out
+from .multilinear import GradedSymMap, DimensionMismatch
+from .permutations import shuffles, koszul_sign
 
 
 def circ_bar(f, g):
-    """f o-bar g, arity p+q+1 for f of arity p+1, g of arity q+1:
-
-    sum over (q+1, p)-shuffles sigma of
-    sgn(sigma) f(g(x_{sigma(1)},..,x_{sigma(q+1)}), x_{sigma(q+2)},..).
-    """
-    _check_compat(f, g)
+    """f o-bar g, f of arity n, g of arity m, as a map of arity m + n - 1
+    (arity 0 and zero when f is a constant, which has no slot)."""
+    space = f.space
+    if g.space != space or f.tgt_dim != space.dim or g.tgt_dim != space.dim:
+        raise DimensionMismatch("circle product needs maps on one space")
+    m = g.arity
+    arity = m + f.arity - 1
+    out = GradedSymMap(max(arity, 0), f.degree + g.degree, space)
     if f.arity == 0:
-        # a constant map has no slot to plug into
-        return AltMap(max(g.arity - 1, 0), f.src_dim, f.tgt_dim)
-    p = f.arity - 1
-    q = g.arity - 1
-    arity = p + q + 1
-    dim = f.src_dim
-    out = AltMap(arity, dim, dim)
-    if arity > dim:
         return out
-    from itertools import combinations
-    shs = shuffles((q + 1, p))
-    for key in combinations(range(dim), arity):
-        total = vec_zero(dim)
-        for sigma in shs:
+    shs = shuffles((m, f.arity - 1))
+    eps_of = {}  # the Koszul signs of shs depend only on the parities
+    for key in space.spanning_tuples(arity):
+        parity = tuple(space.odd[i] for i in key)
+        eps = eps_of.get(parity)
+        if eps is None:
+            eps = eps_of[parity] = [koszul_sign(s, parity) for s in shs]
+        total = vec_zero(space.dim)
+        for sigma, e in zip(shs, eps):
             inner = g.value_on_basis(tuple(key[sigma[t] - 1]
-                                           for t in range(q + 1)))
+                                           for t in range(m)))
             if vec_is_zero(inner):
                 continue
-            tail = tuple(key[sigma[t] - 1] for t in range(q + 1, arity))
-            val = _eval_head(f, inner, tail)
+            tail = tuple(key[sigma[t] - 1] for t in range(m, arity))
+            val = f.evaluate_head([inner], tail)
             if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(signature(sigma), val))
+                total = vec_add(total, vec_scale(e, val))
         if not vec_is_zero(total):
             out.coeffs[key] = total
     return out
 
 
 def nr_bracket(f, g):
-    """[f,g]_NR = f o-bar g - (-1)^{pq} g o-bar f."""
-    p = f.arity - 1
-    q = g.arity - 1
-    sign = -1 if (p * q) % 2 else 1
+    """[f,g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f."""
+    sign = -1 if (f.degree * g.degree) % 2 else 1
     return circ_bar(f, g) - circ_bar(g, f).scale(sign)
 
 
-def _eval_head_graded(f, head_vec, tail_idx):
-    out = vec_zero(f.space.dim)
-    for i, c in enumerate(head_vec):
-        if c != 0:
-            val = f.value_on_basis((i,) + tail_idx)
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(c, val))
-    return out
+# the graded names of the same two operations
+graded_circ_bar = circ_bar
+graded_nr_bracket = nr_bracket
 
 
-def graded_circ_bar(f, g):
-    """f o-bar g on graded-symmetric maps, f of arity n, g of arity m:
+def family_circ(outer, inner, args, degs, dim):
+    """sum_{i=1}^{n} sum_{sigma in Sh(i,n-i)} eps(sigma)
+    outer_{n-i+1}(inner_i(x_{sigma(1)}, ..), x_{sigma(i+1)}, ..)
 
-    sum over (m, n-1)-shuffles sigma of
-    eps(sigma) f(g(v_{sigma(1)},..,v_{sigma(m)}), v_{sigma(m+1)},..).
-    """
-    if f.space != g.space:
-        raise DimensionMismatch("circle product needs maps on one space")
-    space = f.space
-    m = g.arity
-    arity = m + f.arity - 1
-    out = GradedSymMap(arity, f.degree + g.degree, space)
-    from itertools import combinations_with_replacement
-    shs = shuffles((m, f.arity - 1))
-    for key in combinations_with_replacement(range(space.dim), arity):
-        degs = [space.degrees[i] for i in key]
-        odd = [i for i in key if space.degrees[i] % 2]
-        if len(odd) != len(set(odd)):
+    for families {arity: map} (a missing arity is zero), on n homogeneous
+    vectors of the given degrees, in a space of dimension dim."""
+    n = len(args)
+    out = vec_zero(dim)
+    for i in range(1, n + 1):
+        f, g = outer.get(n - i + 1), inner.get(i)
+        if f is None or g is None:
             continue
-        total = vec_zero(space.dim)
-        for sigma in shs:
-            eps = koszul_sign(sigma, degs)
-            inner = g.value_on_basis(tuple(key[sigma[t] - 1]
-                                           for t in range(m)))
-            if vec_is_zero(inner):
+        for sigma in shuffles((i, n - i)):
+            perm = [args[k - 1] for k in sigma]
+            val = g.evaluate(perm[:i])
+            if vec_is_zero(val):
                 continue
-            tail = tuple(key[sigma[t] - 1] for t in range(m, arity))
-            val = _eval_head_graded(f, inner, tail)
+            val = f.evaluate([val] + perm[i:])
             if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(eps, val))
-        if not vec_is_zero(total):
-            out[key] = total
+                out = vec_add(out, vec_scale(koszul_sign(sigma, degs), val))
     return out
-
-
-def graded_nr_bracket(f, g):
-    """[f,g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f on graded maps."""
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-    return graded_circ_bar(f, g) - graded_circ_bar(g, f).scale(sign)

@@ -10,9 +10,8 @@ determinant +-1, which preserve validity.
 
 from fractions import Fraction
 from itertools import combinations
-import random
 
-from .linalg import Matrix, frac, vec_is_zero, basis_vec
+from .linalg import Matrix, frac, invert_matrix, vec_is_zero
 from .multilinear import AltMap
 from .liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                      LieActTriple, adjoint_rep, trivial_rep, rho_lambda)
@@ -51,15 +50,6 @@ def rand_unimodular(rng, n, steps=6):
         p.data[i][j] = p.data[j][i] = Fraction(1)
         m = m * p
     return m
-
-
-def invert_matrix(m):
-    n = m.rows
-    aug = Matrix(n, 2 * n, [m.data[i][:] + Matrix.identity(n).data[i][:]
-                            for i in range(n)])
-    R, pivots = aug.rref()
-    assert pivots == list(range(n)), "matrix not invertible"
-    return Matrix(n, n, [R.data[i][n:] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,153 @@
+"""The single multilinear core: AltMap is the graded map on the suspension,
+and one circle product serves both pictures.
+
+The circle product is checked here against its definition as a sum over
+all permutations, weighted by 1/(m! (n-1)!) for an inner map of arity m and
+an outer map of arity n, evaluated through the general multilinear
+extension -- an oracle that shares no loop with the shuffle sum it checks.
+"""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
+
+import pytest
+
+from difflie.linalg import basis_vec, vec_add, vec_scale, vec_zero
+from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
+                                 GradedSymMap, GradedVectorSpace,
+                                 NonHomogeneousInput, alt_to_graded,
+                                 suspend_space)
+from difflie.nr import circ_bar, family_circ, nr_bracket
+from difflie.permutations import koszul_sign
+from difflie.samples import rand_vec
+
+from test_homotopy import rand_graded
+
+
+def circ_by_permutations(f, g, key):
+    """(f o-bar g)(e_key) as (1/(m!(n-1)!)) sum over all permutations sigma
+    of eps(sigma) f(g(e_sigma(1..m)), e_sigma(m+1..))."""
+    space = f.space
+    m, N = g.arity, len(key)
+    degs = [space.degrees[i] for i in key]
+    args = [basis_vec(space.dim, i) for i in key]
+    total = vec_zero(space.dim)
+    for perm in permutations(range(1, N + 1)):
+        permuted = [args[k - 1] for k in perm]
+        inner = g.evaluate(permuted[:m])
+        val = f.evaluate([inner] + permuted[m:])
+        total = vec_add(total, vec_scale(koszul_sign(perm, degs), val))
+    return vec_scale(Fraction(1, factorial(m) * factorial(f.arity - 1)),
+                     total)
+
+
+def rand_altmap(rng, arity, dim):
+    f = AltMap(arity, dim, dim)
+    for key in combinations(range(dim), arity):
+        f[key] = rand_vec(rng, dim, -2, 2)
+    return f
+
+
+def test_circle_product_matches_definition_on_alternating_maps(rng):
+    for _ in range(10):
+        dim = rng.randrange(2, 5)
+        f = rand_altmap(rng, rng.randrange(1, 4), dim)
+        g = rand_altmap(rng, rng.randrange(0, 3), dim)
+        out = circ_bar(f, g)
+        assert out.arity == f.arity + g.arity - 1
+        assert out.degree == out.arity - 1
+        for key in combinations(range(dim), out.arity):
+            assert out.value_on_basis(key) == circ_by_permutations(f, g, key)
+
+
+def test_circle_product_matches_definition_on_mixed_degrees(rng):
+    space = GradedVectorSpace([(-1, 1), (0, 2), (1, 1)])
+    checked = 0
+    for _ in range(10):
+        f = rand_graded(rng, space, rng.randrange(1, 4), rng.randrange(0, 2))
+        g = rand_graded(rng, space, rng.randrange(1, 3), rng.randrange(0, 2))
+        out = circ_bar(f, g)
+        assert out.degree == f.degree + g.degree
+        for key in space.spanning_tuples(out.arity):
+            expect = circ_by_permutations(f, g, key)
+            assert out.value_on_basis(key) == expect
+            checked += any(expect)
+    assert checked
+
+
+def test_alternating_map_is_the_graded_map_on_one_odd_degree():
+    f = AltMap(2, 3, 3)
+    f[(2, 0)] = [1, 2, 3]
+    assert isinstance(f, GradedSymMap)
+    assert f.space is suspend_space(3) and f.space is AltMap(1, 3, 5).space
+    assert f.degree == 1 and f.space.degrees == [-1, -1, -1]
+    assert f.coeffs == {(0, 2): [-1, -2, -3]}
+    assert alt_to_graded(f) == f and alt_to_graded(f) is not f
+    c = AltMap(0, 2, 2)
+    c[()] = [1, 0]
+    assert c.value_on_basis(()) == [1, 0]
+
+
+def test_checks_of_the_merged_class():
+    f = AltMap(2, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        f[(0, 1)] = [1, 2, 3]  # target vector length
+    with pytest.raises(ValueError):
+        f[(1, 1)] = [1, 0]  # repeated index with a nonzero value
+    f[(1, 1)] = [0, 0]
+    with pytest.raises(ArityMismatch):
+        f.evaluate([basis_vec(3, 0)])
+    with pytest.raises(ArityMismatch):
+        f.value_on_basis((0,))
+    with pytest.raises(DimensionMismatch):
+        f.evaluate([basis_vec(2, 0), basis_vec(2, 1)])  # source length
+    space = GradedVectorSpace([(0, 1), (1, 2)])
+    F = GradedSymMap(2, 0, space)
+    with pytest.raises(DimensionMismatch):
+        F.evaluate([basis_vec(2, 0), basis_vec(2, 1)])
+    with pytest.raises(NonHomogeneousInput):
+        F.evaluate([[1, 1, 0], basis_vec(3, 2)])
+    with pytest.raises(ValueError):
+        F[(1, 1)] = [0, 0, 1]  # repeated odd index
+
+
+def test_circle_product_needs_one_space():
+    f = AltMap(2, 3, 3)
+    with pytest.raises(DimensionMismatch):
+        circ_bar(f, AltMap(1, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        circ_bar(f, AltMap(1, 3, 2))
+
+
+def test_constant_outer_map_has_no_slot(rng):
+    f = AltMap(0, 2, 2, {(): [1, 1]})
+    g = rand_altmap(rng, 2, 2)
+    out = circ_bar(f, g)
+    assert out.is_zero() and out.arity == 1
+    # nr_bracket needs both products to agree in arity and degree
+    assert nr_bracket(g, f) == circ_bar(g, f)
+
+
+def test_family_sum_is_the_summed_circle_product(rng):
+    space = GradedVectorSpace([(0, 2), (1, 1)])
+    outer = {a: rand_graded(rng, space, a, 1) for a in (1, 2)}
+    inner = {a: rand_graded(rng, space, a, 0) for a in (1, 2)}
+    for n in (1, 2, 3):
+        total = GradedSymMap(n, 1, space)
+        for i in range(1, n + 1):
+            if (n - i + 1) in outer and i in inner:
+                total = total + circ_bar(outer[n - i + 1], inner[i])
+        for key in space.spanning_tuples(n):
+            args = [basis_vec(space.dim, k) for k in key]
+            degs = [space.degrees[k] for k in key]
+            assert family_circ(outer, inner, args, degs, space.dim) == \
+                total.value_on_basis(key)
+
+
+def test_spanning_tuples_skip_odd_repeats():
+    space = GradedVectorSpace([(0, 1), (1, 2)])
+    keys = list(space.spanning_tuples(2))
+    assert keys == [(0, 0), (0, 1), (0, 2), (1, 2)]
+    assert list(suspend_space(3).spanning_tuples(2)) == \
+        list(combinations(range(3), 2))
