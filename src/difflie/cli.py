@@ -4,7 +4,8 @@ emit deterministic reports.
 Every command reads one JSON document, prints a report (all rationals as
 exact "p/q" strings, keys sorted, byte-identical for identical inputs) and
 exits with 0 when every residual in the report is zero, 1 when some residual
-or verdict is nonzero/negative, and 2 on a parse or schema error.
+or verdict is nonzero/negative, and 2 on a parse or schema error, which is
+reported as one line on stderr with nothing on stdout.
 """
 
 import argparse
@@ -14,17 +15,18 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, fmt_scalar, parse_scalar, vec_is_zero
+from .linalg import (CompositionNonzero, Matrix, basis_vec, fmt_scalar,
+                     parse_scalar, vec_is_zero)
 from .liealg import (DiffLieAlgebra, adjoint_rep, altmap_from_json,
                      altmap_to_json, difflie_from_json, difflie_to_json,
                      jacobi_residual, rep_from_json, rep_residuals,
                      rep_to_json, weighted_derivation_residual)
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from .cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
-                         UnknownFlavor, cochain_dim, cohomology_dims,
-                         coords_to_altmap, twist_bridge_residual)
-from .extensions import (NotCocycle, build_extension, classify,
-                         extract_cocycle, split_extension)
+                         UnknownFlavor, cohomology_dims, pair_dim,
+                         twist_bridge_residual)
+from .extensions import (InvalidExtension, NotCocycle, build_extension,
+                         classify, extract_cocycle, split_extension)
 from .deformations import (NotDeformation, Obstructed, TruncatedDeformation,
                            deformation_residuals, first_nontrivial_order,
                            rigidify_step)
@@ -50,6 +52,13 @@ def _load(path):
         raise SchemaError(str(e))
 
 
+def _dim(obj, key):
+    n = int(obj[key])
+    if n < 0:
+        raise ValueError("%s must not be negative" % key)
+    return n
+
+
 def _difflie(obj, weight=None):
     try:
         A = difflie_from_json(obj)
@@ -73,7 +82,7 @@ def _emit(report, args):
     text = json.dumps(report, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text)
 
@@ -120,7 +129,7 @@ def cmd_cohomology(args):
                                   max_degree=args.max_degree)
     except UnknownFlavor as e:
         raise SchemaError(str(e))
-    except AssertionError:
+    except CompositionNonzero:
         report = {"flavor": args.flavor, "d_squared_ok": False}
         return 1, report
     report = {"flavor": args.flavor, "weight": fmt_scalar(A.weight),
@@ -146,14 +155,9 @@ def cmd_twist(args):
     max_n = args.max_degree
     bad = []
     for n in range(1, max_n + 1):
-        fdim = cochain_dim(dim, dim, n)
-        gdim_c = cochain_dim(dim, dim, n - 1)
-        for idx in range(fdim + gdim_c):
-            coords = [Fraction(0)] * (fdim + gdim_c)
-            coords[idx] = Fraction(1)
-            pair = CocyclePair(coords_to_altmap(coords[:fdim], dim, dim, n),
-                               coords_to_altmap(coords[fdim:], dim, dim,
-                                                n - 1))
+        size = pair_dim(dim, dim, n)
+        for idx in range(size):
+            pair = CocyclePair.from_coords(basis_vec(size, idx), dim, dim, n)
             res = twist_bridge_residual(A, n, pair)
             if not vec_is_zero(res):
                 bad.append({"degree": n, "basis_index": idx + 1,
@@ -174,7 +178,7 @@ def _rand_altmap(rng, arity, dim):
 def cmd_key_formula(args):
     obj = _load(args.path)
     try:
-        dim = int(obj["dim"])
+        dim = _dim(obj, "dim")
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad key-formula document: %s" % e)
     rng = random.Random(args.seed)
@@ -195,8 +199,8 @@ def cmd_key_formula(args):
 def cmd_morphism_check(args):
     obj = _load(args.path)
     try:
-        gdim = int(obj["gdim"])
-        hdim = int(obj["hdim"])
+        gdim = _dim(obj, "gdim")
+        hdim = _dim(obj, "hdim")
         lam = parse_scalar(obj["weight"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad morphism document: %s" % e)
@@ -285,8 +289,6 @@ def _deformation_from_json(obj):
     for rows in obj.get("d", []):
         d.append(Matrix.from_rows([[parse_scalar(x) for x in row]
                                    for row in rows]))
-    if len(mu) != len(d):
-        raise SchemaError("mu and d must list the same number of orders")
     return TruncatedDeformation(A, mu, d)
 
 
@@ -344,11 +346,9 @@ def cmd_homotopy_check(args):
         D = {int(i): _graded_map_from_json(c, space, int(i), 0)
              for i, c in obj.get("D", {}).items()}
         H = HomotopyDiffLie(space, mu, D, lam)
-    except (KeyError, TypeError, ValueError, IndexError,
-            AssertionError) as e:
+    except (KeyError, TypeError, ValueError, IndexError) as e:
         raise SchemaError("bad homotopy document: %s" % e)
-    max_n = args.max_degree if args.max_degree is not None else None
-    ok, tables = homotopy_mc_check(H, max_n=max_n)
+    ok, tables = homotopy_mc_check(H, max_n=args.max_degree)
     failed = sorted(n for n, (j, o) in tables.items()
                     if not (j.is_zero() and o.is_zero()))
     report = {"weight": fmt_scalar(lam),
@@ -361,39 +361,56 @@ def cmd_homotopy_check(args):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, with exit status 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="difflie",
         description="Exact verifications for differential Lie algebras of "
                     "arbitrary weight.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, max_degree=None):
+    def command(name, actions=None):
+        sp = sub.add_parser(name)
+        if actions:
+            sp.add_argument("action", choices=actions)
         sp.add_argument("path")
         sp.add_argument("--json-out", default=None)
-        sp.add_argument("--weight", type=parse_scalar, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--order", type=int, default=5)
-        if max_degree is not None:
-            sp.add_argument("--max-degree", type=int, default=max_degree)
+        return sp
 
-    common(sub.add_parser("check-axioms"))
-    sp = sub.add_parser("cohomology")
-    common(sp, max_degree=4)
-    sp.add_argument("--flavor", choices=FLAVORS, default="difflie")
-    common(sub.add_parser("mc-check"))
-    common(sub.add_parser("twist"), max_degree=3)
-    common(sub.add_parser("key-formula"))
-    common(sub.add_parser("morphism-check"))
-    sp = sub.add_parser("extension")
-    sp.add_argument("action", choices=["build", "extract", "classify"])
-    common(sp)
-    sp = sub.add_parser("deform")
-    sp.add_argument("action", choices=["verify", "rigidify"])
-    common(sp)
-    sp = sub.add_parser("homotopy-check")
-    common(sp)
-    sp.add_argument("--max-degree", type=int, default=None)
+    def weight(sp):
+        sp.add_argument("--weight", type=parse_scalar, default=None)
+        return sp
+
+    def max_degree(sp, default):
+        sp.add_argument("--max-degree", type=positive_int, default=default)
+        return sp
+
+    # each subcommand declares only the options its handler reads
+    weight(command("check-axioms"))
+    max_degree(weight(command("cohomology")), 4).add_argument(
+        "--flavor", choices=FLAVORS, default="difflie")
+    weight(command("mc-check"))
+    max_degree(weight(command("twist")), 3)
+    sp = command("key-formula")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--order", type=int, default=5)
+    command("morphism-check").add_argument("--seed", type=int, default=0)
+    command("extension", ["build", "extract", "classify"])
+    command("deform", ["verify", "rigidify"])
+    max_degree(command("homotopy-check"), None)
     return p
 
 
@@ -418,7 +435,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         code, report = HANDLERS[args.command](args)
-    except SchemaError as e:
+    except (SchemaError, InvalidExtension) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     _emit(report, args)

@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .linalg import Matrix, homology_dim, vec_add, vec_is_zero, vec_scale, \
-    vec_zero, basis_vec
+from .linalg import CompositionNonzero, Matrix, vec_add, vec_is_zero, \
+    vec_scale, vec_zero, basis_vec
 from .liealg import rho_lambda
-from .multilinear import AltMap, altmap1_from_matrix
+from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
 
 
 FLAVORS = ("ce", "do", "difflie", "tilde")
@@ -149,49 +149,6 @@ def delta_apply(A, rep, f, n):
     return out
 
 
-class CochainComplexSpec:
-    """A validated complex: dimensions and differentials up to max_degree.
-
-    d[n] maps n-cochains to (n+1)-cochains for 0 <= n <= max_degree;
-    d[n+1] * d[n] = 0 is asserted for n <= max_degree - 1 at build time.
-    """
-
-    def __init__(self, algebra, rep, flavor="difflie", max_degree=4):
-        if flavor not in FLAVORS:
-            raise UnknownFlavor(flavor)
-        self.algebra = algebra
-        self.rep = rep
-        self.flavor = flavor
-        self.max_degree = max_degree
-        self.dims = [self._dim(n) for n in range(max_degree + 2)]
-        self.d = [self._differential(n) for n in range(max_degree + 1)]
-        for n in range(max_degree):
-            if not (self.d[n + 1] * self.d[n]).is_zero():
-                raise AssertionError(
-                    "d^2 != 0 at degree %d (flavor %s)" % (n, flavor))
-
-    def _dim(self, n):
-        gdim, vdim = self.algebra.dim, self.rep.space_dim
-        single = cochain_dim(gdim, vdim, n)
-        if self.flavor in ("ce", "do"):
-            return single
-        if self.flavor == "tilde":
-            if n == 0:
-                return 0
-            if n == 1:
-                return single
-        return single + (cochain_dim(gdim, vdim, n - 1) if n >= 1 else 0)
-
-    def _differential(self, n):
-        A, rep = self.algebra, self.rep
-        gdim, vdim = A.dim, rep.space_dim
-        if self.flavor == "ce":
-            return ce_differential(A, rep, n)
-        if self.flavor == "do":
-            return do_differential(A, rep, n)
-        return difflie_differential(A, rep, n, tilde=(self.flavor == "tilde"))
-
-
 def ce_differential(A, rep, n):
     L = A.algebra if hasattr(A, "algebra") else A
     gdim, vdim = L.dim, rep.space_dim
@@ -211,42 +168,77 @@ def delta_matrix(A, rep, n):
 
 
 def difflie_differential(A, rep, n, tilde=False):
-    """Block matrix of the combined differential in degree n.
+    """Block matrix of the combined differential in degree n,
+    (f, g) |-> (d_ce f, -delta f - d_do g); tilde truncates degree 0 to
+    nothing and degree 1 to the Lie part.
 
     Layout: Lie part first, operator part second, in both source and target.
     """
     gdim, vdim = A.dim, rep.space_dim
-    dce = ce_differential(A, rep, n)
-    ddo = do_differential(A, rep, n - 1) if n >= 1 else None
-    dlt = delta_matrix(A, rep, n)
-    lie_n = cochain_dim(gdim, vdim, n)
-    lie_n1 = cochain_dim(gdim, vdim, n + 1)
-    op_prev = cochain_dim(gdim, vdim, n - 1) if n >= 1 else 0
-    op_n = lie_n
-    if tilde:
-        if n == 0:
-            return Matrix.zero(cochain_dim(gdim, vdim, 1), 0)
-        if n == 1:
-            return Matrix.block([[dce], [dlt.scale(-1)]])
-    if n == 0:
-        return Matrix.block([[dce], [dlt.scale(-1)]])
-    return Matrix.block([
-        [dce, Matrix.zero(lie_n1, op_prev)],
-        [dlt.scale(-1), ddo.scale(-1)],
+    if tilde and n == 0:
+        return Matrix.zero(cochain_dim(gdim, vdim, 1), 0)
+    lie = Matrix.block([[ce_differential(A, rep, n)],
+                        [delta_matrix(A, rep, n).scale(-1)]])
+    if n == 0 or (tilde and n == 1):
+        return lie
+    op = Matrix.block([
+        [Matrix.zero(cochain_dim(gdim, vdim, n + 1),
+                     cochain_dim(gdim, vdim, n - 1))],
+        [do_differential(A, rep, n - 1).scale(-1)],
     ])
+    return Matrix.block([[lie, op]])
+
+
+class CochainComplexSpec:
+    """A validated complex: differentials up to max_degree and the cochain
+    dimensions read off their shapes.
+
+    d[n] maps n-cochains to (n+1)-cochains for 0 <= n <= max_degree;
+    d[n+1] * d[n] = 0 is checked once per degree as the differentials are
+    built, raising CompositionNonzero at the first degree where it fails.
+    """
+
+    def __init__(self, algebra, rep, flavor="difflie", max_degree=4):
+        if flavor not in FLAVORS:
+            raise UnknownFlavor(flavor)
+        self.algebra = algebra
+        self.rep = rep
+        self.flavor = flavor
+        self.max_degree = max_degree
+        self.d = []
+        for n in range(max_degree + 1):
+            self.d.append(self._differential(n))
+            if n and not (self.d[n] * self.d[n - 1]).is_zero():
+                raise CompositionNonzero(
+                    "d^2 != 0 at degree %d (flavor %s)" % (n - 1, flavor))
+        self.dims = [m.cols for m in self.d] + [self.d[-1].rows]
+
+    def _differential(self, n):
+        A, rep = self.algebra, self.rep
+        if self.flavor == "ce":
+            return ce_differential(A, rep, n)
+        if self.flavor == "do":
+            return do_differential(A, rep, n)
+        return difflie_differential(A, rep, n, tilde=(self.flavor == "tilde"))
 
 
 def cohomology_dims(spec):
-    """dim H^n for 0 <= n <= max_degree - 1."""
-    out = []
-    for n in range(spec.max_degree):
-        d_in = spec.d[n - 1] if n >= 1 else Matrix.zero(spec.dims[0], 0)
-        out.append(homology_dim(spec.d[n], d_in))
-    return out
+    """dim H^n = dim C^n - rank d[n] - rank d[n-1] for 0 <= n <= max_degree
+    - 1, ranking each differential once (linalg.homology_dim is the
+    two-step oracle)."""
+    ranks = [spec.d[n].rank() for n in range(spec.max_degree)]
+    return [spec.dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(spec.max_degree)]
 
 
 # ---------------------------------------------------------------------------
 # cocycle pairs and residuals
+
+
+def pair_dim(gdim, vdim, n):
+    """dim C^n = dim C^n_ce + dim C^{n-1}_do of the combined complex."""
+    return cochain_dim(gdim, vdim, n) + \
+        (cochain_dim(gdim, vdim, n - 1) if n >= 1 else 0)
 
 
 class CocyclePair:
@@ -257,10 +249,18 @@ class CocyclePair:
         self.g = g
 
     def coords(self, gdim, vdim, n):
+        """Coordinates in C^n: the Lie part first, then the operator part."""
         out = altmap_to_coords(self.f, gdim, vdim, n)
         if n >= 1:
             out = out + altmap_to_coords(self.g, gdim, vdim, n - 1)
         return out
+
+    @classmethod
+    def from_coords(cls, coords, gdim, vdim, n):
+        """The inverse of coords (degree n >= 1)."""
+        cut = cochain_dim(gdim, vdim, n)
+        return cls(coords_to_altmap(coords[:cut], gdim, vdim, n),
+                   coords_to_altmap(coords[cut:], gdim, vdim, n - 1))
 
 
 def cocycle_residual(spec, n, pair):
@@ -268,6 +268,26 @@ def cocycle_residual(spec, n, pair):
     vector in degree n+1; zero exactly for cocycles."""
     gdim, vdim = spec.algebra.dim, spec.rep.space_dim
     return spec.d[n].matvec(pair.coords(gdim, vdim, n))
+
+
+def pair_residual(A, rep, n, pair):
+    """cocycle_residual in the combined complex of (A, rep), building the
+    degree-n differential alone."""
+    return difflie_differential(A, rep, n).matvec(
+        pair.coords(A.dim, rep.space_dim, n))
+
+
+def pair_primitive(A, rep, pair):
+    """A linear map phi: g -> V, as a matrix, whose truncated differential
+    (phi as a 1-cochain with zero operator part) is the degree-2 pair, or
+    None when the pair has no such primitive.  The solve is linear in the
+    pair, so the negated pair gives the negated phi."""
+    gdim, vdim = A.dim, rep.space_dim
+    x = difflie_differential(A, rep, 1, tilde=True).solve(
+        pair.coords(gdim, vdim, 2))
+    if x is None:
+        return None
+    return matrix_from_altmap1(coords_to_altmap(x, gdim, vdim, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from itertools import combinations
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, \
     vec_zero, basis_vec
 from .liealg import adjoint_rep
-from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
-from .cohomology import (CocyclePair, coords_to_altmap, cocycle_residual,
-                         difflie_differential, CochainComplexSpec)
+from .multilinear import AltMap, altmap1_from_matrix
+from .cohomology import CocyclePair, pair_primitive, pair_residual
 
 
 class NotDeformation(Exception):
@@ -45,14 +44,21 @@ class TruncatedDeformation:
     """mu = [mu_0..mu_N] (arity-2 maps), d = [d_0..d_N] (matrices)."""
 
     def __init__(self, base, mu, d):
-        assert len(mu) == len(d) and len(mu) >= 1
+        dim = base.dim
+        if len(mu) != len(d) or not mu:
+            raise ValueError("mu and d must list the same number of orders")
+        if any((m.arity, m.src_dim, m.tgt_dim) != (2, dim, dim) for m in mu):
+            raise ValueError("each mu_i must be a bracket on the base space")
+        if any((m.rows, m.cols) != (dim, dim) for m in d):
+            raise ValueError("each d_i must be a %d x %d matrix" % (dim, dim))
+        if not (mu[0] - base.algebra.bracket).is_zero():
+            raise ValueError("order-0 bracket must be the base bracket")
+        if d[0] != base.d:
+            raise ValueError("order-0 operator must be the base operator")
         self.base = base
         self.order = len(mu) - 1
         self.mu = list(mu)
         self.d = list(d)
-        assert (mu[0] - base.algebra.bracket).is_zero(), \
-            "order-0 bracket must be the base bracket"
-        assert d[0] == base.d, "order-0 operator must be the base operator"
 
 
 def constant_deformation(base, order):
@@ -150,9 +156,7 @@ def infinitesimal(D):
     mu1 = D.mu[1] if D.order >= 1 else AltMap(2, dim, dim)
     d1 = D.d[1] if D.order >= 1 else Matrix.zero(dim, dim)
     pair = CocyclePair(mu1, altmap1_from_matrix(d1))
-    spec = CochainComplexSpec(D.base, adjoint_rep(D.base), "difflie",
-                              max_degree=3)
-    return pair, cocycle_residual(spec, 2, pair)
+    return pair, pair_residual(D.base, adjoint_rep(D.base), 2, pair)
 
 
 def apply_formal_iso(D, Phi):
@@ -223,13 +227,11 @@ def rigidify_step(D):
     if r is None:
         return FormalIso([Matrix.identity(dim)]), D
     pair = CocyclePair(D.mu[r], altmap1_from_matrix(D.d[r]))
-    d1 = difflie_differential(D.base, adjoint_rep(D.base), 1, tilde=True)
-    target = [-x for x in pair.coords(dim, dim, 2)]
-    sol = d1.solve(target)
-    if sol is None:
+    phi = pair_primitive(D.base, adjoint_rep(D.base), pair)
+    if phi is None:
         raise Obstructed(pair, r)
-    phi = matrix_from_altmap1(coords_to_altmap(sol, dim, dim, 1))
+    # pulling back along Id - phi t^r subtracts d~1 phi = pair at order r
     phis = [Matrix.identity(dim)] + \
-        [Matrix.zero(dim, dim)] * (r - 1) + [phi]
+        [Matrix.zero(dim, dim)] * (r - 1) + [-phi]
     iso = FormalIso(phis)
     return iso, apply_formal_iso(D, iso)

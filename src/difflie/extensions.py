@@ -13,8 +13,7 @@ from .liealg import (DiffLieAlgebra, DiffRepresentation, LieAlgebra,
                      semidirect_bracket)
 from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
 from .cohomology import (CochainComplexSpec, CocyclePair, cohomology_dims,
-                         cocycle_residual, difflie_differential,
-                         coords_to_altmap)
+                         pair_primitive, pair_residual)
 
 
 class InvalidExtension(Exception):
@@ -122,15 +121,25 @@ def extract_cocycle(E):
     return rep, psi, altmap1_from_matrix(chi_m)
 
 
+def check_coefficients(g, rep):
+    """Raise InvalidExtension unless g is a differential Lie algebra and
+    rep a differential representation of it."""
+    if not is_diff_lie_algebra(g):
+        raise InvalidExtension("base algebra axioms fail")
+    if not is_diff_representation(g, rep):
+        raise InvalidExtension("coefficients fail representation axioms")
+
+
 def build_extension(g, rep, psi, chi):
     """The split extension with bracket [x+u, y+v] = [x,y] + rho(x)v
     - rho(y)u + psi(x,y) and operator d(x+v) = d x + chi(x) + d_V v.
 
-    Raises NotCocycle with the exact residual when (psi, chi) fails the
-    degree-2 cocycle condition."""
+    Raises InvalidExtension when (g, rep) fails the axioms and NotCocycle
+    with the exact residual when (psi, chi) fails the degree-2 cocycle
+    condition."""
     gdim, vdim = g.dim, rep.space_dim
-    spec = CochainComplexSpec(g, rep, "difflie", max_degree=3)
-    res = cocycle_residual(spec, 2, CocyclePair(psi, chi))
+    check_coefficients(g, rep)
+    res = pair_residual(g, rep, 2, CocyclePair(psi, chi))
     if not vec_is_zero(res):
         raise NotCocycle(res)
     br = semidirect_bracket(gdim, vdim, rep.rho, g.algebra.bracket, psi)
@@ -166,15 +175,10 @@ def equivalence_witness(E1, E2, phi=None):
         rep2, psi2, chi2 = extract_cocycle(E2)
         if rep1.rho != rep2.rho or rep1.dV != rep2.dV:
             return False, None
-        base = E1.base()
-        d1 = difflie_differential(base, rep1, 1, tilde=True)
-        gdim, vdim = E1.gdim, E1.vdim
-        target = CocyclePair(psi1 - psi2, chi1 - chi2).coords(
-            gdim, vdim, 2)
-        x = d1.solve(target)
-        if x is None:
+        phi = pair_primitive(E1.base(), rep1,
+                             CocyclePair(psi1 - psi2, chi1 - chi2))
+        if phi is None:
             return False, None
-        phi = matrix_from_altmap1(coords_to_altmap(x, gdim, vdim, 1))
     N = E1.total.dim
     zeta = Matrix.identity(N) + E1.i * phi * E1.p
     if zeta * E1.i != E2.i or E2.p * zeta != E1.p:
@@ -194,5 +198,6 @@ def equivalence_witness(E1, E2, phi=None):
 def classify(g, rep):
     """dim of the truncated degree-2 cohomology, the group classifying
     abelian extensions of g by the coefficients."""
+    check_coefficients(g, rep)
     spec = CochainComplexSpec(g, rep, "tilde", max_degree=3)
     return cohomology_dims(spec)[2]

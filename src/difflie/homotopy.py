@@ -62,16 +62,18 @@ class HomotopyDiffLie:
             self._check_family(f, i, 0, "D")
 
     def _check_family(self, f, i, deg, name):
-        assert f.arity == i >= 1, "%s_%d has arity %d" % (name, i, f.arity)
-        assert f.space == self.space
-        assert f.degree == deg
+        if f.arity != i or i < 1:
+            raise ValueError("%s_%d has arity %d" % (name, i, f.arity))
+        if f.space != self.space or f.degree != deg:
+            raise ValueError("%s_%d is not a degree-%d map on the space"
+                             % (name, i, deg))
         degrees = self.space.degrees
         for key, vec in f.coeffs.items():
             want = sum(degrees[k] for k in key) + deg
             got = self.space.degree_of_vector(vec)
-            if not vec_is_zero(vec):
-                assert got == want, \
-                    "%s_%d is not homogeneous of degree %d" % (name, i, deg)
+            if not vec_is_zero(vec) and got != want:
+                raise ValueError("%s_%d is not homogeneous of degree %d"
+                                 % (name, i, deg))
 
     def arity_bound(self):
         return max([0] + list(self.mu) + list(self.D))

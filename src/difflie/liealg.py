@@ -16,7 +16,7 @@ from itertools import combinations
 from .linalg import (Matrix, frac, fmt_scalar, mat_combination, parse_scalar,
                      vec_add, vec_sub, vec_scale, vec_zero, vec_is_zero,
                      basis_vec)
-from .multilinear import AltMap, DimensionMismatch
+from .multilinear import AltMap, ArityMismatch, DimensionMismatch
 
 
 class ZeroScale(Exception):
@@ -38,8 +38,10 @@ class LieAlgebra:
         self.dim = dim
         if bracket is None:
             bracket = AltMap(2, dim, dim)
-        assert bracket.arity == 2
-        assert bracket.src_dim == dim and bracket.tgt_dim == dim
+        if bracket.arity != 2:
+            raise ArityMismatch("a bracket has arity 2")
+        if bracket.src_dim != dim or bracket.tgt_dim != dim:
+            raise DimensionMismatch("bracket dimensions")
         self.bracket = bracket
 
     @classmethod
@@ -87,7 +89,8 @@ class DiffLieAlgebra:
     """A Lie algebra with a weighted differential operator d and weight."""
 
     def __init__(self, algebra, d, weight):
-        assert d.rows == d.cols == algebra.dim
+        if not d.rows == d.cols == algebra.dim:
+            raise DimensionMismatch("operator matrix shape")
         self.algebra = algebra
         self.d = d
         self.weight = frac(weight)
@@ -154,7 +157,8 @@ class DiffRepresentation:
         for m in self.rho:
             if m.rows != space_dim or m.cols != space_dim:
                 raise DimensionMismatch("rho matrix shape")
-        assert dV.rows == dV.cols == space_dim
+        if not dV.rows == dV.cols == space_dim:
+            raise DimensionMismatch("dV matrix shape")
         self.dV = dV
 
     @property
@@ -258,7 +262,8 @@ class LieActTriple:
         self.g = g
         self.h = h
         self.rho = list(rho)
-        assert len(self.rho) == g.dim
+        if len(self.rho) != g.dim:
+            raise DimensionMismatch("one rho matrix per basis vector of g")
         for m in self.rho:
             if m.rows != h.dim or m.cols != h.dim:
                 raise DimensionMismatch("rho matrix shape")
@@ -378,7 +383,10 @@ def rep_to_json(rep):
 
 
 def rep_from_json(obj, g_dim):
-    rho = [_matrix_from_json(obj["rho"][str(i + 1)]) for i in range(g_dim)]
+    keys = [str(i + 1) for i in range(g_dim)]
+    if set(obj["rho"]) != set(keys):
+        raise ValueError("rho needs one matrix for each of 1..%d" % g_dim)
+    rho = [_matrix_from_json(obj["rho"][k]) for k in keys]
     return DiffRepresentation(obj["rep_dim"], rho, _matrix_from_json(obj["dV"]))
 
 

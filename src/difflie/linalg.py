@@ -28,7 +28,12 @@ def fmt_scalar(q):
 
 
 def parse_scalar(s):
-    return Fraction(s)
+    """A rational from an int or a "p" / "p/q" string; a zero denominator
+    is a ValueError, like any other malformed scalar."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 # ---------------------------------------------------------------------------

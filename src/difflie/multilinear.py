@@ -20,15 +20,15 @@ from itertools import combinations, combinations_with_replacement, product
 from .linalg import Matrix, frac, vec_zero, vec_add, vec_scale, vec_is_zero
 
 
-class ArityMismatch(Exception):
+class ArityMismatch(ValueError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     pass
 
 
-class NonHomogeneousInput(Exception):
+class NonHomogeneousInput(ValueError):
     pass
 
 
@@ -37,7 +37,10 @@ class GradedVectorSpace:
 
     def __init__(self, components):
         degs = [d for d, _ in components]
-        assert len(degs) == len(set(degs)), "degrees must be distinct"
+        if len(degs) != len(set(degs)):
+            raise ValueError("degrees must be distinct")
+        if any(dim < 0 for _, dim in components):
+            raise ValueError("component dimensions must not be negative")
         self.components = list(components)
         self.degrees = []
         for deg, dim in components:
@@ -100,7 +103,8 @@ class GradedSymMap:
     """
 
     def __init__(self, arity, degree, space, coeffs=None, tgt_dim=None):
-        assert arity >= 0
+        if arity < 0:
+            raise ArityMismatch("negative arity %d" % arity)
         self.arity = arity
         self.degree = degree
         self.space = space
@@ -116,6 +120,10 @@ class GradedSymMap:
                             tgt_dim=self.tgt_dim)
 
     def __setitem__(self, key, vec):
+        if len(key) != self.arity:
+            raise ArityMismatch("expected %d indices" % self.arity)
+        if key and not (min(key) >= 0 and max(key) < self.src_dim):
+            raise IndexError("basis index out of range in %r" % (key,))
         skey, sign = _sym_sort(key, self.space.odd)
         vec = [frac(x) for x in vec]
         if skey is None:

@@ -1,0 +1,58 @@
+"""Malformed input ends in exit status 2 with one stderr line.
+
+tests/cli_snapshots/errors.json lists one CLI call per input defect (wrong
+shapes and lengths, out-of-range indices, zero denominators, degree bounds,
+options a subcommand does not read, documents that fail the axioms at the
+extension boundary); its inputs live in tests/cli_snapshots/inputs/.  Every
+such call, and every exit-2 call of the snapshot cases, must print nothing
+on stdout and exactly one line on stderr, also under ``python -O``, where
+``assert`` statements are gone.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from difflie.cli import main
+
+HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    "cli_snapshots")
+SRC = os.path.join(os.path.dirname(HERE), os.pardir, "src")
+CLI = "import sys; from difflie.cli import main; sys.exit(main())"
+
+
+def _cases(name):
+    with open(os.path.join(HERE, name)) as fh:
+        return json.load(fh)
+
+
+ERRORS = _cases("errors.json")
+EXIT2 = ERRORS + [c for c in _cases("cases.json") if c["exit"] == 2]
+
+
+def _argv(case):
+    return [os.path.join(HERE, "inputs", a) if a.endswith(".json") else a
+            for a in case["argv"]]
+
+
+@pytest.mark.parametrize("case", ERRORS, ids=[c["name"] for c in ERRORS])
+def test_defect_exits_2_with_one_line(case, capsys):
+    code = main(_argv(case))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_exit_2_cases_hold_without_asserts():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    for case in EXIT2:
+        proc = subprocess.run([sys.executable, "-O", "-c", CLI] + _argv(case),
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2, case["name"]
+        assert proc.stdout == "", case["name"]
+        assert len(proc.stderr.splitlines()) == 1, (case["name"], proc.stderr)

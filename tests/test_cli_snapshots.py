@@ -4,8 +4,10 @@ tests/cli_snapshots/cases.json lists one call per subcommand and action (and
 the failing and error variants), each with its recorded exit code; the
 recorded stdout is <name>.stdout next to it, and the input documents are in
 inputs/.  The recordings were made with the CLI as it stood before the
-alternating and graded multilinear maps were merged into one class, so any
-change of a report, down to a byte, fails here.
+alternating and graded multilinear maps were merged into one class (the
+cohomology-corrupt case with the CLI as it stood before the cochain pair
+layout moved into cohomology.py), so any change of a report, down to a
+byte, fails here.
 """
 
 import json

@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from difflie.linalg import Matrix, basis_vec, vec_is_zero
+from difflie.linalg import Matrix, basis_vec, homology_dim, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, adjoint_rep,
                             trivial_rep)
-from difflie.multilinear import AltMap
-from difflie.cohomology import (CochainComplexSpec, CocyclePair, UnknownFlavor,
-                                altmap_to_coords, ce_apply, ce_differential,
-                                cochain_dim, cohomology_dims,
+from difflie.multilinear import AltMap, matrix_from_altmap1
+from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
+                                UnknownFlavor, altmap_to_coords, ce_apply,
+                                ce_differential, cochain_dim, cohomology_dims,
                                 coords_to_altmap, cocycle_residual,
                                 delta_apply, delta_matrix, do_differential,
                                 difflie_differential,
-                                embedding_commutes_residual,
+                                embedding_commutes_residual, pair_dim,
+                                pair_primitive, pair_residual,
                                 twist_bridge_residual)
 from difflie.samples import (abelian, aff1, sl2, rand_vec, random_diff_lie,
                              random_rep, WEIGHTS)
@@ -195,6 +196,54 @@ def test_rank_nullity_bookkeeping(rng):
     for n in range(spec.max_degree):
         r_in = spec.d[n - 1].rank() if n >= 1 else 0
         assert spec.dims[n] == hs[n] + spec.d[n].rank() + r_in
+
+
+def test_cohomology_dims_match_homology_oracle(rng):
+    for _ in range(3):
+        A = random_diff_lie(rng, max_dim=3)
+        rep = random_rep(rng, A, max_dim=2)
+        gdim, vdim = A.dim, rep.space_dim
+        for flavor in FLAVORS:
+            spec = CochainComplexSpec(A, rep, flavor, max_degree=3)
+            hs = cohomology_dims(spec)
+            for n in range(spec.max_degree):
+                d_in = spec.d[n - 1] if n else Matrix.zero(spec.dims[0], 0)
+                assert hs[n] == homology_dim(spec.d[n], d_in)
+            if flavor == "difflie":
+                assert spec.dims == [pair_dim(gdim, vdim, n)
+                                     for n in range(5)]
+            elif flavor in ("ce", "do"):
+                assert spec.dims == [cochain_dim(gdim, vdim, n)
+                                     for n in range(5)]
+
+
+def test_pair_helpers_match_full_complex_and_solve(rng):
+    for _ in range(4):
+        A = random_diff_lie(rng, max_dim=3)
+        rep = random_rep(rng, A, max_dim=2)
+        gdim, vdim = A.dim, rep.space_dim
+        spec = CochainComplexSpec(A, rep, "difflie", max_degree=3)
+        d1 = difflie_differential(A, rep, 1, tilde=True)
+        phi = [Fraction(rng.randrange(-2, 3)) for _ in range(d1.cols)]
+        exact = CocyclePair.from_coords(d1.matvec(phi), gdim, vdim, 2)
+        generic = CocyclePair(rand_cochain(rng, gdim, vdim, 2),
+                              rand_cochain(rng, gdim, vdim, 1))
+        assert pair_primitive(A, rep, exact) is not None
+        for pair in (exact, generic):
+            coords = pair.coords(gdim, vdim, 2)
+            assert CocyclePair.from_coords(coords, gdim, vdim, 2).coords(
+                gdim, vdim, 2) == coords
+            assert pair_residual(A, rep, 2, pair) == \
+                cocycle_residual(spec, 2, pair)
+            x = d1.solve(coords)
+            got = pair_primitive(A, rep, pair)
+            neg = pair_primitive(A, rep, CocyclePair(-pair.f, -pair.g))
+            if x is None:
+                assert got is None and neg is None
+            else:
+                assert got == matrix_from_altmap1(
+                    coords_to_altmap(x, gdim, vdim, 1))
+                assert neg == -got
 
 
 def test_coboundaries_are_cocycles(rng):
