@@ -24,7 +24,7 @@ from .liealg import (DiffLieAlgebra, adjoint_rep, altmap_from_json,
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from .cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                          UnknownFlavor, cohomology_dims, pair_dim,
-                         twist_bridge_residual)
+                         twist_bridge, twist_bridge_residual)
 from .extensions import (InvalidExtension, NotCocycle, build_extension,
                          classify, extract_cocycle, split_extension)
 from .deformations import (NotDeformation, Obstructed, TruncatedDeformation,
@@ -52,8 +52,16 @@ def _load(path):
         raise SchemaError(str(e))
 
 
+def _integer(value, what):
+    """A JSON integer; a bool, a fractional number or a string is a
+    ValueError rather than being truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def _dim(obj, key):
-    n = int(obj[key])
+    n = _integer(obj[key], key)
     if n < 0:
         raise ValueError("%s must not be negative" % key)
     return n
@@ -156,9 +164,10 @@ def cmd_twist(args):
     bad = []
     for n in range(1, max_n + 1):
         size = pair_dim(dim, dim, n)
+        bridge = twist_bridge(A, n)
         for idx in range(size):
             pair = CocyclePair.from_coords(basis_vec(size, idx), dim, dim, n)
-            res = twist_bridge_residual(A, n, pair)
+            res = twist_bridge_residual(A, n, pair, bridge)
             if not vec_is_zero(res):
                 bad.append({"degree": n, "basis_index": idx + 1,
                             "residual": _fmt_vec(res)})
@@ -251,8 +260,8 @@ def cmd_extension(args):
             chi = altmap_from_json(obj["chi"], A.dim, rep.space_dim)
         elif args.action == "extract":
             total = _difflie(obj["total"])
-            gdim = int(obj["gdim"])
-            vdim = int(obj["vdim"])
+            gdim = _dim(obj, "gdim")
+            vdim = _dim(obj, "vdim")
         else:
             A = _difflie(obj["base"])
             rep = rep_from_json(obj["rep"], A.dim)
@@ -338,7 +347,8 @@ def _graded_map_from_json(obj, space, arity, degree):
 def cmd_homotopy_check(args):
     obj = _load(args.path)
     try:
-        space = GradedVectorSpace([(int(d), int(m))
+        space = GradedVectorSpace([(_integer(d, "degree"),
+                                    _integer(m, "dimension"))
                                    for d, m in obj["components"]])
         lam = parse_scalar(obj["weight"])
         mu = {int(i): _graded_map_from_json(c, space, int(i), 1)

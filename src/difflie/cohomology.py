@@ -19,13 +19,14 @@ forces.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .linalg import CompositionNonzero, Matrix, vec_add, vec_is_zero, \
     vec_scale, vec_zero, basis_vec
-from .liealg import rho_lambda
-from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
+from .liealg import adjoint_rep, rho_lambda
+from .multilinear import AltMap, _sym_sort, altmap1_from_matrix, \
+    matrix_from_altmap1
 
 
 FLAVORS = ("ce", "do", "difflie", "tilde")
@@ -70,23 +71,9 @@ def coords_to_altmap(coords, gdim, vdim, n):
     return f
 
 
-def _operator_matrix(op, gdim, vdim, n, m):
-    """Matrix of a linear map from n-cochains to m-cochains."""
-    src = cochain_dim(gdim, vdim, n)
-    tgt = cochain_dim(gdim, vdim, m)
-    out = Matrix.zero(tgt, src)
-    for j in range(src):
-        e = vec_zero(src)
-        e[j] = Fraction(1)
-        col = altmap_to_coords(op(coords_to_altmap(e, gdim, vdim, n)),
-                               gdim, vdim, m)
-        for i in range(tgt):
-            out.data[i][j] = col[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# the three building-block operators, applied to cochains
+# the three building-block operators, applied to one cochain: the
+# definitions that the matrix builders below are tested against
 
 
 def ce_apply(L, rep, f, n):
@@ -149,22 +136,113 @@ def delta_apply(A, rep, f, n):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the differentials as matrices, written entry by entry from the structure
+# constants
+
+
+def _add_ce(out, r0, c0, sign, L, rho, vdim, n):
+    """Add sign times the matrix of the Chevalley-Eilenberg coboundary on
+    n-cochains, with coefficients rho (one vdim x vdim matrix per basis
+    vector of L), into out with its corner at row r0, column c0."""
+    gdim = L.dim
+    src = {key: k for k, key in enumerate(cochain_keys(gdim, n))}
+    odd = (True,) * gdim
+    rho_nz = [[(s, t, x) for s, row in enumerate(m.data)
+               for t, x in enumerate(row) if x] for m in rho]
+    br_nz = {key: [(c, x) for c, x in enumerate(vec) if x]
+             for key, vec in L.bracket.coeffs.items()}
+    data = out.data
+    for k, J in enumerate(combinations(range(gdim), n + 1)):
+        r = r0 + k * vdim
+        # rho(x_{J[p]}) f(J without J[p]), sign (-1)^(p+1+n)
+        for p in range(n + 1):
+            sp = -sign if (p + 1 + n) % 2 else sign
+            col = c0 + src[J[:p] + J[p + 1:]] * vdim
+            for s, t, x in rho_nz[J[p]]:
+                data[r + s][col + t] += sp * x
+        # f([x_{J[p]}, x_{J[q]}], rest), sign (-1)^(p+q+n+1); the bracket
+        # coefficient c enters f's arguments at its sorted place
+        ident = {}
+        for p, q in combinations(range(n + 1), 2):
+            terms = br_nz.get((J[p], J[q]))
+            if not terms:
+                continue
+            spq = -sign if (p + q + n + 1) % 2 else sign
+            rest = J[:p] + J[p + 1:q] + J[q + 1:]
+            for c, x in terms:
+                key, s = _sym_sort((c,) + rest, odd)
+                if key is not None:
+                    ident[key] = ident.get(key, 0) + spq * s * x
+        _add_identity_blocks(data, r, c0, src, ident, vdim)
+
+
+def _add_delta(out, r0, c0, sign, A, rep, n):
+    """Add sign times the matrix of the connecting map delta on n-cochains
+    into out with its corner at row r0, column c0: -d_V on the diagonal
+    blocks, and for every slot subset S the weight lambda^(|S|-1) times
+    the expansion of d over the slots in S."""
+    gdim, vdim, lam = A.dim, rep.space_dim, A.weight
+    keys = cochain_keys(gdim, n)
+    src = {key: k for k, key in enumerate(keys)}
+    odd = (True,) * gdim
+    dV_nz = [(s, t, x) for s, row in enumerate(rep.dV.data)
+             for t, x in enumerate(row) if x]
+    d = A.d.data
+    dcols = [[(i, d[i][j]) for i in range(gdim) if d[i][j]]
+             for j in range(gdim)]
+    data = out.data
+    for k, K in enumerate(keys):
+        r = r0 + k * vdim
+        for s, t, x in dV_nz:
+            data[r + s][c0 + k * vdim + t] -= sign * x
+        ident = {}
+        for size in range(1, n + 1):
+            weight = lam ** (size - 1)
+            if weight == 0:
+                break
+            for S in combinations(range(n), size):
+                slots = [dcols[K[p]] if p in S else ((K[p], 1),)
+                         for p in range(n)]
+                for combo in product(*slots):
+                    key, s = _sym_sort(tuple(i for i, _ in combo), odd)
+                    if key is None:
+                        continue
+                    c = sign * s * weight
+                    for _, x in combo:
+                        c *= x
+                    ident[key] = ident.get(key, 0) + c
+        _add_identity_blocks(data, r, c0, src, ident, vdim)
+
+
+def _add_identity_blocks(data, r, c0, src, coeffs, vdim):
+    """Add c times the vdim x vdim identity at block row r, block column
+    c0 + src[key] * vdim, for each key -> c of coeffs."""
+    for key, c in coeffs.items():
+        if c:
+            col = c0 + src[key] * vdim
+            for t in range(vdim):
+                data[r + t][col + t] += c
+
+
 def ce_differential(A, rep, n):
     L = A.algebra if hasattr(A, "algebra") else A
     gdim, vdim = L.dim, rep.space_dim
-    return _operator_matrix(lambda f: ce_apply(L, rep, f, n),
-                            gdim, vdim, n, n + 1)
+    out = Matrix.zero(cochain_dim(gdim, vdim, n + 1),
+                      cochain_dim(gdim, vdim, n))
+    _add_ce(out, 0, 0, 1, L, rep.rho, vdim, n)
+    return out
 
 
 def do_differential(A, rep, n):
-    shifted = rho_lambda(rep, A)
-    return _operator_matrix(lambda f: ce_apply(A.algebra, shifted, f, n),
-                            A.dim, rep.space_dim, n, n + 1)
+    return ce_differential(A, rho_lambda(rep, A), n)
 
 
 def delta_matrix(A, rep, n):
-    return _operator_matrix(lambda f: delta_apply(A, rep, f, n),
-                            A.dim, rep.space_dim, n, n)
+    size = cochain_dim(A.dim, rep.space_dim, n)
+    out = Matrix.zero(size, size)
+    _add_delta(out, 0, 0, 1, A, rep, n)
+    return out
 
 
 def difflie_differential(A, rep, n, tilde=False):
@@ -175,18 +253,19 @@ def difflie_differential(A, rep, n, tilde=False):
     Layout: Lie part first, operator part second, in both source and target.
     """
     gdim, vdim = A.dim, rep.space_dim
+    lie_src = cochain_dim(gdim, vdim, n)
+    lie_tgt = cochain_dim(gdim, vdim, n + 1)
     if tilde and n == 0:
-        return Matrix.zero(cochain_dim(gdim, vdim, 1), 0)
-    lie = Matrix.block([[ce_differential(A, rep, n)],
-                        [delta_matrix(A, rep, n).scale(-1)]])
-    if n == 0 or (tilde and n == 1):
-        return lie
-    op = Matrix.block([
-        [Matrix.zero(cochain_dim(gdim, vdim, n + 1),
-                     cochain_dim(gdim, vdim, n - 1))],
-        [do_differential(A, rep, n - 1).scale(-1)],
-    ])
-    return Matrix.block([[lie, op]])
+        return Matrix.zero(lie_tgt, 0)
+    op_src = 0 if n == 0 or (tilde and n == 1) else \
+        cochain_dim(gdim, vdim, n - 1)
+    out = Matrix.zero(lie_tgt + lie_src, lie_src + op_src)
+    _add_ce(out, 0, 0, 1, A.algebra, rep.rho, vdim, n)
+    _add_delta(out, lie_tgt, 0, -1, A, rep, n)
+    if op_src:
+        _add_ce(out, lie_tgt, lie_src, -1, A.algebra,
+                rho_lambda(rep, A).rho, vdim, n - 1)
+    return out
 
 
 class CochainComplexSpec:
@@ -300,15 +379,24 @@ def _as_altmap0(v, dim):
     return f
 
 
-def twist_bridge_residual(A, n, pair):
+def twist_bridge(A, n):
+    """What twist_bridge_residual needs in degree n besides the pair: the
+    absolute structure, the bracket, d as a 1-cochain and the combined
+    differential of degree n with adjoint coefficients."""
+    from .linfty import absolute_structure
+    return (absolute_structure(A.dim, A.weight), A.algebra.bracket,
+            altmap1_from_matrix(A.d),
+            difflie_differential(A, adjoint_rep(A), n))
+
+
+def twist_bridge_residual(A, n, pair, bridge=None):
     """l_1 of the absolute structure twisted by (s mu, d), applied to
     (sf, g), plus the combined differential of (f, g); identically zero for
-    adjoint coefficients.  Returned in degree-(n+1) coordinates."""
-    from .linfty import Term, absolute_structure, twist_l1_formal
+    adjoint coefficients.  Returned in degree-(n+1) coordinates.  Pass
+    bridge = twist_bridge(A, n) to check many pairs of one degree."""
+    from .linfty import Term, twist_l1_formal
     dim = A.dim
-    mu = A.algebra.bracket
-    dmap = altmap1_from_matrix(A.d)
-    struct = absolute_structure(dim, A.weight)
+    struct, mu, dmap, d = bridge or twist_bridge(A, n)
     fterm = Term("s", pair.f)
     if n == 1:
         gterm = Term("a", _as_altmap0(pair.g, dim))
@@ -318,7 +406,7 @@ def twist_bridge_residual(A, n, pair):
         twist_l1_formal(struct, mu, dmap, gterm)
     # assemble as coordinates in C^{n+1} = C^{n+1}_ce (+) C^n_do
     s_out = AltMap(n + 1, dim, dim)
-    a_out = AltMap(n, dim, dim) if n >= 1 else None
+    a_out = AltMap(n, dim, dim)
     for t in twisted.terms():
         if t.kind == "s":
             assert t.f.arity == n + 1
@@ -326,19 +414,9 @@ def twist_bridge_residual(A, n, pair):
         else:
             assert t.f.arity == n
             a_out = a_out + t.f
-    from .liealg import adjoint_rep
-    rep = adjoint_rep(A)
-    d_f = ce_apply(A.algebra, rep, pair.f, n)
-    shifted = rho_lambda(rep, A)
-    if n == 1:
-        d_g = ce_apply(A.algebra, shifted, pair.g, 0)
-    else:
-        d_g = ce_apply(A.algebra, shifted, pair.g, n - 1)
-    delta_f = delta_apply(A, rep, pair.f, n)
-    res_s = s_out + d_f
-    res_a = a_out + d_g.scale(-1) + delta_f.scale(-1)
-    return altmap_to_coords(res_s, dim, dim, n + 1) + \
-        altmap_to_coords(res_a, dim, dim, n)
+    return vec_add(altmap_to_coords(s_out, dim, dim, n + 1) +
+                   altmap_to_coords(a_out, dim, dim, n),
+                   d.matvec(pair.coords(dim, dim, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +447,7 @@ def embedding_commutes_residual(A, rep, n):
     """E . d  -  d_ext . E on the combined complexes, where E is the block
     embedding of C^n(g,V) into C^n of the split-zero extension with adjoint
     coefficients.  Returns the difference matrix (zero)."""
-    from .liealg import adjoint_rep, trivial_extension
+    from .liealg import trivial_extension
     ext = trivial_extension(A, rep)
     ext_rep = adjoint_rep(ext)
 

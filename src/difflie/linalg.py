@@ -2,7 +2,10 @@
 
 Everything downstream (cohomology dimensions, residual checks, deformation
 solves) relies on these routines being exact, so all entries are
-``fractions.Fraction`` and there is no floating point anywhere.
+``fractions.Fraction`` and there is no floating point anywhere.  Matrices
+are stored dense, but products skip zeros: only the nonzero entries of each
+row of the left factor and the nonzero (column, value) pairs of each row of
+the right factor are multiplied.
 """
 
 from fractions import Fraction
@@ -139,16 +142,13 @@ class Matrix:
         if isinstance(other, Matrix):
             assert self.cols == other.rows, "inner dimensions must agree"
             out = Matrix(self.rows, other.cols)
-            for i in range(self.rows):
-                ri = self.data[i]
-                oi = out.data[i]
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a == 0:
-                        continue
-                    rk = other.data[k]
-                    for j in range(other.cols):
-                        oi[j] += a * rk[j]
+            sparse = [[(j, x) for j, x in enumerate(row) if x]
+                      for row in other.data]
+            for ri, oi in zip(self.data, out.data):
+                for a, rk in zip(ri, sparse):
+                    if a and rk:
+                        for j, x in rk:
+                            oi[j] += a * x
             return out
         return self.scale(other)
 

@@ -92,3 +92,30 @@ def test_scalar_roundtrip():
     for s in ["3", "-7", "5/9", "-1/2"]:
         assert fmt_scalar(parse_scalar(s)) == s
     assert fmt_scalar(Fraction(4, 2)) == "2"
+
+
+def dense_product(a, b):
+    """The triple-loop product over every entry: the oracle of the sparse
+    one."""
+    return [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)),
+                 Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_product_matches_dense_oracle(rng):
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [(rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6))
+               for _ in range(30)]
+    for r, k, c in shapes:
+        # mostly zero, with rational entries, so rows and columns of the
+        # right factor are often entirely zero
+        def entry():
+            if rng.random() < 0.6:
+                return 0
+            return Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        a = Matrix(r, k, [[entry() for _ in range(k)] for _ in range(r)])
+        b = Matrix(k, c, [[entry() for _ in range(c)] for _ in range(k)])
+        p = a * b
+        assert (p.rows, p.cols) == (r, c)
+        assert p.data == dense_product(a, b)
+        assert all(isinstance(x, Fraction) for row in p.data for x in row)
