@@ -17,7 +17,7 @@ Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
 from itertools import combinations
 
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, \
-    vec_zero, basis_vec
+    vec_zero
 from .liealg import adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
 from .cohomology import CocyclePair, pair_primitive, pair_residual
@@ -72,65 +72,81 @@ class FormalIso:
     """phi = [phi_0..phi_N] with phi_0 = Id."""
 
     def __init__(self, phi):
-        assert phi and phi[0] == Matrix.identity(phi[0].rows)
+        if not phi or phi[0] != Matrix.identity(phi[0].rows):
+            raise ValueError("phi_0 of a formal isomorphism must be the "
+                             "identity")
         self.phi = list(phi)
         self.order = len(phi) - 1
 
     def inverse_series(self, order):
         """Truncated inverse: psi_0 = Id, psi_n = -sum phi_k psi_{n-k}."""
         n_dim = self.phi[0].rows
+        terms = [(k, p) for k, p in enumerate(self.phi)
+                 if k and not p.is_zero()]
         psi = [Matrix.identity(n_dim)]
         for n in range(1, order + 1):
             acc = Matrix.zero(n_dim, n_dim)
-            for k in range(1, n + 1):
-                pk = self.phi[k] if k <= self.order else None
-                if pk is not None:
+            for k, pk in terms:
+                if k <= n:
                     acc = acc + pk * psi[n - k]
             psi.append(acc.scale(-1))
         return psi
 
 
+def _nonzero_terms(series):
+    """{order: term} of the terms of a series that are not zero."""
+    return {k: t for k, t in enumerate(series) if not t.is_zero()}
+
+
+def _columns(mats):
+    """{order: columns}: column x of m is m applied to basis vector e_x."""
+    return {k: m.transpose().data for k, m in mats.items()}
+
+
 def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
-    map)], order 0..N; the deformation equations hold iff all are zero."""
+    map)], order 0..N; the deformation equations hold iff all are zero.
+
+    Only the nonzero mu_i and d_l enter the sums, d_l e_x is column x of
+    d_l, and mu_i(e_x, v) is evaluated as -mu_i(v, e_x)."""
     dim = D.base.dim
     lam = D.base.weight
+    mu = _nonzero_terms(D.mu)
+    d = _nonzero_terms(D.d)
+    dcol = _columns(d)
     out = []
     for n in range(D.order + 1):
         jac = AltMap(3, dim, dim)
-        if dim >= 3:
-            for key in combinations(range(dim), 3):
-                vecs = [basis_vec(dim, k) for k in key]
-                total = vec_zero(dim)
-                for i in range(n + 1):
-                    mi, mj = D.mu[i], D.mu[n - i]
-                    for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                        inner = mj.evaluate([vecs[b], vecs[c]])
-                        total = vec_add(
-                            total, mi.evaluate([vecs[a], inner]))
-                if not vec_is_zero(total):
-                    jac.coeffs[key] = total
-        op = AltMap(2, dim, dim)
-        for key in combinations(range(dim), 2):
-            x, y = (basis_vec(dim, k) for k in key)
+        pairs = [(mi, mu[n - i]) for i, mi in mu.items() if n - i in mu]
+        for key in combinations(range(dim), 3):
             total = vec_zero(dim)
-            for k in range(n + 1):
-                l = n - k
-                total = vec_add(total,
-                                D.d[l].matvec(D.mu[k].evaluate([x, y])))
-                total = vec_sub(total, D.mu[k].evaluate(
-                    [D.d[l].matvec(x), y]))
-                total = vec_sub(total, D.mu[k].evaluate(
-                    [x, D.d[l].matvec(y)]))
-            if lam != 0:
-                for k in range(n + 1):
-                    for l in range(n - k + 1):
-                        m = n - k - l
-                        total = vec_sub(total, vec_scale(
-                            lam, D.mu[k].evaluate([D.d[l].matvec(x),
-                                                   D.d[m].matvec(y)])))
+            for mi, mj in pairs:
+                for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                    inner = mj.value_on_basis((key[b], key[c]))
+                    total = vec_sub(total,
+                                    mi.evaluate_head([inner], (key[a],)))
             if not vec_is_zero(total):
-                op.coeffs[key] = total
+                jac.coeffs[key] = total
+        op = AltMap(2, dim, dim)
+        for x, y in combinations(range(dim), 2):
+            total = vec_zero(dim)
+            for k, mk in mu.items():
+                l = n - k
+                if l not in d:
+                    continue
+                total = vec_add(total, d[l].matvec(mk.value_on_basis((x, y))))
+                total = vec_sub(total, mk.evaluate_head([dcol[l][x]], (y,)))
+                total = vec_add(total, mk.evaluate_head([dcol[l][y]], (x,)))
+            if lam != 0:
+                for k, mk in mu.items():
+                    for l in d:
+                        m = n - k - l
+                        if m in d:
+                            total = vec_sub(total, vec_scale(
+                                lam, mk.evaluate_head([dcol[l][x],
+                                                       dcol[m][y]])))
+            if not vec_is_zero(total):
+                op.coeffs[(x, y)] = total
         out.append((jac, op))
     return out
 
@@ -163,42 +179,43 @@ def apply_formal_iso(D, Phi):
     """Pull back along Phi_t: the deformation with
     mu'_n = sum_{a+b+c+e=n} psi_a mu_b(phi_c ., phi_e .) and
     d'_n = sum_{a+b+c=n} psi_a d_b phi_c, truncated at the order of D;
-    Phi maps the result onto D (Phi mu' = mu (Phi x Phi))."""
+    Phi maps the result onto D (Phi mu' = mu (Phi x Phi)).
+
+    The terms psi_a, mu_b, d_b and phi_c that are zero are dropped before
+    the sums, phi_c e_x is column x of phi_c, and psi_a is applied once to
+    the sum over b, c and e."""
     N = D.order
     dim = D.base.dim
-    psi = Phi.inverse_series(N)
-
-    def phi_at(k):
-        return Phi.phi[k] if k <= Phi.order else None
-
+    psi = _nonzero_terms(Phi.inverse_series(N))
+    phi = _nonzero_terms(Phi.phi[:N + 1])
+    pcol = _columns(phi)
+    mu = _nonzero_terms(D.mu)
+    d = _nonzero_terms(D.d)
     mu_new = []
     d_new = []
     for n in range(N + 1):
         m = AltMap(2, dim, dim)
-        for key in combinations(range(dim), 2):
-            x, y = (basis_vec(dim, k) for k in key)
+        for x, y in combinations(range(dim), 2):
             total = vec_zero(dim)
-            for a in range(n + 1):
-                for b in range(n - a + 1):
-                    for c in range(n - a - b + 1):
+            for a, psi_a in psi.items():
+                inner = vec_zero(dim)
+                for b, mu_b in mu.items():
+                    for c in pcol:
                         e = n - a - b - c
-                        pc, pe = phi_at(c), phi_at(e)
-                        if pc is None or pe is None:
-                            continue
-                        val = D.mu[b].evaluate(
-                            [pc.matvec(x), pe.matvec(y)])
-                        total = vec_add(total, psi[a].matvec(val))
+                        if e in pcol:
+                            inner = vec_add(inner, mu_b.evaluate_head(
+                                [pcol[c][x], pcol[e][y]]))
+                if not vec_is_zero(inner):
+                    total = vec_add(total, psi_a.matvec(inner))
             if not vec_is_zero(total):
-                m.coeffs[key] = total
+                m.coeffs[(x, y)] = total
         mu_new.append(m)
         acc = Matrix.zero(dim, dim)
-        for a in range(n + 1):
-            for b in range(n - a + 1):
+        for a, psi_a in psi.items():
+            for b, d_b in d.items():
                 c = n - a - b
-                pc = phi_at(c)
-                if pc is None:
-                    continue
-                acc = acc + psi[a] * D.d[b] * pc
+                if c in phi:
+                    acc = acc + psi_a * d_b * phi[c]
         d_new.append(acc)
     return TruncatedDeformation(D.base, mu_new, d_new)
 

@@ -3,9 +3,13 @@
 Everything downstream (cohomology dimensions, residual checks, deformation
 solves) relies on these routines being exact, so all entries are
 ``fractions.Fraction`` and there is no floating point anywhere.  Matrices
-are stored dense, but products skip zeros: only the nonzero entries of each
-row of the left factor and the nonzero (column, value) pairs of each row of
-the right factor are multiplied.
+are stored dense, but the kernels skip zeros: products multiply only the
+nonzero entries of each row of the left factor by the nonzero (column,
+value) pairs of each row of the right factor, matvec multiplies only the
+vector's nonzero entries by the nonzero entries of each row, and
+elimination updates the other rows only at the pivot row's nonzero
+columns.  Skipping a zero term never changes a sum, so the results are the
+same rationals as the dense formulas.
 """
 
 from fractions import Fraction
@@ -120,13 +124,18 @@ class Matrix:
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols,
                                        [[str(x) for x in row] for row in self.data])
 
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes %dx%d and %dx%d differ"
+                             % (self.rows, self.cols, other.rows, other.cols))
+
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        self._same_shape(other)
         return Matrix(self.rows, self.cols,
                       [vec_add(a, b) for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        self._same_shape(other)
         return Matrix(self.rows, self.cols,
                       [vec_sub(a, b) for a, b in zip(self.data, other.data)])
 
@@ -140,7 +149,9 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            assert self.cols == other.rows, "inner dimensions must agree"
+            if self.cols != other.rows:
+                raise ValueError("inner dimensions %d and %d differ"
+                                 % (self.cols, other.rows))
             out = Matrix(self.rows, other.cols)
             sparse = [[(j, x) for j, x in enumerate(row) if x]
                       for row in other.data]
@@ -156,8 +167,11 @@ class Matrix:
         return self.scale(c)
 
     def matvec(self, v):
-        assert len(v) == self.cols
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
+        if len(v) != self.cols:
+            raise ValueError("vector of length %d for %d columns"
+                             % (len(v), self.cols))
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return [sum((row[j] * x for j, x in nz if row[j]), Fraction(0))
                 for row in self.data]
 
     def transpose(self):
@@ -174,7 +188,11 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot column list)."""
+        """Reduced row echelon form; returns (R, pivot column list).
+
+        The pivot is the first nonzero entry of the column at or below the
+        current row; the other rows are updated in place, only at the
+        normalised pivot row's nonzero columns."""
         R = [row[:] for row in self.data]
         pivots = []
         r = 0
@@ -185,12 +203,16 @@ class Matrix:
             if p is None:
                 continue
             R[r], R[p] = R[p], R[r]
-            inv = 1 / R[r][c]
-            R[r] = [inv * x for x in R[r]]
-            for i in range(self.rows):
-                if i != r and R[i][c] != 0:
-                    f = R[i][c]
-                    R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            prow = R[r]
+            inv = 1 / prow[c]
+            nz = [(j, inv * y) for j, y in enumerate(prow) if y]
+            for j, y in nz:
+                prow[j] = y
+            for i, row in enumerate(R):
+                f = row[c]
+                if f and i != r:
+                    for j, y in nz:
+                        row[j] -= f * y
             pivots.append(c)
             r += 1
         return Matrix(self.rows, self.cols, R), pivots
@@ -213,7 +235,9 @@ class Matrix:
 
     def solve(self, b):
         """Some x with m*x = b, or None if the system is inconsistent."""
-        assert len(b) == self.rows
+        if len(b) != self.rows:
+            raise ValueError("right-hand side of length %d for %d rows"
+                             % (len(b), self.rows))
         aug = Matrix(self.rows, self.cols + 1,
                      [self.data[i][:] + [frac(b[i])] for i in range(self.rows)])
         R, pivots = aug.rref()
@@ -232,7 +256,8 @@ class Matrix:
         rows = []
         for brow in grid:
             h = brow[0].rows
-            assert all(m.rows == h for m in brow)
+            if any(m.rows != h for m in brow):
+                raise ValueError("blocks of one grid row differ in height")
             for i in range(h):
                 rows.append([x for m in brow for x in m.data[i]])
         return cls.from_rows(rows) if rows else cls(0, sum(m.cols for m in grid[0]) if grid else 0)
@@ -266,7 +291,9 @@ def homology_dim(d_out, d_in):
 
     Checks d_out . d_in = 0 first and raises CompositionNonzero otherwise.
     """
-    assert d_out.cols == d_in.rows
+    if d_out.cols != d_in.rows:
+        raise ValueError("d_out has %d columns but d_in has %d rows"
+                         % (d_out.cols, d_in.rows))
     if not (d_out * d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0: not a complex")
     return (d_out.cols - d_out.rank()) - d_in.rank()

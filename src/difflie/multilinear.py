@@ -164,18 +164,25 @@ class GradedSymMap:
 
     def evaluate_head(self, heads, tail=()):
         """f(v_1, .., v_k, e_{t_1}, .., e_{t_l}): vector heads followed by
-        the basis vectors of the index tuple tail."""
-        supports = [[i for i, x in enumerate(v) if x != 0] for v in heads]
+        the basis vectors of the index tuple tail.
+
+        Only the nonzero entries of the heads and the stored (nonzero)
+        coefficient vectors are visited, and the sum accumulates in place;
+        coefficients of 1, as on basis vectors, are not applied."""
+        supports = [[(i, x) for i, x in enumerate(v) if x] for v in heads]
+        odd, coeffs = self.space.odd, self.coeffs
         out = vec_zero(self.tgt_dim)
         for combo in product(*supports):
-            val = self.value_on_basis(combo + tail)
-            if vec_is_zero(val):
+            skey, c = _sym_sort(tuple(i for i, _ in combo) + tail, odd)
+            vec = coeffs.get(skey)
+            if vec is None:
                 continue
-            c = 1  # coefficients of 1, as on basis vectors, are not applied
-            for v, i in zip(heads, combo):
-                if v[i] != 1:
-                    c = v[i] if c == 1 else c * v[i]
-            out = vec_add(out, val if c == 1 else vec_scale(c, val))
+            for _, x in combo:
+                if x != 1:
+                    c = c * x
+            for k, y in enumerate(vec):
+                if y:
+                    out[k] += y if c == 1 else (-y if c == -1 else c * y)
         return out
 
     def __add__(self, other):

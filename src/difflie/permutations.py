@@ -6,6 +6,7 @@ lexicographic in the position subsets of the blocks, so all downstream sums
 are deterministic.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -56,8 +57,14 @@ def shuffles(block_sizes):
 
     A shuffle is increasing on each block of positions
     [1..i_1], [i_1+1..i_1+i_2], ...  Enumeration: choose the value subset of
-    each successive block, lexicographically.
+    each successive block, lexicographically.  The enumeration is memoized
+    per block tuple; each call returns a fresh list.
     """
+    return list(_shuffles(tuple(block_sizes)))
+
+
+@lru_cache(maxsize=None)
+def _shuffles(block_sizes):
     n = sum(block_sizes)
     out = []
 
@@ -70,7 +77,7 @@ def shuffles(block_sizes):
             rec(remaining[1:], prefix + list(subset))
 
     rec(list(block_sizes), [])
-    return out
+    return tuple(out)
 
 
 def pointed_shuffles(block_sizes):

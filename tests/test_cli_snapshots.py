@@ -6,8 +6,10 @@ recorded stdout is <name>.stdout next to it, and the input documents are in
 inputs/.  The recordings were made with the CLI as it stood before the
 alternating and graded multilinear maps were merged into one class (the
 cohomology-corrupt case with the CLI as it stood before the cochain pair
-layout moved into cohomology.py), so any change of a report, down to a
-byte, fails here.
+layout moved into cohomology.py, and the deform-verify-broken and
+deform-rigidify-dense cases with the CLI as it stood before the deformation
+kernels skipped zero terms), so any change of a report, down to a byte,
+fails here.
 """
 
 import json

@@ -1,0 +1,302 @@
+"""The zero-skipping deformation kernels against their dense definitions.
+
+``deformation_residuals`` and ``apply_formal_iso`` read d_l e_x and
+phi_c e_x as columns, drop the zero terms of every series and evaluate
+through ``GradedSymMap.evaluate_head``.  The oracles below are the
+basis-vector versions they replaced, with every bilinear value expanded over
+all pairs of basis vectors and every matrix applied by a dense row sum, so
+they share no kernel with the code under test.  Results are compared map for
+map, as Fractions.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
+    vec_scale, vec_sub, vec_zero
+from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
+from difflie.deformations import (FormalIso, TruncatedDeformation,
+                                  apply_formal_iso, constant_deformation,
+                                  deformation_residuals, rigidify_step,
+                                  first_nontrivial_order)
+from difflie.samples import rand_matrix, random_diff_lie
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def dense_matvec(m, v):
+    return [sum((row[j] * v[j] for j in range(m.cols)), Fraction(0))
+            for row in m.data]
+
+
+def bilinear(f, u, v):
+    """f(u, v) summed over every pair of basis vectors."""
+    out = vec_zero(f.tgt_dim)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out = vec_add(out, vec_scale(x * y, f.value_on_basis((i, j))))
+    return out
+
+
+def oracle_residuals(D):
+    dim = D.base.dim
+    lam = D.base.weight
+    out = []
+    for n in range(D.order + 1):
+        jac = AltMap(3, dim, dim)
+        for key in combinations(range(dim), 3):
+            vecs = [basis_vec(dim, k) for k in key]
+            total = vec_zero(dim)
+            for i in range(n + 1):
+                mi, mj = D.mu[i], D.mu[n - i]
+                for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                    inner = bilinear(mj, vecs[b], vecs[c])
+                    total = vec_add(total, bilinear(mi, vecs[a], inner))
+            if not vec_is_zero(total):
+                jac.coeffs[key] = total
+        op = AltMap(2, dim, dim)
+        for key in combinations(range(dim), 2):
+            x, y = (basis_vec(dim, k) for k in key)
+            total = vec_zero(dim)
+            for k in range(n + 1):
+                dl = D.d[n - k]
+                total = vec_add(total,
+                                dense_matvec(dl, bilinear(D.mu[k], x, y)))
+                total = vec_sub(total,
+                                bilinear(D.mu[k], dense_matvec(dl, x), y))
+                total = vec_sub(total,
+                                bilinear(D.mu[k], x, dense_matvec(dl, y)))
+            if lam != 0:
+                for k in range(n + 1):
+                    for l in range(n - k + 1):
+                        m = n - k - l
+                        total = vec_sub(total, vec_scale(lam, bilinear(
+                            D.mu[k], dense_matvec(D.d[l], x),
+                            dense_matvec(D.d[m], y))))
+            if not vec_is_zero(total):
+                op.coeffs[key] = total
+        out.append((jac, op))
+    return out
+
+
+def oracle_inverse_series(phi, order):
+    n_dim = phi[0].rows
+    psi = [Matrix.identity(n_dim)]
+    for n in range(1, order + 1):
+        acc = Matrix.zero(n_dim, n_dim)
+        for k in range(1, min(n, len(phi) - 1) + 1):
+            acc = acc + phi[k] * psi[n - k]
+        psi.append(acc.scale(-1))
+    return psi
+
+
+def oracle_iso(D, phi):
+    """(mu', d') of the pull-back along the series phi."""
+    N = D.order
+    dim = D.base.dim
+    psi = oracle_inverse_series(phi, N)
+
+    def phi_at(k):
+        return phi[k] if k < len(phi) else None
+
+    mu_new, d_new = [], []
+    for n in range(N + 1):
+        m = AltMap(2, dim, dim)
+        for key in combinations(range(dim), 2):
+            x, y = (basis_vec(dim, k) for k in key)
+            total = vec_zero(dim)
+            for a in range(n + 1):
+                for b in range(n - a + 1):
+                    for c in range(n - a - b + 1):
+                        e = n - a - b - c
+                        pc, pe = phi_at(c), phi_at(e)
+                        if pc is None or pe is None:
+                            continue
+                        val = bilinear(D.mu[b], dense_matvec(pc, x),
+                                       dense_matvec(pe, y))
+                        total = vec_add(total, dense_matvec(psi[a], val))
+            if not vec_is_zero(total):
+                m.coeffs[key] = total
+        mu_new.append(m)
+        acc = Matrix.zero(dim, dim)
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                pc = phi_at(n - a - b)
+                if pc is not None:
+                    acc = acc + psi[a] * D.d[b] * pc
+        d_new.append(acc)
+    return mu_new, d_new
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def fractions_only(maps):
+    return all(isinstance(x, Fraction)
+               for f in maps for vec in f.coeffs.values() for x in vec)
+
+
+def rand_alt2(rng, dim, density=0.5):
+    f = AltMap(2, dim, dim)
+    for key in combinations(range(dim), 2):
+        if rng.random() < density:
+            f[key] = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                      for _ in range(dim)]
+    return f
+
+
+def dense_matrix(rng, dim):
+    """A matrix with no zero entry."""
+    return Matrix(dim, dim, [[rng.choice((-2, -1, 1, 2, Fraction(1, 3)))
+                              for _ in range(dim)] for _ in range(dim)])
+
+
+def valid_deformation(rng, A, order):
+    phi = [Matrix.identity(A.dim)] + [rand_matrix(rng, A.dim, A.dim)
+                                      for _ in range(order)]
+    mu, d = oracle_iso(constant_deformation(A, order), phi)
+    return TruncatedDeformation(A, mu, d)
+
+
+def broken_deformation(rng, A, order):
+    """Random terms at some orders and zero terms at others."""
+    dim = A.dim
+    mu = [A.algebra.bracket]
+    d = [A.d]
+    for k in range(1, order + 1):
+        mu.append(rand_alt2(rng, dim) if k % 2 else AltMap(2, dim, dim))
+        d.append(rand_matrix(rng, dim, dim) if k != 2
+                 else Matrix.zero(dim, dim))
+    return TruncatedDeformation(A, mu, d)
+
+
+def deformations(rng):
+    """(label, D) over lambda = 0 and lambda != 0, valid and broken."""
+    out = []
+    for lam in (Fraction(0), Fraction(-2, 3), Fraction(3)):
+        for _ in range(2):
+            A = random_diff_lie(rng, lam=lam, max_dim=4)
+            out.append(("valid", valid_deformation(rng, A, 3)))
+            out.append(("broken", broken_deformation(rng, A, 3)))
+    return out
+
+
+def assert_residuals_match(D):
+    new = deformation_residuals(D)
+    old = oracle_residuals(D)
+    assert len(new) == len(old) == D.order + 1
+    for (jn, on), (jo, oo) in zip(new, old):
+        assert jn.coeffs == jo.coeffs
+        assert on.coeffs == oo.coeffs
+        assert fractions_only([jn, on])
+    return old
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_residuals_match_oracle(rng):
+    seen = set()
+    for label, D in deformations(rng):
+        old = assert_residuals_match(D)
+        lam = D.base.weight != 0
+        if label == "valid":
+            assert all(j.is_zero() and o.is_zero() for j, o in old)
+            seen.add((lam, "valid"))
+        if any(not j.is_zero() for j, _ in old):
+            seen.add((lam, "jacobi"))
+        if any(not o.is_zero() for _, o in old):
+            seen.add((lam, "operator"))
+    assert seen == {(lam, kind) for lam in (False, True)
+                    for kind in ("valid", "jacobi", "operator")}
+
+
+def iso_series(rng, dim, kind):
+    if kind == "dense":
+        return [Matrix.identity(dim)] + [dense_matrix(rng, dim)
+                                         for _ in range(4)]
+    r = kind
+    return [Matrix.identity(dim)] + [Matrix.zero(dim, dim)] * (r - 1) + \
+        [-rand_matrix(rng, dim, dim)]
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, "dense"])
+def test_apply_formal_iso_matches_oracle(rng, kind):
+    for label, D in deformations(rng):
+        phi = iso_series(rng, D.base.dim, kind)
+        # truncation orders of D below, at and above the order of Phi
+        for order in (1, 3):
+            Dt = TruncatedDeformation(D.base, D.mu[:order + 1],
+                                      D.d[:order + 1])
+            new = apply_formal_iso(Dt, FormalIso(phi))
+            mu_old, d_old = oracle_iso(Dt, phi)
+            assert [m.coeffs for m in new.mu] == [m.coeffs for m in mu_old]
+            assert new.d == d_old
+            assert fractions_only(new.mu)
+            assert all(isinstance(x, Fraction)
+                       for m in new.d for row in m.data for x in row)
+
+
+def test_inverse_series_matches_oracle(rng):
+    for kind in (1, 2, 3, "dense"):
+        phi = iso_series(rng, 3, kind)
+        for order in (0, 2, 6):
+            assert FormalIso(phi).inverse_series(order) == \
+                oracle_inverse_series(phi, order)
+
+
+def test_rigidify_steps_match_oracle(rng):
+    # every intermediate deformation of a rigidify run, with its sparse
+    # series Id - phi t^r, goes through both kernels
+    for lam in (Fraction(0), Fraction(2)):
+        A = random_diff_lie(rng, lam=lam, max_dim=3)
+        D = valid_deformation(rng, A, 3)
+        steps = 0
+        while first_nontrivial_order(D) is not None and steps <= D.order:
+            assert_residuals_match(D)
+            iso, D2 = rigidify_step(D)
+            mu_old, d_old = oracle_iso(D, iso.phi)
+            assert [m.coeffs for m in D2.mu] == [m.coeffs for m in mu_old]
+            assert D2.d == d_old
+            D = D2
+            steps += 1
+        assert first_nontrivial_order(D) is None and steps >= 1
+
+
+def old_evaluate_head(f, heads, tail=()):
+    supports = [[i for i, x in enumerate(v) if x != 0] for v in heads]
+    out = vec_zero(f.tgt_dim)
+    for combo in product(*supports):
+        c = Fraction(1)
+        for v, i in zip(heads, combo):
+            c *= v[i]
+        out = vec_add(out, vec_scale(c, f.value_on_basis(combo + tail)))
+    return out
+
+
+def test_evaluate_head_matches_basis_expansion(rng):
+    spaces = [GradedVectorSpace([(0, 2), (1, 2)]),
+              GradedVectorSpace([(-1, 3)]), GradedVectorSpace([(2, 3)])]
+    for space in spaces:
+        for arity in (0, 1, 2, 3):
+            f = GradedSymMap(arity, 0, space, tgt_dim=2)
+            for key in space.spanning_tuples(arity):
+                if rng.random() < 0.6:
+                    f[key] = [Fraction(rng.randrange(-3, 4),
+                                       rng.randrange(1, 3)) for _ in range(2)]
+            for _ in range(6):
+                k = rng.randrange(arity + 1)
+                heads = [[rng.choice((0, 0, 1, -1, Fraction(2, 3)))
+                          for _ in range(space.dim)] for _ in range(k)]
+                tail = tuple(rng.randrange(space.dim)
+                             for _ in range(arity - k))
+                new = f.evaluate_head(heads, tail)
+                assert new == old_evaluate_head(f, heads, tail)
+                assert all(isinstance(x, Fraction) for x in new)
+
