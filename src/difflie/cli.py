@@ -15,16 +15,19 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (CompositionNonzero, Matrix, basis_vec, fmt_scalar,
-                     parse_scalar, vec_is_zero)
-from .liealg import (DiffLieAlgebra, adjoint_rep, altmap_from_json,
-                     altmap_to_json, difflie_from_json, difflie_to_json,
-                     jacobi_residual, rep_from_json, rep_residuals,
-                     rep_to_json, weighted_derivation_residual)
+from .linalg import (CompositionNonzero, basis_vec, fmt_scalar, parse_scalar,
+                     vec_is_zero)
+from .liealg import (DiffLieAlgebra, SchemaError, _matrix_to_json,
+                     adjoint_rep, altmap_from_json, altmap_to_json,
+                     difflie_from_json, difflie_to_json, field,
+                     jacobi_residual, read_index, read_int, read_list,
+                     read_map, read_matrix, read_object, read_scalar,
+                     rep_from_json, rep_residuals, rep_to_json,
+                     weighted_derivation_residual)
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from .cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
-                         UnknownFlavor, cohomology_dims, pair_dim,
-                         twist_bridge, twist_bridge_residual)
+                         cohomology_dims, pair_dim, twist_bridge,
+                         twist_bridge_residual)
 from .extensions import (InvalidExtension, NotCocycle, build_extension,
                          classify, extract_cocycle, split_extension)
 from .deformations import (NotDeformation, Obstructed, TruncatedDeformation,
@@ -36,54 +39,8 @@ from .linfty import (Term, absolute_structure, iota_M, iota_a_abs,
 from .homotopy import HomotopyDiffLie, homotopy_mc_check
 
 
-class SchemaError(Exception):
-    pass
-
-
 def _fmt_vec(v):
     return [fmt_scalar(x) for x in v]
-
-
-def _load(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(str(e))
-
-
-def _integer(value, what):
-    """A JSON integer; a bool, a fractional number or a string is a
-    ValueError rather than being truncated or coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-    return value
-
-
-def _dim(obj, key):
-    n = _integer(obj[key], key)
-    if n < 0:
-        raise ValueError("%s must not be negative" % key)
-    return n
-
-
-def _difflie(obj, weight=None):
-    try:
-        A = difflie_from_json(obj)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise SchemaError("bad algebra document: %s" % e)
-    if weight is not None:
-        A = DiffLieAlgebra(A.algebra, A.d, weight)
-    return A
-
-
-def _rep_or_adjoint(obj, A):
-    if "rep" in obj:
-        try:
-            return rep_from_json(obj["rep"], A.dim)
-        except (KeyError, TypeError, ValueError, IndexError) as e:
-            raise SchemaError("bad representation document: %s" % e)
-    return adjoint_rep(A)
 
 
 def _emit(report, args):
@@ -96,27 +53,96 @@ def _emit(report, args):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# reading: each subcommand's document becomes the parsed objects its handler
+# takes, through the wire readers of liealg
 
 
-def cmd_check_axioms(args):
-    obj = _load(args.path)
-    A = _difflie(obj, args.weight)
-    jac = {}
-    for (i, j, k), r in zip(combinations(range(A.dim), 3),
-                            jacobi_residual(A.algebra)):
-        if not vec_is_zero(r):
-            jac["%d,%d,%d" % (i + 1, j + 1, k + 1)] = _fmt_vec(r)
-    op = {}
-    for (i, j), r in zip(combinations(range(A.dim), 2),
-                         weighted_derivation_residual(A)):
-        if not vec_is_zero(r):
-            op["%d,%d" % (i + 1, j + 1)] = _fmt_vec(r)
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise SchemaError("a JSON object gives a key twice; its keys are %s"
+                          % sorted(obj))
+    return obj
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _algebra(obj, args):
+    A = difflie_from_json(obj)
+    if args.weight is not None:
+        A = DiffLieAlgebra(A.algebra, A.d, args.weight)
+    return A
+
+
+def _algebra_rep(obj, args):
+    A = _algebra(obj, args)
+    return A, (rep_from_json(obj["rep"], A.dim) if "rep" in obj else None)
+
+
+def _read_extension(obj, args):
+    if args.action == "extract":
+        total = difflie_from_json(*field(obj, "total"))
+        gdim = read_int(*field(obj, "gdim"), 0, total.dim)
+        return total, gdim, read_int(*field(obj, "vdim"), total.dim - gdim,
+                                     total.dim - gdim)
+    A = difflie_from_json(*field(obj, "base"))
+    rep = rep_from_json(field(obj, "rep")[0], A.dim)
+    if args.action == "classify":
+        return A, rep
+    return (A, rep,
+            altmap_from_json(*field(obj, "psi"), A.dim, rep.space_dim, 2),
+            altmap_from_json(*field(obj, "chi"), A.dim, rep.space_dim, 1))
+
+
+def _read_deformation(obj, args):
+    A = difflie_from_json(*field(obj, "base"))
+    mu = [altmap_from_json(*m, A.dim, A.dim, 2)
+          for m in read_list(obj.get("mu", []), "mu")]
+    d = [read_matrix(*m, A.dim, A.dim)
+         for m in read_list(obj.get("d", []), "d")]
+    return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
+
+
+def _read_family(obj, key, space, degree):
+    """{n: map of arity n and the degree} from {"n": {"i,j,..": vector}}."""
+    family = {}
+    for text, coeffs, at in read_object(obj.get(key, {}), key):
+        n = read_index(text, at)
+        family[n] = read_map(coeffs, at, GradedSymMap(n, degree, space))
+    return family
+
+
+def _read_homotopy(obj, args):
+    space = GradedVectorSpace([
+        (read_int(*deg, None), read_int(*dim)) for deg, dim in
+        (read_list(*c, 2) for c in read_list(*field(obj, "components")))])
+    return HomotopyDiffLie(space, _read_family(obj, "mu", space, 1),
+                           _read_family(obj, "D", space, 0),
+                           read_scalar(*field(obj, "weight")))
+
+
+# ---------------------------------------------------------------------------
+# commands: each takes its parsed inputs and the options, and only computes
+
+
+def _nonzero(keys, residuals):
+    """{"i,j,..": vector} of the nonzero residuals, 1-based keys."""
+    return {",".join(str(i + 1) for i in key): _fmt_vec(r)
+            for key, r in zip(keys, residuals) if not vec_is_zero(r)}
+
+
+def cmd_check_axioms(inputs, args):
+    A, rep = inputs
+    jac = _nonzero(combinations(range(A.dim), 3), jacobi_residual(A.algebra))
+    op = _nonzero(combinations(range(A.dim), 2),
+                  weighted_derivation_residual(A))
     report = {"dim": A.dim, "weight": fmt_scalar(A.weight),
               "jacobi_nonzero": jac, "operator_nonzero": op}
     ok = not jac and not op
-    if "rep" in obj:
-        rep = _rep_or_adjoint(obj, A)
+    if rep is not None:
         rep_bad = {}
         for name, mats in rep_residuals(A, rep).items():
             nz = [i + 1 for i, m in enumerate(mats) if not m.is_zero()]
@@ -128,39 +154,27 @@ def cmd_check_axioms(args):
     return (0 if ok else 1), report
 
 
-def cmd_cohomology(args):
-    obj = _load(args.path)
-    A = _difflie(obj, args.weight)
-    rep = _rep_or_adjoint(obj, A)
+def cmd_cohomology(inputs, args):
+    A, rep = inputs
     try:
-        spec = CochainComplexSpec(A, rep, args.flavor,
-                                  max_degree=args.max_degree)
-    except UnknownFlavor as e:
-        raise SchemaError(str(e))
+        spec = CochainComplexSpec(A, adjoint_rep(A) if rep is None else rep,
+                                  args.flavor, max_degree=args.max_degree)
     except CompositionNonzero:
-        report = {"flavor": args.flavor, "d_squared_ok": False}
-        return 1, report
-    report = {"flavor": args.flavor, "weight": fmt_scalar(A.weight),
-              "dims_C": spec.dims[:args.max_degree + 1],
-              "dims_H": cohomology_dims(spec)[:args.max_degree + 1],
-              "d_squared_ok": True}
-    return 0, report
+        return 1, {"flavor": args.flavor, "d_squared_ok": False}
+    return 0, {"flavor": args.flavor, "weight": fmt_scalar(A.weight),
+               "dims_C": spec.dims[:args.max_degree + 1],
+               "dims_H": cohomology_dims(spec)[:args.max_degree + 1],
+               "d_squared_ok": True}
 
 
-def cmd_mc_check(args):
-    obj = _load(args.path)
-    A = _difflie(obj, args.weight)
+def cmd_mc_check(A, args):
     ok, res = mc_check_absolute(A.algebra.bracket, A.d, A.weight)
-    report = {"dim": A.dim, "weight": fmt_scalar(A.weight),
-              "maurer_cartan": ok}
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {"dim": A.dim, "weight": fmt_scalar(A.weight),
+                              "maurer_cartan": ok}
 
 
-def cmd_twist(args):
-    obj = _load(args.path)
-    A = _difflie(obj, args.weight)
-    dim = A.dim
-    max_n = args.max_degree
+def cmd_twist(A, args):
+    dim, max_n = A.dim, args.max_degree
     bad = []
     for n in range(1, max_n + 1):
         size = pair_dim(dim, dim, n)
@@ -184,129 +198,69 @@ def _rand_altmap(rng, arity, dim):
     return f
 
 
-def cmd_key_formula(args):
-    obj = _load(args.path)
-    try:
-        dim = _dim(obj, "dim")
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad key-formula document: %s" % e)
+def cmd_key_formula(dim, args):
     rng = random.Random(args.seed)
-    samples = max(1, args.order)
     nonzero = 0
-    for _ in range(samples):
+    for _ in range(args.order):
         f = _rand_altmap(rng, rng.randrange(2, 4), dim)
         r = rng.randrange(1, f.arity)
         xis = [_rand_altmap(rng, rng.randrange(1, 3), dim)
                for _ in range(r)]
         if not key_formula_check(f, xis, dim).is_zero():
             nonzero += 1
-    report = {"dim": dim, "samples": samples, "seed": args.seed,
+    report = {"dim": dim, "samples": args.order, "seed": args.seed,
               "nonzero_samples": nonzero, "all_zero": nonzero == 0}
     return (0 if nonzero == 0 else 1), report
 
 
-def cmd_morphism_check(args):
-    obj = _load(args.path)
-    try:
-        gdim = _dim(obj, "gdim")
-        hdim = _dim(obj, "hdim")
-        lam = parse_scalar(obj["weight"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad morphism document: %s" % e)
+def cmd_morphism_check(inputs, args):
+    gdim, hdim, lam = inputs
     rng = random.Random(args.seed)
-    nonzero = 0
-    total = 0
-    # one-algebra structure into the pair structure over (g, g)
-    src = absolute_structure(gdim, lam)
-    tgt = relative_structure(gdim, gdim, lam)
-
-    def phi(t):
-        if t.kind == "s":
-            return Term("s", iota_M(t.f, gdim))
-        return Term("a", iota_a_abs(t.f, gdim))
-
-    pool = [Term("s", _rand_altmap(rng, rng.randrange(1, 3), gdim)),
-            Term("a", _rand_altmap(rng, rng.randrange(1, 3), gdim))]
-    samples = [tuple(rng.choice(pool) for _ in range(n)) for n in (2, 3)]
-    for res in morphism_residual(phi, src, tgt, samples):
-        total += 1
-        nonzero += not res.is_zero()
-    # pair structure into the one-algebra structure on g (+) h, on the
-    # payload subalgebra where the embedding is strict (<= one h input)
     N = gdim + hdim
-    src2 = relative_structure(gdim, hdim, lam)
-    tgt2 = absolute_structure(N, lam)
-    pool2 = [Term("s", project_M_embed(
-                 _rand_altmap(rng, rng.randrange(1, 3), N), gdim, hdim)),
-             Term("a", project_a_rel(
-                 _rand_altmap(rng, rng.randrange(1, 3), N), gdim, hdim))]
-    samples2 = [tuple(rng.choice(pool2) for _ in range(n)) for n in (2, 3)]
-    for res in morphism_residual(lambda t: t, src2, tgt2, samples2):
-        total += 1
-        nonzero += not res.is_zero()
+    # the one-algebra structure into the pair structure over (g, g); then
+    # the pair structure into the one-algebra structure on g (+) h, on the
+    # payload subalgebra where the embedding is strict (<= one h input)
+    runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s" else iota_a_abs)
+                            (t.f, gdim)),
+             absolute_structure(gdim, lam),
+             relative_structure(gdim, gdim, lam), gdim,
+             lambda F: F, lambda F: F),
+            (lambda t: t, relative_structure(gdim, hdim, lam),
+             absolute_structure(N, lam), N,
+             lambda F: project_M_embed(F, gdim, hdim),
+             lambda F: project_a_rel(F, gdim, hdim))]
+    residuals = []
+    for phi, src, tgt, dim, to_s, to_a in runs:
+        pool = [Term("s", to_s(_rand_altmap(rng, rng.randrange(1, 3), dim))),
+                Term("a", to_a(_rand_altmap(rng, rng.randrange(1, 3), dim)))]
+        samples = [tuple(rng.choice(pool) for _ in range(n)) for n in (2, 3)]
+        residuals += morphism_residual(phi, src, tgt, samples)
+    nonzero = sum(not r.is_zero() for r in residuals)
     report = {"gdim": gdim, "hdim": hdim, "weight": fmt_scalar(lam),
-              "seed": args.seed, "samples": total,
+              "seed": args.seed, "samples": len(residuals),
               "nonzero_samples": nonzero, "all_zero": nonzero == 0}
     return (0 if nonzero == 0 else 1), report
 
 
-def cmd_extension(args):
-    obj = _load(args.path)
-    try:
-        if args.action == "build":
-            A = _difflie(obj["base"])
-            rep = rep_from_json(obj["rep"], A.dim)
-            psi = altmap_from_json(obj["psi"], A.dim, rep.space_dim)
-            chi = altmap_from_json(obj["chi"], A.dim, rep.space_dim)
-        elif args.action == "extract":
-            total = _difflie(obj["total"])
-            gdim = _dim(obj, "gdim")
-            vdim = _dim(obj, "vdim")
-        else:
-            A = _difflie(obj["base"])
-            rep = rep_from_json(obj["rep"], A.dim)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise SchemaError("bad extension document: %s" % e)
+def cmd_extension(inputs, args):
     if args.action == "build":
         try:
-            E = build_extension(A, rep, psi, chi)
+            E = build_extension(*inputs)
         except NotCocycle as e:
-            report = {"action": "build", "cocycle": False,
-                      "residual": _fmt_vec(e.residual)}
-            return 1, report
-        report = {"action": "build", "cocycle": True,
-                  "total": difflie_to_json(E.total)}
-        return 0, report
+            return 1, {"action": "build", "cocycle": False,
+                       "residual": _fmt_vec(e.residual)}
+        return 0, {"action": "build", "cocycle": True,
+                   "total": difflie_to_json(E.total)}
     if args.action == "extract":
-        E = split_extension(total, gdim, vdim)
-        rep2, psi2, chi2 = extract_cocycle(E)
-        report = {"action": "extract", "rep": rep_to_json(rep2),
-                  "psi": altmap_to_json(psi2), "chi": altmap_to_json(chi2),
-                  "base": difflie_to_json(E.base())}
-        return 0, report
-    report = {"action": "classify", "dim_H2": classify(A, rep)}
-    return 0, report
+        E = split_extension(*inputs)
+        rep, psi, chi = extract_cocycle(E)
+        return 0, {"action": "extract", "rep": rep_to_json(rep),
+                   "psi": altmap_to_json(psi), "chi": altmap_to_json(chi),
+                   "base": difflie_to_json(E.base())}
+    return 0, {"action": "classify", "dim_H2": classify(*inputs)}
 
 
-def _deformation_from_json(obj):
-    A = _difflie(obj["base"])
-    dim = A.dim
-    mu = [A.algebra.bracket]
-    d = [A.d]
-    for m in obj.get("mu", []):
-        mu.append(altmap_from_json(m, dim, dim))
-    for rows in obj.get("d", []):
-        d.append(Matrix.from_rows([[parse_scalar(x) for x in row]
-                                   for row in rows]))
-    return TruncatedDeformation(A, mu, d)
-
-
-def cmd_deform(args):
-    obj = _load(args.path)
-    try:
-        D = _deformation_from_json(obj)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise SchemaError("bad deformation document: %s" % e)
+def cmd_deform(D, args):
     if args.action == "verify":
         bad = []
         for n, (jac, op) in enumerate(deformation_residuals(D)):
@@ -314,57 +268,29 @@ def cmd_deform(args):
                 bad.append({"order": n, "equation": "jacobi"})
             if not op.is_zero():
                 bad.append({"order": n, "equation": "operator"})
-        report = {"action": "verify", "order": D.order,
-                  "failures": bad, "deformation": not bad}
-        return (0 if not bad else 1), report
-    # rigidify
+        return (0 if not bad else 1), {"action": "verify", "order": D.order,
+                                       "failures": bad, "deformation": not bad}
+    # rigidify; a D whose equations fail raises NotDeformation
     isos = []
     steps = 0
     try:
         while first_nontrivial_order(D) is not None and steps <= D.order:
             iso, D = rigidify_step(D)
-            isos.append([[ [fmt_scalar(x) for x in row] for row in m.data]
-                         for m in iso.phi])
+            isos.append([_matrix_to_json(m) for m in iso.phi])
             steps += 1
-    except NotDeformation as e:
-        raise SchemaError(str(e))
     except Obstructed as e:
-        report = {"action": "rigidify", "trivialized": False,
-                  "obstructed_at_order": e.order}
-        return 1, report
-    report = {"action": "rigidify", "trivialized": True, "isos": isos}
-    return 0, report
+        return 1, {"action": "rigidify", "trivialized": False,
+                   "obstructed_at_order": e.order}
+    return 0, {"action": "rigidify", "trivialized": True, "isos": isos}
 
 
-def _graded_map_from_json(obj, space, arity, degree):
-    f = GradedSymMap(arity, degree, space)
-    for key, vec in obj.items():
-        idx = tuple(int(p) - 1 for p in key.split(","))
-        f[idx] = [parse_scalar(c) for c in vec]
-    return f
-
-
-def cmd_homotopy_check(args):
-    obj = _load(args.path)
-    try:
-        space = GradedVectorSpace([(_integer(d, "degree"),
-                                    _integer(m, "dimension"))
-                                   for d, m in obj["components"]])
-        lam = parse_scalar(obj["weight"])
-        mu = {int(i): _graded_map_from_json(c, space, int(i), 1)
-              for i, c in obj.get("mu", {}).items()}
-        D = {int(i): _graded_map_from_json(c, space, int(i), 0)
-             for i, c in obj.get("D", {}).items()}
-        H = HomotopyDiffLie(space, mu, D, lam)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise SchemaError("bad homotopy document: %s" % e)
+def cmd_homotopy_check(H, args):
     ok, tables = homotopy_mc_check(H, max_n=args.max_degree)
     failed = sorted(n for n, (j, o) in tables.items()
                     if not (j.is_zero() and o.is_zero()))
-    report = {"weight": fmt_scalar(lam),
-              "checked_arities": sorted(tables),
-              "failed_arities": failed, "maurer_cartan": ok}
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {"weight": fmt_scalar(H.weight),
+                              "checked_arities": sorted(tables),
+                              "failed_arities": failed, "maurer_cartan": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +342,7 @@ def build_parser():
     max_degree(weight(command("twist")), 3)
     sp = command("key-formula")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--order", type=int, default=5)
+    sp.add_argument("--order", type=positive_int, default=5)
     command("morphism-check").add_argument("--seed", type=int, default=0)
     command("extension", ["build", "extract", "classify"])
     command("deform", ["verify", "rigidify"])
@@ -424,17 +350,27 @@ def build_parser():
     return p
 
 
+# each subcommand's reader, from its document to the parsed inputs, and its
+# handler, from those inputs and the options to (exit code, report)
 HANDLERS = {
-    "check-axioms": cmd_check_axioms,
-    "cohomology": cmd_cohomology,
-    "mc-check": cmd_mc_check,
-    "twist": cmd_twist,
-    "key-formula": cmd_key_formula,
-    "morphism-check": cmd_morphism_check,
-    "extension": cmd_extension,
-    "deform": cmd_deform,
-    "homotopy-check": cmd_homotopy_check,
+    "check-axioms": (_algebra_rep, cmd_check_axioms),
+    "cohomology": (_algebra_rep, cmd_cohomology),
+    "mc-check": (_algebra, cmd_mc_check),
+    "twist": (_algebra, cmd_twist),
+    "key-formula": (lambda obj, args: read_int(*field(obj, "dim")),
+                    cmd_key_formula),
+    "morphism-check": (lambda obj, args: (
+        read_int(*field(obj, "gdim")), read_int(*field(obj, "hdim")),
+        read_scalar(*field(obj, "weight"))), cmd_morphism_check),
+    "extension": (_read_extension, cmd_extension),
+    "deform": (_read_deformation, cmd_deform),
+    "homotopy-check": (_read_homotopy, cmd_homotopy_check),
 }
+
+
+def _reject(e):
+    sys.stderr.write("error: %s\n" % e)
+    return 2
 
 
 def main(argv=None):
@@ -443,11 +379,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    read, handle = HANDLERS[args.command]
     try:
-        code, report = HANDLERS[args.command](args)
-    except (SchemaError, InvalidExtension) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
+        inputs = read(_load(args.path), args)
+    except (KeyError, TypeError, ValueError, IndexError, OSError,
+            RecursionError) as e:
+        return _reject(e)
+    try:
+        code, report = handle(inputs, args)
+    except (InvalidExtension, NotDeformation) as e:
+        # documents that parse but fail the axioms these commands assume
+        return _reject(e)
     _emit(report, args)
     return code
 

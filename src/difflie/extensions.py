@@ -97,13 +97,9 @@ def extract_cocycle(E):
     rho = []
     for x in range(gdim):
         sx = E.s.matvec(basis_vec(gdim, x))
-        cols = []
-        for a in range(vdim):
-            cols.append(E.t.matvec(
-                E.total.br(sx, E.i.matvec(basis_vec(vdim, a)))))
-        rho.append(Matrix(vdim, vdim,
-                          [[cols[a][r] for a in range(vdim)]
-                           for r in range(vdim)]))
+        rho.append(Matrix(vdim, vdim, [
+            E.t.matvec(E.total.br(sx, E.i.matvec(basis_vec(vdim, a))))
+            for a in range(vdim)]).transpose())
     dV = E.t * E.total.d * E.i
     rep = DiffRepresentation(vdim, rho, dV)
     if not is_diff_representation(base, rep):

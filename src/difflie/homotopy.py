@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .linalg import basis_vec, frac, vec_add, vec_is_zero, vec_scale, \
     vec_sub, vec_zero
-from .multilinear import GradedSymMap, GradedVectorSpace, altmap1_from_matrix
+from .multilinear import GradedSymMap, altmap1_from_matrix
 from .nr import family_circ
 from .permutations import koszul_sign, shuffles
 
@@ -147,24 +147,17 @@ def _mu_of_D_terms(H, n, args, degs, pointed):
     return out
 
 
-def homotopy_diff_residual(H, n, args):
-    """The arity-n operator-family residual (pointed-shuffle form)."""
+def homotopy_diff_residual(H, n, args, pointed=True):
+    """The arity-n operator-family residual in the pointed-shuffle form;
+    pointed=False sums it over plain shuffles with 1/(p-1)! weights."""
     assert len(args) == n
     degs = [H.space.degree_of_vector(v) for v in args]
-    return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed=True),
+    return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed),
                    family_circ(H.D, H.mu, args, degs, H.space.dim))
 
 
 def homotopy_diff_residual_factorial(H, n, args):
-    """The same family summed over plain shuffles with 1/(p-1)! weights."""
-    assert len(args) == n
-    degs = [H.space.degree_of_vector(v) for v in args]
-    return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed=False),
-                   family_circ(H.D, H.mu, args, degs, H.space.dim))
-
-
-# kept under its old name, which callers of this module import
-_spanning_tuples = GradedVectorSpace.spanning_tuples
+    return homotopy_diff_residual(H, n, args, pointed=False)
 
 
 def residual_tables(H, max_n=None):

@@ -7,7 +7,7 @@ A weight-lambda differential operator on a Lie algebra g satisfies
 lambda = 0 gives a classical derivation, lambda = 1 a difference operator;
 the identity is such an operator of weight -1.  Everything here is a plain
 container plus explicit residual functions, so tests can inspect the
-residuals themselves; validate() helpers just assert the residuals vanish.
+residuals themselves; the is_* helpers check that they vanish.
 """
 
 from fractions import Fraction
@@ -20,14 +20,6 @@ from .multilinear import AltMap, ArityMismatch, DimensionMismatch
 
 
 class ZeroScale(Exception):
-    pass
-
-
-class NotLieAlgebra(Exception):
-    pass
-
-
-class InvalidStructure(Exception):
     pass
 
 
@@ -44,14 +36,6 @@ class LieAlgebra:
             raise DimensionMismatch("bracket dimensions")
         self.bracket = bracket
 
-    @classmethod
-    def from_brackets(cls, dim, entries):
-        """entries: iterable of (i, j, vector) with 0-based i < j."""
-        b = AltMap(2, dim, dim)
-        for i, j, vec in entries:
-            b[(i, j)] = vec
-        return cls(dim, b)
-
     def br(self, u, v):
         return self.bracket.evaluate([u, v])
 
@@ -60,13 +44,9 @@ class LieAlgebra:
 
     def ad(self, i):
         """Matrix of ad(x_i) acting on g."""
-        cols = [self.bracket.value_on_basis((i, j)) for j in range(self.dim)]
         return Matrix(self.dim, self.dim,
-                      [[cols[j][r] for j in range(self.dim)]
-                       for r in range(self.dim)])
-
-    def ad_vec(self, v):
-        return mat_combination(v, map(self.ad, range(self.dim)), self.dim)
+                      [self.bracket.value_on_basis((i, j))
+                       for j in range(self.dim)]).transpose()
 
 
 def jacobi_residual(L):
@@ -129,14 +109,6 @@ def is_diff_lie_algebra(A):
             and all(vec_is_zero(r) for r in weighted_derivation_residual(A)))
 
 
-def validate(A):
-    if not is_lie_algebra(A.algebra):
-        raise NotLieAlgebra("Jacobi residual nonzero")
-    if not all(vec_is_zero(r) for r in weighted_derivation_residual(A)):
-        raise InvalidStructure("weighted derivation residual nonzero")
-    return A
-
-
 def rescale_operator(A, kappa):
     """(g, [.,.], kappa d) is a differential Lie algebra of weight lambda/kappa."""
     kappa = frac(kappa)
@@ -161,16 +133,9 @@ class DiffRepresentation:
             raise DimensionMismatch("dV matrix shape")
         self.dV = dV
 
-    @property
-    def g_dim(self):
-        return len(self.rho)
-
     def rho_vec(self, x):
         """rho extended linearly to a g-vector."""
         return mat_combination(x, self.rho, self.space_dim)
-
-    def act(self, x, v):
-        return self.rho_vec(x).matvec(v)
 
 
 def rep_residuals(A, rep):
@@ -347,32 +312,127 @@ def lift_tilde_D(T, D, lam):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (1-based indices on the wire)
+# JSON wire format, 1-based indices on the wire.  These readers are the only
+# code that reads it.  Each takes a value with its field name ("d[1]",
+# "psi.coeffs.1,2"), as field(), read_list() and read_object() hand them
+# out, and raises SchemaError naming that field.  Scalars are JSON ints or
+# "p" / "p/q" strings, never floats or bools; no entry may be given twice.
+
+
+class SchemaError(ValueError):
+    pass
+
+
+def _named(value, where, key):
+    return value, ("%s[%d]" % (where, key) if isinstance(key, int)
+                   else "%s.%s" % (where, key) if where else key)
+
+
+def _typed(value, where, kind, length=None):
+    if not isinstance(value, kind) or length not in (None, len(value)):
+        raise SchemaError("%s must be a JSON %s%s" % (
+            where or "the document", "list" if kind is list else "object",
+            "" if length is None else " of %d entries" % length))
+    return value
+
+
+def field(obj, key, where=""):
+    """(value, name) of a required key of a JSON object."""
+    if key not in _typed(obj, where, dict):
+        raise SchemaError("%s is missing" % _named(None, where, key)[1])
+    return _named(obj[key], where, key)
+
+
+def read_list(value, where, length=None):
+    """(value, name) of each entry of a JSON list of the given length."""
+    return [_named(x, where, k)
+            for k, x in enumerate(_typed(value, where, list, length))]
+
+
+def read_object(value, where):
+    """(key, value, name) of each entry of a JSON object."""
+    return [(k,) + _named(x, where, k)
+            for k, x in _typed(value, where, dict).items()]
+
+
+def read_int(value, where, low=0, high=None):
+    """A JSON integer, not a bool, in low..high (None: unbounded)."""
+    if type(value) is not int or (low is not None and value < low) or \
+            (high is not None and value > high):
+        raise SchemaError("%s must be an integer%s, got %r" % (
+            where, "" if low is None else " in %d..%s" % (
+                low, "" if high is None else high), value))
+    return value
+
+
+def read_index(text, where, high=None):
+    """A 1-based index in 1..high, in decimal digits without leading zeros,
+    so that no two keys name one index."""
+    return read_int(int(text) if text.isascii() and text.isdigit()
+                    and text[0] != "0" else text, where, 1, high)
+
+
+def read_scalar(value, where):
+    try:
+        return parse_scalar(value)
+    except ValueError as e:
+        raise SchemaError("%s: %s" % (where, e)) from None
+
+
+def read_vector(value, where, length):
+    return [read_scalar(*x) for x in read_list(value, where, length)]
+
+
+def read_matrix(value, where, rows, cols):
+    return Matrix(rows, cols, [read_vector(*row, cols)
+                               for row in read_list(value, where, rows)])
+
+
+def _fill(f, entries):
+    """The blank map f with f[idx] = the vector read from value for each
+    (idx, value, name) entry; no two may name one sorted index tuple."""
+    seen = set()
+    for idx, value, where in entries:
+        if tuple(sorted(idx)) in seen:
+            raise SchemaError("%s repeats an earlier entry" % where)
+        seen.add(tuple(sorted(idx)))
+        vec = read_vector(value, where, f.tgt_dim)
+        try:
+            f[idx] = vec
+        except ValueError as e:
+            raise SchemaError("%s: %s" % (where, e)) from None
+    return f
+
+
+def read_map(value, where, f):
+    """Fill the blank map f (any GradedSymMap) from {"i,j,..": vector}."""
+    return _fill(f, [(tuple(read_index(p, at, f.src_dim) - 1
+                            for p in (key.split(",") if key else ())), vec, at)
+                     for key, vec, at in read_object(value, where)])
 
 
 def _matrix_to_json(m):
     return [[fmt_scalar(x) for x in row] for row in m.data]
 
 
-def _matrix_from_json(rows):
-    return Matrix.from_rows([[parse_scalar(x) for x in row] for row in rows])
-
-
 def difflie_to_json(A):
-    brackets = []
-    for (i, j), vec in sorted(A.algebra.bracket.coeffs.items()):
-        brackets.append([i + 1, j + 1, [fmt_scalar(c) for c in vec]])
+    brackets = sorted(A.algebra.bracket.coeffs.items())
     return {"dim": A.dim, "weight": fmt_scalar(A.weight),
-            "brackets": brackets, "d": _matrix_to_json(A.d)}
+            "brackets": [[i + 1, j + 1, [fmt_scalar(c) for c in vec]]
+                         for (i, j), vec in brackets],
+            "d": _matrix_to_json(A.d)}
 
 
-def difflie_from_json(obj):
-    dim = obj["dim"]
-    entries = [(i - 1, j - 1, [parse_scalar(c) for c in vec])
-               for i, j, vec in obj["brackets"]]
-    alg = LieAlgebra.from_brackets(dim, entries)
-    return DiffLieAlgebra(alg, _matrix_from_json(obj["d"]),
-                          parse_scalar(obj["weight"]))
+def difflie_from_json(obj, where=""):
+    dim = read_int(*field(obj, "dim", where))
+    entries = [read_list(*entry, 3)
+               for entry in read_list(*field(obj, "brackets", where))]
+    bracket = _fill(AltMap(2, dim, dim), [
+        ((read_int(*i, 1, dim) - 1, read_int(*j, 1, dim) - 1),) + vec
+        for i, j, vec in entries])
+    return DiffLieAlgebra(LieAlgebra(dim, bracket),
+                          read_matrix(*field(obj, "d", where), dim, dim),
+                          read_scalar(*field(obj, "weight", where)))
 
 
 def rep_to_json(rep):
@@ -382,12 +442,16 @@ def rep_to_json(rep):
             "dV": _matrix_to_json(rep.dV)}
 
 
-def rep_from_json(obj, g_dim):
-    keys = [str(i + 1) for i in range(g_dim)]
-    if set(obj["rho"]) != set(keys):
-        raise ValueError("rho needs one matrix for each of 1..%d" % g_dim)
-    rho = [_matrix_from_json(obj["rho"][k]) for k in keys]
-    return DiffRepresentation(obj["rep_dim"], rho, _matrix_from_json(obj["dV"]))
+def rep_from_json(obj, g_dim, where="rep"):
+    n = read_int(*field(obj, "rep_dim", where))
+    rho, at = field(obj, "rho", where)
+    if set(_typed(rho, at, dict)) != {str(i + 1) for i in range(g_dim)}:
+        raise SchemaError("%s needs one matrix for each of 1..%d"
+                          % (at, g_dim))
+    return DiffRepresentation(
+        n, [read_matrix(*field(rho, str(i + 1), at), n, n)
+            for i in range(g_dim)],
+        read_matrix(*field(obj, "dV", where), n, n))
 
 
 def altmap_to_json(f):
@@ -397,9 +461,9 @@ def altmap_to_json(f):
                        for key, vec in sorted(f.coeffs.items())}}
 
 
-def altmap_from_json(obj, src_dim, tgt_dim):
-    f = AltMap(obj["arity"], src_dim, tgt_dim)
-    for key, vec in obj["coeffs"].items():
-        idx = tuple(int(p) - 1 for p in key.split(","))
-        f[idx] = [parse_scalar(c) for c in vec]
-    return f
+def altmap_from_json(obj, where, src_dim, tgt_dim, arity):
+    """The map {"arity": n, "coeffs": {...}}, whose arity must be the one
+    its role needs."""
+    read_int(*field(obj, "arity", where), arity, arity)
+    return read_map(*field(obj, "coeffs", where),
+                    AltMap(arity, src_dim, tgt_dim))

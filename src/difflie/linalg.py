@@ -12,6 +12,7 @@ columns.  Skipping a zero term never changes a sum, so the results are the
 same rationals as the dense formulas.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -34,9 +35,15 @@ def fmt_scalar(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+
+
 def parse_scalar(s):
-    """A rational from an int or a "p" / "p/q" string; a zero denominator
-    is a ValueError, like any other malformed scalar."""
+    """A rational from an int or a "p" / "p/q" string; anything else (a
+    float, a bool, a decimal or spaced string) and a zero denominator are
+    ValueErrors."""
+    if not (type(s) is int or isinstance(s, str) and _SCALAR.match(s)):
+        raise ValueError("%r is not an integer or a \"p/q\" string" % (s,))
     try:
         return Fraction(s)
     except ZeroDivisionError:

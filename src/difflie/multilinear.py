@@ -48,9 +48,6 @@ class GradedVectorSpace:
         self.odd = [d % 2 for d in self.degrees]
         self.dim = len(self.degrees)
 
-    def degree_of_basis(self, i):
-        return self.degrees[i]
-
     def degree_of_vector(self, v):
         """Degree of a homogeneous vector (0 for the zero vector)."""
         degs = {self.degrees[i] for i, x in enumerate(v) if x != 0}

@@ -62,18 +62,18 @@ def abelian(n):
 
 def aff1():
     """[x, y] = y."""
-    return LieAlgebra.from_brackets(2, [(0, 1, [0, 1])])
+    return LieAlgebra(2, AltMap(2, 2, 2, {(0, 1): [0, 1]}))
 
 
 def heisenberg():
     """[x, y] = z."""
-    return LieAlgebra.from_brackets(3, [(0, 1, [0, 0, 1])])
+    return LieAlgebra(3, AltMap(2, 3, 3, {(0, 1): [0, 0, 1]}))
 
 
 def sl2():
     """Basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-    return LieAlgebra.from_brackets(
-        3, [(0, 1, [0, 2, 0]), (0, 2, [0, 0, -2]), (1, 2, [1, 0, 0])])
+    return LieAlgebra(3, AltMap(2, 3, 3, {
+        (0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}))
 
 
 def direct_sum(a, b):

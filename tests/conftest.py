@@ -1,6 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (no example database,
+# no wall-clock deadline), so the suite stays deterministic and its running
+# time stays fixed.
+settings.register_profile("difflie", derandomize=True, deadline=None,
+                          max_examples=20, database=None)
+settings.load_profile("difflie")
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from difflie.deformations import (FormalIso, TruncatedDeformation,
 from difflie.homotopy import (homotopy_diff_residual,
                               homotopy_diff_residual_factorial,
                               homotopy_mc_check, linfty_residual,
-                              suspend_diff_lie, _spanning_tuples)
+                              suspend_diff_lie)
 from difflie.samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
                              rand_matrix, random_diff_lie, random_lieact,
                              random_relative_operator, random_rep)
@@ -613,7 +613,7 @@ def test_criterion_10_homotopy(rng):
         failed = any(not vec_is_zero(homotopy_diff_residual(
             pert, n, [basis_vec(2, k)
                       for k in key]))
-            for key in _spanning_tuples(pert.space, n))
+            for key in pert.space.spanning_tuples(n))
         if not failed:
             bad.append(("perturbation passes", n))
         oracle = display_residual_n1(pert, basis_vec(2, 0)) if n == 1 else \
@@ -638,7 +638,7 @@ def test_criterion_10_homotopy(rng):
         mc, _ = homotopy_mc_check(cand, max_n)
         direct = True
         for n in range(1, max_n + 1):
-            for key in _spanning_tuples(cand.space, n):
+            for key in cand.space.spanning_tuples(n):
                 args = [basis_vec(cand.space.dim, k) for k in key]
                 pointed = homotopy_diff_residual(cand, n, args)
                 if pointed != homotopy_diff_residual_factorial(
@@ -675,7 +675,7 @@ def mixed_arity_structures():
 
 def spanning_args(space, n):
     return [[basis_vec(space.dim, k) for k in key]
-            for key in _spanning_tuples(space, n)]
+            for key in space.spanning_tuples(n)]
 
 
 def test_criterion_11_rescaling(rng):

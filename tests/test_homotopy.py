@@ -217,8 +217,7 @@ def test_bracket_family_matches_circle_products(rng):
                 a = n - b + 1
                 if a in H.mu and b in H.mu:
                     total = total + graded_circ_bar(H.mu[a], H.mu[b])
-            from difflie.homotopy import _spanning_tuples
-            for key in _spanning_tuples(space, n):
+            for key in space.spanning_tuples(n):
                 args = [basis_vec(space.dim, k) for k in key]
                 assert linfty_residual(H, n, args) == \
                     total.value_on_basis(key)

@@ -32,8 +32,8 @@ def test_jacobi_catalog():
 
 def test_jacobi_violation():
     from difflie.liealg import LieAlgebra
-    L = LieAlgebra.from_brackets(
-        3, [(0, 1, [1, 0, 0]), (0, 2, [0, 0, 1])])
+    from difflie.multilinear import AltMap
+    L = LieAlgebra(3, AltMap(2, 3, 3, {(0, 1): [1, 0, 0], (0, 2): [0, 0, 1]}))
     assert not is_lie_algebra(L)
     assert any(not vec_is_zero(r) for r in jacobi_residual(L))
 
