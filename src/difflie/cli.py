@@ -6,50 +6,43 @@ exact "p/q" strings, keys sorted, byte-identical for identical inputs) and
 exits with 0 when every residual in the report is zero, 1 when some residual
 or verdict is nonzero/negative, and 2 on a parse or schema error, which is
 reported as one line on stderr with nothing on stdout.
+
+Start-up loads only what every command needs (the algebra, the wire
+readers and the scalars); each reader and handler imports the modules of
+its own computation, so a command pays only for the code it runs.
 """
 
 import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (CompositionNonzero, basis_vec, fmt_scalar, parse_scalar,
                      vec_is_zero)
-from .liealg import (DiffLieAlgebra, SchemaError, _matrix_to_json,
-                     adjoint_rep, altmap_from_json, altmap_to_json,
-                     difflie_from_json, difflie_to_json, field,
-                     jacobi_residual, read_index, read_int, read_list,
-                     read_map, read_matrix, read_object, read_scalar,
-                     rep_from_json, rep_residuals, rep_to_json,
+from .liealg import (FLAVORS, AxiomFailure, DiffLieAlgebra, SchemaError,
+                     _matrix_to_json, adjoint_rep, altmap_from_json,
+                     altmap_to_json, difflie_from_json, difflie_to_json,
+                     field, jacobi_residual, only_keys, read_index, read_int,
+                     read_list, read_map, read_matrix, read_object,
+                     read_scalar, rep_from_json, rep_residuals, rep_to_json,
                      weighted_derivation_residual)
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
-from .cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
-                         cohomology_dims, pair_dim, twist_bridge,
-                         twist_bridge_residual)
-from .extensions import (InvalidExtension, NotCocycle, build_extension,
-                         classify, extract_cocycle, split_extension)
-from .deformations import (NotDeformation, Obstructed, TruncatedDeformation,
-                           deformation_residuals, first_nontrivial_order,
-                           rigidify_step)
-from .linfty import (Term, absolute_structure, iota_M, iota_a_abs,
-                     key_formula_check, mc_check_absolute, morphism_residual,
-                     project_a_rel, project_M_embed, relative_structure)
-from .homotopy import HomotopyDiffLie, homotopy_mc_check
 
 
 def _fmt_vec(v):
     return [fmt_scalar(x) for x in v]
 
 
-def _emit(report, args):
+def _emit(report, out):
+    """Write the report to stdout and to the open --json-out file, if
+    any."""
     text = json.dumps(report, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
     sys.stdout.write(text)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        with out:
+            out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +63,27 @@ def _load(path):
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 
-def _algebra(obj, args):
-    A = difflie_from_json(obj)
+def _algebra(obj, args, extra=()):
+    A = difflie_from_json(obj, "", extra)
     if args.weight is not None:
         A = DiffLieAlgebra(A.algebra, A.d, args.weight)
     return A
 
 
 def _algebra_rep(obj, args):
-    A = _algebra(obj, args)
+    A = _algebra(obj, args, ("rep",))
     return A, (rep_from_json(obj["rep"], A.dim) if "rep" in obj else None)
 
 
 def _read_extension(obj, args):
     if args.action == "extract":
+        only_keys(obj, "", ("total", "gdim", "vdim"))
         total = difflie_from_json(*field(obj, "total"))
         gdim = read_int(*field(obj, "gdim"), 0, total.dim)
         return total, gdim, read_int(*field(obj, "vdim"), total.dim - gdim,
                                      total.dim - gdim)
+    # build and classify read one document kind
+    only_keys(obj, "", ("base", "rep", "psi", "chi"))
     A = difflie_from_json(*field(obj, "base"))
     rep = rep_from_json(field(obj, "rep")[0], A.dim)
     if args.action == "classify":
@@ -98,12 +94,24 @@ def _read_extension(obj, args):
 
 
 def _read_deformation(obj, args):
+    from .deformations import TruncatedDeformation
+    only_keys(obj, "", ("base", "mu", "d"))
     A = difflie_from_json(*field(obj, "base"))
     mu = [altmap_from_json(*m, A.dim, A.dim, 2)
           for m in read_list(obj.get("mu", []), "mu")]
     d = [read_matrix(*m, A.dim, A.dim)
          for m in read_list(obj.get("d", []), "d")]
     return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
+
+
+def _read_dim(obj, args):
+    return read_int(*field(only_keys(obj, "", ("dim",)), "dim"))
+
+
+def _read_pair(obj, args):
+    only_keys(obj, "", ("gdim", "hdim", "weight"))
+    return (read_int(*field(obj, "gdim")), read_int(*field(obj, "hdim")),
+            read_scalar(*field(obj, "weight")))
 
 
 def _read_family(obj, key, space, degree):
@@ -116,6 +124,8 @@ def _read_family(obj, key, space, degree):
 
 
 def _read_homotopy(obj, args):
+    from .homotopy import HomotopyDiffLie
+    only_keys(obj, "", ("components", "mu", "D", "weight"))
     space = GradedVectorSpace([
         (read_int(*deg, None), read_int(*dim)) for deg, dim in
         (read_list(*c, 2) for c in read_list(*field(obj, "components")))])
@@ -155,6 +165,7 @@ def cmd_check_axioms(inputs, args):
 
 
 def cmd_cohomology(inputs, args):
+    from .cohomology import CochainComplexSpec, cohomology_dims
     A, rep = inputs
     try:
         spec = CochainComplexSpec(A, adjoint_rep(A) if rep is None else rep,
@@ -168,12 +179,15 @@ def cmd_cohomology(inputs, args):
 
 
 def cmd_mc_check(A, args):
+    from .linfty import mc_check_absolute
     ok, res = mc_check_absolute(A.algebra.bracket, A.d, A.weight)
     return (0 if ok else 1), {"dim": A.dim, "weight": fmt_scalar(A.weight),
                               "maurer_cartan": ok}
 
 
 def cmd_twist(A, args):
+    from .cohomology import (CocyclePair, pair_dim, twist_bridge,
+                             twist_bridge_residual)
     dim, max_n = A.dim, args.max_degree
     bad = []
     for n in range(1, max_n + 1):
@@ -194,11 +208,12 @@ def cmd_twist(A, args):
 def _rand_altmap(rng, arity, dim):
     f = AltMap(arity, dim, dim)
     for key in combinations(range(dim), arity):
-        f[key] = [Fraction(rng.randrange(-2, 3)) for _ in range(dim)]
+        f[key] = [rng.randrange(-2, 3) for _ in range(dim)]
     return f
 
 
 def cmd_key_formula(dim, args):
+    from .linfty import key_formula_check
     rng = random.Random(args.seed)
     nonzero = 0
     for _ in range(args.order):
@@ -214,6 +229,9 @@ def cmd_key_formula(dim, args):
 
 
 def cmd_morphism_check(inputs, args):
+    from .linfty import (Term, absolute_structure, iota_M, iota_a_abs,
+                         morphism_residual, project_a_rel, project_M_embed,
+                         relative_structure)
     gdim, hdim, lam = inputs
     rng = random.Random(args.seed)
     N = gdim + hdim
@@ -243,6 +261,8 @@ def cmd_morphism_check(inputs, args):
 
 
 def cmd_extension(inputs, args):
+    from .extensions import (NotCocycle, build_extension, classify,
+                             extract_cocycle, split_extension)
     if args.action == "build":
         try:
             E = build_extension(*inputs)
@@ -261,6 +281,8 @@ def cmd_extension(inputs, args):
 
 
 def cmd_deform(D, args):
+    from .deformations import (Obstructed, deformation_residuals,
+                               first_nontrivial_order, rigidify_step)
     if args.action == "verify":
         bad = []
         for n, (jac, op) in enumerate(deformation_residuals(D)):
@@ -285,6 +307,7 @@ def cmd_deform(D, args):
 
 
 def cmd_homotopy_check(H, args):
+    from .homotopy import homotopy_mc_check
     ok, tables = homotopy_mc_check(H, max_n=args.max_degree)
     failed = sorted(n for n, (j, o) in tables.items()
                     if not (j.is_zero() and o.is_zero()))
@@ -357,11 +380,8 @@ HANDLERS = {
     "cohomology": (_algebra_rep, cmd_cohomology),
     "mc-check": (_algebra, cmd_mc_check),
     "twist": (_algebra, cmd_twist),
-    "key-formula": (lambda obj, args: read_int(*field(obj, "dim")),
-                    cmd_key_formula),
-    "morphism-check": (lambda obj, args: (
-        read_int(*field(obj, "gdim")), read_int(*field(obj, "hdim")),
-        read_scalar(*field(obj, "weight"))), cmd_morphism_check),
+    "key-formula": (_read_dim, cmd_key_formula),
+    "morphism-check": (_read_pair, cmd_morphism_check),
     "extension": (_read_extension, cmd_extension),
     "deform": (_read_deformation, cmd_deform),
     "homotopy-check": (_read_homotopy, cmd_homotopy_check),
@@ -387,10 +407,16 @@ def main(argv=None):
         return _reject(e)
     try:
         code, report = handle(inputs, args)
-    except (InvalidExtension, NotDeformation) as e:
+    except AxiomFailure as e:
         # documents that parse but fail the axioms these commands assume
         return _reject(e)
-    _emit(report, args)
+    try:
+        # opened before anything is written, so that a path that cannot be
+        # written leaves stdout empty
+        out = open(args.json_out, "w") if args.json_out else None
+    except OSError as e:
+        return _reject(e)
+    _emit(report, out)
     return code
 
 

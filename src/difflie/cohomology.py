@@ -18,18 +18,14 @@ extension of that rule to degree 0 (where g = 0), which is what d o d = 0
 forces.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .linalg import CompositionNonzero, Matrix, vec_add, vec_is_zero, \
-    vec_scale, vec_zero, basis_vec
-from .liealg import adjoint_rep, rho_lambda
-from .multilinear import AltMap, _sym_sort, altmap1_from_matrix, \
-    matrix_from_altmap1
-
-
-FLAVORS = ("ce", "do", "difflie", "tilde")
+from .linalg import CompositionNonzero, Matrix, exact, frac, vec_add, \
+    vec_is_zero, vec_scale, vec_zero, basis_vec
+from .liealg import FLAVORS, adjoint_rep, rho_lambda
+from .multilinear import AltMap, ArityMismatch, _sym_sort, \
+    altmap1_from_matrix, matrix_from_altmap1
 
 
 class UnknownFlavor(Exception):
@@ -52,7 +48,7 @@ def cochain_dim(gdim, vdim, n):
 def altmap_to_coords(f, gdim, vdim, n):
     """Coordinates of an n-cochain (a vector when n = 0, else an AltMap)."""
     if n == 0:
-        return [Fraction(x) for x in f]
+        return [frac(x) for x in f]
     out = []
     for key in cochain_keys(gdim, n):
         vec = f.coeffs.get(key)
@@ -67,7 +63,7 @@ def coords_to_altmap(coords, gdim, vdim, n):
     for k, key in enumerate(cochain_keys(gdim, n)):
         vec = coords[k * vdim:(k + 1) * vdim]
         if not vec_is_zero(vec):
-            f.coeffs[key] = [Fraction(x) for x in vec]
+            f.coeffs[key] = [frac(x) for x in vec]
     return f
 
 
@@ -215,6 +211,14 @@ def _add_delta(out, r0, c0, sign, A, rep, n):
         _add_identity_blocks(data, r, c0, src, ident, vdim)
 
 
+def _exact_rows(m):
+    """m, with the integral Fractions that the sums above may leave in its
+    entries turned into ints."""
+    for row in m.data:
+        exact(row)
+    return m
+
+
 def _add_identity_blocks(data, r, c0, src, coeffs, vdim):
     """Add c times the vdim x vdim identity at block row r, block column
     c0 + src[key] * vdim, for each key -> c of coeffs."""
@@ -231,7 +235,7 @@ def ce_differential(A, rep, n):
     out = Matrix.zero(cochain_dim(gdim, vdim, n + 1),
                       cochain_dim(gdim, vdim, n))
     _add_ce(out, 0, 0, 1, L, rep.rho, vdim, n)
-    return out
+    return _exact_rows(out)
 
 
 def do_differential(A, rep, n):
@@ -242,7 +246,7 @@ def delta_matrix(A, rep, n):
     size = cochain_dim(A.dim, rep.space_dim, n)
     out = Matrix.zero(size, size)
     _add_delta(out, 0, 0, 1, A, rep, n)
-    return out
+    return _exact_rows(out)
 
 
 def difflie_differential(A, rep, n, tilde=False):
@@ -265,7 +269,7 @@ def difflie_differential(A, rep, n, tilde=False):
     if op_src:
         _add_ce(out, lie_tgt, lie_src, -1, A.algebra,
                 rho_lambda(rep, A).rho, vdim, n - 1)
-    return out
+    return _exact_rows(out)
 
 
 class CochainComplexSpec:
@@ -408,11 +412,13 @@ def twist_bridge_residual(A, n, pair, bridge=None):
     s_out = AltMap(n + 1, dim, dim)
     a_out = AltMap(n, dim, dim)
     for t in twisted.terms():
+        want = n + 1 if t.kind == "s" else n
+        if t.f.arity != want:
+            raise ArityMismatch("twisted %s-term of arity %d in degree %d"
+                                % (t.kind, t.f.arity, n))
         if t.kind == "s":
-            assert t.f.arity == n + 1
             s_out = s_out + t.f
         else:
-            assert t.f.arity == n
             a_out = a_out + t.f
     return vec_add(altmap_to_coords(s_out, dim, dim, n + 1) +
                    altmap_to_coords(a_out, dim, dim, n),
@@ -439,7 +445,7 @@ def extension_embedding(A, rep, n):
         for t in range(vdim):
             col = k * vdim + t
             row = big_keys[key] * N + gdim + t
-            out.data[row][col] = Fraction(1)
+            out.data[row][col] = 1
     return out
 
 

@@ -18,12 +18,12 @@ from itertools import combinations
 
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, \
     vec_zero
-from .liealg import adjoint_rep
+from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
 from .cohomology import CocyclePair, pair_primitive, pair_residual
 
 
-class NotDeformation(Exception):
+class NotDeformation(AxiomFailure):
     def __init__(self, order, which):
         super().__init__("deformation equations fail at order %d (%s)"
                          % (order, which))

@@ -8,15 +8,15 @@ carries the zero bracket.
 """
 
 from .linalg import Matrix, basis_vec, invert_matrix, vec_is_zero
-from .liealg import (DiffLieAlgebra, DiffRepresentation, LieAlgebra,
-                     is_diff_lie_algebra, is_diff_representation,
+from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
+                     LieAlgebra, is_diff_lie_algebra, is_diff_representation,
                      semidirect_bracket)
 from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
 from .cohomology import (CochainComplexSpec, CocyclePair, cohomology_dims,
                          pair_primitive, pair_residual)
 
 
-class InvalidExtension(Exception):
+class InvalidExtension(AxiomFailure):
     pass
 
 

@@ -27,11 +27,9 @@ with mu_2 the bracket and D_1 the operator, satisfies both families; that
 reduction is the bridge to the ungraded residual checks.
 """
 
-from fractions import Fraction
-
-from .linalg import basis_vec, frac, vec_add, vec_is_zero, vec_scale, \
+from .linalg import basis_vec, div, frac, vec_add, vec_is_zero, vec_scale, \
     vec_sub, vec_zero
-from .multilinear import GradedSymMap, altmap1_from_matrix
+from .multilinear import ArityMismatch, GradedSymMap, altmap1_from_matrix
 from .nr import family_circ
 from .permutations import koszul_sign, shuffles
 
@@ -93,7 +91,8 @@ class HomotopyDiffLie:
 
 def linfty_residual(H, n, args):
     """The arity-n bracket-family residual on the given homogeneous args."""
-    assert len(args) == n
+    if len(args) != n:
+        raise ArityMismatch("expected %d arguments, got %d" % (n, len(args)))
     degs = [H.space.degree_of_vector(v) for v in args]
     return family_circ(H.mu, H.mu, args, degs, H.space.dim)
 
@@ -115,7 +114,7 @@ def _mu_of_D_terms(H, n, args, degs, pointed):
             fact = 1
             for k in range(2, p):
                 fact *= k
-            coeff = coeff * Fraction(1, fact)
+            coeff = div(coeff, fact)
         for t in range(p - 1, n + 1):
             outer = H.mu.get(n - t + p - 1)
             if outer is None:
@@ -150,7 +149,8 @@ def _mu_of_D_terms(H, n, args, degs, pointed):
 def homotopy_diff_residual(H, n, args, pointed=True):
     """The arity-n operator-family residual in the pointed-shuffle form;
     pointed=False sums it over plain shuffles with 1/(p-1)! weights."""
-    assert len(args) == n
+    if len(args) != n:
+        raise ArityMismatch("expected %d arguments, got %d" % (n, len(args)))
     degs = [H.space.degree_of_vector(v) for v in args]
     return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed),
                    family_circ(H.D, H.mu, args, degs, H.space.dim))

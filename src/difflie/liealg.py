@@ -10,17 +10,25 @@ container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (Matrix, frac, fmt_scalar, mat_combination, parse_scalar,
-                     vec_add, vec_sub, vec_scale, vec_zero, vec_is_zero,
-                     basis_vec)
+from .linalg import (Matrix, div, frac, fmt_scalar, mat_combination,
+                     parse_scalar, vec_add, vec_sub, vec_scale, vec_zero,
+                     vec_is_zero, basis_vec)
 from .multilinear import AltMap, ArityMismatch, DimensionMismatch
+
+
+# the cochain complexes of a differential Lie algebra (see cohomology)
+FLAVORS = ("ce", "do", "difflie", "tilde")
 
 
 class ZeroScale(Exception):
     pass
+
+
+class AxiomFailure(Exception):
+    """Input that parses but fails the axioms a computation assumes (an
+    extension that is not one, equations that are not a deformation)."""
 
 
 class LieAlgebra:
@@ -114,7 +122,8 @@ def rescale_operator(A, kappa):
     kappa = frac(kappa)
     if kappa == 0:
         raise ZeroScale("rescaling by zero is not invertible")
-    return DiffLieAlgebra(A.algebra, A.d.scale(kappa), A.weight / kappa)
+    return DiffLieAlgebra(A.algebra, A.d.scale(kappa),
+                          div(A.weight, kappa))
 
 
 class DiffRepresentation:
@@ -308,7 +317,7 @@ def lift_tilde_D(T, D, lam):
     alg = semidirect_weighted(T, lam)
     d = Matrix.block([[Matrix.zero(n, n), Matrix.zero(n, m)],
                       [D, Matrix.identity(m).scale(-1)]])
-    return DiffLieAlgebra(alg, d, Fraction(1))
+    return DiffLieAlgebra(alg, d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +325,8 @@ def lift_tilde_D(T, D, lam):
 # code that reads it.  Each takes a value with its field name ("d[1]",
 # "psi.coeffs.1,2"), as field(), read_list() and read_object() hand them
 # out, and raises SchemaError naming that field.  Scalars are JSON ints or
-# "p" / "p/q" strings, never floats or bools; no entry may be given twice.
+# "p" / "p/q" strings, never floats or bools; no entry may be given twice,
+# and each document kind names the keys it may have (only_keys).
 
 
 class SchemaError(ValueError):
@@ -334,6 +344,16 @@ def _typed(value, where, kind, length=None):
             where or "the document", "list" if kind is list else "object",
             "" if length is None else " of %d entries" % length))
     return value
+
+
+def only_keys(obj, where, allowed):
+    """The JSON object obj, once no key of it is outside allowed, so that a
+    misspelled key is an error instead of being dropped."""
+    unknown = sorted(set(_typed(obj, where, dict)) - set(allowed))
+    if unknown:
+        raise SchemaError("%s has unknown key %r (allowed: %s)" % (
+            where or "the document", unknown[0], ", ".join(sorted(allowed))))
+    return obj
 
 
 def field(obj, key, where=""):
@@ -423,7 +443,10 @@ def difflie_to_json(A):
             "d": _matrix_to_json(A.d)}
 
 
-def difflie_from_json(obj, where=""):
+def difflie_from_json(obj, where="", extra=()):
+    """The algebra document; extra names the keys a command reads beside
+    it."""
+    only_keys(obj, where, ("dim", "brackets", "d", "weight") + extra)
     dim = read_int(*field(obj, "dim", where))
     entries = [read_list(*entry, 3)
                for entry in read_list(*field(obj, "brackets", where))]
@@ -443,6 +466,7 @@ def rep_to_json(rep):
 
 
 def rep_from_json(obj, g_dim, where="rep"):
+    only_keys(obj, where, ("rep_dim", "rho", "dV"))
     n = read_int(*field(obj, "rep_dim", where))
     rho, at = field(obj, "rho", where)
     if set(_typed(rho, at, dict)) != {str(i + 1) for i in range(g_dim)}:
@@ -464,6 +488,7 @@ def altmap_to_json(f):
 def altmap_from_json(obj, where, src_dim, tgt_dim, arity):
     """The map {"arity": n, "coeffs": {...}}, whose arity must be the one
     its role needs."""
+    only_keys(obj, where, ("arity", "coeffs"))
     read_int(*field(obj, "arity", where), arity, arity)
     return read_map(*field(obj, "coeffs", where),
                     AltMap(arity, src_dim, tgt_dim))

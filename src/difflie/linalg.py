@@ -1,12 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (cohomology dimensions, residual checks, deformation
-solves) relies on these routines being exact, so all entries are
-``fractions.Fraction`` and there is no floating point anywhere.  Matrices
-are stored dense, but the kernels skip zeros: products multiply only the
-nonzero entries of each row of the left factor by the nonzero (column,
-value) pairs of each row of the right factor, matvec multiplies only the
-vector's nonzero entries by the nonzero entries of each row, and
+solves) relies on these routines being exact, under one scalar contract:
+every scalar is an ``int`` when its value is integral and a
+``fractions.Fraction`` otherwise, never a ``float`` or a ``bool``.  ``frac``
+makes a scalar of that kind, ``exact`` restores the contract on a list after
+sums and products of Fractions, and ``div`` is the one division of scalars
+(``/`` on two ints would give a float).  Integral data thus runs on ``int``
+arithmetic, which is many times faster than ``Fraction`` arithmetic, and
+gives the same rationals.
+
+Matrices are stored dense, but the kernels skip zeros: products multiply
+only the nonzero entries of each row of the left factor by the nonzero
+(column, value) pairs of each row of the right factor, matvec multiplies
+only the vector's nonzero entries by the nonzero entries of each row, and
 elimination updates the other rows only at the pivot row's nonzero
 columns.  Skipping a zero term never changes a sum, so the results are the
 same rationals as the dense formulas.
@@ -21,17 +28,39 @@ class CompositionNonzero(Exception):
 
 
 def frac(x):
-    """Coerce ints / strings / Fractions to Fraction."""
-    if isinstance(x, Fraction):
+    """The scalar of an int, a bool, a Fraction or a "p" / "p/q" string: an
+    int when the value is integral, else a Fraction.  A float is refused,
+    since its value is rarely the rational that was meant."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        if isinstance(x, float):
+            raise TypeError("%r is a float, not an exact scalar" % (x,))
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact(v):
+    """The list v of scalars, in place, with each Fraction of denominator 1
+    replaced by its int (sums and products of Fractions may give one)."""
+    if Fraction in map(type, v):
+        for i, x in enumerate(v):
+            if type(x) is not int and x.denominator == 1:
+                v[i] = x.numerator
+    return v
+
+
+def div(a, b):
+    """The quotient a / b of two scalars as a scalar; the one division of
+    scalars, so that no quotient of two ints becomes a float."""
+    return frac(Fraction(a) / b)
 
 
 def fmt_scalar(q):
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     q = frac(q)
-    if q.denominator == 1:
-        return str(q.numerator)
+    if type(q) is int:
+        return str(q)
     return "%d/%d" % (q.numerator, q.denominator)
 
 
@@ -45,30 +74,30 @@ def parse_scalar(s):
     if not (type(s) is int or isinstance(s, str) and _SCALAR.match(s)):
         raise ValueError("%r is not an integer or a \"p/q\" string" % (s,))
     try:
-        return Fraction(s)
+        return frac(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain lists of Fraction
+# vectors: plain lists of scalars
 
 
 def vec_zero(n):
-    return [Fraction(0)] * n
+    return [0] * n
 
 
 def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
+    return exact([a + b for a, b in zip(u, v)])
 
 
 def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
+    return exact([a - b for a, b in zip(u, v)])
 
 
 def vec_scale(c, v):
     c = frac(c)
-    return [c * a for a in v]
+    return exact([c * a for a in v])
 
 
 def vec_is_zero(v):
@@ -77,7 +106,7 @@ def vec_is_zero(v):
 
 def basis_vec(n, i):
     v = vec_zero(n)
-    v[i] = Fraction(1)
+    v[i] = 1
     return v
 
 
@@ -93,7 +122,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix shape mismatch")
@@ -109,7 +138,7 @@ class Matrix:
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):
-            m.data[i][i] = Fraction(1)
+            m.data[i][i] = 1
         return m
 
     @classmethod
@@ -167,6 +196,7 @@ class Matrix:
                     if a and rk:
                         for j, x in rk:
                             oi[j] += a * x
+                exact(oi)
             return out
         return self.scale(other)
 
@@ -178,8 +208,8 @@ class Matrix:
             raise ValueError("vector of length %d for %d columns"
                              % (len(v), self.cols))
         nz = [(j, x) for j, x in enumerate(v) if x]
-        return [sum((row[j] * x for j, x in nz if row[j]), Fraction(0))
-                for row in self.data]
+        return exact([sum((row[j] * x for j, x in nz if row[j]), 0)
+                      for row in self.data])
 
     def transpose(self):
         return Matrix(self.cols, self.rows,
@@ -199,7 +229,8 @@ class Matrix:
 
         The pivot is the first nonzero entry of the column at or below the
         current row; the other rows are updated in place, only at the
-        normalised pivot row's nonzero columns."""
+        normalised pivot row's nonzero columns; each updated entry is kept
+        an int when it is integral."""
         R = [row[:] for row in self.data]
         pivots = []
         r = 0
@@ -211,15 +242,19 @@ class Matrix:
                 continue
             R[r], R[p] = R[p], R[r]
             prow = R[r]
-            inv = 1 / prow[c]
-            nz = [(j, inv * y) for j, y in enumerate(prow) if y]
-            for j, y in nz:
-                prow[j] = y
+            inv = div(1, prow[c])
+            nz = [(j, y) for j, y in enumerate(prow) if y]
+            if inv != 1:
+                nz = [(j, frac(inv * y)) for j, y in nz]
+                for j, y in nz:
+                    prow[j] = y
             for i, row in enumerate(R):
                 f = row[c]
                 if f and i != r:
                     for j, y in nz:
-                        row[j] -= f * y
+                        x = row[j] - f * y
+                        row[j] = x if type(x) is int or x.denominator != 1 \
+                            else x.numerator
             pivots.append(c)
             r += 1
         return Matrix(self.rows, self.cols, R), pivots
@@ -234,7 +269,7 @@ class Matrix:
         basis = []
         for fc in free:
             v = vec_zero(self.cols)
-            v[fc] = Fraction(1)
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -R.data[r][fc]
             basis.append(v)

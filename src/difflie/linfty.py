@@ -21,12 +21,11 @@ a closed-form shuffle expression for its higher brackets, certified against
 the iterated-bracket route by key_formula_check.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .linalg import (Matrix, basis_vec, frac, vec_add, vec_scale, vec_zero,
-                     vec_is_zero)
+from .linalg import (Matrix, basis_vec, div, frac, vec_add, vec_scale,
+                     vec_zero, vec_is_zero)
 from .liealg import semidirect_bracket
 from .multilinear import AltMap, GradedSymMap, altmap1_from_matrix
 from .nr import circ_bar, family_circ, nr_bracket
@@ -56,7 +55,9 @@ class LInftyStructure:
         self.space = space
         self.brackets = dict(brackets)
         for n, l in self.brackets.items():
-            assert l.arity == n and l.degree == 1 and l.space == space
+            if n < 1 or l.arity != n or l.degree != 1 or l.space != space:
+                raise ValueError("l_%d must be a degree-1 map of arity %d "
+                                 "on the space, n >= 1" % (n, n))
 
     @property
     def arity_bound(self):
@@ -85,7 +86,7 @@ def mc_residual(L, alpha):
     out = vec_zero(L.space.dim)
     for n in range(1, L.arity_bound + 1):
         term = L.l(n, [alpha] * n)
-        out = vec_add(out, vec_scale(Fraction(1, factorial(n)), term))
+        out = vec_add(out, vec_scale(div(1, factorial(n)), term))
     return out
 
 
@@ -105,7 +106,7 @@ def twist(L, alpha, check=True):
                 term = L.l(n + i, [alpha] * i + basis_args)
                 if not vec_is_zero(term):
                     total = vec_add(
-                        total, vec_scale(Fraction(1, factorial(i)), term))
+                        total, vec_scale(div(1, factorial(i)), term))
             if not vec_is_zero(total):
                 ln[key] = total
         if not ln.is_zero():
@@ -122,7 +123,7 @@ def lambda_rescale(L, lam, variant="full"):
         if variant == "full":
             c = lam ** (n - 1)
         else:
-            c = Fraction(1) if n == 1 else lam ** (n - 2)
+            c = 1 if n == 1 else lam ** (n - 2)
         scaled = l.scale(c)
         if not scaled.is_zero():
             brackets[n] = scaled
@@ -143,7 +144,8 @@ class Term:
     __slots__ = ("kind", "f")
 
     def __init__(self, kind, f):
-        assert kind in ("s", "a")
+        if kind not in ("s", "a"):
+            raise ValueError("a term is of kind 's' or 'a', not %r" % (kind,))
         self.kind = kind
         self.f = f
 
@@ -270,6 +272,8 @@ class DerivedBrackets:
         """l_i applied to a list of Terms; returns a FormalElement."""
         v, lam = self.v, self.lam
         i = len(terms)
+        if not i:
+            return FormalElement()  # no l_0: every power of lam below is >= 0
         sign, s_term, a_terms = _split_s(terms)
         if sign == 0:
             # two or more s-terms: only l_2(sf, sg) survives
@@ -302,7 +306,7 @@ class DerivedBrackets:
             if self.variant == "full":
                 c = lam ** (i - 1)
             else:
-                c = Fraction(1) if i == 2 else lam ** (i - 2)
+                c = 1 if i == 2 else lam ** (i - 2)
             if c == 0:
                 return FormalElement()
             res = v.P(self._iterated(v.iota_m(s_term.f), a_terms))
@@ -588,7 +592,7 @@ def pack_pi(pi, gdim, hdim):
     N = gdim + hdim
     out = AltMap(2, N, N)
     for key, vec in pi.coeffs.items():
-        out.coeffs[key] = list(vec) + [Fraction(0)] * hdim
+        out.coeffs[key] = list(vec) + [0] * hdim
     return out
 
 
@@ -601,7 +605,7 @@ def pack_mu(mu, gdim, hdim):
     N = gdim + hdim
     out = AltMap(2, N, N)
     for (a, b), vec in mu.coeffs.items():
-        out.coeffs[(gdim + a, gdim + b)] = [Fraction(0)] * gdim + list(vec)
+        out.coeffs[(gdim + a, gdim + b)] = [0] * gdim + list(vec)
     return out
 
 
@@ -622,13 +626,13 @@ def mc_residual_formal(struct, S, A, bound=6):
     out = struct.bracket([Term("s", S)])
     out = out + struct.bracket([Term("a", A)])
     out = out + struct.bracket(
-        [Term("s", S), Term("s", S)]).scale(Fraction(1, 2))
+        [Term("s", S), Term("s", S)]).scale(div(1, 2))
     for k in range(1, bound):
         term = struct.bracket([Term("s", S)] + [Term("a", A)] * k)
-        out = out + term.scale(Fraction(1, factorial(k)))
+        out = out + term.scale(div(1, factorial(k)))
     for k in range(2, bound):  # pure a-terms (only with Delta != 0)
         term = struct.bracket([Term("a", A)] * k)
-        out = out + term.scale(Fraction(1, factorial(k)))
+        out = out + term.scale(div(1, factorial(k)))
     return out
 
 
@@ -657,7 +661,7 @@ def twist_l1_formal(struct, S, A, term, bound=8):
     out = struct.bracket([term])
     for k in range(1, bound):
         for j in range(0, k + 1):
-            coeff = Fraction(1, factorial(j) * factorial(k - j))
+            coeff = div(1, factorial(j) * factorial(k - j))
             args = [Term("s", S)] * j + [Term("a", A)] * (k - j) + [term]
             contrib = struct.bracket(args)
             if not contrib.is_zero():

@@ -17,7 +17,8 @@ relabelling.
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from .linalg import Matrix, frac, vec_zero, vec_add, vec_scale, vec_is_zero
+from .linalg import (Matrix, exact, frac, vec_zero, vec_add, vec_scale,
+                     vec_is_zero)
 
 
 class ArityMismatch(ValueError):
@@ -180,12 +181,13 @@ class GradedSymMap:
             for k, y in enumerate(vec):
                 if y:
                     out[k] += y if c == 1 else (-y if c == -1 else c * y)
-        return out
+        return exact(out)
 
     def __add__(self, other):
-        assert (self.arity, self.degree, self.tgt_dim) == \
-               (other.arity, other.degree, other.tgt_dim)
-        assert self.space == other.space
+        if (self.arity, self.degree, self.tgt_dim) != \
+                (other.arity, other.degree, other.tgt_dim) \
+                or self.space != other.space:
+            raise ValueError("cannot add %r and %r" % (self, other))
         out = self._blank()
         out.coeffs = dict(self.coeffs)
         for key, vec in other.coeffs.items():

@@ -82,7 +82,9 @@ def _shuffles(block_sizes):
 
 def pointed_shuffles(block_sizes):
     """Shuffles whose block leaders sigma(1), sigma(i_1+1), ... increase."""
-    assert all(k >= 1 for k in block_sizes)
+    if not all(k >= 1 for k in block_sizes):
+        raise ValueError("pointed shuffles need blocks of size >= 1, got %r"
+                         % (block_sizes,))
     starts = [0]
     for k in block_sizes[:-1]:
         starts.append(starts[-1] + k)

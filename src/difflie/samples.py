@@ -11,20 +11,20 @@ determinant +-1, which preserve validity.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, frac, invert_matrix, vec_is_zero
+from .linalg import Matrix, div, frac, invert_matrix, vec_is_zero
 from .multilinear import AltMap
 from .liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                      LieActTriple, adjoint_rep, trivial_rep, rho_lambda)
 
-WEIGHTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+WEIGHTS = [0, 1, -1, 2, Fraction(1, 2)]
 
 
-def rand_frac(rng, lo=-3, hi=3):
-    return Fraction(rng.randrange(lo, hi + 1))
+def rand_int(rng, lo=-3, hi=3):
+    return rng.randrange(lo, hi + 1)
 
 
 def rand_vec(rng, n, lo=-3, hi=3):
-    return [rand_frac(rng, lo, hi) for _ in range(n)]
+    return [rand_int(rng, lo, hi) for _ in range(n)]
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -41,13 +41,13 @@ def rand_unimodular(rng, n, steps=6):
         if i == j:
             continue
         e = Matrix.identity(n)
-        e.data[i][j] = Fraction(rng.randrange(-2, 3))
+        e.data[i][j] = rng.randrange(-2, 3)
         m = m * e
     if rng.random() < 0.5 and n > 1:
         i, j = rng.sample(range(n), 2)
         p = Matrix.identity(n)
-        p.data[i][i] = p.data[j][j] = Fraction(0)
-        p.data[i][j] = p.data[j][i] = Fraction(1)
+        p.data[i][i] = p.data[j][j] = 0
+        p.data[i][j] = p.data[j][i] = 1
         m = m * p
     return m
 
@@ -108,14 +108,14 @@ def derivation_basis(L):
     rows = []
     for i, j in combinations(range(n), 2):
         # d[x_i,x_j] - [d x_i, x_j] - [x_i, d x_j] = 0, one row per output coord
-        coeff = [[Fraction(0)] * (n * n) for _ in range(n)]
+        coeff = [[0] * (n * n) for _ in range(n)]
         b_ij = L.bracket.value_on_basis((i, j))
         for a in range(n):
             for b in range(n):
                 # entry d[a][b]
                 col = a * n + b
                 for r in range(n):
-                    val = Fraction(0)
+                    val = 0
                     if a == r:
                         val += b_ij[b]  # (d[x_i,x_j])_r picks d_{r b} c_b
                     # [d x_i, x_j]: d x_i = sum_a d[a][i] e_a
@@ -137,14 +137,14 @@ def _endomorphism_samples(name, L, rng):
     if name == "abelian":
         out.append(rand_matrix(rng, n, n))
     elif name == "aff1":
-        a, b = rand_frac(rng), rand_frac(rng)
+        a, b = rand_int(rng), rand_int(rng)
         e = Matrix.zero(2, 2)
-        e.data[0][0] = Fraction(1)
+        e.data[0][0] = 1
         e.data[1][0] = a
         e.data[1][1] = b
         out.append(e)
     elif name == "heis":
-        alpha, beta = rand_frac(rng), rand_frac(rng)
+        alpha, beta = rand_int(rng), rand_int(rng)
         e = Matrix.zero(3, 3)
         e.data[0][0] = alpha
         e.data[1][1] = beta
@@ -178,7 +178,7 @@ def catalog_diff_lie(rng, lam, max_dim=4):
         basis = derivation_basis(L)
         d = Matrix.zero(L.dim, L.dim)
         for b in basis:
-            d = d + b.scale(rand_frac(rng, -2, 2))
+            d = d + b.scale(rand_int(rng, -2, 2))
     else:
         if name == "abelian":
             d = rand_matrix(rng, L.dim, L.dim)
@@ -187,10 +187,10 @@ def catalog_diff_lie(rng, lam, max_dim=4):
             k = L.dim - 2
             e = Matrix.block([[e1, Matrix.zero(2, k)],
                               [Matrix.zero(k, 2), rand_matrix(rng, k, k)]])
-            d = (e - Matrix.identity(L.dim)).scale(1 / lam)
+            d = (e - Matrix.identity(L.dim)).scale(div(1, lam))
         else:
             e = rng.choice(_endomorphism_samples(name, L, rng))
-            d = (e - Matrix.identity(L.dim)).scale(1 / lam)
+            d = (e - Matrix.identity(L.dim)).scale(div(1, lam))
     return DiffLieAlgebra(L, d, lam)
 
 
@@ -254,13 +254,13 @@ def relative_operator_basis(T):
     n, m = T.g.dim, T.h.dim
     rows = []
     for i, j in combinations(range(n), 2):
-        coeff = [[Fraction(0)] * (m * n) for _ in range(m)]
+        coeff = [[0] * (m * n) for _ in range(m)]
         b_ij = T.g.bracket.value_on_basis((i, j))
         for a in range(m):
             for b in range(n):
                 col = a * n + b
                 for r in range(m):
-                    val = Fraction(0)
+                    val = 0
                     if a == r:
                         val += b_ij[b]
                     if b == j:
@@ -283,7 +283,7 @@ def random_relative_operator(rng, T, lam):
         basis = relative_operator_basis(T)
         D = Matrix.zero(m, n)
         for b in basis:
-            D = D + b.scale(rand_frac(rng, -2, 2))
+            D = D + b.scale(rand_int(rng, -2, 2))
         return D
     same_ad = (T.h.dim == T.g.dim
                and all(T.rho[i] == T.g.ad(i) for i in range(T.g.dim)))
@@ -293,9 +293,9 @@ def random_relative_operator(rng, T, lam):
             basis = derivation_basis(T.g)
             D = Matrix.zero(n, n)
             for b in basis:
-                D = D + b.scale(rand_frac(rng, -2, 2))
+                D = D + b.scale(rand_int(rng, -2, 2))
             return D
         if rng.random() < 0.5:
-            return Matrix.identity(n).scale(-1 / lam)
+            return Matrix.identity(n).scale(div(-1, lam))
         return Matrix.zero(n, n)
     return Matrix.zero(m, n)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -14,3 +15,10 @@ settings.load_profile("difflie")
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+def exact_scalar(x):
+    """The scalar contract of difflie.linalg: an int, or a Fraction whose
+    value is not integral; never a float, a bool or a Fraction of
+    denominator 1."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1

@@ -3,9 +3,10 @@
 tests/cli_snapshots/errors.json lists one CLI call per input defect (wrong
 shapes and lengths, out-of-range indices, zero denominators, degree bounds,
 floats and bools where integers or scalars belong, repeated entries, maps
-whose arity does not fit their role, options a subcommand does not read or
-values it does not allow, documents that fail the axioms at the extension
-boundary); its inputs live in tests/cli_snapshots/inputs/.  Every
+whose arity does not fit their role, keys a document kind does not have,
+options a subcommand does not read or values it does not allow, documents
+that fail the axioms at the extension boundary, a --json-out file that
+cannot be written); its inputs live in tests/cli_snapshots/inputs/.  Every
 such call, and every exit-2 call of the snapshot cases, must print nothing
 on stdout and exactly one line on stderr, also under ``python -O``, where
 ``assert`` statements are gone.

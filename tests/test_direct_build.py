@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exact_scalar
 from difflie.cohomology import (altmap_to_coords, ce_apply, ce_differential,
                                 cochain_dim, coords_to_altmap, delta_apply,
                                 delta_matrix, difflie_differential,
@@ -70,7 +71,7 @@ def oracle_difflie(A, rep, n, tilde=False):
 def assert_same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert got.data == want.data
-    assert all(isinstance(x, Fraction) for row in got.data for x in row)
+    assert all(exact_scalar(x) for row in got.data for x in row)
 
 
 def check_all_degrees(A, rep):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exact_scalar
 from difflie.linalg import (CompositionNonzero, Matrix, fmt_scalar,
                             homology_dim, parse_scalar)
 
@@ -118,7 +119,7 @@ def test_product_matches_dense_oracle(rng):
         p = a * b
         assert (p.rows, p.cols) == (r, c)
         assert p.data == dense_product(a, b)
-        assert all(isinstance(x, Fraction) for row in p.data for x in row)
+        assert all(exact_scalar(x) for row in p.data for x in row)
 
 
 def textbook_rref(rows, cols, data):
@@ -227,11 +228,12 @@ def test_matvec_matches_dense_oracle(rng):
         out = m.matvec(v)
         assert out == [sum((row[j] * v[j] for j in range(c)), Fraction(0))
                        for row in m.data]
-        assert all(isinstance(x, Fraction) for x in out)
+        assert all(exact_scalar(x) for x in out)
 
 
-# each call has mismatched shapes (or a phi_0 that is not the identity)
-# and must raise ValueError, also under -O
+# each call has mismatched shapes (or a phi_0 that is not the identity, an
+# argument count that is not the arity, a term kind that does not exist, an
+# empty shuffle block) and must raise ValueError, also under -O
 SHAPE_ERRORS = {
     "add": "Matrix.zero(2, 3) + Matrix.zero(3, 2)",
     "sub": "Matrix.zero(2, 3) - Matrix.zero(2, 2)",
@@ -242,9 +244,21 @@ SHAPE_ERRORS = {
     "homology_dim": "homology_dim(Matrix.zero(2, 3), Matrix.zero(2, 2))",
     "formal_iso": "FormalIso([Matrix.zero(2, 2)])",
     "formal_iso_empty": "FormalIso([])",
+    "map_add": "AltMap(2, 2, 2) + AltMap(1, 2, 2)",
+    "linfty_arity": "LInftyStructure(suspend_space(2), {2: AltMap(1, 2, 2)})",
+    "term_kind": "Term('x', AltMap(1, 2, 2))",
+    "bracket_args": "linfty_residual(H, 2, [[1, 0]])",
+    "operator_args": "homotopy_diff_residual(H, 1, [[1, 0], [0, 1]])",
+    "pointed_shuffles": "pointed_shuffles((0, 2))",
 }
 SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
-                 "from difflie.deformations import FormalIso\n")
+                 "from difflie.deformations import FormalIso\n"
+                 "from difflie.homotopy import HomotopyDiffLie, "
+                 "homotopy_diff_residual, linfty_residual\n"
+                 "from difflie.linfty import LInftyStructure, Term\n"
+                 "from difflie.multilinear import AltMap, suspend_space\n"
+                 "from difflie.permutations import pointed_shuffles\n"
+                 "H = HomotopyDiffLie(suspend_space(2), {}, {}, 0)\n")
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
