@@ -73,16 +73,14 @@ class HomotopyDiffLie:
                 raise ValueError("%s_%d is not homogeneous of degree %d"
                                  % (name, i, deg))
 
-    def arity_bound(self):
-        return max([0] + list(self.mu) + list(self.D))
-
     def residual_range(self):
         """Largest n at which either family can have a nonzero term: the
-        bracket family stops at 2M-1 for M the top bracket arity; the
-        operator family at M*K (weighted terms with every bracket slot fed
-        by a top-arity operator) resp. M+K-1 when the weight is zero."""
-        M = max([0] + list(self.mu))
-        K = max([0] + list(self.D))
+        bracket family stops at 2M-1 for M the top arity of a nonzero
+        bracket; the operator family at M*K (weighted terms with every
+        bracket slot fed by a top-arity operator) resp. M+K-1 when the
+        weight is zero, for K the top arity of a nonzero operator."""
+        M = max([0] + [i for i, f in self.mu.items() if not f.is_zero()])
+        K = max([0] + [i for i, f in self.D.items() if not f.is_zero()])
         bound = max(2 * M - 1, 0)
         if M and K:
             bound = max(bound, M * K if self.weight != 0 else M + K - 1)

@@ -126,7 +126,23 @@ def rescale_operator(A, kappa):
                           div(A.weight, kappa))
 
 
-class DiffRepresentation:
+class LinearAction:
+    """rho: one space_dim x space_dim matrix per basis vector of a Lie
+    algebra."""
+
+    def rho_vec(self, x):
+        """rho extended linearly to a vector of the algebra."""
+        return mat_combination(x, self.rho, self.space_dim)
+
+    def hom_residuals(self, L):
+        """rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over basis pairs of L."""
+        rho = self.rho
+        return [self.rho_vec(L.br(L.basis(i), L.basis(j)))
+                - rho[i] * rho[j] + rho[j] * rho[i]
+                for i, j in combinations(range(L.dim), 2)]
+
+
+class DiffRepresentation(LinearAction):
     """Representation (V, rho, d_V) over a differential Lie algebra.
 
     rho: list of space_dim x space_dim matrices, one per basis vector of g.
@@ -142,10 +158,6 @@ class DiffRepresentation:
             raise DimensionMismatch("dV matrix shape")
         self.dV = dV
 
-    def rho_vec(self, x):
-        """rho extended linearly to a g-vector."""
-        return mat_combination(x, self.rho, self.space_dim)
-
 
 def rep_residuals(A, rep):
     """Homomorphism + weighted compatibility residuals of a representation.
@@ -155,17 +167,13 @@ def rep_residuals(A, rep):
       compat: d_V rho(x) - rho(dx) - rho(x) d_V - lambda rho(dx) d_V per basis x
     """
     lam = A.weight
-    hom = []
-    for i, j in combinations(range(A.dim), 2):
-        rb = rep.rho_vec(A.br(A.basis(i), A.basis(j)))
-        hom.append(rb - rep.rho[i] * rep.rho[j] + rep.rho[j] * rep.rho[i])
     compat = []
     for i in range(A.dim):
         rdx = rep.rho_vec(A.dv(A.basis(i)))
         r = rep.dV * rep.rho[i] - rdx - rep.rho[i] * rep.dV \
             - (rdx * rep.dV).scale(lam)
         compat.append(r)
-    return {"hom": hom, "compat": compat}
+    return {"hom": rep.hom_residuals(A), "compat": compat}
 
 
 def is_diff_representation(A, rep):
@@ -195,10 +203,11 @@ def trivial_rep(A, space_dim, dV=None):
         space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
 
 
-def semidirect_bracket(gdim, vdim, rho, g_bracket=None, psi=None):
+def semidirect_bracket(gdim, vdim, rho, g_bracket=None, psi=None,
+                       h_bracket=None):
     """The bracket on g (+) V with [x, y] = g_bracket(x, y) + psi(x, y)
-    (psi valued in V; either part may be absent), [x, v] = rho(x) v and
-    [u, v] = 0 on V."""
+    (psi valued in V), [x, v] = rho(x) v and [u, v] = h_bracket(u, v) on V;
+    an absent part is zero."""
     N = gdim + vdim
     b = AltMap(2, N, N)
     for key in combinations(range(gdim), 2):
@@ -211,6 +220,9 @@ def semidirect_bracket(gdim, vdim, rho, g_bracket=None, psi=None):
             col = [rho[i].data[r][a] for r in range(vdim)]
             if not vec_is_zero(col):
                 b.coeffs[(i, gdim + a)] = vec_zero(gdim) + col
+    if h_bracket is not None:
+        for (a, c), vec in h_bracket.coeffs.items():
+            b.coeffs[(gdim + a, gdim + c)] = vec_zero(gdim) + list(vec)
     return b
 
 
@@ -229,21 +241,19 @@ def trivial_extension(A, rep):
 # LieAct triples, relative operators, and the weighted semidirect product
 
 
-class LieActTriple:
+class LieActTriple(LinearAction):
     """(g, h, rho) with rho: g -> Der(h) a Lie algebra homomorphism."""
 
     def __init__(self, g, h, rho):
         self.g = g
         self.h = h
+        self.space_dim = h.dim
         self.rho = list(rho)
         if len(self.rho) != g.dim:
             raise DimensionMismatch("one rho matrix per basis vector of g")
         for m in self.rho:
             if m.rows != h.dim or m.cols != h.dim:
                 raise DimensionMismatch("rho matrix shape")
-
-    def rho_vec(self, x):
-        return mat_combination(x, self.rho, self.h.dim)
 
 
 def lieact_residuals(T):
@@ -252,10 +262,6 @@ def lieact_residuals(T):
     hom:        rho([x,y]_g) - [rho(x), rho(y)] over g-pairs
     derivation: rho(x)[u,v]_h - [rho(x)u, v]_h - [u, rho(x)v]_h per basis x, u<v
     """
-    hom = []
-    for i, j in combinations(range(T.g.dim), 2):
-        rb = T.rho_vec(T.g.br(T.g.basis(i), T.g.basis(j)))
-        hom.append(rb - T.rho[i] * T.rho[j] + T.rho[j] * T.rho[i])
     der = []
     for i in range(T.g.dim):
         for a, b in combinations(range(T.h.dim), 2):
@@ -264,7 +270,7 @@ def lieact_residuals(T):
             r = vec_sub(r, T.h.br(T.rho[i].matvec(u), v))
             r = vec_sub(r, T.h.br(u, T.rho[i].matvec(v)))
             der.append(r)
-    return {"hom": hom, "derivation": der}
+    return {"hom": T.hom_residuals(T.g), "derivation": der}
 
 
 def is_lieact(T):
@@ -293,15 +299,9 @@ def relative_diff_residual(T, D, lam):
 def semidirect_weighted(T, lam):
     """Lie algebra on g (+) h:
     [x+u, y+v] = [x,y]_g + rho(x)v - rho(y)u + lambda [u,v]_h."""
-    lam = frac(lam)
     n, m = T.g.dim, T.h.dim
-    N = n + m
-    b = semidirect_bracket(n, m, T.rho, T.g.bracket)
-    for a, c in combinations(range(m), 2):
-        vec = vec_scale(lam, T.h.bracket.value_on_basis((a, c)))
-        if not vec_is_zero(vec):
-            b[(n + a, n + c)] = vec_zero(n) + vec
-    return LieAlgebra(N, b)
+    return LieAlgebra(n + m, semidirect_bracket(
+        n, m, T.rho, T.g.bracket, h_bracket=T.h.bracket.scale(lam)))
 
 
 def lift_tilde_D(T, D, lam):

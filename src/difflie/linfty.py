@@ -16,9 +16,11 @@ projected by P.  Two lambda-gradings are provided:
                       lambda^{i-2}.
 
 The absolute structure (one Lie algebra g) and the relative structure (a
-pair g, h acted on) are both "reduced" instances; the absolute one also has
-a closed-form shuffle expression for its higher brackets, certified against
-the iterated-bracket route by key_formula_check.
+pair g, h acted on) are both "reduced" instances of the one case analysis in
+DerivedBrackets.bracket; the absolute one only evaluates its s-term
+composite by a closed-form shuffle expression, certified against the
+iterated-bracket route by key_formula_check.  Maurer-Cartan residuals and
+the twisted l_1 are one finite series, cut where the brackets vanish.
 """
 
 from itertools import combinations
@@ -79,34 +81,35 @@ def generalized_jacobi_residual(L, n, args):
     return family_circ(L.brackets, L.brackets, args, degs, L.space.dim)
 
 
+def _twisted_value(L, alpha, args):
+    """sum_i 1/i! l_{n+i}(alpha^i, args) for n = len(args), through the top
+    arity of L."""
+    out = vec_zero(L.space.dim)
+    for i in range(L.arity_bound - len(args) + 1):
+        term = L.l(len(args) + i, [alpha] * i + args)
+        if not vec_is_zero(term):
+            out = vec_add(out, vec_scale(div(1, factorial(i)), term))
+    return out
+
+
 def mc_residual(L, alpha):
     """sum_n 1/n! l_n(alpha,..,alpha) for a degree-0 element alpha."""
     if not vec_is_zero(alpha) and L.space.degree_of_vector(alpha) != 0:
         raise DegreeMismatch("Maurer-Cartan elements must have degree 0")
-    out = vec_zero(L.space.dim)
-    for n in range(1, L.arity_bound + 1):
-        term = L.l(n, [alpha] * n)
-        out = vec_add(out, vec_scale(div(1, factorial(n)), term))
-    return out
+    return _twisted_value(L, alpha, [])
 
 
-def twist(L, alpha, check=True):
+def twist(L, alpha):
     """The twisted structure l_n^alpha(x..) = sum_i 1/i! l_{n+i}(alpha^i, x..)."""
-    if check and not vec_is_zero(mc_residual(L, alpha)):
+    if not vec_is_zero(mc_residual(L, alpha)):
         raise NotMaurerCartan("twisting element fails the MC equation")
     space = L.space
-    bound = L.arity_bound
     brackets = {}
-    for n in range(1, bound + 1):
+    for n in range(1, L.arity_bound + 1):
         ln = GradedSymMap(n, 1, space)
         for key in space.spanning_tuples(n):
-            basis_args = [basis_vec(space.dim, i) for i in key]
-            total = vec_zero(space.dim)
-            for i in range(0, bound - n + 1):
-                term = L.l(n + i, [alpha] * i + basis_args)
-                if not vec_is_zero(term):
-                    total = vec_add(
-                        total, vec_scale(div(1, factorial(i)), term))
+            total = _twisted_value(
+                L, alpha, [basis_vec(space.dim, i) for i in key])
             if not vec_is_zero(total):
                 ln[key] = total
         if not ln.is_zero():
@@ -268,6 +271,12 @@ class DerivedBrackets:
             cur = self.v.L_bracket(cur, self.v.iota_a(xi.f))
         return cur
 
+    def _s_composite(self, f, a_terms):
+        """P[...[iota_m f, iota_a xi_1], ..., iota_a xi_r]: the bracket
+        l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda and its
+        sign."""
+        return self.v.P(self._iterated(self.v.iota_m(f), a_terms))
+
     def bracket(self, terms):
         """l_i applied to a list of Terms; returns a FormalElement."""
         v, lam = self.v, self.lam
@@ -309,7 +318,7 @@ class DerivedBrackets:
                 c = 1 if i == 2 else lam ** (i - 2)
             if c == 0:
                 return FormalElement()
-            res = v.P(self._iterated(v.iota_m(s_term.f), a_terms))
+            res = self._s_composite(s_term.f, a_terms)
             return FormalElement([Term("a", res.scale(c * sign))])
         # pure a-terms: need Delta
         if v.Delta is None or self.variant == "reduced":
@@ -395,41 +404,28 @@ def absolute_vdata(dim):
     )
 
 
-class AbsoluteStructure:
-    """Closed-form brackets of the absolute structure on sM (+) a over g."""
+class AbsoluteStructure(DerivedBrackets):
+    """The absolute structure on sM (+) a over g: the derived brackets of
+    absolute_vdata, with the s-term composite in closed form."""
 
     def __init__(self, dim, lam):
+        super().__init__(absolute_vdata(dim), lam, "reduced")
         self.dim = dim
-        self.lam = frac(lam)
 
-    def bracket(self, terms):
-        i = len(terms)
-        sign, s_term, a_terms = _split_s(terms)
-        if sign == 0:
-            if i == 2:
-                f, g = terms[0].f, terms[1].f
-                c = -1 if (f.arity - 1) % 2 else 1
-                return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
-            return FormalElement()
-        if i == 1 or s_term is None:
-            return FormalElement()
-        f = s_term.f
-        if i == 2:
-            return FormalElement(
-                [Term("a", nr_bracket(f, a_terms[0].f).scale(sign))])
-        # 3 <= i <= arity(f) + 1, result arity n+1+sum(m_j)
-        n = f.arity - 1
-        if i > n + 2:
-            return FormalElement()
-        c = self.lam ** (i - 2)
-        if c == 0:
-            return FormalElement()
-        res = _closed_form_sum(f, [t.f for t in a_terms])
-        return FormalElement([Term("a", res.scale(c * sign))])
+    def _s_composite(self, f, a_terms):
+        """The NR bracket for one a-argument, the insertion sum for more,
+        and zero past arity(f) of them."""
+        xis = [t.f for t in a_terms]
+        if len(xis) == 1:
+            return nr_bracket(f, xis[0])
+        if len(xis) > f.arity:
+            return AltMap(f.arity + sum(xi.arity - 1 for xi in xis),
+                          self.dim, self.dim)
+        return _closed_form_sum(f, xis)
 
 
 def _closed_form_sum(f, xis):
-    """l_{r+2}(sf, xi_1, .., xi_r) without its power of lambda: the
+    """l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda: the
     insertion sum with the graded-symmetric sign (-1)^(sum_{i<j} m_i m_j),
     m_i = arity(xi_i) - 1."""
     ms = [xi.arity - 1 for xi in xis]
@@ -506,38 +502,29 @@ def key_formula_check(f, xis, dim):
 # the relative structure: maps on g (+) h with component constraints
 
 
-def _key_kind(key, gdim):
-    gs = sum(1 for i in key if i < gdim)
-    hs = len(key) - gs
-    return gs, hs
-
-
-def project_M_rel(F, gdim, hdim):
-    """Component of F in M' = Hom(~g,g) + Hom(~g (x) ~h, h) + Hom(~h,h)."""
+def _project(F, gdim, keep):
+    """The components of a map F on g (+) h that keep(gs, hs) names: for a
+    key with gs inputs in g and hs in h, keep gives whether the g block and
+    the h block of its output stay."""
     out = AltMap(F.arity, F.src_dim, F.tgt_dim)
     for key, vec in F.coeffs.items():
-        gs, hs = _key_kind(key, gdim)
-        val = vec_zero(F.tgt_dim)
-        if hs == 0:
-            val[:gdim] = vec[:gdim]
-        if (gs >= 1 and hs >= 1) or gs == 0:
-            val[gdim:] = vec[gdim:]
+        hs = sum(1 for i in key if i >= gdim)
+        keep_g, keep_h = keep(len(key) - hs, hs)
+        val = (vec[:gdim] if keep_g else vec_zero(gdim)) + \
+            (vec[gdim:] if keep_h else vec_zero(F.tgt_dim - gdim))
         if not vec_is_zero(val):
             out.coeffs[key] = val
     return out
 
 
+def project_M_rel(F, gdim, hdim):
+    """Component of F in M' = Hom(~g,g) + Hom(~g (x) ~h, h) + Hom(~h,h)."""
+    return _project(F, gdim, lambda gs, hs: (hs == 0, hs >= 1 or gs == 0))
+
+
 def project_a_rel(F, gdim, hdim):
     """Component of F in a' = Hom(~g, h)."""
-    out = AltMap(F.arity, F.src_dim, F.tgt_dim)
-    for key, vec in F.coeffs.items():
-        gs, hs = _key_kind(key, gdim)
-        if hs == 0:
-            val = vec_zero(F.tgt_dim)
-            val[gdim:] = vec[gdim:]
-            if not vec_is_zero(val):
-                out.coeffs[key] = val
-    return out
+    return _project(F, gdim, lambda gs, hs: (False, hs == 0))
 
 
 def project_M_embed(F, gdim, hdim):
@@ -551,17 +538,7 @@ def project_M_embed(F, gdim, hdim):
     with two or more h inputs (for instance an h-bracket) break strictness
     whenever dim h >= 2; for dim h = 1 the subalgebra is all of M'.
     """
-    out = AltMap(F.arity, F.src_dim, F.tgt_dim)
-    for key, vec in F.coeffs.items():
-        gs, hs = _key_kind(key, gdim)
-        val = vec_zero(F.tgt_dim)
-        if hs == 0:
-            val[:gdim] = vec[:gdim]
-        if hs == 1:
-            val[gdim:] = vec[gdim:]
-        if not vec_is_zero(val):
-            out.coeffs[key] = val
-    return out
+    return _project(F, gdim, lambda gs, hs: (hs == 0, hs == 1))
 
 
 def in_M_rel(F, gdim, hdim):
@@ -585,30 +562,6 @@ def relative_structure(gdim, hdim, lam):
     return DerivedBrackets(relative_vdata(gdim, hdim), lam, "reduced")
 
 
-# packing helpers: components -> big maps on g (+) h
-
-
-def pack_pi(pi, gdim, hdim):
-    N = gdim + hdim
-    out = AltMap(2, N, N)
-    for key, vec in pi.coeffs.items():
-        out.coeffs[key] = list(vec) + [0] * hdim
-    return out
-
-
-def pack_rho(rho_mats, gdim, hdim):
-    """rho in Hom(g (x) h, h) from matrices rho(x_i) acting on h."""
-    return semidirect_bracket(gdim, hdim, rho_mats)
-
-
-def pack_mu(mu, gdim, hdim):
-    N = gdim + hdim
-    out = AltMap(2, N, N)
-    for (a, b), vec in mu.coeffs.items():
-        out.coeffs[(gdim + a, gdim + b)] = [0] * gdim + list(vec)
-    return out
-
-
 def pack_D(D, gdim, hdim):
     """D: g -> h as an a'-element of the big space."""
     return altmap1_from_matrix(Matrix.block([
@@ -620,20 +573,34 @@ def pack_D(D, gdim, hdim):
 # Maurer-Cartan residuals, checks, and twisting of formal structures
 
 
-def mc_residual_formal(struct, S, A, bound=6):
-    """MC residual of alpha = (sS, A): (-1/2 s[S,S]-part, sum over the
-    a-part family).  S is an arity-2 m-element, A an arity-1 a-element."""
-    out = struct.bracket([Term("s", S)])
-    out = out + struct.bracket([Term("a", A)])
-    out = out + struct.bracket(
-        [Term("s", S), Term("s", S)]).scale(div(1, 2))
-    for k in range(1, bound):
-        term = struct.bracket([Term("s", S)] + [Term("a", A)] * k)
-        out = out + term.scale(div(1, factorial(k)))
-    for k in range(2, bound):  # pure a-terms (only with Delta != 0)
-        term = struct.bracket([Term("a", A)] * k)
-        out = out + term.scale(div(1, factorial(k)))
+def _formal_series(struct, S, A, rest):
+    """sum_{j, a} 1/(j! a!) l(sS^j, A^a, rest) for an m-element S, an
+    a-element A and rest = [] or [term], through its last nonzero bracket.
+
+    With Delta = 0 a bracket with two s-terms vanishes past 2 arguments, one
+    with a single s-term of arity p past p + 1, and one with no s-term
+    always; so j <= 2 and the argument count is read from the arities."""
+    if struct.v.Delta is not None:
+        raise InvalidVData("the formal series needs Delta = 0")
+    rest_s = [t.f.arity for t in rest if t.kind == "s"]
+    out = FormalElement()
+    for j in range(3):
+        s_arities = [S.arity] * j + rest_s
+        if not s_arities:
+            continue
+        last = 2 if len(s_arities) > 1 else s_arities[0] + 1
+        for a in range(last - j - len(rest) + 1):
+            term = struct.bracket([Term("s", S)] * j + [Term("a", A)] * a
+                                  + rest)
+            if not term.is_zero():
+                out = out + term.scale(div(1, factorial(j) * factorial(a)))
     return out
+
+
+def mc_residual_formal(struct, S, A):
+    """MC residual of alpha = (sS, A): sum_n 1/n! l_n(alpha^n).  S is an
+    arity-2 m-element, A an arity-1 a-element."""
+    return _formal_series(struct, S, A, [])
 
 
 def mc_check_absolute(pi, D, lam):
@@ -648,32 +615,23 @@ def mc_check_relative(pi, rho_mats, mu, D, lam):
     """(s(pi+rho+mu), D) is MC in the relative structure iff (g,h,rho) is a
     LieAct triple and D a relative differential operator of weight lam."""
     gdim, hdim = pi.src_dim, mu.src_dim
-    chi = pack_pi(pi, gdim, hdim) + pack_rho(rho_mats, gdim, hdim) \
-        + pack_mu(mu, gdim, hdim)
+    chi = semidirect_bracket(gdim, hdim, rho_mats, pi, h_bracket=mu)
     res = mc_residual_formal(relative_structure(gdim, hdim, lam), chi,
                              pack_D(D, gdim, hdim))
     return res.is_zero(), res
 
 
-def twist_l1_formal(struct, S, A, term, bound=8):
+def twist_l1_formal(struct, S, A, term):
     """l_1 of the structure twisted by alpha = (sS, A), applied to a Term:
-    sum_k 1/k! l_{k+1}(alpha^k, term), expanded with binomial weights."""
-    out = struct.bracket([term])
-    for k in range(1, bound):
-        for j in range(0, k + 1):
-            coeff = div(1, factorial(j) * factorial(k - j))
-            args = [Term("s", S)] * j + [Term("a", A)] * (k - j) + [term]
-            contrib = struct.bracket(args)
-            if not contrib.is_zero():
-                out = out + contrib.scale(coeff)
-    return out
+    sum_k 1/k! l_{k+1}(alpha^k, term)."""
+    return _formal_series(struct, S, A, [term])
 
 
 # ---------------------------------------------------------------------------
 # strict morphism residuals between formal structures
 
 
-def morphism_residual(phi, src, tgt, samples, max_n=2):
+def morphism_residual(phi, src, tgt, samples):
     """phi(l_n(x_1..x_n)) - l'_n(phi x_1..phi x_n) over sample Term tuples.
 
     phi: Term -> Term (strict, degree 0).  samples: list of Term tuples.

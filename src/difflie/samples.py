@@ -14,7 +14,8 @@ from itertools import combinations
 from .linalg import Matrix, div, frac, invert_matrix, vec_is_zero
 from .multilinear import AltMap
 from .liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
-                     LieActTriple, adjoint_rep, trivial_rep, rho_lambda)
+                     LieActTriple, adjoint_rep, trivial_rep, rho_lambda,
+                     semidirect_bracket)
 
 WEIGHTS = [0, 1, -1, 2, Fraction(1, 2)]
 
@@ -78,12 +79,8 @@ def sl2():
 
 def direct_sum(a, b):
     n, m = a.dim, b.dim
-    br = AltMap(2, n + m, n + m)
-    for (i, j), vec in a.bracket.coeffs.items():
-        br[(i, j)] = list(vec) + [0] * m
-    for (i, j), vec in b.bracket.coeffs.items():
-        br[(n + i, n + j)] = [0] * n + list(vec)
-    return LieAlgebra(n + m, br)
+    return LieAlgebra(n + m, semidirect_bracket(
+        n, m, [Matrix.zero(m, m)] * n, a.bracket, h_bracket=b.bracket))
 
 
 def conjugate_algebra(L, P, Pinv=None):

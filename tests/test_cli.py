@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 from difflie.cli import main
@@ -226,6 +227,20 @@ def test_homotopy_check(tmp_path, capsys):
     rc2, rep2, _ = run(capsys, ["homotopy-check", path2])
     assert rc2 == 1 and not rep2["maurer_cartan"]
     assert 2 in rep2["failed_arities"]
+
+
+def test_homotopy_check_ignores_zero_members(tmp_path, capsys):
+    # a zero member of huge arity bounds no residual: the report is the
+    # one without it (it used to size the check range and run for hours)
+    src = os.path.join(os.path.dirname(__file__), "cli_snapshots", "inputs",
+                       "homotopy_ok.json")
+    with open(src) as fh:
+        doc = json.load(fh)
+    _, _, plain = run(capsys, ["homotopy-check", src])
+    doc["mu"]["100000"] = {}
+    rc, _, padded = run(capsys, ["homotopy-check",
+                                 write(tmp_path, "h.json", doc)])
+    assert rc == 0 and padded == plain
 
 
 def test_unknown_flavor_is_parse_error(tmp_path, capsys):

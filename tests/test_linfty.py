@@ -1,18 +1,21 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from difflie.linalg import Matrix, basis_vec, vec_is_zero, vec_scale
 from difflie.multilinear import AltMap, alt_to_graded
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
-                            LInftyStructure, Term, absolute_structure,
-                            absolute_vdata, generalized_jacobi_residual,
+                            InvalidVData, LInftyStructure, Term,
+                            absolute_structure, absolute_vdata,
+                            generalized_jacobi_residual,
                             generalized_jacobi_residual_formal, iota_M,
                             iota_a_abs, in_M_rel, key_formula_check,
                             lambda_rescale, mc_check_absolute,
                             mc_check_relative, mc_residual, mc_residual_formal,
-                            morphism_residual, pack_D, pack_mu, pack_pi,
-                            pack_rho, project_a_rel, relative_structure, twist)
+                            morphism_residual, pack_D, project_M_rel,
+                            project_a_rel, relative_structure, twist,
+                            twist_l1_formal)
 from difflie.liealg import (DiffLieAlgebra, adjoint_rep,
                             is_diff_lie_algebra, is_lieact,
                             relative_diff_residual)
@@ -113,6 +116,22 @@ def test_bracket_symmetric_in_a_arguments(rng):
         sign = -1 if (x1.degree * x2.degree) % 2 else 1
         assert S.bracket([sterm(f), x1, x2]) == \
             S.bracket([sterm(f), x2, x1]).scale(sign)
+
+
+def test_bracket_graded_symmetric_in_s_position(rng):
+    # moving an odd s-term (arity 1) past an odd a-term costs a sign
+    cases = [(absolute_structure(3, 2), lambda F: F, lambda F: F),
+             (relative_structure(2, 1, 2), lambda F: project_M_rel(F, 2, 1),
+              lambda F: project_a_rel(F, 2, 1))]
+    for S, to_s, to_a in cases:
+        nonzero = 0
+        for _ in range(4):
+            f = sterm(to_s(rand_altmap(rng, 1, 3)))
+            x = aterm(to_a(rand_altmap(rng, 2, 3)))
+            out = S.bracket([f, x])
+            nonzero += not out.is_zero()
+            assert S.bracket([x, f]) == out.scale(-1)
+        assert nonzero
 
 
 def test_key_formula(rng):
@@ -348,3 +367,95 @@ def test_mc_residual_formal_zero_structure():
     pi = AltMap(2, dim, dim)
     ok, res = mc_check_absolute(pi, Matrix.zero(dim, dim), 1)
     assert ok and res.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# where the formal series stops
+
+
+def mc_residual_bounded(struct, S, A, bound):
+    """The fixed-bound MC residual: every bracket through `bound`
+    arguments, vanishing or not."""
+    out = struct.bracket([sterm(S)]) + struct.bracket([aterm(A)])
+    out = out + struct.bracket([sterm(S), sterm(S)]).scale(Fraction(1, 2))
+    for k in range(1, bound):
+        term = struct.bracket([sterm(S)] + [aterm(A)] * k)
+        out = out + term.scale(Fraction(1, factorial(k)))
+    for k in range(2, bound):
+        term = struct.bracket([aterm(A)] * k)
+        out = out + term.scale(Fraction(1, factorial(k)))
+    return out
+
+
+def twist_l1_bounded(struct, S, A, term, bound):
+    """The fixed-bound twisted l_1: every bracket through `bound`
+    arguments, vanishing or not."""
+    out = struct.bracket([term])
+    for k in range(1, bound):
+        for j in range(k + 1):
+            args = [sterm(S)] * j + [aterm(A)] * (k - j) + [term]
+            out = out + struct.bracket(args).scale(
+                Fraction(1, factorial(j) * factorial(k - j)))
+    return out
+
+
+class RecordingStructure(AbsoluteStructure):
+    """Records the argument count of every bracket it is asked for."""
+
+    def __init__(self, dim):
+        super().__init__(dim, 1)
+        self.counts = []
+
+    def bracket(self, terms):
+        self.counts.append(len(terms))
+        return FormalElement()
+
+
+def test_twist_series_reaches_top_bracket():
+    # l_1 of the twist on an s-term of arity 9 needs l_10(sf, A^9): a
+    # series cut at a fixed bound drops it
+    S = RecordingStructure(9)
+    twist_l1_formal(S, AltMap(2, 9, 9), AltMap(1, 9, 9),
+                    sterm(AltMap(9, 9, 9)))
+    assert max(S.counts) == 10
+
+
+def test_formal_series_needs_zero_delta():
+    # with Delta the pure a-term brackets need not vanish: no finite cut
+    v = absolute_vdata(2)
+    v.Delta = AltMap(2, 4, 4)
+    with pytest.raises(InvalidVData):
+        mc_residual_formal(DerivedBrackets(v, 1, "full"), aff1().bracket,
+                           AltMap(1, 2, 2))
+
+
+def random_formal_case(rng):
+    """A structure, an m-element S, an a-element A and a pool of Terms."""
+    lam = rng.choice(WEIGHTS)
+    if rng.random() < 0.5:
+        dim = rng.randrange(2, 4)
+        struct = absolute_structure(dim, lam)
+        to_s = to_a = lambda F: F
+    else:
+        gdim, hdim = 2, rng.randrange(1, 3)
+        dim = gdim + hdim
+        struct = relative_structure(gdim, hdim, lam)
+        to_s = lambda F: project_M_rel(F, gdim, hdim)
+        to_a = lambda F: project_a_rel(F, gdim, hdim)
+    S = to_s(rand_altmap(rng, rng.randrange(1, 4), dim))
+    A = to_a(rand_altmap(rng, 1, dim))
+    pool = [sterm(to_s(rand_altmap(rng, rng.randrange(1, 4), dim))),
+            aterm(to_a(rand_altmap(rng, rng.randrange(1, 3), dim)))]
+    return struct, S, A, pool
+
+
+def test_formal_series_matches_fixed_bound(rng):
+    # every s-term here has arity <= 3, so no bracket past 4 arguments is
+    # nonzero and the bound 6 covers the whole series
+    for _ in range(10):
+        struct, S, A, pool = random_formal_case(rng)
+        assert mc_residual_formal(struct, S, A) == \
+            mc_residual_bounded(struct, S, A, 6)
+        for term in pool:
+            assert twist_l1_formal(struct, S, A, term) == \
+                twist_l1_bounded(struct, S, A, term, 6)
