@@ -281,15 +281,11 @@ def cmd_extension(inputs, args):
 
 
 def cmd_deform(D, args):
-    from .deformations import (Obstructed, deformation_residuals,
+    from .deformations import (Obstructed, failed_equations,
                                first_nontrivial_order, rigidify_step)
     if args.action == "verify":
-        bad = []
-        for n, (jac, op) in enumerate(deformation_residuals(D)):
-            if not jac.is_zero():
-                bad.append({"order": n, "equation": "jacobi"})
-            if not op.is_zero():
-                bad.append({"order": n, "equation": "operator"})
+        bad = [{"order": n, "equation": which}
+               for n, which in failed_equations(D)]
         return (0 if not bad else 1), {"action": "verify", "order": D.order,
                                        "failures": bad, "deformation": not bad}
     # rigidify; a D whose equations fail raises NotDeformation

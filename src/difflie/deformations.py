@@ -151,23 +151,31 @@ def deformation_residuals(D):
     return out
 
 
+def failed_equations(D):
+    """(order, "jacobi" or "operator") of each deformation equation that
+    fails, by order, the jacobi-type before the operator-type."""
+    return [(n, which) for n, pair in enumerate(deformation_residuals(D))
+            for which, res in zip(("jacobi", "operator"), pair)
+            if not res.is_zero()]
+
+
+def _require_equations(D, through):
+    """Raise NotDeformation at the first failed equation of order at most
+    through."""
+    for n, which in failed_equations(D):
+        if n <= through:
+            raise NotDeformation(n, which)
+
+
 def is_deformation(D):
-    return all(j.is_zero() and o.is_zero()
-               for j, o in deformation_residuals(D))
+    return not failed_equations(D)
 
 
 def infinitesimal(D):
     """The order-1 pair (mu_1, d_1) with its exact degree-2 cocycle
     residual in the adjoint complex; residual is zero for any valid
     deformation."""
-    res = deformation_residuals(D)
-    for n in (0, 1):
-        if n <= D.order:
-            jac, op = res[n]
-            if not jac.is_zero():
-                raise NotDeformation(n, "jacobi")
-            if not op.is_zero():
-                raise NotDeformation(n, "operator")
+    _require_equations(D, 1)
     dim = D.base.dim
     mu1 = D.mu[1] if D.order >= 1 else AltMap(2, dim, dim)
     d1 = D.d[1] if D.order >= 1 else Matrix.zero(dim, dim)
@@ -233,12 +241,7 @@ def rigidify_step(D):
     Returns (iso, transformed deformation); when the order-r pair is not a
     coboundary raises Obstructed with that pair.  Requires the deformation
     equations to hold through the truncation order."""
-    res = deformation_residuals(D)
-    for n, (jac, op) in enumerate(res):
-        if not jac.is_zero():
-            raise NotDeformation(n, "jacobi")
-        if not op.is_zero():
-            raise NotDeformation(n, "operator")
+    _require_equations(D, D.order)
     dim = D.base.dim
     r = first_nontrivial_order(D)
     if r is None:

@@ -11,7 +11,7 @@ from .linalg import Matrix, basis_vec, invert_matrix, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
                      LieAlgebra, is_diff_lie_algebra, is_diff_representation,
                      semidirect_bracket)
-from .multilinear import AltMap, altmap1_from_matrix, matrix_from_altmap1
+from .multilinear import altmap1_from_matrix, matrix_from_altmap1, pullback
 from .cohomology import (CochainComplexSpec, CocyclePair, cohomology_dims,
                          pair_primitive, pair_residual)
 
@@ -75,17 +75,10 @@ class AbelianExtension:
 
     def base(self):
         """The induced differential Lie algebra structure on g."""
-        gdim = self.gdim
-        br = AltMap(2, gdim, gdim)
-        for x in range(gdim):
-            for y in range(x + 1, gdim):
-                val = self.p.matvec(self.total.br(
-                    self.s.matvec(basis_vec(gdim, x)),
-                    self.s.matvec(basis_vec(gdim, y))))
-                if not vec_is_zero(val):
-                    br[(x, y)] = val
+        br = pullback(self.total.algebra.bracket, self.s, self.p)
         d_g = self.p * self.total.d * self.s
-        return DiffLieAlgebra(LieAlgebra(gdim, br), d_g, self.total.weight)
+        return DiffLieAlgebra(LieAlgebra(self.gdim, br), d_g,
+                              self.total.weight)
 
 
 def extract_cocycle(E):
@@ -105,14 +98,7 @@ def extract_cocycle(E):
     if not is_diff_representation(base, rep):
         raise InvalidExtension("induced coefficients fail representation "
                                "axioms")
-    psi = AltMap(2, gdim, vdim)
-    for x in range(gdim):
-        for y in range(x + 1, gdim):
-            sx = E.s.matvec(basis_vec(gdim, x))
-            sy = E.s.matvec(basis_vec(gdim, y))
-            val = E.t.matvec(E.total.br(sx, sy))
-            if not vec_is_zero(val):
-                psi[(x, y)] = val
+    psi = pullback(E.total.algebra.bracket, E.s, E.t)
     chi_m = E.t * E.total.d * E.s
     return rep, psi, altmap1_from_matrix(chi_m)
 
@@ -181,13 +167,9 @@ def equivalence_witness(E1, E2, phi=None):
         return False, None
     if zeta * E1.total.d != E2.total.d * zeta:
         return False, None
-    for x in range(N):
-        for y in range(x + 1, N):
-            lhs = zeta.matvec(E1.total.br(basis_vec(N, x), basis_vec(N, y)))
-            rhs = E2.total.br(zeta.matvec(basis_vec(N, x)),
-                              zeta.matvec(basis_vec(N, y)))
-            if lhs != rhs:
-                return False, None
+    if pullback(E1.total.algebra.bracket, Matrix.identity(N), zeta) != \
+            pullback(E2.total.algebra.bracket, zeta):
+        return False, None
     return True, phi
 
 

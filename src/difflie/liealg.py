@@ -448,13 +448,15 @@ def difflie_from_json(obj, where="", extra=()):
     it."""
     only_keys(obj, where, ("dim", "brackets", "d", "weight") + extra)
     dim = read_int(*field(obj, "dim", where))
+    # d first: its dim rows are in the document, so no dim-sized space is
+    # allocated for a dim the document does not back
+    d = read_matrix(*field(obj, "d", where), dim, dim)
     entries = [read_list(*entry, 3)
                for entry in read_list(*field(obj, "brackets", where))]
     bracket = _fill(AltMap(2, dim, dim), [
         ((read_int(*i, 1, dim) - 1, read_int(*j, 1, dim) - 1),) + vec
         for i, j, vec in entries])
-    return DiffLieAlgebra(LieAlgebra(dim, bracket),
-                          read_matrix(*field(obj, "d", where), dim, dim),
+    return DiffLieAlgebra(LieAlgebra(dim, bracket), d,
                           read_scalar(*field(obj, "weight", where)))
 
 

@@ -145,16 +145,9 @@ class Matrix:
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols,
@@ -199,9 +192,6 @@ class Matrix:
                 exact(oi)
             return out
         return self.scale(other)
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def matvec(self, v):
         if len(v) != self.cols:

@@ -234,7 +234,7 @@ class VData:
     """
 
     def __init__(self, L_bracket, m_bracket, iota_m, iota_m_inv, iota_a, P,
-                 Delta=None, deg_m=None):
+                 Delta=None):
         self.L_bracket = L_bracket
         self.m_bracket = m_bracket
         self.iota_m = iota_m
@@ -242,8 +242,6 @@ class VData:
         self.iota_a = iota_a
         self.P = P
         self.Delta = Delta  # an element of L, or None for Delta = 0
-        # degree of an m-element; defaults to the NR degree arity-1
-        self.deg_m = deg_m or (lambda f: f.arity - 1)
 
 
 class DerivedBrackets:
@@ -288,7 +286,7 @@ class DerivedBrackets:
             # two or more s-terms: only l_2(sf, sg) survives
             if i == 2:
                 f, g = terms[0].f, terms[1].f
-                c = -1 if v.deg_m(f) % 2 else 1
+                c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
                 if self.variant == "full":
                     c = c * lam
                 return FormalElement([Term("s", v.m_bracket(f, g).scale(c))])

@@ -253,10 +253,10 @@ def suspension_sign(v_degrees):
 
 
 @lru_cache(maxsize=None)
-def suspend_space(dim, base_degree=0):
-    """The suspension of an ungraded space in the given degree (one shared,
-    never mutated object per argument pair)."""
-    return GradedVectorSpace([(base_degree - 1, dim)])
+def suspend_space(dim):
+    """The suspension of an ungraded space of dimension dim, in degree -1
+    (one shared, never mutated object per dimension)."""
+    return GradedVectorSpace([(-1, dim)])
 
 
 def alt_to_graded(f, space=None):
@@ -293,6 +293,22 @@ def altmap1_from_matrix(m):
         if not vec_is_zero(col):
             f.coeffs[(j,)] = col
     return f
+
+
+def pullback(f, S, T=None):
+    """The alternating map (x_1, .., x_n) -> T f(S x_1, .., S x_n) on the
+    source of S: f transported along the linear maps S and T, where T =
+    None is the identity.  Each sorted key is evaluated once, on the
+    columns of S."""
+    cols = S.transpose().data
+    out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
+    for key in out.space.spanning_tuples(f.arity):
+        val = f.evaluate_head([cols[x] for x in key])
+        if T is not None:
+            val = T.matvec(val)
+        if not vec_is_zero(val):
+            out.coeffs[key] = val
+    return out
 
 
 def matrix_from_altmap1(f):

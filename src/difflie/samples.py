@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Matrix, div, frac, invert_matrix, vec_is_zero
-from .multilinear import AltMap
+from .multilinear import AltMap, pullback
 from .liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                      LieActTriple, adjoint_rep, trivial_rep, rho_lambda,
                      semidirect_bracket)
@@ -87,12 +87,7 @@ def conjugate_algebra(L, P, Pinv=None):
     """The same bracket in the basis P e_i."""
     if Pinv is None:
         Pinv = invert_matrix(P)
-    br = AltMap(2, L.dim, L.dim)
-    for i, j in combinations(range(L.dim), 2):
-        val = Pinv.matvec(L.br(P.matvec(L.basis(i)), P.matvec(L.basis(j))))
-        if not vec_is_zero(val):
-            br[(i, j)] = val
-    return LieAlgebra(L.dim, br)
+    return LieAlgebra(L.dim, pullback(L.bracket, P, Pinv))
 
 
 # ---------------------------------------------------------------------------
@@ -100,31 +95,11 @@ def conjugate_algebra(L, P, Pinv=None):
 
 
 def derivation_basis(L):
-    """Kernel basis of the linear system 'd is a derivation of L'."""
-    n = L.dim
-    rows = []
-    for i, j in combinations(range(n), 2):
-        # d[x_i,x_j] - [d x_i, x_j] - [x_i, d x_j] = 0, one row per output coord
-        coeff = [[0] * (n * n) for _ in range(n)]
-        b_ij = L.bracket.value_on_basis((i, j))
-        for a in range(n):
-            for b in range(n):
-                # entry d[a][b]
-                col = a * n + b
-                for r in range(n):
-                    val = 0
-                    if a == r:
-                        val += b_ij[b]  # (d[x_i,x_j])_r picks d_{r b} c_b
-                    # [d x_i, x_j]: d x_i = sum_a d[a][i] e_a
-                    if b == i:
-                        val -= L.bracket.value_on_basis((a, j))[r]
-                    if b == j:
-                        val -= L.bracket.value_on_basis((i, a))[r]
-                    coeff[r][col] += val
-        rows.extend(coeff)
-    m = Matrix.from_rows(rows) if rows else Matrix.zero(0, n * n)
-    return [Matrix(n, n, [v[k * n:(k + 1) * n] for k in range(n)])
-            for v in m.kernel_basis()]
+    """Kernel basis of the linear system 'd is a derivation of L': d is one
+    exactly when it is a relative operator for rho = ad acting on the
+    space of L with zero bracket."""
+    return relative_operator_basis(LieActTriple(
+        L, abelian(L.dim), [L.ad(i) for i in range(L.dim)]))
 
 
 def _endomorphism_samples(name, L, rng):

@@ -174,6 +174,42 @@ def test_inequivalent_extensions_detected():
     assert not ok
 
 
+def aff1_line_extension(dV=0, vdim=1):
+    """aff1 with d = 0, weight 0, extended by the zero pair with trivial
+    coefficients of operator dV * Id on a vdim-dimensional V."""
+    A = DiffLieAlgebra(aff1(), Matrix.zero(2, 2), 0)
+    rep = trivial_rep(A, vdim, Matrix.identity(vdim).scale(dV))
+    return build_extension(A, rep, AltMap(2, 2, vdim), AltMap(1, 2, vdim))
+
+
+@pytest.mark.parametrize("phi, ok", [([[0, 1]], False), ([[1, 0]], True),
+                                     ([[0, 0]], True)])
+def test_equivalence_witness_compares_brackets(phi, ok):
+    # [x, y] = y and V is central, so zeta = Id + i phi p gives
+    # [zeta x, zeta y] = y but zeta [x, y] = y + phi(y) v: zeta preserves
+    # the bracket iff phi(y) = 0
+    E = aff1_line_extension()
+    phi = Matrix.from_rows(phi)
+    assert equivalence_witness(E, E, phi) == ((True, phi) if ok
+                                              else (False, None))
+
+
+def test_equivalence_witness_rejections():
+    E = aff1_line_extension()
+    # V of another dimension
+    assert equivalence_witness(E, aff1_line_extension(vdim=2)) == \
+        (False, None)
+    # other coefficients: d_V = Id instead of 0
+    assert equivalence_witness(E, aff1_line_extension(dV=1)) == (False, None)
+    # zeta fixes i, so a second inclusion 2 i is not matched
+    E2i = AbelianExtension(E.total, E.i.scale(2), E.p, E.s)
+    assert equivalence_witness(E, E2i, Matrix.zero(1, 2)) == (False, None)
+    # with d_V = Id, phi(x) = 1 gives d zeta x = v but zeta d x = 0
+    Ed = aff1_line_extension(dV=1)
+    assert equivalence_witness(Ed, Ed, Matrix.from_rows([[1, 0]])) == \
+        (False, None)
+
+
 def test_classify_line_example():
     A = DiffLieAlgebra(abelian(1), Matrix.zero(1, 1), 1)
     rep = trivial_rep(A, 1)

@@ -1,18 +1,22 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from difflie import multilinear
 from difflie.linalg import Matrix, basis_vec, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
                             difflie_from_json, difflie_to_json,
                             is_diff_lie_algebra, is_diff_representation,
                             is_lie_algebra, is_lieact, jacobi_residual,
                             lieact_residuals, lift_tilde_D, LieActTriple,
-                            relative_diff_residual, rep_from_json,
-                            rep_to_json, rep_residuals, rescale_operator,
-                            rho_lambda, semidirect_weighted, trivial_extension,
-                            trivial_rep, weighted_derivation_residual)
+                            SchemaError, relative_diff_residual,
+                            rep_from_json, rep_to_json, rep_residuals,
+                            rescale_operator, rho_lambda, semidirect_weighted,
+                            trivial_extension, trivial_rep,
+                            weighted_derivation_residual)
 from difflie.samples import (abelian, aff1, heisenberg, sl2, direct_sum,
+                             conjugate_algebra, derivation_basis,
                              random_diff_lie, random_rep, random_lieact,
                              random_relative_operator, rand_matrix,
                              rand_unimodular, invert_matrix, WEIGHTS)
@@ -241,6 +245,56 @@ def test_json_round_trip(rng):
         rep = random_rep(rng, A)
         rep2 = rep_from_json(rep_to_json(rep), A.dim)
         assert rep2.rho == rep.rho and rep2.dV == rep.dV
+
+
+def test_algebra_dim_is_backed_by_d_rows(monkeypatch):
+    # a dim the document's d does not back allocates no dim-sized space
+    real = multilinear.suspend_space
+
+    def guarded(dim):
+        if dim > 10 ** 6:
+            raise MemoryError("space of dimension %d allocated" % dim)
+        return real(dim)
+
+    monkeypatch.setattr(multilinear, "suspend_space", guarded)
+    with pytest.raises(SchemaError, match=r"^d must be"):
+        difflie_from_json({"dim": 10 ** 9, "brackets": [], "d": [],
+                           "weight": 0})
+
+
+def explicit_derivation_basis(L):
+    """Kernel basis of d[x_i,x_j] - [d x_i, x_j] - [x_i, d x_j] = 0, written
+    out entry by entry (the oracle for samples.derivation_basis)."""
+    n = L.dim
+    rows = []
+    for i, j in combinations(range(n), 2):
+        coeff = [[0] * (n * n) for _ in range(n)]
+        b_ij = L.bracket.value_on_basis((i, j))
+        for a in range(n):
+            for b in range(n):
+                col = a * n + b  # entry d[a][b]
+                for r in range(n):
+                    val = 0
+                    if a == r:
+                        val += b_ij[b]
+                    if b == i:
+                        val -= L.bracket.value_on_basis((a, j))[r]
+                    if b == j:
+                        val -= L.bracket.value_on_basis((i, a))[r]
+                    coeff[r][col] += val
+        rows.extend(coeff)
+    m = Matrix.from_rows(rows) if rows else Matrix.zero(0, n * n)
+    return [Matrix(n, n, [v[k * n:(k + 1) * n] for k in range(n)])
+            for v in m.kernel_basis()]
+
+
+def test_derivation_basis_matches_explicit_system(rng):
+    catalog = [abelian(1), abelian(3), aff1(), heisenberg(), sl2(),
+               direct_sum(aff1(), abelian(2))]
+    scrambled = [conjugate_algebra(L, rand_unimodular(rng, L.dim))
+                 for L in catalog for _ in range(3)]
+    for L in catalog + scrambled:
+        assert derivation_basis(L) == explicit_derivation_basis(L)
 
 
 def test_random_fixtures_are_valid(rng):

@@ -14,11 +14,11 @@ from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
                             lambda_rescale, mc_check_absolute,
                             mc_check_relative, mc_residual, mc_residual_formal,
                             morphism_residual, pack_D, project_M_rel,
-                            project_a_rel, relative_structure, twist,
-                            twist_l1_formal)
+                            project_a_rel, relative_structure,
+                            relative_vdata, twist, twist_l1_formal)
 from difflie.liealg import (DiffLieAlgebra, adjoint_rep,
                             is_diff_lie_algebra, is_lieact,
-                            relative_diff_residual)
+                            relative_diff_residual, semidirect_bracket)
 from difflie.nr import nr_bracket
 from difflie.samples import (aff1, heisenberg, sl2, rand_matrix, rand_vec,
                              random_diff_lie, random_lieact,
@@ -186,6 +186,29 @@ def test_generalized_jacobi_relative(rng):
             pool.append(aterm(project_a_rel(raw, gdim, hdim)))
         n = rng.randrange(2, 4)
         terms = [rng.choice(pool) for _ in range(n)]
+        assert generalized_jacobi_residual_formal(S, terms).is_zero()
+
+
+def test_generalized_jacobi_full_variant(rng):
+    # V-data with m = L = all maps on g (+) h, so that P o iota_m != 0, and
+    # Delta = the bracket of g (+) h from a LieAct triple, which squares to
+    # zero under the NR bracket and has no a'-component: the "full"
+    # brackets (l_1 from Delta, l_i with lambda^{i-1}) satisfy the
+    # generalized Jacobi identities
+    for _ in range(80):
+        T = random_lieact(rng)
+        gdim, hdim = T.g.dim, T.h.dim
+        N = gdim + hdim
+        v = relative_vdata(gdim, hdim)
+        v.Delta = semidirect_bracket(gdim, hdim, T.rho, T.g.bracket,
+                                     h_bracket=T.h.bracket)
+        v.iota_m_inv = lambda F: F
+        S = DerivedBrackets(v, rng.choice(WEIGHTS), "full")
+        pool = [sterm(rand_altmap(rng, rng.randrange(1, 3), N))
+                for _ in range(2)] + \
+            [aterm(project_a_rel(rand_altmap(rng, rng.randrange(1, 3), N),
+                                 gdim, hdim)) for _ in range(2)]
+        terms = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
         assert generalized_jacobi_residual_formal(S, terms).is_zero()
 
 

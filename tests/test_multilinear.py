@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from difflie.linalg import basis_vec, vec_add, vec_scale, vec_zero
+from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_zero
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  NonHomogeneousInput, alt_to_graded,
-                                 graded_to_alt, suspension_sign)
+                                 graded_to_alt, pullback, suspension_sign)
 
 
 def sample_altmap():
@@ -118,3 +120,40 @@ def test_suspension_round_trip(rng):
         assert F.degree == 2
         assert F.space.degrees == [-1] * 4
         assert graded_to_alt(F) == f
+
+
+SCALARS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(SCALARS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+                        lambda data: Matrix(rows, cols, data))
+
+
+@st.composite
+def pullback_cases(draw):
+    """A map f of arity 1-3 and linear maps S into its source and T out of
+    its target (or None)."""
+    arity = draw(st.integers(1, 3))
+    n, m, k = (draw(st.integers(1, 3)) for _ in range(3))
+    f = AltMap(arity, m, k)
+    for key in combinations(range(m), arity):
+        f[key] = draw(st.lists(SCALARS, min_size=k, max_size=k))
+    S = draw(matrices(m, n))
+    T = draw(st.none() | st.integers(1, 3).flatmap(
+        lambda rows: matrices(rows, k)))
+    return f, S, T
+
+
+@given(pullback_cases())
+def test_pullback_is_transport_along_linear_maps(case):
+    # the definition: on every tuple of basis vectors, repeats and any
+    # order included, the value is T f(S e_x1, .., S e_xn)
+    f, S, T = case
+    g = pullback(f, S, T)
+    n = S.cols
+    for key in product(range(n), repeat=f.arity):
+        val = f.evaluate([S.matvec(basis_vec(n, x)) for x in key])
+        assert g.value_on_basis(key) == (val if T is None
+                                         else T.matvec(val))
