@@ -6,7 +6,7 @@ Submodules:
   multilinear   graded symmetric multilinear maps (alternating maps are the
                 one-odd-degree case), suspension, arity-1 maps as matrices
   liealg        differential Lie algebras, representations, LieAct triples
-  nr            the Nijenhuis-Richardson circle product and bracket
+  nr            the insertion sum: NR circle product, bracket, families
   linfty        L-infinity[1] structures: derived brackets, MC, twisting
   cohomology    the three cochain complexes and their bridges
   extensions    abelian extensions and their classification

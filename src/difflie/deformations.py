@@ -9,6 +9,16 @@ The defining equations, collected per order n, are:
                  = sum_{k+l=n} (mu_k(d_l x, y) + mu_k(x, d_l y))
                  + lambda sum_{k+l+m=n} mu_k(d_l x, d_m y).
 
+Per order these are the two families of the suspended series (mu_t, d_t),
+each d_l an arity-1 map, written with the insertion sums of nr:
+
+  jacobi-type:   - sum_k mu_k o-bar mu_{n-k} = 0;
+  operator-type: sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
+                 - lambda sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m) = 0,
+
+where I(f; g_1, ..) is nr.insertion_sum; I(mu_k; d_l)(x, y) = mu_k(d_l x, y)
++ mu_k(x, d_l y) and I_pointed(mu_k; d_l, d_m)(x, y) = mu_k(d_l x, d_m y).
+
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
@@ -16,11 +26,11 @@ Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
 
 from itertools import combinations
 
-from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, \
-    vec_zero
+from .linalg import Matrix, vec_add, vec_is_zero, vec_zero
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
 from .cohomology import CocyclePair, pair_primitive, pair_residual
+from .nr import circ_bar, insertion_sum
 
 
 class NotDeformation(AxiomFailure):
@@ -107,47 +117,29 @@ def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
     map)], order 0..N; the deformation equations hold iff all are zero.
 
-    Only the nonzero mu_i and d_l enter the sums, d_l e_x is column x of
-    d_l, and mu_i(e_x, v) is evaluated as -mu_i(v, e_x)."""
+    They are the order-n parts of the bracket and operator families of the
+    suspended series (mu_t, d_t), each d_l an arity-1 map, and only the
+    nonzero mu_k and d_l enter the sums."""
     dim = D.base.dim
     lam = D.base.weight
     mu = _nonzero_terms(D.mu)
-    d = _nonzero_terms(D.d)
-    dcol = _columns(d)
+    d = {l: altmap1_from_matrix(m) for l, m in _nonzero_terms(D.d).items()}
     out = []
     for n in range(D.order + 1):
         jac = AltMap(3, dim, dim)
-        pairs = [(mi, mu[n - i]) for i, mi in mu.items() if n - i in mu]
-        for key in combinations(range(dim), 3):
-            total = vec_zero(dim)
-            for mi, mj in pairs:
-                for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                    inner = mj.value_on_basis((key[b], key[c]))
-                    total = vec_sub(total,
-                                    mi.evaluate_head([inner], (key[a],)))
-            if not vec_is_zero(total):
-                jac.coeffs[key] = total
         op = AltMap(2, dim, dim)
-        for x, y in combinations(range(dim), 2):
-            total = vec_zero(dim)
-            for k, mk in mu.items():
-                l = n - k
-                if l not in d:
-                    continue
-                total = vec_add(total, d[l].matvec(mk.value_on_basis((x, y))))
-                total = vec_sub(total, mk.evaluate_head([dcol[l][x]], (y,)))
-                total = vec_add(total, mk.evaluate_head([dcol[l][y]], (x,)))
+        for k, mk in mu.items():
+            if n - k in mu:
+                jac = jac + circ_bar(mk, mu[n - k])
+            if n - k in d:
+                op = op + circ_bar(d[n - k], mk) - \
+                    insertion_sum(mk, [d[n - k]])
             if lam != 0:
-                for k, mk in mu.items():
-                    for l in d:
-                        m = n - k - l
-                        if m in d:
-                            total = vec_sub(total, vec_scale(
-                                lam, mk.evaluate_head([dcol[l][x],
-                                                       dcol[m][y]])))
-            if not vec_is_zero(total):
-                op.coeffs[(x, y)] = total
-        out.append((jac, op))
+                for l, dl in d.items():
+                    if n - k - l in d:
+                        op = op + insertion_sum(mk, [dl, d[n - k - l]],
+                                                pointed=True).scale(-lam)
+        out.append((jac.scale(-1), op))
     return out
 
 

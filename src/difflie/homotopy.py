@@ -22,16 +22,23 @@ summing instead over plain shuffles of those blocks overcounts each pointed
 term exactly (p-1)! times, which ``homotopy_diff_residual_factorial``
 exploits as an independent evaluation of the same family.
 
+Both families are built as maps, once per arity, from the insertion sums of
+nr: the bracket family is family_circ(mu, mu), the operator family is
+sum_p lambda^{p-2} insertion_sum(mu_., [D_{m_{p-1}}, .., D_{m_1}],
+pointed=True) - family_circ(D, mu).  The residual functions on vectors
+evaluate those maps, and an empty family is the zero map, whatever the
+dimension of the space.
+
 A differential Lie algebra of weight lambda, suspended into a single degree
 with mu_2 the bracket and D_1 the operator, satisfies both families; that
 reduction is the bridge to the ungraded residual checks.
 """
 
-from .linalg import basis_vec, div, frac, vec_add, vec_is_zero, vec_scale, \
-    vec_sub, vec_zero
-from .multilinear import ArityMismatch, GradedSymMap, altmap1_from_matrix
-from .nr import family_circ
-from .permutations import koszul_sign, shuffles
+from math import factorial
+
+from .linalg import div, frac, vec_is_zero
+from .multilinear import GradedSymMap, altmap1_from_matrix
+from .nr import family_circ, insertion_sum
 
 
 def _compositions(total, parts):
@@ -89,69 +96,37 @@ class HomotopyDiffLie:
 
 def linfty_residual(H, n, args):
     """The arity-n bracket-family residual on the given homogeneous args."""
-    if len(args) != n:
-        raise ArityMismatch("expected %d arguments, got %d" % (n, len(args)))
-    degs = [H.space.degree_of_vector(v) for v in args]
-    return family_circ(H.mu, H.mu, args, degs, H.space.dim)
+    return family_circ(H.mu, H.mu, n, 2, H.space).evaluate(args)
 
 
-def _mu_of_D_terms(H, n, args, degs, pointed):
-    """The positive half of the operator family: mu applied to D-outputs.
-
-    With pointed=True the first p-1 block leaders must increase (the
-    statement form); with pointed=False every shuffle counts, weighted by
-    1/(p-1)! (the expanded form).  Both evaluate the same sum.
-    """
-    out = vec_zero(H.space.dim)
-    lam = H.weight
+def operator_family(H, n, pointed=True):
+    """The arity-n operator-family residual map: the weighted insertions of
+    D-outputs into mu at pointed shuffles, minus sum_j D_{n-j+1} o-bar mu_j.
+    With pointed=False every shuffle counts, weighted by 1/(p-1)! (the
+    expanded form); both evaluate the same sum."""
+    out = GradedSymMap(n, 1, H.space)
     for p in range(2, n + 2):
-        coeff = lam ** (p - 2)
+        coeff = H.weight ** (p - 2)
         if coeff == 0:
-            continue
+            break
         if not pointed:
-            fact = 1
-            for k in range(2, p):
-                fact *= k
-            coeff = div(coeff, fact)
+            coeff = div(coeff, factorial(p - 1))
         for t in range(p - 1, n + 1):
             outer = H.mu.get(n - t + p - 1)
             if outer is None:
                 continue
             for comp in _compositions(t, p - 1):
                 # comp = (m_{p-1}, .., m_1) in block order
-                if any(m not in H.D for m in comp):
-                    continue
-                blocks = comp + (n - t,)
-                starts = [0]
-                for m in blocks[:-1]:
-                    starts.append(starts[-1] + m)
-                for sigma in shuffles(blocks):
-                    if pointed:
-                        leaders = [sigma[starts[b]] for b in range(p - 1)]
-                        if any(a > b for a, b in
-                               zip(leaders, leaders[1:])):
-                            continue
-                    eps = koszul_sign(sigma, degs)
-                    perm = [args[k - 1] for k in sigma]
-                    heads = []
-                    pos = 0
-                    for m in comp:
-                        heads.append(H.D[m].evaluate(perm[pos:pos + m]))
-                        pos += m
-                    val = outer.evaluate(heads + perm[pos:])
-                    if not vec_is_zero(val):
-                        out = vec_add(out, vec_scale(eps * coeff, val))
-    return out
+                if all(m in H.D for m in comp):
+                    out = out + insertion_sum(
+                        outer, [H.D[m] for m in comp], pointed).scale(coeff)
+    return out - family_circ(H.D, H.mu, n, 1, H.space)
 
 
 def homotopy_diff_residual(H, n, args, pointed=True):
     """The arity-n operator-family residual in the pointed-shuffle form;
     pointed=False sums it over plain shuffles with 1/(p-1)! weights."""
-    if len(args) != n:
-        raise ArityMismatch("expected %d arguments, got %d" % (n, len(args)))
-    degs = [H.space.degree_of_vector(v) for v in args]
-    return vec_sub(_mu_of_D_terms(H, n, args, degs, pointed),
-                   family_circ(H.D, H.mu, args, degs, H.space.dim))
+    return operator_family(H, n, pointed).evaluate(args)
 
 
 def homotopy_diff_residual_factorial(H, n, args):
@@ -159,25 +134,12 @@ def homotopy_diff_residual_factorial(H, n, args):
 
 
 def residual_tables(H, max_n=None):
-    """Per-n residual maps of both families, evaluated on spanning basis
-    tuples; returns {n: (bracket GradedSymMap, operator GradedSymMap)}."""
+    """Per-n residual maps of both families; returns {n: (bracket
+    GradedSymMap, operator GradedSymMap)}."""
     if max_n is None:
         max_n = H.residual_range()
-    out = {}
-    dim = H.space.dim
-    for n in range(1, max_n + 1):
-        jac = GradedSymMap(n, 2, H.space)
-        op = GradedSymMap(n, 1, H.space)
-        for key in H.space.spanning_tuples(n):
-            args = [basis_vec(dim, k) for k in key]
-            v1 = linfty_residual(H, n, args)
-            if not vec_is_zero(v1):
-                jac.coeffs[key] = v1
-            v2 = homotopy_diff_residual(H, n, args)
-            if not vec_is_zero(v2):
-                op.coeffs[key] = v2
-        out[n] = (jac, op)
-    return out
+    return {n: (family_circ(H.mu, H.mu, n, 2, H.space), operator_family(H, n))
+            for n in range(1, max_n + 1)}
 
 
 def suspend_diff_lie(A):

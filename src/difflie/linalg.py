@@ -104,6 +104,11 @@ def vec_is_zero(v):
     return all(a == 0 for a in v)
 
 
+def vec_support(v):
+    """The nonzero entries of v as (index, entry) pairs."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
 def basis_vec(n, i):
     v = vec_zero(n)
     v[i] = 1

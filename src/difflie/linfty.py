@@ -30,8 +30,8 @@ from .linalg import (Matrix, basis_vec, div, frac, vec_add, vec_scale,
                      vec_zero, vec_is_zero)
 from .liealg import semidirect_bracket
 from .multilinear import AltMap, GradedSymMap, altmap1_from_matrix
-from .nr import circ_bar, family_circ, nr_bracket
-from .permutations import LengthMismatch, koszul_sign, shuffles, signature
+from .nr import circ_bar, family_circ, insertion_sum, nr_bracket
+from .permutations import LengthMismatch, koszul_sign, shuffles
 
 
 class DegreeMismatch(Exception):
@@ -77,8 +77,7 @@ def generalized_jacobi_residual(L, n, args):
     l_{n-i+1}(l_i(x_{sigma(1)}..), x_{sigma(i+1)}..)."""
     if len(args) != n:
         raise LengthMismatch("expected %d arguments" % n)
-    degs = [L.space.degree_of_vector(v) for v in args]
-    return family_circ(L.brackets, L.brackets, args, degs, L.space.dim)
+    return family_circ(L.brackets, L.brackets, n, 2, L.space).evaluate(args)
 
 
 def _twisted_value(L, alpha, args):
@@ -408,61 +407,24 @@ class AbsoluteStructure(DerivedBrackets):
 
     def __init__(self, dim, lam):
         super().__init__(absolute_vdata(dim), lam, "reduced")
-        self.dim = dim
 
     def _s_composite(self, f, a_terms):
-        """The NR bracket for one a-argument, the insertion sum for more,
-        and zero past arity(f) of them."""
+        """The NR bracket for one a-argument, the insertion sum for more
+        (zero past arity(f) of them)."""
         xis = [t.f for t in a_terms]
         if len(xis) == 1:
             return nr_bracket(f, xis[0])
-        if len(xis) > f.arity:
-            return AltMap(f.arity + sum(xi.arity - 1 for xi in xis),
-                          self.dim, self.dim)
         return _closed_form_sum(f, xis)
 
 
 def _closed_form_sum(f, xis):
     """l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda: the
-    insertion sum with the graded-symmetric sign (-1)^(sum_{i<j} m_i m_j),
+    insertion of xi_r, .., xi_1 into f (the first shuffle block feeds the
+    last xi) with the graded-symmetric sign (-1)^(sum_{i<j} m_i m_j),
     m_i = arity(xi_i) - 1."""
     ms = [xi.arity - 1 for xi in xis]
     pref_exp = sum(sum(ms[:j]) * ms[j] for j in range(len(ms)))
-    return _insertion_sum(f, xis, -1 if pref_exp % 2 else 1)
-
-
-def _insertion_sum(f, xis, pref):
-    """pref times the sum over Sh(m_r+1, .., m_1+1, n+1-r) of the
-    sign-weighted f(xi_r (x) ... (x) xi_1 (x) Id^{n+1-r}) tau^{-1}, where
-    r = len(xis), n = arity(f)-1, m_i = arity(xi_i) - 1, and the first
-    shuffle block feeds the last xi; all maps act on one space."""
-    r = len(xis)
-    blocks = tuple(xi.arity for xi in reversed(xis)) + (f.arity - r,)
-    t = sum(blocks)
-    dim = f.src_dim
-    out = AltMap(t, dim, dim)
-    shs = shuffles(blocks)
-    signs = [signature(tau) for tau in shs]
-    for key in combinations(range(dim), t):
-        total = vec_zero(dim)
-        for tau, sign in zip(shs, signs):
-            args = []
-            pos = 0
-            for blk, xi in zip(blocks, reversed(xis)):
-                inner = xi.value_on_basis(
-                    tuple(key[tau[pos + q] - 1] for q in range(blk)))
-                pos += blk
-                if vec_is_zero(inner):
-                    break
-                args.append(inner)
-            else:
-                tail = tuple(key[tau[p] - 1] for p in range(pos, t))
-                val = f.evaluate_head(args, tail)
-                if not vec_is_zero(val):
-                    total = vec_add(total, vec_scale(sign, val))
-        if not vec_is_zero(total):
-            out.coeffs[key] = vec_scale(pref, total)
-    return out
+    return insertion_sum(f, xis[::-1]).scale(-1 if pref_exp % 2 else 1)
 
 
 def absolute_structure(dim, lam):
@@ -492,7 +454,7 @@ def key_formula_check(f, xis, dim):
         lhs = circ_bar(lhs, xi)
     # closed form, assembled in the double space
     pref_exp = sum((xi.arity - 1) * (r - 1 - j) for j, xi in enumerate(xis))
-    rhs = _insertion_sum(big_f, big_xis, -1 if pref_exp % 2 else 1)
+    rhs = insertion_sum(big_f, big_xis[::-1]).scale(-1 if pref_exp % 2 else 1)
     return lhs - rhs
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import (Matrix, exact, frac, vec_zero, vec_add, vec_scale,
-                     vec_is_zero)
+                     vec_is_zero, vec_support)
 
 
 class ArityMismatch(ValueError):
@@ -162,26 +162,33 @@ class GradedSymMap:
 
     def evaluate_head(self, heads, tail=()):
         """f(v_1, .., v_k, e_{t_1}, .., e_{t_l}): vector heads followed by
-        the basis vectors of the index tuple tail.
+        the basis vectors of the index tuple tail."""
+        out = vec_zero(self.tgt_dim)
+        self.accumulate(out, 1, [vec_support(v) for v in heads], tail)
+        return exact(out)
+
+    def accumulate(self, out, c, heads, tail=()):
+        """out += c f(h_1, .., h_k, e_{t_1}, .., e_{t_l}) in place, for heads
+        given by their nonzero (index, entry) pairs; out is left for the
+        caller to normalise with linalg.exact.
 
         Only the nonzero entries of the heads and the stored (nonzero)
-        coefficient vectors are visited, and the sum accumulates in place;
-        coefficients of 1, as on basis vectors, are not applied."""
-        supports = [[(i, x) for i, x in enumerate(v) if x] for v in heads]
+        coefficient vectors are visited; factors of 1, as on basis vectors,
+        are not applied."""
         odd, coeffs = self.space.odd, self.coeffs
-        out = vec_zero(self.tgt_dim)
-        for combo in product(*supports):
-            skey, c = _sym_sort(tuple(i for i, _ in combo) + tail, odd)
+        for combo in product(*heads):
+            skey, s = _sym_sort(tuple([i for i, _ in combo]) + tail, odd)
             vec = coeffs.get(skey)
             if vec is None:
                 continue
+            if c != 1:
+                s = s * c
             for _, x in combo:
                 if x != 1:
-                    c = c * x
+                    s = s * x
             for k, y in enumerate(vec):
                 if y:
-                    out[k] += y if c == 1 else (-y if c == -1 else c * y)
-        return exact(out)
+                    out[k] += y if s == 1 else (-y if s == -1 else s * y)
 
     def __add__(self, other):
         if (self.arity, self.degree, self.tgt_dim) != \

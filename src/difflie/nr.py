@@ -1,59 +1,91 @@
-"""The Nijenhuis-Richardson circle product and bracket.
+"""The insertion sum, and with it the Nijenhuis-Richardson circle product
+and bracket.
 
-Both act on graded symmetric maps of one graded space.  For f of arity n
-and g of arity m, f o-bar g is the map of arity m + n - 1 and degree
-|f| + |g| given by
+All act on graded symmetric maps of one graded space.  For f of arity n and
+inner maps g_1, .., g_r of arities a_1, .., a_r, the insertion sum is the
+map of arity a_1 + .. + a_r + n - r and degree |f| + |g_1| + .. + |g_r|
 
-    sum over (m, n-1)-shuffles sigma of
-    eps(sigma) f(g(v_sigma(1), .., v_sigma(m)), v_sigma(m+1), ..),
+    sum over (a_1, .., a_r, n-r)-shuffles sigma of
+    eps(sigma) f(g_1(v_sigma(1), .., v_sigma(a_1)), .., g_r(..),
+                 v_sigma(..), .., v_sigma(..)),
 
-and [f, g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f.  An alternating map on
-an ungraded space is the graded map on its suspension, which sits in one odd
-degree; there eps is the permutation sign and |f| = arity - 1, so the same
-two functions are the classical product and bracket on Hom(wedge V, V).  In
-both pictures [mu,mu]_NR = 0 characterizes (L-infinity[1]-) algebra
-structures.
+eps the Koszul sign; with pointed=True only the shuffles whose inner-block
+leaders sigma(1), sigma(a_1 + 1), .. increase are kept.  Every identity of
+the package that inserts maps into maps is such a sum: f o-bar g is the
+insertion of the one map g, [f, g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f,
+family_circ sums circle products over arities (the generalised Jacobi
+identity and both homotopy families), the closed form of the higher derived
+brackets inserts several maps, and the operator families of homotopy
+differential Lie algebras and of formal deformations insert operators at
+pointed shuffles.
 
-family_circ evaluates the same sum summed over arities, for bracket and
-operator families, on arbitrary homogeneous vectors.
+An alternating map on an ungraded space is the graded map on its
+suspension, which sits in one odd degree; there eps is the permutation sign
+and |f| = arity - 1, so the same functions are the classical product and
+bracket on Hom(wedge V, V).  In both pictures [mu,mu]_NR = 0 characterizes
+(L-infinity[1]-) algebra structures.
 """
 
-from .linalg import vec_zero, vec_add, vec_scale, vec_is_zero
+from .linalg import exact, vec_is_zero, vec_support
 from .multilinear import GradedSymMap, DimensionMismatch
 from .permutations import shuffles, koszul_sign
+
+
+def insertion_sum(f, inners, pointed=False):
+    """The insertion of the maps inners into the first slots of f, summed
+    over shuffles (see the module docstring); the zero map of arity
+    max(.., 0) when there are more inner maps than slots of f."""
+    space = f.space
+    r = len(inners)
+    if any(g.space != space or g.tgt_dim != space.dim for g in inners) \
+            or f.tgt_dim != space.dim:
+        raise DimensionMismatch("insertion needs maps on one space")
+    blocks = tuple(g.arity for g in inners) + (f.arity - r,)
+    if pointed and 0 in blocks[:r]:
+        raise ValueError("pointed insertion needs inner maps of arity >= 1")
+    arity = sum(blocks)
+    out = GradedSymMap(max(arity, 0), f.degree + sum(g.degree for g in inners),
+                       space)
+    if r > f.arity or f.is_zero() or any(g.is_zero() for g in inners):
+        return out
+    starts = [sum(blocks[:b]) for b in range(r + 1)]
+    shs = [s for s in shuffles(blocks) if not pointed or
+           all(s[starts[b]] < s[starts[b + 1]] for b in range(r - 1))]
+    # each shuffle as the key positions of its inner blocks and of its tail;
+    # a sorted key read at increasing positions is again sorted, so the
+    # inner values are stored coefficients, looked up without a sort
+    slots = [(tuple(tuple(s[p] - 1 for p in range(starts[b], starts[b + 1]))
+                    for b in range(r)),
+              tuple(s[p] - 1 for p in range(starts[r], arity)))
+             for s in shs]
+    supports = [{key: vec_support(vec) for key, vec in g.coeffs.items()}
+                for g in inners]
+    odd, eps_of = space.odd, {}  # the signs of shs depend on the parities
+    for key in space.spanning_tuples(arity):
+        parity = tuple([odd[i] for i in key])
+        eps = eps_of.get(parity)
+        if eps is None:
+            eps = eps_of[parity] = [koszul_sign(s, parity) for s in shs]
+        total = [0] * space.dim
+        for (heads, tail), e in zip(slots, eps):
+            args = []
+            for g_supp, pos in zip(supports, heads):
+                head = g_supp.get(tuple([key[p] for p in pos]))
+                if head is None:
+                    break
+                args.append(head)
+            else:
+                f.accumulate(total, e, args, tuple([key[p] for p in tail]))
+        exact(total)
+        if not vec_is_zero(total):
+            out.coeffs[key] = total
+    return out
 
 
 def circ_bar(f, g):
     """f o-bar g, f of arity n, g of arity m, as a map of arity m + n - 1
     (arity 0 and zero when f is a constant, which has no slot)."""
-    space = f.space
-    if g.space != space or f.tgt_dim != space.dim or g.tgt_dim != space.dim:
-        raise DimensionMismatch("circle product needs maps on one space")
-    m = g.arity
-    arity = m + f.arity - 1
-    out = GradedSymMap(max(arity, 0), f.degree + g.degree, space)
-    if f.arity == 0:
-        return out
-    shs = shuffles((m, f.arity - 1))
-    eps_of = {}  # the Koszul signs of shs depend only on the parities
-    for key in space.spanning_tuples(arity):
-        parity = tuple(space.odd[i] for i in key)
-        eps = eps_of.get(parity)
-        if eps is None:
-            eps = eps_of[parity] = [koszul_sign(s, parity) for s in shs]
-        total = vec_zero(space.dim)
-        for sigma, e in zip(shs, eps):
-            inner = g.value_on_basis(tuple(key[sigma[t] - 1]
-                                           for t in range(m)))
-            if vec_is_zero(inner):
-                continue
-            tail = tuple(key[sigma[t] - 1] for t in range(m, arity))
-            val = f.evaluate_head([inner], tail)
-            if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(e, val))
-        if not vec_is_zero(total):
-            out.coeffs[key] = total
-    return out
+    return insertion_sum(f, [g])
 
 
 def nr_bracket(f, g):
@@ -67,24 +99,13 @@ graded_circ_bar = circ_bar
 graded_nr_bracket = nr_bracket
 
 
-def family_circ(outer, inner, args, degs, dim):
-    """sum_{i=1}^{n} sum_{sigma in Sh(i,n-i)} eps(sigma)
-    outer_{n-i+1}(inner_i(x_{sigma(1)}, ..), x_{sigma(i+1)}, ..)
-
-    for families {arity: map} (a missing arity is zero), on n homogeneous
-    vectors of the given degrees, in a space of dimension dim."""
-    n = len(args)
-    out = vec_zero(dim)
+def family_circ(outer, inner, n, degree, space):
+    """The arity-n map sum_{i=1}^{n} outer_{n-i+1} o-bar inner_i of degree
+    `degree` on `space`, for families {arity: map} (a missing arity is
+    zero)."""
+    out = GradedSymMap(n, degree, space)
     for i in range(1, n + 1):
         f, g = outer.get(n - i + 1), inner.get(i)
-        if f is None or g is None:
-            continue
-        for sigma in shuffles((i, n - i)):
-            perm = [args[k - 1] for k in sigma]
-            val = g.evaluate(perm[:i])
-            if vec_is_zero(val):
-                continue
-            val = f.evaluate([val] + perm[i:])
-            if not vec_is_zero(val):
-                out = vec_add(out, vec_scale(koszul_sign(sigma, degs), val))
+        if f is not None and g is not None:
+            out = out + circ_bar(f, g)
     return out

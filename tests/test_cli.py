@@ -243,6 +243,18 @@ def test_homotopy_check_ignores_zero_members(tmp_path, capsys):
     assert rc == 0 and padded == plain
 
 
+def test_homotopy_check_zero_structure_on_large_space(tmp_path, capsys):
+    # no brackets and no operators: every residual family is an empty sum
+    # of maps, so no basis tuple of the 10^5-dimensional space is visited
+    # (a per-tuple evaluation ran for minutes)
+    doc = {"components": [[0, 100000]], "weight": 0}
+    rc, rep, _ = run(capsys, ["homotopy-check",
+                              write(tmp_path, "h.json", doc)])
+    assert rc == 0
+    assert rep == {"checked_arities": [1], "failed_arities": [],
+                   "maurer_cartan": True, "weight": "0"}
+
+
 def test_unknown_flavor_is_parse_error(tmp_path, capsys):
     path = write(tmp_path, "a.json", aff1_doc())
     assert main(["cohomology", path, "--flavor", "nope"]) == 2

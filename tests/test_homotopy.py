@@ -1,15 +1,107 @@
 from fractions import Fraction
+from math import factorial
 
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, is_diff_lie_algebra
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
-from difflie.nr import graded_circ_bar
-from difflie.homotopy import (HomotopyDiffLie, homotopy_diff_residual,
+from difflie.nr import family_circ, graded_circ_bar
+from difflie.homotopy import (HomotopyDiffLie, _compositions,
+                              homotopy_diff_residual,
                               homotopy_diff_residual_factorial,
                               homotopy_mc_check, linfty_residual,
-                              residual_tables, suspend_diff_lie)
+                              operator_family, residual_tables,
+                              suspend_diff_lie)
+from difflie.permutations import koszul_sign, shuffles
 from difflie.samples import WEIGHTS, rand_matrix, random_diff_lie
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-vector shuffle loops the map-level sums replaced
+
+
+def family_circ_by_vectors(outer, inner, args, degs, dim):
+    """sum_{i=1}^{n} sum_{sigma in Sh(i,n-i)} eps(sigma)
+    outer_{n-i+1}(inner_i(x_{sigma(1)}, ..), x_{sigma(i+1)}, ..)
+
+    for families {arity: map} (a missing arity is zero), on n homogeneous
+    vectors of the given degrees, in a space of dimension dim."""
+    n = len(args)
+    out = vec_zero(dim)
+    for i in range(1, n + 1):
+        f, g = outer.get(n - i + 1), inner.get(i)
+        if f is None or g is None:
+            continue
+        for sigma in shuffles((i, n - i)):
+            perm = [args[k - 1] for k in sigma]
+            val = g.evaluate(perm[:i])
+            if vec_is_zero(val):
+                continue
+            val = f.evaluate([val] + perm[i:])
+            if not vec_is_zero(val):
+                out = vec_add(out, vec_scale(koszul_sign(sigma, degs), val))
+    return out
+
+
+def mu_of_D_by_vectors(H, n, args, degs, pointed):
+    """The positive half of the operator family, mu applied to D-outputs,
+    on n homogeneous vectors: with pointed=True the first p-1 block leaders
+    must increase; with pointed=False every shuffle counts, weighted by
+    1/(p-1)!."""
+    out = vec_zero(H.space.dim)
+    lam = H.weight
+    for p in range(2, n + 2):
+        coeff = lam ** (p - 2)
+        if coeff == 0:
+            continue
+        if not pointed:
+            coeff = Fraction(coeff) / factorial(p - 1)
+        for t in range(p - 1, n + 1):
+            outer = H.mu.get(n - t + p - 1)
+            if outer is None:
+                continue
+            for comp in _compositions(t, p - 1):
+                # comp = (m_{p-1}, .., m_1) in block order
+                if any(m not in H.D for m in comp):
+                    continue
+                blocks = comp + (n - t,)
+                starts = [0]
+                for m in blocks[:-1]:
+                    starts.append(starts[-1] + m)
+                for sigma in shuffles(blocks):
+                    if pointed:
+                        leaders = [sigma[starts[b]] for b in range(p - 1)]
+                        if any(a > b for a, b in
+                               zip(leaders, leaders[1:])):
+                            continue
+                    eps = koszul_sign(sigma, degs)
+                    perm = [args[k - 1] for k in sigma]
+                    heads = []
+                    pos = 0
+                    for m in comp:
+                        heads.append(H.D[m].evaluate(perm[pos:pos + m]))
+                        pos += m
+                    val = outer.evaluate(heads + perm[pos:])
+                    if not vec_is_zero(val):
+                        out = vec_add(out, vec_scale(eps * coeff, val))
+    return out
+
+
+def operator_family_by_vectors(H, n, args, pointed=True):
+    degs = [H.space.degree_of_vector(v) for v in args]
+    return vec_sub(mu_of_D_by_vectors(H, n, args, degs, pointed),
+                   family_circ_by_vectors(H.D, H.mu, args, degs,
+                                          H.space.dim))
+
+
+def rand_homogeneous(rng, space):
+    """A random vector of one degree with every coordinate of that degree
+    nonzero and none equal to 1, so never a basis vector."""
+    deg = rng.choice([d for d, dim in space.components if dim])
+    v = vec_zero(space.dim)
+    for i in space.basis_of_degree(deg):
+        v[i] = rng.choice((-2, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)))
+    return v
 
 
 def two_term_space():
@@ -204,6 +296,40 @@ def test_pointed_form_agrees_with_factorial_form(rng):
         a = homotopy_diff_residual(H, n, args)
         b = homotopy_diff_residual_factorial(H, n, args)
         assert a == b
+
+
+def test_families_match_per_vector_oracles(rng):
+    # every weight, on vectors that are not basis vectors, mixed degrees
+    spaces = [GradedVectorSpace([(0, 2), (1, 2)]),
+              GradedVectorSpace([(-1, 1), (0, 2), (1, 1)]),
+              GradedVectorSpace([(-1, 3)])]
+    nonzero = set()
+    for lam in WEIGHTS:
+        for space in spaces:
+            H = rand_homotopy(rng, space)
+            H = HomotopyDiffLie(space, H.mu, H.D, lam)
+            for n in range(1, 5):
+                bracket = family_circ(H.mu, H.mu, n, 2, space)
+                pointed = operator_family(H, n)
+                expanded = operator_family(H, n, pointed=False)
+                assert residual_tables(H, n)[n] == (bracket, pointed)
+                for _ in range(3):
+                    args = [rand_homogeneous(rng, space) for _ in range(n)]
+                    degs = [space.degree_of_vector(v) for v in args]
+                    jac = family_circ_by_vectors(H.mu, H.mu, args, degs,
+                                                 space.dim)
+                    op = operator_family_by_vectors(H, n, args)
+                    assert bracket.evaluate(args) == jac
+                    assert linfty_residual(H, n, args) == jac
+                    assert pointed.evaluate(args) == op
+                    assert homotopy_diff_residual(H, n, args) == op
+                    assert expanded.evaluate(args) == op
+                    assert operator_family_by_vectors(
+                        H, n, args, pointed=False) == op
+                    nonzero.add((lam != 0, n, any(jac), any(op)))
+    assert {(w, n) for w, n, _, op in nonzero if op} == \
+        {(w, n) for w in (False, True) for n in range(1, 5)}
+    assert {w for w, _, jac, _ in nonzero if jac} == {False, True}
 
 
 def test_bracket_family_matches_circle_products(rng):
