@@ -104,13 +104,26 @@ def _read_deformation(obj, args):
     return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
 
 
+# The largest dimension key-formula and morphism-check accept.  Their
+# documents hold no data of that size: they draw dense random maps on it.
+# One key-formula sample (--seed 7) took 0.3 s at dim 8, 9.5 s at dim 16
+# and 30 s at dim 20; morphism-check (--seed 7) took 25 s at gdim = hdim =
+# 16 and 49 s at 32 (wall time with start-up, a shared 2-core machine).
+# So the dimensions that finish lie far below 256, where one dense random
+# arity-3 map of key-formula alone has C(256, 3) * 256 ~ 7e8 coefficients,
+# more than memory holds.
+MAX_SAMPLED_DIM = 256
+
+
 def _read_dim(obj, args):
-    return read_int(*field(only_keys(obj, "", ("dim",)), "dim"))
+    return read_int(*field(only_keys(obj, "", ("dim",)), "dim"), 0,
+                    MAX_SAMPLED_DIM)
 
 
 def _read_pair(obj, args):
     only_keys(obj, "", ("gdim", "hdim", "weight"))
-    return (read_int(*field(obj, "gdim")), read_int(*field(obj, "hdim")),
+    return (read_int(*field(obj, "gdim"), 0, MAX_SAMPLED_DIM),
+            read_int(*field(obj, "hdim"), 0, MAX_SAMPLED_DIM),
             read_scalar(*field(obj, "weight")))
 
 
@@ -173,8 +186,7 @@ def cmd_cohomology(inputs, args):
     except CompositionNonzero:
         return 1, {"flavor": args.flavor, "d_squared_ok": False}
     return 0, {"flavor": args.flavor, "weight": fmt_scalar(A.weight),
-               "dims_C": spec.dims[:args.max_degree + 1],
-               "dims_H": cohomology_dims(spec)[:args.max_degree + 1],
+               "dims_C": spec.dims, "dims_H": cohomology_dims(spec),
                "d_squared_ok": True}
 
 
@@ -281,25 +293,20 @@ def cmd_extension(inputs, args):
 
 
 def cmd_deform(D, args):
-    from .deformations import (Obstructed, failed_equations,
-                               first_nontrivial_order, rigidify_step)
+    from .deformations import Obstructed, failed_equations, rigidify
     if args.action == "verify":
         bad = [{"order": n, "equation": which}
                for n, which in failed_equations(D)]
         return (0 if not bad else 1), {"action": "verify", "order": D.order,
                                        "failures": bad, "deformation": not bad}
     # rigidify; a D whose equations fail raises NotDeformation
-    isos = []
-    steps = 0
     try:
-        while first_nontrivial_order(D) is not None and steps <= D.order:
-            iso, D = rigidify_step(D)
-            isos.append([_matrix_to_json(m) for m in iso.phi])
-            steps += 1
+        isos = rigidify(D)
     except Obstructed as e:
         return 1, {"action": "rigidify", "trivialized": False,
                    "obstructed_at_order": e.order}
-    return 0, {"action": "rigidify", "trivialized": True, "isos": isos}
+    return 0, {"action": "rigidify", "trivialized": True,
+               "isos": [[_matrix_to_json(m) for m in i.phi] for i in isos]}
 
 
 def cmd_homotopy_check(H, args):

@@ -273,23 +273,23 @@ def difflie_differential(A, rep, n, tilde=False):
 
 
 class CochainComplexSpec:
-    """A validated complex: differentials up to max_degree and the cochain
-    dimensions read off their shapes.
-
-    d[n] maps n-cochains to (n+1)-cochains for 0 <= n <= max_degree;
-    d[n+1] * d[n] = 0 is checked once per degree as the differentials are
-    built, raising CompositionNonzero at the first degree where it fails.
-    """
+    """A validated complex: the differentials that H^0..H^{N-1} rest on,
+    d[n] from n-cochains to (n+1)-cochains for 0 <= n < N = max_degree,
+    and the dimensions of C^0..C^N read off their shapes.  As they are
+    built, d[n] * d[n-1] = 0 is checked for 1 <= n < N, raising
+    CompositionNonzero at the first degree where it fails."""
 
     def __init__(self, algebra, rep, flavor="difflie", max_degree=4):
         if flavor not in FLAVORS:
             raise UnknownFlavor(flavor)
+        if max_degree < 1:
+            raise ValueError("max_degree %r is below 1" % (max_degree,))
         self.algebra = algebra
         self.rep = rep
         self.flavor = flavor
         self.max_degree = max_degree
         self.d = []
-        for n in range(max_degree + 1):
+        for n in range(max_degree):
             self.d.append(self._differential(n))
             if n and not (self.d[n] * self.d[n - 1]).is_zero():
                 raise CompositionNonzero(
@@ -306,9 +306,9 @@ class CochainComplexSpec:
 
 
 def cohomology_dims(spec):
-    """dim H^n = dim C^n - rank d[n] - rank d[n-1] for 0 <= n <= max_degree
-    - 1, ranking each differential once (linalg.homology_dim is the
-    two-step oracle)."""
+    """dim H^n = dim C^n - rank d[n] - rank d[n-1] for 0 <= n < max_degree,
+    ranking each differential once (linalg.homology_dim is the two-step
+    oracle)."""
     ranks = [spec.d[n].rank() for n in range(spec.max_degree)]
     return [spec.dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
             for n in range(spec.max_degree)]
@@ -346,16 +346,9 @@ class CocyclePair:
                    coords_to_altmap(coords[cut:], gdim, vdim, n - 1))
 
 
-def cocycle_residual(spec, n, pair):
-    """The combined differential applied to the pair, as a coordinate
-    vector in degree n+1; zero exactly for cocycles."""
-    gdim, vdim = spec.algebra.dim, spec.rep.space_dim
-    return spec.d[n].matvec(pair.coords(gdim, vdim, n))
-
-
 def pair_residual(A, rep, n, pair):
-    """cocycle_residual in the combined complex of (A, rep), building the
-    degree-n differential alone."""
+    """The combined differential of (A, rep) applied to the pair, as a
+    coordinate vector in degree n+1; zero exactly for cocycles."""
     return difflie_differential(A, rep, n).matvec(
         pair.coords(A.dim, rep.space_dim, n))
 

@@ -247,3 +247,14 @@ def rigidify_step(D):
         [Matrix.zero(dim, dim)] * (r - 1) + [-phi]
     iso = FormalIso(phis)
     return iso, apply_formal_iso(D, iso)
+
+
+def rigidify(D):
+    """The isos of rigidify_step that clear D, in order, or Obstructed at
+    the first order whose pair is not a coboundary.  A step clears its order
+    and keeps the lower ones zero, so D.order steps suffice."""
+    isos = []
+    while len(isos) < D.order and first_nontrivial_order(D) is not None:
+        iso, D = rigidify_step(D)
+        isos.append(iso)
+    return isos

@@ -72,9 +72,8 @@ class HomotopyDiffLie:
         if f.space != self.space or f.degree != deg:
             raise ValueError("%s_%d is not a degree-%d map on the space"
                              % (name, i, deg))
-        degrees = self.space.degrees
         for key, vec in f.coeffs.items():
-            want = sum(degrees[k] for k in key) + deg
+            want = sum(self.space.degrees[k] for k in key) + deg
             got = self.space.degree_of_vector(vec)
             if not vec_is_zero(vec) and got != want:
                 raise ValueError("%s_%d is not homogeneous of degree %d"

@@ -14,7 +14,7 @@ brackets share every operation below, and the suspension isomorphism is a
 relabelling.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import (Matrix, exact, frac, vec_zero, vec_add, vec_scale,
@@ -34,7 +34,11 @@ class NonHomogeneousInput(ValueError):
 
 
 class GradedVectorSpace:
-    """Finite dimensional graded space, components = [(degree, dim), ...]."""
+    """Finite dimensional graded space, components = [(degree, dim), ...].
+
+    The per-basis lists degrees and odd are built on their first read, so a
+    space that only carries zero maps allocates nothing of its size; after
+    that read they are plain instance attributes."""
 
     def __init__(self, components):
         degs = [d for d, _ in components]
@@ -43,11 +47,15 @@ class GradedVectorSpace:
         if any(dim < 0 for _, dim in components):
             raise ValueError("component dimensions must not be negative")
         self.components = list(components)
-        self.degrees = []
-        for deg, dim in components:
-            self.degrees.extend([deg] * dim)
-        self.odd = [d % 2 for d in self.degrees]
-        self.dim = len(self.degrees)
+        self.dim = sum(dim for _, dim in components)
+
+    @cached_property
+    def degrees(self):
+        return [deg for deg, dim in self.components for _ in range(dim)]
+
+    @cached_property
+    def odd(self):
+        return [d % 2 for d in self.degrees]
 
     def degree_of_vector(self, v):
         """Degree of a homogeneous vector (0 for the zero vector)."""

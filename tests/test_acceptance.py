@@ -20,7 +20,7 @@ from difflie.multilinear import AltMap, GradedVectorSpace, alt_to_graded
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 altmap_to_coords, ce_differential, cochain_dim,
                                 cohomology_dims, coords_to_altmap,
-                                cocycle_residual, delta_matrix,
+                                delta_matrix,
                                 difflie_differential, do_differential,
                                 embedding_commutes_residual,
                                 twist_bridge_residual)
@@ -37,11 +37,9 @@ from difflie.extensions import (build_extension, equivalence_witness,
 from difflie.deformations import (FormalIso, TruncatedDeformation,
                                   apply_formal_iso, constant_deformation,
                                   deformation_residuals, first_nontrivial_order,
-                                  infinitesimal, is_deformation, rigidify_step)
-from difflie.homotopy import (homotopy_diff_residual,
-                              homotopy_diff_residual_factorial,
-                              homotopy_mc_check, linfty_residual,
-                              suspend_diff_lie)
+                                  infinitesimal, is_deformation, rigidify)
+from difflie.homotopy import (homotopy_mc_check, operator_family,
+                              residual_tables, suspend_diff_lie)
 from difflie.samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
                              rand_matrix, random_diff_lie, random_lieact,
                              random_relative_operator, random_rep)
@@ -456,11 +454,9 @@ def complete_to_order2(A, pair):
                                 [A.d, d1, d2])
 
 
-def rigidifies(D, max_steps=4):
-    steps = 0
-    while first_nontrivial_order(D) is not None and steps < max_steps:
-        _, D = rigidify_step(D)
-        steps += 1
+def rigidifies(D):
+    for iso in rigidify(D):
+        D = apply_formal_iso(D, iso)
     return first_nontrivial_order(D) is None
 
 
@@ -478,7 +474,7 @@ def test_criterion_08_deformations(rng):
             continue
         got, res = infinitesimal(D)
         if not vec_is_zero(res) or \
-                not vec_is_zero(cocycle_residual(spec, 2, got)):
+                not vec_is_zero(spec.d[2].matvec(got.coords(A.dim, A.dim, 2))):
             bad.append(("infinitesimal cocycle", A.dim))
         # equivalent deformations: infinitesimals differ by a coboundary
         phi1 = rand_matrix(rng, A.dim, A.dim)
@@ -596,23 +592,23 @@ def test_criterion_10_homotopy(rng):
     bad = []
     # the two-term fixture: displayed identities hold and match the families
     H = two_term()
+    ops = {n: op for n, (_, op) in residual_tables(H, 2).items()}
     for k in range(2):
         x = basis_vec(2, k)
         if not vec_is_zero(display_residual_n1(H, x)) or \
-                not vec_is_zero(homotopy_diff_residual(H, 1, [x])):
+                not vec_is_zero(ops[1].evaluate([x])):
             bad.append(("valid n=1", k))
     for i in range(2):
         for j in range(i, 2):
             x, y = basis_vec(2, i), basis_vec(2, j)
             disp = display_residual_n2(H, x, y)
             if not vec_is_zero(disp) or \
-                    homotopy_diff_residual(H, 2, [x, y]) != \
-                    vec_scale(-1, disp):
+                    ops[2].evaluate([x, y]) != vec_scale(-1, disp):
                 bad.append(("valid n=2", i, j))
     for pert, n in ((two_term(alpha=1, beta=2), 1), (two_term(q=3), 2)):
-        failed = any(not vec_is_zero(homotopy_diff_residual(
-            pert, n, [basis_vec(2, k)
-                      for k in key]))
+        op = residual_tables(pert, n)[n][1]
+        failed = any(not vec_is_zero(op.evaluate(
+            [basis_vec(2, k) for k in key]))
             for key in pert.space.spanning_tuples(n))
         if not failed:
             bad.append(("perturbation passes", n))
@@ -635,17 +631,17 @@ def test_criterion_10_homotopy(rng):
         else:
             cand = rand_homotopy(rng, rng.choice(spaces))
         max_n = min(cand.residual_range(), 4)
-        mc, _ = homotopy_mc_check(cand, max_n)
+        mc, tables = homotopy_mc_check(cand, max_n)
         direct = True
-        for n in range(1, max_n + 1):
+        for n, (bracket, pointed) in tables.items():
+            expanded = operator_family(cand, n, pointed=False)
             for key in cand.space.spanning_tuples(n):
                 args = [basis_vec(cand.space.dim, k) for k in key]
-                pointed = homotopy_diff_residual(cand, n, args)
-                if pointed != homotopy_diff_residual_factorial(
-                        cand, n, args):
+                value = pointed.evaluate(args)
+                if value != expanded.evaluate(args):
                     bad.append(("pointed vs factorial", trial, n))
-                if not vec_is_zero(pointed) or \
-                        not vec_is_zero(linfty_residual(cand, n, args)):
+                if not vec_is_zero(value) or \
+                        not vec_is_zero(bracket.evaluate(args)):
                     direct = False
         if mc != direct:
             bad.append(("mc vs residuals", trial))

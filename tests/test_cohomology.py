@@ -9,9 +9,8 @@ from difflie.multilinear import AltMap, matrix_from_altmap1
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, altmap_to_coords, ce_apply,
                                 ce_differential, cochain_dim, cohomology_dims,
-                                coords_to_altmap, cocycle_residual,
-                                delta_apply, delta_matrix, do_differential,
-                                difflie_differential,
+                                coords_to_altmap, delta_apply, delta_matrix,
+                                do_differential, difflie_differential,
                                 embedding_commutes_residual, pair_dim,
                                 pair_primitive, pair_residual,
                                 twist_bridge_residual)
@@ -138,7 +137,28 @@ def test_all_flavors_build_and_square_to_zero(rng):
         A = random_diff_lie(rng, max_dim=3)
         rep = random_rep(rng, A, max_dim=2)
         for flavor in ("ce", "do", "difflie", "tilde"):
-            CochainComplexSpec(A, rep, flavor)  # asserts d^2 = 0 internally
+            # checks d^2 = 0 internally, through d^4 d^3
+            CochainComplexSpec(A, rep, flavor, max_degree=5)
+
+
+def test_spec_builds_the_reported_differentials_only(rng):
+    # max_degree N: d^0..d^{N-1}, and C^0..C^N read off their shapes
+    for _ in range(3):
+        A = random_diff_lie(rng, max_dim=3)
+        rep = random_rep(rng, A, max_dim=2)
+        gdim, vdim = A.dim, rep.space_dim
+        ce = [cochain_dim(gdim, vdim, n) for n in range(5)]
+        pairs = [pair_dim(gdim, vdim, n) for n in range(5)]
+        closed = {"ce": ce, "do": ce, "difflie": pairs,
+                  "tilde": [0, ce[1]] + pairs[2:]}
+        for flavor in FLAVORS:
+            for N in range(1, 5):
+                spec = CochainComplexSpec(A, rep, flavor, max_degree=N)
+                assert len(spec.d) == N
+                assert spec.dims == closed[flavor][:N + 1]
+                assert len(cohomology_dims(spec)) == N
+            with pytest.raises(ValueError):
+                CochainComplexSpec(A, rep, flavor, max_degree=0)
 
 
 def test_unknown_flavor():
@@ -211,10 +231,10 @@ def test_cohomology_dims_match_homology_oracle(rng):
                 assert hs[n] == homology_dim(spec.d[n], d_in)
             if flavor == "difflie":
                 assert spec.dims == [pair_dim(gdim, vdim, n)
-                                     for n in range(5)]
+                                     for n in range(4)]
             elif flavor in ("ce", "do"):
                 assert spec.dims == [cochain_dim(gdim, vdim, n)
-                                     for n in range(5)]
+                                     for n in range(4)]
 
 
 def test_pair_helpers_match_full_complex_and_solve(rng):
@@ -234,7 +254,7 @@ def test_pair_helpers_match_full_complex_and_solve(rng):
             assert CocyclePair.from_coords(coords, gdim, vdim, 2).coords(
                 gdim, vdim, 2) == coords
             assert pair_residual(A, rep, 2, pair) == \
-                cocycle_residual(spec, 2, pair)
+                spec.d[2].matvec(coords)
             x = d1.solve(coords)
             got = pair_primitive(A, rep, pair)
             neg = pair_primitive(A, rep, CocyclePair(-pair.f, -pair.g))
@@ -260,7 +280,8 @@ def test_coboundaries_are_cocycles(rng):
                              gdim, vdim, n + 1)
         g = coords_to_altmap(image[cochain_dim(gdim, vdim, n + 1):],
                              gdim, vdim, n)
-        assert vec_is_zero(cocycle_residual(spec, n + 1, CocyclePair(f, g)))
+        assert vec_is_zero(spec.d[n + 1].matvec(
+            CocyclePair(f, g).coords(gdim, vdim, n + 1)))
 
 
 def test_random_pair_generically_not_cocycle(rng):
@@ -270,7 +291,7 @@ def test_random_pair_generically_not_cocycle(rng):
     for _ in range(10):
         pair = CocyclePair(rand_cochain(rng, 2, 2, 2),
                            rand_cochain(rng, 2, 2, 1))
-        hits += not vec_is_zero(cocycle_residual(spec, 2, pair))
+        hits += not vec_is_zero(spec.d[2].matvec(pair.coords(2, 2, 2)))
     assert hits > 0
 
 

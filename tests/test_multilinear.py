@@ -77,6 +77,18 @@ def test_graded_space_degrees():
         sp.degree_of_vector([1, 0, 1, 0, 0])
 
 
+def test_graded_space_lists_are_built_on_first_read():
+    # a declared size allocates nothing until a per-basis list is read
+    huge = GradedVectorSpace([(0, 10 ** 12), (1, 1)])
+    assert huge.dim == 10 ** 12 + 1
+    assert GradedSymMap(2, 1, huge).is_zero()
+    assert "degrees" not in vars(huge) and "odd" not in vars(huge)
+    sp = GradedVectorSpace([(-1, 2), (2, 1)])
+    assert sp.odd == [1, 1, 0]
+    # once read, both are plain instance attributes
+    assert vars(sp)["odd"] is sp.odd and vars(sp)["degrees"] == [-1, -1, 2]
+
+
 def test_graded_sym_even_permute():
     sp = GradedVectorSpace([(0, 2), (2, 1)])
     f = GradedSymMap(2, 1, sp)
