@@ -10,14 +10,8 @@ The defining equations, collected per order n, are:
                  + lambda sum_{k+l+m=n} mu_k(d_l x, d_m y).
 
 Per order these are the two families of the suspended series (mu_t, d_t),
-each d_l an arity-1 map, written with the insertion sums of nr:
-
-  jacobi-type:   - sum_k mu_k o-bar mu_{n-k} = 0;
-  operator-type: sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
-                 - lambda sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m) = 0,
-
-where I(f; g_1, ..) is nr.insertion_sum; I(mu_k; d_l)(x, y) = mu_k(d_l x, y)
-+ mu_k(x, d_l y) and I_pointed(mu_k; d_l, d_m)(x, y) = mu_k(d_l x, d_m y).
+each d_l an arity-1 map: nr.deformation_equations writes them with the
+insertion sums of nr, and deformation_residuals reads them order by order.
 
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
@@ -30,7 +24,7 @@ from .linalg import Matrix, vec_add, vec_is_zero, vec_zero
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
 from .cohomology import CocyclePair, pair_primitive, pair_residual
-from .nr import circ_bar, insertion_sum
+from .nr import deformation_equations
 
 
 class NotDeformation(AxiomFailure):
@@ -115,32 +109,12 @@ def _columns(mats):
 
 def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
-    map)], order 0..N; the deformation equations hold iff all are zero.
-
-    They are the order-n parts of the bracket and operator families of the
-    suspended series (mu_t, d_t), each d_l an arity-1 map, and only the
-    nonzero mu_k and d_l enter the sums."""
-    dim = D.base.dim
-    lam = D.base.weight
-    mu = _nonzero_terms(D.mu)
+    map)], order 0..N, from nr.deformation_equations; the deformation
+    equations hold iff all are zero."""
+    mu = dict(enumerate(D.mu))
     d = {l: altmap1_from_matrix(m) for l, m in _nonzero_terms(D.d).items()}
-    out = []
-    for n in range(D.order + 1):
-        jac = AltMap(3, dim, dim)
-        op = AltMap(2, dim, dim)
-        for k, mk in mu.items():
-            if n - k in mu:
-                jac = jac + circ_bar(mk, mu[n - k])
-            if n - k in d:
-                op = op + circ_bar(d[n - k], mk) - \
-                    insertion_sum(mk, [d[n - k]])
-            if lam != 0:
-                for l, dl in d.items():
-                    if n - k - l in d:
-                        op = op + insertion_sum(mk, [dl, d[n - k - l]],
-                                                pointed=True).scale(-lam)
-        out.append((jac.scale(-1), op))
-    return out
+    return [deformation_equations(mu, d, n, D.base.weight)
+            for n in range(D.order + 1)]
 
 
 def failed_equations(D):
@@ -227,17 +201,11 @@ def first_nontrivial_order(D):
     return None
 
 
-def rigidify_step(D):
-    """Clear the lowest nonzero order by a formal isomorphism Id + phi t^r.
-
-    Returns (iso, transformed deformation); when the order-r pair is not a
-    coboundary raises Obstructed with that pair.  Requires the deformation
-    equations to hold through the truncation order."""
-    _require_equations(D, D.order)
+def _clear_order(D, r):
+    """(Id - phi t^r, pulled-back deformation) clearing the order-r pair of
+    D, whose lower orders are zero; Obstructed when that pair is not a
+    coboundary."""
     dim = D.base.dim
-    r = first_nontrivial_order(D)
-    if r is None:
-        return FormalIso([Matrix.identity(dim)]), D
     pair = CocyclePair(D.mu[r], altmap1_from_matrix(D.d[r]))
     phi = pair_primitive(D.base, adjoint_rep(D.base), pair)
     if phi is None:
@@ -249,12 +217,29 @@ def rigidify_step(D):
     return iso, apply_formal_iso(D, iso)
 
 
+def rigidify_step(D):
+    """Clear the lowest nonzero order by a formal isomorphism Id + phi t^r.
+
+    Returns (iso, transformed deformation); when the order-r pair is not a
+    coboundary raises Obstructed with that pair.  Requires the deformation
+    equations to hold through the truncation order."""
+    _require_equations(D, D.order)
+    r = first_nontrivial_order(D)
+    if r is None:
+        return FormalIso([Matrix.identity(D.base.dim)]), D
+    return _clear_order(D, r)
+
+
 def rigidify(D):
     """The isos of rigidify_step that clear D, in order, or Obstructed at
-    the first order whose pair is not a coboundary.  A step clears its order
-    and keeps the lower ones zero, so D.order steps suffice."""
+    the first order whose pair is not a coboundary.  D is checked once:
+    pulling a deformation back along a formal isomorphism keeps it one, and
+    a step clears its order and keeps the lower ones zero, so one forward
+    pass over the orders clears D."""
+    _require_equations(D, D.order)
     isos = []
-    while len(isos) < D.order and first_nontrivial_order(D) is not None:
-        iso, D = rigidify_step(D)
-        isos.append(iso)
+    for r in range(1, D.order + 1):
+        if not D.mu[r].is_zero() or not D.d[r].is_zero():
+            iso, D = _clear_order(D, r)
+            isos.append(iso)
     return isos

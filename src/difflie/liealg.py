@@ -8,14 +8,21 @@ lambda = 0 gives a classical derivation, lambda = 1 a difference operator;
 the identity is such an operator of weight -1.  Everything here is a plain
 container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
+
+Every residual is read off the order-0 deformation equations
+(nr.deformation_equations) of one differential Lie algebra: of the algebra
+itself; of the trivial extension g (+) V for a representation; of the
+semidirect product g (+) h for a LieAct triple; and of the lifted operator
+on the weighted semidirect product for a relative operator.
 """
 
 from itertools import combinations
 
 from .linalg import (Matrix, div, frac, fmt_scalar, mat_combination,
-                     parse_scalar, vec_add, vec_sub, vec_scale, vec_zero,
+                     parse_scalar, vec_add, vec_scale, vec_zero,
                      vec_is_zero, basis_vec)
-from .multilinear import AltMap, ArityMismatch, DimensionMismatch
+from .multilinear import (AltMap, ArityMismatch, DimensionMismatch,
+                          altmap1_from_matrix)
 
 
 # the cochain complexes of a differential Lie algebra (see cohomology)
@@ -57,20 +64,36 @@ class LieAlgebra:
                        for j in range(self.dim)]).transpose()
 
 
+def _order0(bracket, d=None, weight=0):
+    """The order-0 (jacobi, operator) residual maps of the bracket with the
+    operator matrix d (None: no operator) and the weight."""
+    from .nr import deformation_equations
+    ops = {} if d is None else {0: altmap1_from_matrix(d)}
+    return deformation_equations({0: bracket}, ops, 0, weight)
+
+
+def _values(f, keys, lo=0):
+    """The entries from lo on of the values of f on the basis tuples keys."""
+    return [f.value_on_basis(key)[lo:] for key in keys]
+
+
+def _matrices(f, keys, lo, size):
+    """For each tuple of keys, the size x size matrix whose column a is the
+    part from lo on of f on that tuple followed by basis index lo + a."""
+    return [Matrix(size, size, _values(f, [key + (lo + a,)
+                                            for a in range(size)], lo))
+            .transpose() for key in keys]
+
+
 def jacobi_residual(L):
-    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all triples."""
-    out = []
-    for i, j, k in combinations(range(L.dim), 3):
-        xi, xj, xk = L.basis(i), L.basis(j), L.basis(k)
-        r = L.br(L.br(xi, xj), xk)
-        r = vec_add(r, L.br(L.br(xj, xk), xi))
-        r = vec_add(r, L.br(L.br(xk, xi), xj))
-        out.append(r)
-    return out
+    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all triples:
+    minus the jacobi-type map."""
+    jac, _ = _order0(L.bracket)
+    return _values(-jac, combinations(range(L.dim), 3))
 
 
 def is_lie_algebra(L):
-    return all(vec_is_zero(r) for r in jacobi_residual(L))
+    return _order0(L.bracket)[0].is_zero()
 
 
 class DiffLieAlgebra:
@@ -97,24 +120,19 @@ class DiffLieAlgebra:
         return self.d.matvec(v)
 
 
+def _axioms(A):
+    """The order-0 (jacobi, operator) residual maps of A."""
+    return _order0(A.algebra.bracket, A.d, A.weight)
+
+
 def weighted_derivation_residual(A):
-    """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j."""
-    lam = A.weight
-    out = []
-    for i, j in combinations(range(A.dim), 2):
-        x, y = A.basis(i), A.basis(j)
-        dx, dy = A.dv(x), A.dv(y)
-        r = A.dv(A.br(x, y))
-        r = vec_sub(r, A.br(dx, y))
-        r = vec_sub(r, A.br(x, dy))
-        r = vec_sub(r, vec_scale(lam, A.br(dx, dy)))
-        out.append(r)
-    return out
+    """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j:
+    the operator-type map."""
+    return _values(_axioms(A)[1], combinations(range(A.dim), 2))
 
 
 def is_diff_lie_algebra(A):
-    return (is_lie_algebra(A.algebra)
-            and all(vec_is_zero(r) for r in weighted_derivation_residual(A)))
+    return all(f.is_zero() for f in _axioms(A))
 
 
 def rescale_operator(A, kappa):
@@ -133,13 +151,6 @@ class LinearAction:
     def rho_vec(self, x):
         """rho extended linearly to a vector of the algebra."""
         return mat_combination(x, self.rho, self.space_dim)
-
-    def hom_residuals(self, L):
-        """rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over basis pairs of L."""
-        rho = self.rho
-        return [self.rho_vec(L.br(L.basis(i), L.basis(j)))
-                - rho[i] * rho[j] + rho[j] * rho[i]
-                for i, j in combinations(range(L.dim), 2)]
 
 
 class DiffRepresentation(LinearAction):
@@ -165,15 +176,14 @@ def rep_residuals(A, rep):
     Returns {"hom": [matrices], "compat": [matrices]}:
       hom:    rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over pairs
       compat: d_V rho(x) - rho(dx) - rho(x) d_V - lambda rho(dx) d_V per basis x
+    read off the trivial extension g (+) V at one V-input: column v of hom is
+    minus its jacobi-type map on (x, y, v), column v of compat its
+    operator-type map on (x, v).
     """
-    lam = A.weight
-    compat = []
-    for i in range(A.dim):
-        rdx = rep.rho_vec(A.dv(A.basis(i)))
-        r = rep.dV * rep.rho[i] - rdx - rep.rho[i] * rep.dV \
-            - (rdx * rep.dV).scale(lam)
-        compat.append(r)
-    return {"hom": rep.hom_residuals(A), "compat": compat}
+    n, m = A.dim, rep.space_dim
+    jac, op = _axioms(trivial_extension(A, rep))
+    return {"hom": _matrices(-jac, combinations(range(n), 2), n, m),
+            "compat": _matrices(op, [(i,) for i in range(n)], n, m)}
 
 
 def is_diff_representation(A, rep):
@@ -261,16 +271,16 @@ def lieact_residuals(T):
 
     hom:        rho([x,y]_g) - [rho(x), rho(y)] over g-pairs
     derivation: rho(x)[u,v]_h - [rho(x)u, v]_h - [u, rho(x)v]_h per basis x, u<v
+    read off the jacobi-type map of the semidirect product g (+) h of
+    weight 1: column u of hom is minus its value on (x, y, u), and the
+    derivation residual its value on (x, u, v).
     """
-    der = []
-    for i in range(T.g.dim):
-        for a, b in combinations(range(T.h.dim), 2):
-            u, v = T.h.basis(a), T.h.basis(b)
-            r = T.rho[i].matvec(T.h.br(u, v))
-            r = vec_sub(r, T.h.br(T.rho[i].matvec(u), v))
-            r = vec_sub(r, T.h.br(u, T.rho[i].matvec(v)))
-            der.append(r)
-    return {"hom": T.hom_residuals(T.g), "derivation": der}
+    n, m = T.g.dim, T.h.dim
+    jac, _ = _order0(semidirect_weighted(T, 1).bracket)
+    der = [(i, n + a, n + b) for i in range(n)
+           for a, b in combinations(range(m), 2)]
+    return {"hom": _matrices(-jac, combinations(range(n), 2), n, m),
+            "derivation": _values(jac, der, n)}
 
 
 def is_lieact(T):
@@ -280,20 +290,13 @@ def is_lieact(T):
 
 
 def relative_diff_residual(T, D, lam):
-    """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs."""
+    """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs: the
+    h-part of the operator-type map of lift_tilde_D(T, D, lam) on g-pairs."""
     if D.rows != T.h.dim or D.cols != T.g.dim:
         raise DimensionMismatch("relative operator shape")
-    lam = frac(lam)
-    out = []
-    for i, j in combinations(range(T.g.dim), 2):
-        x, y = T.g.basis(i), T.g.basis(j)
-        Dx, Dy = D.matvec(x), D.matvec(y)
-        r = D.matvec(T.g.br(x, y))
-        r = vec_sub(r, T.rho_vec(x).matvec(Dy))
-        r = vec_add(r, T.rho_vec(y).matvec(Dx))
-        r = vec_sub(r, vec_scale(lam, T.h.br(Dx, Dy)))
-        out.append(r)
-    return out
+    n = T.g.dim
+    return _values(_axioms(lift_tilde_D(T, D, lam))[1],
+                   combinations(range(n), 2), n)
 
 
 def semidirect_weighted(T, lam):

@@ -501,10 +501,6 @@ def project_M_embed(F, gdim, hdim):
     return _project(F, gdim, lambda gs, hs: (hs == 0, hs == 1))
 
 
-def in_M_rel(F, gdim, hdim):
-    return (F - project_M_rel(F, gdim, hdim)).is_zero()
-
-
 def relative_vdata(gdim, hdim):
     """V-data of the relative structure: big maps on g (+) h, Delta = 0."""
     return VData(

@@ -64,9 +64,6 @@ class GradedVectorSpace:
             raise NonHomogeneousInput("vector mixes degrees %s" % sorted(degs))
         return degs.pop() if degs else 0
 
-    def basis_of_degree(self, deg):
-        return [i for i in range(self.dim) if self.degrees[i] == deg]
-
     def spanning_tuples(self, n):
         """Sorted basis tuples spanning S^n of the space, in lexicographic
         order; odd repeats contribute zero by graded symmetry, so they are
@@ -257,16 +254,6 @@ class AltMap(GradedSymMap):
 # suspension
 
 
-def suspension_sign(v_degrees):
-    """Sign relating s v_1 (.) ... (.) s v_n to s^n (v_1 ^ ... ^ v_n).
-
-    Exponent (n-1)|v_1| + (n-2)|v_2| + ... + |v_{n-1}|.
-    """
-    n = len(v_degrees)
-    exp = sum((n - j) * v_degrees[j - 1] for j in range(1, n))
-    return -1 if exp % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def suspend_space(dim):
     """The suspension of an ungraded space of dimension dim, in degree -1
@@ -286,13 +273,6 @@ def alt_to_graded(f, space=None):
     out = GradedSymMap(f.arity, f.arity - 1,
                        f.space if space is None else space)
     out.coeffs = dict(f.coeffs)
-    return out
-
-
-def graded_to_alt(F):
-    """Inverse transport; round trip with alt_to_graded is the identity."""
-    out = AltMap(F.arity, F.space.dim, F.space.dim)
-    out.coeffs = dict(F.coeffs)
     return out
 
 

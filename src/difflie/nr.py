@@ -17,7 +17,10 @@ family_circ sums circle products over arities (the generalised Jacobi
 identity and both homotopy families), the closed form of the higher derived
 brackets inserts several maps, and the operator families of homotopy
 differential Lie algebras and of formal deformations insert operators at
-pointed shuffles.
+pointed shuffles.  The deformation equations of a series (mu_t, d_t) are
+written once, order by order, in deformation_equations; every axiom of a
+differential Lie algebra, its representations and its relative operators is
+read off their order-0 part.
 
 An alternating map on an ungraded space is the graded map on its
 suspension, which sits in one odd degree; there eps is the permutation sign
@@ -94,9 +97,8 @@ def nr_bracket(f, g):
     return circ_bar(f, g) - circ_bar(g, f).scale(sign)
 
 
-# the graded names of the same two operations
+# the graded name of the same operation
 graded_circ_bar = circ_bar
-graded_nr_bracket = nr_bracket
 
 
 def family_circ(outer, inner, n, degree, space):
@@ -109,3 +111,36 @@ def family_circ(outer, inner, n, degree, space):
         if f is not None and g is not None:
             out = out + circ_bar(f, g)
     return out
+
+
+def deformation_equations(mu, d, n, lam):
+    """The order-n residuals (jacobi, operator) of the series
+    mu_t = sum mu_k t^k and d_t = sum d_l t^l on one space, given as
+    {order: term} with mu[0] present, each mu_k an arity-2 map of degree 1
+    and each d_l an arity-1 map of degree 0 (a missing term is zero):
+
+      jacobi   = - sum_k mu_k o-bar mu_{n-k},
+      operator = sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
+                 - lam sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m),
+
+    I the insertion sum.  On an ungraded space, jacobi(x, y, z) is minus the
+    cyclic sum of mu_i(mu_{n-i}(x, y), z) and operator(x, y) is
+    sum d_l mu_k(x, y) - mu_k(d_l x, y) - mu_k(x, d_l y) - lam
+    sum mu_k(d_l x, d_m y); at n = 0 these are the Jacobi identity and the
+    weighted Leibniz rule.  Only the nonzero terms enter the sums."""
+    space = mu[0].space
+    mu = {k: f for k, f in mu.items() if not f.is_zero()}
+    d = {l: f for l, f in d.items() if not f.is_zero()}
+    jac = GradedSymMap(3, 2, space)
+    op = GradedSymMap(2, 1, space)
+    for k, mk in mu.items():
+        if n - k in mu:
+            jac = jac + circ_bar(mk, mu[n - k])
+        if n - k in d:
+            op = op + circ_bar(d[n - k], mk) - insertion_sum(mk, [d[n - k]])
+        if lam != 0:
+            for l, dl in d.items():
+                if n - k - l in d:
+                    op = op + insertion_sum(mk, [dl, d[n - k - l]],
+                                            pointed=True).scale(-lam)
+    return jac.scale(-1), op

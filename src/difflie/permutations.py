@@ -14,10 +14,6 @@ class LengthMismatch(Exception):
     pass
 
 
-def is_permutation(images):
-    return sorted(images) == list(range(1, len(images) + 1))
-
-
 def signature(images):
     """Sign of the permutation, +1 or -1."""
     n = len(images)
@@ -45,11 +41,6 @@ def koszul_sign(images, degrees):
             if images[i] > images[j]:
                 exp += degrees[images[i] - 1] * degrees[images[j] - 1]
     return -1 if exp % 2 else 1
-
-
-def chi_sign(images, degrees):
-    """chi(sigma) = epsilon(sigma) * sgn(sigma)."""
-    return koszul_sign(images, degrees) * signature(images)
 
 
 def shuffles(block_sizes):
@@ -94,13 +85,3 @@ def pointed_shuffles(block_sizes):
         if all(a < b for a, b in zip(leaders, leaders[1:])):
             out.append(sigma)
     return out
-
-
-def multinomial(block_sizes):
-    from math import comb
-    n = sum(block_sizes)
-    total = 1
-    for k in block_sizes:
-        total *= comb(n, k)
-        n -= k
-    return total

@@ -19,10 +19,11 @@ from conftest import exact_scalar
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
-from difflie.deformations import (FormalIso, TruncatedDeformation,
-                                  apply_formal_iso, constant_deformation,
-                                  deformation_residuals, rigidify_step,
-                                  first_nontrivial_order)
+from difflie.deformations import (FormalIso, NotDeformation,
+                                  TruncatedDeformation, apply_formal_iso,
+                                  constant_deformation, deformation_residuals,
+                                  failed_equations, first_nontrivial_order,
+                                  rigidify, rigidify_step)
 from difflie.samples import rand_matrix, random_diff_lie
 
 
@@ -269,6 +270,26 @@ def test_rigidify_steps_match_oracle(rng):
             D = D2
             steps += 1
         assert first_nontrivial_order(D) is None and steps >= 1
+
+
+def test_rigidify_checks_once_and_matches_the_step_loop(rng):
+    # rigidify checks its input once and clears the orders in one forward
+    # pass; the loop of rigidify_step, which checks every intermediate
+    # deformation, must find each of them valid and give the same isos
+    for lam in (Fraction(0), Fraction(2), Fraction(-1, 2)):
+        for _ in range(2):
+            A = random_diff_lie(rng, lam=lam, max_dim=3)
+            D = valid_deformation(rng, A, 3)
+            isos, E = [], D
+            while len(isos) < D.order and \
+                    first_nontrivial_order(E) is not None:
+                assert failed_equations(E) == []
+                iso, E = rigidify_step(E)
+                isos.append(iso)
+            assert failed_equations(E) == [] and isos
+            assert [i.phi for i in rigidify(D)] == [i.phi for i in isos]
+            with pytest.raises(NotDeformation):
+                rigidify(broken_deformation(rng, A, 3))
 
 
 def old_evaluate_head(f, heads, tail=()):

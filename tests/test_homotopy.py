@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+from conftest import basis_of_degree
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, is_diff_lie_algebra
@@ -99,7 +100,7 @@ def rand_homogeneous(rng, space):
     nonzero and none equal to 1, so never a basis vector."""
     deg = rng.choice([d for d, dim in space.components if dim])
     v = vec_zero(space.dim)
-    for i in space.basis_of_degree(deg):
+    for i in basis_of_degree(space, deg):
         v[i] = rng.choice((-2, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)))
     return v
 
@@ -167,7 +168,7 @@ def rand_graded(rng, space, arity, degree, density=0.7):
         if len(odd) != len(set(odd)):
             continue
         tgt_deg = sum(space.degrees[i] for i in key) + degree
-        support = space.basis_of_degree(tgt_deg)
+        support = basis_of_degree(space, tgt_deg)
         if not support or rng.random() > density:
             continue
         vec = vec_zero(space.dim)

@@ -4,11 +4,22 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import basis_of_degree, graded_to_alt
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_zero
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  NonHomogeneousInput, alt_to_graded,
-                                 graded_to_alt, pullback, suspension_sign)
+                                 pullback)
+
+
+def suspension_sign(v_degrees):
+    """Sign relating s v_1 (.) ... (.) s v_n to s^n (v_1 ^ ... ^ v_n).
+
+    Exponent (n-1)|v_1| + (n-2)|v_2| + ... + |v_{n-1}|.
+    """
+    n = len(v_degrees)
+    exp = sum((n - j) * v_degrees[j - 1] for j in range(1, n))
+    return -1 if exp % 2 else 1
 
 
 def sample_altmap():
@@ -71,7 +82,7 @@ def test_graded_space_degrees():
     sp = GradedVectorSpace([(0, 2), (1, 3)])
     assert sp.dim == 5
     assert sp.degrees == [0, 0, 1, 1, 1]
-    assert sp.basis_of_degree(1) == [2, 3, 4]
+    assert basis_of_degree(sp, 1) == [2, 3, 4]
     assert sp.degree_of_vector(basis_vec(5, 3)) == 1
     with pytest.raises(NonHomogeneousInput):
         sp.degree_of_vector([1, 0, 1, 0, 0])

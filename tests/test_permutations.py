@@ -1,10 +1,28 @@
 import random
+from math import comb
 
 import pytest
 
-from difflie.permutations import (LengthMismatch, chi_sign, is_permutation,
-                                  koszul_sign, multinomial, pointed_shuffles,
-                                  shuffles, signature)
+from difflie.permutations import (LengthMismatch, koszul_sign,
+                                  pointed_shuffles, shuffles, signature)
+
+
+def is_permutation(images):
+    return sorted(images) == list(range(1, len(images) + 1))
+
+
+def chi_sign(images, degrees):
+    """chi(sigma) = epsilon(sigma) * sgn(sigma)."""
+    return koszul_sign(images, degrees) * signature(images)
+
+
+def multinomial(block_sizes):
+    n = sum(block_sizes)
+    total = 1
+    for k in block_sizes:
+        total *= comb(n, k)
+        n -= k
+    return total
 
 
 def compose(sigma, tau):
