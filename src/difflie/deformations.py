@@ -10,21 +10,26 @@ The defining equations, collected per order n, are:
                  + lambda sum_{k+l+m=n} mu_k(d_l x, d_m y).
 
 Per order these are the two families of the suspended series (mu_t, d_t),
-each d_l an arity-1 map: nr.deformation_equations writes them with the
-insertion sums of nr, and deformation_residuals reads them order by order.
+each d_l an arity-1 map: nr.jacobi_equation and nr.operator_equation write
+them with the insertion sums of nr, and deformation_residuals reads them
+order by order.
 
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
+Pulling a deformation back along Phi_t = sum phi_c t^c (apply_formal_iso)
+solves Phi mu' = mu (Phi x Phi) and Phi d' = d Phi order by order; since
+phi_0 = Id that system is triangular, so the series Phi^{-1} is never
+formed.
 """
 
 from itertools import combinations
 
-from .linalg import Matrix, vec_add, vec_is_zero, vec_zero
+from .linalg import Matrix, exact, vec_is_zero, vec_support, vec_zero
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
 from .cohomology import CocyclePair, pair_primitive, pair_residual
-from .nr import deformation_equations
+from .nr import jacobi_equation, operator_equation
 
 
 class NotDeformation(AxiomFailure):
@@ -82,38 +87,20 @@ class FormalIso:
         self.phi = list(phi)
         self.order = len(phi) - 1
 
-    def inverse_series(self, order):
-        """Truncated inverse: psi_0 = Id, psi_n = -sum phi_k psi_{n-k}."""
-        n_dim = self.phi[0].rows
-        terms = [(k, p) for k, p in enumerate(self.phi)
-                 if k and not p.is_zero()]
-        psi = [Matrix.identity(n_dim)]
-        for n in range(1, order + 1):
-            acc = Matrix.zero(n_dim, n_dim)
-            for k, pk in terms:
-                if k <= n:
-                    acc = acc + pk * psi[n - k]
-            psi.append(acc.scale(-1))
-        return psi
-
 
 def _nonzero_terms(series):
     """{order: term} of the terms of a series that are not zero."""
     return {k: t for k, t in enumerate(series) if not t.is_zero()}
 
 
-def _columns(mats):
-    """{order: columns}: column x of m is m applied to basis vector e_x."""
-    return {k: m.transpose().data for k, m in mats.items()}
-
-
 def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
-    map)], order 0..N, from nr.deformation_equations; the deformation
-    equations hold iff all are zero."""
+    map)], order 0..N, from nr.jacobi_equation and nr.operator_equation;
+    the deformation equations hold iff all are zero."""
     mu = dict(enumerate(D.mu))
     d = {l: altmap1_from_matrix(m) for l, m in _nonzero_terms(D.d).items()}
-    return [deformation_equations(mu, d, n, D.base.weight)
+    return [(jacobi_equation(mu, n),
+             operator_equation(mu, d, n, D.base.weight))
             for n in range(D.order + 1)]
 
 
@@ -150,19 +137,27 @@ def infinitesimal(D):
 
 
 def apply_formal_iso(D, Phi):
-    """Pull back along Phi_t: the deformation with
-    mu'_n = sum_{a+b+c+e=n} psi_a mu_b(phi_c ., phi_e .) and
-    d'_n = sum_{a+b+c=n} psi_a d_b phi_c, truncated at the order of D;
-    Phi maps the result onto D (Phi mu' = mu (Phi x Phi)).
+    """Pull back along Phi_t: the deformation (mu', d') with
+    Phi mu'(x, y) = mu(Phi x, Phi y) and Phi d' = d Phi, truncated at the
+    order of D.
 
-    The terms psi_a, mu_b, d_b and phi_c that are zero are dropped before
-    the sums, phi_c e_x is column x of phi_c, and psi_a is applied once to
-    the sum over b, c and e."""
+    Order by order, with T_n(x, y) = sum_{b+c+e=n} mu_b(phi_c x, phi_e y)
+    and S_n = sum_{b+c=n} d_b phi_c, the equations read
+    sum_{c+m=n} phi_c mu'_m = T_n and sum_{c+m=n} phi_c d'_m = S_n; since
+    phi_0 = Id the system is triangular:
+
+      mu'_n = T_n - sum_{c>=1} phi_c mu'_{n-c},
+      d'_n  = S_n - sum_{c>=1} phi_c d'_{n-c}.
+
+    The terms mu_b, d_b and phi_c that are zero are dropped before the
+    sums, and phi_c e_x is read as the nonzero entries of column x of
+    phi_c."""
     N = D.order
     dim = D.base.dim
-    psi = _nonzero_terms(Phi.inverse_series(N))
     phi = _nonzero_terms(Phi.phi[:N + 1])
-    pcol = _columns(phi)
+    pcol = {c: [vec_support(col) for col in p.transpose().data]
+            for c, p in phi.items()}
+    higher = [(c, pcol[c]) for c in phi if c]
     mu = _nonzero_terms(D.mu)
     d = _nonzero_terms(D.d)
     mu_new = []
@@ -171,25 +166,28 @@ def apply_formal_iso(D, Phi):
         m = AltMap(2, dim, dim)
         for x, y in combinations(range(dim), 2):
             total = vec_zero(dim)
-            for a, psi_a in psi.items():
-                inner = vec_zero(dim)
-                for b, mu_b in mu.items():
-                    for c in pcol:
-                        e = n - a - b - c
-                        if e in pcol:
-                            inner = vec_add(inner, mu_b.evaluate_head(
-                                [pcol[c][x], pcol[e][y]]))
-                if not vec_is_zero(inner):
-                    total = vec_add(total, psi_a.matvec(inner))
+            for b, mu_b in mu.items():
+                for c in pcol:
+                    e = n - b - c
+                    if e in pcol:
+                        mu_b.accumulate(total, 1, [pcol[c][x], pcol[e][y]])
+            for c, cols in higher:
+                prev = mu_new[n - c].coeffs.get((x, y)) if c <= n else None
+                if prev is not None:
+                    for k, v in vec_support(prev):
+                        for i, p in cols[k]:
+                            total[i] -= v * p
+            exact(total)
             if not vec_is_zero(total):
                 m.coeffs[(x, y)] = total
         mu_new.append(m)
         acc = Matrix.zero(dim, dim)
-        for a, psi_a in psi.items():
-            for b, d_b in d.items():
-                c = n - a - b
-                if c in phi:
-                    acc = acc + psi_a * d_b * phi[c]
+        for b, d_b in d.items():
+            if n - b in phi:
+                acc = acc + d_b * phi[n - b]
+        for c, p in phi.items():
+            if 1 <= c <= n:
+                acc = acc - p * d_new[n - c]
         d_new.append(acc)
     return TruncatedDeformation(D.base, mu_new, d_new)
 

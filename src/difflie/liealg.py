@@ -10,10 +10,11 @@ container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
 
 Every residual is read off the order-0 deformation equations
-(nr.deformation_equations) of one differential Lie algebra: of the algebra
-itself; of the trivial extension g (+) V for a representation; of the
-semidirect product g (+) h for a LieAct triple; and of the lifted operator
-on the weighted semidirect product for a relative operator.
+(nr.jacobi_equation and nr.operator_equation) of one differential Lie
+algebra: of the algebra itself; of the trivial extension g (+) V for a
+representation; of the semidirect product g (+) h for a LieAct triple; and
+of the lifted operator on the weighted semidirect product for a relative
+operator.  Each reader computes only the equation it reads.
 """
 
 from itertools import combinations
@@ -64,12 +65,18 @@ class LieAlgebra:
                        for j in range(self.dim)]).transpose()
 
 
-def _order0(bracket, d=None, weight=0):
-    """The order-0 (jacobi, operator) residual maps of the bracket with the
-    operator matrix d (None: no operator) and the weight."""
-    from .nr import deformation_equations
-    ops = {} if d is None else {0: altmap1_from_matrix(d)}
-    return deformation_equations({0: bracket}, ops, 0, weight)
+def _jacobi0(bracket):
+    """The order-0 jacobi-type residual map of the bracket."""
+    from .nr import jacobi_equation
+    return jacobi_equation({0: bracket}, 0)
+
+
+def _operator0(A):
+    """The order-0 operator-type residual map of the differential Lie
+    algebra A."""
+    from .nr import operator_equation
+    return operator_equation({0: A.algebra.bracket},
+                             {0: altmap1_from_matrix(A.d)}, 0, A.weight)
 
 
 def _values(f, keys, lo=0):
@@ -88,12 +95,11 @@ def _matrices(f, keys, lo, size):
 def jacobi_residual(L):
     """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all triples:
     minus the jacobi-type map."""
-    jac, _ = _order0(L.bracket)
-    return _values(-jac, combinations(range(L.dim), 3))
+    return _values(-_jacobi0(L.bracket), combinations(range(L.dim), 3))
 
 
 def is_lie_algebra(L):
-    return _order0(L.bracket)[0].is_zero()
+    return _jacobi0(L.bracket).is_zero()
 
 
 class DiffLieAlgebra:
@@ -120,19 +126,14 @@ class DiffLieAlgebra:
         return self.d.matvec(v)
 
 
-def _axioms(A):
-    """The order-0 (jacobi, operator) residual maps of A."""
-    return _order0(A.algebra.bracket, A.d, A.weight)
-
-
 def weighted_derivation_residual(A):
     """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j:
     the operator-type map."""
-    return _values(_axioms(A)[1], combinations(range(A.dim), 2))
+    return _values(_operator0(A), combinations(range(A.dim), 2))
 
 
 def is_diff_lie_algebra(A):
-    return all(f.is_zero() for f in _axioms(A))
+    return is_lie_algebra(A.algebra) and _operator0(A).is_zero()
 
 
 def rescale_operator(A, kappa):
@@ -181,9 +182,11 @@ def rep_residuals(A, rep):
     operator-type map on (x, v).
     """
     n, m = A.dim, rep.space_dim
-    jac, op = _axioms(trivial_extension(A, rep))
-    return {"hom": _matrices(-jac, combinations(range(n), 2), n, m),
-            "compat": _matrices(op, [(i,) for i in range(n)], n, m)}
+    E = trivial_extension(A, rep)
+    return {"hom": _matrices(-_jacobi0(E.algebra.bracket),
+                             combinations(range(n), 2), n, m),
+            "compat": _matrices(_operator0(E), [(i,) for i in range(n)],
+                                n, m)}
 
 
 def is_diff_representation(A, rep):
@@ -276,7 +279,7 @@ def lieact_residuals(T):
     derivation residual its value on (x, u, v).
     """
     n, m = T.g.dim, T.h.dim
-    jac, _ = _order0(semidirect_weighted(T, 1).bracket)
+    jac = _jacobi0(semidirect_weighted(T, 1).bracket)
     der = [(i, n + a, n + b) for i in range(n)
            for a, b in combinations(range(m), 2)]
     return {"hom": _matrices(-jac, combinations(range(n), 2), n, m),
@@ -295,7 +298,7 @@ def relative_diff_residual(T, D, lam):
     if D.rows != T.h.dim or D.cols != T.g.dim:
         raise DimensionMismatch("relative operator shape")
     n = T.g.dim
-    return _values(_axioms(lift_tilde_D(T, D, lam))[1],
+    return _values(_operator0(lift_tilde_D(T, D, lam)),
                    combinations(range(n), 2), n)
 
 

@@ -12,15 +12,26 @@ gives the same rationals.
 
 Matrices are stored dense, but the kernels skip zeros: products multiply
 only the nonzero entries of each row of the left factor by the nonzero
-(column, value) pairs of each row of the right factor, matvec multiplies
-only the vector's nonzero entries by the nonzero entries of each row, and
-elimination updates the other rows only at the pivot row's nonzero
-columns.  Skipping a zero term never changes a sum, so the results are the
-same rationals as the dense formulas.
+(column, value) pairs of each row of the right factor, and matvec
+multiplies only the vector's nonzero entries by the nonzero entries of each
+row.  Skipping a zero term never changes a sum, so the results are the same
+rationals as the dense formulas.
+
+Elimination (Matrix.rref, behind rank, kernel_basis, solve and
+invert_matrix) is fraction-free: each row is scaled once by the lcm of its
+denominators and then eliminated as an integer vector, by integer
+cross-multiplication in the manner of Bareiss (1968), never building a
+Fraction until the pivot rows are divided by their pivots at the end.  Where
+a pivot divides the entry it clears, as at every pivot 1 of sparse integer
+data, only the pivot row's nonzero columns are updated; otherwise the row is
+scaled and divided by its content, so its entries stay small.  The reduced
+row echelon form of a matrix is unique, so the results are the same
+rationals as Gauss-Jordan elimination over Fractions.
 """
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class CompositionNonzero(Exception):
@@ -150,6 +161,14 @@ class Matrix:
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
+    @classmethod
+    def _of(cls, rows, cols, data):
+        """The matrix on data, taken as it is: data must already have the
+        shape and meet the scalar contract."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -223,36 +242,16 @@ class Matrix:
         """Reduced row echelon form; returns (R, pivot column list).
 
         The pivot is the first nonzero entry of the column at or below the
-        current row; the other rows are updated in place, only at the
-        normalised pivot row's nonzero columns; each updated entry is kept
-        an int when it is integral."""
-        R = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            p = next((i for i in range(r, self.rows) if R[i][c] != 0), None)
-            if p is None:
-                continue
-            R[r], R[p] = R[p], R[r]
-            prow = R[r]
-            inv = div(1, prow[c])
-            nz = [(j, y) for j, y in enumerate(prow) if y]
-            if inv != 1:
-                nz = [(j, frac(inv * y)) for j, y in nz]
-                for j, y in nz:
-                    prow[j] = y
-            for i, row in enumerate(R):
-                f = row[c]
-                if f and i != r:
-                    for j, y in nz:
-                        x = row[j] - f * y
-                        row[j] = x if type(x) is int or x.denominator != 1 \
-                            else x.numerator
-            pivots.append(c)
-            r += 1
-        return Matrix(self.rows, self.cols, R), pivots
+        current row.  The elimination runs on integer rows (see
+        _integer_echelon); each pivot row is then divided by its pivot, so
+        R is the unique reduced row echelon form of the matrix."""
+        R = [_integer_row(row) for row in self.data]
+        pivots = _integer_echelon(R, self.cols)
+        for r, c in enumerate(pivots):
+            pv = R[r][c]
+            if pv != 1:
+                R[r] = [div(x, pv) if x else 0 for x in R[r]]
+        return Matrix._of(self.rows, self.cols, R), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -260,7 +259,8 @@ class Matrix:
     def kernel_basis(self):
         """Exact basis of the right null space; len = cols - rank."""
         R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
             v = vec_zero(self.cols)
@@ -275,8 +275,8 @@ class Matrix:
         if len(b) != self.rows:
             raise ValueError("right-hand side of length %d for %d rows"
                              % (len(b), self.rows))
-        aug = Matrix(self.rows, self.cols + 1,
-                     [self.data[i][:] + [frac(b[i])] for i in range(self.rows)])
+        aug = Matrix._of(self.rows, self.cols + 1,
+                         [row + [frac(x)] for row, x in zip(self.data, b)])
         R, pivots = aug.rref()
         if self.cols in pivots:
             return None
@@ -300,17 +300,82 @@ class Matrix:
         return cls.from_rows(rows) if rows else cls(0, sum(m.cols for m in grid[0]) if grid else 0)
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators: a list of ints with
+    the same span."""
+    if Fraction not in map(type, row):
+        return row[:]
+    den = lcm(*[x.denominator for x in row if type(x) is not int])
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator)
+            for x in row]
+
+
+def _integer_echelon(R, cols):
+    """Gauss-Jordan elimination on the integer rows R, in place, without a
+    division; returns the pivot columns.
+
+    At each pivot the pivot row is divided by its content, signed so that
+    the pivot pv is positive.  Another row with entry f in the pivot column
+    becomes a*row - b*pivot_row, with g = gcd(pv, f), a = pv/g and b = f/g,
+    which clears that entry and keeps the row integral.  When pv divides f
+    (a = 1, always so at a pivot 1) only the pivot row's nonzero columns
+    change; otherwise the whole row is scaled by a and then divided by its
+    content, so that the entries do not grow from step to step.  At the end
+    the pivot rows are zero at every other pivot column, the rows below
+    them are zero, and each pivot row divided by its pivot is a row of the
+    reduced row echelon form."""
+    rows = len(R)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        p = next((i for i in range(r, rows) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        content = gcd(*R[r])
+        if R[r][c] < 0:
+            content = -content
+        if content != 1:
+            R[r] = [x // content for x in R[r]]
+        prow = R[r]
+        pv = prow[c]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(R):
+            f = row[c]
+            if not f or i == r:
+                continue
+            if f % pv == 0:
+                b = f // pv
+                for j, y in nz:
+                    row[j] -= b * y
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            row = [a * x for x in row]
+            for j, y in nz:
+                row[j] -= b * y
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+            R[i] = row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def invert_matrix(m):
     """The inverse of a square matrix, or None when it is singular."""
     n = m.rows
     if m.cols != n:
         raise ValueError("only a square matrix has an inverse")
     ident = Matrix.identity(n).data
-    R, pivots = Matrix(n, 2 * n, [m.data[i] + ident[i]
-                                  for i in range(n)]).rref()
+    R, pivots = Matrix._of(n, 2 * n, [m.data[i] + ident[i]
+                                      for i in range(n)]).rref()
     if pivots[:n] != list(range(n)):
         return None
-    return Matrix(n, n, [row[n:] for row in R.data])
+    return Matrix._of(n, n, [row[n:] for row in R.data])
 
 
 def mat_combination(coeffs, mats, n):

@@ -17,10 +17,11 @@ family_circ sums circle products over arities (the generalised Jacobi
 identity and both homotopy families), the closed form of the higher derived
 brackets inserts several maps, and the operator families of homotopy
 differential Lie algebras and of formal deformations insert operators at
-pointed shuffles.  The deformation equations of a series (mu_t, d_t) are
-written once, order by order, in deformation_equations; every axiom of a
-differential Lie algebra, its representations and its relative operators is
-read off their order-0 part.
+pointed shuffles.  The two deformation equations of a series (mu_t, d_t)
+are written once, order by order, in jacobi_equation and
+operator_equation; every axiom of a differential Lie algebra, its
+representations and its relative operators is read off their order-0 part,
+each reader computing only the family it reads.
 
 An alternating map on an ungraded space is the graded map on its
 suspension, which sits in one odd degree; there eps is the permutation sign
@@ -113,29 +114,40 @@ def family_circ(outer, inner, n, degree, space):
     return out
 
 
-def deformation_equations(mu, d, n, lam):
-    """The order-n residuals (jacobi, operator) of the series
-    mu_t = sum mu_k t^k and d_t = sum d_l t^l on one space, given as
-    {order: term} with mu[0] present, each mu_k an arity-2 map of degree 1
-    and each d_l an arity-1 map of degree 0 (a missing term is zero):
+def _nonzero(terms):
+    return {k: f for k, f in terms.items() if not f.is_zero()}
 
-      jacobi   = - sum_k mu_k o-bar mu_{n-k},
-      operator = sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
-                 - lam sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m),
 
-    I the insertion sum.  On an ungraded space, jacobi(x, y, z) is minus the
-    cyclic sum of mu_i(mu_{n-i}(x, y), z) and operator(x, y) is
-    sum d_l mu_k(x, y) - mu_k(d_l x, y) - mu_k(x, d_l y) - lam
-    sum mu_k(d_l x, d_m y); at n = 0 these are the Jacobi identity and the
-    weighted Leibniz rule.  Only the nonzero terms enter the sums."""
-    space = mu[0].space
-    mu = {k: f for k, f in mu.items() if not f.is_zero()}
-    d = {l: f for l, f in d.items() if not f.is_zero()}
-    jac = GradedSymMap(3, 2, space)
-    op = GradedSymMap(2, 1, space)
+def jacobi_equation(mu, n):
+    """The order-n jacobi-type residual - sum_k mu_k o-bar mu_{n-k} of the
+    series mu_t = sum mu_k t^k on one space, given as {order: term} with
+    mu[0] present, each mu_k an arity-2 map of degree 1 (a missing term is
+    zero).  On an ungraded space its value on (x, y, z) is minus the cyclic
+    sum of mu_i(mu_{n-i}(x, y), z); at n = 0 it is the Jacobi identity.
+    Only the nonzero terms enter the sum."""
+    jac = GradedSymMap(3, 2, mu[0].space)
+    mu = _nonzero(mu)
     for k, mk in mu.items():
         if n - k in mu:
             jac = jac + circ_bar(mk, mu[n - k])
+    return jac.scale(-1)
+
+
+def operator_equation(mu, d, n, lam):
+    """The order-n operator-type residual of the series mu_t (as in
+    jacobi_equation) and d_t = sum d_l t^l, each d_l an arity-1 map of
+    degree 0 given as {order: term}:
+
+      sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
+      - lam sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m),
+
+    I the insertion sum.  On an ungraded space its value on (x, y) is
+    sum d_l mu_k(x, y) - mu_k(d_l x, y) - mu_k(x, d_l y) - lam
+    sum mu_k(d_l x, d_m y); at n = 0 it is the weighted Leibniz rule.
+    Only the nonzero terms enter the sums."""
+    op = GradedSymMap(2, 1, mu[0].space)
+    mu, d = _nonzero(mu), _nonzero(d)
+    for k, mk in mu.items():
         if n - k in d:
             op = op + circ_bar(d[n - k], mk) - insertion_sum(mk, [d[n - k]])
         if lam != 0:
@@ -143,4 +155,4 @@ def deformation_equations(mu, d, n, lam):
                 if n - k - l in d:
                     op = op + insertion_sum(mk, [dl, d[n - k - l]],
                                             pointed=True).scale(-lam)
-    return jac.scale(-1), op
+    return op

@@ -246,14 +246,6 @@ def test_apply_formal_iso_matches_oracle(rng, kind):
                        for m in new.d for row in m.data for x in row)
 
 
-def test_inverse_series_matches_oracle(rng):
-    for kind in (1, 2, 3, "dense"):
-        phi = iso_series(rng, 3, kind)
-        for order in (0, 2, 6):
-            assert FormalIso(phi).inverse_series(order) == \
-                oracle_inverse_series(phi, order)
-
-
 def test_rigidify_steps_match_oracle(rng):
     # every intermediate deformation of a rigidify run, with its sparse
     # series Id - phi t^r, goes through both kernels

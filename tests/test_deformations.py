@@ -15,6 +15,7 @@ from difflie.deformations import (FormalIso, NotDeformation, Obstructed,
 from difflie.extensions import altmap1_from_matrix, matrix_from_altmap1
 from difflie.samples import (abelian, aff1, sl2, rand_matrix,
                              random_diff_lie)
+from test_deformation_kernels import oracle_inverse_series
 
 
 def aff1_d(lam=2):
@@ -158,7 +159,8 @@ def test_iso_round_trip(rng):
         dim = A.dim
         iso = rand_iso(rng, dim, 2)
         D = apply_formal_iso(constant_deformation(A, 2), iso)
-        back = apply_formal_iso(D, FormalIso(iso.inverse_series(2)))
+        back = apply_formal_iso(D, FormalIso(
+            oracle_inverse_series(iso.phi, 2)))
         C = constant_deformation(A, 2)
         assert all((a - b).is_zero() for a, b in zip(back.mu, C.mu))
         assert back.d == C.d

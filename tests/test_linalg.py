@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import lcm
+from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import exact_scalar
-from difflie.linalg import (CompositionNonzero, Matrix, fmt_scalar,
-                            homology_dim, parse_scalar)
+from difflie.linalg import (CompositionNonzero, Matrix, _integer_echelon,
+                            _integer_row, fmt_scalar, homology_dim,
+                            invert_matrix, parse_scalar)
 
 
 def test_rank_zero_matrix():
@@ -229,6 +233,201 @@ def test_matvec_matches_dense_oracle(rng):
         assert out == [sum((row[j] * v[j] for j in range(c)), Fraction(0))
                        for row in m.data]
         assert all(exact_scalar(x) for x in out)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row elimination against the textbook oracles
+
+# 4 and 6 have lcm 12, larger than either, so a row holding 1/4 and 1/6 is
+# scaled by a number that is none of its denominators
+DENOMINATORS = (1, 2, 3, 4, 6)
+scalars = st.one_of(
+    st.just(0), st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS)),
+    # integral values typed Fraction, which the constructor makes ints
+    st.integers(-4, 4).map(Fraction))
+
+
+@st.composite
+def shaped(draw, square=False):
+    """(rows, cols, data): 0..5 rows and columns (0 x n and n x 0 among
+    them), with one row and one column often set to zero."""
+    r = draw(st.integers(0, 5))
+    c = r if square else draw(st.integers(0, 5))
+    data = [[draw(scalars) for _ in range(c)] for _ in range(r)]
+    if r and draw(st.booleans()):
+        data[draw(st.integers(0, r - 1))] = [0] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in data:
+            row[j] = 0
+    return r, c, data
+
+
+# the cases of the elimination that random draws may miss
+LCM_ROWS = (2, 3, [[Fraction(1, 4), Fraction(1, 6), 1],
+                   [Fraction(1, 6), Fraction(-1, 4), Fraction(5, 6)]])
+NEGATIVE_PIVOTS = (3, 3, [[-2, 4, 1], [-3, 1, 0], [5, -7, -2]])
+# pivot 2 against 3 and 5: the rows become 2*row - f*pivot_row (f = 3, 5),
+# [0, -7, -7], whose content 7 is then divided out
+CONTENT = (3, 3, [[2, 3, 5], [3, 1, 4], [5, 4, 9]])
+ZERO_ROWS_COLUMNS = (3, 3, [[0, 0, 0], [0, 2, 1], [0, 0, 0]])
+FRACTION_INTS = (2, 2, [[Fraction(2), Fraction(-4)],
+                        [Fraction(3), Fraction(1)]])
+CASES = [LCM_ROWS, NEGATIVE_PIVOTS, CONTENT, ZERO_ROWS_COLUMNS,
+         FRACTION_INTS, (0, 3, []), (3, 0, [[], [], []]), (0, 0, [])]
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=100)
+@with_examples(CASES)
+@given(shaped())
+def test_rref_rank_kernel_match_textbook_oracle(case):
+    r, c, data = case
+    m = Matrix(r, c, data)
+    R, pivots = m.rref()
+    assert (R.data, pivots) == textbook_rref(r, c, data)
+    assert all(exact_scalar(x) for row in R.data for x in row)
+    assert m.rank() == len(pivots)
+    kernel = m.kernel_basis()
+    assert kernel == oracle_kernel(r, c, data)
+    assert all(exact_scalar(x) for v in kernel for x in v)
+
+
+@st.composite
+def systems(draw):
+    """(rows, cols, data, b): a shaped matrix and a right-hand side."""
+    r, c, data = draw(shaped())
+    return r, c, data, draw(st.lists(scalars, min_size=r, max_size=r))
+
+
+@settings(max_examples=100)
+@with_examples([case + ([Fraction(1)] * case[0],) for case in CASES])
+@given(systems())
+def test_solve_matches_textbook_oracle(system):
+    r, c, data, b = system
+    m = Matrix(r, c, data)
+    x = m.solve(b)
+    assert x == oracle_solve(m, b)
+    if x is not None:
+        assert all(exact_scalar(v) for v in x)
+        assert m.matvec(x) == b
+
+
+@settings(max_examples=100)
+@with_examples([NEGATIVE_PIVOTS, CONTENT, ZERO_ROWS_COLUMNS, FRACTION_INTS,
+                (0, 0, [])])
+@given(shaped(square=True))
+def test_invert_matches_textbook_oracle(case):
+    n, _, data = case
+    m = Matrix(n, n, data)
+    inv, expected = invert_matrix(m), oracle_inverse(m)
+    assert (inv is None) == (expected is None)
+    if inv is not None:
+        assert inv.data == expected
+        assert all(exact_scalar(x) for row in inv.data for x in row)
+        assert m * inv == Matrix.identity(n)
+
+
+@settings(max_examples=100)
+@with_examples(CASES)
+@given(shaped())
+def test_integer_echelon_keeps_integer_rows_with_positive_pivots(case):
+    r, c, data = case
+    rows = Matrix(r, c, data).data
+    R = [_integer_row(row) for row in rows]
+    for row, scaled in zip(rows, R):
+        den = lcm(*[Fraction(x).denominator for x in row])
+        assert scaled == [int(x * den) for x in row]
+    pivots = _integer_echelon(R, c)
+    expected, oracle_pivots = textbook_rref(r, c, data)
+    assert pivots == oracle_pivots
+    assert all(type(x) is int for row in R for x in row)
+    for i, row in enumerate(R):
+        if i >= len(pivots):
+            assert not any(row)
+            continue
+        assert row[pivots[i]] > 0
+        assert all(row[pc] == 0 for k, pc in enumerate(pivots) if k != i)
+        assert [Fraction(x, row[pivots[i]]) for x in row] == expected[i]
+
+
+def rank_mod(rows, p):
+    """The rank of an integer matrix over the integers modulo the prime p:
+    at most its rank over the rationals."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i],
+                                                         rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_scrambled_rational_differential_is_certified():
+    """rref of the combined d_2 of sl2 (+) aff1 with adjoint coefficients
+    and a rational operator, in a scrambled basis, is certified without the
+    (slow) textbook oracle: R is in reduced row echelon form, every row of
+    d is the combination of the rows of R read at the pivot columns, and
+    the rank of d modulo a prime, a lower bound for its rank, is the number
+    of pivots; so the rows of d and of R span one space, and R is its one
+    reduced row echelon form."""
+    from difflie.cohomology import difflie_differential
+    from difflie.liealg import DiffLieAlgebra, adjoint_rep, \
+        is_diff_lie_algebra
+    from difflie.samples import (aff1, conjugate_algebra, direct_sum,
+                                 rand_unimodular, sl2)
+    # d = (E - Id) / lam for the endomorphism E projecting onto sl2
+    lam = Fraction(3, 2)
+    P = rand_unimodular(Random(2), 5, steps=20)
+    E = Matrix(5, 5, [[int(i == j < 3) for j in range(5)] for i in range(5)])
+    d = invert_matrix(P) * (E - Matrix.identity(5)).scale(1 / lam) * P
+    A = DiffLieAlgebra(conjugate_algebra(direct_sum(sl2(), aff1()), P), d,
+                       lam)
+    assert is_diff_lie_algebra(A)
+    m = difflie_differential(A, adjoint_rep(A), 2)
+    assert (m.rows, m.cols) == (100, 75)
+    assert any(type(x) is Fraction for row in m.data for x in row)
+    R, pivots = m.rref()
+    for r, row in enumerate(R.data):
+        if r >= len(pivots):
+            assert not any(row)
+            continue
+        assert pivots[r] > (pivots[r - 1] if r else -1)
+        assert row[pivots[r]] == 1 and not any(row[:pivots[r]])
+        assert all(R.data[k][pivots[r]] == 0
+                   for k in range(len(pivots)) if k != r)
+    for row in m.data:
+        combo = [0] * m.cols
+        for r, pc in enumerate(pivots):
+            if row[pc]:
+                for j, y in enumerate(R.data[r]):
+                    if y:
+                        combo[j] += row[pc] * y
+        assert combo == row
+    assert rank_mod([_integer_row(row) for row in m.data],
+                    2 ** 61 - 1) == len(pivots) == m.rank()
+    kernel = m.kernel_basis()
+    assert len(kernel) == m.cols - len(pivots)
+    assert all(not any(m.matvec(v)) for v in kernel)
+    x = [Fraction(i % 5 - 2, i % 3 + 1) for i in range(m.cols)]
+    b = m.matvec(x)
+    assert m.matvec(m.solve(b)) == b
 
 
 # each call has mismatched shapes (or a phi_0 that is not the identity, an
