@@ -2,11 +2,12 @@
 
 Submodules:
   linalg        exact rational matrices (rank, kernel, solve, homology)
-  permutations  shuffles, pointed shuffles, signatures, Koszul signs
+  permutations  shuffles, signatures, Koszul signs
   multilinear   graded symmetric multilinear maps (alternating maps are the
                 one-odd-degree case), suspension, arity-1 maps as matrices
   liealg        differential Lie algebras, representations, LieAct triples
-  nr            the insertion sum: NR circle product, bracket, families
+  nr            the insertion sum: NR circle product, bracket, and the
+                weight-graded family sums
   linfty        L-infinity[1] structures: derived brackets, MC, twisting
   cohomology    the three cochain complexes and their bridges
   extensions    abelian extensions and their classification

@@ -9,10 +9,11 @@ The defining equations, collected per order n, are:
                  = sum_{k+l=n} (mu_k(d_l x, y) + mu_k(x, d_l y))
                  + lambda sum_{k+l+m=n} mu_k(d_l x, d_m y).
 
-Per order these are the two families of the suspended series (mu_t, d_t),
-each d_l an arity-1 map: nr.jacobi_equation and nr.operator_equation write
-them with the insertion sums of nr, and deformation_residuals reads them
-order by order.
+Graded by order, the suspended series (mu_t, d_t), each d_l an arity-1
+map, has the two weight families of nr, and its order-n equations are
+minus the weight-n families nr.family_circ(mu, mu) and
+nr.operator_family(mu, d); deformation_residuals reads them order by
+order.
 
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
@@ -28,8 +29,7 @@ from itertools import combinations
 from .linalg import Matrix, exact, vec_is_zero, vec_support, vec_zero
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, altmap1_from_matrix
-from .cohomology import CocyclePair, pair_primitive, pair_residual
-from .nr import jacobi_equation, operator_equation
+from .nr import family_circ, operator_family
 
 
 class NotDeformation(AxiomFailure):
@@ -95,12 +95,13 @@ def _nonzero_terms(series):
 
 def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
-    map)], order 0..N, from nr.jacobi_equation and nr.operator_equation;
-    the deformation equations hold iff all are zero."""
+    map)], order 0..N: minus the weight-n families of nr; the deformation
+    equations hold iff all are zero."""
     mu = dict(enumerate(D.mu))
     d = {l: altmap1_from_matrix(m) for l, m in _nonzero_terms(D.d).items()}
-    return [(jacobi_equation(mu, n),
-             operator_equation(mu, d, n, D.base.weight))
+    space, lam = D.mu[0].space, D.base.weight
+    return [(-family_circ(mu, mu, n, 3, 2, space),
+             -operator_family(mu, d, n, lam, 2, 1, space))
             for n in range(D.order + 1)]
 
 
@@ -132,6 +133,7 @@ def infinitesimal(D):
     dim = D.base.dim
     mu1 = D.mu[1] if D.order >= 1 else AltMap(2, dim, dim)
     d1 = D.d[1] if D.order >= 1 else Matrix.zero(dim, dim)
+    from .cohomology import CocyclePair, pair_residual
     pair = CocyclePair(mu1, altmap1_from_matrix(d1))
     return pair, pair_residual(D.base, adjoint_rep(D.base), 2, pair)
 
@@ -203,6 +205,7 @@ def _clear_order(D, r):
     """(Id - phi t^r, pulled-back deformation) clearing the order-r pair of
     D, whose lower orders are zero; Obstructed when that pair is not a
     coboundary."""
+    from .cohomology import CocyclePair, pair_primitive
     dim = D.base.dim
     pair = CocyclePair(D.mu[r], altmap1_from_matrix(D.d[r]))
     phi = pair_primitive(D.base, adjoint_rep(D.base), pair)

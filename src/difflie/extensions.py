@@ -12,8 +12,6 @@ from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
                      LieAlgebra, is_diff_lie_algebra, is_diff_representation,
                      semidirect_bracket)
 from .multilinear import altmap1_from_matrix, matrix_from_altmap1, pullback
-from .cohomology import (CochainComplexSpec, CocyclePair, cohomology_dims,
-                         pair_primitive, pair_residual)
 
 
 class InvalidExtension(AxiomFailure):
@@ -120,6 +118,7 @@ def build_extension(g, rep, psi, chi):
     with the exact residual when (psi, chi) fails the degree-2 cocycle
     condition."""
     gdim, vdim = g.dim, rep.space_dim
+    from .cohomology import CocyclePair, pair_residual
     check_coefficients(g, rep)
     res = pair_residual(g, rep, 2, CocyclePair(psi, chi))
     if not vec_is_zero(res):
@@ -153,6 +152,7 @@ def equivalence_witness(E1, E2, phi=None):
     if (E1.gdim, E1.vdim) != (E2.gdim, E2.vdim):
         return False, None
     if phi is None:
+        from .cohomology import CocyclePair, pair_primitive
         rep1, psi1, chi1 = extract_cocycle(E1)
         rep2, psi2, chi2 = extract_cocycle(E2)
         if rep1.rho != rep2.rho or rep1.dV != rep2.dV:
@@ -176,6 +176,7 @@ def equivalence_witness(E1, E2, phi=None):
 def classify(g, rep):
     """dim of the truncated degree-2 cohomology, the group classifying
     abelian extensions of g by the coefficients."""
+    from .cohomology import CochainComplexSpec, cohomology_dims
     check_coefficients(g, rep)
     spec = CochainComplexSpec(g, rep, "tilde", max_degree=3)
     return cohomology_dims(spec)[2]

@@ -17,39 +17,24 @@ Two residual families characterise the structure:
     - sum_{j=1}^n sum_{Sh(j,n-j)} eps(sigma)
         D_{n-j+1}(mu_j(x_{sigma(1..j)}), x_{sigma(j+1..n)}) = 0.
 
-"Pointed" means the images of the first positions of the D-blocks increase;
-summing instead over plain shuffles of those blocks overcounts each pointed
-term exactly (p-1)! times, which ``homotopy_diff_residual_factorial``
-exploits as an independent evaluation of the same family.
+"Pointed" means the images of the first positions of the D-blocks increase.
 
-Both families are built as maps, once per arity, from the insertion sums of
-nr: the bracket family is family_circ(mu, mu), the operator family is
-sum_p lambda^{p-2} insertion_sum(mu_., [D_{m_{p-1}}, .., D_{m_1}],
-pointed=True) - family_circ(D, mu).  The residual functions on vectors
-evaluate those maps, and an empty family is the zero map, whatever the
-dimension of the space.
+Graded by weight arity - 1, mu_i and D_i are the weight-(i-1) terms of two
+families, and the arity-n identities are the weight-(n-1) sums of nr:
+the bracket family is nr.family_circ(mu, mu) and the operator family
+nr.operator_family(mu, D), with lambda^{p-2} the lambda^{r-1} of r = p-1
+inserted operators.  The residual functions on vectors evaluate those
+maps, and an empty family is the zero map, whatever the dimension of the
+space or the declared arity of a zero map.
 
 A differential Lie algebra of weight lambda, suspended into a single degree
 with mu_2 the bracket and D_1 the operator, satisfies both families; that
 reduction is the bridge to the ungraded residual checks.
 """
 
-from math import factorial
-
-from .linalg import div, frac, vec_is_zero
-from .multilinear import GradedSymMap, altmap1_from_matrix
-from .nr import family_circ, insertion_sum
-
-
-def _compositions(total, parts):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+from . import nr
+from .linalg import frac, vec_is_zero
+from .multilinear import altmap1_from_matrix
 
 
 class HomotopyDiffLie:
@@ -93,43 +78,26 @@ class HomotopyDiffLie:
         return max(bound, 1)
 
 
+def bracket_family(H, n):
+    """The arity-n bracket-family residual map."""
+    mu = nr.arity_weights(H.mu)
+    return nr.family_circ(mu, mu, n - 1, n, 2, H.space)
+
+
+def operator_family(H, n):
+    """The arity-n operator-family residual map."""
+    return nr.operator_family(nr.arity_weights(H.mu), nr.arity_weights(H.D),
+                              n - 1, H.weight, n, 1, H.space)
+
+
 def linfty_residual(H, n, args):
     """The arity-n bracket-family residual on the given homogeneous args."""
-    return family_circ(H.mu, H.mu, n, 2, H.space).evaluate(args)
+    return bracket_family(H, n).evaluate(args)
 
 
-def operator_family(H, n, pointed=True):
-    """The arity-n operator-family residual map: the weighted insertions of
-    D-outputs into mu at pointed shuffles, minus sum_j D_{n-j+1} o-bar mu_j.
-    With pointed=False every shuffle counts, weighted by 1/(p-1)! (the
-    expanded form); both evaluate the same sum."""
-    out = GradedSymMap(n, 1, H.space)
-    for p in range(2, n + 2):
-        coeff = H.weight ** (p - 2)
-        if coeff == 0:
-            break
-        if not pointed:
-            coeff = div(coeff, factorial(p - 1))
-        for t in range(p - 1, n + 1):
-            outer = H.mu.get(n - t + p - 1)
-            if outer is None:
-                continue
-            for comp in _compositions(t, p - 1):
-                # comp = (m_{p-1}, .., m_1) in block order
-                if all(m in H.D for m in comp):
-                    out = out + insertion_sum(
-                        outer, [H.D[m] for m in comp], pointed).scale(coeff)
-    return out - family_circ(H.D, H.mu, n, 1, H.space)
-
-
-def homotopy_diff_residual(H, n, args, pointed=True):
-    """The arity-n operator-family residual in the pointed-shuffle form;
-    pointed=False sums it over plain shuffles with 1/(p-1)! weights."""
-    return operator_family(H, n, pointed).evaluate(args)
-
-
-def homotopy_diff_residual_factorial(H, n, args):
-    return homotopy_diff_residual(H, n, args, pointed=False)
+def homotopy_diff_residual(H, n, args):
+    """The arity-n operator-family residual on the given homogeneous args."""
+    return operator_family(H, n).evaluate(args)
 
 
 def residual_tables(H, max_n=None):
@@ -137,7 +105,7 @@ def residual_tables(H, max_n=None):
     GradedSymMap, operator GradedSymMap)}."""
     if max_n is None:
         max_n = H.residual_range()
-    return {n: (family_circ(H.mu, H.mu, n, 2, H.space), operator_family(H, n))
+    return {n: (bracket_family(H, n), operator_family(H, n))
             for n in range(1, max_n + 1)}
 
 

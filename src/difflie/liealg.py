@@ -9,12 +9,13 @@ the identity is such an operator of weight -1.  Everything here is a plain
 container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
 
-Every residual is read off the order-0 deformation equations
-(nr.jacobi_equation and nr.operator_equation) of one differential Lie
-algebra: of the algebra itself; of the trivial extension g (+) V for a
-representation; of the semidirect product g (+) h for a LieAct triple; and
-of the lifted operator on the weighted semidirect product for a relative
-operator.  Each reader computes only the equation it reads.
+Every residual is read off the weight-0 families of nr (nr.family_circ and
+nr.operator_family), whose negatives are the order-0 deformation equations,
+of one differential Lie algebra: of the algebra itself; of the trivial
+extension g (+) V for a representation; of the semidirect product g (+) h
+for a LieAct triple; and of the lifted operator on the weighted semidirect
+product for a relative operator.  Each reader computes only the family it
+reads.
 """
 
 from itertools import combinations
@@ -66,17 +67,21 @@ class LieAlgebra:
 
 
 def _jacobi0(bracket):
-    """The order-0 jacobi-type residual map of the bracket."""
-    from .nr import jacobi_equation
-    return jacobi_equation({0: bracket}, 0)
+    """The Jacobiator (x, y, z) -> [[x,y],z] + [[y,z],x] + [[z,x],y] of the
+    bracket: its weight-0 bracket family."""
+    from .nr import family_circ
+    mu = {0: bracket}
+    return family_circ(mu, mu, 0, 3, 2, bracket.space)
 
 
 def _operator0(A):
-    """The order-0 operator-type residual map of the differential Lie
-    algebra A."""
-    from .nr import operator_equation
-    return operator_equation({0: A.algebra.bracket},
-                             {0: altmap1_from_matrix(A.d)}, 0, A.weight)
+    """The weighted Leibniz defect (x, y) -> d[x,y] - [dx,y] - [x,dy]
+    - lambda [dx,dy] of the differential Lie algebra A: minus its weight-0
+    operator family."""
+    from .nr import operator_family
+    return -operator_family({0: A.algebra.bracket},
+                            {0: altmap1_from_matrix(A.d)}, 0, A.weight, 2, 1,
+                            A.algebra.bracket.space)
 
 
 def _values(f, keys, lo=0):
@@ -93,9 +98,9 @@ def _matrices(f, keys, lo, size):
 
 
 def jacobi_residual(L):
-    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all triples:
-    minus the jacobi-type map."""
-    return _values(-_jacobi0(L.bracket), combinations(range(L.dim), 3))
+    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all
+    triples."""
+    return _values(_jacobi0(L.bracket), combinations(range(L.dim), 3))
 
 
 def is_lie_algebra(L):
@@ -128,7 +133,7 @@ class DiffLieAlgebra:
 
 def weighted_derivation_residual(A):
     """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j:
-    the operator-type map."""
+    the weighted Leibniz defect."""
     return _values(_operator0(A), combinations(range(A.dim), 2))
 
 
@@ -178,12 +183,12 @@ def rep_residuals(A, rep):
       hom:    rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over pairs
       compat: d_V rho(x) - rho(dx) - rho(x) d_V - lambda rho(dx) d_V per basis x
     read off the trivial extension g (+) V at one V-input: column v of hom is
-    minus its jacobi-type map on (x, y, v), column v of compat its
-    operator-type map on (x, v).
+    its Jacobiator on (x, y, v), column v of compat its weighted Leibniz
+    defect on (x, v).
     """
     n, m = A.dim, rep.space_dim
     E = trivial_extension(A, rep)
-    return {"hom": _matrices(-_jacobi0(E.algebra.bracket),
+    return {"hom": _matrices(_jacobi0(E.algebra.bracket),
                              combinations(range(n), 2), n, m),
             "compat": _matrices(_operator0(E), [(i,) for i in range(n)],
                                 n, m)}
@@ -274,16 +279,16 @@ def lieact_residuals(T):
 
     hom:        rho([x,y]_g) - [rho(x), rho(y)] over g-pairs
     derivation: rho(x)[u,v]_h - [rho(x)u, v]_h - [u, rho(x)v]_h per basis x, u<v
-    read off the jacobi-type map of the semidirect product g (+) h of
-    weight 1: column u of hom is minus its value on (x, y, u), and the
-    derivation residual its value on (x, u, v).
+    read off the Jacobiator of the semidirect product g (+) h of weight 1:
+    column u of hom is its value on (x, y, u), and the derivation residual
+    minus its value on (x, u, v).
     """
     n, m = T.g.dim, T.h.dim
     jac = _jacobi0(semidirect_weighted(T, 1).bracket)
     der = [(i, n + a, n + b) for i in range(n)
            for a, b in combinations(range(m), 2)]
-    return {"hom": _matrices(-jac, combinations(range(n), 2), n, m),
-            "derivation": _values(jac, der, n)}
+    return {"hom": _matrices(jac, combinations(range(n), 2), n, m),
+            "derivation": _values(-jac, der, n)}
 
 
 def is_lieact(T):
@@ -294,7 +299,8 @@ def is_lieact(T):
 
 def relative_diff_residual(T, D, lam):
     """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs: the
-    h-part of the operator-type map of lift_tilde_D(T, D, lam) on g-pairs."""
+    h-part of the weighted Leibniz defect of lift_tilde_D(T, D, lam) on
+    g-pairs."""
     if D.rows != T.h.dim or D.cols != T.g.dim:
         raise DimensionMismatch("relative operator shape")
     n = T.g.dim

@@ -30,7 +30,8 @@ from .linalg import (Matrix, basis_vec, div, frac, vec_add, vec_scale,
                      vec_zero, vec_is_zero)
 from .liealg import semidirect_bracket
 from .multilinear import AltMap, GradedSymMap, altmap1_from_matrix
-from .nr import circ_bar, family_circ, insertion_sum, nr_bracket
+from .nr import (arity_weights, circ_bar, family_circ, insertion_sum,
+                 nr_bracket)
 from .permutations import LengthMismatch, koszul_sign, shuffles
 
 
@@ -77,7 +78,8 @@ def generalized_jacobi_residual(L, n, args):
     l_{n-i+1}(l_i(x_{sigma(1)}..), x_{sigma(i+1)}..)."""
     if len(args) != n:
         raise LengthMismatch("expected %d arguments" % n)
-    return family_circ(L.brackets, L.brackets, n, 2, L.space).evaluate(args)
+    l = arity_weights(L.brackets)
+    return family_circ(l, l, n - 1, n, 2, L.space).evaluate(args)
 
 
 def _twisted_value(L, alpha, args):

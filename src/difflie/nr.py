@@ -13,15 +13,24 @@ eps the Koszul sign; with pointed=True only the shuffles whose inner-block
 leaders sigma(1), sigma(a_1 + 1), .. increase are kept.  Every identity of
 the package that inserts maps into maps is such a sum: f o-bar g is the
 insertion of the one map g, [f, g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f,
-family_circ sums circle products over arities (the generalised Jacobi
-identity and both homotopy families), the closed form of the higher derived
-brackets inserts several maps, and the operator families of homotopy
-differential Lie algebras and of formal deformations insert operators at
-pointed shuffles.  The two deformation equations of a series (mu_t, d_t)
-are written once, order by order, in jacobi_equation and
-operator_equation; every axiom of a differential Lie algebra, its
-representations and its relative operators is read off their order-0 part,
-each reader computing only the family it reads.
+and the closed form of the higher derived brackets inserts several maps.
+
+The L-infinity[1] structure built by higher derived brackets carries both
+formal deformations and homotopy differential Lie algebras, so their
+identities are the same two sums over a weight grading, written once here
+for families {weight: map}:
+
+    family_circ(outer, inner, w)  = sum_{a+b=w} outer_a o-bar inner_b,
+    operator_family(mu, d, w, lam) = sum lam^{r-1} I_pointed(mu_a; d_{b_1},
+        .., d_{b_r}) - sum_{a+b=w} d_b o-bar mu_a   (a + b_1 + .. + b_r = w).
+
+A series (mu_t, d_t) is graded by its order: its order-n deformation
+equations are minus the weight-n families, and every axiom of a
+differential Lie algebra, its representations and its relative operators
+is read off the weight-0 part.  A homotopy structure (mu_i, D_i) and an
+L-infinity[1] bracket family are graded by arity - 1 (arity_weights): the
+bracket family at weight n - 1 is the generalised Jacobi identity of arity
+n, and the operator family the arity-n operator identity.
 
 An alternating map on an ungraded space is the graded map on its
 suspension, which sits in one odd degree; there eps is the permutation sign
@@ -102,57 +111,53 @@ def nr_bracket(f, g):
 graded_circ_bar = circ_bar
 
 
-def family_circ(outer, inner, n, degree, space):
-    """The arity-n map sum_{i=1}^{n} outer_{n-i+1} o-bar inner_i of degree
-    `degree` on `space`, for families {arity: map} (a missing arity is
-    zero)."""
-    out = GradedSymMap(n, degree, space)
-    for i in range(1, n + 1):
-        f, g = outer.get(n - i + 1), inner.get(i)
-        if f is not None and g is not None:
+def arity_weights(family):
+    """An L-infinity[1] family {arity: map} graded by weight arity - 1."""
+    return {i - 1: f for i, f in family.items()}
+
+
+def family_circ(outer, inner, w, arity, degree, space):
+    """The weight-w map sum_{a+b=w} outer_a o-bar inner_b, of the given
+    arity and degree on `space`, for families {weight: map} (a missing
+    weight is zero).  Zero terms and outer terms of weight > w are
+    skipped."""
+    out = GradedSymMap(arity, degree, space)
+    for a, f in outer.items():
+        g = inner.get(w - a)
+        if a <= w and g is not None and not f.is_zero() and not g.is_zero():
             out = out + circ_bar(f, g)
     return out
 
 
-def _nonzero(terms):
-    return {k: f for k, f in terms.items() if not f.is_zero()}
+def _splits(weights, total, r):
+    """The r-tuples of the weights (each >= 0) that sum to total."""
+    if r == 0:
+        if total == 0:
+            yield ()
+        return
+    for b in weights:
+        if b <= total:
+            for rest in _splits(weights, total - b, r - 1):
+                yield (b,) + rest
 
 
-def jacobi_equation(mu, n):
-    """The order-n jacobi-type residual - sum_k mu_k o-bar mu_{n-k} of the
-    series mu_t = sum mu_k t^k on one space, given as {order: term} with
-    mu[0] present, each mu_k an arity-2 map of degree 1 (a missing term is
-    zero).  On an ungraded space its value on (x, y, z) is minus the cyclic
-    sum of mu_i(mu_{n-i}(x, y), z); at n = 0 it is the Jacobi identity.
-    Only the nonzero terms enter the sum."""
-    jac = GradedSymMap(3, 2, mu[0].space)
-    mu = _nonzero(mu)
-    for k, mk in mu.items():
-        if n - k in mu:
-            jac = jac + circ_bar(mk, mu[n - k])
-    return jac.scale(-1)
+def operator_family(mu, d, w, lam, arity, degree, space):
+    """The weight-w operator family of a bracket family mu and an operator
+    family d, both {weight: map}, of the given arity and degree on `space`:
 
+      sum lam^{r-1} I_pointed(mu_a; d_{b_1}, .., d_{b_r})
+      - sum_{a+b=w} d_b o-bar mu_a,
 
-def operator_equation(mu, d, n, lam):
-    """The order-n operator-type residual of the series mu_t (as in
-    jacobi_equation) and d_t = sum d_l t^l, each d_l an arity-1 map of
-    degree 0 given as {order: term}:
-
-      sum_{k+l=n} (d_l o-bar mu_k - I(mu_k; d_l))
-      - lam sum_{k+l+m=n} I_pointed(mu_k; d_l, d_m),
-
-    I the insertion sum.  On an ungraded space its value on (x, y) is
-    sum d_l mu_k(x, y) - mu_k(d_l x, y) - mu_k(x, d_l y) - lam
-    sum mu_k(d_l x, d_m y); at n = 0 it is the weighted Leibniz rule.
-    Only the nonzero terms enter the sums."""
-    op = GradedSymMap(2, 1, mu[0].space)
-    mu, d = _nonzero(mu), _nonzero(d)
-    for k, mk in mu.items():
-        if n - k in d:
-            op = op + circ_bar(d[n - k], mk) - insertion_sum(mk, [d[n - k]])
-        if lam != 0:
-            for l, dl in d.items():
-                if n - k - l in d:
-                    op = op + insertion_sum(mk, [dl, d[n - k - l]],
-                                            pointed=True).scale(-lam)
-    return op
+    the first sum over 1 <= r <= arity(mu_a) and a + b_1 + .. + b_r = w,
+    I the insertion sum.  Zero terms and terms of weight > w are skipped,
+    so the sum never looks at the declared arity of a zero map."""
+    mu = {a: f for a, f in mu.items() if a <= w and not f.is_zero()}
+    d = {b: g for b, g in d.items() if b <= w and not g.is_zero()}
+    out = GradedSymMap(arity, degree, space)
+    for a, f in mu.items():
+        for r in range(1, (f.arity if lam != 0 else 1) + 1):
+            c = lam ** (r - 1)
+            for bs in _splits(d, w - a, r):
+                term = insertion_sum(f, [d[b] for b in bs], pointed=True)
+                out = out + (term if c == 1 else term.scale(c))
+    return out - family_circ(d, mu, w, arity, degree, space)

@@ -1,4 +1,4 @@
-"""Shuffles, pointed shuffles, signatures and Koszul signs.
+"""Shuffles, signatures and Koszul signs.
 
 Permutations are tuples ``images`` with ``images[k] = sigma(k+1)``, i.e.
 1-based bijections of {1..n} stored 0-indexed.  Shuffle enumeration is
@@ -69,19 +69,3 @@ def _shuffles(block_sizes):
 
     rec(list(block_sizes), [])
     return tuple(out)
-
-
-def pointed_shuffles(block_sizes):
-    """Shuffles whose block leaders sigma(1), sigma(i_1+1), ... increase."""
-    if not all(k >= 1 for k in block_sizes):
-        raise ValueError("pointed shuffles need blocks of size >= 1, got %r"
-                         % (block_sizes,))
-    starts = [0]
-    for k in block_sizes[:-1]:
-        starts.append(starts[-1] + k)
-    out = []
-    for sigma in shuffles(block_sizes):
-        leaders = [sigma[s] for s in starts]
-        if all(a < b for a, b in zip(leaders, leaders[1:])):
-            out.append(sigma)
-    return out

@@ -1,8 +1,9 @@
 """The axiom residuals written out on basis vectors, as test oracles.
 
-``difflie.liealg`` reads every axiom residual off the order-0 deformation
-equations of one differential Lie algebra (``nr.jacobi_equation`` and
-``nr.operator_equation``).
+``difflie.liealg`` reads every axiom residual off the weight-0 families of
+one differential Lie algebra (``nr.family_circ`` and
+``nr.operator_family``), whose negatives are its order-0 deformation
+equations.
 These are the direct formulas it replaced: each bracket and operator is
 applied to basis vectors one term at a time, so they share no code with the
 insertion kernel.  They return the same shapes as the liealg readers.

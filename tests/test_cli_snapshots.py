@@ -8,8 +8,10 @@ alternating and graded multilinear maps were merged into one class (the
 cohomology-corrupt case with the CLI as it stood before the cochain pair
 layout moved into cohomology.py, and the deform-verify-broken and
 deform-rigidify-dense cases with the CLI as it stood before the deformation
-kernels skipped zero terms), so any change of a report, down to a byte,
-fails here.
+kernels skipped zero terms, and the homotopy-check-zero-arity-huge case with
+the CLI as it stood before the homotopy families and the deformation
+equations became one weight-graded kernel), so any change of a report, down
+to a byte, fails here.
 """
 
 import json

@@ -34,7 +34,7 @@ def test_parser_loads_no_computation():
 
 
 def test_check_axioms_loads_no_computation():
-    # the axioms are the order-0 deformation equations of nr, so the check
+    # the axioms are read off the weight-0 families of nr, so the check
     # loads nr and the shuffles it runs, and no other computation
     path = os.path.join(HERE, "cli_snapshots", "inputs", "aff1_adjoint.json")
     code = ("import sys, io, contextlib\nfrom difflie.cli import main\n"
@@ -43,9 +43,24 @@ def test_check_axioms_loads_no_computation():
     assert _loaded(code) == ["difflie.nr", "difflie.permutations"]
 
 
-def test_commands_load_what_they_run():
-    path = os.path.join(HERE, "cli_snapshots", "inputs", "deform_sl2.json")
-    code = ("import sys, io, contextlib\nfrom difflie.cli import main\n"
+def _run(argv):
+    """Code that runs the CLI on argv, its input document a snapshot
+    input, and checks that it succeeds."""
+    argv = argv[:-1] + [os.path.join(HERE, "cli_snapshots", "inputs",
+                                     argv[-1])]
+    return ("import sys, io, contextlib\nfrom difflie.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['deform', 'verify', %r]) == 0" % path)
-    assert "difflie.deformations" in _loaded(code)
+            "    assert main(%r) == 0" % (argv,))
+
+
+def test_commands_load_what_they_run():
+    # the cochain complexes load only where a cocycle is checked or solved
+    verify = _loaded(_run(["deform", "verify", "deform_sl2.json"]))
+    assert "difflie.deformations" in verify
+    assert "difflie.cohomology" not in verify
+    extract = _loaded(_run(["extension", "extract", "ext_total.json"]))
+    assert "difflie.extensions" in extract
+    assert "difflie.cohomology" not in extract
+    for argv in (["deform", "rigidify", "deform_sl2.json"],
+                 ["extension", "build", "ext_cocycle.json"]):
+        assert "difflie.cohomology" in _loaded(_run(argv)), argv

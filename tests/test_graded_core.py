@@ -19,7 +19,8 @@ from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  NonHomogeneousInput, alt_to_graded,
                                  suspend_space)
-from difflie.nr import circ_bar, family_circ, insertion_sum, nr_bracket
+from difflie.nr import (arity_weights, circ_bar, family_circ, insertion_sum,
+                        nr_bracket)
 from difflie.permutations import koszul_sign
 from difflie.samples import rand_vec
 
@@ -156,7 +157,8 @@ def test_family_sum_is_the_summed_circle_product(rng):
         for i in range(1, n + 1):
             if (n - i + 1) in outer and i in inner:
                 total = total + circ_bar(outer[n - i + 1], inner[i])
-        family = family_circ(outer, inner, n, 1, space)
+        family = family_circ(arity_weights(outer), arity_weights(inner),
+                             n - 1, n, 1, space)
         assert family == total
         for _ in range(5):
             args = [rand_homogeneous(rng, space) for _ in range(n)]

@@ -1,10 +1,17 @@
-"""Shuffle insertion on maps has one kernel, ``nr.insertion_sum``.
+"""Shuffle insertion on maps has one kernel, ``nr.insertion_sum``, and the
+weight-graded family sums have one each.
 
 Outside ``permutations.py`` only two functions of the package may call
 ``shuffles(``: ``nr.insertion_sum`` itself, and
 ``linfty.generalized_jacobi_residual_formal``, whose brackets return formal
 sums of terms rather than maps on one space.  Any other shuffle loop is a
 second copy of the insertion sum.
+
+Likewise only ``nr.operator_family`` inserts at pointed shuffles (calls
+``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
+sums circle products over a family (adds ``circ_bar(..)`` terms inside a
+loop or a comprehension).  Any other such sum is a second copy of the
+deformation equations or of a homotopy family.
 """
 
 import ast
@@ -17,6 +24,13 @@ ALLOWED = {("nr.py", "insertion_sum"),
            ("linfty.py", "generalized_jacobi_residual_formal")}
 
 
+def _called(node):
+    """The name a Call node calls, or None."""
+    fn = node.func
+    return fn.id if isinstance(fn, ast.Name) else \
+        fn.attr if isinstance(fn, ast.Attribute) else None
+
+
 def shuffle_calls(name, tree):
     """(file, enclosing function, line) of each call of shuffles(...)."""
     out = []
@@ -24,12 +38,8 @@ def shuffle_calls(name, tree):
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            fn = node.func
-            called = fn.id if isinstance(fn, ast.Name) else \
-                fn.attr if isinstance(fn, ast.Attribute) else None
-            if called == "shuffles":
-                out.append((name, where, node.lineno))
+        if isinstance(node, ast.Call) and _called(node) == "shuffles":
+            out.append((name, where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -57,3 +67,79 @@ def test_shuffle_calls_are_seen():
     assert shuffle_calls("nr.py", ast.parse(snippet)) == [
         ("nr.py", "insertion_sum", 4), ("nr.py", "loop", 6),
         ("nr.py", None, 8)]
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def family_sums(name, tree):
+    """(file, enclosing function, kind, line) of each pointed insertion
+    (kind "pointed": insertion_sum called with a third argument or a pointed
+    keyword) and of each circle product summed over a family (kind "circ":
+    a circ_bar call inside a loop or comprehension that is an operand of +,
+    - or += / -=, or an argument of sum)."""
+    out = []
+
+    def has_circ(node):
+        return any(isinstance(n, ast.Call) and _called(n) == "circ_bar"
+                   for n in ast.walk(node))
+
+    def visit(node, where, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, looped = node.name, False
+        if isinstance(node, LOOPS):
+            looped = True
+        if isinstance(node, ast.Call) and _called(node) == "insertion_sum" \
+                and (len(node.args) > 2 or
+                     any(k.arg == "pointed" for k in node.keywords)):
+            out.append((name, where, "pointed", node.lineno))
+        terms = []
+        if isinstance(node, ast.BinOp) and \
+                isinstance(node.op, (ast.Add, ast.Sub)):
+            terms = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and \
+                isinstance(node.op, (ast.Add, ast.Sub)):
+            terms = [node.value]
+        elif isinstance(node, ast.Call) and _called(node) == "sum":
+            terms = node.args
+        if any(has_circ(t) and (looped or isinstance(t, LOOPS))
+               for t in terms):
+            out.append((name, where, "circ", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, looped)
+
+    visit(tree, None, False)
+    return out
+
+
+def test_only_the_family_kernels_sum_families():
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                found += family_sums(name, ast.parse(fh.read(), name))
+    callers = {(name, fn, kind) for name, fn, kind, _ in found}
+    assert callers == {("nr.py", "operator_family", "pointed"),
+                       ("nr.py", "family_circ", "circ")}, sorted(found)
+
+
+def test_family_sums_are_seen():
+    snippet = ("def operator_family(f, g):\n"
+               "    return insertion_sum(f, [g], pointed=True)\n"
+               "def a(f, g):\n    return insertion_sum(f, [g], True)\n"
+               "def b(f, g):\n    return insertion_sum(f, [g])\n"
+               "def c(fs, g):\n    out = 0\n    for f in fs:\n"
+               "        out = out + circ_bar(f, g).scale(2)\n"
+               "def d(fs, g):\n"
+               "    return sum(nr.circ_bar(f, g) for f in fs)\n"
+               "def e(fs, g):\n    out = 0\n    while fs:\n"
+               "        out -= circ_bar(fs.pop(), g)\n"
+               "def f(h, xs):\n    for x in xs:\n"
+               "        h = circ_bar(h, x)\n    return h - circ_bar(h, h)\n")
+    assert family_sums("nr.py", ast.parse(snippet)) == [
+        ("nr.py", "operator_family", "pointed", 2),
+        ("nr.py", "a", "pointed", 4),
+        ("nr.py", "c", "circ", 10),
+        ("nr.py", "d", "circ", 12),
+        ("nr.py", "e", "circ", 16)]

@@ -431,8 +431,8 @@ def test_scrambled_rational_differential_is_certified():
 
 
 # each call has mismatched shapes (or a phi_0 that is not the identity, an
-# argument count that is not the arity, a term kind that does not exist, an
-# empty shuffle block) and must raise ValueError, also under -O
+# argument count that is not the arity, a term kind that does not exist)
+# and must raise ValueError, also under -O
 SHAPE_ERRORS = {
     "add": "Matrix.zero(2, 3) + Matrix.zero(3, 2)",
     "sub": "Matrix.zero(2, 3) - Matrix.zero(2, 2)",
@@ -448,7 +448,6 @@ SHAPE_ERRORS = {
     "term_kind": "Term('x', AltMap(1, 2, 2))",
     "bracket_args": "linfty_residual(H, 2, [[1, 0]])",
     "operator_args": "homotopy_diff_residual(H, 1, [[1, 0], [0, 1]])",
-    "pointed_shuffles": "pointed_shuffles((0, 2))",
 }
 SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
                  "from difflie.deformations import FormalIso\n"
@@ -456,7 +455,6 @@ SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
                  "homotopy_diff_residual, linfty_residual\n"
                  "from difflie.linfty import LInftyStructure, Term\n"
                  "from difflie.multilinear import AltMap, suspend_space\n"
-                 "from difflie.permutations import pointed_shuffles\n"
                  "H = HomotopyDiffLie(suspend_space(2), {}, {}, 0)\n")
 
 

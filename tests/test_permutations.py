@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from difflie.permutations import (LengthMismatch, koszul_sign,
-                                  pointed_shuffles, shuffles, signature)
+from difflie.permutations import (LengthMismatch, koszul_sign, shuffles,
+                                  signature)
 
 
 def is_permutation(images):
@@ -62,15 +62,6 @@ def test_shuffles_block_increasing_and_count():
                 chunk = sigma[start:start + b]
                 assert list(chunk) == sorted(chunk)
                 start += b
-
-
-def test_pointed_shuffles():
-    assert pointed_shuffles((1, 1)) == [(1, 2)]
-    assert pointed_shuffles((1, 1, 1)) == [(1, 2, 3)]
-    out = pointed_shuffles((2, 2))
-    assert len(out) == 3
-    for sigma in out:
-        assert sigma[0] < sigma[2]
 
 
 def test_koszul_even_degrees():
