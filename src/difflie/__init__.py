@@ -8,11 +8,14 @@ Submodules:
   liealg        differential Lie algebras, representations, LieAct triples
   nr            the insertion sum: NR circle product, bracket, and the
                 weight-graded family sums
-  linfty        L-infinity[1] structures: derived brackets, MC, twisting
+  linfty        formal L-infinity[1] structures on sM (+) a: derived
+                brackets, MC, the twisted l_1
   cohomology    the three cochain complexes and their bridges
   extensions    abelian extensions and their classification
   deformations  truncated formal deformations and rigidification
-  homotopy      homotopy differential Lie algebras on graded spaces
+  homotopy      homotopy differential Lie algebras on graded spaces; an
+                L-infinity[1]-algebra is one with no D (MC, twisting,
+                rescaling)
   samples       seeded random generators of valid fixtures
   cli           command-line interface
 """

@@ -4,13 +4,15 @@ equivalence testing, and classification by the truncated degree-2 cohomology.
 
 An extension is always presented on the split underlying space g (+) V with
 the inclusion i, projection p and a chosen section s as matrices; the kernel
-carries the zero bracket.
+carries the zero bracket.  Every structure read is a multilinear.pullback:
+the bracket in the basis (s, i), valued in (p, t), carries the kernel
+checks and rho; the base bracket and psi are its pullbacks along s.
 """
 
-from .linalg import Matrix, basis_vec, invert_matrix, vec_is_zero
+from .linalg import Matrix, invert_matrix, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
-                     LieAlgebra, is_diff_lie_algebra, is_diff_representation,
-                     semidirect_bracket)
+                     LieAlgebra, _matrices, is_diff_lie_algebra,
+                     is_diff_representation, semidirect_bracket)
 from .multilinear import altmap1_from_matrix, matrix_from_altmap1, pullback
 
 
@@ -49,27 +51,25 @@ class AbelianExtension:
             raise InvalidExtension("p . i != 0")
         if self.p * self.s != Matrix.identity(self.gdim):
             raise InvalidExtension("s is not a section of p")
-        split = Matrix.block([[i, s]])
-        inv = invert_matrix(split)
+        basis = Matrix.block([[s, i]])
+        inv = invert_matrix(basis)
         if inv is None:
             raise InvalidExtension("i and s do not split the total space")
-        # i t + s p = Id with t i = Id, t s = 0
-        self.t = Matrix(self.vdim, N, inv.data[:self.vdim])
+        # s p + i t = Id with t s = 0, t i = Id: the rows of inv are p, t
+        self.t = Matrix(self.vdim, N, inv.data[self.gdim:])
         if not is_diff_lie_algebra(total):
             raise InvalidExtension("total space axioms fail")
-        # the kernel must be abelian and an ideal preserved by the operator
-        for a in range(self.vdim):
-            iv = self.i.matvec(basis_vec(self.vdim, a))
-            if not vec_is_zero(self.p.matvec(total.dv(iv))):
-                raise InvalidExtension("operator does not preserve kernel")
-            for b in range(self.vdim):
-                if not vec_is_zero(
-                        total.br(iv, self.i.matvec(basis_vec(self.vdim, b)))):
-                    raise InvalidExtension("kernel is not abelian")
-            for k in range(N):
-                if not vec_is_zero(
-                        self.p.matvec(total.br(basis_vec(N, k), iv))):
-                    raise InvalidExtension("kernel is not an ideal")
+        # the kernel must be abelian and an ideal preserved by the operator;
+        # split is the bracket in the basis (s, i), valued in (p, t)
+        if not (p * total.d * i).is_zero():
+            raise InvalidExtension("operator does not preserve kernel")
+        self.split = pullback(total.algebra.bracket, basis, inv)
+        g = self.gdim
+        if any(a >= g for a, _ in self.split.coeffs):
+            raise InvalidExtension("kernel is not abelian")
+        if any(b >= g and not vec_is_zero(vec[:g])
+               for (_, b), vec in self.split.coeffs.items()):
+            raise InvalidExtension("kernel is not an ideal")
 
     def base(self):
         """The induced differential Lie algebra structure on g."""
@@ -84,15 +84,8 @@ def extract_cocycle(E):
     psi(x,y) = [s x, s y] - s[x,y], chi(x) = d(s x) - s(d x), both valued in
     V via t; rho(x)v = t[s x, i v]."""
     base = E.base()
-    gdim, vdim = E.gdim, E.vdim
-    rho = []
-    for x in range(gdim):
-        sx = E.s.matvec(basis_vec(gdim, x))
-        rho.append(Matrix(vdim, vdim, [
-            E.t.matvec(E.total.br(sx, E.i.matvec(basis_vec(vdim, a))))
-            for a in range(vdim)]).transpose())
-    dV = E.t * E.total.d * E.i
-    rep = DiffRepresentation(vdim, rho, dV)
+    rho = _matrices(E.split, [(x,) for x in range(E.gdim)], E.gdim, E.vdim)
+    rep = DiffRepresentation(E.vdim, rho, E.t * E.total.d * E.i)
     if not is_diff_representation(base, rep):
         raise InvalidExtension("induced coefficients fail representation "
                                "axioms")

@@ -30,11 +30,28 @@ space or the declared arity of a zero map.
 A differential Lie algebra of weight lambda, suspended into a single degree
 with mu_2 the bracket and D_1 the operator, satisfies both families; that
 reduction is the bridge to the ungraded residual checks.
+
+An L-infinity[1]-algebra on a finite-dimensional graded space is the case
+with no operators, and only there are Maurer-Cartan elements, twisting and
+the lambda-rescalings defined.  Twisting by alpha is a sum of insertions of
+the constant map a with value alpha:
+mu_n^alpha = sum_i 1/i! nr.insertion_sum(mu_{n+i}, [a] * i), and the
+Maurer-Cartan residual is its arity-0 value.
 """
 
+from math import factorial
+
 from . import nr
-from .linalg import frac, vec_is_zero
-from .multilinear import altmap1_from_matrix
+from .linalg import div, frac, vec_is_zero
+from .multilinear import GradedSymMap, altmap1_from_matrix
+
+
+class DegreeMismatch(Exception):
+    pass
+
+
+class NotMaurerCartan(Exception):
+    pass
 
 
 class HomotopyDiffLie:
@@ -125,3 +142,64 @@ def homotopy_mc_check(H, max_n=None):
     tables = residual_tables(H, max_n)
     ok = all(j.is_zero() and o.is_zero() for j, o in tables.values())
     return ok, tables
+
+
+# ---------------------------------------------------------------------------
+# L-infinity[1]-algebras: Maurer-Cartan elements, twisting, rescaling
+
+
+def _brackets_only(H):
+    if H.D:
+        raise ValueError("defined for a bracket family; the structure has "
+                         "operators")
+
+
+def _twisted(H, alpha, n):
+    """mu_n^alpha = sum_i 1/i! I(mu_{n+i}; a, .., a) with i copies of a,
+    the constant map with value alpha: the insertion fills the first i
+    slots, mu_{n+i}(alpha, .., alpha, x_1, .., x_n)."""
+    a = GradedSymMap(0, 0, H.space)
+    a[()] = alpha
+    if not vec_is_zero(alpha) and H.space.degree_of_vector(alpha) != 0:
+        raise DegreeMismatch("Maurer-Cartan elements must have degree 0")
+    out = GradedSymMap(n, 1, H.space)
+    for m, f in H.mu.items():
+        if m >= n:
+            out = out + nr.insertion_sum(f, [a] * (m - n)).scale(
+                div(1, factorial(m - n)))
+    return out
+
+
+def mc_residual(H, alpha):
+    """sum_n 1/n! mu_n(alpha, .., alpha) for a degree-0 element alpha of
+    an L-infinity[1]-algebra H (a structure with no operators)."""
+    _brackets_only(H)
+    return _twisted(H, alpha, 0).value_on_basis(())
+
+
+def twist(H, alpha):
+    """The twisted structure mu_n^alpha(x..) = sum_i 1/i! mu_{n+i}(alpha^i,
+    x..) of an L-infinity[1]-algebra H by a Maurer-Cartan element alpha."""
+    if not vec_is_zero(mc_residual(H, alpha)):
+        raise NotMaurerCartan("twisting element fails the MC equation")
+    mu = {n: _twisted(H, alpha, n) for n in range(1, max(H.mu, default=0) + 1)}
+    return HomotopyDiffLie(H.space, {n: f for n, f in mu.items()
+                                     if not f.is_zero()}, {}, H.weight)
+
+
+def lambda_rescale(H, lam, variant="full"):
+    """Rescaled L-infinity[1]-algebra: mu'_n = lambda^{n-1} mu_n ("full"),
+    or the variant keeping mu_1 and scaling mu_n by lambda^{n-2} for n >= 2
+    ("reduced")."""
+    _brackets_only(H)
+    lam = frac(lam)
+    mu = {}
+    for n, f in H.mu.items():
+        if variant == "full":
+            c = lam ** (n - 1)
+        else:
+            c = 1 if n == 1 else lam ** (n - 2)
+        scaled = f.scale(c)
+        if not scaled.is_zero():
+            mu[n] = scaled
+    return HomotopyDiffLie(H.space, mu, {}, H.weight)

@@ -1,6 +1,7 @@
-"""L-infinity[1] structures: concrete (graded-symmetric bracket families on a
-finite-dimensional graded space) and formal (derived brackets on sM (+) a,
-where M and a are Hom-spaces of alternating maps).
+"""Formal L-infinity[1] structures: derived brackets on sM (+) a, where M
+and a are Hom-spaces of alternating maps.  (A concrete L-infinity[1]-algebra
+on a finite-dimensional graded space is a homotopy.HomotopyDiffLie with no
+operators; its twisting and rescaling live there.)
 
 The derived-bracket construction: given V-data (L, m, iota_m, a, iota_a, P,
 Delta) -- a graded Lie algebra L, a graded Lie subalgebra m, an abelian
@@ -26,112 +27,15 @@ the twisted l_1 are one finite series, cut where the brackets vanish.
 from itertools import combinations
 from math import factorial
 
-from .linalg import (Matrix, basis_vec, div, frac, vec_add, vec_scale,
-                     vec_zero, vec_is_zero)
+from .linalg import Matrix, div, frac, vec_zero, vec_is_zero
 from .liealg import semidirect_bracket
-from .multilinear import AltMap, GradedSymMap, altmap1_from_matrix
-from .nr import (arity_weights, circ_bar, family_circ, insertion_sum,
-                 nr_bracket)
-from .permutations import LengthMismatch, koszul_sign, shuffles
-
-
-class DegreeMismatch(Exception):
-    pass
-
-
-class NotMaurerCartan(Exception):
-    pass
+from .multilinear import AltMap, altmap1_from_matrix
+from .nr import circ_bar, insertion_sum, nr_bracket
+from .permutations import koszul_sign, shuffles
 
 
 class InvalidVData(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# concrete structures on a finite-dimensional graded space
-
-
-class LInftyStructure:
-    """Arity-bounded bracket family {l_n} of GradedSymMaps of degree 1."""
-
-    def __init__(self, space, brackets):
-        self.space = space
-        self.brackets = dict(brackets)
-        for n, l in self.brackets.items():
-            if n < 1 or l.arity != n or l.degree != 1 or l.space != space:
-                raise ValueError("l_%d must be a degree-1 map of arity %d "
-                                 "on the space, n >= 1" % (n, n))
-
-    @property
-    def arity_bound(self):
-        return max(self.brackets, default=0)
-
-    def l(self, n, args):
-        b = self.brackets.get(n)
-        if b is None:
-            return vec_zero(self.space.dim)
-        return b.evaluate(args)
-
-
-def generalized_jacobi_residual(L, n, args):
-    """sum_{i=1}^{n} sum_{sigma in Sh(i,n-i)} eps(sigma)
-    l_{n-i+1}(l_i(x_{sigma(1)}..), x_{sigma(i+1)}..)."""
-    if len(args) != n:
-        raise LengthMismatch("expected %d arguments" % n)
-    l = arity_weights(L.brackets)
-    return family_circ(l, l, n - 1, n, 2, L.space).evaluate(args)
-
-
-def _twisted_value(L, alpha, args):
-    """sum_i 1/i! l_{n+i}(alpha^i, args) for n = len(args), through the top
-    arity of L."""
-    out = vec_zero(L.space.dim)
-    for i in range(L.arity_bound - len(args) + 1):
-        term = L.l(len(args) + i, [alpha] * i + args)
-        if not vec_is_zero(term):
-            out = vec_add(out, vec_scale(div(1, factorial(i)), term))
-    return out
-
-
-def mc_residual(L, alpha):
-    """sum_n 1/n! l_n(alpha,..,alpha) for a degree-0 element alpha."""
-    if not vec_is_zero(alpha) and L.space.degree_of_vector(alpha) != 0:
-        raise DegreeMismatch("Maurer-Cartan elements must have degree 0")
-    return _twisted_value(L, alpha, [])
-
-
-def twist(L, alpha):
-    """The twisted structure l_n^alpha(x..) = sum_i 1/i! l_{n+i}(alpha^i, x..)."""
-    if not vec_is_zero(mc_residual(L, alpha)):
-        raise NotMaurerCartan("twisting element fails the MC equation")
-    space = L.space
-    brackets = {}
-    for n in range(1, L.arity_bound + 1):
-        ln = GradedSymMap(n, 1, space)
-        for key in space.spanning_tuples(n):
-            total = _twisted_value(
-                L, alpha, [basis_vec(space.dim, i) for i in key])
-            if not vec_is_zero(total):
-                ln[key] = total
-        if not ln.is_zero():
-            brackets[n] = ln
-    return LInftyStructure(space, brackets)
-
-
-def lambda_rescale(L, lam, variant="full"):
-    """Rescaled structure: l'_n = lambda^{n-1} l_n ("full"), or the variant
-    keeping l_1 and scaling l_n by lambda^{n-2} for n >= 2 ("reduced")."""
-    lam = frac(lam)
-    brackets = {}
-    for n, l in L.brackets.items():
-        if variant == "full":
-            c = lam ** (n - 1)
-        else:
-            c = 1 if n == 1 else lam ** (n - 2)
-        scaled = l.scale(c)
-        if not scaled.is_zero():
-            brackets[n] = scaled
-    return LInftyStructure(L.space, brackets)
 
 
 # ---------------------------------------------------------------------------

@@ -261,21 +261,6 @@ def suspend_space(dim):
     return GradedVectorSpace([(-1, dim)])
 
 
-def alt_to_graded(f, space=None):
-    """Transport an AltMap on an ungraded g to a GradedSymMap on sg.
-
-    For an ungraded source the suspension sign is +1 on every basis tuple,
-    and an AltMap already is the graded map on sg, so this only retags f
-    (onto the given copy of sg, if any); the result has degree arity-1.
-    """
-    if f.src_dim != f.tgt_dim:
-        raise DimensionMismatch("suspension transport needs src = tgt")
-    out = GradedSymMap(f.arity, f.arity - 1,
-                       f.space if space is None else space)
-    out.coeffs = dict(f.coeffs)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # arity-1 maps and matrices
 

@@ -17,15 +17,6 @@ def rng():
     return random.Random(20260823)
 
 
-def graded_to_alt(F):
-    """The AltMap with the coefficients of a graded map on a suspension:
-    the inverse of multilinear.alt_to_graded."""
-    from difflie.multilinear import AltMap
-    out = AltMap(F.arity, F.space.dim, F.space.dim)
-    out.coeffs = dict(F.coeffs)
-    return out
-
-
 def basis_of_degree(space, deg):
     """The basis indices of a graded space that sit in degree deg."""
     return [i for i in range(space.dim) if space.degrees[i] == deg]

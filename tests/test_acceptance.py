@@ -17,7 +17,7 @@ from difflie.liealg import (DiffLieAlgebra, LieAlgebra, adjoint_rep,
                             is_diff_lie_algebra, is_lieact, lift_tilde_D,
                             relative_diff_residual, rescale_operator,
                             weighted_derivation_residual)
-from difflie.multilinear import AltMap, GradedVectorSpace, alt_to_graded
+from difflie.multilinear import AltMap, GradedVectorSpace
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 altmap_to_coords, ce_differential, cochain_dim,
                                 cohomology_dims, coords_to_altmap,
@@ -25,10 +25,9 @@ from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 difflie_differential, do_differential,
                                 embedding_commutes_residual,
                                 twist_bridge_residual)
-from difflie.linfty import (FormalElement, LInftyStructure, Term,
-                            absolute_structure, generalized_jacobi_residual,
+from difflie.linfty import (FormalElement, Term, absolute_structure,
                             generalized_jacobi_residual_formal, iota_M,
-                            iota_a_abs, key_formula_check, lambda_rescale,
+                            iota_a_abs, key_formula_check,
                             mc_check_absolute, mc_check_relative,
                             morphism_residual, project_M_embed, project_M_rel,
                             project_a_rel, relative_structure, twist_l1_formal)
@@ -39,8 +38,9 @@ from difflie.deformations import (FormalIso, TruncatedDeformation,
                                   apply_formal_iso, constant_deformation,
                                   deformation_residuals, first_nontrivial_order,
                                   infinitesimal, is_deformation, rigidify)
-from difflie.homotopy import (homotopy_mc_check, residual_tables,
-                              suspend_diff_lie)
+from difflie.homotopy import (HomotopyDiffLie, homotopy_mc_check,
+                              lambda_rescale, linfty_residual,
+                              residual_tables, suspend_diff_lie)
 from difflie.samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
                              rand_matrix, random_diff_lie, random_lieact,
                              random_relative_operator, random_rep)
@@ -669,7 +669,7 @@ def mixed_arity_structures():
     out = []
     for p in (1, 3):
         H = two_term(p=p, q=1, r=0)  # only the bracket family matters here
-        out.append(LInftyStructure(H.space, H.mu))
+        out.append(HomotopyDiffLie(H.space, H.mu, {}, 0))
     return out
 
 
@@ -683,16 +683,15 @@ def test_criterion_11_rescaling(rng):
     structures = mixed_arity_structures()
     for _ in range(10):
         L = random_diff_lie(rng, max_dim=3).algebra
-        F = alt_to_graded(L.bracket)
-        structures.append(LInftyStructure(F.space, {2: F}))
+        structures.append(HomotopyDiffLie(L.bracket.space, {2: L.bracket},
+                                          {}, 0))
     for idx, S in enumerate(structures):
         for lam in WEIGHTS:
             for variant in ("full", "reduced"):
                 R = lambda_rescale(S, lam, variant)
                 for n in range(1, 4):
                     for args in spanning_args(S.space, n):
-                        if not vec_is_zero(
-                                generalized_jacobi_residual(R, n, args)):
+                        if not vec_is_zero(linfty_residual(R, n, args)):
                             bad.append((idx, lam, variant, n))
     count = 0
     for _ in range(50):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from difflie.linalg import Matrix, vec_is_zero
-from difflie.liealg import (DiffLieAlgebra, adjoint_rep, trivial_extension,
-                            trivial_rep)
+from difflie.liealg import (DiffLieAlgebra, LieAlgebra, adjoint_rep,
+                            trivial_extension, trivial_rep)
 from difflie.multilinear import AltMap
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 cochain_dim, coords_to_altmap,
@@ -13,7 +13,7 @@ from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 NotCocycle, altmap1_from_matrix,
                                 build_extension, classify,
                                 equivalence_witness, extract_cocycle,
-                                matrix_from_altmap1)
+                                matrix_from_altmap1, split_extension)
 from difflie.samples import (abelian, aff1, rand_matrix, random_diff_lie,
                              random_rep)
 
@@ -98,6 +98,32 @@ def test_invalid_extension_detected(rng):
     i, p, s = canonical_maps(A.dim, rep.space_dim)
     with pytest.raises(InvalidExtension):
         AbelianExtension(total, i, p * Fraction(2), s)
+
+
+@pytest.mark.parametrize("gdim, bracket, d, message", [
+    # aff1, [e1,e2] = e2, as the kernel of an extension of the zero algebra
+    (0, {(0, 1): [0, 1]}, [[0, 0], [0, 1]], "kernel is not abelian"),
+    # V = <e2> with [e1,e2] = e1: the bracket leaves V
+    (1, {(0, 1): [1, 0]}, [[0, 0], [0, 0]], "kernel is not an ideal"),
+    # abelian, with d e2 = e1
+    (1, {}, [[0, 1], [0, 0]], "operator does not preserve kernel"),
+])
+def test_kernel_defects_are_named(gdim, bracket, d, message):
+    total = DiffLieAlgebra(LieAlgebra(2, AltMap(2, 2, 2, bracket)),
+                           Matrix.from_rows(d), 3)
+    with pytest.raises(InvalidExtension, match="^%s$" % message):
+        split_extension(total, gdim, 2 - gdim)
+
+
+def test_zero_dimensional_extension():
+    A = DiffLieAlgebra(abelian(0), Matrix.zero(0, 0), 1)
+    rep = trivial_rep(A, 0)
+    E = build_extension(A, rep, AltMap(2, 0, 0), AltMap(1, 0, 0))
+    assert E.total.dim == 0 and E.split.is_zero()
+    rep2, psi, chi = extract_cocycle(E)
+    assert rep2.rho == [] and rep2.dV == Matrix.zero(0, 0)
+    assert psi.is_zero() and chi.is_zero()
+    assert E.base().dim == 0
 
 
 def test_section_change_is_coboundary(rng):

@@ -17,8 +17,7 @@ import pytest
 from difflie.linalg import basis_vec, vec_add, vec_scale, vec_zero
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
-                                 NonHomogeneousInput, alt_to_graded,
-                                 suspend_space)
+                                 NonHomogeneousInput, suspend_space)
 from difflie.nr import (arity_weights, circ_bar, family_circ, insertion_sum,
                         nr_bracket)
 from difflie.permutations import koszul_sign
@@ -102,7 +101,6 @@ def test_alternating_map_is_the_graded_map_on_one_odd_degree():
     assert f.space is suspend_space(3) and f.space is AltMap(1, 3, 5).space
     assert f.degree == 1 and f.space.degrees == [-1, -1, -1]
     assert f.coeffs == {(0, 2): [-1, -2, -3]}
-    assert alt_to_graded(f) == f and alt_to_graded(f) is not f
     c = AltMap(0, 2, 2)
     c[()] = [1, 0]
     assert c.value_on_basis(()) == [1, 0]

@@ -1,16 +1,19 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from conftest import basis_of_degree
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, is_diff_lie_algebra
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.nr import graded_circ_bar
-from difflie.homotopy import (HomotopyDiffLie, bracket_family,
+from difflie.homotopy import (DegreeMismatch, HomotopyDiffLie,
+                              NotMaurerCartan, bracket_family,
                               homotopy_diff_residual, homotopy_mc_check,
-                              linfty_residual, operator_family,
-                              residual_tables, suspend_diff_lie)
+                              linfty_residual, mc_residual, operator_family,
+                              residual_tables, suspend_diff_lie, twist)
 from difflie.permutations import koszul_sign, shuffles
 from difflie.samples import WEIGHTS, rand_matrix, random_diff_lie
 
@@ -112,6 +115,18 @@ def rand_homogeneous(rng, space):
     for i in basis_of_degree(space, deg):
         v[i] = rng.choice((-2, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)))
     return v
+
+
+def twisted_by_vectors(mu, alpha, args, dim):
+    """sum_i 1/i! mu_{n+i}(alpha, .., alpha, args) for n = len(args): the
+    per-basis-tuple twist that the insertion sums replaced."""
+    out = vec_zero(dim)
+    for m, f in mu.items():
+        i = m - len(args)
+        if i >= 0:
+            term = f.evaluate([alpha] * i + args)
+            out = vec_add(out, vec_scale(Fraction(1, factorial(i)), term))
+    return out
 
 
 def two_term_space():
@@ -394,3 +409,68 @@ def test_suspended_reduction_residuals_are_axiom_residuals():
     assert res == vec_scale(-1, defect)
     assert not vec_is_zero(res)
 
+
+
+# ---------------------------------------------------------------------------
+# L-infinity[1]-algebras: twisting by a Maurer-Cartan element
+
+
+def test_twist_of_the_two_term_bracket_family():
+    # mu_1 e0 = e1, mu_2(e0,e0) = 2 e1: alpha = -e0 is Maurer-Cartan,
+    # -e1 + 1/2 * 2 e1 = 0, and twisting flips mu_1
+    H = two_term(p=2)
+    L = HomotopyDiffLie(H.space, H.mu, {}, H.weight)
+    alpha = [-1, 0]
+    assert vec_is_zero(mc_residual(L, alpha))
+    T = twist(L, alpha)
+    assert T.mu[1].evaluate([basis_vec(2, 0)]) == [0, -1]
+    assert T.mu[2] == H.mu[2] and T.D == {}
+    for n in (1, 2, 3):
+        for key in H.space.spanning_tuples(n):
+            args = [basis_vec(2, k) for k in key]
+            assert vec_is_zero(linfty_residual(T, n, args))
+    assert homotopy_mc_check(T, max_n=3)[0]
+
+
+def test_twist_matches_per_basis_oracle(rng):
+    # random mixed-degree bracket families, mu_1 corrected on one degree-0
+    # basis vector so that a random degree-0 alpha is Maurer-Cartan
+    spaces = [GradedVectorSpace([(-1, 1), (0, 2), (1, 1)]),
+              GradedVectorSpace([(0, 2), (1, 1)]),
+              GradedVectorSpace([(-1, 2), (0, 1), (1, 2)])]
+    checked = 0
+    for _ in range(12):
+        space = spaces[rng.randrange(len(spaces))]
+        mu = rand_homotopy(rng, space).mu
+        zero = basis_of_degree(space, 0)
+        alpha = vec_zero(space.dim)
+        for k in zero:
+            alpha[k] = rng.choice((-1, 2, Fraction(1, 2)))
+        res = twisted_by_vectors(mu, alpha, [], space.dim)
+        assert mc_residual(HomotopyDiffLie(space, mu, {}, 0), alpha) == res
+        c = GradedSymMap(1, 1, space)
+        c[(zero[0],)] = vec_scale(Fraction(1) / alpha[zero[0]], res)
+        mu[1] = mu.get(1, GradedSymMap(1, 1, space)) - c
+        H = HomotopyDiffLie(space, mu, {}, 0)
+        assert vec_is_zero(mc_residual(H, alpha))
+        T = twist(H, alpha)
+        for n in range(1, max(mu) + 1):
+            for key in space.spanning_tuples(n):
+                args = [basis_vec(space.dim, k) for k in key]
+                want = twisted_by_vectors(mu, alpha, args, space.dim)
+                got = T.mu[n].value_on_basis(key) if n in T.mu \
+                    else vec_zero(space.dim)
+                assert got == want
+                checked += not vec_is_zero(want)
+    assert checked > 100
+
+
+def test_twist_rejections():
+    H = two_term(p=2)
+    L = HomotopyDiffLie(H.space, H.mu, {}, H.weight)
+    with pytest.raises(NotMaurerCartan):
+        twist(L, [1, 0])  # e1 + e1 != 0
+    with pytest.raises(DegreeMismatch):
+        mc_residual(L, [0, 1])  # e1 sits in degree 1
+    with pytest.raises(ValueError):
+        twist(H, [-1, 0])  # H carries operators

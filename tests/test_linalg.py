@@ -444,7 +444,8 @@ SHAPE_ERRORS = {
     "formal_iso": "FormalIso([Matrix.zero(2, 2)])",
     "formal_iso_empty": "FormalIso([])",
     "map_add": "AltMap(2, 2, 2) + AltMap(1, 2, 2)",
-    "linfty_arity": "LInftyStructure(suspend_space(2), {2: AltMap(1, 2, 2)})",
+    "linfty_arity": "HomotopyDiffLie(suspend_space(2), {2: AltMap(1, 2, 2)}, "
+                    "{}, 0)",
     "term_kind": "Term('x', AltMap(1, 2, 2))",
     "bracket_args": "linfty_residual(H, 2, [[1, 0]])",
     "operator_args": "homotopy_diff_residual(H, 1, [[1, 0], [0, 1]])",
@@ -453,7 +454,7 @@ SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
                  "from difflie.deformations import FormalIso\n"
                  "from difflie.homotopy import HomotopyDiffLie, "
                  "homotopy_diff_residual, linfty_residual\n"
-                 "from difflie.linfty import LInftyStructure, Term\n"
+                 "from difflie.linfty import Term\n"
                  "from difflie.multilinear import AltMap, suspend_space\n"
                  "H = HomotopyDiffLie(suspend_space(2), {}, {}, 0)\n")
 

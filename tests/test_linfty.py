@@ -5,18 +5,18 @@ import pytest
 
 from axiom_oracles import relative_oracle
 from difflie.linalg import Matrix, basis_vec, vec_is_zero, vec_scale
-from difflie.multilinear import AltMap, alt_to_graded
+from difflie.multilinear import AltMap
+from difflie.homotopy import (HomotopyDiffLie, lambda_rescale, linfty_residual,
+                              mc_residual, twist)
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
-                            InvalidVData, LInftyStructure, Term,
-                            absolute_structure, absolute_vdata,
-                            generalized_jacobi_residual,
+                            InvalidVData, Term, absolute_structure,
+                            absolute_vdata,
                             generalized_jacobi_residual_formal, iota_M,
-                            iota_a_abs, key_formula_check,
-                            lambda_rescale, mc_check_absolute,
-                            mc_check_relative, mc_residual, mc_residual_formal,
+                            iota_a_abs, key_formula_check, mc_check_absolute,
+                            mc_check_relative, mc_residual_formal,
                             morphism_residual, pack_D, project_M_rel,
                             project_a_rel, relative_structure,
-                            relative_vdata, twist, twist_l1_formal)
+                            relative_vdata, twist_l1_formal)
 from difflie.liealg import (DiffLieAlgebra, adjoint_rep,
                             is_diff_lie_algebra, is_lieact,
                             semidirect_bracket)
@@ -355,12 +355,11 @@ def test_morphism_relative_to_absolute_breaks_with_two_h_inputs():
 
 
 # ---------------------------------------------------------------------------
-# concrete finite-dimensional structures
+# concrete finite-dimensional structures: a HomotopyDiffLie with no D
 
 
 def lie_linfty(L):
-    F = alt_to_graded(L.bracket)
-    return LInftyStructure(F.space, {2: F})
+    return HomotopyDiffLie(L.bracket.space, {2: L.bracket}, {}, 0)
 
 
 def test_concrete_jacobi_from_lie():
@@ -368,23 +367,23 @@ def test_concrete_jacobi_from_lie():
     vs = [basis_vec(3, i) for i in range(3)]
     for n in (2, 3):
         args = vs[:n] if n <= 3 else vs
-        assert vec_is_zero(generalized_jacobi_residual(S, n, args))
+        assert vec_is_zero(linfty_residual(S, n, args))
 
 
 def test_lambda_rescale_variants():
     S = lie_linfty(heisenberg())
     full = lambda_rescale(S, 3, "full")
     red = lambda_rescale(S, 3, "reduced")
-    assert full.brackets[2] == S.brackets[2].scale(3)
-    assert red.brackets[2] == S.brackets[2]
-    assert lambda_rescale(S, 0, "full").arity_bound == 0
+    assert full.mu[2] == S.mu[2].scale(3)
+    assert red.mu[2] == S.mu[2]
+    assert lambda_rescale(S, 0, "full").mu == {}
 
 
 def test_twist_by_zero_is_identity():
     S = lie_linfty(aff1())
     zero = [Fraction(0)] * 2
     T = twist(S, zero)
-    assert T.brackets == S.brackets
+    assert T.mu == S.mu and T.D == {}
     assert vec_is_zero(mc_residual(S, zero))
 
 

@@ -4,12 +4,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import basis_of_degree, graded_to_alt
+from conftest import basis_of_degree
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_zero
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
-                                 NonHomogeneousInput, alt_to_graded,
-                                 pullback)
+                                 NonHomogeneousInput, pullback)
 
 
 def suspension_sign(v_degrees):
@@ -131,18 +130,6 @@ def test_suspension_sign():
     assert suspension_sign([0, 0]) == 1
     assert suspension_sign([1, 1]) == -1  # exponent (2-1)*1
     assert suspension_sign([1, 1, 1]) == -1  # exponent 2*1 + 1*1 = 3
-
-
-def test_suspension_round_trip(rng):
-    for _ in range(5):
-        f = AltMap(3, 4, 4)
-        for _ in range(4):
-            key = tuple(sorted(rng.sample(range(4), 3)))
-            f[key] = [Fraction(rng.randrange(-3, 4)) for _ in range(4)]
-        F = alt_to_graded(f)
-        assert F.degree == 2
-        assert F.space.degrees == [-1] * 4
-        assert graded_to_alt(F) == f
 
 
 SCALARS = st.fractions(min_value=-2, max_value=2, max_denominator=3)

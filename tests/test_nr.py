@@ -2,8 +2,7 @@ from fractions import Fraction
 
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_sub, \
     vec_is_zero
-from conftest import graded_to_alt
-from difflie.multilinear import AltMap, alt_to_graded
+from difflie.multilinear import AltMap
 from difflie.nr import circ_bar, nr_bracket, graded_circ_bar
 from difflie.liealg import is_lie_algebra, LieAlgebra
 from difflie.samples import aff1, sl2, heisenberg, rand_vec
@@ -107,22 +106,8 @@ def test_nr_graded_jacobi(rng):
         assert total.is_zero()
 
 
-def test_graded_matches_ungraded_via_suspension(rng):
-    for _ in range(8):
-        dim = 3
-        f = rand_altmap(rng, rng.randrange(1, 4), dim)
-        g = rand_altmap(rng, rng.randrange(1, 4), dim)
-        space = alt_to_graded(f).space
-        F, G = alt_to_graded(f, space), alt_to_graded(g, space)
-        lhs = nr_bracket(F, G)
-        rhs = alt_to_graded(nr_bracket(f, g), space)
-        assert lhs.arity == rhs.arity
-        assert graded_to_alt(lhs) == graded_to_alt(rhs)
-
-
 def test_graded_self_bracket_odd():
     mu = sl2().bracket
-    F = alt_to_graded(mu)
-    assert F.degree == 1
-    assert nr_bracket(F, F) == graded_circ_bar(F, F).scale(2)
-    assert nr_bracket(F, F).is_zero()
+    assert mu.degree == 1
+    assert nr_bracket(mu, mu) == graded_circ_bar(mu, mu).scale(2)
+    assert nr_bracket(mu, mu).is_zero()
