@@ -18,8 +18,7 @@ import random
 import sys
 from itertools import combinations
 
-from .linalg import (CompositionNonzero, basis_vec, fmt_scalar, parse_scalar,
-                     vec_is_zero)
+from .linalg import CompositionNonzero, fmt_scalar, parse_scalar, vec_is_zero
 from .liealg import (FLAVORS, AxiomFailure, DiffLieAlgebra, SchemaError,
                      _matrix_to_json, adjoint_rep, altmap_from_json,
                      altmap_to_json, difflie_from_json, difflie_to_json,
@@ -198,19 +197,14 @@ def cmd_mc_check(A, args):
 
 
 def cmd_twist(A, args):
-    from .cohomology import (CocyclePair, pair_dim, twist_bridge,
-                             twist_bridge_residual)
+    from .cohomology import twist_bridge_residual
     dim, max_n = A.dim, args.max_degree
     bad = []
     for n in range(1, max_n + 1):
-        size = pair_dim(dim, dim, n)
-        bridge = twist_bridge(A, n)
-        for idx in range(size):
-            pair = CocyclePair.from_coords(basis_vec(size, idx), dim, dim, n)
-            res = twist_bridge_residual(A, n, pair, bridge)
-            if not vec_is_zero(res):
-                bad.append({"degree": n, "basis_index": idx + 1,
-                            "residual": _fmt_vec(res)})
+        cols = twist_bridge_residual(A, n).transpose().data
+        bad.extend({"degree": n, "basis_index": k + 1,
+                    "residual": _fmt_vec(col)}
+                   for k, col in enumerate(cols) if not vec_is_zero(col))
     report = {"dim": dim, "weight": fmt_scalar(A.weight),
               "max_degree": max_n, "bridge_nonzero": bad,
               "bridge_zero": not bad}

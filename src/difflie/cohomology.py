@@ -16,6 +16,11 @@ Degree-0 sign note: the combined differential uses the uniform mapping-cone
 rule (f, g) |-> (d_ce f, -d_do g - delta f) in every degree, including the
 extension of that rule to degree 0 (where g = 0), which is what d o d = 0
 forces.
+
+An n-cochain is an AltMap of arity n for every n >= 0 (a 0-cochain is the
+arity-0 map, whose one key () holds a vector of V); its coordinates, and a
+cocycle pair's, are read off the maps.  The bridge to the twisted formal
+structure is one residual matrix per degree.
 """
 
 from itertools import combinations, product
@@ -45,20 +50,17 @@ def cochain_dim(gdim, vdim, n):
     return comb(gdim, n) * vdim
 
 
-def altmap_to_coords(f, gdim, vdim, n):
-    """Coordinates of an n-cochain (a vector when n = 0, else an AltMap)."""
-    if n == 0:
-        return [frac(x) for x in f]
+def altmap_to_coords(f):
+    """Coordinates of a cochain, an AltMap of any arity (a 0-cochain is the
+    arity-0 map, whose one key () holds a vector of V)."""
     out = []
-    for key in cochain_keys(gdim, n):
+    for key in cochain_keys(f.src_dim, f.arity):
         vec = f.coeffs.get(key)
-        out.extend(vec if vec is not None else vec_zero(vdim))
+        out.extend(vec if vec is not None else vec_zero(f.tgt_dim))
     return out
 
 
 def coords_to_altmap(coords, gdim, vdim, n):
-    if n == 0:
-        return list(coords)
     f = AltMap(n, gdim, vdim)
     for k, key in enumerate(cochain_keys(gdim, n)):
         vec = coords[k * vdim:(k + 1) * vdim]
@@ -72,47 +74,40 @@ def coords_to_altmap(coords, gdim, vdim, n):
 # definitions that the matrix builders below are tested against
 
 
-def ce_apply(L, rep, f, n):
+def ce_apply(L, rep, f):
     """The Lie-algebra coboundary of an n-cochain, an (n+1)-cochain."""
-    gdim, vdim = L.dim, rep.space_dim
+    gdim, vdim, n = L.dim, rep.space_dim, f.arity
     out = AltMap(n + 1, gdim, vdim)
-    if n + 1 > gdim:
-        return out
     for key in combinations(range(gdim), n + 1):
         total = vec_zero(vdim)
         for pos in range(n + 1):
             i = pos + 1
             sign = -1 if (i + n) % 2 else 1
             rest = key[:pos] + key[pos + 1:]
-            inner = f if n == 0 else f.value_on_basis(rest)
-            val = rep.rho[key[pos]].matvec(inner)
+            val = rep.rho[key[pos]].matvec(f.value_on_basis(rest))
             if not vec_is_zero(val):
                 total = vec_add(total, vec_scale(sign, val))
-        if n >= 1:
-            for pos_i in range(n + 1):
-                for pos_j in range(pos_i + 1, n + 1):
-                    i, j = pos_i + 1, pos_j + 1
-                    sign = -1 if (i + j + n + 1) % 2 else 1
-                    rest = tuple(key[p] for p in range(n + 1)
-                                 if p not in (pos_i, pos_j))
-                    br = L.br(basis_vec(gdim, key[pos_i]),
-                              basis_vec(gdim, key[pos_j]))
-                    val = f.evaluate([br] + [basis_vec(gdim, t)
-                                             for t in rest])
-                    if not vec_is_zero(val):
-                        total = vec_add(total, vec_scale(sign, val))
+        for pos_i in range(n + 1):
+            for pos_j in range(pos_i + 1, n + 1):
+                i, j = pos_i + 1, pos_j + 1
+                sign = -1 if (i + j + n + 1) % 2 else 1
+                rest = tuple(key[p] for p in range(n + 1)
+                             if p not in (pos_i, pos_j))
+                br = L.br(basis_vec(gdim, key[pos_i]),
+                          basis_vec(gdim, key[pos_j]))
+                val = f.evaluate([br] + [basis_vec(gdim, t) for t in rest])
+                if not vec_is_zero(val):
+                    total = vec_add(total, vec_scale(sign, val))
         if not vec_is_zero(total):
             out.coeffs[key] = total
     return out
 
 
-def delta_apply(A, rep, f, n):
+def delta_apply(A, rep, f):
     """The connecting map delta on an n-cochain: insert the operator into
     1 <= k <= n slots with weight lambda^{k-1}, minus d_V after f."""
     lam = A.weight
-    gdim, vdim = A.dim, rep.space_dim
-    if n == 0:
-        return vec_scale(-1, rep.dV.matvec(f))
+    gdim, vdim, n = A.dim, rep.space_dim, f.arity
     out = AltMap(n, gdim, vdim)
     for key in combinations(range(gdim), n):
         base = [basis_vec(gdim, i) for i in key]
@@ -325,32 +320,32 @@ def pair_dim(gdim, vdim, n):
 
 
 class CocyclePair:
-    """(f, g) with f an n-cochain into V and g an (n-1)-cochain into V."""
+    """(f, g) in degree n >= 1: f an n-cochain into V and g an (n-1)-cochain
+    into V, both AltMaps (g of arity 0 in degree 1)."""
 
     def __init__(self, f, g):
+        if g.arity != f.arity - 1:
+            raise ArityMismatch("a pair of arities %d and %d"
+                                % (f.arity, g.arity))
         self.f = f
         self.g = g
 
-    def coords(self, gdim, vdim, n):
+    def coords(self):
         """Coordinates in C^n: the Lie part first, then the operator part."""
-        out = altmap_to_coords(self.f, gdim, vdim, n)
-        if n >= 1:
-            out = out + altmap_to_coords(self.g, gdim, vdim, n - 1)
-        return out
+        return altmap_to_coords(self.f) + altmap_to_coords(self.g)
 
     @classmethod
     def from_coords(cls, coords, gdim, vdim, n):
-        """The inverse of coords (degree n >= 1)."""
+        """The inverse of coords."""
         cut = cochain_dim(gdim, vdim, n)
         return cls(coords_to_altmap(coords[:cut], gdim, vdim, n),
                    coords_to_altmap(coords[cut:], gdim, vdim, n - 1))
 
 
-def pair_residual(A, rep, n, pair):
+def pair_residual(A, rep, pair):
     """The combined differential of (A, rep) applied to the pair, as a
     coordinate vector in degree n+1; zero exactly for cocycles."""
-    return difflie_differential(A, rep, n).matvec(
-        pair.coords(A.dim, rep.space_dim, n))
+    return difflie_differential(A, rep, pair.f.arity).matvec(pair.coords())
 
 
 def pair_primitive(A, rep, pair):
@@ -358,109 +353,44 @@ def pair_primitive(A, rep, pair):
     (phi as a 1-cochain with zero operator part) is the degree-2 pair, or
     None when the pair has no such primitive.  The solve is linear in the
     pair, so the negated pair gives the negated phi."""
-    gdim, vdim = A.dim, rep.space_dim
-    x = difflie_differential(A, rep, 1, tilde=True).solve(
-        pair.coords(gdim, vdim, 2))
+    x = difflie_differential(A, rep, 1, tilde=True).solve(pair.coords())
     if x is None:
         return None
-    return matrix_from_altmap1(coords_to_altmap(x, gdim, vdim, 1))
+    return matrix_from_altmap1(coords_to_altmap(x, A.dim, rep.space_dim, 1))
 
 
 # ---------------------------------------------------------------------------
 # bridge to the twisted formal structure (adjoint coefficients)
 
 
-def _as_altmap0(v, dim):
-    f = AltMap(0, dim, dim)
-    f[()] = list(v)
-    return f
-
-
-def twist_bridge(A, n):
-    """What twist_bridge_residual needs in degree n besides the pair: the
-    absolute structure, the bracket, d as a 1-cochain and the combined
-    differential of degree n with adjoint coefficients."""
-    from .linfty import absolute_structure
-    return (absolute_structure(A.dim, A.weight), A.algebra.bracket,
-            altmap1_from_matrix(A.d),
-            difflie_differential(A, adjoint_rep(A), n))
-
-
-def twist_bridge_residual(A, n, pair, bridge=None):
+def _twisted_l1(A, pair):
     """l_1 of the absolute structure twisted by (s mu, d), applied to
-    (sf, g), plus the combined differential of (f, g); identically zero for
-    adjoint coefficients.  Returned in degree-(n+1) coordinates.  Pass
-    bridge = twist_bridge(A, n) to check many pairs of one degree."""
-    from .linfty import Term, twist_l1_formal
-    dim = A.dim
-    struct, mu, dmap, d = bridge or twist_bridge(A, n)
-    fterm = Term("s", pair.f)
-    if n == 1:
-        gterm = Term("a", _as_altmap0(pair.g, dim))
-    else:
-        gterm = Term("a", pair.g)
-    twisted = twist_l1_formal(struct, mu, dmap, fterm) + \
-        twist_l1_formal(struct, mu, dmap, gterm)
+    (sf, g), in degree-(n+1) coordinates."""
+    from .linfty import Term, absolute_structure, twist_l1_formal
+    n, dim = pair.f.arity, A.dim
+    struct = absolute_structure(dim, A.weight)
+    mu, dmap = A.algebra.bracket, altmap1_from_matrix(A.d)
+    twisted = twist_l1_formal(struct, mu, dmap, Term("s", pair.f)) + \
+        twist_l1_formal(struct, mu, dmap, Term("a", pair.g))
     # assemble as coordinates in C^{n+1} = C^{n+1}_ce (+) C^n_do
-    s_out = AltMap(n + 1, dim, dim)
-    a_out = AltMap(n, dim, dim)
+    out = {"s": AltMap(n + 1, dim, dim), "a": AltMap(n, dim, dim)}
     for t in twisted.terms():
-        want = n + 1 if t.kind == "s" else n
-        if t.f.arity != want:
+        if t.f.arity != out[t.kind].arity:
             raise ArityMismatch("twisted %s-term of arity %d in degree %d"
                                 % (t.kind, t.f.arity, n))
-        if t.kind == "s":
-            s_out = s_out + t.f
-        else:
-            a_out = a_out + t.f
-    return vec_add(altmap_to_coords(s_out, dim, dim, n + 1) +
-                   altmap_to_coords(a_out, dim, dim, n),
-                   d.matvec(pair.coords(dim, dim, n)))
+        out[t.kind] = out[t.kind] + t.f
+    return altmap_to_coords(out["s"]) + altmap_to_coords(out["a"])
 
 
-# ---------------------------------------------------------------------------
-# coefficients in a general representation via the split-zero extension
-
-
-def extension_embedding(A, rep, n):
-    """The matrix embedding Hom(wedge^n g, V) into Hom(wedge^n(g (+) V),
-    g (+) V): restrict along wedge^n g, kill every summand with a V-factor,
-    corestrict along V.  Together with the analogous map on the operator
-    part this identifies the coefficient complex with a subcomplex of the
-    adjoint complex of the split-zero extension."""
-    gdim, vdim = A.dim, rep.space_dim
-    N = gdim + vdim
-    src = cochain_dim(gdim, vdim, n)
-    tgt = cochain_dim(N, N, n)
-    out = Matrix.zero(tgt, src)
-    big_keys = {key: k for k, key in enumerate(cochain_keys(N, n))}
-    for k, key in enumerate(cochain_keys(gdim, n)):
-        for t in range(vdim):
-            col = k * vdim + t
-            row = big_keys[key] * N + gdim + t
-            out.data[row][col] = 1
-    return out
-
-
-def embedding_commutes_residual(A, rep, n):
-    """E . d  -  d_ext . E on the combined complexes, where E is the block
-    embedding of C^n(g,V) into C^n of the split-zero extension with adjoint
-    coefficients.  Returns the difference matrix (zero)."""
-    from .liealg import trivial_extension
-    ext = trivial_extension(A, rep)
-    ext_rep = adjoint_rep(ext)
-
-    def embed_block(m):
-        lie = extension_embedding(A, rep, m)
-        if m == 0:
-            return lie
-        op = extension_embedding(A, rep, m - 1)
-        z1 = Matrix.zero(lie.rows, op.cols)
-        z2 = Matrix.zero(op.rows, lie.cols)
-        return Matrix.block([[lie, z1], [z2, op]])
-
-    E_n = embed_block(n)
-    E_n1 = embed_block(n + 1)
-    d_small = difflie_differential(A, rep, n)
-    d_big = difflie_differential(ext, ext_rep, n)
-    return d_big * E_n - E_n1 * d_small
+def twist_bridge_residual(A, n):
+    """The degree-n bridge residual: the matrix whose column k is l_1 of the
+    absolute structure twisted by (s mu, d) on the k-th basis pair (sf, g),
+    plus the combined differential with adjoint coefficients on that pair.
+    The twisted l_1 is the combined differential up to sign, so the matrix
+    is identically zero."""
+    size = pair_dim(A.dim, A.dim, n)
+    d = difflie_differential(A, adjoint_rep(A), n)
+    cols = [_twisted_l1(A, CocyclePair.from_coords(basis_vec(size, k),
+                                                   A.dim, A.dim, n))
+            for k in range(size)]
+    return Matrix(size, d.rows, cols).transpose() + d

@@ -135,7 +135,7 @@ def infinitesimal(D):
     d1 = D.d[1] if D.order >= 1 else Matrix.zero(dim, dim)
     from .cohomology import CocyclePair, pair_residual
     pair = CocyclePair(mu1, altmap1_from_matrix(d1))
-    return pair, pair_residual(D.base, adjoint_rep(D.base), 2, pair)
+    return pair, pair_residual(D.base, adjoint_rep(D.base), pair)
 
 
 def apply_formal_iso(D, Phi):

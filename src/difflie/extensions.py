@@ -113,7 +113,7 @@ def build_extension(g, rep, psi, chi):
     gdim, vdim = g.dim, rep.space_dim
     from .cohomology import CocyclePair, pair_residual
     check_coefficients(g, rep)
-    res = pair_residual(g, rep, 2, CocyclePair(psi, chi))
+    res = pair_residual(g, rep, CocyclePair(psi, chi))
     if not vec_is_zero(res):
         raise NotCocycle(res)
     br = semidirect_bracket(gdim, vdim, rep.rho, g.algebra.bracket, psi)

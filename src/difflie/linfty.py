@@ -31,7 +31,6 @@ from .linalg import Matrix, div, frac, vec_zero, vec_is_zero
 from .liealg import semidirect_bracket
 from .multilinear import AltMap, altmap1_from_matrix
 from .nr import circ_bar, insertion_sum, nr_bracket
-from .permutations import koszul_sign, shuffles
 
 
 class InvalidVData(Exception):
@@ -232,22 +231,6 @@ class DerivedBrackets:
         res = v.P(self._iterated(v.L_bracket(v.Delta, v.iota_a(a_terms[0].f)),
                                  a_terms[1:]))
         return FormalElement([Term("a", res.scale(c))])
-
-
-def generalized_jacobi_residual_formal(struct, terms):
-    """The generalised Jacobi sum of a formal structure on a Term list."""
-    n = len(terms)
-    degs = [t.degree for t in terms]
-    out = FormalElement()
-    for i in range(1, n + 1):
-        for sigma in shuffles((i, n - i)):
-            eps = koszul_sign(sigma, degs)
-            inner = struct.bracket([terms[sigma[t] - 1] for t in range(i)])
-            tail = [terms[sigma[t] - 1] for t in range(i, n)]
-            for t_in in inner.terms():
-                outer = struct.bracket([t_in] + tail)
-                out = out + outer.scale(eps)
-    return out
 
 
 # ---------------------------------------------------------------------------

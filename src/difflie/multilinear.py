@@ -278,14 +278,16 @@ def altmap1_from_matrix(m):
 def pullback(f, S, T=None):
     """The alternating map (x_1, .., x_n) -> T f(S x_1, .., S x_n) on the
     source of S: f transported along the linear maps S and T, where T =
-    None is the identity.  Each sorted key is evaluated once, on the
-    columns of S."""
-    cols = S.transpose().data
+    None is the identity.  Each column of S is read once, and each sorted
+    key of nonzero columns is accumulated once; a key with a zero column
+    is zero."""
+    supports = [vec_support(col) for col in S.transpose().data]
     out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
-    for key in out.space.spanning_tuples(f.arity):
-        val = f.evaluate_head([cols[x] for x in key])
-        if T is not None:
-            val = T.matvec(val)
+    for key in combinations([j for j, c in enumerate(supports) if c],
+                            f.arity):
+        val = vec_zero(f.tgt_dim)
+        f.accumulate(val, 1, [supports[x] for x in key])
+        val = exact(val) if T is None else T.matvec(val)
         if not vec_is_zero(val):
             out.coeffs[key] = val
     return out

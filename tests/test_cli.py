@@ -7,7 +7,6 @@ from difflie.linalg import Matrix
 from difflie.liealg import (DiffLieAlgebra, difflie_to_json, rep_to_json,
                             altmap_to_json, trivial_rep, adjoint_rep)
 from difflie.multilinear import AltMap
-from difflie.extensions import build_extension
 from difflie.samples import abelian, aff1, sl2
 
 
@@ -112,6 +111,31 @@ def test_twist_bridge(tmp_path, capsys):
     path = write(tmp_path, "a.json", aff1_doc())
     rc, rep, _ = run(capsys, ["twist", path, "--max-degree", "2"])
     assert rc == 0 and rep["bridge_zero"]
+
+
+AFF1 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    "cli_snapshots", "inputs", "aff1.json")
+
+
+def test_twist_reports_nonzero_bridge(monkeypatch, capsys):
+    """The bridge is an identity of formulas, so no real input trips it;
+    doubling the combined differential makes every column whose
+    differential is nonzero show, in degree order and then basis order."""
+    import difflie.cohomology as cohomology
+    true_d = cohomology.difflie_differential
+    monkeypatch.setattr(cohomology, "difflie_differential",
+                        lambda A, rep, n, tilde=False:
+                        true_d(A, rep, n, tilde).scale(2))
+    rc, rep, _ = run(capsys, ["twist", AFF1, "--max-degree", "2"])
+    assert rc == 1
+    entries = [(1, 1, "0 1 0 0 0 0"), (1, 2, "0 0 0 1 0 0"),
+               (1, 3, "-1 0 0 0 -1 0"), (1, 5, "0 0 0 0 0 -4"),
+               (1, 6, "0 0 0 1 0 0"), (2, 1, "-1 0"), (2, 3, "0 -4"),
+               (2, 5, "1 0")]
+    assert rep == {"bridge_nonzero": [
+        {"basis_index": k, "degree": n, "residual": res.split()}
+        for n, k, res in entries],
+        "bridge_zero": False, "dim": 2, "max_degree": 2, "weight": "3"}
 
 
 def test_key_formula_and_determinism(tmp_path, capsys):

@@ -35,20 +35,21 @@ def operator_matrix(op, gdim, vdim, n, m):
     for j in range(src):
         e = vec_zero(src)
         e[j] = Fraction(1)
-        col = altmap_to_coords(op(coords_to_altmap(e, gdim, vdim, n)),
-                               gdim, vdim, m)
+        image = op(coords_to_altmap(e, gdim, vdim, n))
+        assert image.arity == m
+        col = altmap_to_coords(image)
         for i in range(tgt):
             out.data[i][j] = col[i]
     return out
 
 
 def oracle_ce(A, rep, n):
-    return operator_matrix(lambda f: ce_apply(A.algebra, rep, f, n),
+    return operator_matrix(lambda f: ce_apply(A.algebra, rep, f),
                            A.dim, rep.space_dim, n, n + 1)
 
 
 def oracle_delta(A, rep, n):
-    return operator_matrix(lambda f: delta_apply(A, rep, f, n),
+    return operator_matrix(lambda f: delta_apply(A, rep, f),
                            A.dim, rep.space_dim, n, n)
 
 

@@ -13,7 +13,7 @@ from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 NotCocycle, altmap1_from_matrix,
                                 build_extension, classify,
                                 equivalence_witness, extract_cocycle,
-                                matrix_from_altmap1, split_extension)
+                                split_extension)
 from difflie.samples import (abelian, aff1, rand_matrix, random_diff_lie,
                              random_rep)
 
@@ -139,8 +139,7 @@ def test_section_change_is_coboundary(rng):
         s2 = E.s + E.i * phi
         E2 = AbelianExtension(E.total, E.i, E.p, s2)
         _, psi2, chi2 = extract_cocycle(E2)
-        diff = CocyclePair(psi2 - pair.f, chi2 - pair.g).coords(
-            gdim, vdim, 2)
+        diff = CocyclePair(psi2 - pair.f, chi2 - pair.g).coords()
         d1 = difflie_differential(A, rep, 1, tilde=True)
         phi_coords = altmap1_from_matrix(phi).coeffs
         flat = []

@@ -1,11 +1,12 @@
 """Shuffle insertion on maps has one kernel, ``nr.insertion_sum``, and the
 weight-graded family sums have one each.
 
-Outside ``permutations.py`` only two functions of the package may call
-``shuffles(``: ``nr.insertion_sum`` itself, and
-``linfty.generalized_jacobi_residual_formal``, whose brackets return formal
-sums of terms rather than maps on one space.  Any other shuffle loop is a
-second copy of the insertion sum.
+Outside ``permutations.py`` only one function of the package may call
+``shuffles(``: ``nr.insertion_sum`` itself.  Any other shuffle loop is a
+second copy of the insertion sum.  (The generalised Jacobi sum of the
+formal structures on sM (+) a, whose brackets return formal sums of terms
+rather than maps on one space, is a test oracle in ``tests/test_linfty.py``,
+outside the package.)
 
 Likewise only ``nr.operator_family`` inserts at pointed shuffles (calls
 ``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
@@ -20,8 +21,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")
 
-ALLOWED = {("nr.py", "insertion_sum"),
-           ("linfty.py", "generalized_jacobi_residual_formal")}
+ALLOWED = {("nr.py", "insertion_sum")}
 
 
 def _called(node):

@@ -5,22 +5,22 @@ import pytest
 
 from axiom_oracles import relative_oracle
 from difflie import multilinear
-from difflie.linalg import Matrix, basis_vec, vec_is_zero
+from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
                             difflie_from_json, difflie_to_json,
                             is_diff_lie_algebra, is_diff_representation,
                             is_lie_algebra, is_lieact, jacobi_residual,
-                            lieact_residuals, lift_tilde_D, LieActTriple,
-                            SchemaError, relative_diff_residual,
-                            rep_from_json, rep_to_json, rep_residuals,
-                            rescale_operator, rho_lambda, semidirect_weighted,
+                            lift_tilde_D, LieActTriple, SchemaError,
+                            relative_diff_residual, rep_from_json,
+                            rep_to_json, rescale_operator, rho_lambda,
+                            semidirect_weighted,
                             trivial_extension, trivial_rep,
                             weighted_derivation_residual)
 from difflie.samples import (abelian, aff1, heisenberg, sl2, direct_sum,
                              conjugate_algebra, derivation_basis,
                              random_diff_lie, random_rep, random_lieact,
                              random_relative_operator, rand_matrix,
-                             rand_unimodular, invert_matrix, WEIGHTS)
+                             rand_unimodular, WEIGHTS)
 
 
 def aff1_d():

@@ -10,20 +10,37 @@ from difflie.homotopy import (HomotopyDiffLie, lambda_rescale, linfty_residual,
                               mc_residual, twist)
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
                             InvalidVData, Term, absolute_structure,
-                            absolute_vdata,
-                            generalized_jacobi_residual_formal, iota_M,
-                            iota_a_abs, key_formula_check, mc_check_absolute,
+                            absolute_vdata, iota_M, iota_a_abs,
+                            key_formula_check, mc_check_absolute,
                             mc_check_relative, mc_residual_formal,
-                            morphism_residual, pack_D, project_M_rel,
+                            morphism_residual, project_M_rel,
                             project_a_rel, relative_structure,
                             relative_vdata, twist_l1_formal)
-from difflie.liealg import (DiffLieAlgebra, adjoint_rep,
-                            is_diff_lie_algebra, is_lieact,
+from difflie.liealg import (DiffLieAlgebra, is_diff_lie_algebra, is_lieact,
                             semidirect_bracket)
 from difflie.nr import nr_bracket
+from difflie.permutations import koszul_sign, shuffles
 from difflie.samples import (aff1, heisenberg, sl2, rand_matrix, rand_vec,
                              random_diff_lie, random_lieact,
                              random_relative_operator, WEIGHTS)
+
+
+def generalized_jacobi_residual_formal(struct, terms):
+    """The generalised Jacobi sum of a formal structure on a Term list: the
+    brackets of sM (+) a return formal sums of terms, not maps on one
+    space, so this is a plain shuffle loop rather than an insertion sum."""
+    n = len(terms)
+    degs = [t.degree for t in terms]
+    out = FormalElement()
+    for i in range(1, n + 1):
+        for sigma in shuffles((i, n - i)):
+            eps = koszul_sign(sigma, degs)
+            inner = struct.bracket([terms[sigma[t] - 1] for t in range(i)])
+            tail = [terms[sigma[t] - 1] for t in range(i, n)]
+            for t_in in inner.terms():
+                outer = struct.bracket([t_in] + tail)
+                out = out + outer.scale(eps)
+    return out
 
 
 def in_M_rel(F, gdim, hdim):

@@ -2,10 +2,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import basis_of_degree
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_zero
+from conftest import basis_of_degree, exact_scalar
+from difflie.linalg import (Matrix, basis_vec, vec_add, vec_is_zero,
+                            vec_scale, vec_zero)
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  NonHomogeneousInput, pullback)
@@ -167,3 +168,51 @@ def test_pullback_is_transport_along_linear_maps(case):
         val = f.evaluate([S.matvec(basis_vec(n, x)) for x in key])
         assert g.value_on_basis(key) == (val if T is None
                                          else T.matvec(val))
+
+
+def pullback_by_keys(f, S, T=None):
+    """The per-key route pullback replaced, kept as its oracle: every sorted
+    key of the source of S through evaluate_head on the columns of S, zero
+    columns included."""
+    cols = S.transpose().data
+    out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
+    for key in out.space.spanning_tuples(f.arity):
+        val = f.evaluate_head([cols[x] for x in key])
+        if T is not None:
+            val = T.matvec(val)
+        if not vec_is_zero(val):
+            out.coeffs[key] = val
+    return out
+
+
+@st.composite
+def pullback_cases_with_zero_columns(draw):
+    """pullback_cases, with arity 0 allowed and some columns of S zeroed."""
+    f, S, T = draw(pullback_cases())
+    if draw(st.booleans()):
+        f = AltMap(0, f.src_dim, f.tgt_dim, {(): draw(st.lists(
+            SCALARS, min_size=f.tgt_dim, max_size=f.tgt_dim))})
+    zero = draw(st.sets(st.integers(0, S.cols - 1)))
+    S = Matrix(S.rows, S.cols, [[0 if j in zero else x
+                                 for j, x in enumerate(row)]
+                                for row in S.data])
+    return f, S, T
+
+
+@given(pullback_cases_with_zero_columns())
+@example((sample_altmap(), Matrix.from_rows([[1, 0, 2], [0, 0, 1],
+                                             [3, 0, 0]]), None))
+@example((sample_altmap(), Matrix.zero(3, 2),
+          Matrix.from_rows([[1, 1, 0]])))
+@example((sample_altmap(), Matrix.from_rows([[0, 1, 0, 1], [0, 0, 0, 1],
+                                             [0, Fraction(1, 2), 0, 0]]),
+          Matrix.from_rows([[1, 0, 0], [0, 2, 1]])))
+@example((AltMap(1, 1, 1, {(0,): [Fraction(3, 2)]}),
+          Matrix.from_rows([[Fraction(2, 3)]]), None))  # an integral Fraction
+def test_pullback_matches_per_key_oracle(case):
+    f, S, T = case
+    got = pullback(f, S, T)
+    want = pullback_by_keys(f, S, T)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)  # same key order
+    assert all(exact_scalar(x) for vec in got.coeffs.values() for x in vec)

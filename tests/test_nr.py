@@ -1,7 +1,4 @@
-from fractions import Fraction
-
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_sub, \
-    vec_is_zero
+from difflie.linalg import Matrix, basis_vec, vec_add, vec_sub
 from difflie.multilinear import AltMap
 from difflie.nr import circ_bar, nr_bracket, graded_circ_bar
 from difflie.liealg import is_lie_algebra, LieAlgebra
