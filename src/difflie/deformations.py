@@ -18,17 +18,20 @@ order.
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
-Pulling a deformation back along Phi_t = sum phi_c t^c (apply_formal_iso)
-solves Phi mu' = mu (Phi x Phi) and Phi d' = d Phi order by order; since
-phi_0 = Id that system is triangular, so the series Phi^{-1} is never
-formed.
+Pulling a deformation back along Phi_t = Id + sum_{c>=1} phi_c t^c
+(apply_formal_iso) solves Phi mu' = mu (Phi x Phi) and Phi d' = d Phi order
+by order.  With phi = {c: phi_c} as arity-1 maps, mu(Phi x, Phi y) is mu
+plus the weight-1 operator family of (mu, phi) plus phi o-bar mu, and since
+phi_0 = Id each order is explicit, so the series Phi^{-1} is never formed:
+
+  mu'_n = mu_n + operator_family(mu, phi, n, 1)
+               + family_circ(phi, {k: mu_k - mu'_k}, n),
+  d'_n  = d_n + sum_{c>=1} (d_{n-c} phi_c - phi_c d'_{n-c}).
 """
 
-from itertools import combinations
-
-from .linalg import Matrix, exact, vec_is_zero, vec_support, vec_zero
+from .linalg import Matrix
 from .liealg import AxiomFailure, adjoint_rep
-from .multilinear import AltMap, altmap1_from_matrix
+from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
 from .nr import family_circ, operator_family
 
 
@@ -143,53 +146,30 @@ def apply_formal_iso(D, Phi):
     Phi mu'(x, y) = mu(Phi x, Phi y) and Phi d' = d Phi, truncated at the
     order of D.
 
-    Order by order, with T_n(x, y) = sum_{b+c+e=n} mu_b(phi_c x, phi_e y)
-    and S_n = sum_{b+c=n} d_b phi_c, the equations read
-    sum_{c+m=n} phi_c mu'_m = T_n and sum_{c+m=n} phi_c d'_m = S_n; since
-    phi_0 = Id the system is triangular:
-
-      mu'_n = T_n - sum_{c>=1} phi_c mu'_{n-c},
-      d'_n  = S_n - sum_{c>=1} phi_c d'_{n-c}.
-
-    The terms mu_b, d_b and phi_c that are zero are dropped before the
-    sums, and phi_c e_x is read as the nonzero entries of column x of
-    phi_c."""
-    N = D.order
-    dim = D.base.dim
-    phi = _nonzero_terms(Phi.phi[:N + 1])
-    pcol = {c: [vec_support(col) for col in p.transpose().data]
-            for c, p in phi.items()}
-    higher = [(c, pcol[c]) for c in phi if c]
-    mu = _nonzero_terms(D.mu)
-    d = _nonzero_terms(D.d)
-    mu_new = []
-    d_new = []
+    With phi = {c: phi_c} the nonzero terms of order c >= 1, as arity-1
+    maps, mu(Phi x, Phi y) is mu plus the pointed insertions of one and of
+    two phi's: the weight-1 operator family of (mu, phi) plus phi o-bar mu.
+    Order n of Phi mu' = mu(Phi x Phi) then gives mu'_n by the formula of
+    the module docstring, and order n of Phi d' = d Phi gives d'_n.
+    Raises DimensionMismatch when a term of Phi is not dim x dim."""
+    N, dim = D.order, D.base.dim
+    if any((p.rows, p.cols) != (dim, dim) for p in Phi.phi):
+        raise DimensionMismatch("each phi_c must be a %d x %d matrix"
+                                % (dim, dim))
+    phi = {c: p for c, p in _nonzero_terms(Phi.phi[:N + 1]).items() if c}
+    phi_maps = {c: altmap1_from_matrix(p) for c, p in phi.items()}
+    mu, space = dict(enumerate(D.mu)), D.mu[0].space
+    lost = {}  # mu_k - mu'_k, the orders already pulled back
+    mu_new, d_new = [], []
     for n in range(N + 1):
-        m = AltMap(2, dim, dim)
-        for x, y in combinations(range(dim), 2):
-            total = vec_zero(dim)
-            for b, mu_b in mu.items():
-                for c in pcol:
-                    e = n - b - c
-                    if e in pcol:
-                        mu_b.accumulate(total, 1, [pcol[c][x], pcol[e][y]])
-            for c, cols in higher:
-                prev = mu_new[n - c].coeffs.get((x, y)) if c <= n else None
-                if prev is not None:
-                    for k, v in vec_support(prev):
-                        for i, p in cols[k]:
-                            total[i] -= v * p
-            exact(total)
-            if not vec_is_zero(total):
-                m.coeffs[(x, y)] = total
+        m = D.mu[n] + operator_family(mu, phi_maps, n, 1, 2, 1, space) + \
+            family_circ(phi_maps, lost, n, 2, 1, space)
+        lost[n] = D.mu[n] - m
         mu_new.append(m)
-        acc = Matrix.zero(dim, dim)
-        for b, d_b in d.items():
-            if n - b in phi:
-                acc = acc + d_b * phi[n - b]
+        acc = D.d[n]
         for c, p in phi.items():
-            if 1 <= c <= n:
-                acc = acc - p * d_new[n - c]
+            if c <= n:
+                acc = acc + D.d[n - c] * p - p * d_new[n - c]
         d_new.append(acc)
     return TruncatedDeformation(D.base, mu_new, d_new)
 

@@ -8,7 +8,8 @@ Delta) -- a graded Lie algebra L, a graded Lie subalgebra m, an abelian
 graded subalgebra a with projection P splitting iota_a and Ker(P) a
 subalgebra, Delta in Ker(P)^1 squaring to zero and preserving iota_m(m) --
 the space sm (+) a carries higher brackets built from iterated L-brackets
-projected by P.  Two lambda-gradings are provided:
+projected by P.  Here L and m are spaces of maps under the
+Nijenhuis-Richardson bracket.  Two lambda-gradings are provided:
 
   variant "full"    : l_1 from Delta, l_2 = (-1)^{|f|} lambda s[f,g]_m,
                       higher l_i with lambda^{i-1};
@@ -137,10 +138,7 @@ class VData:
     the maps below mediate between them.
     """
 
-    def __init__(self, L_bracket, m_bracket, iota_m, iota_m_inv, iota_a, P,
-                 Delta=None):
-        self.L_bracket = L_bracket
-        self.m_bracket = m_bracket
+    def __init__(self, iota_m, iota_m_inv, iota_a, P, Delta=None):
         self.iota_m = iota_m
         self.iota_m_inv = iota_m_inv
         self.iota_a = iota_a
@@ -170,7 +168,7 @@ class DerivedBrackets:
         """[...[start, iota_a xi_1], ..., iota_a xi_k] in L."""
         cur = start
         for xi in xis:
-            cur = self.v.L_bracket(cur, self.v.iota_a(xi.f))
+            cur = nr_bracket(cur, self.v.iota_a(xi.f))
         return cur
 
     def _s_composite(self, f, a_terms):
@@ -193,7 +191,7 @@ class DerivedBrackets:
                 c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
                 if self.variant == "full":
                     c = c * lam
-                return FormalElement([Term("s", v.m_bracket(f, g).scale(c))])
+                return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
             return FormalElement()
         if i == 1:
             if self.variant == "reduced":
@@ -203,15 +201,15 @@ class DerivedBrackets:
                 f = s_term.f
                 out = []
                 if v.Delta is not None:
-                    br = v.L_bracket(v.Delta, v.iota_m(f))
+                    br = nr_bracket(v.Delta, v.iota_m(f))
                     out.append(Term("s", v.iota_m_inv(br).scale(-1)))
                 out.append(Term("a", v.P(v.iota_m(f))))
                 return FormalElement(out)
             if v.Delta is None:
                 return FormalElement()
             return FormalElement(
-                [Term("a", v.P(v.L_bracket(v.Delta,
-                                           v.iota_a(a_terms[0].f))))])
+                [Term("a", v.P(nr_bracket(v.Delta,
+                                          v.iota_a(a_terms[0].f))))])
         if s_term is not None:
             # l_i(sf, xi_1, ..., xi_{i-1}), i >= 2
             if self.variant == "full":
@@ -228,8 +226,8 @@ class DerivedBrackets:
         c = lam ** (i - 1)
         if c == 0:
             return FormalElement()
-        res = v.P(self._iterated(v.L_bracket(v.Delta, v.iota_a(a_terms[0].f)),
-                                 a_terms[1:]))
+        start = nr_bracket(v.Delta, v.iota_a(a_terms[0].f))
+        res = v.P(self._iterated(start, a_terms[1:]))
         return FormalElement([Term("a", res.scale(c))])
 
 
@@ -280,8 +278,6 @@ def P_abs(F, dim):
 def absolute_vdata(dim):
     """The V-data behind the absolute structure (Delta = 0)."""
     return VData(
-        L_bracket=nr_bracket,
-        m_bracket=nr_bracket,
         iota_m=lambda f: iota_M(f, dim),
         iota_m_inv=None,  # not needed when Delta = 0
         iota_a=lambda xi: iota_a_abs(xi, dim),
@@ -393,8 +389,6 @@ def project_M_embed(F, gdim, hdim):
 def relative_vdata(gdim, hdim):
     """V-data of the relative structure: big maps on g (+) h, Delta = 0."""
     return VData(
-        L_bracket=nr_bracket,
-        m_bracket=nr_bracket,
         iota_m=lambda f: f,
         iota_m_inv=None,
         iota_a=lambda xi: xi,

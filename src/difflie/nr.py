@@ -25,7 +25,9 @@ for families {weight: map}:
         .., d_{b_r}) - sum_{a+b=w} d_b o-bar mu_a   (a + b_1 + .. + b_r = w).
 
 A series (mu_t, d_t) is graded by its order: its order-n deformation
-equations are minus the weight-n families, and every axiom of a
+equations are minus the weight-n families, its pull-back along a formal
+isomorphism Id + sum phi_c t^c is mu plus the weight-1 operator family of
+(mu, phi) plus phi o-bar mu, and every axiom of a
 differential Lie algebra, its representations and its relative operators
 is read off the weight-0 part.  A homotopy structure (mu_i, D_i) and an
 L-infinity[1] bracket family are graded by arity - 1 (arity_weights): the

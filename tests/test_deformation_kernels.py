@@ -1,9 +1,9 @@
 """The zero-skipping deformation kernels against their dense definitions.
 
-``deformation_residuals`` and ``apply_formal_iso`` read d_l e_x and
-phi_c e_x as columns, drop the zero terms of every series and evaluate
-through ``GradedSymMap.evaluate_head``.  The oracles below are the
-basis-vector versions they replaced, with every bilinear value expanded over
+``deformation_residuals`` and ``apply_formal_iso`` read d_l and phi_c as
+arity-1 maps and go through the weight-graded family sums
+``nr.family_circ`` and ``nr.operator_family``, which drop the zero terms
+of every series.  The oracles below are basis-vector versions, with every bilinear value expanded over
 all pairs of basis vectors and every matrix applied by a dense row sum, so
 they share no kernel with the code under test.  Results are compared map for
 map, as rationals, and every scalar must keep the int-or-Fraction

@@ -4,7 +4,7 @@ import pytest
 
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import DiffLieAlgebra, adjoint_rep
-from difflie.multilinear import AltMap
+from difflie.multilinear import AltMap, DimensionMismatch
 from difflie.cohomology import (CochainComplexSpec, CocyclePair, cochain_dim,
                                 coords_to_altmap, pair_residual)
 from difflie.deformations import (FormalIso, NotDeformation, Obstructed,
@@ -151,6 +151,16 @@ def test_apply_identity_iso(rng):
     D2 = apply_formal_iso(D, ident)
     assert all((a - b).is_zero() for a, b in zip(D2.mu, D.mu))
     assert D2.d == D.d
+
+
+@pytest.mark.parametrize("phi", [
+    [Matrix.identity(2), Matrix.from_rows([[1, 1], [1, 1]])],
+    [Matrix.identity(4), Matrix.from_rows([[1] * 4] * 4)],
+    [Matrix.identity(4)]], ids=["2x2", "4x4", "identity-4x4"])
+def test_apply_rejects_mis_sized_iso(phi):
+    A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    with pytest.raises(DimensionMismatch):
+        apply_formal_iso(constant_deformation(A, 1), FormalIso(phi))
 
 
 def test_iso_round_trip(rng):

@@ -6,7 +6,11 @@ Outside ``permutations.py`` only one function of the package may call
 second copy of the insertion sum.  (The generalised Jacobi sum of the
 formal structures on sM (+) a, whose brackets return formal sums of terms
 rather than maps on one space, is a test oracle in ``tests/test_linfty.py``,
-outside the package.)
+outside the package.)  Only three functions may call ``.accumulate(``, the
+evaluation of a map on vectors given by their nonzero entries:
+``nr.insertion_sum``, ``GradedSymMap.evaluate_head`` and
+``multilinear.pullback``.  Any other caller evaluates maps on maps by hand,
+a copy of the insertion sum.
 
 Likewise only ``nr.operator_family`` inserts at pointed shuffles (calls
 ``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
@@ -22,6 +26,9 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")
 
 ALLOWED = {("nr.py", "insertion_sum")}
+ACCUMULATORS = {("nr.py", "insertion_sum"),
+                ("multilinear.py", "evaluate_head"),
+                ("multilinear.py", "pullback")}
 
 
 def _called(node):
@@ -31,14 +38,15 @@ def _called(node):
         fn.attr if isinstance(fn, ast.Attribute) else None
 
 
-def shuffle_calls(name, tree):
-    """(file, enclosing function, line) of each call of shuffles(...)."""
+def calls(name, tree, callee):
+    """(file, enclosing function, line) of each call of callee(...), as a
+    plain name or as an attribute."""
     out = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call) and _called(node) == "shuffles":
+        if isinstance(node, ast.Call) and _called(node) == callee:
             out.append((name, where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -47,15 +55,26 @@ def shuffle_calls(name, tree):
     return out
 
 
-def test_only_the_kernel_calls_shuffles():
+def package_calls(callee, skip=()):
     found = []
     for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and name != "permutations.py":
+        if name.endswith(".py") and name not in skip:
             with open(os.path.join(SRC, name)) as fh:
-                found += shuffle_calls(name, ast.parse(fh.read(), name))
+                found += calls(name, ast.parse(fh.read(), name), callee)
+    return found
+
+
+def test_only_the_kernel_calls_shuffles():
+    found = package_calls("shuffles", skip=("permutations.py",))
     callers = {(name, fn) for name, fn, _ in found}
     assert callers <= ALLOWED, sorted(found)
     assert ("nr.py", "insertion_sum") in callers
+
+
+def test_only_the_kernels_accumulate():
+    found = package_calls("accumulate")
+    callers = {(name, fn) for name, fn, _ in found}
+    assert callers == ACCUMULATORS, sorted(found)
 
 
 def test_shuffle_calls_are_seen():
@@ -64,9 +83,21 @@ def test_shuffle_calls_are_seen():
                "def insertion_sum(f):\n    return shuffles((1, 1))\n"
                "def loop():\n    for s in p.shuffles((2, 1)):\n        pass\n"
                "top = shuffles((1,))\n")
-    assert shuffle_calls("nr.py", ast.parse(snippet)) == [
+    assert calls("nr.py", ast.parse(snippet), "shuffles") == [
         ("nr.py", "insertion_sum", 4), ("nr.py", "loop", 6),
         ("nr.py", None, 8)]
+
+
+def test_accumulate_calls_are_seen():
+    snippet = ("def evaluate_head(self, heads):\n"
+               "    self.accumulate(out, 1, heads)\n"
+               "def pair(mu_b, cols):\n"
+               "    for x, y in cols:\n"
+               "        mu_b.accumulate(total, 1, [x, y])\n"
+               "def accumulate(out):\n    return out\n")
+    assert calls("deformations.py", ast.parse(snippet), "accumulate") == [
+        ("deformations.py", "evaluate_head", 2),
+        ("deformations.py", "pair", 5)]
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
