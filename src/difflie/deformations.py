@@ -21,18 +21,21 @@ Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
 Pulling a deformation back along Phi_t = Id + sum_{c>=1} phi_c t^c
 (apply_formal_iso) solves Phi mu' = mu (Phi x Phi) and Phi d' = d Phi order
 by order.  With phi = {c: phi_c} as arity-1 maps, mu(Phi x, Phi y) is mu
-plus the weight-1 operator family of (mu, phi) plus phi o-bar mu, and since
-phi_0 = Id each order is explicit, so the series Phi^{-1} is never formed:
+plus the pointed insertions of one and of two phi's, the weight-1 pointed
+family of (mu, phi), and Phi mu' is mu' plus phi o-bar mu'.  Since
+phi_0 = Id each order is explicit, so the series Phi^{-1} is never formed
+and each product phi_c o-bar mu'_k is computed once:
 
-  mu'_n = mu_n + operator_family(mu, phi, n, 1)
-               + family_circ(phi, {k: mu_k - mu'_k}, n),
-  d'_n  = d_n + sum_{c>=1} (d_{n-c} phi_c - phi_c d'_{n-c}).
+  mu'_n = mu_n + pointed_family(mu, phi, n, 1) - family_circ(phi, mu', n),
+  d'_n  = d_n + sum_{c>=1} (d_{n-c} phi_c - phi_c d'_{n-c}),
+
+mu' holding the orders below n.
 """
 
 from .linalg import Matrix
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
-from .nr import family_circ, operator_family
+from .nr import family_circ, operator_family, pointed_family
 
 
 class NotDeformation(AxiomFailure):
@@ -147,10 +150,10 @@ def apply_formal_iso(D, Phi):
     order of D.
 
     With phi = {c: phi_c} the nonzero terms of order c >= 1, as arity-1
-    maps, mu(Phi x, Phi y) is mu plus the pointed insertions of one and of
-    two phi's: the weight-1 operator family of (mu, phi) plus phi o-bar mu.
-    Order n of Phi mu' = mu(Phi x Phi) then gives mu'_n by the formula of
-    the module docstring, and order n of Phi d' = d Phi gives d'_n.
+    maps, order n of Phi mu' = mu(Phi x Phi) reads
+    mu'_n + family_circ(phi, mu', n) = mu_n + pointed_family(mu, phi, n, 1),
+    mu' the orders already pulled back, and order n of Phi d' = d Phi gives
+    d'_n (see the module docstring).
     Raises DimensionMismatch when a term of Phi is not dim x dim."""
     N, dim = D.order, D.base.dim
     if any((p.rows, p.cols) != (dim, dim) for p in Phi.phi):
@@ -159,19 +162,16 @@ def apply_formal_iso(D, Phi):
     phi = {c: p for c, p in _nonzero_terms(Phi.phi[:N + 1]).items() if c}
     phi_maps = {c: altmap1_from_matrix(p) for c, p in phi.items()}
     mu, space = dict(enumerate(D.mu)), D.mu[0].space
-    lost = {}  # mu_k - mu'_k, the orders already pulled back
-    mu_new, d_new = [], []
+    mu_new, d_new = {}, []
     for n in range(N + 1):
-        m = D.mu[n] + operator_family(mu, phi_maps, n, 1, 2, 1, space) + \
-            family_circ(phi_maps, lost, n, 2, 1, space)
-        lost[n] = D.mu[n] - m
-        mu_new.append(m)
+        mu_new[n] = D.mu[n] + pointed_family(mu, phi_maps, n, 1, 2, 1, space) \
+            - family_circ(phi_maps, mu_new, n, 2, 1, space)
         acc = D.d[n]
         for c, p in phi.items():
             if c <= n:
                 acc = acc + D.d[n - c] * p - p * d_new[n - c]
         d_new.append(acc)
-    return TruncatedDeformation(D.base, mu_new, d_new)
+    return TruncatedDeformation(D.base, list(mu_new.values()), d_new)
 
 
 def first_nontrivial_order(D):

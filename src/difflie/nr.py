@@ -17,22 +17,25 @@ and the closed form of the higher derived brackets inserts several maps.
 
 The L-infinity[1] structure built by higher derived brackets carries both
 formal deformations and homotopy differential Lie algebras, so their
-identities are the same two sums over a weight grading, written once here
-for families {weight: map}:
+identities are the same sums over a weight grading, written once here for
+families {weight: map}:
 
     family_circ(outer, inner, w)  = sum_{a+b=w} outer_a o-bar inner_b,
-    operator_family(mu, d, w, lam) = sum lam^{r-1} I_pointed(mu_a; d_{b_1},
-        .., d_{b_r}) - sum_{a+b=w} d_b o-bar mu_a   (a + b_1 + .. + b_r = w).
+    pointed_family(mu, d, w, lam) = sum lam^{r-1} I_pointed(mu_a; d_{b_1},
+        .., d_{b_r})   (a + b_1 + .. + b_r = w),
+    operator_family(mu, d, w, lam) = pointed_family(mu, d, w, lam)
+        - family_circ(d, mu, w).
 
 A series (mu_t, d_t) is graded by its order: its order-n deformation
-equations are minus the weight-n families, its pull-back along a formal
-isomorphism Id + sum phi_c t^c is mu plus the weight-1 operator family of
-(mu, phi) plus phi o-bar mu, and every axiom of a
-differential Lie algebra, its representations and its relative operators
-is read off the weight-0 part.  A homotopy structure (mu_i, D_i) and an
-L-infinity[1] bracket family are graded by arity - 1 (arity_weights): the
-bracket family at weight n - 1 is the generalised Jacobi identity of arity
-n, and the operator family the arity-n operator identity.
+equations are minus the weight-n families, its pull-back mu' along a formal
+isomorphism Id + sum phi_c t^c is read off order by order as
+mu'_n = mu_n + pointed_family(mu, phi, n, 1) - family_circ(phi, mu', n),
+and every axiom of a differential Lie algebra, its representations and its
+relative operators is read off the weight-0 part.  A homotopy structure
+(mu_i, D_i) and an L-infinity[1] bracket family are graded by arity - 1
+(arity_weights): the bracket family at weight n - 1 is the generalised
+Jacobi identity of arity n, and the operator family the arity-n operator
+identity.
 
 An alternating map on an ungraded space is the graded map on its
 suspension, which sits in one odd degree; there eps is the permutation sign
@@ -143,16 +146,16 @@ def _splits(weights, total, r):
                 yield (b,) + rest
 
 
-def operator_family(mu, d, w, lam, arity, degree, space):
-    """The weight-w operator family of a bracket family mu and an operator
-    family d, both {weight: map}, of the given arity and degree on `space`:
+def pointed_family(mu, d, w, lam, arity, degree, space):
+    """The weight-w pointed insertion sum of a bracket family mu and an
+    operator family d, both {weight: map}, of the given arity and degree on
+    `space`:
 
-      sum lam^{r-1} I_pointed(mu_a; d_{b_1}, .., d_{b_r})
-      - sum_{a+b=w} d_b o-bar mu_a,
+      sum lam^{r-1} I_pointed(mu_a; d_{b_1}, .., d_{b_r}),
 
-    the first sum over 1 <= r <= arity(mu_a) and a + b_1 + .. + b_r = w,
-    I the insertion sum.  Zero terms and terms of weight > w are skipped,
-    so the sum never looks at the declared arity of a zero map."""
+    over 1 <= r <= arity(mu_a) and a + b_1 + .. + b_r = w, I the insertion
+    sum.  Zero terms and terms of weight > w are skipped, so the sum never
+    looks at the declared arity of a zero map."""
     mu = {a: f for a, f in mu.items() if a <= w and not f.is_zero()}
     d = {b: g for b, g in d.items() if b <= w and not g.is_zero()}
     out = GradedSymMap(arity, degree, space)
@@ -162,4 +165,12 @@ def operator_family(mu, d, w, lam, arity, degree, space):
             for bs in _splits(d, w - a, r):
                 term = insertion_sum(f, [d[b] for b in bs], pointed=True)
                 out = out + (term if c == 1 else term.scale(c))
-    return out - family_circ(d, mu, w, arity, degree, space)
+    return out
+
+
+def operator_family(mu, d, w, lam, arity, degree, space):
+    """The weight-w operator family of a bracket family mu and an operator
+    family d, both {weight: map}, of the given arity and degree on `space`:
+    pointed_family(mu, d, w, lam) - sum_{a+b=w} d_b o-bar mu_a."""
+    return pointed_family(mu, d, w, lam, arity, degree, space) - \
+        family_circ(d, mu, w, arity, degree, space)

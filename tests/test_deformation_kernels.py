@@ -2,9 +2,9 @@
 
 ``deformation_residuals`` and ``apply_formal_iso`` read d_l and phi_c as
 arity-1 maps and go through the weight-graded family sums
-``nr.family_circ`` and ``nr.operator_family``, which drop the zero terms
-of every series.  The oracles below are basis-vector versions, with every bilinear value expanded over
-all pairs of basis vectors and every matrix applied by a dense row sum, so
+``nr.family_circ``, ``nr.pointed_family`` and ``nr.operator_family``, which
+drop the zero terms of every series.  The oracles below are basis-vector
+versions, with every bilinear value expanded over all pairs of basis vectors and every matrix applied by a dense row sum, so
 they share no kernel with the code under test.  Results are compared map for
 map, as rationals, and every scalar must keep the int-or-Fraction
 contract.
@@ -16,6 +16,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import exact_scalar
+from difflie import nr
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
@@ -244,6 +245,35 @@ def test_apply_formal_iso_matches_oracle(rng, kind):
             assert exact_only(new.mu)
             assert all(exact_scalar(x)
                        for m in new.d for row in m.data for x in row)
+
+
+def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
+    # the circle products with an arity-2 inner map are the phi_c o-bar
+    # mu'_k; the pull-back computes each once, for each pair of nonzero
+    # terms with c >= 1 and c + k <= N
+    inner_arities = []
+    circ_bar = nr.circ_bar
+
+    def counted(f, g):
+        inner_arities.append(g.arity)
+        return circ_bar(f, g)
+
+    monkeypatch.setattr(nr, "circ_bar", counted)
+    changed = 0
+    for lam in (Fraction(0), Fraction(-2, 3), Fraction(3)):
+        A = random_diff_lie(rng, lam=lam, max_dim=4)
+        for order in (2, 3):
+            D = valid_deformation(rng, A, order)
+            phi = [Matrix.identity(A.dim), dense_matrix(rng, A.dim)] + \
+                [rand_matrix(rng, A.dim, A.dim) for _ in range(order - 1)]
+            del inner_arities[:]
+            new = apply_formal_iso(D, FormalIso(phi))
+            expected = sum(1 for c in range(1, order + 1)
+                           for k in range(order + 1 - c)
+                           if not phi[c].is_zero() and not new.mu[k].is_zero())
+            assert inner_arities.count(2) == expected
+            changed += new.mu[1] != D.mu[1]
+    assert changed >= 4
 
 
 def test_rigidify_steps_match_oracle(rng):

@@ -12,7 +12,7 @@ evaluation of a map on vectors given by their nonzero entries:
 ``multilinear.pullback``.  Any other caller evaluates maps on maps by hand,
 a copy of the insertion sum.
 
-Likewise only ``nr.operator_family`` inserts at pointed shuffles (calls
+Likewise only ``nr.pointed_family`` inserts at pointed shuffles (calls
 ``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
 sums circle products over a family (adds ``circ_bar(..)`` terms inside a
 loop or a comprehension).  Any other such sum is a second copy of the
@@ -151,12 +151,12 @@ def test_only_the_family_kernels_sum_families():
             with open(os.path.join(SRC, name)) as fh:
                 found += family_sums(name, ast.parse(fh.read(), name))
     callers = {(name, fn, kind) for name, fn, kind, _ in found}
-    assert callers == {("nr.py", "operator_family", "pointed"),
+    assert callers == {("nr.py", "pointed_family", "pointed"),
                        ("nr.py", "family_circ", "circ")}, sorted(found)
 
 
 def test_family_sums_are_seen():
-    snippet = ("def operator_family(f, g):\n"
+    snippet = ("def pointed_family(f, g):\n"
                "    return insertion_sum(f, [g], pointed=True)\n"
                "def a(f, g):\n    return insertion_sum(f, [g], True)\n"
                "def b(f, g):\n    return insertion_sum(f, [g])\n"
@@ -169,7 +169,7 @@ def test_family_sums_are_seen():
                "def f(h, xs):\n    for x in xs:\n"
                "        h = circ_bar(h, x)\n    return h - circ_bar(h, h)\n")
     assert family_sums("nr.py", ast.parse(snippet)) == [
-        ("nr.py", "operator_family", "pointed", 2),
+        ("nr.py", "pointed_family", "pointed", 2),
         ("nr.py", "a", "pointed", 4),
         ("nr.py", "c", "circ", 10),
         ("nr.py", "d", "circ", 12),
