@@ -191,15 +191,15 @@ def lambda_rescale(H, lam, variant="full"):
     """Rescaled L-infinity[1]-algebra: mu'_n = lambda^{n-1} mu_n ("full"),
     or the variant keeping mu_1 and scaling mu_n by lambda^{n-2} for n >= 2
     ("reduced")."""
+    if variant not in ("full", "reduced"):
+        raise ValueError("unknown variant %r: the variants are 'full' and "
+                         "'reduced'" % (variant,))
     _brackets_only(H)
     lam = frac(lam)
     mu = {}
     for n, f in H.mu.items():
-        if variant == "full":
-            c = lam ** (n - 1)
-        else:
-            c = 1 if n == 1 else lam ** (n - 2)
-        scaled = f.scale(c)
+        scaled = f.scale(lam ** (n - 1 if variant == "full"
+                                 else max(n - 2, 0)))
         if not scaled.is_zero():
             mu[n] = scaled
     return HomotopyDiffLie(H.space, mu, {}, H.weight)

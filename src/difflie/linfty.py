@@ -20,9 +20,12 @@ Nijenhuis-Richardson bracket.  Two lambda-gradings are provided:
 The absolute structure (one Lie algebra g) and the relative structure (a
 pair g, h acted on) are both "reduced" instances of the one case analysis in
 DerivedBrackets.bracket; the absolute one only evaluates its s-term
-composite by a closed-form shuffle expression, certified against the
-iterated-bracket route by key_formula_check.  Maurer-Cartan residuals and
-the twisted l_1 are one finite series, cut where the brackets vanish.
+composite with two or more a-arguments by _closed_form_sum, the one closed
+form of the signed insertion.  key_formula_check compares that same
+function against the iterated circle product in the double space, so the
+key formula certifies the closed form the brackets use.  Maurer-Cartan
+residuals and the twisted l_1 are one finite series, cut where the brackets
+vanish.
 """
 
 from itertools import combinations
@@ -178,57 +181,40 @@ class DerivedBrackets:
         return self.v.P(self._iterated(self.v.iota_m(f), a_terms))
 
     def bracket(self, terms):
-        """l_i applied to a list of Terms; returns a FormalElement."""
-        v, lam = self.v, self.lam
-        i = len(terms)
-        if not i:
-            return FormalElement()  # no l_0: every power of lam below is >= 0
+        """l_i applied to a list of Terms; returns a FormalElement.
+
+        Apart from l_2 of two s-terms, l_i is lambda^e times P of the
+        iterated bracket that starts at iota_m f for the one s-term sf and
+        at [Delta, iota_a xi_1] when all terms are a-terms, with e = i - 1
+        ("full") or max(i - 2, 0) ("reduced"); l_1 of an s-term adds the
+        s-part -iota_m^{-1}[Delta, iota_m f]."""
+        v, i = self.v, len(terms)
         sign, s_term, a_terms = _split_s(terms)
         if sign == 0:
             # two or more s-terms: only l_2(sf, sg) survives
-            if i == 2:
-                f, g = terms[0].f, terms[1].f
-                c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
-                if self.variant == "full":
-                    c = c * lam
-                return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
-            return FormalElement()
-        if i == 1:
-            if self.variant == "reduced":
+            if i != 2:
                 return FormalElement()
-            # l_1 from Delta
-            if s_term is not None:
-                f = s_term.f
-                out = []
-                if v.Delta is not None:
-                    br = nr_bracket(v.Delta, v.iota_m(f))
-                    out.append(Term("s", v.iota_m_inv(br).scale(-1)))
-                out.append(Term("a", v.P(v.iota_m(f))))
-                return FormalElement(out)
-            if v.Delta is None:
-                return FormalElement()
-            return FormalElement(
-                [Term("a", v.P(nr_bracket(v.Delta,
-                                          v.iota_a(a_terms[0].f))))])
-        if s_term is not None:
-            # l_i(sf, xi_1, ..., xi_{i-1}), i >= 2
+            f, g = terms[0].f, terms[1].f
+            c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
             if self.variant == "full":
-                c = lam ** (i - 1)
-            else:
-                c = 1 if i == 2 else lam ** (i - 2)
-            if c == 0:
-                return FormalElement()
-            res = self._s_composite(s_term.f, a_terms)
-            return FormalElement([Term("a", res.scale(c * sign))])
-        # pure a-terms: need Delta
-        if v.Delta is None or self.variant == "reduced":
-            return FormalElement()
-        c = lam ** (i - 1)
+                c = c * self.lam
+            return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
+        c = sign * self.lam ** (i - 1 if self.variant == "full"
+                                else max(i - 2, 0))
         if c == 0:
             return FormalElement()
-        start = nr_bracket(v.Delta, v.iota_a(a_terms[0].f))
-        res = v.P(self._iterated(start, a_terms[1:]))
-        return FormalElement([Term("a", res.scale(c))])
+        out = []
+        if s_term is not None:
+            res = self._s_composite(s_term.f, a_terms)
+            if i == 1 and v.Delta is not None:
+                br = nr_bracket(v.Delta, v.iota_m(s_term.f))
+                out.append(Term("s", v.iota_m_inv(br).scale(-1)))
+        elif v.Delta is not None and a_terms:
+            start = nr_bracket(v.Delta, v.iota_a(a_terms[0].f))
+            res = v.P(self._iterated(start, a_terms[1:]))
+        else:
+            return FormalElement()
+        return FormalElement(out + [Term("a", res.scale(c))])
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +280,25 @@ class AbsoluteStructure(DerivedBrackets):
         super().__init__(absolute_vdata(dim), lam, "reduced")
 
     def _s_composite(self, f, a_terms):
-        """The NR bracket for one a-argument, the insertion sum for more
-        (zero past arity(f) of them)."""
+        """Zero with no a-argument (P o iota_M = 0), the NR bracket with
+        one and the closed form with more (zero past arity(f) of them)."""
         xis = [t.f for t in a_terms]
         if len(xis) == 1:
             return nr_bracket(f, xis[0])
-        return _closed_form_sum(f, xis)
+        return _closed_form_sum(f, xis) if xis else f.scale(0)
 
 
 def _closed_form_sum(f, xis):
-    """l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda: the
-    insertion of xi_r, .., xi_1 into f (the first shuffle block feeds the
-    last xi) with the graded-symmetric sign (-1)^(sum_{i<j} m_i m_j),
-    m_i = arity(xi_i) - 1."""
-    ms = [xi.arity - 1 for xi in xis]
-    pref_exp = sum(sum(ms[:j]) * ms[j] for j in range(len(ms)))
-    return insertion_sum(f, xis[::-1]).scale(-1 if pref_exp % 2 else 1)
+    """The insertion of xi_r, .., xi_1 into f (the first shuffle block
+    feeds xi_r) with the key-formula sign (-1)^(sum_j m_j (r - 1 - j)),
+    m_j = arity(xi_j) - 1: each insertion contributes its degree once for
+    every later insertion it is carried past.  It is the one closed form of
+    the iterated circle product: on g it is l_{r+1}(sf, xi_1, .., xi_r)
+    without its power of lambda, and key_formula_check certifies it against
+    the iterated product in the double space."""
+    r = len(xis)
+    exp = sum((xi.arity - 1) * (r - 1 - j) for j, xi in enumerate(xis))
+    return insertion_sum(f, xis[::-1]).scale(-1 if exp % 2 else 1)
 
 
 def absolute_structure(dim, lam):
@@ -318,29 +307,17 @@ def absolute_structure(dim, lam):
 
 def key_formula_check(f, xis, dim):
     """Difference between the iterated circle product of iota_M(f) with the
-    embedded xi's (computed in the double space) and the closed-form shuffle
-    expression; identically zero.
-
-    The sign of the closed form is (-1)^(sum_{i<j} m_i) with m_i =
-    arity(xi_i) - 1: each earlier insertion contributes its degree once for
-    every later insertion it is carried past.  (The bracket-family closed
-    form in _closed_form_sum uses the graded-symmetric sign
-    (-1)^(sum_{i<j} m_i m_j) instead; the two differ on insertions of mixed
-    arities, and each is verified against its own from-first-principles
-    computation.)"""
-    r = len(xis)
-    n = f.arity - 1
-    if not 1 <= r <= n + 1:
+    embedded xi's and _closed_form_sum of the same maps, both computed in
+    the double space; identically zero.  This certifies the closed form
+    that the higher brackets of the absolute structure evaluate."""
+    if not 1 <= len(xis) <= f.arity:
         raise ValueError("need 1 <= r <= arity(f)")
     big_f = iota_M(f, dim)
     big_xis = [iota_a_abs(xi, dim) for xi in xis]
     lhs = big_f
     for xi in big_xis:
         lhs = circ_bar(lhs, xi)
-    # closed form, assembled in the double space
-    pref_exp = sum((xi.arity - 1) * (r - 1 - j) for j, xi in enumerate(xis))
-    rhs = insertion_sum(big_f, big_xis[::-1]).scale(-1 if pref_exp % 2 else 1)
-    return lhs - rhs
+    return lhs - _closed_form_sum(big_f, big_xis)
 
 
 # ---------------------------------------------------------------------------

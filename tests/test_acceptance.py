@@ -71,15 +71,6 @@ def rand_altmap(rng, arity, dim, tgt=None, lo=-2, hi=3):
     return f
 
 
-def matrix_as_altmap(m):
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        col = [m.data[i][j] for i in range(m.rows)]
-        if not vec_is_zero(col):
-            f.coeffs[(j,)] = col
-    return f
-
-
 def sterm(f):
     return Term("s", f)
 
@@ -257,7 +248,7 @@ def test_criterion_05_key_formula(rng):
     for L in (aff1(), sl2(), heisenberg()):
         dim = L.dim
         D = rand_matrix(rng, dim, dim)
-        Dmap = matrix_as_altmap(D)
+        Dmap = altmap1_from_matrix(D)
         for lam in WEIGHTS:
             S = absolute_structure(dim, lam)
             out = S.bracket([sterm(L.bracket), aterm(Dmap), aterm(Dmap)])
@@ -310,7 +301,7 @@ def test_criterion_06_twist_bridge(rng):
         dim = A.dim
         S = absolute_structure(dim, A.weight)
         mu = A.algebra.bracket
-        dmap = matrix_as_altmap(A.d)
+        dmap = altmap1_from_matrix(A.d)
         seeds = [sterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                  aterm(rand_altmap(rng, 1, dim))]
         for t in seeds:
@@ -336,15 +327,9 @@ def test_criterion_06_twist_bridge(rng):
 # 7. abelian extensions <-> degree-2 cocycle pairs
 
 
-def split_pair(coords, gdim, vdim):
-    cut = cochain_dim(gdim, vdim, 2)
-    return CocyclePair(coords_to_altmap(coords[:cut], gdim, vdim, 2),
-                       coords_to_altmap(coords[cut:], gdim, vdim, 1))
-
-
 def cocycle_basis(A, rep):
     spec = CochainComplexSpec(A, rep, "difflie", max_degree=3)
-    return spec, [split_pair(v, A.dim, rep.space_dim)
+    return spec, [CocyclePair.from_coords(v, A.dim, rep.space_dim, 2)
                   for v in spec.d[2].kernel_basis()]
 
 
@@ -380,7 +365,7 @@ def test_criterion_07_extensions(rng):
         phi_flat = [Fraction(rng.randrange(-2, 3))
                     for _ in range(cochain_dim(gdim, vdim, 1))]
         img = d1.matvec(phi_flat)
-        shifted = split_pair(img, gdim, vdim)
+        shifted = CocyclePair.from_coords(img, gdim, vdim, 2)
         E3 = build_extension(A, rep, pair.f + shifted.f, pair.g + shifted.g)
         ok, witness = equivalence_witness(E, E3)
         if not ok or not equivalence_witness(E, E3, witness)[0]:
@@ -494,7 +479,7 @@ def test_criterion_08_deformations(rng):
     spec = CochainComplexSpec(A, rep, "difflie", max_degree=3)
     cleared = 0
     for coords in spec.d[2].kernel_basis():
-        pair = split_pair(coords, 3, 3)
+        pair = CocyclePair.from_coords(coords, 3, 3, 2)
         D = complete_to_order2(A, pair)
         if D is None or not is_deformation(D):
             bad.append("order-2 completion failed")

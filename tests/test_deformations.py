@@ -5,7 +5,7 @@ import pytest
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import DiffLieAlgebra, adjoint_rep
 from difflie.multilinear import AltMap, DimensionMismatch
-from difflie.cohomology import (CochainComplexSpec, CocyclePair, cochain_dim,
+from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 coords_to_altmap, pair_residual)
 from difflie.deformations import (FormalIso, NotDeformation, Obstructed,
                                   TruncatedDeformation, apply_formal_iso,
@@ -21,12 +21,6 @@ from test_deformation_kernels import oracle_inverse_series
 def aff1_d(lam=2):
     return DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
                           Fraction(lam))
-
-
-def split_pair(coords, dim):
-    cut = cochain_dim(dim, dim, 2)
-    return CocyclePair(coords_to_altmap(coords[:cut], dim, dim, 2),
-                       coords_to_altmap(coords[cut:], dim, dim, 1))
 
 
 def order1_deformation(A, pair):
@@ -76,7 +70,7 @@ def test_order1_valid_iff_cocycle(rng):
         else:
             coords = [Fraction(rng.randrange(-2, 3))
                       for _ in range(spec.dims[2])]
-        pair = split_pair(coords, dim)
+        pair = CocyclePair.from_coords(coords, dim, dim, 2)
         D = order1_deformation(A, pair)
         ok = is_deformation(D)
         is_cocycle = vec_is_zero(pair_residual(A, adjoint_rep(A), pair))
@@ -209,7 +203,7 @@ def test_rigid_fixture_clears_any_valid_deformation(rng):
     spec = CochainComplexSpec(A, adjoint_rep(A), "difflie", max_degree=3)
     cleared = 0
     for coords in spec.d[2].kernel_basis():
-        pair = split_pair(coords, 3)
+        pair = CocyclePair.from_coords(coords, 3, 3, 2)
         D = order1_deformation(A, pair)
         if not is_deformation(D):
             continue

@@ -25,15 +25,9 @@ def canonical_maps(gdim, vdim):
     return i, p, s
 
 
-def split_pair(coords, gdim, vdim):
-    cut = cochain_dim(gdim, vdim, 2)
-    return CocyclePair(coords_to_altmap(coords[:cut], gdim, vdim, 2),
-                       coords_to_altmap(coords[cut:], gdim, vdim, 1))
-
-
 def cocycle_basis(A, rep):
     spec = CochainComplexSpec(A, rep, "difflie", max_degree=3)
-    return [split_pair(v, A.dim, rep.space_dim)
+    return [CocyclePair.from_coords(v, A.dim, rep.space_dim, 2)
             for v in spec.d[2].kernel_basis()]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from axiom_oracles import relative_oracle
 from difflie.linalg import Matrix, basis_vec, vec_is_zero, vec_scale
-from difflie.multilinear import AltMap
+from difflie.multilinear import AltMap, altmap1_from_matrix
 from difflie.homotopy import (HomotopyDiffLie, lambda_rescale, linfty_residual,
                               mc_residual, twist)
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
@@ -55,13 +55,6 @@ def rand_altmap(rng, arity, dim, tgt=None):
     return f
 
 
-def matrix_as_altmap(m):
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        f[(j,)] = [m.data[i][j] for i in range(m.rows)]
-    return f
-
-
 def sterm(f):
     return Term("s", f)
 
@@ -81,8 +74,8 @@ def test_l3_on_two_operators_frozen():
     D = Matrix.from_rows([[1, 2], [3, 5]])
     for lam in WEIGHTS:
         S = absolute_structure(2, lam)
-        out = S.bracket([sterm(pi), aterm(matrix_as_altmap(D)),
-                         aterm(matrix_as_altmap(D))])
+        out = S.bracket([sterm(pi), aterm(altmap1_from_matrix(D)),
+                         aterm(altmap1_from_matrix(D))])
         terms = out.terms()
         x, y = basis_vec(2, 0), basis_vec(2, 1)
         expected = vec_scale(2 * Fraction(lam),
@@ -107,7 +100,7 @@ def test_l2_matches_nr_bracket(rng):
 
 def test_bracket_vanishes_beyond_arity():
     pi = aff1().bracket  # arity 2, so l_i = 0 for i > 3
-    D = matrix_as_altmap(Matrix.identity(2))
+    D = altmap1_from_matrix(Matrix.identity(2))
     S = absolute_structure(2, 2)
     assert S.bracket([sterm(pi)] + [aterm(D)] * 3).is_zero()
 
@@ -126,18 +119,30 @@ def test_closed_form_matches_derived_brackets(rng):
         pos = rng.randrange(len(terms))
         terms.insert(pos, terms.pop(0))  # exercise the reordering sign
         assert closed.bracket(terms) == derived.bracket(terms)
+    # a-terms of mixed parities, where the sign of the closed form shows
+    for dim, arity, a_arities in [(3, 2, [2, 1]), (3, 2, [1, 2]),
+                                  (4, 3, [2, 1]), (4, 3, [1, 2, 1])]:
+        terms = [sterm(rand_altmap(rng, arity, dim))] + \
+            [aterm(rand_altmap(rng, m, dim)) for m in a_arities]
+        derived = DerivedBrackets(absolute_vdata(dim), 2, "reduced")
+        out = derived.bracket(terms)
+        assert not out.is_zero()
+        assert absolute_structure(dim, 2).bracket(terms) == out
 
 
 def test_bracket_symmetric_in_a_arguments(rng):
-    for _ in range(8):
+    # an arity-2 f takes exactly two insertions, so l_3 of an arity-2 and
+    # an arity-1 a-term, of mixed parities, is nonzero
+    for f_arity in [3] * 8 + [2] * 4:
         dim = 3
-        f = rand_altmap(rng, 3, dim)
-        x1 = aterm(rand_altmap(rng, rng.randrange(1, 3), dim))
-        x2 = aterm(rand_altmap(rng, rng.randrange(1, 3), dim))
+        f = rand_altmap(rng, f_arity, dim)
+        x1, x2 = [aterm(rand_altmap(rng, m or rng.randrange(1, 3), dim))
+                  for m in ([2, 1] if f_arity == 2 else [None, None])]
         S = absolute_structure(dim, 2)
         sign = -1 if (x1.degree * x2.degree) % 2 else 1
-        assert S.bracket([sterm(f), x1, x2]) == \
-            S.bracket([sterm(f), x2, x1]).scale(sign)
+        out = S.bracket([sterm(f), x1, x2])
+        assert f_arity == 3 or not out.is_zero()
+        assert out == S.bracket([sterm(f), x2, x1]).scale(sign)
 
 
 def test_bracket_graded_symmetric_in_s_position(rng):
@@ -190,6 +195,14 @@ def test_generalized_jacobi_absolute(rng):
         n = rng.randrange(2, 4)
         terms = [rng.choice(pool) for _ in range(n)]
         assert generalized_jacobi_residual_formal(S, terms).is_zero()
+    # arity 4 on sl2 with the parity-0 operator D = diag(1, 0, 1)
+    pi = sterm(sl2().bracket)
+    D = aterm(altmap1_from_matrix(Matrix.from_rows([[1, 0, 0], [0, 0, 0],
+                                                    [0, 0, 1]])))
+    for lam in WEIGHTS:
+        S = absolute_structure(3, lam)
+        for terms in ([pi, D, D, pi], [pi, pi, D, D]):
+            assert generalized_jacobi_residual_formal(S, terms).is_zero()
 
 
 def test_generalized_jacobi_relative(rng):
@@ -326,6 +339,17 @@ def test_morphism_absolute_to_relative(rng):
             samples.append(tuple(rng.choice(pool) for _ in range(n)))
         for res in morphism_residual(phi, src, tgt, samples):
             assert res.is_zero()
+    # dim 3, a-terms of arity 2 and 1: l_3(sf, xi_2, xi_1) is nonzero and
+    # inserts a-terms of mixed parities
+    f, xi2, xi1 = sterm(rand_altmap(rng, 2, 3)), \
+        aterm(rand_altmap(rng, 2, 3)), aterm(rand_altmap(rng, 1, 3))
+    for lam in WEIGHTS:
+        src = absolute_structure(3, lam)
+        assert lam == 0 or not src.bracket([f, xi2, xi1]).is_zero()
+        res, = morphism_residual(_abs_to_rel_phi(3), src,
+                                 relative_structure(3, 3, lam),
+                                 [(f, xi2, xi1)])
+        assert res.is_zero()
 
 
 def test_morphism_relative_to_absolute(rng):
@@ -394,6 +418,9 @@ def test_lambda_rescale_variants():
     assert full.mu[2] == S.mu[2].scale(3)
     assert red.mu[2] == S.mu[2]
     assert lambda_rescale(S, 0, "full").mu == {}
+    # a misspelt variant is an error, not the reduced rescaling
+    with pytest.raises(ValueError, match="'full' and 'reduced'"):
+        lambda_rescale(S, 3, "ful")
 
 
 def test_twist_by_zero_is_identity():

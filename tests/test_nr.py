@@ -1,5 +1,5 @@
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_sub
-from difflie.multilinear import AltMap
+from difflie.multilinear import AltMap, altmap1_from_matrix
 from difflie.nr import circ_bar, nr_bracket, graded_circ_bar
 from difflie.liealg import is_lie_algebra, LieAlgebra
 from difflie.samples import aff1, sl2, heisenberg, rand_vec
@@ -13,19 +13,12 @@ def rand_altmap(rng, arity, dim):
     return f
 
 
-def matrix_as_altmap(m):
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        f[(j,)] = [m.data[i][j] for i in range(m.rows)]
-    return f
-
-
 def test_circ_with_arity_one():
     # f o-bar g (x,y) = f(gx, y) + f(x, gy) for g of arity 1
     L = sl2()
     f = L.bracket
     gmat = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [3, 0, 1]])
-    g = matrix_as_altmap(gmat)
+    g = altmap1_from_matrix(gmat)
     h = circ_bar(f, g)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -51,7 +44,7 @@ def test_circ_with_identity():
     rng = random.Random(3)
     for arity in [1, 2, 3]:
         f = rand_altmap(rng, arity, 4)
-        ident = matrix_as_altmap(Matrix.identity(4))
+        ident = altmap1_from_matrix(Matrix.identity(4))
         assert circ_bar(f, ident) == f.scale(arity)
 
 
