@@ -200,7 +200,8 @@ def cmd_twist(A, args):
     from .cohomology import twist_bridge_residual
     dim, max_n = A.dim, args.max_degree
     bad = []
-    for n in range(1, max_n + 1):
+    # above degree dim + 1 there are no cochain pairs, so no columns
+    for n in range(1, min(max_n, dim + 1) + 1):
         cols = twist_bridge_residual(A, n).transpose().data
         bad.extend({"degree": n, "basis_index": k + 1,
                     "residual": _fmt_vec(col)}

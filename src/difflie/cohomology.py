@@ -26,11 +26,11 @@ structure is one residual matrix per degree.
 from itertools import combinations, product
 from math import comb
 
-from .linalg import CompositionNonzero, Matrix, exact, frac, vec_add, \
-    vec_is_zero, vec_scale, vec_zero, basis_vec
-from .liealg import FLAVORS, adjoint_rep, rho_lambda
+from .linalg import CompositionNonzero, Matrix, exact, frac, vec_is_zero, \
+    vec_zero, basis_vec
+from .liealg import FLAVORS, adjoint_rep, rho_lambda, semidirect_bracket
 from .multilinear import AltMap, ArityMismatch, _sym_sort, \
-    altmap1_from_matrix, matrix_from_altmap1
+    altmap1_from_matrix, matrix_from_altmap1, pullback
 
 
 class UnknownFlavor(Exception):
@@ -70,61 +70,31 @@ def coords_to_altmap(coords, gdim, vdim, n):
 
 
 # ---------------------------------------------------------------------------
-# the three building-block operators, applied to one cochain: the
-# definitions that the matrix builders below are tested against
+# the coboundaries of one cochain, read off the insertion kernel of nr: the
+# operators that the matrix builders below are tested against
 
 
 def ce_apply(L, rep, f):
-    """The Lie-algebra coboundary of an n-cochain, an (n+1)-cochain."""
-    gdim, vdim, n = L.dim, rep.space_dim, f.arity
-    out = AltMap(n + 1, gdim, vdim)
-    for key in combinations(range(gdim), n + 1):
-        total = vec_zero(vdim)
-        for pos in range(n + 1):
-            i = pos + 1
-            sign = -1 if (i + n) % 2 else 1
-            rest = key[:pos] + key[pos + 1:]
-            val = rep.rho[key[pos]].matvec(f.value_on_basis(rest))
-            if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(sign, val))
-        for pos_i in range(n + 1):
-            for pos_j in range(pos_i + 1, n + 1):
-                i, j = pos_i + 1, pos_j + 1
-                sign = -1 if (i + j + n + 1) % 2 else 1
-                rest = tuple(key[p] for p in range(n + 1)
-                             if p not in (pos_i, pos_j))
-                br = L.br(basis_vec(gdim, key[pos_i]),
-                          basis_vec(gdim, key[pos_j]))
-                val = f.evaluate([br] + [basis_vec(gdim, t) for t in rest])
-                if not vec_is_zero(val):
-                    total = vec_add(total, vec_scale(sign, val))
-        if not vec_is_zero(total):
-            out.coeffs[key] = total
-    return out
+    """The Chevalley-Eilenberg coboundary of an n-cochain f, an
+    (n+1)-cochain: the NR bracket [mu, f^] on g (+) V, mu the bracket of
+    the semidirect product and f^ the map f on g, zero on V, read on
+    g-inputs and projected to V."""
+    from .nr import nr_bracket
+    gdim, vdim = L.dim, rep.space_dim
+    inc_g = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
+    inc_v = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
+    f_hat = pullback(f, inc_g.transpose(), inc_v)
+    mu = semidirect_bracket(gdim, vdim, rep.rho, L.bracket)
+    return pullback(nr_bracket(mu, f_hat), inc_g, inc_v.transpose())
 
 
 def delta_apply(A, rep, f):
-    """The connecting map delta on an n-cochain: insert the operator into
-    1 <= k <= n slots with weight lambda^{k-1}, minus d_V after f."""
-    lam = A.weight
-    gdim, vdim, n = A.dim, rep.space_dim, f.arity
-    out = AltMap(n, gdim, vdim)
-    for key in combinations(range(gdim), n):
-        base = [basis_vec(gdim, i) for i in key]
-        total = vec_scale(-1, rep.dV.matvec(f.value_on_basis(key)))
-        for k in range(1, n + 1):
-            c = lam ** (k - 1)
-            if c == 0:
-                break
-            for subset in combinations(range(n), k):
-                args = [A.dv(v) if p in subset else v
-                        for p, v in enumerate(base)]
-                val = f.evaluate(args)
-                if not vec_is_zero(val):
-                    total = vec_add(total, vec_scale(c, val))
-        if not vec_is_zero(total):
-            out.coeffs[key] = total
-    return out
+    """The connecting map delta on an n-cochain f: the pointed insertion of
+    d into f, with weight lambda^(k-1) on k slots, minus d_V after f."""
+    from .nr import pointed_family
+    n, d = f.arity, altmap1_from_matrix(A.d)
+    return pointed_family({0: f}, {0: d}, 0, A.weight, n, n - 1, f.space) - \
+        pullback(f, Matrix.identity(A.dim), rep.dV)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The insertion sum, and with it the Nijenhuis-Richardson circle product
 and bracket.
 
-All act on graded symmetric maps of one graded space.  For f of arity n and
-inner maps g_1, .., g_r of arities a_1, .., a_r, the insertion sum is the
-map of arity a_1 + .. + a_r + n - r and degree |f| + |g_1| + .. + |g_r|
+All act on graded symmetric maps on one graded space.  The inner maps land
+in the space, and the outer map, as a cochain g^n -> V, in any target.  For
+f of arity n and inner maps g_1, .., g_r of arities a_1, .., a_r, the
+insertion sum is the map, into the target of f, of arity
+a_1 + .. + a_r + n - r and degree |f| + |g_1| + .. + |g_r|
 
     sum over (a_1, .., a_r, n-r)-shuffles sigma of
     eps(sigma) f(g_1(v_sigma(1), .., v_sigma(a_1)), .., g_r(..),
@@ -14,6 +16,8 @@ leaders sigma(1), sigma(a_1 + 1), .. increase are kept.  Every identity of
 the package that inserts maps into maps is such a sum: f o-bar g is the
 insertion of the one map g, [f, g]_NR = f o-bar g - (-1)^{|f||g|} g o-bar f,
 and the closed form of the higher derived brackets inserts several maps.
+The coboundaries of one cochain are such sums too: delta f is the pointed
+insertion of d into f minus d_V f, and d_ce f is [mu, f]_NR on g (+) V.
 
 The L-infinity[1] structure built by higher derived brackets carries both
 formal deformations and homotopy differential Lie algebras, so their
@@ -55,15 +59,14 @@ def insertion_sum(f, inners, pointed=False):
     max(.., 0) when there are more inner maps than slots of f."""
     space = f.space
     r = len(inners)
-    if any(g.space != space or g.tgt_dim != space.dim for g in inners) \
-            or f.tgt_dim != space.dim:
-        raise DimensionMismatch("insertion needs maps on one space")
+    if any(g.space != space or g.tgt_dim != space.dim for g in inners):
+        raise DimensionMismatch("insertion needs inner maps into the space")
     blocks = tuple(g.arity for g in inners) + (f.arity - r,)
     if pointed and 0 in blocks[:r]:
         raise ValueError("pointed insertion needs inner maps of arity >= 1")
     arity = sum(blocks)
     out = GradedSymMap(max(arity, 0), f.degree + sum(g.degree for g in inners),
-                       space)
+                       space, tgt_dim=f.tgt_dim)
     if r > f.arity or f.is_zero() or any(g.is_zero() for g in inners):
         return out
     starts = [sum(blocks[:b]) for b in range(r + 1)]
@@ -84,7 +87,7 @@ def insertion_sum(f, inners, pointed=False):
         eps = eps_of.get(parity)
         if eps is None:
             eps = eps_of[parity] = [koszul_sign(s, parity) for s in shs]
-        total = [0] * space.dim
+        total = [0] * f.tgt_dim
         for (heads, tail), e in zip(slots, eps):
             args = []
             for g_supp, pos in zip(supports, heads):
@@ -124,14 +127,19 @@ def arity_weights(family):
 def family_circ(outer, inner, w, arity, degree, space):
     """The weight-w map sum_{a+b=w} outer_a o-bar inner_b, of the given
     arity and degree on `space`, for families {weight: map} (a missing
-    weight is zero).  Zero terms and outer terms of weight > w are
-    skipped."""
-    out = GradedSymMap(arity, degree, space)
+    weight is zero), into the target of the outer maps.  Zero terms and
+    outer terms of weight > w are skipped."""
+    out = GradedSymMap(arity, degree, space, tgt_dim=_target(outer, space))
     for a, f in outer.items():
         g = inner.get(w - a)
         if a <= w and g is not None and not f.is_zero() and not g.is_zero():
             out = out + circ_bar(f, g)
     return out
+
+
+def _target(outer, space):
+    """The target of an outer family as given; the space for no maps."""
+    return next((f.tgt_dim for f in outer.values()), space.dim)
 
 
 def _splits(weights, total, r):
@@ -154,11 +162,12 @@ def pointed_family(mu, d, w, lam, arity, degree, space):
       sum lam^{r-1} I_pointed(mu_a; d_{b_1}, .., d_{b_r}),
 
     over 1 <= r <= arity(mu_a) and a + b_1 + .. + b_r = w, I the insertion
-    sum.  Zero terms and terms of weight > w are skipped, so the sum never
-    looks at the declared arity of a zero map."""
+    sum, into the target of the maps mu.  Zero terms and terms of weight
+    > w are skipped, so the sum never looks at the declared arity of a zero
+    map."""
+    out = GradedSymMap(arity, degree, space, tgt_dim=_target(mu, space))
     mu = {a: f for a, f in mu.items() if a <= w and not f.is_zero()}
     d = {b: g for b, g in d.items() if b <= w and not g.is_zero()}
-    out = GradedSymMap(arity, degree, space)
     for a, f in mu.items():
         for r in range(1, (f.arity if lam != 0 else 1) + 1):
             c = lam ** (r - 1)

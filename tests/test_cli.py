@@ -117,6 +117,24 @@ AFF1 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "cli_snapshots", "inputs", "aff1.json")
 
 
+def test_twist_stops_at_the_last_degree_with_pairs(monkeypatch, capsys):
+    # above degree dim + 1 the bridge matrix has no columns, so a large
+    # --max-degree builds no more of them and reports what it was given
+    import difflie.cohomology as cohomology
+    true_bridge, degrees = cohomology.twist_bridge_residual, []
+
+    def counted(A, n):
+        degrees.append(n)
+        return true_bridge(A, n)
+
+    monkeypatch.setattr(cohomology, "twist_bridge_residual", counted)
+    rc, rep, _ = run(capsys, ["twist", AFF1, "--max-degree", "40"])
+    assert degrees == [1, 2, 3]
+    rc3, rep3, _ = run(capsys, ["twist", AFF1, "--max-degree", "3"])
+    assert rc == rc3 == 0 and rep["max_degree"] == 40
+    assert dict(rep, max_degree=3) == rep3
+
+
 def test_twist_reports_nonzero_bridge(monkeypatch, capsys):
     """The bridge is an identity of formulas, so no real input trips it;
     doubling the combined differential makes every column whose

@@ -61,6 +61,11 @@ def test_commands_load_what_they_run():
     extract = _loaded(_run(["extension", "extract", "ext_total.json"]))
     assert "difflie.extensions" in extract
     assert "difflie.cohomology" not in extract
+    # the cochain operators read the insertion kernel only when called, so
+    # building and ranking a complex loads neither it nor the shuffles
+    coho = _loaded(_run(["cohomology", "--max-degree", "3",
+                         "heis_trivial2.json"]))
+    assert coho == ["difflie.cohomology"]
     for argv in (["deform", "rigidify", "deform_sl2.json"],
                  ["extension", "build", "ext_cocycle.json"]):
         assert "difflie.cohomology" in _loaded(_run(argv)), argv

@@ -10,7 +10,7 @@ from difflie.liealg import (DiffLieAlgebra, adjoint_rep, trivial_extension,
 from difflie.multilinear import AltMap, ArityMismatch, matrix_from_altmap1
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, _twisted_l1, altmap_to_coords,
-                                ce_differential, cochain_dim, cochain_keys,
+                                ce_apply, ce_differential, cochain_dim, cochain_keys,
                                 cohomology_dims, coords_to_altmap,
                                 delta_apply, delta_matrix, do_differential,
                                 difflie_differential, pair_dim,
@@ -98,6 +98,17 @@ def test_delta_degree_zero_is_minus_dv():
     f[()] = v
     assert delta_apply(A, rep, f).value_on_basis(()) == \
         [-x for x in rep.dV.matvec(v)]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_coboundaries_of_the_zero_cochain_are_V_valued(n):
+    # dim V = 3 differs from dim g = 2: the zero cochain's images are the
+    # zero cochains into V, of the right arity
+    A = aff1_d()
+    rep = trivial_rep(A, 3, Matrix.identity(3))
+    zero = AltMap(n, 2, 3)
+    assert delta_apply(A, rep, zero) == zero
+    assert ce_apply(A.algebra, rep, zero) == AltMap(n + 1, 2, 3)
 
 
 def test_delta_identity_cochain_commuting_with_d():

@@ -1,9 +1,12 @@
 """The cochain differentials built from the structure constants equal the
-column-by-column matrices of ce_apply and delta_apply.
+column-by-column matrices of ce_apply and delta_apply, the insertion kernel.
 
 The oracle feeds every basis cochain through the cochain-level maps and
-reads off its image; the direct builders write the same entries from the
-bracket constants, rho, d and d_V.  They must agree entry for entry on
+reads off its image.  Those maps are calls of nr: delta is the pointed
+insertion of d minus d_V after the cochain, and d_ce the NR bracket with
+the bracket of the semidirect product g (+) V.  So the direct builders,
+which write the same entries from the bracket constants, rho, d and d_V,
+are certified against the kernel that every axiom residual reads.  They must agree entry for entry on
 catalog and scrambled algebras, weight 0 and a rational weight, dense
 conjugated operators, non-adjoint coefficients with a nonzero d_V, and
 degrees where the cochain space is empty.

@@ -10,7 +10,12 @@ outside the package.)  Only three functions may call ``.accumulate(``, the
 evaluation of a map on vectors given by their nonzero entries:
 ``nr.insertion_sum``, ``GradedSymMap.evaluate_head`` and
 ``multilinear.pullback``.  Any other caller evaluates maps on maps by hand,
-a copy of the insertion sum.
+a copy of the insertion sum.  Only three functions may call
+``.evaluate(``, the evaluation of a map on whole vectors:
+``LieAlgebra.br`` and the two residual readers of ``homotopy``
+(``linfty_residual`` and ``homotopy_diff_residual``).  Any other caller
+builds a map by evaluating another one slot by slot, as the cochain
+coboundaries once did, instead of reading it off the kernel.
 
 Likewise only ``nr.pointed_family`` inserts at pointed shuffles (calls
 ``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
@@ -29,6 +34,9 @@ ALLOWED = {("nr.py", "insertion_sum")}
 ACCUMULATORS = {("nr.py", "insertion_sum"),
                 ("multilinear.py", "evaluate_head"),
                 ("multilinear.py", "pullback")}
+
+EVALUATORS = {("liealg.py", "br"), ("homotopy.py", "linfty_residual"),
+              ("homotopy.py", "homotopy_diff_residual")}
 
 
 def _called(node):
@@ -77,6 +85,12 @@ def test_only_the_kernels_accumulate():
     assert callers == ACCUMULATORS, sorted(found)
 
 
+def test_only_the_readers_evaluate():
+    found = package_calls("evaluate")
+    callers = {(name, fn) for name, fn, _ in found}
+    assert callers == EVALUATORS, sorted(found)
+
+
 def test_shuffle_calls_are_seen():
     snippet = ("from .permutations import shuffles\n"
                "import difflie.permutations as p\n"
@@ -98,6 +112,19 @@ def test_accumulate_calls_are_seen():
     assert calls("deformations.py", ast.parse(snippet), "accumulate") == [
         ("deformations.py", "evaluate_head", 2),
         ("deformations.py", "pair", 5)]
+
+
+def test_evaluate_calls_are_seen():
+    snippet = ("class LieAlgebra:\n"
+               "    def br(self, u, v):\n"
+               "        return self.bracket.evaluate([u, v])\n"
+               "def ce_apply(f, keys):\n"
+               "    return [f.evaluate([k]) for k in keys]\n"
+               "def delta_apply(f, args):\n"
+               "    return f.evaluate_head(args) + evaluate(args)\n")
+    assert calls("cohomology.py", ast.parse(snippet), "evaluate") == [
+        ("cohomology.py", "br", 3), ("cohomology.py", "ce_apply", 5),
+        ("cohomology.py", "delta_apply", 7)]
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,

@@ -1,15 +1,20 @@
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_sub
-from difflie.multilinear import AltMap, altmap1_from_matrix
-from difflie.nr import circ_bar, nr_bracket, graded_circ_bar
+from itertools import combinations
+
+import pytest
+
+from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_sub
+from difflie.multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
+from difflie.nr import (circ_bar, family_circ, graded_circ_bar,
+                        insertion_sum, nr_bracket, pointed_family)
 from difflie.liealg import is_lie_algebra, LieAlgebra
 from difflie.samples import aff1, sl2, heisenberg, rand_vec
 
 
-def rand_altmap(rng, arity, dim):
-    from itertools import combinations
-    f = AltMap(arity, dim, dim)
+def rand_altmap(rng, arity, dim, tgt=None):
+    tgt = dim if tgt is None else tgt
+    f = AltMap(arity, dim, tgt)
     for key in combinations(range(dim), arity):
-        f[key] = rand_vec(rng, dim, -2, 2)
+        f[key] = rand_vec(rng, tgt, -2, 2)
     return f
 
 
@@ -101,3 +106,74 @@ def test_graded_self_bracket_odd():
     assert mu.degree == 1
     assert nr_bracket(mu, mu) == graded_circ_bar(mu, mu).scale(2)
     assert nr_bracket(mu, mu).is_zero()
+
+
+def perm_sign(order):
+    inversions = sum(a > b for a, b in combinations(order, 2))
+    return -1 if inversions % 2 else 1
+
+
+def insertion_oracle(f, inners, key, pointed=False):
+    """The insertion sum on one basis tuple, by evaluation: the slots of
+    key dealt to the inner maps in turn, in every way (pointed: with
+    increasing block leaders), each term signed by its permutation."""
+    dim, total = f.src_dim, [0] * f.tgt_dim
+
+    def deal(free, todo, blocks):
+        nonlocal total
+        if todo:
+            for block in combinations(free, todo[0].arity):
+                if not (pointed and blocks and block[0] < blocks[-1][0]):
+                    deal([p for p in free if p not in block], todo[1:],
+                         blocks + [block])
+            return
+        args = [g.value_on_basis(tuple(key[p] for p in block))
+                for g, block in zip(inners, blocks)]
+        args += [basis_vec(dim, key[p]) for p in free]
+        order = [p for block in blocks for p in block] + free
+        total = vec_add(total, vec_scale(perm_sign(order), f.evaluate(args)))
+
+    deal(list(range(len(key))), inners, [])
+    return total
+
+
+@pytest.mark.parametrize("vdim", [1, 2, 4])
+def test_insertion_into_a_map_with_another_target(rng, vdim):
+    # a cochain g^n -> V is an outer map like any other: only the inner
+    # maps must land in the space, and the sum lands in V
+    dim = 3
+    for arity, inner_arities, pointed in [(1, [2], False), (2, [1], False),
+                                          (2, [2], False), (3, [1, 1], True),
+                                          (2, [1, 2], False), (3, [2], False),
+                                          (3, [1, 1], False)]:
+        f = rand_altmap(rng, arity, dim, vdim)
+        inners = [rand_altmap(rng, a, dim) for a in inner_arities]
+        got = insertion_sum(f, inners, pointed)
+        assert got.tgt_dim == vdim
+        assert got.arity == arity + sum(inner_arities) - len(inners)
+        for key in combinations(range(dim), got.arity):
+            assert got.value_on_basis(key) == \
+                insertion_oracle(f, inners, key, pointed)
+
+
+def test_inner_maps_must_land_in_the_space(rng):
+    f, mu = rand_altmap(rng, 2, 3, 2), rand_altmap(rng, 2, 3)
+    for inner in (rand_altmap(rng, 1, 3, 2), rand_altmap(rng, 2, 3, 4)):
+        with pytest.raises(DimensionMismatch):
+            insertion_sum(f, [inner])
+    with pytest.raises(DimensionMismatch):
+        circ_bar(mu, f)
+    with pytest.raises(DimensionMismatch):
+        nr_bracket(f, mu)
+
+
+def test_family_sums_map_into_the_outer_target(rng):
+    # the target is read off the outer family as given, zero maps
+    # included; an empty family maps into the space
+    space, d = AltMap(1, 3, 3).space, rand_altmap(rng, 1, 3)
+    zero = AltMap(2, 3, 2)
+    assert pointed_family({0: zero}, {0: d}, 0, 1, 2, 1, space) == zero
+    assert family_circ({0: zero}, {0: d}, 0, 2, 1, space) == zero
+    assert pointed_family({}, {0: d}, 0, 1, 2, 1, space) == AltMap(2, 3, 3)
+    f = rand_altmap(rng, 2, 3, 2)
+    assert family_circ({0: f}, {0: d}, 0, 2, 1, space) == circ_bar(f, d)
