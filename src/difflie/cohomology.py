@@ -195,11 +195,10 @@ def _add_identity_blocks(data, r, c0, src, coeffs, vdim):
 
 
 def ce_differential(A, rep, n):
-    L = A.algebra if hasattr(A, "algebra") else A
-    gdim, vdim = L.dim, rep.space_dim
+    gdim, vdim = A.dim, rep.space_dim
     out = Matrix.zero(cochain_dim(gdim, vdim, n + 1),
                       cochain_dim(gdim, vdim, n))
-    _add_ce(out, 0, 0, 1, L, rep.rho, vdim, n)
+    _add_ce(out, 0, 0, 1, A.algebra, rep.rho, vdim, n)
     return _exact_rows(out)
 
 
@@ -240,8 +239,9 @@ def difflie_differential(A, rep, n, tilde=False):
 class CochainComplexSpec:
     """A validated complex: the differentials that H^0..H^{N-1} rest on,
     d[n] from n-cochains to (n+1)-cochains for 0 <= n < N = max_degree,
-    and the dimensions of C^0..C^N read off their shapes.  As they are
-    built, d[n] * d[n-1] = 0 is checked for 1 <= n < N, raising
+    and the dimensions of C^0..C^N read off their shapes.  C^n is zero for
+    n > dim + 1, so d[n] is 0 x 0 from n = dim + 2 on and is not built.  As
+    they are listed, d[n] * d[n-1] = 0 is checked for 1 <= n < N, raising
     CompositionNonzero at the first degree where it fails."""
 
     def __init__(self, algebra, rep, flavor="difflie", max_degree=4):
@@ -255,7 +255,8 @@ class CochainComplexSpec:
         self.max_degree = max_degree
         self.d = []
         for n in range(max_degree):
-            self.d.append(self._differential(n))
+            self.d.append(self._differential(n) if n < algebra.dim + 2
+                          else Matrix.zero(0, 0))
             if n and not (self.d[n] * self.d[n - 1]).is_zero():
                 raise CompositionNonzero(
                     "d^2 != 0 at degree %d (flavor %s)" % (n - 1, flavor))

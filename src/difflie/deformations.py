@@ -19,22 +19,23 @@ The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
 Pulling a deformation back along Phi_t = Id + sum_{c>=1} phi_c t^c
-(apply_formal_iso) solves Phi mu' = mu (Phi x Phi) and Phi d' = d Phi order
-by order.  With phi = {c: phi_c} as arity-1 maps, mu(Phi x, Phi y) is mu
-plus the pointed insertions of one and of two phi's, the weight-1 pointed
-family of (mu, phi), and Phi mu' is mu' plus phi o-bar mu'.  Since
-phi_0 = Id each order is explicit, so the series Phi^{-1} is never formed
-and each product phi_c o-bar mu'_k is computed once:
+(apply_formal_iso) solves Phi f' = f(Phi .., Phi) order by order, for
+f = mu and for f = d.  With phi = {c: phi_c} as arity-1 maps,
+f(Phi .., Phi) is f plus the pointed insertions of phi's into its
+slots, the weight-1 pointed family of (f, phi), and Phi f' is f' plus
+phi o-bar f'.  Since phi_0 = Id each order is explicit, so the series
+Phi^{-1} is never formed and each product phi_c o-bar f'_k is computed
+once:
 
-  mu'_n = mu_n + pointed_family(mu, phi, n, 1) - family_circ(phi, mu', n),
-  d'_n  = d_n + sum_{c>=1} (d_{n-c} phi_c - phi_c d'_{n-c}),
+  f'_n = f_n + pointed_family(f, phi, n, 1) - family_circ(phi, f', n),
 
-mu' holding the orders below n.
+f' holding the orders below n.
 """
 
 from .linalg import Matrix
 from .liealg import AxiomFailure, adjoint_rep
-from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
+from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix, \
+    matrix_from_altmap1
 from .nr import family_circ, operator_family, pointed_family
 
 
@@ -94,9 +95,9 @@ class FormalIso:
         self.order = len(phi) - 1
 
 
-def _nonzero_terms(series):
-    """{order: term} of the terms of a series that are not zero."""
-    return {k: t for k, t in enumerate(series) if not t.is_zero()}
+def _maps(matrices, start=0):
+    """{order: arity-1 map} of a series of matrices, from order start."""
+    return dict(enumerate(map(altmap1_from_matrix, matrices), start))
 
 
 def deformation_residuals(D):
@@ -104,7 +105,7 @@ def deformation_residuals(D):
     map)], order 0..N: minus the weight-n families of nr; the deformation
     equations hold iff all are zero."""
     mu = dict(enumerate(D.mu))
-    d = {l: altmap1_from_matrix(m) for l, m in _nonzero_terms(D.d).items()}
+    d = _maps(D.d)
     space, lam = D.mu[0].space, D.base.weight
     return [(-family_circ(mu, mu, n, 3, 2, space),
              -operator_family(mu, d, n, lam, 2, 1, space))
@@ -149,29 +150,26 @@ def apply_formal_iso(D, Phi):
     Phi mu'(x, y) = mu(Phi x, Phi y) and Phi d' = d Phi, truncated at the
     order of D.
 
-    With phi = {c: phi_c} the nonzero terms of order c >= 1, as arity-1
-    maps, order n of Phi mu' = mu(Phi x Phi) reads
-    mu'_n + family_circ(phi, mu', n) = mu_n + pointed_family(mu, phi, n, 1),
-    mu' the orders already pulled back, and order n of Phi d' = d Phi gives
-    d'_n (see the module docstring).
+    Each series f, as a family {order: map} (d as arity-1 maps), goes
+    through the one formula of the module docstring, phi the terms of order
+    c >= 1 of Phi as arity-1 maps; d' goes back to matrices.
     Raises DimensionMismatch when a term of Phi is not dim x dim."""
     N, dim = D.order, D.base.dim
     if any((p.rows, p.cols) != (dim, dim) for p in Phi.phi):
         raise DimensionMismatch("each phi_c must be a %d x %d matrix"
                                 % (dim, dim))
-    phi = {c: p for c, p in _nonzero_terms(Phi.phi[:N + 1]).items() if c}
-    phi_maps = {c: altmap1_from_matrix(p) for c, p in phi.items()}
-    mu, space = dict(enumerate(D.mu)), D.mu[0].space
-    mu_new, d_new = {}, []
-    for n in range(N + 1):
-        mu_new[n] = D.mu[n] + pointed_family(mu, phi_maps, n, 1, 2, 1, space) \
-            - family_circ(phi_maps, mu_new, n, 2, 1, space)
-        acc = D.d[n]
-        for c, p in phi.items():
-            if c <= n:
-                acc = acc + D.d[n - c] * p - p * d_new[n - c]
-        d_new.append(acc)
-    return TruncatedDeformation(D.base, list(mu_new.values()), d_new)
+    phi = _maps(Phi.phi[1:N + 1], 1)
+    pulled = []
+    for f in (dict(enumerate(D.mu)), _maps(D.d)):
+        new = {}
+        for n, fn in f.items():
+            shape = (fn.arity, fn.degree, fn.space)
+            new[n] = fn + pointed_family(f, phi, n, 1, *shape) \
+                - family_circ(phi, new, n, *shape)
+        pulled.append(list(new.values()))
+    mu, d = pulled
+    return TruncatedDeformation(D.base, mu,
+                                [matrix_from_altmap1(m) for m in d])
 
 
 def first_nontrivial_order(D):

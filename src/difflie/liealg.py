@@ -221,18 +221,15 @@ def trivial_rep(A, space_dim, dV=None):
         space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
 
 
-def semidirect_bracket(gdim, vdim, rho, g_bracket=None, psi=None,
-                       h_bracket=None):
+def semidirect_bracket(gdim, vdim, rho, g_bracket, psi=None, h_bracket=None):
     """The bracket on g (+) V with [x, y] = g_bracket(x, y) + psi(x, y)
     (psi valued in V), [x, v] = rho(x) v and [u, v] = h_bracket(u, v) on V;
     an absent part is zero."""
     N = gdim + vdim
     b = AltMap(2, N, N)
     for key in combinations(range(gdim), 2):
-        gval = vec_zero(gdim) if g_bracket is None \
-            else g_bracket.value_on_basis(key)
         vval = vec_zero(vdim) if psi is None else psi.value_on_basis(key)
-        b[key] = gval + vval
+        b[key] = g_bracket.value_on_basis(key) + vval
     for i in range(gdim):
         for a in range(vdim):
             col = [rho[i].data[r][a] for r in range(vdim)]

@@ -31,9 +31,10 @@ families {weight: map}:
         - family_circ(d, mu, w).
 
 A series (mu_t, d_t) is graded by its order: its order-n deformation
-equations are minus the weight-n families, its pull-back mu' along a formal
-isomorphism Id + sum phi_c t^c is read off order by order as
-mu'_n = mu_n + pointed_family(mu, phi, n, 1) - family_circ(phi, mu', n),
+equations are minus the weight-n families, the pull-back f' of either
+series f = mu, d along a formal isomorphism Id + sum phi_c t^c is read off
+order by order as
+f'_n = f_n + pointed_family(f, phi, n, 1) - family_circ(phi, f', n),
 and every axiom of a differential Lie algebra, its representations and its
 relative operators is read off the weight-0 part.  A homotopy structure
 (mu_i, D_i) and an L-infinity[1] bracket family are graded by arity - 1

@@ -171,6 +171,29 @@ def test_spec_builds_the_reported_differentials_only(rng):
                 CochainComplexSpec(A, rep, flavor, max_degree=0)
 
 
+def test_spec_builds_no_differential_above_dim_plus_one(monkeypatch):
+    # C^n = 0 for n > dim + 1, so from degree dim + 2 on d[n] is listed as
+    # 0 x 0 without a build: max_degree 50 on sl2 builds at most 5
+    A = DiffLieAlgebra(sl2(), Matrix.zero(3, 3), Fraction(1))
+    rep = adjoint_rep(A)
+    built = []
+    build = CochainComplexSpec._differential
+
+    def counted(self, n):
+        built.append(n)
+        return build(self, n)
+
+    monkeypatch.setattr(CochainComplexSpec, "_differential", counted)
+    for flavor in FLAVORS:
+        del built[:]
+        spec = CochainComplexSpec(A, rep, flavor, max_degree=50)
+        assert len(built) <= A.dim + 2 and len(spec.d) == 50
+        assert spec.dims[A.dim + 2:] == [0] * (50 - A.dim - 1)
+        assert cohomology_dims(spec)[A.dim + 2:] == [0] * (48 - A.dim)
+        low = CochainComplexSpec(A, rep, flavor, max_degree=A.dim + 2)
+        assert spec.d[:A.dim + 2] == low.d
+
+
 def test_unknown_flavor():
     A = aff1_d()
     with pytest.raises(UnknownFlavor):

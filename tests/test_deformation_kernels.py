@@ -249,8 +249,9 @@ def test_apply_formal_iso_matches_oracle(rng, kind):
 
 def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
     # the circle products with an arity-2 inner map are the phi_c o-bar
-    # mu'_k; the pull-back computes each once, for each pair of nonzero
-    # terms with c >= 1 and c + k <= N
+    # mu'_k, and those with an arity-1 inner map the phi_c o-bar d'_k; the
+    # pull-back computes each once, for each pair of nonzero terms with
+    # c >= 1 and c + k <= N
     inner_arities = []
     circ_bar = nr.circ_bar
 
@@ -259,7 +260,7 @@ def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
         return circ_bar(f, g)
 
     monkeypatch.setattr(nr, "circ_bar", counted)
-    changed = 0
+    changed = operator_products = 0
     for lam in (Fraction(0), Fraction(-2, 3), Fraction(3)):
         A = random_diff_lie(rng, lam=lam, max_dim=4)
         for order in (2, 3):
@@ -268,12 +269,15 @@ def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
                 [rand_matrix(rng, A.dim, A.dim) for _ in range(order - 1)]
             del inner_arities[:]
             new = apply_formal_iso(D, FormalIso(phi))
-            expected = sum(1 for c in range(1, order + 1)
-                           for k in range(order + 1 - c)
-                           if not phi[c].is_zero() and not new.mu[k].is_zero())
-            assert inner_arities.count(2) == expected
+            for arity, series in ((2, new.mu), (1, new.d)):
+                expected = sum(1 for c in range(1, order + 1)
+                               for k in range(order + 1 - c)
+                               if not phi[c].is_zero()
+                               and not series[k].is_zero())
+                assert inner_arities.count(arity) == expected
+            operator_products += expected
             changed += new.mu[1] != D.mu[1]
-    assert changed >= 4
+    assert changed >= 4 and operator_products >= 6
 
 
 def test_rigidify_steps_match_oracle(rng):
