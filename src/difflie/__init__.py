@@ -2,7 +2,7 @@
 
 Submodules:
   linalg        exact rational matrices (rank, kernel, solve, homology)
-  permutations  shuffles, signatures, Koszul signs
+  permutations  shuffles, Koszul signs
   multilinear   graded symmetric multilinear maps (alternating maps are the
                 one-odd-degree case), suspension, arity-1 maps as matrices
   liealg        differential Lie algebras, representations, LieAct triples
@@ -16,7 +16,6 @@ Submodules:
   homotopy      homotopy differential Lie algebras on graded spaces; an
                 L-infinity[1]-algebra is one with no D (MC, twisting,
                 rescaling)
-  samples       seeded random generators of valid fixtures
   cli           command-line interface
 """
 

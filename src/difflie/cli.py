@@ -236,7 +236,7 @@ def cmd_key_formula(dim, args):
 
 
 def cmd_morphism_check(inputs, args):
-    from .linfty import (Term, absolute_structure, iota_M, iota_a_abs,
+    from .linfty import (AbsoluteStructure, Term, iota_M, iota_a_abs,
                          morphism_residual, project_a_rel, project_M_embed,
                          relative_structure)
     gdim, hdim, lam = inputs
@@ -247,11 +247,11 @@ def cmd_morphism_check(inputs, args):
     # payload subalgebra where the embedding is strict (<= one h input)
     runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s" else iota_a_abs)
                             (t.f, gdim)),
-             absolute_structure(gdim, lam),
+             AbsoluteStructure(gdim, lam),
              relative_structure(gdim, gdim, lam), gdim,
              lambda F: F, lambda F: F),
             (lambda t: t, relative_structure(gdim, hdim, lam),
-             absolute_structure(N, lam), N,
+             AbsoluteStructure(N, lam), N,
              lambda F: project_M_embed(F, gdim, hdim),
              lambda F: project_a_rel(F, gdim, hdim))]
     residuals = []

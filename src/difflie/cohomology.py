@@ -337,9 +337,9 @@ def pair_primitive(A, rep, pair):
 def _twisted_l1(A, pair):
     """l_1 of the absolute structure twisted by (s mu, d), applied to
     (sf, g), in degree-(n+1) coordinates."""
-    from .linfty import Term, absolute_structure, twist_l1_formal
+    from .linfty import AbsoluteStructure, Term, twist_l1_formal
     n, dim = pair.f.arity, A.dim
-    struct = absolute_structure(dim, A.weight)
+    struct = AbsoluteStructure(dim, A.weight)
     mu, dmap = A.algebra.bracket, altmap1_from_matrix(A.d)
     twisted = twist_l1_formal(struct, mu, dmap, Term("s", pair.f)) + \
         twist_l1_formal(struct, mu, dmap, Term("a", pair.g))

@@ -77,13 +77,6 @@ class TruncatedDeformation:
         self.d = list(d)
 
 
-def constant_deformation(base, order):
-    dim = base.dim
-    mu = [base.algebra.bracket] + [AltMap(2, dim, dim)] * order
-    d = [base.d] + [Matrix.zero(dim, dim)] * order
-    return TruncatedDeformation(base, mu, d)
-
-
 class FormalIso:
     """phi = [phi_0..phi_N] with phi_0 = Id."""
 
@@ -126,10 +119,6 @@ def _require_equations(D, through):
     for n, which in failed_equations(D):
         if n <= through:
             raise NotDeformation(n, which)
-
-
-def is_deformation(D):
-    return not failed_equations(D)
 
 
 def infinitesimal(D):

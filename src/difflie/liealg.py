@@ -21,8 +21,7 @@ reads.
 from itertools import combinations
 
 from .linalg import (Matrix, div, frac, fmt_scalar, mat_combination,
-                     parse_scalar, vec_add, vec_scale, vec_zero,
-                     vec_is_zero, basis_vec)
+                     parse_scalar, vec_zero, vec_is_zero)
 from .multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                           altmap1_from_matrix)
 
@@ -56,14 +55,9 @@ class LieAlgebra:
     def br(self, u, v):
         return self.bracket.evaluate([u, v])
 
-    def basis(self, i):
-        return basis_vec(self.dim, i)
-
     def ad(self, i):
         """Matrix of ad(x_i) acting on g."""
-        return Matrix(self.dim, self.dim,
-                      [self.bracket.value_on_basis((i, j))
-                       for j in range(self.dim)]).transpose()
+        return _matrices(self.bracket, [(i,)], 0, self.dim)[0]
 
 
 def _jacobi0(bracket):
@@ -121,15 +115,6 @@ class DiffLieAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    def br(self, u, v):
-        return self.algebra.br(u, v)
-
-    def basis(self, i):
-        return self.algebra.basis(i)
-
-    def dv(self, v):
-        return self.d.matvec(v)
-
 
 def weighted_derivation_residual(A):
     """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j:
@@ -150,16 +135,7 @@ def rescale_operator(A, kappa):
                           div(A.weight, kappa))
 
 
-class LinearAction:
-    """rho: one space_dim x space_dim matrix per basis vector of a Lie
-    algebra."""
-
-    def rho_vec(self, x):
-        """rho extended linearly to a vector of the algebra."""
-        return mat_combination(x, self.rho, self.space_dim)
-
-
-class DiffRepresentation(LinearAction):
+class DiffRepresentation:
     """Representation (V, rho, d_V) over a differential Lie algebra.
 
     rho: list of space_dim x space_dim matrices, one per basis vector of g.
@@ -200,25 +176,18 @@ def is_diff_representation(A, rep):
 
 
 def rho_lambda(rep, A):
-    """The shifted representation rho_lambda(x) = rho(x + lambda d x)."""
-    lam = A.weight
-    rho = [rep.rho_vec(vec_add(A.basis(i), vec_scale(lam, A.dv(A.basis(i)))))
-           for i in range(A.dim)]
-    return DiffRepresentation(rep.space_dim, rho, rep.dV)
+    """The shifted representation rho_lambda(x) = rho(x + lambda d x), x_i
+    + lambda d x_i being column i of Id + lambda d."""
+    e = Matrix.identity(A.dim) + A.d.scale(A.weight)
+    return DiffRepresentation(rep.space_dim, [
+        mat_combination(x, rep.rho, rep.space_dim)
+        for x in e.transpose().data], rep.dV)
 
 
 def adjoint_rep(A):
     """rho = ad, d_V = d."""
     return DiffRepresentation(A.dim, [A.algebra.ad(i) for i in range(A.dim)],
                               A.d)
-
-
-def trivial_rep(A, space_dim, dV=None):
-    """rho = 0 with an arbitrary d_V (default 0)."""
-    if dV is None:
-        dV = Matrix.zero(space_dim, space_dim)
-    return DiffRepresentation(
-        space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
 
 
 def semidirect_bracket(gdim, vdim, rho, g_bracket, psi=None, h_bracket=None):
@@ -256,13 +225,12 @@ def trivial_extension(A, rep):
 # LieAct triples, relative operators, and the weighted semidirect product
 
 
-class LieActTriple(LinearAction):
+class LieActTriple:
     """(g, h, rho) with rho: g -> Der(h) a Lie algebra homomorphism."""
 
     def __init__(self, g, h, rho):
         self.g = g
         self.h = h
-        self.space_dim = h.dim
         self.rho = list(rho)
         if len(self.rho) != g.dim:
             raise DimensionMismatch("one rho matrix per basis vector of g")

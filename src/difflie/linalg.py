@@ -233,9 +233,6 @@ class Matrix:
     def is_zero(self):
         return all(vec_is_zero(row) for row in self.data)
 
-    def copy(self):
-        return Matrix(self.rows, self.cols, [row[:] for row in self.data])
-
     # -- elimination ------------------------------------------------------
 
     def rref(self):

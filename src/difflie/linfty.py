@@ -301,10 +301,6 @@ def _closed_form_sum(f, xis):
     return insertion_sum(f, xis[::-1]).scale(-1 if exp % 2 else 1)
 
 
-def absolute_structure(dim, lam):
-    return AbsoluteStructure(dim, lam)
-
-
 def key_formula_check(f, xis, dim):
     """Difference between the iterated circle product of iota_M(f) with the
     embedded xi's and _closed_form_sum of the same maps, both computed in
@@ -337,11 +333,6 @@ def _project(F, gdim, keep):
         if not vec_is_zero(val):
             out.coeffs[key] = val
     return out
-
-
-def project_M_rel(F, gdim, hdim):
-    """Component of F in M' = Hom(~g,g) + Hom(~g (x) ~h, h) + Hom(~h,h)."""
-    return _project(F, gdim, lambda gs, hs: (hs == 0, hs >= 1 or gs == 0))
 
 
 def project_a_rel(F, gdim, hdim):
@@ -422,7 +413,7 @@ def mc_residual_formal(struct, S, A):
 def mc_check_absolute(pi, D, lam):
     """(s pi, D) is MC in the absolute structure iff (g, pi, D) is a
     differential Lie algebra of weight lam.  Returns (bool, residual)."""
-    res = mc_residual_formal(absolute_structure(pi.src_dim, lam), pi,
+    res = mc_residual_formal(AbsoluteStructure(pi.src_dim, lam), pi,
                              altmap1_from_matrix(D))
     return res.is_zero(), res
 

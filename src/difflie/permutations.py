@@ -1,4 +1,4 @@
-"""Shuffles, signatures and Koszul signs.
+"""Shuffles and Koszul signs.
 
 Permutations are tuples ``images`` with ``images[k] = sigma(k+1)``, i.e.
 1-based bijections of {1..n} stored 0-indexed.  Shuffle enumeration is
@@ -12,17 +12,6 @@ from itertools import combinations
 
 class LengthMismatch(Exception):
     pass
-
-
-def signature(images):
-    """Sign of the permutation, +1 or -1."""
-    n = len(images)
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if images[i] > images[j]:
-                sign = -sign
-    return sign
 
 
 def koszul_sign(images, degrees):

@@ -11,14 +11,15 @@ insertion kernel.  They return the same shapes as the liealg readers.
 
 from itertools import combinations
 
-from difflie.linalg import frac, mat_combination, vec_add, vec_scale, vec_sub
+from difflie.linalg import (basis_vec, frac, mat_combination, vec_add,
+                            vec_scale, vec_sub)
 
 
 def jacobi_oracle(L):
     """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all triples."""
     out = []
     for i, j, k in combinations(range(L.dim), 3):
-        xi, xj, xk = L.basis(i), L.basis(j), L.basis(k)
+        xi, xj, xk = (basis_vec(L.dim, t) for t in (i, j, k))
         r = L.br(L.br(xi, xj), xk)
         r = vec_add(r, L.br(L.br(xj, xk), xi))
         r = vec_add(r, L.br(L.br(xk, xi), xj))
@@ -28,15 +29,15 @@ def jacobi_oracle(L):
 
 def derivation_oracle(A):
     """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j."""
-    lam = A.weight
+    L, d, lam = A.algebra, A.d, A.weight
     out = []
     for i, j in combinations(range(A.dim), 2):
-        x, y = A.basis(i), A.basis(j)
-        dx, dy = A.dv(x), A.dv(y)
-        r = A.dv(A.br(x, y))
-        r = vec_sub(r, A.br(dx, y))
-        r = vec_sub(r, A.br(x, dy))
-        r = vec_sub(r, vec_scale(lam, A.br(dx, dy)))
+        x, y = basis_vec(A.dim, i), basis_vec(A.dim, j)
+        dx, dy = d.matvec(x), d.matvec(y)
+        r = d.matvec(L.br(x, y))
+        r = vec_sub(r, L.br(dx, y))
+        r = vec_sub(r, L.br(x, dy))
+        r = vec_sub(r, vec_scale(lam, L.br(dx, dy)))
         out.append(r)
     return out
 
@@ -44,7 +45,8 @@ def derivation_oracle(A):
 def hom_oracle(rho, L):
     """rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over basis pairs of L."""
     size = rho[0].rows if rho else 0
-    return [mat_combination(L.br(L.basis(i), L.basis(j)), rho, size)
+    return [mat_combination(L.br(basis_vec(L.dim, i), basis_vec(L.dim, j)),
+                            rho, size)
             - rho[i] * rho[j] + rho[j] * rho[i]
             for i, j in combinations(range(L.dim), 2)]
 
@@ -55,11 +57,12 @@ def rep_oracle(A, rep):
     lam = A.weight
     compat = []
     for i in range(A.dim):
-        rdx = rep.rho_vec(A.dv(A.basis(i)))
+        rdx = mat_combination(A.d.matvec(basis_vec(A.dim, i)), rep.rho,
+                              rep.space_dim)
         r = rep.dV * rep.rho[i] - rdx - rep.rho[i] * rep.dV \
             - (rdx * rep.dV).scale(lam)
         compat.append(r)
-    return {"hom": hom_oracle(rep.rho, A), "compat": compat}
+    return {"hom": hom_oracle(rep.rho, A.algebra), "compat": compat}
 
 
 def lieact_oracle(T):
@@ -68,7 +71,7 @@ def lieact_oracle(T):
     der = []
     for i in range(T.g.dim):
         for a, b in combinations(range(T.h.dim), 2):
-            u, v = T.h.basis(a), T.h.basis(b)
+            u, v = basis_vec(T.h.dim, a), basis_vec(T.h.dim, b)
             r = T.rho[i].matvec(T.h.br(u, v))
             r = vec_sub(r, T.h.br(T.rho[i].matvec(u), v))
             r = vec_sub(r, T.h.br(u, T.rho[i].matvec(v)))
@@ -81,11 +84,11 @@ def relative_oracle(T, D, lam):
     lam = frac(lam)
     out = []
     for i, j in combinations(range(T.g.dim), 2):
-        x, y = T.g.basis(i), T.g.basis(j)
+        x, y = basis_vec(T.g.dim, i), basis_vec(T.g.dim, j)
         Dx, Dy = D.matvec(x), D.matvec(y)
         r = D.matvec(T.g.br(x, y))
-        r = vec_sub(r, T.rho_vec(x).matvec(Dy))
-        r = vec_add(r, T.rho_vec(y).matvec(Dx))
+        r = vec_sub(r, mat_combination(x, T.rho, T.h.dim).matvec(Dy))
+        r = vec_add(r, mat_combination(y, T.rho, T.h.dim).matvec(Dx))
         r = vec_sub(r, vec_scale(lam, T.h.br(Dx, Dy)))
         out.append(r)
     return out

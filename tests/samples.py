@@ -9,13 +9,13 @@ determinant +-1, which preserve validity.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
-from .linalg import Matrix, div, frac, invert_matrix, vec_is_zero
-from .multilinear import AltMap, pullback
-from .liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
-                     LieActTriple, adjoint_rep, trivial_rep, rho_lambda,
-                     semidirect_bracket)
+from difflie.deformations import TruncatedDeformation
+from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
+from difflie.multilinear import AltMap, pullback
+from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
+                            LieActTriple, adjoint_rep, relative_diff_residual,
+                            rho_lambda, semidirect_bracket)
 
 WEIGHTS = [0, 1, -1, 2, Fraction(1, 2)]
 
@@ -182,6 +182,14 @@ def random_diff_lie(rng, lam=None, max_dim=4):
     return conjugate_diff_lie(A, P)
 
 
+def trivial_rep(A, space_dim, dV=None):
+    """rho = 0 with an arbitrary d_V (default 0)."""
+    if dV is None:
+        dV = Matrix.zero(space_dim, space_dim)
+    return DiffRepresentation(
+        space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
+
+
 def random_rep(rng, A, max_dim=3):
     """A random valid differential representation over A."""
     kind = rng.choice(["adjoint", "trivial", "shifted"])
@@ -199,6 +207,14 @@ def random_rep(rng, A, max_dim=3):
                                  [Qinv * r * Q for r in rep.rho],
                                  Qinv * rep.dV * Q)
     return rep
+
+
+def constant_deformation(base, order):
+    """The base structure with zero terms up to the order."""
+    dim = base.dim
+    mu = [base.algebra.bracket] + [AltMap(2, dim, dim)] * order
+    d = [base.d] + [Matrix.zero(dim, dim)] * order
+    return TruncatedDeformation(base, mu, d)
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +238,19 @@ def random_lieact(rng, max_dim=3):
 
 
 def relative_operator_basis(T):
-    """For h abelian: kernel basis of the linear relative-operator system."""
+    """For h abelian: kernel basis of the linear relative-operator system,
+    whose column a * dim g + b is the residual of the matrix unit E_ab."""
     n, m = T.g.dim, T.h.dim
-    rows = []
-    for i, j in combinations(range(n), 2):
-        coeff = [[0] * (m * n) for _ in range(m)]
-        b_ij = T.g.bracket.value_on_basis((i, j))
-        for a in range(m):
-            for b in range(n):
-                col = a * n + b
-                for r in range(m):
-                    val = 0
-                    if a == r:
-                        val += b_ij[b]
-                    if b == j:
-                        val -= T.rho[i].data[r][a]
-                    if b == i:
-                        val += T.rho[j].data[r][a]
-                    coeff[r][col] += val
-        rows.extend(coeff)
-    mat = Matrix.from_rows(rows) if rows else Matrix.zero(0, m * n)
+    cols = []
+    for a in range(m):
+        for b in range(n):
+            unit = Matrix.zero(m, n)
+            unit.data[a][b] = 1
+            cols.append([x for r in relative_diff_residual(T, unit, 0)
+                         for x in r])
+    system = Matrix(m * n, len(cols[0]), cols).transpose()
     return [Matrix(m, n, [v[k * n:(k + 1) * n] for k in range(m)])
-            for v in mat.kernel_basis()]
+            for v in system.kernel_basis()]
 
 
 def random_relative_operator(rng, T, lam):

@@ -24,28 +24,28 @@ from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 delta_matrix,
                                 difflie_differential, do_differential,
                                 twist_bridge_residual)
-from difflie.linfty import (FormalElement, Term, absolute_structure,
+from difflie.linfty import (AbsoluteStructure, FormalElement, Term,
                             iota_M, iota_a_abs, key_formula_check,
                             mc_check_absolute, mc_check_relative,
-                            morphism_residual, project_M_embed, project_M_rel,
+                            morphism_residual, project_M_embed,
                             project_a_rel, relative_structure, twist_l1_formal)
 from difflie.extensions import (build_extension, equivalence_witness,
                                 extract_cocycle, matrix_from_altmap1,
                                 altmap1_from_matrix)
 from difflie.deformations import (FormalIso, TruncatedDeformation,
-                                  apply_formal_iso, constant_deformation,
-                                  deformation_residuals, first_nontrivial_order,
-                                  infinitesimal, is_deformation, rigidify)
+                                  apply_formal_iso, deformation_residuals,
+                                  failed_equations, first_nontrivial_order,
+                                  infinitesimal, rigidify)
 from difflie.homotopy import (HomotopyDiffLie, homotopy_mc_check,
                               lambda_rescale, linfty_residual,
                               residual_tables, suspend_diff_lie)
-from difflie.samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
-                             rand_matrix, random_diff_lie, random_lieact,
-                             random_relative_operator, random_rep)
-from difflie.liealg import trivial_rep
+from samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
+                     constant_deformation, rand_matrix, random_diff_lie,
+                     random_lieact, random_relative_operator, random_rep,
+                     trivial_rep)
 
 from test_cohomology import bridge, embedding_commutes_residual
-from test_linfty import generalized_jacobi_residual_formal
+from test_linfty import generalized_jacobi_residual_formal, project_M_rel
 from test_homotopy import (display_residual_n1, display_residual_n2,
                            operator_family_by_vectors, rand_homotopy,
                            two_term, two_term_space)
@@ -155,7 +155,7 @@ def test_criterion_03_relative_mc_iff_structure(rng):
             D = rand_matrix(rng, T.h.dim, T.g.dim)
         rho = T.rho
         if rng.random() < 0.25:
-            rho = [m.copy() for m in rho]
+            rho = [Matrix(m.rows, m.cols, m.data) for m in rho]
             rho[0].data[0][0] += Fraction(1)
         from difflie.liealg import LieActTriple
         T2 = LieActTriple(T.g, T.h, rho)
@@ -183,7 +183,7 @@ def test_criterion_04_generalized_jacobi(rng):
         lam = rng.choice(WEIGHTS)
         if trial % 2 == 0:
             dim = rng.randrange(2, 4)
-            S = absolute_structure(dim, lam)
+            S = AbsoluteStructure(dim, lam)
             pool = [sterm(rand_altmap(rng, rng.randrange(1, 4), dim)),
                     aterm(rand_altmap(rng, rng.randrange(1, 4), dim)),
                     aterm(rand_altmap(rng, rng.randrange(1, 3), dim))]
@@ -250,7 +250,7 @@ def test_criterion_05_key_formula(rng):
         D = rand_matrix(rng, dim, dim)
         Dmap = altmap1_from_matrix(D)
         for lam in WEIGHTS:
-            S = absolute_structure(dim, lam)
+            S = AbsoluteStructure(dim, lam)
             out = S.bracket([sterm(L.bracket), aterm(Dmap), aterm(Dmap)])
             expected = AltMap(2, dim, dim)
             for key in combinations(range(dim), 2):
@@ -299,7 +299,7 @@ def test_criterion_06_twist_bridge(rng):
     # the twisted arity-1 bracket squares to zero
     for A in algebras[:5]:
         dim = A.dim
-        S = absolute_structure(dim, A.weight)
+        S = AbsoluteStructure(dim, A.weight)
         mu = A.algebra.bracket
         dmap = altmap1_from_matrix(A.d)
         seeds = [sterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
@@ -451,7 +451,7 @@ def test_criterion_08_deformations(rng):
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, A.dim, A.dim), AltMap(1, A.dim, A.dim))
         D = order1_deformation(A, pair)
-        if not is_deformation(D):
+        if failed_equations(D):
             bad.append(("order-1 validity", A.dim))
             continue
         got, res = infinitesimal(D)
@@ -481,7 +481,7 @@ def test_criterion_08_deformations(rng):
     for coords in spec.d[2].kernel_basis():
         pair = CocyclePair.from_coords(coords, 3, 3, 2)
         D = complete_to_order2(A, pair)
-        if D is None or not is_deformation(D):
+        if D is None or failed_equations(D):
             bad.append("order-2 completion failed")
             continue
         if not rigidifies(D):
@@ -493,7 +493,7 @@ def test_criterion_08_deformations(rng):
         iso = FormalIso([Matrix.identity(3), rand_matrix(rng, 3, 3),
                          rand_matrix(rng, 3, 3)])
         D = apply_formal_iso(constant_deformation(A, 2), iso)
-        if not is_deformation(D) or not rigidifies(D):
+        if failed_equations(D) or not rigidifies(D):
             bad.append("pulled-back constant not rigidified")
     report(8, "deformation infinitesimals are cocycles, equivalent "
               "deformations differ by coboundaries, and the rigid fixture "
@@ -529,7 +529,7 @@ def test_criterion_09_relative_absolute(rng):
     for _ in range(6):
         dim = 2
         lam = rng.choice(WEIGHTS)
-        src = absolute_structure(dim, lam)
+        src = AbsoluteStructure(dim, lam)
         tgt = relative_structure(dim, dim, lam)
 
         def phi(t):
@@ -550,7 +550,7 @@ def test_criterion_09_relative_absolute(rng):
         N = gdim + hdim
         lam = rng.choice(WEIGHTS)
         src = relative_structure(gdim, hdim, lam)
-        tgt = absolute_structure(N, lam)
+        tgt = AbsoluteStructure(N, lam)
         pool = [sterm(project_M_embed(
                     rand_altmap(rng, rng.randrange(1, 3), N), gdim, hdim)),
                 aterm(project_a_rel(

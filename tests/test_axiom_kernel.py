@@ -25,9 +25,9 @@ from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
                             relative_diff_residual, rep_residuals,
                             weighted_derivation_residual)
 from difflie.multilinear import AltMap, DimensionMismatch
-from difflie.samples import (WEIGHTS, rand_matrix, rand_vec, random_diff_lie,
-                             random_lieact, random_relative_operator,
-                             random_rep)
+from samples import (WEIGHTS, rand_matrix, rand_vec, random_diff_lie,
+                     random_lieact, random_relative_operator,
+                     random_rep)
 
 
 def rand_bracket(rng, dim):

@@ -5,9 +5,9 @@ from fractions import Fraction
 from difflie.cli import main
 from difflie.linalg import Matrix
 from difflie.liealg import (DiffLieAlgebra, difflie_to_json, rep_to_json,
-                            altmap_to_json, trivial_rep, adjoint_rep)
+                            altmap_to_json, adjoint_rep)
 from difflie.multilinear import AltMap
-from difflie.samples import abelian, aff1, sl2
+from samples import abelian, aff1, constant_deformation, sl2, trivial_rep
 
 
 def write(tmp_path, name, obj):
@@ -225,8 +225,7 @@ def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
 def test_deform_verify_and_rigidify(tmp_path, capsys):
     # rigid fixture: weight -1, identity operator on a simple algebra
     A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
-    from difflie.deformations import FormalIso, apply_formal_iso, \
-        constant_deformation
+    from difflie.deformations import FormalIso, apply_formal_iso
     phi1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
     D = apply_formal_iso(constant_deformation(A, 2),
                          FormalIso([Matrix.identity(3), phi1]))

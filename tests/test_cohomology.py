@@ -5,8 +5,7 @@ import pytest
 
 from difflie.linalg import (Matrix, basis_vec, homology_dim, vec_add,
                             vec_is_zero)
-from difflie.liealg import (DiffLieAlgebra, adjoint_rep, trivial_extension,
-                            trivial_rep)
+from difflie.liealg import DiffLieAlgebra, adjoint_rep, trivial_extension
 from difflie.multilinear import AltMap, ArityMismatch, matrix_from_altmap1
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, _twisted_l1, altmap_to_coords,
@@ -16,8 +15,8 @@ from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 difflie_differential, pair_dim,
                                 pair_primitive, pair_residual,
                                 twist_bridge_residual)
-from difflie.samples import (abelian, aff1, sl2, rand_vec, random_diff_lie,
-                             random_rep)
+from samples import (abelian, aff1, sl2, rand_vec, random_diff_lie,
+                     random_rep, trivial_rep)
 
 
 def aff1_d(lam=3):

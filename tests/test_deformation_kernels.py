@@ -22,10 +22,9 @@ from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.deformations import (FormalIso, NotDeformation,
                                   TruncatedDeformation, apply_formal_iso,
-                                  constant_deformation, deformation_residuals,
-                                  failed_equations, first_nontrivial_order,
+                                  deformation_residuals, failed_equations, first_nontrivial_order,
                                   rigidify, rigidify_step)
-from difflie.samples import rand_matrix, random_diff_lie
+from samples import constant_deformation, rand_matrix, random_diff_lie
 
 
 # ---------------------------------------------------------------------------

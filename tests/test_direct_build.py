@@ -24,9 +24,9 @@ from difflie.cohomology import (altmap_to_coords, ce_apply, ce_differential,
                                 do_differential)
 from difflie.linalg import Matrix, invert_matrix, vec_zero
 from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, adjoint_rep,
-                            rho_lambda, trivial_rep)
-from difflie.samples import (catalog_diff_lie, conjugate_diff_lie,
-                             rand_matrix, rand_unimodular, random_rep)
+                            rho_lambda)
+from samples import (catalog_diff_lie, conjugate_diff_lie,
+                     rand_matrix, rand_unimodular, random_rep, trivial_rep)
 
 
 def operator_matrix(op, gdim, vdim, n, m):

@@ -4,7 +4,7 @@ import pytest
 
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, LieAlgebra, adjoint_rep,
-                            trivial_extension, trivial_rep)
+                            trivial_extension)
 from difflie.multilinear import AltMap
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 cochain_dim, coords_to_altmap,
@@ -14,8 +14,8 @@ from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 build_extension, classify,
                                 equivalence_witness, extract_cocycle,
                                 split_extension)
-from difflie.samples import (abelian, aff1, rand_matrix, random_diff_lie,
-                             random_rep)
+from samples import (abelian, aff1, rand_matrix, random_diff_lie,
+                     random_rep, trivial_rep)
 
 
 def canonical_maps(gdim, vdim):

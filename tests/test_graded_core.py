@@ -21,7 +21,7 @@ from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
 from difflie.nr import (arity_weights, circ_bar, family_circ, insertion_sum,
                         nr_bracket)
 from difflie.permutations import koszul_sign
-from difflie.samples import rand_vec
+from samples import rand_vec
 
 from test_homotopy import family_circ_by_vectors, rand_graded, \
     rand_homogeneous

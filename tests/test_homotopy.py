@@ -15,7 +15,7 @@ from difflie.homotopy import (DegreeMismatch, HomotopyDiffLie,
                               linfty_residual, mc_residual, operator_family,
                               residual_tables, suspend_diff_lie, twist)
 from difflie.permutations import koszul_sign, shuffles
-from difflie.samples import WEIGHTS, rand_matrix, random_diff_lie
+from samples import WEIGHTS, rand_matrix, random_diff_lie
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def test_suspended_diff_lie_reduction_two_sided(rng):
 def test_suspended_reduction_residuals_are_axiom_residuals():
     # weight 2 on the 2-dim nonabelian algebra with a non-derivation: the
     # arity-2 operator residual reproduces the weighted Leibniz defect
-    from difflie.samples import aff1
+    from samples import aff1
     from difflie.liealg import weighted_derivation_residual
     A = DiffLieAlgebra(aff1(), Matrix.from_rows([[1, 0], [0, 0]]),
                        Fraction(2))

@@ -5,7 +5,7 @@ import pytest
 
 from axiom_oracles import relative_oracle
 from difflie import multilinear
-from difflie.linalg import Matrix, vec_is_zero
+from difflie.linalg import Matrix, basis_vec, mat_combination, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
                             difflie_from_json, difflie_to_json,
                             is_diff_lie_algebra, is_diff_representation,
@@ -14,13 +14,13 @@ from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
                             relative_diff_residual, rep_from_json,
                             rep_to_json, rescale_operator, rho_lambda,
                             semidirect_weighted,
-                            trivial_extension, trivial_rep,
+                            trivial_extension,
                             weighted_derivation_residual)
-from difflie.samples import (abelian, aff1, heisenberg, sl2, direct_sum,
-                             conjugate_algebra, derivation_basis,
-                             random_diff_lie, random_rep, random_lieact,
-                             random_relative_operator, rand_matrix,
-                             rand_unimodular, WEIGHTS)
+from samples import (abelian, aff1, heisenberg, sl2, direct_sum,
+                     conjugate_algebra, derivation_basis,
+                     random_diff_lie, random_rep, random_lieact,
+                     random_relative_operator, rand_matrix,
+                     rand_unimodular, trivial_rep, WEIGHTS)
 
 
 def aff1_d():
@@ -127,9 +127,10 @@ def test_rho_lambda_aff1_formula():
     shifted = rho_lambda(rep, A)
     lam = A.weight
     for i in range(2):
-        dx = A.dv(A.basis(i))
-        expected = rep.rho_vec([A.basis(i)[k] + lam * dx[k]
-                                for k in range(2)])
+        x = basis_vec(2, i)
+        dx = A.d.matvec(x)
+        expected = mat_combination([x[k] + lam * dx[k] for k in range(2)],
+                                   rep.rho, rep.space_dim)
         assert shifted.rho[i] == expected
 
 

@@ -390,7 +390,7 @@ def test_scrambled_rational_differential_is_certified():
     from difflie.cohomology import difflie_differential
     from difflie.liealg import DiffLieAlgebra, adjoint_rep, \
         is_diff_lie_algebra
-    from difflie.samples import (aff1, conjugate_algebra, direct_sum,
+    from samples import (aff1, conjugate_algebra, direct_sum,
                                  rand_unimodular, sl2)
     # d = (E - Id) / lam for the endomorphism E projecting onto sl2
     lam = Fraction(3, 2)

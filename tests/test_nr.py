@@ -7,7 +7,7 @@ from difflie.multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
 from difflie.nr import (circ_bar, family_circ, graded_circ_bar,
                         insertion_sum, nr_bracket, pointed_family)
 from difflie.liealg import is_lie_algebra, LieAlgebra
-from difflie.samples import aff1, sl2, heisenberg, rand_vec
+from samples import aff1, sl2, heisenberg, rand_vec
 
 
 def rand_altmap(rng, arity, dim, tgt=None):

@@ -3,8 +3,18 @@ from math import comb
 
 import pytest
 
-from difflie.permutations import (LengthMismatch, koszul_sign, shuffles,
-                                  signature)
+from difflie.permutations import LengthMismatch, koszul_sign, shuffles
+
+
+def signature(images):
+    """Sign of the permutation, +1 or -1."""
+    n = len(images)
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if images[i] > images[j]:
+                sign = -sign
+    return sign
 
 
 def is_permutation(images):

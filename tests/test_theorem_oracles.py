@@ -25,9 +25,9 @@ import pytest
 
 from difflie.cohomology import CochainComplexSpec, cohomology_dims
 from difflie.linalg import Matrix
-from difflie.liealg import DiffLieAlgebra, adjoint_rep, trivial_rep
-from difflie.samples import (WEIGHTS, conjugate_diff_lie, direct_sum,
-                             heisenberg, rand_unimodular, sl2)
+from difflie.liealg import DiffLieAlgebra, adjoint_rep
+from samples import (WEIGHTS, conjugate_diff_lie, direct_sum,
+                     heisenberg, rand_unimodular, sl2, trivial_rep)
 
 
 def sl2_sum(k):
