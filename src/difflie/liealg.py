@@ -52,9 +52,6 @@ class LieAlgebra:
             raise DimensionMismatch("bracket dimensions")
         self.bracket = bracket
 
-    def br(self, u, v):
-        return self.bracket.evaluate([u, v])
-
     def ad(self, i):
         """Matrix of ad(x_i) acting on g."""
         return _matrices(self.bracket, [(i,)], 0, self.dim)[0]

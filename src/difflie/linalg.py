@@ -17,16 +17,16 @@ multiplies only the vector's nonzero entries by the nonzero entries of each
 row.  Skipping a zero term never changes a sum, so the results are the same
 rationals as the dense formulas.
 
-Elimination (Matrix.rref, behind rank, kernel_basis, solve and
-invert_matrix) is fraction-free: each row is scaled once by the lcm of its
-denominators and then eliminated as an integer vector, by integer
-cross-multiplication in the manner of Bareiss (1968), never building a
-Fraction until the pivot rows are divided by their pivots at the end.  Where
-a pivot divides the entry it clears, as at every pivot 1 of sparse integer
-data, only the pivot row's nonzero columns are updated; otherwise the row is
-scaled and divided by its content, so its entries stay small.  The reduced
-row echelon form of a matrix is unique, so the results are the same
-rationals as Gauss-Jordan elimination over Fractions.
+Elimination (Matrix.rref, behind rank, solve and invert_matrix) is
+fraction-free: each row is scaled once by the lcm of its denominators and
+then eliminated as an integer vector, by integer cross-multiplication in the
+manner of Bareiss (1968), never building a Fraction until the pivot rows are
+divided by their pivots at the end.  Where a pivot divides the entry it
+clears, as at every pivot 1 of sparse integer data, only the pivot row's
+nonzero columns are updated; otherwise the row is scaled and divided by its
+content, so its entries stay small.  The reduced row echelon form of a
+matrix is unique, so the results are the same rationals as Gauss-Jordan
+elimination over Fractions.
 """
 
 import re
@@ -252,20 +252,6 @@ class Matrix:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def kernel_basis(self):
-        """Exact basis of the right null space; len = cols - rank."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = vec_zero(self.cols)
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(v)
-        return basis
 
     def solve(self, b):
         """Some x with m*x = b, or None if the system is inconsistent."""

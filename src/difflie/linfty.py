@@ -3,29 +3,28 @@ and a are Hom-spaces of alternating maps.  (A concrete L-infinity[1]-algebra
 on a finite-dimensional graded space is a homotopy.HomotopyDiffLie with no
 operators; its twisting and rescaling live there.)
 
-The derived-bracket construction: given V-data (L, m, iota_m, a, iota_a, P,
-Delta) -- a graded Lie algebra L, a graded Lie subalgebra m, an abelian
-graded subalgebra a with projection P splitting iota_a and Ker(P) a
-subalgebra, Delta in Ker(P)^1 squaring to zero and preserving iota_m(m) --
-the space sm (+) a carries higher brackets built from iterated L-brackets
-projected by P.  Here L and m are spaces of maps under the
-Nijenhuis-Richardson bracket.  Two lambda-gradings are provided:
+The derived-bracket construction (after Voronov): M and a are graded Lie
+subalgebras of the maps on one ambient space under the Nijenhuis-Richardson
+bracket, a abelian, and the V-data is a projection P onto a whose kernel is
+a subalgebra, and an element Delta of Ker(P) of degree 1 that squares to
+zero and preserves M, or None for Delta = 0.  The space sM (+) a carries
+higher brackets built from iterated brackets projected by P.  Two
+lambda-gradings are provided:
 
-  variant "full"    : l_1 from Delta, l_2 = (-1)^{|f|} lambda s[f,g]_m,
+  variant "full"    : l_1 from Delta, l_2 = (-1)^{|f|} lambda s[f,g],
                       higher l_i with lambda^{i-1};
-  variant "reduced" : requires Delta = 0 and P o iota_m = 0; l_1 = 0,
-                      l_2 = (-1)^{|f|} s[f,g]_m, higher l_i with
-                      lambda^{i-2}.
+  variant "reduced" : requires Delta = 0 and P = 0 on M; l_1 = 0,
+                      l_2 = (-1)^{|f|} s[f,g], higher l_i with lambda^{i-2}.
 
-The absolute structure (one Lie algebra g) and the relative structure (a
-pair g, h acted on) are both "reduced" instances of the one case analysis in
-DerivedBrackets.bracket; the absolute one only evaluates its s-term
-composite with two or more a-arguments by _closed_form_sum, the one closed
-form of the signed insertion.  key_formula_check compares that same
-function against the iterated circle product in the double space, so the
-key formula certifies the closed form the brackets use.  Maurer-Cartan
-residuals and the twisted l_1 are one finite series, cut where the brackets
-vanish.
+The relative structure (a pair g, h acted on) is the "reduced" instance
+with P the projection onto Hom(~g, h).  The absolute structure (one Lie
+algebra g) is its closed form: DerivedBrackets.bracket with the s-term
+composite evaluated by _closed_form_sum, the one closed form of the signed
+insertion, so it needs no P.  key_formula_check compares that same function
+against the iterated circle product in the double space g (+) g', and the
+tests compare the brackets against P of the iterated brackets there, so both
+certify the closed form the brackets use.  Maurer-Cartan residuals and the
+twisted l_1 are one finite series, cut where the brackets vanish.
 """
 
 from itertools import combinations
@@ -134,61 +133,44 @@ def _split_s(terms):
     return sign, terms[k], [t for t in terms if t.kind == "a"]
 
 
-class VData:
-    """Generalised V-data presented operationally.
-
-    All payloads (elements of L, m, a) are AltMaps on one ambient space;
-    the maps below mediate between them.
-    """
-
-    def __init__(self, iota_m, iota_m_inv, iota_a, P, Delta=None):
-        self.iota_m = iota_m
-        self.iota_m_inv = iota_m_inv
-        self.iota_a = iota_a
-        self.P = P
-        self.Delta = Delta  # an element of L, or None for Delta = 0
-
-
 class DerivedBrackets:
-    """The L-infinity[1]-algebra on sm (+) a obtained from V-data.
+    """The L-infinity[1]-algebra on sM (+) a of the V-data (P, Delta).
 
-    variant "full": the construction for arbitrary Delta, with l_2 carrying
-    lambda and l_i (i >= 2) carrying lambda^{i-1}.
-    variant "reduced": requires Delta = 0 and P o iota_m = 0; l_1 = 0, l_2
-    carries no lambda and l_i (i >= 3) carries lambda^{i-2}.
+    Elements of M and a are maps on one space; P projects a map onto a,
+    and Delta is a map, or None for Delta = 0.  variant "full": the
+    construction for arbitrary Delta, with l_2 carrying lambda and l_i
+    (i >= 2) carrying lambda^{i-1}.  variant "reduced": requires Delta = 0
+    and P = 0 on M; l_1 = 0, l_2 carries no lambda and l_i (i >= 3)
+    carries lambda^{i-2}.
     """
 
-    def __init__(self, vdata, lam, variant="reduced"):
+    def __init__(self, P, lam, variant="reduced", Delta=None):
         if variant not in ("full", "reduced"):
             raise InvalidVData("unknown variant %r" % variant)
-        if variant == "reduced" and vdata.Delta is not None:
+        if variant == "reduced" and Delta is not None:
             raise InvalidVData("reduced variant requires Delta = 0")
-        self.v = vdata
+        self.P = P
+        self.Delta = Delta
         self.lam = frac(lam)
         self.variant = variant
 
-    def _iterated(self, start, xis):
-        """[...[start, iota_a xi_1], ..., iota_a xi_k] in L."""
-        cur = start
-        for xi in xis:
-            cur = nr_bracket(cur, self.v.iota_a(xi.f))
-        return cur
-
-    def _s_composite(self, f, a_terms):
-        """P[...[iota_m f, iota_a xi_1], ..., iota_a xi_r]: the bracket
+    def _composite(self, start, xis):
+        """P[...[start, xi_1], ..., xi_r]; for start = f it is the bracket
         l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda and its
         sign."""
-        return self.v.P(self._iterated(self.v.iota_m(f), a_terms))
+        for xi in xis:
+            start = nr_bracket(start, xi)
+        return self.P(start)
 
     def bracket(self, terms):
         """l_i applied to a list of Terms; returns a FormalElement.
 
         Apart from l_2 of two s-terms, l_i is lambda^e times P of the
-        iterated bracket that starts at iota_m f for the one s-term sf and
-        at [Delta, iota_a xi_1] when all terms are a-terms, with e = i - 1
-        ("full") or max(i - 2, 0) ("reduced"); l_1 of an s-term adds the
-        s-part -iota_m^{-1}[Delta, iota_m f]."""
-        v, i = self.v, len(terms)
+        iterated bracket that starts at f for the one s-term sf and at
+        [Delta, xi_1] when all terms are a-terms, with e = i - 1 ("full")
+        or max(i - 2, 0) ("reduced"); l_1 of an s-term adds the s-part
+        -[Delta, f]."""
+        i = len(terms)
         sign, s_term, a_terms = _split_s(terms)
         if sign == 0:
             # two or more s-terms: only l_2(sf, sg) survives
@@ -203,15 +185,15 @@ class DerivedBrackets:
                                 else max(i - 2, 0))
         if c == 0:
             return FormalElement()
+        xis = [t.f for t in a_terms]
         out = []
         if s_term is not None:
-            res = self._s_composite(s_term.f, a_terms)
-            if i == 1 and v.Delta is not None:
-                br = nr_bracket(v.Delta, v.iota_m(s_term.f))
-                out.append(Term("s", v.iota_m_inv(br).scale(-1)))
-        elif v.Delta is not None and a_terms:
-            start = nr_bracket(v.Delta, v.iota_a(a_terms[0].f))
-            res = v.P(self._iterated(start, a_terms[1:]))
+            res = self._composite(s_term.f, xis)
+            if i == 1 and self.Delta is not None:
+                br = nr_bracket(self.Delta, s_term.f)
+                out.append(Term("s", br.scale(-1)))
+        elif self.Delta is not None and xis:
+            res = self._composite(nr_bracket(self.Delta, xis[0]), xis[1:])
         else:
             return FormalElement()
         return FormalElement(out + [Term("a", res.scale(c))])
@@ -249,40 +231,18 @@ def iota_a_abs(xi, dim):
     return big
 
 
-def P_abs(F, dim):
-    """Project a double-space map to Hom(wedge g, g): keep the components
-    with all inputs unprimed and output primed, unpriming the output."""
-    out = AltMap(F.arity, dim, dim)
-    for key, vec in F.coeffs.items():
-        if all(i < dim for i in key):
-            val = vec[dim:]
-            if not vec_is_zero(val):
-                out.coeffs[key] = list(val)
-    return out
-
-
-def absolute_vdata(dim):
-    """The V-data behind the absolute structure (Delta = 0)."""
-    return VData(
-        iota_m=lambda f: iota_M(f, dim),
-        iota_m_inv=None,  # not needed when Delta = 0
-        iota_a=lambda xi: iota_a_abs(xi, dim),
-        P=lambda F: P_abs(F, dim),
-        Delta=None,
-    )
-
-
 class AbsoluteStructure(DerivedBrackets):
-    """The absolute structure on sM (+) a over g: the derived brackets of
-    absolute_vdata, with the s-term composite in closed form."""
+    """The absolute structure on sM (+) a over g, dim g = dim: the reduced
+    derived brackets of the double space g (+) g', with the composite in
+    closed form on g itself, so no P is needed (Delta = 0, so the composite
+    always starts at the s-term)."""
 
     def __init__(self, dim, lam):
-        super().__init__(absolute_vdata(dim), lam, "reduced")
+        super().__init__(None, lam)
 
-    def _s_composite(self, f, a_terms):
+    def _composite(self, f, xis):
         """Zero with no a-argument (P o iota_M = 0), the NR bracket with
         one and the closed form with more (zero past arity(f) of them)."""
-        xis = [t.f for t in a_terms]
         if len(xis) == 1:
             return nr_bracket(f, xis[0])
         return _closed_form_sum(f, xis) if xis else f.scale(0)
@@ -354,19 +314,8 @@ def project_M_embed(F, gdim, hdim):
     return _project(F, gdim, lambda gs, hs: (hs == 0, hs == 1))
 
 
-def relative_vdata(gdim, hdim):
-    """V-data of the relative structure: big maps on g (+) h, Delta = 0."""
-    return VData(
-        iota_m=lambda f: f,
-        iota_m_inv=None,
-        iota_a=lambda xi: xi,
-        P=lambda F: project_a_rel(F, gdim, hdim),
-        Delta=None,
-    )
-
-
 def relative_structure(gdim, hdim, lam):
-    return DerivedBrackets(relative_vdata(gdim, hdim), lam, "reduced")
+    return DerivedBrackets(lambda F: project_a_rel(F, gdim, hdim), lam)
 
 
 def pack_D(D, gdim, hdim):
@@ -387,7 +336,7 @@ def _formal_series(struct, S, A, rest):
     With Delta = 0 a bracket with two s-terms vanishes past 2 arguments, one
     with a single s-term of arity p past p + 1, and one with no s-term
     always; so j <= 2 and the argument count is read from the arities."""
-    if struct.v.Delta is not None:
+    if struct.Delta is not None:
         raise InvalidVData("the formal series needs Delta = 0")
     rest_s = [t.f.arity for t in rest if t.kind == "s"]
     out = FormalElement()

@@ -20,9 +20,10 @@ def jacobi_oracle(L):
     out = []
     for i, j, k in combinations(range(L.dim), 3):
         xi, xj, xk = (basis_vec(L.dim, t) for t in (i, j, k))
-        r = L.br(L.br(xi, xj), xk)
-        r = vec_add(r, L.br(L.br(xj, xk), xi))
-        r = vec_add(r, L.br(L.br(xk, xi), xj))
+        br = L.bracket.evaluate
+        r = br([br([xi, xj]), xk])
+        r = vec_add(r, br([br([xj, xk]), xi]))
+        r = vec_add(r, br([br([xk, xi]), xj]))
         out.append(r)
     return out
 
@@ -34,10 +35,10 @@ def derivation_oracle(A):
     for i, j in combinations(range(A.dim), 2):
         x, y = basis_vec(A.dim, i), basis_vec(A.dim, j)
         dx, dy = d.matvec(x), d.matvec(y)
-        r = d.matvec(L.br(x, y))
-        r = vec_sub(r, L.br(dx, y))
-        r = vec_sub(r, L.br(x, dy))
-        r = vec_sub(r, vec_scale(lam, L.br(dx, dy)))
+        r = d.matvec(L.bracket.evaluate([x, y]))
+        r = vec_sub(r, L.bracket.evaluate([dx, y]))
+        r = vec_sub(r, L.bracket.evaluate([x, dy]))
+        r = vec_sub(r, vec_scale(lam, L.bracket.evaluate([dx, dy])))
         out.append(r)
     return out
 
@@ -45,7 +46,8 @@ def derivation_oracle(A):
 def hom_oracle(rho, L):
     """rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over basis pairs of L."""
     size = rho[0].rows if rho else 0
-    return [mat_combination(L.br(basis_vec(L.dim, i), basis_vec(L.dim, j)),
+    return [mat_combination(L.bracket.evaluate([basis_vec(L.dim, i),
+                                                basis_vec(L.dim, j)]),
                             rho, size)
             - rho[i] * rho[j] + rho[j] * rho[i]
             for i, j in combinations(range(L.dim), 2)]
@@ -72,9 +74,9 @@ def lieact_oracle(T):
     for i in range(T.g.dim):
         for a, b in combinations(range(T.h.dim), 2):
             u, v = basis_vec(T.h.dim, a), basis_vec(T.h.dim, b)
-            r = T.rho[i].matvec(T.h.br(u, v))
-            r = vec_sub(r, T.h.br(T.rho[i].matvec(u), v))
-            r = vec_sub(r, T.h.br(u, T.rho[i].matvec(v)))
+            r = T.rho[i].matvec(T.h.bracket.evaluate([u, v]))
+            r = vec_sub(r, T.h.bracket.evaluate([T.rho[i].matvec(u), v]))
+            r = vec_sub(r, T.h.bracket.evaluate([u, T.rho[i].matvec(v)]))
             der.append(r)
     return {"hom": hom_oracle(T.rho, T.g), "derivation": der}
 
@@ -86,9 +88,9 @@ def relative_oracle(T, D, lam):
     for i, j in combinations(range(T.g.dim), 2):
         x, y = basis_vec(T.g.dim, i), basis_vec(T.g.dim, j)
         Dx, Dy = D.matvec(x), D.matvec(y)
-        r = D.matvec(T.g.br(x, y))
+        r = D.matvec(T.g.bracket.evaluate([x, y]))
         r = vec_sub(r, mat_combination(x, T.rho, T.h.dim).matvec(Dy))
         r = vec_add(r, mat_combination(y, T.rho, T.h.dim).matvec(Dx))
-        r = vec_sub(r, vec_scale(lam, T.h.br(Dx, Dy)))
+        r = vec_sub(r, vec_scale(lam, T.h.bracket.evaluate([Dx, Dy])))
         out.append(r)
     return out

@@ -27,3 +27,18 @@ def exact_scalar(x):
     value is not integral; never a float, a bool or a Fraction of
     denominator 1."""
     return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
+def kernel_basis(m):
+    """Exact basis of the right null space of the Matrix m, read off its
+    reduced row echelon form; len = cols - rank."""
+    R, pivots = m.rref()
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivot_set):
+        v = [0] * m.cols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -R.data[r][fc]
+        basis.append(v)
+    return basis

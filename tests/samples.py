@@ -10,6 +10,7 @@ determinant +-1, which preserve validity.
 
 from fractions import Fraction
 
+from conftest import kernel_basis
 from difflie.deformations import TruncatedDeformation
 from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
 from difflie.multilinear import AltMap, pullback
@@ -250,7 +251,7 @@ def relative_operator_basis(T):
                          for x in r])
     system = Matrix(m * n, len(cols[0]), cols).transpose()
     return [Matrix(m, n, [v[k * n:(k + 1) * n] for k in range(m)])
-            for v in system.kernel_basis()]
+            for v in kernel_basis(system)]
 
 
 def random_relative_operator(rng, T, lam):

@@ -2,6 +2,7 @@ import json
 import os
 from fractions import Fraction
 
+from difflie import linfty
 from difflie.cli import main
 from difflie.linalg import Matrix
 from difflie.liealg import (DiffLieAlgebra, difflie_to_json, rep_to_json,
@@ -168,6 +169,20 @@ def test_key_formula_and_determinism(tmp_path, capsys):
     assert rc2 == 0
     assert out1 == out2  # byte-identical reports
     assert out_file.read_text() == out2
+
+
+def test_key_formula_reports_a_wrong_closed_form(tmp_path, capsys,
+                                                 monkeypatch):
+    # a closed form of the wrong sign disagrees with the iterated product
+    # on every sample where that product is nonzero
+    closed = linfty._closed_form_sum
+    monkeypatch.setattr(linfty, "_closed_form_sum",
+                        lambda f, xis: closed(f, xis).scale(-1))
+    path = write(tmp_path, "k.json", {"dim": 2})
+    rc, rep, out = run(capsys, ["key-formula", path, "--seed", "7",
+                                "--order", "3"])
+    assert rc == 1 and '"all_zero": false' in out
+    assert rep["nonzero_samples"] > 0
 
 
 def test_morphism_check(tmp_path, capsys):

@@ -10,10 +10,10 @@ outside the package.)  Only three functions may call ``.accumulate(``, the
 evaluation of a map on vectors given by their nonzero entries:
 ``nr.insertion_sum``, ``GradedSymMap.evaluate_head`` and
 ``multilinear.pullback``.  Any other caller evaluates maps on maps by hand,
-a copy of the insertion sum.  Only three functions may call
-``.evaluate(``, the evaluation of a map on whole vectors:
-``LieAlgebra.br`` and the two residual readers of ``homotopy``
-(``linfty_residual`` and ``homotopy_diff_residual``).  Any other caller
+a copy of the insertion sum.  Only two functions may call
+``.evaluate(``, the evaluation of a map on whole vectors: the two residual
+readers of ``homotopy`` (``linfty_residual`` and
+``homotopy_diff_residual``).  Any other caller
 builds a map by evaluating another one slot by slot, as the cochain
 coboundaries once did, instead of reading it off the kernel.
 
@@ -35,7 +35,7 @@ ACCUMULATORS = {("nr.py", "insertion_sum"),
                 ("multilinear.py", "evaluate_head"),
                 ("multilinear.py", "pullback")}
 
-EVALUATORS = {("liealg.py", "br"), ("homotopy.py", "linfty_residual"),
+EVALUATORS = {("homotopy.py", "linfty_residual"),
               ("homotopy.py", "homotopy_diff_residual")}
 
 

@@ -28,8 +28,8 @@ def test_circ_with_arity_one():
     for i in range(3):
         for j in range(i + 1, 3):
             x, y = basis_vec(3, i), basis_vec(3, j)
-            expected = vec_add(L.br(gmat.matvec(x), y),
-                               L.br(x, gmat.matvec(y)))
+            expected = vec_add(L.bracket.evaluate([gmat.matvec(x), y]),
+                               L.bracket.evaluate([x, gmat.matvec(y)]))
             assert h.value_on_basis((i, j)) == expected
 
 
@@ -39,8 +39,9 @@ def test_circ_mu_mu_jacobi_form():
     c = circ_bar(mu, mu)
     for key in [(0, 1, 2)]:
         x, y, z = (basis_vec(3, k) for k in key)
-        expected = vec_sub(L.br(L.br(x, y), z), L.br(L.br(x, z), y))
-        expected = vec_add(expected, L.br(L.br(y, z), x))
+        br = L.bracket.evaluate
+        expected = vec_sub(br([br([x, y]), z]), br([br([x, z]), y]))
+        expected = vec_add(expected, br([br([y, z]), x]))
         assert c.value_on_basis(key) == expected
 
 

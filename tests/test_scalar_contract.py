@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exact_scalar
+from conftest import exact_scalar, kernel_basis
 from difflie.deformations import (FormalIso, TruncatedDeformation,
                                   apply_formal_iso, deformation_residuals)
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, rescale_operator
@@ -162,12 +162,12 @@ def test_elimination_int_route_matches_fraction_route(m, data):
     f = _forced_matrix(m)
     (R, piv), (Rf, pivf) = m.rref(), f.rref()
     assert piv == pivf and R.data == Rf.data
-    assert m.kernel_basis() == f.kernel_basis()
+    assert kernel_basis(m) == kernel_basis(f)
     b = data.draw(st.lists(INTS, min_size=m.rows, max_size=m.rows))
     x = m.solve(b)
     assert x == f.solve([Fraction(y) for y in b])
-    _no_float(R, Rf, m.kernel_basis(), f.kernel_basis(), x)
-    assert all(exact_scalar(y) for y in _scalars((R, m.kernel_basis(), x)))
+    _no_float(R, Rf, kernel_basis(m), kernel_basis(f), x)
+    assert all(exact_scalar(y) for y in _scalars((R, kernel_basis(m), x)))
 
 
 @st.composite
