@@ -228,7 +228,7 @@ def cmd_key_formula(dim, args):
         r = rng.randrange(1, f.arity)
         xis = [_rand_altmap(rng, rng.randrange(1, 3), dim)
                for _ in range(r)]
-        if not key_formula_check(f, xis, dim).is_zero():
+        if not key_formula_check(f, xis).is_zero():
             nonzero += 1
     report = {"dim": dim, "samples": args.order, "seed": args.seed,
               "nonzero_samples": nonzero, "all_zero": nonzero == 0}
@@ -245,13 +245,13 @@ def cmd_morphism_check(inputs, args):
     # the one-algebra structure into the pair structure over (g, g); then
     # the pair structure into the one-algebra structure on g (+) h, on the
     # payload subalgebra where the embedding is strict (<= one h input)
-    runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s" else iota_a_abs)
-                            (t.f, gdim)),
-             AbsoluteStructure(gdim, lam),
+    runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s"
+                                     else iota_a_abs)(t.f)),
+             AbsoluteStructure(lam),
              relative_structure(gdim, gdim, lam), gdim,
              lambda F: F, lambda F: F),
             (lambda t: t, relative_structure(gdim, hdim, lam),
-             AbsoluteStructure(N, lam), N,
+             AbsoluteStructure(lam), N,
              lambda F: project_M_embed(F, gdim, hdim),
              lambda F: project_a_rel(F, gdim, hdim))]
     residuals = []

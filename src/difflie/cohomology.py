@@ -339,7 +339,7 @@ def _twisted_l1(A, pair):
     (sf, g), in degree-(n+1) coordinates."""
     from .linfty import AbsoluteStructure, Term, twist_l1_formal
     n, dim = pair.f.arity, A.dim
-    struct = AbsoluteStructure(dim, A.weight)
+    struct = AbsoluteStructure(A.weight)
     mu, dmap = A.algebra.bracket, altmap1_from_matrix(A.d)
     twisted = twist_l1_formal(struct, mu, dmap, Term("s", pair.f)) + \
         twist_l1_formal(struct, mu, dmap, Term("a", pair.g))

@@ -82,13 +82,17 @@ class AbelianExtension:
 def extract_cocycle(E):
     """The representation and the pair (psi, chi) of a section:
     psi(x,y) = [s x, s y] - s[x,y], chi(x) = d(s x) - s(d x), both valued in
-    V via t; rho(x)v = t[s x, i v]."""
-    base = E.base()
+    V via t; rho(x)v = t[s x, i v].
+
+    The induced coefficients are always a differential representation of
+    E.base(), so they are not checked.  V is an abelian ideal, so
+    [s x, i v] = i rho(x)v and [s x, s y] = s[x,y] + i psi(x,y), and the
+    Jacobi identity on (s x, s y, i v) is rho([x,y]) = [rho(x), rho(y)].
+    V is d-stable (p d i = 0), so d i v = i d_V v and d s x = s d_g x +
+    i chi(x), and the operator identity on (s x, i v) is
+    d_V rho(x) = rho(d_g x) + rho(x) d_V + lambda rho(d_g x) d_V."""
     rho = _matrices(E.split, [(x,) for x in range(E.gdim)], E.gdim, E.vdim)
     rep = DiffRepresentation(E.vdim, rho, E.t * E.total.d * E.i)
-    if not is_diff_representation(base, rep):
-        raise InvalidExtension("induced coefficients fail representation "
-                               "axioms")
     psi = pullback(E.total.algebra.bracket, E.s, E.t)
     chi_m = E.t * E.total.d * E.s
     return rep, psi, altmap1_from_matrix(chi_m)

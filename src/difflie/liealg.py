@@ -441,7 +441,8 @@ def rep_to_json(rep):
             "dV": _matrix_to_json(rep.dV)}
 
 
-def rep_from_json(obj, g_dim, where="rep"):
+def rep_from_json(obj, g_dim):
+    where = "rep"
     only_keys(obj, where, ("rep_dim", "rho", "dV"))
     n = read_int(*field(obj, "rep_dim", where))
     rho, at = field(obj, "rho", where)

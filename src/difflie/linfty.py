@@ -5,26 +5,23 @@ operators; its twisting and rescaling live there.)
 
 The derived-bracket construction (after Voronov): M and a are graded Lie
 subalgebras of the maps on one ambient space under the Nijenhuis-Richardson
-bracket, a abelian, and the V-data is a projection P onto a whose kernel is
-a subalgebra, and an element Delta of Ker(P) of degree 1 that squares to
-zero and preserves M, or None for Delta = 0.  The space sM (+) a carries
-higher brackets built from iterated brackets projected by P.  Two
-lambda-gradings are provided:
+bracket, a abelian, and P a projection onto a whose kernel is a subalgebra
+containing M.  With Delta = 0 the space sM (+) a carries the reduced higher
+brackets: l_2 = (-1)^{|f|} s[f,g] on two s-terms, and l_i with one s-term
+sf is lambda^max(i-2, 0) times P of the iterated bracket that starts at f
+(so l_1 = P f = 0).  Every structure the cohomology theory uses is of this
+case.
 
-  variant "full"    : l_1 from Delta, l_2 = (-1)^{|f|} lambda s[f,g],
-                      higher l_i with lambda^{i-1};
-  variant "reduced" : requires Delta = 0 and P = 0 on M; l_1 = 0,
-                      l_2 = (-1)^{|f|} s[f,g], higher l_i with lambda^{i-2}.
-
-The relative structure (a pair g, h acted on) is the "reduced" instance
-with P the projection onto Hom(~g, h).  The absolute structure (one Lie
-algebra g) is its closed form: DerivedBrackets.bracket with the s-term
-composite evaluated by _closed_form_sum, the one closed form of the signed
-insertion, so it needs no P.  key_formula_check compares that same function
-against the iterated circle product in the double space g (+) g', and the
-tests compare the brackets against P of the iterated brackets there, so both
-certify the closed form the brackets use.  Maurer-Cartan residuals and the
-twisted l_1 are one finite series, cut where the brackets vanish.
+The relative structure (a pair g, h acted on) is the instance with P the
+projection onto Hom(~g, h).  The absolute structure (one Lie algebra g) is
+its closed form: DerivedBrackets.bracket with the s-term composite evaluated
+by _closed_form_sum, the one closed form of the signed insertion, so it
+needs no P and reads dim g off the maps.  key_formula_check compares that
+same function against the iterated circle product in the double space
+g (+) g', and the tests compare the brackets against P of the iterated
+brackets there, so both certify the closed form the brackets use.
+Maurer-Cartan residuals and the twisted l_1 are one finite series, cut
+where the brackets vanish.
 """
 
 from itertools import combinations
@@ -32,12 +29,8 @@ from math import factorial
 
 from .linalg import Matrix, div, frac, vec_zero, vec_is_zero
 from .liealg import semidirect_bracket
-from .multilinear import AltMap, altmap1_from_matrix
+from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
 from .nr import circ_bar, insertion_sum, nr_bracket
-
-
-class InvalidVData(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +127,30 @@ def _split_s(terms):
 
 
 class DerivedBrackets:
-    """The L-infinity[1]-algebra on sM (+) a of the V-data (P, Delta).
+    """The reduced L-infinity[1]-algebra on sM (+) a of a projection P.
 
-    Elements of M and a are maps on one space; P projects a map onto a,
-    and Delta is a map, or None for Delta = 0.  variant "full": the
-    construction for arbitrary Delta, with l_2 carrying lambda and l_i
-    (i >= 2) carrying lambda^{i-1}.  variant "reduced": requires Delta = 0
-    and P = 0 on M; l_1 = 0, l_2 carries no lambda and l_i (i >= 3)
+    Elements of M and a are maps on one space, and P projects a map onto a
+    and vanishes on M.  l_1 = 0, l_2 carries no lambda and l_i (i >= 3)
     carries lambda^{i-2}.
     """
 
-    def __init__(self, P, lam, variant="reduced", Delta=None):
-        if variant not in ("full", "reduced"):
-            raise InvalidVData("unknown variant %r" % variant)
-        if variant == "reduced" and Delta is not None:
-            raise InvalidVData("reduced variant requires Delta = 0")
+    def __init__(self, P, lam):
         self.P = P
-        self.Delta = Delta
         self.lam = frac(lam)
-        self.variant = variant
 
-    def _composite(self, start, xis):
-        """P[...[start, xi_1], ..., xi_r]; for start = f it is the bracket
-        l_{r+1}(sf, xi_1, .., xi_r) without its power of lambda and its
-        sign."""
+    def _composite(self, f, xis):
+        """P[...[f, xi_1], ..., xi_r]: the bracket l_{r+1}(sf, xi_1, ..,
+        xi_r) without its power of lambda and its sign."""
         for xi in xis:
-            start = nr_bracket(start, xi)
-        return self.P(start)
+            f = nr_bracket(f, xi)
+        return self.P(f)
 
     def bracket(self, terms):
         """l_i applied to a list of Terms; returns a FormalElement.
 
-        Apart from l_2 of two s-terms, l_i is lambda^e times P of the
-        iterated bracket that starts at f for the one s-term sf and at
-        [Delta, xi_1] when all terms are a-terms, with e = i - 1 ("full")
-        or max(i - 2, 0) ("reduced"); l_1 of an s-term adds the s-part
-        -[Delta, f]."""
+        Apart from l_2 of two s-terms, l_i vanishes unless exactly one term
+        is an s-term sf, and is then lambda^max(i - 2, 0) times P of the
+        iterated bracket that starts at f."""
         i = len(terms)
         sign, s_term, a_terms = _split_s(terms)
         if sign == 0:
@@ -178,35 +159,32 @@ class DerivedBrackets:
                 return FormalElement()
             f, g = terms[0].f, terms[1].f
             c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
-            if self.variant == "full":
-                c = c * self.lam
             return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
-        c = sign * self.lam ** (i - 1 if self.variant == "full"
-                                else max(i - 2, 0))
-        if c == 0:
+        c = sign * self.lam ** max(i - 2, 0)
+        if c == 0 or s_term is None:
             return FormalElement()
-        xis = [t.f for t in a_terms]
-        out = []
-        if s_term is not None:
-            res = self._composite(s_term.f, xis)
-            if i == 1 and self.Delta is not None:
-                br = nr_bracket(self.Delta, s_term.f)
-                out.append(Term("s", br.scale(-1)))
-        elif self.Delta is not None and xis:
-            res = self._composite(nr_bracket(self.Delta, xis[0]), xis[1:])
-        else:
-            return FormalElement()
-        return FormalElement(out + [Term("a", res.scale(c))])
+        res = self._composite(s_term.f, [t.f for t in a_terms])
+        return FormalElement([Term("a", res.scale(c))])
 
 
 # ---------------------------------------------------------------------------
 # the absolute structure: tagged double space and closed forms
 
 
-def iota_M(f, dim):
-    """Embed f in Hom(wedge^{n+1} g, g) into maps on g (+) g' (dim 2*dim):
+def _gdim(f):
+    """dim g of a map on g into g: the double space g (+) g' holds no other
+    map."""
+    if f.src_dim != f.tgt_dim:
+        raise DimensionMismatch("the double space embeds maps g -> g, not "
+                                "%d -> %d" % (f.src_dim, f.tgt_dim))
+    return f.src_dim
+
+
+def iota_M(f):
+    """Embed f in Hom(wedge^{n+1} g, g) into maps on g (+) g' (dim 2 dim g):
     the component with no primed input lands in g, all others in g',
     forgetting the priming of the inputs."""
+    dim = _gdim(f)
     big = AltMap(f.arity, 2 * dim, 2 * dim)
     for key in combinations(range(2 * dim), f.arity):
         base = tuple(i % dim for i in key)
@@ -222,9 +200,10 @@ def iota_M(f, dim):
     return big
 
 
-def iota_a_abs(xi, dim):
+def iota_a_abs(xi):
     """Embed xi in Hom(wedge^{m+1} g, g) as an all-unprimed-input map into
     g' inside the double space."""
+    dim = _gdim(xi)
     big = AltMap(xi.arity, 2 * dim, 2 * dim)
     for key, vec in xi.coeffs.items():
         big.coeffs[key] = vec_zero(dim) + list(vec)
@@ -232,12 +211,11 @@ def iota_a_abs(xi, dim):
 
 
 class AbsoluteStructure(DerivedBrackets):
-    """The absolute structure on sM (+) a over g, dim g = dim: the reduced
-    derived brackets of the double space g (+) g', with the composite in
-    closed form on g itself, so no P is needed (Delta = 0, so the composite
-    always starts at the s-term)."""
+    """The absolute structure on sM (+) a over g: the derived brackets of
+    the double space g (+) g', with the composite in closed form on g
+    itself, so no P is needed and dim g is read off the maps."""
 
-    def __init__(self, dim, lam):
+    def __init__(self, lam):
         super().__init__(None, lam)
 
     def _composite(self, f, xis):
@@ -261,15 +239,16 @@ def _closed_form_sum(f, xis):
     return insertion_sum(f, xis[::-1]).scale(-1 if exp % 2 else 1)
 
 
-def key_formula_check(f, xis, dim):
+def key_formula_check(f, xis):
     """Difference between the iterated circle product of iota_M(f) with the
     embedded xi's and _closed_form_sum of the same maps, both computed in
     the double space; identically zero.  This certifies the closed form
-    that the higher brackets of the absolute structure evaluate."""
+    that the higher brackets of the absolute structure evaluate.  A xi on
+    another space than f raises DimensionMismatch."""
     if not 1 <= len(xis) <= f.arity:
         raise ValueError("need 1 <= r <= arity(f)")
-    big_f = iota_M(f, dim)
-    big_xis = [iota_a_abs(xi, dim) for xi in xis]
+    big_f = iota_M(f)
+    big_xis = [iota_a_abs(xi) for xi in xis]
     lhs = big_f
     for xi in big_xis:
         lhs = circ_bar(lhs, xi)
@@ -333,11 +312,9 @@ def _formal_series(struct, S, A, rest):
     """sum_{j, a} 1/(j! a!) l(sS^j, A^a, rest) for an m-element S, an
     a-element A and rest = [] or [term], through its last nonzero bracket.
 
-    With Delta = 0 a bracket with two s-terms vanishes past 2 arguments, one
-    with a single s-term of arity p past p + 1, and one with no s-term
-    always; so j <= 2 and the argument count is read from the arities."""
-    if struct.Delta is not None:
-        raise InvalidVData("the formal series needs Delta = 0")
+    A bracket with two s-terms vanishes past 2 arguments, one with a single
+    s-term of arity p past p + 1, and one with no s-term always; so j <= 2
+    and the argument count is read from the arities."""
     rest_s = [t.f.arity for t in rest if t.kind == "s"]
     out = FormalElement()
     for j in range(3):
@@ -362,7 +339,7 @@ def mc_residual_formal(struct, S, A):
 def mc_check_absolute(pi, D, lam):
     """(s pi, D) is MC in the absolute structure iff (g, pi, D) is a
     differential Lie algebra of weight lam.  Returns (bool, residual)."""
-    res = mc_residual_formal(AbsoluteStructure(pi.src_dim, lam), pi,
+    res = mc_residual_formal(AbsoluteStructure(lam), pi,
                              altmap1_from_matrix(D))
     return res.is_zero(), res
 

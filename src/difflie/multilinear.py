@@ -105,7 +105,7 @@ class GradedSymMap:
     length tgt_dim; missing tuples are zero.
     """
 
-    def __init__(self, arity, degree, space, coeffs=None, tgt_dim=None):
+    def __init__(self, arity, degree, space, tgt_dim=None):
         if arity < 0:
             raise ArityMismatch("negative arity %d" % arity)
         self.arity = arity
@@ -114,9 +114,6 @@ class GradedSymMap:
         self.src_dim = space.dim
         self.tgt_dim = space.dim if tgt_dim is None else tgt_dim
         self.coeffs = {}
-        if coeffs:
-            for key, vec in coeffs.items():
-                self[key] = vec
 
     def _blank(self):
         return GradedSymMap(self.arity, self.degree, self.space,
@@ -165,11 +162,11 @@ class GradedSymMap:
                 self.space.degree_of_vector(v)
         return self.evaluate_head(args)
 
-    def evaluate_head(self, heads, tail=()):
-        """f(v_1, .., v_k, e_{t_1}, .., e_{t_l}): vector heads followed by
-        the basis vectors of the index tuple tail."""
+    def evaluate_head(self, heads):
+        """f(v_1, .., v_n) on whole vectors, without the checks of
+        evaluate."""
         out = vec_zero(self.tgt_dim)
-        self.accumulate(out, 1, [vec_support(v) for v in heads], tail)
+        self.accumulate(out, 1, [vec_support(v) for v in heads])
         return exact(out)
 
     def accumulate(self, out, c, heads, tail=()):
@@ -245,9 +242,8 @@ class AltMap(GradedSymMap):
     tgt_dim-dimensional one: the graded map on the suspension, of degree
     k - 1, keyed by strictly increasing tuples of 0-based indices."""
 
-    def __init__(self, arity, src_dim, tgt_dim, coeffs=None):
-        super().__init__(arity, arity - 1, suspend_space(src_dim), coeffs,
-                         tgt_dim)
+    def __init__(self, arity, src_dim, tgt_dim):
+        super().__init__(arity, arity - 1, suspend_space(src_dim), tgt_dim)
 
 
 # ---------------------------------------------------------------------------

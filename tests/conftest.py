@@ -29,6 +29,14 @@ def exact_scalar(x):
     return type(x) is int or type(x) is Fraction and x.denominator != 1
 
 
+def filled(f, coeffs):
+    """The map f with the coefficient table {key: vector} set key by key,
+    through the validating item assignment."""
+    for key, vec in coeffs.items():
+        f[key] = vec
+    return f
+
+
 def kernel_basis(m):
     """Exact basis of the right null space of the Matrix m, read off its
     reduced row echelon form; len = cols - rank."""

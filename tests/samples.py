@@ -10,7 +10,7 @@ determinant +-1, which preserve validity.
 
 from fractions import Fraction
 
-from conftest import kernel_basis
+from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
 from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
 from difflie.multilinear import AltMap, pullback
@@ -64,17 +64,17 @@ def abelian(n):
 
 def aff1():
     """[x, y] = y."""
-    return LieAlgebra(2, AltMap(2, 2, 2, {(0, 1): [0, 1]}))
+    return LieAlgebra(2, filled(AltMap(2, 2, 2), {(0, 1): [0, 1]}))
 
 
 def heisenberg():
     """[x, y] = z."""
-    return LieAlgebra(3, AltMap(2, 3, 3, {(0, 1): [0, 0, 1]}))
+    return LieAlgebra(3, filled(AltMap(2, 3, 3), {(0, 1): [0, 0, 1]}))
 
 
 def sl2():
     """Basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-    return LieAlgebra(3, AltMap(2, 3, 3, {
+    return LieAlgebra(3, filled(AltMap(2, 3, 3), {
         (0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}))
 
 

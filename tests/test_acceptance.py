@@ -184,7 +184,7 @@ def test_criterion_04_generalized_jacobi(rng):
         lam = rng.choice(WEIGHTS)
         if trial % 2 == 0:
             dim = rng.randrange(2, 4)
-            S = AbsoluteStructure(dim, lam)
+            S = AbsoluteStructure(lam)
             pool = [sterm(rand_altmap(rng, rng.randrange(1, 4), dim)),
                     aterm(rand_altmap(rng, rng.randrange(1, 4), dim)),
                     aterm(rand_altmap(rng, rng.randrange(1, 3), dim))]
@@ -233,7 +233,7 @@ def test_criterion_05_key_formula(rng):
                     for r in range(1, min(3, a) + 1):
                         for chosen in product(xis, repeat=r):
                             if not key_formula_check(
-                                    f, list(chosen), dim).is_zero():
+                                    f, list(chosen)).is_zero():
                                 bad.append((dim, fkey, t, r))
     # random samples in dimension 3
     for _ in range(200):
@@ -243,7 +243,7 @@ def test_criterion_05_key_formula(rng):
         r = rng.randrange(1, min(3, n + 1) + 1)
         chosen = [rand_altmap(rng, rng.randrange(1, 3), dim)
                   for _ in range(r)]
-        if not key_formula_check(f, chosen, dim).is_zero():
+        if not key_formula_check(f, chosen).is_zero():
             bad.append(("random", n, r))
     # frozen arity-3 value: l_3(s pi, D, D) = 2 lambda pi(D., D.)
     for L in (aff1(), sl2(), heisenberg()):
@@ -251,7 +251,7 @@ def test_criterion_05_key_formula(rng):
         D = rand_matrix(rng, dim, dim)
         Dmap = altmap1_from_matrix(D)
         for lam in WEIGHTS:
-            S = AbsoluteStructure(dim, lam)
+            S = AbsoluteStructure(lam)
             out = S.bracket([sterm(L.bracket), aterm(Dmap), aterm(Dmap)])
             expected = AltMap(2, dim, dim)
             for key in combinations(range(dim), 2):
@@ -301,7 +301,7 @@ def test_criterion_06_twist_bridge(rng):
     # the twisted arity-1 bracket squares to zero
     for A in algebras[:5]:
         dim = A.dim
-        S = AbsoluteStructure(dim, A.weight)
+        S = AbsoluteStructure(A.weight)
         mu = A.algebra.bracket
         dmap = altmap1_from_matrix(A.d)
         seeds = [sterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
@@ -531,13 +531,13 @@ def test_criterion_09_relative_absolute(rng):
     for _ in range(6):
         dim = 2
         lam = rng.choice(WEIGHTS)
-        src = AbsoluteStructure(dim, lam)
+        src = AbsoluteStructure(lam)
         tgt = relative_structure(dim, dim, lam)
 
         def phi(t):
             if t.kind == "s":
-                return Term("s", iota_M(t.f, dim))
-            return Term("a", iota_a_abs(t.f, dim))
+                return Term("s", iota_M(t.f))
+            return Term("a", iota_a_abs(t.f))
         pool = [sterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                 aterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                 aterm(rand_altmap(rng, 1, dim))]
@@ -552,7 +552,7 @@ def test_criterion_09_relative_absolute(rng):
         N = gdim + hdim
         lam = rng.choice(WEIGHTS)
         src = relative_structure(gdim, hdim, lam)
-        tgt = AbsoluteStructure(N, lam)
+        tgt = AbsoluteStructure(lam)
         pool = [sterm(project_M_embed(
                     rand_altmap(rng, rng.randrange(1, 3), N), gdim, hdim)),
                 aterm(project_a_rel(

@@ -17,8 +17,8 @@ import pytest
 
 from conftest import exact_scalar
 from difflie import nr
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
-    vec_scale, vec_sub, vec_zero
+from difflie.linalg import Matrix, basis_vec, exact, vec_add, vec_is_zero, \
+    vec_scale, vec_sub, vec_support, vec_zero
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.deformations import (FormalIso, NotDeformation,
                                   TruncatedDeformation, apply_formal_iso,
@@ -329,6 +329,8 @@ def old_evaluate_head(f, heads, tail=()):
 
 
 def test_evaluate_head_matches_basis_expansion(rng):
+    # evaluate_head on whole vectors, and accumulate on vector heads
+    # followed by a tail of basis indices
     spaces = [GradedVectorSpace([(0, 2), (1, 2)]),
               GradedVectorSpace([(-1, 3)]), GradedVectorSpace([(2, 3)])]
     for space in spaces:
@@ -344,7 +346,13 @@ def test_evaluate_head_matches_basis_expansion(rng):
                           for _ in range(space.dim)] for _ in range(k)]
                 tail = tuple(rng.randrange(space.dim)
                              for _ in range(arity - k))
-                new = f.evaluate_head(heads, tail)
+                if tail:
+                    new = vec_zero(2)
+                    f.accumulate(new, 1, [vec_support(v) for v in heads],
+                                 tail)
+                    new = exact(new)
+                else:
+                    new = f.evaluate_head(heads)
                 assert new == old_evaluate_head(f, heads, tail)
                 assert all(exact_scalar(x) for x in new)
 

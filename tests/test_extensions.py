@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import kernel_basis
-from difflie.linalg import Matrix, vec_is_zero
+from conftest import filled, kernel_basis
+from difflie.linalg import Matrix, invert_matrix, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, LieAlgebra, adjoint_rep,
-                            trivial_extension)
+                            is_diff_representation, trivial_extension)
 from difflie.multilinear import AltMap
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 cochain_dim, coords_to_altmap,
@@ -15,8 +15,9 @@ from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 build_extension, classify,
                                 equivalence_witness, extract_cocycle,
                                 split_extension)
-from samples import (abelian, aff1, rand_matrix, random_diff_lie,
-                     random_rep, trivial_rep)
+from samples import (abelian, aff1, conjugate_diff_lie, rand_matrix,
+                     rand_unimodular, random_diff_lie, random_rep,
+                     trivial_rep)
 
 
 def canonical_maps(gdim, vdim):
@@ -69,6 +70,29 @@ def test_build_extract_round_trip(rng):
     assert hits >= 3
 
 
+def test_extracted_coefficients_are_a_representation(rng):
+    # extract_cocycle does not check its coefficients: an accepted
+    # extension always induces a differential representation of its base,
+    # in the canonical split, with a non-canonical section, and in a
+    # random basis of the total space
+    for _ in range(8):
+        A = random_diff_lie(rng, max_dim=3)
+        rep = random_rep(rng, A, max_dim=2)
+        gdim, vdim = A.dim, rep.space_dim
+        pairs = cocycle_basis(A, rep)
+        pair = pairs[rng.randrange(len(pairs))] if pairs else \
+            CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
+        E = build_extension(A, rep, pair.f, pair.g)
+        s2 = E.s + E.i * rand_matrix(rng, vdim, gdim)
+        U = rand_unimodular(rng, gdim + vdim)
+        Uinv = invert_matrix(U)
+        for F in (E, AbelianExtension(E.total, E.i, E.p, s2),
+                  AbelianExtension(conjugate_diff_lie(E.total, U, Uinv),
+                                   Uinv * E.i, E.p * U, Uinv * s2)):
+            rep2, _, _ = extract_cocycle(F)
+            assert is_diff_representation(F.base(), rep2)
+
+
 def test_build_non_cocycle_raises(rng):
     A = DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
                        Fraction(2))
@@ -104,7 +128,7 @@ def test_invalid_extension_detected(rng):
     (1, {}, [[0, 1], [0, 0]], "operator does not preserve kernel"),
 ])
 def test_kernel_defects_are_named(gdim, bracket, d, message):
-    total = DiffLieAlgebra(LieAlgebra(2, AltMap(2, 2, 2, bracket)),
+    total = DiffLieAlgebra(LieAlgebra(2, filled(AltMap(2, 2, 2), bracket)),
                            Matrix.from_rows(d), 3)
     with pytest.raises(InvalidExtension, match="^%s$" % message):
         split_extension(total, gdim, 2 - gdim)

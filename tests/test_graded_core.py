@@ -21,6 +21,7 @@ from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
 from difflie.nr import (arity_weights, circ_bar, family_circ, insertion_sum,
                         nr_bracket)
 from difflie.permutations import koszul_sign
+from conftest import filled
 from samples import rand_vec
 
 from test_homotopy import family_circ_by_vectors, rand_graded, \
@@ -138,7 +139,7 @@ def test_circle_product_needs_one_space():
 
 
 def test_constant_outer_map_has_no_slot(rng):
-    f = AltMap(0, 2, 2, {(): [1, 1]})
+    f = filled(AltMap(0, 2, 2), {(): [1, 1]})
     g = rand_altmap(rng, 2, 2)
     out = circ_bar(f, g)
     assert out.is_zero() and out.arity == 1
@@ -230,7 +231,7 @@ def test_insertion_past_the_slots_is_zero(rng):
     out = insertion_sum(f, [g, h])
     assert out.is_zero() and out.arity == 2 and out.degree == 1
     assert insertion_sum(f, [h, h, h]).arity == 1
-    const = AltMap(0, 3, 3, {(): [1, 0, 2]})
+    const = filled(AltMap(0, 3, 3), {(): [1, 0, 2]})
     out = insertion_sum(const, [h])
     assert out.is_zero() and out.arity == 0 and out.degree == -1
     out = insertion_sum(f, [const, const])

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from axiom_oracles import relative_oracle
-from conftest import kernel_basis
+from conftest import filled, kernel_basis
 from difflie import multilinear
 from difflie.linalg import Matrix, basis_vec, mat_combination, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
@@ -39,7 +39,8 @@ def test_jacobi_catalog():
 def test_jacobi_violation():
     from difflie.liealg import LieAlgebra
     from difflie.multilinear import AltMap
-    L = LieAlgebra(3, AltMap(2, 3, 3, {(0, 1): [1, 0, 0], (0, 2): [0, 0, 1]}))
+    L = LieAlgebra(3, filled(AltMap(2, 3, 3),
+                             {(0, 1): [1, 0, 0], (0, 2): [0, 0, 1]}))
     assert not is_lie_algebra(L)
     assert any(not vec_is_zero(r) for r in jacobi_residual(L))
 

@@ -9,7 +9,7 @@ from difflie.multilinear import AltMap, altmap1_from_matrix
 from difflie.homotopy import (HomotopyDiffLie, lambda_rescale, linfty_residual,
                               mc_residual, twist)
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, FormalElement,
-                            InvalidVData, Term, _project, iota_M, iota_a_abs,
+                            Term, _project, _split_s, iota_M, iota_a_abs,
                             key_formula_check, mc_check_absolute,
                             mc_check_relative, mc_residual_formal,
                             morphism_residual, project_a_rel,
@@ -66,8 +66,40 @@ def iterated_bracket(terms, dim, lam):
     the closed form that AbsoluteStructure evaluates."""
     embed = {"s": iota_M, "a": iota_a_abs}
     double = DerivedBrackets(lambda F: P_abs(F, dim), lam)
-    return double.bracket([Term(t.kind, embed[t.kind](t.f, dim))
-                           for t in terms])
+    return double.bracket([Term(t.kind, embed[t.kind](t.f)) for t in terms])
+
+
+class FullDerivedBrackets(DerivedBrackets):
+    """The derived brackets of the V-data (P, Delta) for a nonzero Delta:
+    a degree-1 map in Ker(P) that squares to zero and preserves M, on an M
+    where P need not vanish.  l_1 of sf adds the s-part -[Delta, f], the
+    bracket of a-terms only is P of the iterated bracket that starts at
+    [Delta, xi_1], l_2 of two s-terms carries lambda and every other l_i
+    carries lambda^{i-1}.  The reduced brackets of the package are its case
+    Delta = 0, P = 0 on M, with one power of lambda fewer."""
+
+    def __init__(self, P, lam, Delta):
+        super().__init__(P, lam)
+        self.Delta = Delta
+
+    def bracket(self, terms):
+        i = len(terms)
+        sign, s_term, a_terms = _split_s(terms)
+        if sign == 0:
+            return super().bracket(terms).scale(self.lam)
+        c = sign * self.lam ** (i - 1)
+        xis = [t.f for t in a_terms]
+        out = []
+        if s_term is not None:
+            res = self._composite(s_term.f, xis)
+            if i == 1:
+                br = nr_bracket(self.Delta, s_term.f)
+                out.append(Term("s", br.scale(-1)))
+        elif xis:
+            res = self._composite(nr_bracket(self.Delta, xis[0]), xis[1:])
+        else:
+            return FormalElement()
+        return FormalElement(out + [Term("a", res.scale(c))])
 
 
 def in_M_rel(F, gdim, hdim):
@@ -100,7 +132,7 @@ def test_l3_on_two_operators_frozen():
     pi = g.bracket
     D = Matrix.from_rows([[1, 2], [3, 5]])
     for lam in WEIGHTS:
-        S = AbsoluteStructure(2, lam)
+        S = AbsoluteStructure(lam)
         out = S.bracket([sterm(pi), aterm(altmap1_from_matrix(D)),
                          aterm(altmap1_from_matrix(D))])
         terms = out.terms()
@@ -119,7 +151,7 @@ def test_l2_matches_nr_bracket(rng):
         dim = 3
         f = rand_altmap(rng, rng.randrange(1, 4), dim)
         g = rand_altmap(rng, rng.randrange(1, 4), dim)
-        S = AbsoluteStructure(dim, 1)
+        S = AbsoluteStructure(1)
         out = S.bracket([sterm(f), sterm(g)])
         sign = -1 if (f.arity - 1) % 2 else 1
         assert out == FormalElement([sterm(nr_bracket(f, g).scale(sign))])
@@ -128,7 +160,7 @@ def test_l2_matches_nr_bracket(rng):
 def test_bracket_vanishes_beyond_arity():
     pi = aff1().bracket  # arity 2, so l_i = 0 for i > 3
     D = altmap1_from_matrix(Matrix.identity(2))
-    S = AbsoluteStructure(2, 2)
+    S = AbsoluteStructure(2)
     assert S.bracket([sterm(pi)] + [aterm(D)] * 3).is_zero()
 
 
@@ -137,7 +169,7 @@ def test_closed_form_matches_derived_brackets(rng):
     for _ in range(12):
         dim = rng.randrange(2, 4)
         lam = rng.choice(WEIGHTS)
-        closed = AbsoluteStructure(dim, lam)
+        closed = AbsoluteStructure(lam)
         n_a = rng.randrange(1, 3)
         terms = [sterm(rand_altmap(rng, rng.randrange(1, 4), dim))] + \
             [aterm(rand_altmap(rng, rng.randrange(1, 3), dim))
@@ -152,7 +184,7 @@ def test_closed_form_matches_derived_brackets(rng):
             [aterm(rand_altmap(rng, m, dim)) for m in a_arities]
         out = iterated_bracket(terms, dim, 2)
         assert not out.is_zero()
-        assert AbsoluteStructure(dim, 2).bracket(terms) == out
+        assert AbsoluteStructure(2).bracket(terms) == out
 
 
 def test_bracket_symmetric_in_a_arguments(rng):
@@ -163,7 +195,7 @@ def test_bracket_symmetric_in_a_arguments(rng):
         f = rand_altmap(rng, f_arity, dim)
         x1, x2 = [aterm(rand_altmap(rng, m or rng.randrange(1, 3), dim))
                   for m in ([2, 1] if f_arity == 2 else [None, None])]
-        S = AbsoluteStructure(dim, 2)
+        S = AbsoluteStructure(2)
         sign = -1 if (x1.degree * x2.degree) % 2 else 1
         out = S.bracket([sterm(f), x1, x2])
         assert f_arity == 3 or not out.is_zero()
@@ -172,7 +204,7 @@ def test_bracket_symmetric_in_a_arguments(rng):
 
 def test_bracket_graded_symmetric_in_s_position(rng):
     # moving an odd s-term (arity 1) past an odd a-term costs a sign
-    cases = [(AbsoluteStructure(3, 2), lambda F: F, lambda F: F),
+    cases = [(AbsoluteStructure(2), lambda F: F, lambda F: F),
              (relative_structure(2, 1, 2), lambda F: project_M_rel(F, 2, 1),
               lambda F: project_a_rel(F, 2, 1))]
     for S, to_s, to_a in cases:
@@ -193,7 +225,7 @@ def test_key_formula(rng):
         f = rand_altmap(rng, n + 1, dim)
         r = rng.randrange(1, n + 2)
         xis = [rand_altmap(rng, rng.randrange(1, 3), dim) for _ in range(r)]
-        assert key_formula_check(f, xis, dim).is_zero()
+        assert key_formula_check(f, xis).is_zero()
 
 
 def test_iota_M_is_bracket_map(rng):
@@ -204,8 +236,8 @@ def test_iota_M_is_bracket_map(rng):
         dim = 2
         f = rand_altmap(rng, rng.randrange(1, 3), dim)
         g = rand_altmap(rng, rng.randrange(1, 3), dim)
-        lhs = iota_M(nr_bracket(f, g), dim)
-        rhs = nr_bracket(iota_M(f, dim), iota_M(g, dim))
+        lhs = iota_M(nr_bracket(f, g))
+        rhs = nr_bracket(iota_M(f), iota_M(g))
         assert lhs == rhs
 
 
@@ -213,7 +245,7 @@ def test_generalized_jacobi_absolute(rng):
     for _ in range(8):
         dim = 2
         lam = rng.choice(WEIGHTS)
-        S = AbsoluteStructure(dim, lam)
+        S = AbsoluteStructure(lam)
         pool = [sterm(rand_altmap(rng, rng.randrange(1, 4), dim)),
                 aterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                 aterm(rand_altmap(rng, rng.randrange(1, 3), dim))]
@@ -225,7 +257,7 @@ def test_generalized_jacobi_absolute(rng):
     D = aterm(altmap1_from_matrix(Matrix.from_rows([[1, 0, 0], [0, 0, 0],
                                                     [0, 0, 1]])))
     for lam in WEIGHTS:
-        S = AbsoluteStructure(3, lam)
+        S = AbsoluteStructure(lam)
         for terms in ([pi, D, D, pi], [pi, pi, D, D]):
             assert generalized_jacobi_residual_formal(S, terms).is_zero()
 
@@ -260,8 +292,8 @@ def test_generalized_jacobi_full_variant(rng):
         N = gdim + hdim
         Delta = semidirect_bracket(gdim, hdim, T.rho, T.g.bracket,
                                    h_bracket=T.h.bracket)
-        S = DerivedBrackets(lambda F: project_a_rel(F, gdim, hdim),
-                            rng.choice(WEIGHTS), "full", Delta)
+        S = FullDerivedBrackets(lambda F: project_a_rel(F, gdim, hdim),
+                                rng.choice(WEIGHTS), Delta)
         pool = [sterm(rand_altmap(rng, rng.randrange(1, 3), N))
                 for _ in range(2)] + \
             [aterm(project_a_rel(rand_altmap(rng, rng.randrange(1, 3), N),
@@ -336,12 +368,10 @@ def test_mc_relative_broken_action(rng):
 # strict morphisms between the structures
 
 
-def _abs_to_rel_phi(dim):
-    def phi(t):
-        if t.kind == "s":
-            return Term("s", iota_M(t.f, dim))
-        return Term("a", iota_a_abs(t.f, dim))
-    return phi
+def abs_to_rel(t):
+    if t.kind == "s":
+        return Term("s", iota_M(t.f))
+    return Term("a", iota_a_abs(t.f))
 
 
 def test_morphism_absolute_to_relative(rng):
@@ -350,25 +380,24 @@ def test_morphism_absolute_to_relative(rng):
     for _ in range(5):
         dim = 2
         lam = rng.choice(WEIGHTS)
-        src = AbsoluteStructure(dim, lam)
+        src = AbsoluteStructure(lam)
         tgt = relative_structure(dim, dim, lam)
-        phi = _abs_to_rel_phi(dim)
         pool = [sterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                 aterm(rand_altmap(rng, rng.randrange(1, 3), dim)),
                 aterm(rand_altmap(rng, 1, dim))]
         samples = []
         for n in (2, 3):
             samples.append(tuple(rng.choice(pool) for _ in range(n)))
-        for res in morphism_residual(phi, src, tgt, samples):
+        for res in morphism_residual(abs_to_rel, src, tgt, samples):
             assert res.is_zero()
     # dim 3, a-terms of arity 2 and 1: l_3(sf, xi_2, xi_1) is nonzero and
     # inserts a-terms of mixed parities
     f, xi2, xi1 = sterm(rand_altmap(rng, 2, 3)), \
         aterm(rand_altmap(rng, 2, 3)), aterm(rand_altmap(rng, 1, 3))
     for lam in WEIGHTS:
-        src = AbsoluteStructure(3, lam)
+        src = AbsoluteStructure(lam)
         assert lam == 0 or not src.bracket([f, xi2, xi1]).is_zero()
-        res, = morphism_residual(_abs_to_rel_phi(3), src,
+        res, = morphism_residual(abs_to_rel, src,
                                  relative_structure(3, 3, lam),
                                  [(f, xi2, xi1)])
         assert res.is_zero()
@@ -384,7 +413,7 @@ def test_morphism_relative_to_absolute(rng):
         N = gdim + hdim
         lam = rng.choice(WEIGHTS)
         src = relative_structure(gdim, hdim, lam)
-        tgt = AbsoluteStructure(N, lam)
+        tgt = AbsoluteStructure(lam)
         phi = lambda t: t  # payloads already live on g (+) h
         pool = [sterm(project_M_embed(rand_altmap(rng, rng.randrange(1, 3),
                                                   N), gdim, hdim)),
@@ -406,7 +435,7 @@ def test_morphism_relative_to_absolute_breaks_with_two_h_inputs():
     N = gdim + hdim
     lam = Fraction(1)
     src = relative_structure(gdim, hdim, lam)
-    tgt = AbsoluteStructure(N, lam)
+    tgt = AbsoluteStructure(lam)
     mu = AltMap(2, N, N)            # [h1, h2] = h1
     mu[(1, 2)] = [0, 1, 0]
     assert in_M_rel(mu, gdim, hdim)
@@ -494,8 +523,8 @@ def twist_l1_bounded(struct, S, A, term, bound):
 class RecordingStructure(AbsoluteStructure):
     """Records the argument count of every bracket it is asked for."""
 
-    def __init__(self, dim):
-        super().__init__(dim, 1)
+    def __init__(self):
+        super().__init__(1)
         self.counts = []
 
     def bracket(self, terms):
@@ -506,17 +535,10 @@ class RecordingStructure(AbsoluteStructure):
 def test_twist_series_reaches_top_bracket():
     # l_1 of the twist on an s-term of arity 9 needs l_10(sf, A^9): a
     # series cut at a fixed bound drops it
-    S = RecordingStructure(9)
+    S = RecordingStructure()
     twist_l1_formal(S, AltMap(2, 9, 9), AltMap(1, 9, 9),
                     sterm(AltMap(9, 9, 9)))
     assert max(S.counts) == 10
-
-
-def test_formal_series_needs_zero_delta():
-    # with Delta the pure a-term brackets need not vanish: no finite cut
-    S = DerivedBrackets(lambda F: F, 1, "full", AltMap(2, 4, 4))
-    with pytest.raises(InvalidVData):
-        mc_residual_formal(S, aff1().bracket, AltMap(1, 2, 2))
 
 
 def random_formal_case(rng):
@@ -524,7 +546,7 @@ def random_formal_case(rng):
     lam = rng.choice(WEIGHTS)
     if rng.random() < 0.5:
         dim = rng.randrange(2, 4)
-        struct = AbsoluteStructure(dim, lam)
+        struct = AbsoluteStructure(lam)
         to_s = to_a = lambda F: F
     else:
         gdim, hdim = 2, rng.randrange(1, 3)

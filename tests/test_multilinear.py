@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import basis_of_degree, exact_scalar
+from conftest import basis_of_degree, exact_scalar, filled
 from difflie.linalg import (Matrix, basis_vec, vec_add, vec_is_zero,
                             vec_scale, vec_zero)
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
@@ -190,7 +190,7 @@ def pullback_cases_with_zero_columns(draw):
     """pullback_cases, with arity 0 allowed and some columns of S zeroed."""
     f, S, T = draw(pullback_cases())
     if draw(st.booleans()):
-        f = AltMap(0, f.src_dim, f.tgt_dim, {(): draw(st.lists(
+        f = filled(AltMap(0, f.src_dim, f.tgt_dim), {(): draw(st.lists(
             SCALARS, min_size=f.tgt_dim, max_size=f.tgt_dim))})
     zero = draw(st.sets(st.integers(0, S.cols - 1)))
     S = Matrix(S.rows, S.cols, [[0 if j in zero else x
@@ -207,7 +207,7 @@ def pullback_cases_with_zero_columns(draw):
 @example((sample_altmap(), Matrix.from_rows([[0, 1, 0, 1], [0, 0, 0, 1],
                                              [0, Fraction(1, 2), 0, 0]]),
           Matrix.from_rows([[1, 0, 0], [0, 2, 1]])))
-@example((AltMap(1, 1, 1, {(0,): [Fraction(3, 2)]}),
+@example((filled(AltMap(1, 1, 1), {(0,): [Fraction(3, 2)]}),
           Matrix.from_rows([[Fraction(2, 3)]]), None))  # an integral Fraction
 def test_pullback_matches_per_key_oracle(case):
     f, S, T = case

@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exact_scalar, kernel_basis
+from conftest import exact_scalar, filled, kernel_basis
 from difflie.deformations import (FormalIso, TruncatedDeformation,
                                   apply_formal_iso, deformation_residuals)
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, rescale_operator
@@ -154,7 +154,7 @@ def alt_maps(arity, dim):
     keys = list(combinations(range(dim), arity))
     return st.lists(st.lists(INTS, min_size=dim, max_size=dim),
                     min_size=len(keys), max_size=len(keys)).map(
-        lambda vecs: AltMap(arity, dim, dim, dict(zip(keys, vecs))))
+        lambda vecs: filled(AltMap(arity, dim, dim), dict(zip(keys, vecs))))
 
 
 @given(int_matrices(), st.data())
@@ -212,9 +212,8 @@ def test_key_formula_int_route_matches_fraction_route(dim, data):
     f = data.draw(alt_maps(data.draw(st.integers(2, 3)), dim))
     xis = [data.draw(alt_maps(data.draw(st.integers(1, 2)), dim))
            for _ in range(data.draw(st.integers(1, f.arity - 1)))]
-    out = key_formula_check(f, xis, dim)
-    out_f = key_formula_check(_forced_map(f), [_forced_map(x) for x in xis],
-                              dim)
+    out = key_formula_check(f, xis)
+    out_f = key_formula_check(_forced_map(f), [_forced_map(x) for x in xis])
     assert out.coeffs == out_f.coeffs
     _no_float(out, out_f)
 

@@ -21,6 +21,14 @@ This over-approximates the call graph, so a failure is always a definition
 that nothing on a root path can name.  An ALLOWED entry that a command or
 bench target reaches, or that is gone, fails the check too, so the list
 only shrinks.
+
+A second check finds knobs: a defaulted parameter of a function, method or
+class of the package that no call in the package passes, by keyword or by
+position, so that every command runs its default and only tests turn it.
+Calls are matched by the plain or attribute name they call, a constructor
+call by its class name, and ``super().__init__`` counts for the bases of
+its class.  The cli roots and the ALLOWED entries, which commands do not
+call, are exempt.
 """
 
 import ast
@@ -170,6 +178,95 @@ def cli_roots(tree):
     return roots
 
 
+def signatures(trees):
+    """(qualified name, called name, positional parameters, defaulted
+    parameters) of every def of the modules {module: tree}, nested ones
+    included.  A method's positions start after self or cls (not for a
+    staticmethod), and a class's __init__ is qualified and called by the
+    class name."""
+    out = []
+
+    def visit(node, path, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path + [child.name], child)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                pos = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list):
+                    pos = pos[1:]
+                defaulted = pos[len(pos) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                if cls is not None and child.name == "__init__":
+                    out.append((".".join(path), cls.name, pos, defaulted))
+                else:
+                    out.append((".".join(path + [child.name]), child.name,
+                                pos, defaulted))
+                visit(child, path + [child.name], None)
+            else:
+                visit(child, path, cls)
+
+    for mod, tree in trees.items():
+        visit(tree, [mod], None)
+    return out
+
+
+def passed_arguments(trees):
+    """{called name: (positions passed, keywords passed)} over every call
+    of the modules, by the plain or attribute name it calls: a call passes
+    its first n positions (every one after a *args) and its keywords
+    (None for a **kwargs, which passes every one).  super().__init__
+    counts for the bases of the enclosing class."""
+    out = {}
+
+    def visit(node, bases):
+        if isinstance(node, ast.ClassDef):
+            bases = [b.id if isinstance(b, ast.Name) else b.attr
+                     for b in node.bases]
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and fn.attr == "__init__" \
+                    and isinstance(fn.value, ast.Call) \
+                    and isinstance(fn.value.func, ast.Name) \
+                    and fn.value.func.id == "super":
+                names = bases
+            elif isinstance(fn, (ast.Name, ast.Attribute)):
+                names = [fn.id if isinstance(fn, ast.Name) else fn.attr]
+            else:
+                names = []
+            n = float("inf") if any(isinstance(a, ast.Starred)
+                                    for a in node.args) else len(node.args)
+            for name in names:
+                count, kws = out.get(name, (0, set()))
+                out[name] = (max(count, n),
+                             kws | {k.arg for k in node.keywords})
+        for child in ast.iter_child_nodes(node):
+            visit(child, bases)
+
+    for tree in trees.values():
+        visit(tree, [])
+    return out
+
+
+def unpassed_defaults(trees, exempt):
+    """"qualified(parameter)" of each defaulted parameter that no call of
+    the modules passes, by keyword or by position, outside the exempt
+    qualified names: a knob that every caller leaves at its default."""
+    calls = passed_arguments(trees)
+    out = []
+    for qual, called, pos, defaulted in signatures(trees):
+        if qual in exempt:
+            continue
+        count, kws = calls.get(called, (0, set()))
+        out += ["%s(%s)" % (qual, p) for p in defaulted
+                if not (p in kws or None in kws
+                        or (p in pos and pos.index(p) < count))]
+    return sorted(out)
+
+
 def test_the_check_flags_an_unreferenced_function():
     trees = {"m": ast.parse(
         "def root():\n    return helper() + obj.method_like()\n"
@@ -212,3 +309,32 @@ def test_every_definition_is_reached():
     dead = unreached(trees, roots + list(ALLOWED))
     assert not dead, "reached from no command, bench target or ALLOWED " \
                      "entry: %s" % dead
+
+
+def test_the_knob_check_flags_an_unpassed_default():
+    trees = {"m": ast.parse(
+        "def f(x, knob=1, used=2, *, flag=False):\n    return x\n"
+        "def g(**kw):\n"
+        "    return f(1, used=3) + Box(1).meth(2) + Sub() + h(**kw)\n"
+        "def h(a=0):\n    pass\n"
+        "class Box:\n    def __init__(self, a, b=None):\n        pass\n"
+        "    def meth(self, x, y=0):\n        def inner(z=1):\n"
+        "            pass\n        return inner()\n"
+        "class Sub(Box):\n    def __init__(self, c=0):\n"
+        "        super().__init__(1, 2)\n")}
+    # Box(b) is passed by position through super().__init__, h(a) through
+    # the **kw of its one call
+    planted = ["m.Box.meth(y)", "m.Box.meth.inner(z)", "m.Sub(c)",
+               "m.f(flag)", "m.f(knob)"]
+    assert unpassed_defaults(trees, set()) == planted
+    assert unpassed_defaults(trees, {"m.f", "m.Sub"}) == planted[:2]
+
+
+def test_every_default_is_passed():
+    # a defaulted parameter that no call of the package passes is a knob
+    # that only tests turn: the commands always run its default
+    trees = package_trees()
+    exempt = set(cli_roots(trees["cli"])) | set(ALLOWED)
+    knobs = unpassed_defaults(trees, exempt)
+    assert not knobs, "defaulted parameters that no call in src/ " \
+                      "passes: %s" % knobs

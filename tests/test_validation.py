@@ -3,21 +3,22 @@ input with the documented exception and message.
 
 Each case builds one invalid object or makes one invalid call.  The checks
 are exceptions, not ``assert`` statements, so they run under ``python -O``
-too.  Invariants that valid code cannot break (the induced coefficients of
-an extension, an arity clash inside the twisted l_1) are not listed.
+too.  An invariant that valid code cannot break (an arity clash inside the
+twisted l_1) is not listed.
 """
 
 import re
 
 import pytest
 
+from conftest import filled
 from difflie.deformations import TruncatedDeformation
 from difflie.extensions import AbelianExtension, InvalidExtension
 from difflie.homotopy import HomotopyDiffLie
 from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
                             LieAlgebra)
 from difflie.linalg import Matrix, invert_matrix
-from difflie.linfty import DerivedBrackets, InvalidVData, key_formula_check
+from difflie.linfty import iota_M, key_formula_check
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace)
 from samples import aff1
@@ -105,23 +106,25 @@ CASES = [
     ("graded-map-negative-arity",
      lambda: GradedSymMap(-1, 0, MIXED), ArityMismatch, "negative arity -1"),
     ("graded-map-key-length",
-     lambda: GradedSymMap(2, 0, MIXED, {(0,): [1, 0]}), ArityMismatch,
+     lambda: filled(GradedSymMap(2, 0, MIXED), {(0,): [1, 0]}),
+     ArityMismatch,
      "expected 2 indices"),
     ("graded-map-index-range",
-     lambda: GradedSymMap(1, 0, MIXED, {(5,): [1, 0]}), IndexError,
+     lambda: filled(GradedSymMap(1, 0, MIXED), {(5,): [1, 0]}),
+     IndexError,
      "basis index out of range in (5,)"),
-    ("derived-brackets-variant",
-     lambda: DerivedBrackets(None, 1, "ful"), InvalidVData,
-     "unknown variant 'ful'"),
-    ("derived-brackets-reduced-delta",
-     lambda: DerivedBrackets(None, 1, "reduced", AltMap(2, 2, 2)),
-     InvalidVData, "reduced variant requires Delta = 0"),
     ("key-formula-no-insertion",
-     lambda: key_formula_check(BR, [], 2), ValueError,
+     lambda: key_formula_check(BR, []), ValueError,
      "need 1 <= r <= arity(f)"),
     ("key-formula-too-many-insertions",
-     lambda: key_formula_check(BR, [AltMap(1, 2, 2)] * 3, 2), ValueError,
+     lambda: key_formula_check(BR, [AltMap(1, 2, 2)] * 3), ValueError,
      "need 1 <= r <= arity(f)"),
+    ("key-formula-insertion-dimension",
+     lambda: key_formula_check(BR, [AltMap(1, 3, 3)]), DimensionMismatch,
+     "insertion needs inner maps into the space"),
+    ("double-space-map-shape",
+     lambda: iota_M(AltMap(2, 2, 1)), DimensionMismatch,
+     "the double space embeds maps g -> g, not 2 -> 1"),
 ]
 
 
