@@ -16,7 +16,13 @@ Submodules:
   homotopy      homotopy differential Lie algebras on graded spaces; an
                 L-infinity[1]-algebra is one with no D (MC, twisting,
                 rescaling)
-  cli           command-line interface
+  commands      the readers and handlers of the subcommands
+  cli           command-line parsing; it loads commands, and with them
+                the computation, only once the command line parses
 """
 
 __version__ = "1.0.0"
+
+# the cochain complexes of a differential Lie algebra (see cohomology); here
+# so that the --flavor choices of the parser load no computation
+FLAVORS = ("ce", "do", "difflie", "tilde")

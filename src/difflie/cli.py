@@ -1,5 +1,4 @@
-"""Command-line surface: load JSON descriptions, run exact verifications,
-emit deterministic reports.
+"""Command-line surface: parse the command line, then run the command.
 
 Every command reads one JSON document, prints a report (all rationals as
 exact "p/q" strings, keys sorted, byte-identical for identical inputs) and
@@ -7,315 +6,17 @@ exits with 0 when every residual in the report is zero, 1 when some residual
 or verdict is nonzero/negative, and 2 on a parse or schema error, which is
 reported as one line on stderr with nothing on stdout.
 
-Start-up loads only what every command needs (the algebra, the wire
-readers and the scalars); each reader and handler imports the modules of
-its own computation, so a command pays only for the code it runs.
+Parsing loads no computation: this module imports only argparse and sys,
+and ``main`` imports ``difflie.commands`` (the readers, the handlers and
+everything they load) only once the command line parses.  So
+``difflie --help`` and every usage error start without compiling or
+importing any of it.
 """
 
 import argparse
-import json
-import random
 import sys
-from itertools import combinations
 
-from .linalg import CompositionNonzero, fmt_scalar, parse_scalar, vec_is_zero
-from .liealg import (FLAVORS, AxiomFailure, DiffLieAlgebra, SchemaError,
-                     _matrix_to_json, adjoint_rep, altmap_from_json,
-                     altmap_to_json, difflie_from_json, difflie_to_json,
-                     field, jacobi_residual, only_keys, read_index, read_int,
-                     read_list, read_map, read_matrix, read_object,
-                     read_scalar, rep_from_json, rep_residuals, rep_to_json,
-                     weighted_derivation_residual)
-from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
-
-
-def _fmt_vec(v):
-    return [fmt_scalar(x) for x in v]
-
-
-def _emit(report, out):
-    """Write the report to stdout and to the open --json-out file, if
-    any."""
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
-    sys.stdout.write(text)
-    if out is not None:
-        with out:
-            out.write(text)
-
-
-# ---------------------------------------------------------------------------
-# reading: each subcommand's document becomes the parsed objects its handler
-# takes, through the wire readers of liealg
-
-
-def _unique_keys(pairs):
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        raise SchemaError("a JSON object gives a key twice; its keys are %s"
-                          % sorted(obj))
-    return obj
-
-
-def _load(path):
-    with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
-
-
-def _algebra(obj, args, extra=()):
-    A = difflie_from_json(obj, "", extra)
-    if args.weight is not None:
-        A = DiffLieAlgebra(A.algebra, A.d, args.weight)
-    return A
-
-
-def _algebra_rep(obj, args):
-    A = _algebra(obj, args, ("rep",))
-    return A, (rep_from_json(obj["rep"], A.dim) if "rep" in obj else None)
-
-
-def _read_extension(obj, args):
-    if args.action == "extract":
-        only_keys(obj, "", ("total", "gdim", "vdim"))
-        total = difflie_from_json(*field(obj, "total"))
-        gdim = read_int(*field(obj, "gdim"), 0, total.dim)
-        return total, gdim, read_int(*field(obj, "vdim"), total.dim - gdim,
-                                     total.dim - gdim)
-    # build and classify read one document kind
-    only_keys(obj, "", ("base", "rep", "psi", "chi"))
-    A = difflie_from_json(*field(obj, "base"))
-    rep = rep_from_json(field(obj, "rep")[0], A.dim)
-    if args.action == "classify":
-        return A, rep
-    return (A, rep,
-            altmap_from_json(*field(obj, "psi"), A.dim, rep.space_dim, 2),
-            altmap_from_json(*field(obj, "chi"), A.dim, rep.space_dim, 1))
-
-
-def _read_deformation(obj, args):
-    from .deformations import TruncatedDeformation
-    only_keys(obj, "", ("base", "mu", "d"))
-    A = difflie_from_json(*field(obj, "base"))
-    mu = [altmap_from_json(*m, A.dim, A.dim, 2)
-          for m in read_list(obj.get("mu", []), "mu")]
-    d = [read_matrix(*m, A.dim, A.dim)
-         for m in read_list(obj.get("d", []), "d")]
-    return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
-
-
-# The largest dimension key-formula and morphism-check accept.  Their
-# documents hold no data of that size: they draw dense random maps on it.
-# One key-formula sample (--seed 7) took 0.3 s at dim 8, 9.5 s at dim 16
-# and 30 s at dim 20; morphism-check (--seed 7) took 25 s at gdim = hdim =
-# 16 and 49 s at 32 (wall time with start-up, a shared 2-core machine).
-# So the dimensions that finish lie far below 256, where one dense random
-# arity-3 map of key-formula alone has C(256, 3) * 256 ~ 7e8 coefficients,
-# more than memory holds.
-MAX_SAMPLED_DIM = 256
-
-
-def _read_dim(obj, args):
-    return read_int(*field(only_keys(obj, "", ("dim",)), "dim"), 0,
-                    MAX_SAMPLED_DIM)
-
-
-def _read_pair(obj, args):
-    only_keys(obj, "", ("gdim", "hdim", "weight"))
-    return (read_int(*field(obj, "gdim"), 0, MAX_SAMPLED_DIM),
-            read_int(*field(obj, "hdim"), 0, MAX_SAMPLED_DIM),
-            read_scalar(*field(obj, "weight")))
-
-
-def _read_family(obj, key, space, degree):
-    """{n: map of arity n and the degree} from {"n": {"i,j,..": vector}}."""
-    family = {}
-    for text, coeffs, at in read_object(obj.get(key, {}), key):
-        n = read_index(text, at)
-        family[n] = read_map(coeffs, at, GradedSymMap(n, degree, space))
-    return family
-
-
-def _read_homotopy(obj, args):
-    from .homotopy import HomotopyDiffLie
-    only_keys(obj, "", ("components", "mu", "D", "weight"))
-    space = GradedVectorSpace([
-        (read_int(*deg, None), read_int(*dim)) for deg, dim in
-        (read_list(*c, 2) for c in read_list(*field(obj, "components")))])
-    return HomotopyDiffLie(space, _read_family(obj, "mu", space, 1),
-                           _read_family(obj, "D", space, 0),
-                           read_scalar(*field(obj, "weight")))
-
-
-# ---------------------------------------------------------------------------
-# commands: each takes its parsed inputs and the options, and only computes
-
-
-def _nonzero(keys, residuals):
-    """{"i,j,..": vector} of the nonzero residuals, 1-based keys."""
-    return {",".join(str(i + 1) for i in key): _fmt_vec(r)
-            for key, r in zip(keys, residuals) if not vec_is_zero(r)}
-
-
-def cmd_check_axioms(inputs, args):
-    A, rep = inputs
-    jac = _nonzero(combinations(range(A.dim), 3), jacobi_residual(A.algebra))
-    op = _nonzero(combinations(range(A.dim), 2),
-                  weighted_derivation_residual(A))
-    report = {"dim": A.dim, "weight": fmt_scalar(A.weight),
-              "jacobi_nonzero": jac, "operator_nonzero": op}
-    ok = not jac and not op
-    if rep is not None:
-        rep_bad = {}
-        for name, mats in rep_residuals(A, rep).items():
-            nz = [i + 1 for i, m in enumerate(mats) if not m.is_zero()]
-            if nz:
-                rep_bad[name] = nz
-        report["rep_nonzero"] = rep_bad
-        ok = ok and not rep_bad
-    report["ok"] = ok
-    return (0 if ok else 1), report
-
-
-def cmd_cohomology(inputs, args):
-    from .cohomology import CochainComplexSpec, cohomology_dims
-    A, rep = inputs
-    try:
-        spec = CochainComplexSpec(A, adjoint_rep(A) if rep is None else rep,
-                                  args.flavor, max_degree=args.max_degree)
-    except CompositionNonzero:
-        return 1, {"flavor": args.flavor, "d_squared_ok": False}
-    return 0, {"flavor": args.flavor, "weight": fmt_scalar(A.weight),
-               "dims_C": spec.dims, "dims_H": cohomology_dims(spec),
-               "d_squared_ok": True}
-
-
-def cmd_mc_check(A, args):
-    from .linfty import mc_check_absolute
-    ok, res = mc_check_absolute(A.algebra.bracket, A.d, A.weight)
-    return (0 if ok else 1), {"dim": A.dim, "weight": fmt_scalar(A.weight),
-                              "maurer_cartan": ok}
-
-
-def cmd_twist(A, args):
-    from .cohomology import twist_bridge_residual
-    dim, max_n = A.dim, args.max_degree
-    bad = []
-    # above degree dim + 1 there are no cochain pairs, so no columns
-    for n in range(1, min(max_n, dim + 1) + 1):
-        cols = twist_bridge_residual(A, n).transpose().data
-        bad.extend({"degree": n, "basis_index": k + 1,
-                    "residual": _fmt_vec(col)}
-                   for k, col in enumerate(cols) if not vec_is_zero(col))
-    report = {"dim": dim, "weight": fmt_scalar(A.weight),
-              "max_degree": max_n, "bridge_nonzero": bad,
-              "bridge_zero": not bad}
-    return (0 if not bad else 1), report
-
-
-def _rand_altmap(rng, arity, dim):
-    f = AltMap(arity, dim, dim)
-    for key in combinations(range(dim), arity):
-        f[key] = [rng.randrange(-2, 3) for _ in range(dim)]
-    return f
-
-
-def cmd_key_formula(dim, args):
-    from .linfty import key_formula_check
-    rng = random.Random(args.seed)
-    nonzero = 0
-    for _ in range(args.order):
-        f = _rand_altmap(rng, rng.randrange(2, 4), dim)
-        r = rng.randrange(1, f.arity)
-        xis = [_rand_altmap(rng, rng.randrange(1, 3), dim)
-               for _ in range(r)]
-        if not key_formula_check(f, xis).is_zero():
-            nonzero += 1
-    report = {"dim": dim, "samples": args.order, "seed": args.seed,
-              "nonzero_samples": nonzero, "all_zero": nonzero == 0}
-    return (0 if nonzero == 0 else 1), report
-
-
-def cmd_morphism_check(inputs, args):
-    from .linfty import (AbsoluteStructure, Term, iota_M, iota_a_abs,
-                         morphism_residual, project_a_rel, project_M_embed,
-                         relative_structure)
-    gdim, hdim, lam = inputs
-    rng = random.Random(args.seed)
-    N = gdim + hdim
-    # the one-algebra structure into the pair structure over (g, g); then
-    # the pair structure into the one-algebra structure on g (+) h, on the
-    # payload subalgebra where the embedding is strict (<= one h input)
-    runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s"
-                                     else iota_a_abs)(t.f)),
-             AbsoluteStructure(lam),
-             relative_structure(gdim, gdim, lam), gdim,
-             lambda F: F, lambda F: F),
-            (lambda t: t, relative_structure(gdim, hdim, lam),
-             AbsoluteStructure(lam), N,
-             lambda F: project_M_embed(F, gdim, hdim),
-             lambda F: project_a_rel(F, gdim, hdim))]
-    residuals = []
-    for phi, src, tgt, dim, to_s, to_a in runs:
-        pool = [Term("s", to_s(_rand_altmap(rng, rng.randrange(1, 3), dim))),
-                Term("a", to_a(_rand_altmap(rng, rng.randrange(1, 3), dim)))]
-        samples = [tuple(rng.choice(pool) for _ in range(n)) for n in (2, 3)]
-        residuals += morphism_residual(phi, src, tgt, samples)
-    nonzero = sum(not r.is_zero() for r in residuals)
-    report = {"gdim": gdim, "hdim": hdim, "weight": fmt_scalar(lam),
-              "seed": args.seed, "samples": len(residuals),
-              "nonzero_samples": nonzero, "all_zero": nonzero == 0}
-    return (0 if nonzero == 0 else 1), report
-
-
-def cmd_extension(inputs, args):
-    from .extensions import (NotCocycle, build_extension, classify,
-                             extract_cocycle, split_extension)
-    if args.action == "build":
-        try:
-            E = build_extension(*inputs)
-        except NotCocycle as e:
-            return 1, {"action": "build", "cocycle": False,
-                       "residual": _fmt_vec(e.residual)}
-        return 0, {"action": "build", "cocycle": True,
-                   "total": difflie_to_json(E.total)}
-    if args.action == "extract":
-        E = split_extension(*inputs)
-        rep, psi, chi = extract_cocycle(E)
-        return 0, {"action": "extract", "rep": rep_to_json(rep),
-                   "psi": altmap_to_json(psi), "chi": altmap_to_json(chi),
-                   "base": difflie_to_json(E.base())}
-    return 0, {"action": "classify", "dim_H2": classify(*inputs)}
-
-
-def cmd_deform(D, args):
-    from .deformations import Obstructed, failed_equations, rigidify
-    if args.action == "verify":
-        bad = [{"order": n, "equation": which}
-               for n, which in failed_equations(D)]
-        return (0 if not bad else 1), {"action": "verify", "order": D.order,
-                                       "failures": bad, "deformation": not bad}
-    # rigidify; a D whose equations fail raises NotDeformation
-    try:
-        isos = rigidify(D)
-    except Obstructed as e:
-        return 1, {"action": "rigidify", "trivialized": False,
-                   "obstructed_at_order": e.order}
-    return 0, {"action": "rigidify", "trivialized": True,
-               "isos": [[_matrix_to_json(m) for m in i.phi] for i in isos]}
-
-
-def cmd_homotopy_check(H, args):
-    from .homotopy import homotopy_mc_check
-    ok, tables = homotopy_mc_check(H, max_n=args.max_degree)
-    failed = sorted(n for n, (j, o) in tables.items()
-                    if not (j.is_zero() and o.is_zero()))
-    return (0 if ok else 1), {"weight": fmt_scalar(H.weight),
-                              "checked_arities": sorted(tables),
-                              "failed_arities": failed, "maurer_cartan": ok}
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
+from . import FLAVORS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,6 +31,30 @@ def positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
     return n
+
+
+# The largest --max-degree accepted.  cohomology reports C^0..C^N and
+# homotopy-check every arity through N, so their work and reports grow with
+# N itself, and a huge N would run until the process is killed instead of
+# exiting 2.  Every cochain space above degree dim + 1 is 0, and no document
+# whose computation finishes has a dimension near this cap.
+MAX_DEGREE = 10 ** 4
+
+
+def degree_bound(text):
+    n = positive_int(text)
+    if n > MAX_DEGREE:
+        raise argparse.ArgumentTypeError("must be at most %d, got %d"
+                                         % (MAX_DEGREE, n))
+    return n
+
+
+def parse_scalar(text):
+    """The --weight type: linalg.parse_scalar, loaded only when the option
+    is given.  argparse names this function in the message for a value it
+    rejects."""
+    from . import linalg
+    return linalg.parse_scalar(text)
 
 
 def build_parser():
@@ -352,7 +77,7 @@ def build_parser():
         return sp
 
     def max_degree(sp, default):
-        sp.add_argument("--max-degree", type=positive_int, default=default)
+        sp.add_argument("--max-degree", type=degree_bound, default=default)
         return sp
 
     # each subcommand declares only the options its handler reads
@@ -371,51 +96,14 @@ def build_parser():
     return p
 
 
-# each subcommand's reader, from its document to the parsed inputs, and its
-# handler, from those inputs and the options to (exit code, report)
-HANDLERS = {
-    "check-axioms": (_algebra_rep, cmd_check_axioms),
-    "cohomology": (_algebra_rep, cmd_cohomology),
-    "mc-check": (_algebra, cmd_mc_check),
-    "twist": (_algebra, cmd_twist),
-    "key-formula": (_read_dim, cmd_key_formula),
-    "morphism-check": (_read_pair, cmd_morphism_check),
-    "extension": (_read_extension, cmd_extension),
-    "deform": (_read_deformation, cmd_deform),
-    "homotopy-check": (_read_homotopy, cmd_homotopy_check),
-}
-
-
-def _reject(e):
-    sys.stderr.write("error: %s\n" % e)
-    return 2
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    read, handle = HANDLERS[args.command]
-    try:
-        inputs = read(_load(args.path), args)
-    except (KeyError, TypeError, ValueError, IndexError, OSError,
-            RecursionError) as e:
-        return _reject(e)
-    try:
-        code, report = handle(inputs, args)
-    except AxiomFailure as e:
-        # documents that parse but fail the axioms these commands assume
-        return _reject(e)
-    try:
-        # opened before anything is written, so that a path that cannot be
-        # written leaves stdout empty
-        out = open(args.json_out, "w") if args.json_out else None
-    except OSError as e:
-        return _reject(e)
-    _emit(report, out)
-    return code
+    from .commands import run
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ from math import comb
 
 from .linalg import CompositionNonzero, Matrix, exact, frac, vec_is_zero, \
     vec_zero, basis_vec
-from .liealg import FLAVORS, adjoint_rep, rho_lambda, semidirect_bracket
+from . import FLAVORS
+from .liealg import adjoint_rep, rho_lambda, semidirect_bracket
 from .multilinear import AltMap, ArityMismatch, _sym_sort, \
     altmap1_from_matrix, matrix_from_altmap1, pullback
 

@@ -26,10 +26,6 @@ from .multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                           altmap1_from_matrix)
 
 
-# the cochain complexes of a differential Lie algebra (see cohomology)
-FLAVORS = ("ce", "do", "difflie", "tilde")
-
-
 class ZeroScale(Exception):
     pass
 

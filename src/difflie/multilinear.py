@@ -160,13 +160,8 @@ class GradedSymMap:
         if len(self.space.components) > 1:
             for v in args:
                 self.space.degree_of_vector(v)
-        return self.evaluate_head(args)
-
-    def evaluate_head(self, heads):
-        """f(v_1, .., v_n) on whole vectors, without the checks of
-        evaluate."""
         out = vec_zero(self.tgt_dim)
-        self.accumulate(out, 1, [vec_support(v) for v in heads])
+        self.accumulate(out, 1, [vec_support(v) for v in args])
         return exact(out)
 
     def accumulate(self, out, c, heads, tail=()):

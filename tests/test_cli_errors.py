@@ -9,7 +9,10 @@ that fail the axioms at the extension boundary, a --json-out file that
 cannot be written); its inputs live in tests/cli_snapshots/inputs/.  Every
 such call, and every exit-2 call of the snapshot cases, must print nothing
 on stdout and exactly one line on stderr, also under ``python -O``, where
-``assert`` statements are gone.
+``assert`` statements are gone.  A case that argparse rejects (a bad option
+value, an option a subcommand does not declare) also records that line as
+its "stderr", and the line must match it exactly: argparse builds it from
+the names of the parser and of the option's type.
 """
 
 import json
@@ -48,6 +51,8 @@ def test_defect_exits_2_with_one_line(case, capsys):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    if "stderr" in case:
+        assert captured.err == case["stderr"]
 
 
 def test_exit_2_cases_hold_without_asserts():

@@ -1,11 +1,12 @@
 """Start-up loads only what the subcommand runs.
 
-Importing the CLI and building its parser loads the algebra, the wire
-readers and the scalars, and none of the modules of the computations;
-a command imports those it runs.  Each check runs in a fresh interpreter.
+Importing the CLI and building its parser loads no module of the package
+but ``difflie`` and ``difflie.cli``, and none of ``json``, ``fractions``
+or ``decimal``; a command loads ``difflie.commands`` with the wire readers
+and the scalars once its arguments parse, and imports the computations it
+runs.  Each check runs in a fresh interpreter.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -14,23 +15,38 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, os.pardir, "src")
 LAZY = ["difflie." + m for m in ("cohomology", "linfty", "extensions",
                                   "deformations", "homotopy", "nr",
-                                  "permutations")]
+                                  "permutations", "linalg", "liealg",
+                                  "multilinear", "commands")]
+# what every command loads once its arguments parse
+COMMAND = ["difflie.commands", "difflie.liealg", "difflie.linalg",
+           "difflie.multilinear"]
 
 
-def _loaded(code):
-    """The LAZY modules loaded after running code in a fresh interpreter."""
-    probe = code + "\nimport json\nprint(json.dumps(sorted(m for m in %r " \
-                   "if m in sys.modules)))" % (LAZY,)
+def _modules(code):
+    """The names in sys.modules after running code in a fresh interpreter.
+    The probe prints them without importing anything itself."""
+    probe = code + "\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=os.path.abspath(SRC)),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded(code):
+    """The LAZY modules loaded after running code in a fresh interpreter."""
+    return sorted(set(LAZY) & _modules(code))
 
 
 def test_parser_loads_no_computation():
-    assert _loaded("import sys\nimport difflie.cli as c\n"
-                   "c.build_parser()") == []
+    parsed = _modules("import sys\nimport difflie.cli as c\n"
+                      "c.build_parser()")
+    assert sorted(m for m in parsed if m.split(".")[0] == "difflie") == [
+        "difflie", "difflie.cli"]
+    # site loads different modules on different hosts, so the baseline is
+    # a bare interpreter on this one
+    bare = _modules("import sys")
+    assert {"json", "fractions", "decimal"} & parsed <= bare
 
 
 def test_check_axioms_loads_no_computation():
@@ -40,7 +56,8 @@ def test_check_axioms_loads_no_computation():
     code = ("import sys, io, contextlib\nfrom difflie.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['check-axioms', %r]) == 0" % path)
-    assert _loaded(code) == ["difflie.nr", "difflie.permutations"]
+    assert _loaded(code) == sorted(COMMAND + ["difflie.nr",
+                                              "difflie.permutations"])
 
 
 def _run(argv):
@@ -65,7 +82,19 @@ def test_commands_load_what_they_run():
     # building and ranking a complex loads neither it nor the shuffles
     coho = _loaded(_run(["cohomology", "--max-degree", "3",
                          "heis_trivial2.json"]))
-    assert coho == ["difflie.cohomology"]
+    assert coho == sorted(COMMAND + ["difflie.cohomology"])
     for argv in (["deform", "rigidify", "deform_sl2.json"],
                  ["extension", "build", "ext_cocycle.json"]):
         assert "difflie.cohomology" in _loaded(_run(argv)), argv
+
+
+def test_usage_errors_load_no_computation():
+    # an option value argparse rejects, among them a --max-degree above the
+    # cap, exits before the commands load
+    path = os.path.join(HERE, "cli_snapshots", "inputs", "aff1.json")
+    for option in (["--max-degree", "0"],
+                   ["--max-degree", "99999999999999999999"]):
+        code = ("import sys, io, contextlib\nfrom difflie.cli import main\n"
+                "with contextlib.redirect_stderr(io.StringIO()):\n"
+                "    assert main(%r) == 2" % (["cohomology", path] + option,))
+        assert _loaded(code) == [], option

@@ -317,7 +317,7 @@ def test_rigidify_checks_once_and_matches_the_step_loop(rng):
                 rigidify(broken_deformation(rng, A, 3))
 
 
-def old_evaluate_head(f, heads, tail=()):
+def basis_expansion(f, heads, tail=()):
     supports = [[i for i, x in enumerate(v) if x != 0] for v in heads]
     out = vec_zero(f.tgt_dim)
     for combo in product(*supports):
@@ -328,9 +328,9 @@ def old_evaluate_head(f, heads, tail=()):
     return out
 
 
-def test_evaluate_head_matches_basis_expansion(rng):
-    # evaluate_head on whole vectors, and accumulate on vector heads
-    # followed by a tail of basis indices
+def test_accumulate_matches_basis_expansion(rng):
+    # accumulate on vector heads, which need not be homogeneous, followed by
+    # a tail of basis indices (empty when every argument is a head)
     spaces = [GradedVectorSpace([(0, 2), (1, 2)]),
               GradedVectorSpace([(-1, 3)]), GradedVectorSpace([(2, 3)])]
     for space in spaces:
@@ -346,13 +346,9 @@ def test_evaluate_head_matches_basis_expansion(rng):
                           for _ in range(space.dim)] for _ in range(k)]
                 tail = tuple(rng.randrange(space.dim)
                              for _ in range(arity - k))
-                if tail:
-                    new = vec_zero(2)
-                    f.accumulate(new, 1, [vec_support(v) for v in heads],
-                                 tail)
-                    new = exact(new)
-                else:
-                    new = f.evaluate_head(heads)
-                assert new == old_evaluate_head(f, heads, tail)
+                new = vec_zero(2)
+                f.accumulate(new, 1, [vec_support(v) for v in heads], tail)
+                new = exact(new)
+                assert new == basis_expansion(f, heads, tail)
                 assert all(exact_scalar(x) for x in new)
 

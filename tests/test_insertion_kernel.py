@@ -8,7 +8,7 @@ formal structures on sM (+) a, whose brackets return formal sums of terms
 rather than maps on one space, is a test oracle in ``tests/test_linfty.py``,
 outside the package.)  Only three functions may call ``.accumulate(``, the
 evaluation of a map on vectors given by their nonzero entries:
-``nr.insertion_sum``, ``GradedSymMap.evaluate_head`` and
+``nr.insertion_sum``, ``GradedSymMap.evaluate`` and
 ``multilinear.pullback``.  Any other caller evaluates maps on maps by hand,
 a copy of the insertion sum.  Only two functions may call
 ``.evaluate(``, the evaluation of a map on whole vectors: the two residual
@@ -32,7 +32,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 ALLOWED = {("nr.py", "insertion_sum")}
 ACCUMULATORS = {("nr.py", "insertion_sum"),
-                ("multilinear.py", "evaluate_head"),
+                ("multilinear.py", "evaluate"),
                 ("multilinear.py", "pullback")}
 
 EVALUATORS = {("homotopy.py", "linfty_residual"),
@@ -103,14 +103,14 @@ def test_shuffle_calls_are_seen():
 
 
 def test_accumulate_calls_are_seen():
-    snippet = ("def evaluate_head(self, heads):\n"
-               "    self.accumulate(out, 1, heads)\n"
+    snippet = ("def evaluate(self, args):\n"
+               "    self.accumulate(out, 1, args)\n"
                "def pair(mu_b, cols):\n"
                "    for x, y in cols:\n"
                "        mu_b.accumulate(total, 1, [x, y])\n"
                "def accumulate(out):\n    return out\n")
     assert calls("deformations.py", ast.parse(snippet), "accumulate") == [
-        ("deformations.py", "evaluate_head", 2),
+        ("deformations.py", "evaluate", 2),
         ("deformations.py", "pair", 5)]
 
 

@@ -172,12 +172,12 @@ def test_pullback_is_transport_along_linear_maps(case):
 
 def pullback_by_keys(f, S, T=None):
     """The per-key route pullback replaced, kept as its oracle: every sorted
-    key of the source of S through evaluate_head on the columns of S, zero
+    key of the source of S through evaluate on the columns of S, zero
     columns included."""
     cols = S.transpose().data
     out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
     for key in out.space.spanning_tuples(f.arity):
-        val = f.evaluate_head([cols[x] for x in key])
+        val = f.evaluate([cols[x] for x in key])
         if T is not None:
             val = T.matvec(val)
         if not vec_is_zero(val):

@@ -1,10 +1,11 @@
 """Every top-level function and class of the package is reached from a root.
 
-The package holds what a command runs.  Its roots are the command code of
-``cli.py`` (``main``, ``build_parser``, and each reader and handler of
-``HANDLERS``), every function that ``bench/spans.py`` wraps (its TARGETS,
-read from bench/ as tests/test_bench_targets.py reads them), and ALLOWED, a
-short list of paper results that no command reaches yet.  Code that only
+The package holds what a command runs.  Its roots are the command code
+(``main`` and ``build_parser`` of ``cli.py``, and ``run`` and each reader
+and handler of ``HANDLERS`` of ``commands.py``), every function that
+``bench/spans.py`` wraps (its TARGETS, read from bench/ as
+tests/test_bench_targets.py reads them), and ALLOWED, a short list of
+paper results that no command reaches yet.  Code that only
 tests use belongs in tests/, and a wrapper that only forwards one call is
 not worth a name.
 
@@ -165,15 +166,16 @@ def package_trees():
     return trees
 
 
-def cli_roots(tree):
-    """main, build_parser, _Parser.error (which argparse calls), and each
-    reader and handler of HANDLERS."""
-    roots = ["cli.main", "cli.build_parser", "cli._Parser.error"]
-    for node in tree.body:
+def cli_roots(trees):
+    """main, build_parser and _Parser.error (which argparse calls) of cli,
+    and run and each reader and handler of HANDLERS of commands."""
+    roots = ["cli.main", "cli.build_parser", "cli._Parser.error",
+             "commands.run"]
+    for node in trees["commands"].body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "HANDLERS"
                 for t in node.targets):
-            roots += ["cli." + n.id for pair in node.value.values
+            roots += ["commands." + n.id for pair in node.value.values
                       for n in pair.elts]
     return roots
 
@@ -300,9 +302,9 @@ def test_the_check_flags_an_unread_method():
 
 def test_every_definition_is_reached():
     trees = package_trees()
-    roots = cli_roots(trees["cli"]) + [
+    roots = cli_roots(trees) + [
         "%s.%s" % (mod, attr) for mod, attr, _layer, _kind in load_targets()]
-    assert len(cli_roots(trees["cli"])) > 3
+    assert len(cli_roots(trees)) > 4
     # an entry that a command reaches, or that is gone, leaves the list
     stale = sorted(set(ALLOWED) - set(unreached(trees, roots)))
     assert not stale, "ALLOWED entries that are reached or gone: %s" % stale
@@ -334,7 +336,7 @@ def test_every_default_is_passed():
     # a defaulted parameter that no call of the package passes is a knob
     # that only tests turn: the commands always run its default
     trees = package_trees()
-    exempt = set(cli_roots(trees["cli"])) | set(ALLOWED)
+    exempt = set(cli_roots(trees)) | set(ALLOWED)
     knobs = unpassed_defaults(trees, exempt)
     assert not knobs, "defaulted parameters that no call in src/ " \
                       "passes: %s" % knobs
