@@ -8,8 +8,9 @@ Submodules:
   liealg        differential Lie algebras, representations, LieAct triples
   nr            the insertion sum: NR circle product, bracket, and the
                 weight-graded family sums
-  linfty        formal L-infinity[1] structures on sM (+) a: derived
-                brackets, MC, the twisted l_1
+  linfty        formal L-infinity[1] structures on sM (+) a, whose
+                element of degree k is a cochain pair (arities k + 2,
+                k + 1): derived brackets, MC, the twisted l_1
   cohomology    the three cochain complexes and their bridges
   extensions    abelian extensions and their classification
   deformations  truncated formal deformations and rigidification

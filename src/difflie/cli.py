@@ -26,26 +26,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
-def positive_int(text):
+# The largest --max-degree and --order accepted.  cohomology reports
+# C^0..C^N, homotopy-check every arity through N and key-formula one sample
+# per unit of N, so their work grows with N itself, and a huge N would run
+# until the process is killed instead of exiting 2.  Every cochain space
+# above degree dim + 1 is 0, and no document whose computation finishes has
+# a dimension near this cap.
+MAX_COUNT = 10 ** 4
+
+
+def bounded_int(text):
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
-
-
-# The largest --max-degree accepted.  cohomology reports C^0..C^N and
-# homotopy-check every arity through N, so their work and reports grow with
-# N itself, and a huge N would run until the process is killed instead of
-# exiting 2.  Every cochain space above degree dim + 1 is 0, and no document
-# whose computation finishes has a dimension near this cap.
-MAX_DEGREE = 10 ** 4
-
-
-def degree_bound(text):
-    n = positive_int(text)
-    if n > MAX_DEGREE:
+    if n > MAX_COUNT:
         raise argparse.ArgumentTypeError("must be at most %d, got %d"
-                                         % (MAX_DEGREE, n))
+                                         % (MAX_COUNT, n))
     return n
 
 
@@ -77,7 +73,7 @@ def build_parser():
         return sp
 
     def max_degree(sp, default):
-        sp.add_argument("--max-degree", type=degree_bound, default=default)
+        sp.add_argument("--max-degree", type=bounded_int, default=default)
         return sp
 
     # each subcommand declares only the options its handler reads
@@ -88,7 +84,7 @@ def build_parser():
     max_degree(weight(command("twist")), 3)
     sp = command("key-formula")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--order", type=positive_int, default=5)
+    sp.add_argument("--order", type=bounded_int, default=5)
     command("morphism-check").add_argument("--seed", type=int, default=0)
     command("extension", ["build", "extract", "classify"])
     command("deform", ["verify", "rigidify"])

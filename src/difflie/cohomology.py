@@ -337,21 +337,14 @@ def pair_primitive(A, rep, pair):
 
 def _twisted_l1(A, pair):
     """l_1 of the absolute structure twisted by (s mu, d), applied to
-    (sf, g), in degree-(n+1) coordinates."""
+    (sf, g), in degree-(n+1) coordinates: the sum of the cochain pairs of
+    its two terms."""
     from .linfty import AbsoluteStructure, Term, twist_l1_formal
-    n, dim = pair.f.arity, A.dim
     struct = AbsoluteStructure(A.weight)
     mu, dmap = A.algebra.bracket, altmap1_from_matrix(A.d)
-    twisted = twist_l1_formal(struct, mu, dmap, Term("s", pair.f)) + \
-        twist_l1_formal(struct, mu, dmap, Term("a", pair.g))
-    # assemble as coordinates in C^{n+1} = C^{n+1}_ce (+) C^n_do
-    out = {"s": AltMap(n + 1, dim, dim), "a": AltMap(n, dim, dim)}
-    for t in twisted.terms():
-        if t.f.arity != out[t.kind].arity:
-            raise ArityMismatch("twisted %s-term of arity %d in degree %d"
-                                % (t.kind, t.f.arity, n))
-        out[t.kind] = out[t.kind] + t.f
-    return altmap_to_coords(out["s"]) + altmap_to_coords(out["a"])
+    fs, fa = twist_l1_formal(struct, mu, dmap, Term("s", pair.f))
+    gs, ga = twist_l1_formal(struct, mu, dmap, Term("a", pair.g))
+    return altmap_to_coords(fs + gs) + altmap_to_coords(fa + ga)
 
 
 def twist_bridge_residual(A, n):

@@ -243,19 +243,20 @@ def cmd_morphism_check(inputs, args):
     runs = [(lambda t: Term(t.kind, (iota_M if t.kind == "s"
                                      else iota_a_abs)(t.f)),
              AbsoluteStructure(lam),
-             relative_structure(gdim, gdim, lam), gdim,
+             relative_structure(gdim, lam), gdim,
              lambda F: F, lambda F: F),
-            (lambda t: t, relative_structure(gdim, hdim, lam),
+            (lambda t: t, relative_structure(gdim, lam),
              AbsoluteStructure(lam), N,
-             lambda F: project_M_embed(F, gdim, hdim),
-             lambda F: project_a_rel(F, gdim, hdim))]
+             lambda F: project_M_embed(F, gdim),
+             lambda F: project_a_rel(F, gdim))]
     residuals = []
     for phi, src, tgt, dim, to_s, to_a in runs:
         pool = [Term("s", to_s(_rand_altmap(rng, rng.randrange(1, 3), dim))),
                 Term("a", to_a(_rand_altmap(rng, rng.randrange(1, 3), dim)))]
         samples = [tuple(rng.choice(pool) for _ in range(n)) for n in (2, 3)]
         residuals += morphism_residual(phi, src, tgt, samples)
-    nonzero = sum(not r.is_zero() for r in residuals)
+    nonzero = sum(any(not f.is_zero() for f in r.values())
+                  for r in residuals)
     report = {"gdim": gdim, "hdim": hdim, "weight": fmt_scalar(lam),
               "seed": args.seed, "samples": len(residuals),
               "nonzero_samples": nonzero, "all_zero": nonzero == 0}

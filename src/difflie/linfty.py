@@ -3,6 +3,12 @@ and a are Hom-spaces of alternating maps.  (A concrete L-infinity[1]-algebra
 on a finite-dimensional graded space is a homotopy.HomotopyDiffLie with no
 operators; its twisting and rescaling live there.)
 
+An element of sM (+) a of degree k is a cochain pair: an s-part of arity
+k + 2 and an a-part of arity k + 1.  A Term is one of the two parts and is
+the one input type; a bracket returns the list of its nonzero parts as
+Terms, and the Maurer-Cartan residual and the twisted l_1 return the pair
+of maps itself.
+
 The derived-bracket construction (after Voronov): M and a are graded Lie
 subalgebras of the maps on one ambient space under the Nijenhuis-Richardson
 bracket, a abelian, and P a projection onto a whose kernel is a subalgebra
@@ -20,8 +26,8 @@ needs no P and reads dim g off the maps.  key_formula_check compares that
 same function against the iterated circle product in the double space
 g (+) g', and the tests compare the brackets against P of the iterated
 brackets there, so both certify the closed form the brackets use.
-Maurer-Cartan residuals and the twisted l_1 are one finite series, cut
-where the brackets vanish.
+Maurer-Cartan residuals and the twisted l_1 are one finite series at
+alpha = (sS, A) of degree 0, cut where the brackets vanish.
 """
 
 from itertools import combinations
@@ -34,15 +40,13 @@ from .nr import circ_bar, insertion_sum, nr_bracket
 
 
 # ---------------------------------------------------------------------------
-# formal elements of sM (+) a
+# elements of sM (+) a
 
 
 class Term:
-    """A homogeneous element: s-part map (kind 's') or a-part map (kind 'a').
-
-    The payload is an AltMap; an s-term of arity n+1 has degree n-1, an
-    a-term of arity m+1 has degree m.
-    """
+    """One part of an element: an s-part (kind 's') or an a-part (kind
+    'a'), an AltMap.  Of degree k, an s-part has arity k + 2 and an a-part
+    arity k + 1; an element of degree k is the pair of the two."""
 
     __slots__ = ("kind", "f")
 
@@ -54,60 +58,23 @@ class Term:
 
     @property
     def degree(self):
-        if self.kind == "s":
-            return self.f.arity - 2
-        return self.f.arity - 1
-
-    def scale(self, c):
-        return Term(self.kind, self.f.scale(c))
-
-    def is_zero(self):
-        return self.f.is_zero()
+        return self.f.arity - (2 if self.kind == "s" else 1)
 
     def __repr__(self):
         return "Term(%r, arity=%d)" % (self.kind, self.f.arity)
 
 
-class FormalElement:
-    """A finite sum of homogeneous Terms, kept in normalized form."""
+def _add(parts, c, terms):
+    """Add c times each Term to parts, a {kind: map} sum of elements of one
+    degree, and return parts."""
+    for t in terms:
+        f = t.f.scale(c)
+        parts[t.kind] = parts[t.kind] + f if t.kind in parts else f
+    return parts
 
-    def __init__(self, terms=()):
-        self.parts = {}  # (kind, arity) -> AltMap
-        for t in terms:
-            self._add_term(t)
 
-    def _add_term(self, t):
-        if t.is_zero():
-            return
-        key = (t.kind, t.f.arity)
-        cur = self.parts.get(key)
-        s = t.f if cur is None else cur + t.f
-        if s.is_zero():
-            self.parts.pop(key, None)
-        else:
-            self.parts[key] = s
-
-    def __add__(self, other):
-        out = FormalElement(self.terms())
-        for t in other.terms():
-            out._add_term(t)
-        return out
-
-    def scale(self, c):
-        return FormalElement([t.scale(c) for t in self.terms()])
-
-    def terms(self):
-        return [Term(kind, f) for (kind, _), f in sorted(
-            self.parts.items(), key=lambda kv: kv[0])]
-
-    def is_zero(self):
-        return not self.parts
-
-    def __eq__(self, other):
-        return isinstance(other, FormalElement) and self.parts == other.parts
-
-    def __repr__(self):
-        return "FormalElement(%r)" % (self.terms(),)
+def _nonzero(kind, f):
+    return [] if f.is_zero() else [Term(kind, f)]
 
 
 def _split_s(terms):
@@ -146,7 +113,8 @@ class DerivedBrackets:
         return self.P(f)
 
     def bracket(self, terms):
-        """l_i applied to a list of Terms; returns a FormalElement.
+        """l_i applied to a list of Terms: the list of its nonzero parts as
+        Terms, here at most one.
 
         Apart from l_2 of two s-terms, l_i vanishes unless exactly one term
         is an s-term sf, and is then lambda^max(i - 2, 0) times P of the
@@ -156,15 +124,15 @@ class DerivedBrackets:
         if sign == 0:
             # two or more s-terms: only l_2(sf, sg) survives
             if i != 2:
-                return FormalElement()
+                return []
             f, g = terms[0].f, terms[1].f
             c = -1 if (f.arity - 1) % 2 else 1  # (-1)^{|f|}, NR degree
-            return FormalElement([Term("s", nr_bracket(f, g).scale(c))])
+            return _nonzero("s", nr_bracket(f, g).scale(c))
         c = sign * self.lam ** max(i - 2, 0)
         if c == 0 or s_term is None:
-            return FormalElement()
+            return []
         res = self._composite(s_term.f, [t.f for t in a_terms])
-        return FormalElement([Term("a", res.scale(c))])
+        return _nonzero("a", res.scale(c))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +242,12 @@ def _project(F, gdim, keep):
     return out
 
 
-def project_a_rel(F, gdim, hdim):
+def project_a_rel(F, gdim):
     """Component of F in a' = Hom(~g, h)."""
     return _project(F, gdim, lambda gs, hs: (False, hs == 0))
 
 
-def project_M_embed(F, gdim, hdim):
+def project_M_embed(F, gdim):
     """Component of F in the subalgebra of pair payloads that embed
     strictly into the one-algebra structure on g (+) h: all-g inputs with
     g output, or exactly one h input with h output.
@@ -293,8 +261,8 @@ def project_M_embed(F, gdim, hdim):
     return _project(F, gdim, lambda gs, hs: (hs == 0, hs == 1))
 
 
-def relative_structure(gdim, hdim, lam):
-    return DerivedBrackets(lambda F: project_a_rel(F, gdim, hdim), lam)
+def relative_structure(gdim, lam):
+    return DerivedBrackets(lambda F: project_a_rel(F, gdim), lam)
 
 
 def pack_D(D, gdim, hdim):
@@ -309,39 +277,44 @@ def pack_D(D, gdim, hdim):
 
 
 def _formal_series(struct, S, A, rest):
-    """sum_{j, a} 1/(j! a!) l(sS^j, A^a, rest) for an m-element S, an
-    a-element A and rest = [] or [term], through its last nonzero bracket.
+    """sum_{j, a} 1/(j! a!) l(sS^j, A^a, rest) for alpha = (sS, A) of degree
+    0 (S of arity 2, A of arity 1) and rest = [] or [term], through its last
+    nonzero bracket.  Returns the element as its cochain pair: the s-part of
+    arity k + 2 and the a-part of arity k + 1, k = 1 + |rest|, either of
+    them possibly zero.
 
     A bracket with two s-terms vanishes past 2 arguments, one with a single
     s-term of arity p past p + 1, and one with no s-term always; so j <= 2
     and the argument count is read from the arities."""
+    k = 1 + sum(t.degree for t in rest)
+    dim = S.src_dim
+    parts = {"s": AltMap(k + 2, dim, dim), "a": AltMap(k + 1, dim, dim)}
     rest_s = [t.f.arity for t in rest if t.kind == "s"]
-    out = FormalElement()
     for j in range(3):
         s_arities = [S.arity] * j + rest_s
         if not s_arities:
             continue
         last = 2 if len(s_arities) > 1 else s_arities[0] + 1
         for a in range(last - j - len(rest) + 1):
-            term = struct.bracket([Term("s", S)] * j + [Term("a", A)] * a
-                                  + rest)
-            if not term.is_zero():
-                out = out + term.scale(div(1, factorial(j) * factorial(a)))
-    return out
+            _add(parts, div(1, factorial(j) * factorial(a)),
+                 struct.bracket([Term("s", S)] * j + [Term("a", A)] * a
+                                + rest))
+    return parts["s"], parts["a"]
 
 
 def mc_residual_formal(struct, S, A):
-    """MC residual of alpha = (sS, A): sum_n 1/n! l_n(alpha^n).  S is an
-    arity-2 m-element, A an arity-1 a-element."""
+    """MC residual of alpha = (sS, A): sum_n 1/n! l_n(alpha^n), as the
+    cochain pair of arities (3, 2).  S is an arity-2 m-element, A an
+    arity-1 a-element."""
     return _formal_series(struct, S, A, [])
 
 
 def mc_check_absolute(pi, D, lam):
     """(s pi, D) is MC in the absolute structure iff (g, pi, D) is a
-    differential Lie algebra of weight lam.  Returns (bool, residual)."""
+    differential Lie algebra of weight lam.  Returns (bool, residual pair)."""
     res = mc_residual_formal(AbsoluteStructure(lam), pi,
                              altmap1_from_matrix(D))
-    return res.is_zero(), res
+    return all(f.is_zero() for f in res), res
 
 
 def mc_check_relative(pi, rho_mats, mu, D, lam):
@@ -349,14 +322,15 @@ def mc_check_relative(pi, rho_mats, mu, D, lam):
     LieAct triple and D a relative differential operator of weight lam."""
     gdim, hdim = pi.src_dim, mu.src_dim
     chi = semidirect_bracket(gdim, hdim, rho_mats, pi, h_bracket=mu)
-    res = mc_residual_formal(relative_structure(gdim, hdim, lam), chi,
+    res = mc_residual_formal(relative_structure(gdim, lam), chi,
                              pack_D(D, gdim, hdim))
-    return res.is_zero(), res
+    return all(f.is_zero() for f in res), res
 
 
 def twist_l1_formal(struct, S, A, term):
     """l_1 of the structure twisted by alpha = (sS, A), applied to a Term:
-    sum_k 1/k! l_{k+1}(alpha^k, term)."""
+    sum_k 1/k! l_{k+1}(alpha^k, term), as the cochain pair of arities
+    (|term| + 3, |term| + 2)."""
     return _formal_series(struct, S, A, [term])
 
 
@@ -368,12 +342,11 @@ def morphism_residual(phi, src, tgt, samples):
     """phi(l_n(x_1..x_n)) - l'_n(phi x_1..phi x_n) over sample Term tuples.
 
     phi: Term -> Term (strict, degree 0).  samples: list of Term tuples.
-    Returns the list of FormalElement residuals (all zero for a strict
-    L-infinity[1] homomorphism on those samples)."""
+    Returns one {kind: map} per sample, the parts of its residual summed by
+    kind, with no entry for a kind neither side has (all maps zero for a
+    strict L-infinity[1] homomorphism on those samples)."""
     out = []
     for args in samples:
-        lhs = src.bracket(list(args))
-        lhs_mapped = FormalElement([phi(t) for t in lhs.terms()])
-        rhs = tgt.bracket([phi(t) for t in args])
-        out.append(lhs_mapped + rhs.scale(-1))
+        res = _add({}, 1, [phi(t) for t in src.bracket(list(args))])
+        out.append(_add(res, -1, tgt.bracket([phi(t) for t in args])))
     return out
