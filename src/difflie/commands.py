@@ -268,12 +268,12 @@ def cmd_extension(inputs, args):
                              extract_cocycle, split_extension)
     if args.action == "build":
         try:
-            E = build_extension(*inputs)
+            total = build_extension(*inputs)
         except NotCocycle as e:
             return 1, {"action": "build", "cocycle": False,
                        "residual": _fmt_vec(e.residual)}
         return 0, {"action": "build", "cocycle": True,
-                   "total": difflie_to_json(E.total)}
+                   "total": difflie_to_json(total)}
     if args.action == "extract":
         E = split_extension(*inputs)
         rep, psi, chi = extract_cocycle(E)
@@ -330,21 +330,25 @@ def _reject(e):
     return 2
 
 
-
 def run(args):
     """Run the parsed command line args: read the document, run its
     handler and print the report.  Returns the exit status."""
     read, handle = HANDLERS[args.command]
     try:
-        inputs = read(_load(args.path), args)
-    except (KeyError, TypeError, ValueError, IndexError, OSError,
-            RecursionError) as e:
-        return _reject(e)
-    try:
-        code, report = handle(inputs, args)
-    except AxiomFailure as e:
-        # documents that parse but fail the axioms these commands assume
-        return _reject(e)
+        try:
+            inputs = read(_load(args.path), args)
+        except (KeyError, TypeError, ValueError, IndexError, OSError,
+                RecursionError) as e:
+            return _reject(e)
+        try:
+            code, report = handle(inputs, args)
+        except AxiomFailure as e:
+            # documents that parse but fail the axioms these commands assume
+            return _reject(e)
+    except MemoryError:
+        code = None
+    if code is None:  # outside the except clause, the failed frames are freed
+        return _reject("out of memory under this process's memory limit")
     try:
         # opened before anything is written, so that a path that cannot be
         # written leaves stdout empty

@@ -11,7 +11,7 @@ The defining equations, collected per order n, are:
 
 Graded by order, the suspended series (mu_t, d_t), each d_l an arity-1
 map, has the two weight families of nr, and its order-n equations are
-minus the weight-n families nr.family_circ(mu, mu) and
+minus the weight-n families nr.pointed_family(mu, mu, n, 0) and
 nr.operator_family(mu, d); deformation_residuals reads them order by
 order.
 
@@ -27,7 +27,7 @@ phi o-bar f'.  Since phi_0 = Id each order is explicit, so the series
 Phi^{-1} is never formed and each product phi_c o-bar f'_k is computed
 once:
 
-  f'_n = f_n + pointed_family(f, phi, n, 1) - family_circ(phi, f', n),
+  f'_n = f_n + pointed_family(f, phi, n, 1) - pointed_family(phi, f', n, 0),
 
 f' holding the orders below n.
 """
@@ -36,7 +36,7 @@ from .linalg import Matrix
 from .liealg import AxiomFailure, adjoint_rep
 from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix, \
     matrix_from_altmap1
-from .nr import family_circ, operator_family, pointed_family
+from .nr import operator_family, pointed_family
 
 
 class NotDeformation(AxiomFailure):
@@ -100,7 +100,7 @@ def deformation_residuals(D):
     mu = dict(enumerate(D.mu))
     d = _maps(D.d)
     space, lam = D.mu[0].space, D.base.weight
-    return [(-family_circ(mu, mu, n, 3, 2, space),
+    return [(-pointed_family(mu, mu, n, 0, 3, 2, space),
              -operator_family(mu, d, n, lam, 2, 1, space))
             for n in range(D.order + 1)]
 
@@ -154,7 +154,7 @@ def apply_formal_iso(D, Phi):
         for n, fn in f.items():
             shape = (fn.arity, fn.degree, fn.space)
             new[n] = fn + pointed_family(f, phi, n, 1, *shape) \
-                - family_circ(phi, new, n, *shape)
+                - pointed_family(phi, new, n, 0, *shape)
         pulled.append(list(new.values()))
     mu, d = pulled
     return TruncatedDeformation(D.base, mu,

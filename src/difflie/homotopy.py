@@ -21,11 +21,11 @@ Two residual families characterise the structure:
 
 Graded by weight arity - 1, mu_i and D_i are the weight-(i-1) terms of two
 families, and the arity-n identities are the weight-(n-1) sums of nr:
-the bracket family is nr.family_circ(mu, mu) and the operator family
-nr.operator_family(mu, D), with lambda^{p-2} the lambda^{r-1} of r = p-1
-inserted operators.  The residual functions on vectors evaluate those
-maps, and an empty family is the zero map, whatever the dimension of the
-space or the declared arity of a zero map.
+the bracket family is nr.pointed_family(mu, mu) at lambda = 0 and the
+operator family nr.operator_family(mu, D), with lambda^{p-2} the
+lambda^{r-1} of r = p-1 inserted operators.  The residual functions on
+vectors evaluate those maps, and an empty family is the zero map, whatever
+the dimension of the space or the declared arity of a zero map.
 
 A differential Lie algebra of weight lambda, suspended into a single degree
 with mu_2 the bracket and D_1 the operator, satisfies both families; that
@@ -98,7 +98,7 @@ class HomotopyDiffLie:
 def bracket_family(H, n):
     """The arity-n bracket-family residual map."""
     mu = nr.arity_weights(H.mu)
-    return nr.family_circ(mu, mu, n - 1, n, 2, H.space)
+    return nr.pointed_family(mu, mu, n - 1, 0, n, 2, H.space)
 
 
 def operator_family(H, n):

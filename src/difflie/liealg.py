@@ -9,13 +9,13 @@ the identity is such an operator of weight -1.  Everything here is a plain
 container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
 
-Every residual is read off the weight-0 families of nr (nr.family_circ and
-nr.operator_family), whose negatives are the order-0 deformation equations,
-of one differential Lie algebra: of the algebra itself; of the trivial
-extension g (+) V for a representation; of the semidirect product g (+) h
-for a LieAct triple; and of the lifted operator on the weighted semidirect
-product for a relative operator.  Each reader computes only the family it
-reads.
+Every residual is read off the weight-0 families of nr (the bracket family
+nr.pointed_family(mu, mu, 0, 0) and nr.operator_family), whose negatives
+are the order-0 deformation equations, of one differential Lie algebra: of
+the algebra itself; of the trivial extension g (+) V for a representation;
+of the semidirect product g (+) h for a LieAct triple; and of the lifted
+operator on the weighted semidirect product for a relative operator.  Each
+reader computes only the family it reads.
 """
 
 from itertools import combinations
@@ -56,9 +56,9 @@ class LieAlgebra:
 def _jacobi0(bracket):
     """The Jacobiator (x, y, z) -> [[x,y],z] + [[y,z],x] + [[z,x],y] of the
     bracket: its weight-0 bracket family."""
-    from .nr import family_circ
+    from .nr import pointed_family
     mu = {0: bracket}
-    return family_circ(mu, mu, 0, 3, 2, bracket.space)
+    return pointed_family(mu, mu, 0, 0, 3, 2, bracket.space)
 
 
 def _operator0(A):
@@ -161,11 +161,6 @@ def rep_residuals(A, rep):
                              combinations(range(n), 2), n, m),
             "compat": _matrices(_operator0(E), [(i,) for i in range(n)],
                                 n, m)}
-
-
-def is_diff_representation(A, rep):
-    res = rep_residuals(A, rep)
-    return all(m.is_zero() for m in res["hom"] + res["compat"])
 
 
 def rho_lambda(rep, A):

@@ -24,17 +24,19 @@ formal deformations and homotopy differential Lie algebras, so their
 identities are the same sums over a weight grading, written once here for
 families {weight: map}:
 
-    family_circ(outer, inner, w)  = sum_{a+b=w} outer_a o-bar inner_b,
     pointed_family(mu, d, w, lam) = sum lam^{r-1} I_pointed(mu_a; d_{b_1},
         .., d_{b_r})   (a + b_1 + .. + b_r = w),
     operator_family(mu, d, w, lam) = pointed_family(mu, d, w, lam)
-        - family_circ(d, mu, w).
+        - pointed_family(d, mu, w, 0).
+
+At lam = 0 it is sum_{a+b=w} mu_a o-bar d_b, and the bracket family of mu
+is pointed_family(mu, mu, w, 0).
 
 A series (mu_t, d_t) is graded by its order: its order-n deformation
 equations are minus the weight-n families, the pull-back f' of either
 series f = mu, d along a formal isomorphism Id + sum phi_c t^c is read off
 order by order as
-f'_n = f_n + pointed_family(f, phi, n, 1) - family_circ(phi, f', n),
+f'_n = f_n + pointed_family(f, phi, n, 1) - pointed_family(phi, f', n, 0),
 and every axiom of a differential Lie algebra, its representations and its
 relative operators is read off the weight-0 part.  A homotopy structure
 (mu_i, D_i) and an L-infinity[1] bracket family are graded by arity - 1
@@ -125,19 +127,6 @@ def arity_weights(family):
     return {i - 1: f for i, f in family.items()}
 
 
-def family_circ(outer, inner, w, arity, degree, space):
-    """The weight-w map sum_{a+b=w} outer_a o-bar inner_b, of the given
-    arity and degree on `space`, for families {weight: map} (a missing
-    weight is zero), into the target of the outer maps.  Zero terms and
-    outer terms of weight > w are skipped."""
-    out = GradedSymMap(arity, degree, space, tgt_dim=_target(outer, space))
-    for a, f in outer.items():
-        g = inner.get(w - a)
-        if a <= w and g is not None and not f.is_zero() and not g.is_zero():
-            out = out + circ_bar(f, g)
-    return out
-
-
 def _target(outer, space):
     """The target of an outer family as given; the space for no maps."""
     return next((f.tgt_dim for f in outer.values()), space.dim)
@@ -165,7 +154,8 @@ def pointed_family(mu, d, w, lam, arity, degree, space):
     over 1 <= r <= arity(mu_a) and a + b_1 + .. + b_r = w, I the insertion
     sum, into the target of the maps mu.  Zero terms and terms of weight
     > w are skipped, so the sum never looks at the declared arity of a zero
-    map."""
+    map.  At lam = 0 only r = 1 survives, and a pointed insertion of one
+    map is its circle product: the sum is sum_{a+b=w} mu_a o-bar d_b."""
     out = GradedSymMap(arity, degree, space, tgt_dim=_target(mu, space))
     mu = {a: f for a, f in mu.items() if a <= w and not f.is_zero()}
     d = {b: g for b, g in d.items() if b <= w and not g.is_zero()}
@@ -181,6 +171,6 @@ def pointed_family(mu, d, w, lam, arity, degree, space):
 def operator_family(mu, d, w, lam, arity, degree, space):
     """The weight-w operator family of a bracket family mu and an operator
     family d, both {weight: map}, of the given arity and degree on `space`:
-    pointed_family(mu, d, w, lam) - sum_{a+b=w} d_b o-bar mu_a."""
+    pointed_family(mu, d, w, lam) - pointed_family(d, mu, w, 0)."""
     return pointed_family(mu, d, w, lam, arity, degree, space) - \
-        family_circ(d, mu, w, arity, degree, space)
+        pointed_family(d, mu, w, 0, arity, degree, space)

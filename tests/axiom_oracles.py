@@ -1,7 +1,7 @@
 """The axiom residuals written out on basis vectors, as test oracles.
 
 ``difflie.liealg`` reads every axiom residual off the weight-0 families of
-one differential Lie algebra (``nr.family_circ`` and
+one differential Lie algebra (``nr.pointed_family`` at lambda = 0 and
 ``nr.operator_family``), whose negatives are its order-0 deformation
 equations.
 These are the direct formulas it replaced: each bracket and operator is
@@ -65,6 +65,14 @@ def rep_oracle(A, rep):
             - (rdx * rep.dV).scale(lam)
         compat.append(r)
     return {"hom": hom_oracle(rep.rho, A.algebra), "compat": compat}
+
+
+def is_diff_representation(A, rep):
+    """Whether rep is a differential representation of A: every residual
+    of rep_oracle vanishes.  The package checks this inside
+    extensions.check_coefficients, through the trivial extension."""
+    res = rep_oracle(A, rep)
+    return all(m.is_zero() for m in res["hom"] + res["compat"])
 
 
 def lieact_oracle(T):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
+from difflie.extensions import build_extension, split_extension
 from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
 from difflie.multilinear import AltMap, pullback
 from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
@@ -279,3 +280,10 @@ def random_relative_operator(rng, T, lam):
             return Matrix.identity(n).scale(div(-1, lam))
         return Matrix.zero(n, n)
     return Matrix.zero(m, n)
+
+
+def built_extension(A, rep, psi, chi):
+    """The total that extensions.build_extension assembles from (psi, chi),
+    as an extension in the canonical split."""
+    return split_extension(build_extension(A, rep, psi, chi), A.dim,
+                           rep.space_dim)

@@ -30,9 +30,8 @@ from difflie.linfty import (AbsoluteStructure, Term,
                             mc_check_absolute, mc_check_relative,
                             morphism_residual, project_M_embed,
                             project_a_rel, relative_structure, twist_l1_formal)
-from difflie.extensions import (build_extension, equivalence_witness,
-                                extract_cocycle, matrix_from_altmap1,
-                                altmap1_from_matrix)
+from difflie.extensions import (equivalence_witness, extract_cocycle,
+                                matrix_from_altmap1, altmap1_from_matrix)
 from difflie.deformations import (FormalIso, TruncatedDeformation,
                                   apply_formal_iso, deformation_residuals,
                                   failed_equations, first_nontrivial_order,
@@ -41,9 +40,9 @@ from difflie.homotopy import (HomotopyDiffLie, homotopy_mc_check,
                               lambda_rescale, linfty_residual,
                               residual_tables, suspend_diff_lie)
 from samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
-                     constant_deformation, rand_matrix, random_diff_lie,
-                     random_lieact, random_relative_operator, random_rep,
-                     trivial_rep)
+                     built_extension, constant_deformation, rand_matrix,
+                     random_diff_lie, random_lieact, random_relative_operator,
+                     random_rep, trivial_rep)
 
 from test_cohomology import bridge, embedding_commutes_residual
 from test_linfty import all_zero, jacobi_holds, project_M_rel
@@ -342,7 +341,7 @@ def test_criterion_07_extensions(rng):
         spec, pairs = cocycle_basis(A, rep)
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
-        E = build_extension(A, rep, pair.f, pair.g)
+        E = built_extension(A, rep, pair.f, pair.g)
         rep2, psi, chi = extract_cocycle(E)
         if not ((psi - pair.f).is_zero() and (chi - pair.g).is_zero()
                 and rep2.rho == rep.rho and rep2.dV == rep.dV):
@@ -364,7 +363,8 @@ def test_criterion_07_extensions(rng):
                     for _ in range(cochain_dim(gdim, vdim, 1))]
         img = d1.matvec(phi_flat)
         shifted = CocyclePair.from_coords(img, gdim, vdim, 2)
-        E3 = build_extension(A, rep, pair.f + shifted.f, pair.g + shifted.g)
+        E3 = built_extension(A, rep, pair.f + shifted.f,
+                             pair.g + shifted.g)
         ok, witness = equivalence_witness(E, E3)
         if not ok or not equivalence_witness(E, E3, witness)[0]:
             bad.append(("equivalence", gdim, vdim))
@@ -374,8 +374,8 @@ def test_criterion_07_extensions(rng):
     rep = trivial_rep(A, 1)
     psi = AltMap(2, 2, 1)
     psi[(0, 1)] = [1]
-    E1 = build_extension(A, rep, psi, AltMap(1, 2, 1))
-    E0 = build_extension(A, rep, AltMap(2, 2, 1), AltMap(1, 2, 1))
+    E1 = built_extension(A, rep, psi, AltMap(1, 2, 1))
+    E0 = built_extension(A, rep, AltMap(2, 2, 1), AltMap(1, 2, 1))
     if equivalence_witness(E1, E0)[0]:
         bad.append("inequivalent pair accepted")
     report(7, "extensions round-trip through their cocycle pairs, "

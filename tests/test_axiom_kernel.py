@@ -14,13 +14,13 @@ from itertools import combinations
 
 import pytest
 
-from axiom_oracles import (derivation_oracle, jacobi_oracle, lieact_oracle,
-                           rep_oracle, relative_oracle)
+from axiom_oracles import (derivation_oracle, is_diff_representation,
+                           jacobi_oracle, lieact_oracle, rep_oracle,
+                           relative_oracle)
 from conftest import exact_scalar
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
-                            LieAlgebra, is_diff_lie_algebra,
-                            is_diff_representation, is_lie_algebra,
+                            LieAlgebra, is_diff_lie_algebra, is_lie_algebra,
                             is_lieact, jacobi_residual, lieact_residuals,
                             relative_diff_residual, rep_residuals,
                             weighted_derivation_residual)

@@ -12,7 +12,9 @@ on stdout and exactly one line on stderr, also under ``python -O``, where
 ``assert`` statements are gone.  A case that argparse rejects (a bad option
 value, an option a subcommand does not declare) also records that line as
 its "stderr", and the line must match it exactly: argparse builds it from
-the names of the parser and of the option's type.
+the names of the parser and of the option's type.  A document whose
+computation runs out of memory under an address-space limit exits 2 with
+one line too.
 """
 
 import json
@@ -64,3 +66,29 @@ def test_exit_2_cases_hold_without_asserts():
         assert proc.returncode == 2, case["name"]
         assert proc.stdout == "", case["name"]
         assert len(proc.stderr.splitlines()) == 1, (case["name"], proc.stderr)
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # the 24-dimensional abelian algebra has 576 entries in d, all zero,
+    # but its cohomology at the default --max-degree 4 needs far more than
+    # 300 MiB; under that address-space limit the run ends in MemoryError,
+    # which must be one line, not a traceback
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2 ** 20
+    doc = tmp_path / "abelian24.json"
+    doc.write_text(json.dumps({"dim": 24, "brackets": [], "weight": 0,
+                               "d": [[0] * 24] * 24}))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    flags = ["-O"] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable] + flags +
+                          ["-c", CLI, "cohomology", str(doc)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert len(proc.stderr.splitlines()) == 1

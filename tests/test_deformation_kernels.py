@@ -2,12 +2,13 @@
 
 ``deformation_residuals`` and ``apply_formal_iso`` read d_l and phi_c as
 arity-1 maps and go through the weight-graded family sums
-``nr.family_circ``, ``nr.pointed_family`` and ``nr.operator_family``, which
-drop the zero terms of every series.  The oracles below are basis-vector
-versions, with every bilinear value expanded over all pairs of basis vectors and every matrix applied by a dense row sum, so
-they share no kernel with the code under test.  Results are compared map for
-map, as rationals, and every scalar must keep the int-or-Fraction
-contract.
+``nr.pointed_family`` (at lambda = 0 the summed circle products) and
+``nr.operator_family``, which drop the zero terms of every series.  The
+oracles below are basis-vector versions, with every bilinear value expanded
+over all pairs of basis vectors and every matrix applied by a dense row
+sum, so they share no kernel with the code under test.  Results are
+compared map for map, as rationals, and every scalar must keep the
+int-or-Fraction contract.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from conftest import exact_scalar
 from difflie import nr
 from difflie.linalg import Matrix, basis_vec, exact, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_support, vec_zero
-from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
+from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
+    altmap1_from_matrix
 from difflie.deformations import (FormalIso, NotDeformation,
                                   TruncatedDeformation, apply_formal_iso,
                                   deformation_residuals, failed_equations, first_nontrivial_order,
@@ -247,18 +249,20 @@ def test_apply_formal_iso_matches_oracle(rng, kind):
 
 
 def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
-    # the circle products with an arity-2 inner map are the phi_c o-bar
-    # mu'_k, and those with an arity-1 inner map the phi_c o-bar d'_k; the
-    # pull-back computes each once, for each pair of nonzero terms with
-    # c >= 1 and c + k <= N
+    # the insertions of one map into a term of phi are the circle products
+    # phi_c o-bar mu'_k, with an arity-2 inner map, and phi_c o-bar d'_k,
+    # with an arity-1 inner map; the pull-back computes each once, for each
+    # pair of nonzero terms with c >= 1 and c + k <= N
     inner_arities = []
-    circ_bar = nr.circ_bar
+    insertion_sum = nr.insertion_sum
+    phis = []
 
-    def counted(f, g):
-        inner_arities.append(g.arity)
-        return circ_bar(f, g)
+    def counted(f, inners, pointed=False):
+        if len(inners) == 1 and any(f == p for p in phis):
+            inner_arities.append(inners[0].arity)
+        return insertion_sum(f, inners, pointed)
 
-    monkeypatch.setattr(nr, "circ_bar", counted)
+    monkeypatch.setattr(nr, "insertion_sum", counted)
     changed = operator_products = 0
     for lam in (Fraction(0), Fraction(-2, 3), Fraction(3)):
         A = random_diff_lie(rng, lam=lam, max_dim=4)
@@ -267,6 +271,7 @@ def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
             phi = [Matrix.identity(A.dim), dense_matrix(rng, A.dim)] + \
                 [rand_matrix(rng, A.dim, A.dim) for _ in range(order - 1)]
             del inner_arities[:]
+            phis[:] = [altmap1_from_matrix(m) for m in phi[1:]]
             new = apply_formal_iso(D, FormalIso(phi))
             for arity, series in ((2, new.mu), (1, new.d)):
                 expected = sum(1 for c in range(1, order + 1)

@@ -1,23 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from axiom_oracles import (derivation_oracle, is_diff_representation,
+                           jacobi_oracle)
 from conftest import filled, kernel_basis
 from difflie.linalg import Matrix, invert_matrix, vec_is_zero
-from difflie.liealg import (DiffLieAlgebra, LieAlgebra, adjoint_rep,
-                            is_diff_representation, trivial_extension)
+from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieAlgebra,
+                            adjoint_rep, trivial_extension)
 from difflie.multilinear import AltMap
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 cochain_dim, coords_to_altmap,
                                 difflie_differential)
 from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 NotCocycle, altmap1_from_matrix,
-                                build_extension, classify,
+                                build_extension, check_coefficients, classify,
                                 equivalence_witness, extract_cocycle,
                                 split_extension)
-from samples import (abelian, aff1, conjugate_diff_lie, rand_matrix,
-                     rand_unimodular, random_diff_lie, random_rep,
-                     trivial_rep)
+from samples import (WEIGHTS, abelian, aff1, built_extension,
+                     conjugate_diff_lie, rand_matrix, rand_unimodular,
+                     random_diff_lie, random_rep, trivial_rep)
+from test_axiom_kernel import algebras, reps
 
 
 def canonical_maps(gdim, vdim):
@@ -48,11 +52,11 @@ def test_trivial_extension_extracts_zero(rng):
 def test_build_zero_pair_is_trivial_extension(rng):
     A = random_diff_lie(rng, max_dim=3)
     rep = random_rep(rng, A, max_dim=2)
-    E = build_extension(A, rep, AltMap(2, A.dim, rep.space_dim),
-                        AltMap(1, A.dim, rep.space_dim))
+    built = build_extension(A, rep, AltMap(2, A.dim, rep.space_dim),
+                            AltMap(1, A.dim, rep.space_dim))
     total = trivial_extension(A, rep)
-    assert E.total.algebra.bracket == total.algebra.bracket
-    assert E.total.d == total.d
+    assert built.algebra.bracket == total.algebra.bracket
+    assert built.d == total.d and built.weight == total.weight
 
 
 def test_build_extract_round_trip(rng):
@@ -61,7 +65,7 @@ def test_build_extract_round_trip(rng):
         A = random_diff_lie(rng, max_dim=3)
         rep = random_rep(rng, A, max_dim=2)
         for pair in cocycle_basis(A, rep)[:2]:
-            E = build_extension(A, rep, pair.f, pair.g)
+            E = built_extension(A, rep, pair.f, pair.g)
             rep2, psi, chi = extract_cocycle(E)
             assert psi == pair.f or (psi - pair.f).is_zero()
             assert (chi - pair.g).is_zero()
@@ -82,7 +86,7 @@ def test_extracted_coefficients_are_a_representation(rng):
         pairs = cocycle_basis(A, rep)
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
-        E = build_extension(A, rep, pair.f, pair.g)
+        E = built_extension(A, rep, pair.f, pair.g)
         s2 = E.s + E.i * rand_matrix(rng, vdim, gdim)
         U = rand_unimodular(rng, gdim + vdim)
         Uinv = invert_matrix(U)
@@ -137,7 +141,7 @@ def test_kernel_defects_are_named(gdim, bracket, d, message):
 def test_zero_dimensional_extension():
     A = DiffLieAlgebra(abelian(0), Matrix.zero(0, 0), 1)
     rep = trivial_rep(A, 0)
-    E = build_extension(A, rep, AltMap(2, 0, 0), AltMap(1, 0, 0))
+    E = built_extension(A, rep, AltMap(2, 0, 0), AltMap(1, 0, 0))
     assert E.total.dim == 0 and E.split.is_zero()
     rep2, psi, chi = extract_cocycle(E)
     assert rep2.rho == [] and rep2.dV == Matrix.zero(0, 0)
@@ -153,7 +157,7 @@ def test_section_change_is_coboundary(rng):
         pairs = cocycle_basis(A, rep)
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
-        E = build_extension(A, rep, pair.f, pair.g)
+        E = built_extension(A, rep, pair.f, pair.g)
         phi = rand_matrix(rng, vdim, gdim)
         s2 = E.s + E.i * phi
         E2 = AbelianExtension(E.total, E.i, E.p, s2)
@@ -171,7 +175,7 @@ def test_section_change_is_coboundary(rng):
 def test_equivalence_trivial(rng):
     A = random_diff_lie(rng, max_dim=3)
     rep = random_rep(rng, A, max_dim=2)
-    E = build_extension(A, rep, AltMap(2, A.dim, rep.space_dim),
+    E = built_extension(A, rep, AltMap(2, A.dim, rep.space_dim),
                         AltMap(1, A.dim, rep.space_dim))
     ok, phi = equivalence_witness(E, E, Matrix.zero(rep.space_dim, A.dim))
     assert ok and phi.is_zero()
@@ -193,8 +197,8 @@ def test_cohomologous_cocycles_give_equivalent_extensions(rng):
         cut = cochain_dim(gdim, vdim, 2)
         psi2 = base_pair.f + coords_to_altmap(img[:cut], gdim, vdim, 2)
         chi2 = base_pair.g + coords_to_altmap(img[cut:], gdim, vdim, 1)
-        E1 = build_extension(A, rep, base_pair.f, base_pair.g)
-        E2 = build_extension(A, rep, psi2, chi2)
+        E1 = built_extension(A, rep, base_pair.f, base_pair.g)
+        E2 = built_extension(A, rep, psi2, chi2)
         ok, phi = equivalence_witness(E1, E2)
         assert ok
         ok2, _ = equivalence_witness(E1, E2, phi)
@@ -212,8 +216,8 @@ def test_inequivalent_extensions_detected():
     psi = AltMap(2, 2, 1)
     psi[(0, 1)] = [1]
     chi = AltMap(1, 2, 1)
-    E1 = build_extension(A, rep, psi, chi)
-    E0 = build_extension(A, rep, AltMap(2, 2, 1), AltMap(1, 2, 1))
+    E1 = built_extension(A, rep, psi, chi)
+    E0 = built_extension(A, rep, AltMap(2, 2, 1), AltMap(1, 2, 1))
     ok, _ = equivalence_witness(E1, E0)
     assert not ok
 
@@ -223,7 +227,7 @@ def aff1_line_extension(dV=0, vdim=1):
     coefficients of operator dV * Id on a vdim-dimensional V."""
     A = DiffLieAlgebra(aff1(), Matrix.zero(2, 2), 0)
     rep = trivial_rep(A, vdim, Matrix.identity(vdim).scale(dV))
-    return build_extension(A, rep, AltMap(2, 2, vdim), AltMap(1, 2, vdim))
+    return built_extension(A, rep, AltMap(2, 2, vdim), AltMap(1, 2, vdim))
 
 
 @pytest.mark.parametrize("phi, ok", [([[0, 1]], False), ([[1, 0]], True),
@@ -286,10 +290,76 @@ def test_classification_count_sanity():
         cut = cochain_dim(2, 1, 2)
         pair = CocyclePair(coords_to_altmap(v[:cut], 2, 1, 2),
                            coords_to_altmap(v[cut:], 2, 1, 1))
-        exts.append(build_extension(A, rep, pair.f, pair.g))
+        exts.append(built_extension(A, rep, pair.f, pair.g))
     distinct = 0
     for a in range(len(exts)):
         for b in range(a + 1, len(exts)):
             ok, _ = equivalence_witness(exts[a], exts[b])
             distinct += not ok
     assert distinct >= 1
+
+
+def two_step_verdict(A, rep):
+    """The message check_coefficients raises, None when it raises nothing,
+    by the basis-vector formulas: the algebra first, then the
+    representation."""
+    if not all(vec_is_zero(r)
+               for r in jacobi_oracle(A.algebra) + derivation_oracle(A)):
+        return "base algebra axioms fail"
+    if not is_diff_representation(A, rep):
+        return "coefficients fail representation axioms"
+    return None
+
+
+def one_pass_verdict(A, rep):
+    try:
+        check_coefficients(A, rep)
+    except InvalidExtension as e:
+        return str(e)
+    return None
+
+
+def test_check_coefficients_agrees_with_the_two_step_check():
+    # valid and corrupted algebras (random d, non-Lie bracket) with valid
+    # and corrupted coefficients (random rho and d_V, or only d_V)
+    rng = random.Random(27)
+    seen = set()
+    for lam in WEIGHTS:
+        for A in algebras(rng, lam):
+            for rep in reps(rng, A):
+                m = rep.space_dim
+                for R in (rep, DiffRepresentation(m, rep.rho,
+                                                  rand_matrix(rng, m, m))):
+                    verdict = one_pass_verdict(A, R)
+                    assert verdict == two_step_verdict(A, R)
+                    seen.add(verdict)
+    assert seen == {None, "base algebra axioms fail",
+                    "coefficients fail representation axioms"}
+
+
+def test_split_extension_accepts_every_built_total():
+    # for every weight, each basis cocycle and a random combination of
+    # them; the extracted pair is the one built from
+    rng = random.Random(28)
+    built = 0
+    for lam in WEIGHTS:
+        for _ in range(3):
+            A = random_diff_lie(rng, lam=lam, max_dim=3)
+            rep = random_rep(rng, A, max_dim=2)
+            gdim, vdim = A.dim, rep.space_dim
+            pairs = cocycle_basis(A, rep)
+            mix = CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
+            for pair in pairs:
+                c = rng.randrange(-2, 3)
+                mix = CocyclePair(mix.f + pair.f.scale(c),
+                                  mix.g + pair.g.scale(c))
+            for pair in pairs + [mix]:
+                total = build_extension(A, rep, pair.f, pair.g)
+                E = split_extension(total, gdim, vdim)
+                assert E.total is total
+                rep2, psi, chi = extract_cocycle(E)
+                assert (psi - pair.f).is_zero() and (chi - pair.g).is_zero()
+                assert rep2.rho == rep.rho and rep2.dV == rep.dV
+                built += 1
+    assert built >= 30
+

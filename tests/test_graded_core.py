@@ -18,8 +18,8 @@ from difflie.linalg import basis_vec, vec_add, vec_scale, vec_zero
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  NonHomogeneousInput, suspend_space)
-from difflie.nr import (arity_weights, circ_bar, family_circ, insertion_sum,
-                        nr_bracket)
+from difflie.nr import (arity_weights, circ_bar, insertion_sum, nr_bracket,
+                        pointed_family)
 from difflie.permutations import koszul_sign
 from conftest import filled
 from samples import rand_vec
@@ -156,8 +156,8 @@ def test_family_sum_is_the_summed_circle_product(rng):
         for i in range(1, n + 1):
             if (n - i + 1) in outer and i in inner:
                 total = total + circ_bar(outer[n - i + 1], inner[i])
-        family = family_circ(arity_weights(outer), arity_weights(inner),
-                             n - 1, n, 1, space)
+        family = pointed_family(arity_weights(outer), arity_weights(inner),
+                                n - 1, 0, n, 1, space)
         assert family == total
         for _ in range(5):
             args = [rand_homogeneous(rng, space) for _ in range(n)]

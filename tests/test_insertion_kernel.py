@@ -1,5 +1,5 @@
 """Shuffle insertion on maps has one kernel, ``nr.insertion_sum``, and the
-weight-graded family sums have one each.
+weight-graded family sums have one, ``nr.pointed_family``.
 
 Outside ``permutations.py`` only one function of the package may call
 ``shuffles(``: ``nr.insertion_sum`` itself.  Any other shuffle loop is a
@@ -18,10 +18,11 @@ builds a map by evaluating another one slot by slot, as the cochain
 coboundaries once did, instead of reading it off the kernel.
 
 Likewise only ``nr.pointed_family`` inserts at pointed shuffles (calls
-``insertion_sum`` with a ``pointed`` argument), and only ``nr.family_circ``
-sums circle products over a family (adds ``circ_bar(..)`` terms inside a
-loop or a comprehension).  Any other such sum is a second copy of the
-deformation equations or of a homotopy family.
+``insertion_sum`` with a ``pointed`` argument), and no function sums circle
+products over a family (adds ``circ_bar(..)`` terms inside a loop or a
+comprehension): that sum is ``pointed_family`` at lambda = 0.  Any other
+such sum is a second copy of the deformation equations or of a homotopy
+family.
 """
 
 import ast
@@ -178,8 +179,7 @@ def test_only_the_family_kernels_sum_families():
             with open(os.path.join(SRC, name)) as fh:
                 found += family_sums(name, ast.parse(fh.read(), name))
     callers = {(name, fn, kind) for name, fn, kind, _ in found}
-    assert callers == {("nr.py", "pointed_family", "pointed"),
-                       ("nr.py", "family_circ", "circ")}, sorted(found)
+    assert callers == {("nr.py", "pointed_family", "pointed")}, sorted(found)
 
 
 def test_family_sums_are_seen():

@@ -3,14 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from axiom_oracles import relative_oracle
+from axiom_oracles import is_diff_representation, relative_oracle
 from conftest import filled, kernel_basis
 from difflie import multilinear
 from difflie.linalg import Matrix, basis_vec, mat_combination, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, ZeroScale, adjoint_rep,
                             difflie_from_json, difflie_to_json,
-                            is_diff_lie_algebra, is_diff_representation,
-                            is_lie_algebra, is_lieact, jacobi_residual,
+                            is_diff_lie_algebra, is_lie_algebra, is_lieact,
+                            jacobi_residual,
                             lift_tilde_D, LieActTriple, SchemaError,
                             relative_diff_residual, rep_from_json,
                             rep_to_json, rescale_operator, rho_lambda,

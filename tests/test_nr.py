@@ -3,11 +3,13 @@ from itertools import combinations
 import pytest
 
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_sub
-from difflie.multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
-from difflie.nr import (circ_bar, family_circ, graded_circ_bar,
+from difflie.multilinear import (AltMap, DimensionMismatch, GradedSymMap,
+                                 GradedVectorSpace, altmap1_from_matrix)
+from difflie.nr import (arity_weights, circ_bar, graded_circ_bar,
                         insertion_sum, nr_bracket, pointed_family)
 from difflie.liealg import is_lie_algebra, LieAlgebra
 from samples import aff1, sl2, heisenberg, rand_vec
+from test_homotopy import rand_graded
 
 
 def rand_altmap(rng, arity, dim, tgt=None):
@@ -174,7 +176,51 @@ def test_family_sums_map_into_the_outer_target(rng):
     space, d = AltMap(1, 3, 3).space, rand_altmap(rng, 1, 3)
     zero = AltMap(2, 3, 2)
     assert pointed_family({0: zero}, {0: d}, 0, 1, 2, 1, space) == zero
-    assert family_circ({0: zero}, {0: d}, 0, 2, 1, space) == zero
+    assert pointed_family({0: zero}, {0: d}, 0, 0, 2, 1, space) == zero
     assert pointed_family({}, {0: d}, 0, 1, 2, 1, space) == AltMap(2, 3, 3)
     f = rand_altmap(rng, 2, 3, 2)
-    assert family_circ({0: f}, {0: d}, 0, 2, 1, space) == circ_bar(f, d)
+    assert pointed_family({0: f}, {0: d}, 0, 0, 2, 1, space) == \
+        circ_bar(f, d)
+
+
+def summed_circle_products(outer, inner, w, arity, degree, space, tgt):
+    """sum_{a+b=w} outer_a o-bar inner_b over families {weight: map},
+    written out term by term (a missing weight is zero)."""
+    total = GradedSymMap(arity, degree, space, tgt_dim=tgt)
+    for a, f in outer.items():
+        if a <= w and w - a in inner:
+            total = total + circ_bar(f, inner[w - a])
+    return total
+
+
+@pytest.mark.parametrize("tgt", [3, 2])
+def test_pointed_family_at_lambda_zero_on_alternating_families(rng, tgt):
+    # weight a carries arity a + 1, so every weight-w sum has arity w + 1;
+    # one weight is missing from each family and one map is zero
+    dim = 3
+    space = AltMap(1, dim, dim).space
+    for _ in range(4):
+        outer = {a: rand_altmap(rng, a + 1, dim, tgt) for a in (0, 1, 2)}
+        inner = {b: rand_altmap(rng, b + 1, dim) for b in (0, 1, 2)}
+        del outer[rng.randrange(3)], inner[rng.randrange(3)]
+        inner[max(inner)] = AltMap(max(inner) + 1, dim, dim)
+        for w in range(4):
+            got = pointed_family(outer, inner, w, 0, w + 1, w, space)
+            assert got.tgt_dim == tgt
+            assert got == summed_circle_products(outer, inner, w, w + 1, w,
+                                                 space, tgt)
+
+
+def test_pointed_family_at_lambda_zero_on_graded_families(rng):
+    space = GradedVectorSpace([(0, 2), (1, 1), (2, 1)])
+    for inner_degree in (0, 1):
+        outer = arity_weights({a: rand_graded(rng, space, a, 1)
+                               for a in (1, 2, 3)})
+        inner = arity_weights({a: rand_graded(rng, space, a, inner_degree)
+                               for a in (1, 2)})
+        degree = 1 + inner_degree
+        for w in range(4):
+            got = pointed_family(outer, inner, w, 0, w + 1, degree, space)
+            assert got == summed_circle_products(outer, inner, w, w + 1,
+                                                 degree, space, space.dim)
+            assert w > 2 or not got.is_zero()
