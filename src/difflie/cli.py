@@ -6,14 +6,27 @@ exits with 0 when every residual in the report is zero, 1 when some residual
 or verdict is nonzero/negative, and 2 on a parse or schema error, which is
 reported as one line on stderr with nothing on stdout.
 
-Parsing loads no computation: this module imports only argparse and sys,
+Parsing loads no computation: this module imports only argparse, gc and sys,
 and ``main`` imports ``difflie.commands`` (the readers, the handlers and
 everything they load) only once the command line parses.  So
 ``difflie --help`` and every usage error start without compiling or
 importing any of it.
+
+Run as the process's program (``argv is None``: the ``difflie`` console
+script, ``python -m difflie.cli``), ``main`` calls ``gc.freeze()`` once the
+command has run, when its report is on stdout and any ``--json-out`` file
+is written and closed.  Interpreter shutdown then leaves the cyclic objects
+(the module dicts, functions and classes of the package, the standard
+library and ``site``) to the operating system instead of walking and
+freeing them: about 6 ms of a 60-100 ms job on a shared 2-core host.
+atexit handlers, stdio flushes and the exit status are unchanged.  A
+caller that passes ``argv`` (the tests, library use) goes on running, and
+a freeze would keep its process's cyclic garbage for good, so there
+``main`` does not freeze.
 """
 
 import argparse
+import gc
 import sys
 
 from . import FLAVORS
@@ -99,7 +112,10 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     from .commands import run
-    return run(args)
+    code = run(args)
+    if argv is None:
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ command pays only for the code it runs.
 """
 
 import json
-import random
 import sys
 from itertools import combinations
 
@@ -26,17 +25,6 @@ from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
 
 def _fmt_vec(v):
     return [fmt_scalar(x) for x in v]
-
-
-def _emit(report, out):
-    """Write the report to stdout and to the open --json-out file, if
-    any."""
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
-    sys.stdout.write(text)
-    if out is not None:
-        with out:
-            out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +203,7 @@ def _rand_altmap(rng, arity, dim):
 
 
 def cmd_key_formula(dim, args):
+    import random
     from .linfty import key_formula_check
     rng = random.Random(args.seed)
     nonzero = 0
@@ -231,6 +220,7 @@ def cmd_key_formula(dim, args):
 
 
 def cmd_morphism_check(inputs, args):
+    import random
     from .linfty import (AbsoluteStructure, Term, iota_M, iota_a_abs,
                          morphism_residual, project_a_rel, project_M_embed,
                          relative_structure)
@@ -349,11 +339,16 @@ def run(args):
         code = None
     if code is None:  # outside the except clause, the failed frames are freed
         return _reject("out of memory under this process's memory limit")
-    try:
-        # opened before anything is written, so that a path that cannot be
-        # written leaves stdout empty
-        out = open(args.json_out, "w") if args.json_out else None
-    except OSError as e:
-        return _reject(e)
-    _emit(report, out)
+    text = json.dumps(report, sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
+    if args.json_out:
+        # written and closed before stdout, so that a path that cannot be
+        # opened or written (a missing directory, a full device) leaves
+        # stdout empty
+        try:
+            with open(args.json_out, "w") as out:
+                out.write(text)
+        except OSError as e:
+            return _reject(e)
+    sys.stdout.write(text)
     return code

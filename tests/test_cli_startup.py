@@ -1,12 +1,17 @@
-"""Start-up loads only what the subcommand runs.
+"""Start-up loads only what the subcommand runs; exit skips the teardown
+of the heap only where the process ends.
 
 Importing the CLI and building its parser loads no module of the package
 but ``difflie`` and ``difflie.cli``, and none of ``json``, ``fractions``
 or ``decimal``; a command loads ``difflie.commands`` with the wire readers
 and the scalars once its arguments parse, and imports the computations it
-runs.  Each check runs in a fresh interpreter.
+runs (``random`` only where it draws samples).  ``main()`` run as the
+process's program freezes the garbage collector once the command has run;
+``main(argv)`` does not, which is checked in this process; every other
+check runs in a fresh interpreter.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -58,6 +63,8 @@ def test_check_axioms_loads_no_computation():
             "    assert main(['check-axioms', %r]) == 0" % path)
     assert _loaded(code) == sorted(COMMAND + ["difflie.nr",
                                               "difflie.permutations"])
+    # only key-formula and morphism-check draw samples
+    assert {"random"} & _modules(code) <= _modules("import sys")
 
 
 def _run(argv):
@@ -80,9 +87,11 @@ def test_commands_load_what_they_run():
     assert "difflie.cohomology" not in extract
     # the cochain operators read the insertion kernel only when called, so
     # building and ranking a complex loads neither it nor the shuffles
-    coho = _loaded(_run(["cohomology", "--max-degree", "3",
-                         "heis_trivial2.json"]))
+    coho_code = _run(["cohomology", "--max-degree", "3",
+                      "heis_trivial2.json"])
+    coho = _loaded(coho_code)
     assert coho == sorted(COMMAND + ["difflie.cohomology"])
+    assert {"random"} & _modules(coho_code) <= _modules("import sys")
     for argv in (["deform", "rigidify", "deform_sl2.json"],
                  ["extension", "build", "ext_cocycle.json"]):
         assert "difflie.cohomology" in _loaded(_run(argv)), argv
@@ -98,3 +107,27 @@ def test_usage_errors_load_no_computation():
                 "with contextlib.redirect_stderr(io.StringIO()):\n"
                 "    assert main(%r) == 2" % (["cohomology", path] + option,))
         assert _loaded(code) == [], option
+
+
+def test_main_with_argv_does_not_freeze():
+    path = os.path.join(HERE, "cli_snapshots", "inputs", "aff1.json")
+    before = gc.get_freeze_count()
+    from difflie.cli import main
+    assert main(["check-axioms", path]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_as_program_freezes_before_exit():
+    # the hook runs at exit, after main has returned; it writes to stderr
+    # so that stdout stays the report
+    path = os.path.join(HERE, "cli_snapshots", "inputs", "aff1.json")
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: sys.stderr.write("
+             "'frozen=%d' % (gc.get_freeze_count() > 0)))\n"
+             "from difflie.cli import main\n"
+             "sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", probe, "check-axioms", path],
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "frozen=1"
