@@ -133,17 +133,11 @@ def _read_homotopy(obj, args):
 # commands: each takes its parsed inputs and the options, and only computes
 
 
-def _nonzero(keys, residuals):
-    """{"i,j,..": vector} of the nonzero residuals, 1-based keys."""
-    return {",".join(str(i + 1) for i in key): _fmt_vec(r)
-            for key, r in zip(keys, residuals) if not vec_is_zero(r)}
-
-
 def cmd_check_axioms(inputs, args):
     A, rep = inputs
-    jac = _nonzero(combinations(range(A.dim), 3), jacobi_residual(A.algebra))
-    op = _nonzero(combinations(range(A.dim), 2),
-                  weighted_derivation_residual(A))
+    # a map stores only its nonzero values, under 1-based "i,j,.." keys
+    jac = altmap_to_json(jacobi_residual(A.algebra))["coeffs"]
+    op = altmap_to_json(weighted_derivation_residual(A))["coeffs"]
     report = {"dim": A.dim, "weight": fmt_scalar(A.weight),
               "jacobi_nonzero": jac, "operator_nonzero": op}
     ok = not jac and not op

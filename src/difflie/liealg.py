@@ -9,13 +9,15 @@ the identity is such an operator of weight -1.  Everything here is a plain
 container plus explicit residual functions, so tests can inspect the
 residuals themselves; the is_* helpers check that they vanish.
 
-Every residual is read off the weight-0 families of nr (the bracket family
-nr.pointed_family(mu, mu, 0, 0) and nr.operator_family), whose negatives
-are the order-0 deformation equations, of one differential Lie algebra: of
-the algebra itself; of the trivial extension g (+) V for a representation;
-of the semidirect product g (+) h for a LieAct triple; and of the lifted
-operator on the weighted semidirect product for a relative operator.  Each
-reader computes only the family it reads.
+Each of the two axioms is one map, a weight-0 family of nr whose negative
+is an order-0 deformation equation: jacobi_residual, the Jacobiator
+nr.pointed_family(mu, mu, 0, 0), and weighted_derivation_residual, the
+weighted Leibniz defect, minus nr.operator_family.  Every other check reads
+one of them on one differential Lie algebra: the algebra itself; the
+trivial extension g (+) V for a representation; the semidirect product
+g (+) h for a LieAct triple; and the lifted operator on the weighted
+semidirect product for a relative operator.  Each check computes only the
+map it reads.
 """
 
 from itertools import combinations
@@ -53,24 +55,6 @@ class LieAlgebra:
         return _matrices(self.bracket, [(i,)], 0, self.dim)[0]
 
 
-def _jacobi0(bracket):
-    """The Jacobiator (x, y, z) -> [[x,y],z] + [[y,z],x] + [[z,x],y] of the
-    bracket: its weight-0 bracket family."""
-    from .nr import pointed_family
-    mu = {0: bracket}
-    return pointed_family(mu, mu, 0, 0, 3, 2, bracket.space)
-
-
-def _operator0(A):
-    """The weighted Leibniz defect (x, y) -> d[x,y] - [dx,y] - [x,dy]
-    - lambda [dx,dy] of the differential Lie algebra A: minus its weight-0
-    operator family."""
-    from .nr import operator_family
-    return -operator_family({0: A.algebra.bracket},
-                            {0: altmap1_from_matrix(A.d)}, 0, A.weight, 2, 1,
-                            A.algebra.bracket.space)
-
-
 def _values(f, keys, lo=0):
     """The entries from lo on of the values of f on the basis tuples keys."""
     return [f.value_on_basis(key)[lo:] for key in keys]
@@ -85,13 +69,15 @@ def _matrices(f, keys, lo, size):
 
 
 def jacobi_residual(L):
-    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] over all
-    triples."""
-    return _values(_jacobi0(L.bracket), combinations(range(L.dim), 3))
+    """The Jacobiator (x, y, z) -> [[x,y],z] + [[y,z],x] + [[z,x],y] of the
+    bracket of L: its weight-0 bracket family, an arity-3 map."""
+    from .nr import pointed_family
+    mu = {0: L.bracket}
+    return pointed_family(mu, mu, 0, 0, 3, 2, L.bracket.space)
 
 
 def is_lie_algebra(L):
-    return _jacobi0(L.bracket).is_zero()
+    return jacobi_residual(L).is_zero()
 
 
 class DiffLieAlgebra:
@@ -110,13 +96,18 @@ class DiffLieAlgebra:
 
 
 def weighted_derivation_residual(A):
-    """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j:
-    the weighted Leibniz defect."""
-    return _values(_operator0(A), combinations(range(A.dim), 2))
+    """The weighted Leibniz defect (x, y) -> d[x,y] - [dx,y] - [x,dy]
+    - lambda [dx,dy] of A: minus its weight-0 operator family, an arity-2
+    map."""
+    from .nr import operator_family
+    return -operator_family({0: A.algebra.bracket},
+                            {0: altmap1_from_matrix(A.d)}, 0, A.weight, 2, 1,
+                            A.algebra.bracket.space)
 
 
 def is_diff_lie_algebra(A):
-    return is_lie_algebra(A.algebra) and _operator0(A).is_zero()
+    return (is_lie_algebra(A.algebra)
+            and weighted_derivation_residual(A).is_zero())
 
 
 def rescale_operator(A, kappa):
@@ -157,10 +148,10 @@ def rep_residuals(A, rep):
     """
     n, m = A.dim, rep.space_dim
     E = trivial_extension(A, rep)
-    return {"hom": _matrices(_jacobi0(E.algebra.bracket),
+    return {"hom": _matrices(jacobi_residual(E.algebra),
                              combinations(range(n), 2), n, m),
-            "compat": _matrices(_operator0(E), [(i,) for i in range(n)],
-                                n, m)}
+            "compat": _matrices(weighted_derivation_residual(E),
+                                [(i,) for i in range(n)], n, m)}
 
 
 def rho_lambda(rep, A):
@@ -237,7 +228,7 @@ def lieact_residuals(T):
     minus its value on (x, u, v).
     """
     n, m = T.g.dim, T.h.dim
-    jac = _jacobi0(semidirect_weighted(T, 1).bracket)
+    jac = jacobi_residual(semidirect_weighted(T, 1))
     der = [(i, n + a, n + b) for i in range(n)
            for a, b in combinations(range(m), 2)]
     return {"hom": _matrices(jac, combinations(range(n), 2), n, m),
@@ -257,7 +248,7 @@ def relative_diff_residual(T, D, lam):
     if D.rows != T.h.dim or D.cols != T.g.dim:
         raise DimensionMismatch("relative operator shape")
     n = T.g.dim
-    return _values(_operator0(lift_tilde_D(T, D, lam)),
+    return _values(weighted_derivation_residual(lift_tilde_D(T, D, lam)),
                    combinations(range(n), 2), n)
 
 

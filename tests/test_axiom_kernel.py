@@ -7,9 +7,19 @@ LieAct triple, and the lifted operator of a relative operator.  Each is
 compared exactly, entry by entry, with the formula of axiom_oracles on
 seeded valid and invalid inputs for every weight of samples.WEIGHTS:
 non-Lie brackets (on g and on h) and random d, rho, d_V and D.
+
+Each axiom is one map: jacobi_residual is the only reader of the bracket
+family and weighted_derivation_residual the only reader of the operator
+family, in the source and at run time, so every axiom check of a command
+goes through them.
 """
 
+import ast
+import importlib
+import os
+import pkgutil
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -18,6 +28,9 @@ from axiom_oracles import (derivation_oracle, is_diff_representation,
                            jacobi_oracle, lieact_oracle, rep_oracle,
                            relative_oracle)
 from conftest import exact_scalar
+import difflie
+from difflie import liealg
+from difflie.cli import main
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
                             LieAlgebra, is_diff_lie_algebra, is_lie_algebra,
@@ -81,6 +94,12 @@ def exact_matrices(mats):
     return exact_vectors(row for m in mats for row in m.data)
 
 
+def basis_values(f, n):
+    """The values of the map f on every increasing n-tuple of basis
+    indices, in the order of the oracles."""
+    return [f.value_on_basis(key) for key in combinations(range(f.src_dim), n)]
+
+
 def test_algebra_residuals_match_oracle():
     rng = random.Random(11)
     seen = set()
@@ -88,11 +107,19 @@ def test_algebra_residuals_match_oracle():
         for A in algebras(rng, lam):
             jac, op = jacobi_residual(A.algebra), \
                 weighted_derivation_residual(A)
-            assert jac == jacobi_oracle(A.algebra)
-            assert op == derivation_oracle(A)
-            assert exact_vectors(jac) and exact_vectors(op)
-            lie = all(vec_is_zero(r) for r in jac)
-            ok = lie and all(vec_is_zero(r) for r in op)
+            assert (jac.arity, op.arity) == (3, 2)
+            jac_values, op_values = basis_values(jac, 3), basis_values(op, 2)
+            assert jac_values == jacobi_oracle(A.algebra)
+            assert op_values == derivation_oracle(A)
+            assert exact_vectors(jac_values) and exact_vectors(op_values)
+            # a map stores only its nonzero values
+            assert all(not vec_is_zero(v)
+                       for v in list(jac.coeffs.values())
+                       + list(op.coeffs.values()))
+            lie = jac.is_zero()
+            ok = lie and op.is_zero()
+            assert lie == all(vec_is_zero(r) for r in jac_values)
+            assert ok == (lie and all(vec_is_zero(r) for r in op_values))
             assert is_lie_algebra(A.algebra) == lie
             assert is_diff_lie_algebra(A) == ok
             seen.add((lam != 0, lie, ok))
@@ -154,3 +181,67 @@ def test_relative_residual_checks_the_operator_shape():
     T = random_lieact(random.Random(15))
     with pytest.raises(DimensionMismatch):
         relative_diff_residual(T, Matrix.zero(T.h.dim + 1, T.g.dim), 1)
+
+
+# ---------------------------------------------------------------------------
+# one path per axiom
+
+ONE_READER = {"pointed_family": "jacobi_residual",
+              "operator_family": "weighted_derivation_residual"}
+
+
+def family_readers(source):
+    """{family name: the top-level definitions of the module that name it}
+    for the two weight-0 families of nr, read from the source."""
+    readers = {name: set() for name in ONE_READER}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            for name in names:
+                if name in readers:
+                    readers[name].add(getattr(top, "name", "<module>"))
+    return readers
+
+
+def test_each_family_has_one_reader_in_liealg():
+    with open(liealg.__file__) as fh:
+        readers = family_readers(fh.read())
+    assert readers == {name: {fn} for name, fn in ONE_READER.items()}
+
+
+CLI_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "cli_snapshots", "inputs")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "aff1_adjoint.json"],
+    ["extension", "classify", "ext_classify.json"],
+    ["extension", "extract", "ext_total.json"]])
+def test_commands_check_axioms_through_the_two_maps(argv, monkeypatch,
+                                                    capsys):
+    # load every module of the package first, then rebind each name that
+    # refers to one of the two maps, as the benchmark's spans do, so that
+    # copies bound by "from .liealg import ..." are counted too
+    for info in pkgutil.iter_modules(difflie.__path__):
+        importlib.import_module("difflie." + info.name)
+    calls = {}
+    for name in ONE_READER.values():
+        orig = getattr(liealg, name)
+        calls[name] = 0
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("difflie"):
+                for key, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    code = main([a if not a.endswith(".json")
+                 else os.path.join(CLI_INPUTS, a) for a in argv])
+    capsys.readouterr()
+    assert code == 0
+    assert all(calls.values()), calls

@@ -5,10 +5,10 @@ shapes and lengths, out-of-range indices, zero denominators, degree bounds,
 floats and bools where integers or scalars belong, repeated entries, maps
 whose arity does not fit their role, keys a document kind does not have,
 options a subcommand does not read or values it does not allow, documents
-that fail the axioms at the extension boundary, a --json-out file that
-cannot be opened or written); its inputs live in tests/cli_snapshots/inputs/.
-A case that writes to a device names it as its "device" and is skipped
-where the device does not exist.  Every
+that fail the axioms at the extension or the deformation boundary, a
+--json-out file that cannot be opened or written); its inputs live in
+tests/cli_snapshots/inputs/.  A case that writes to a device names it as
+its "device" and is skipped where the device does not exist.  Every
 such call, and every exit-2 call of the snapshot cases, must print nothing
 on stdout and exactly one line on stderr, also under ``python -O``, where
 ``assert`` statements are gone.  A case that argparse rejects (a bad option

@@ -404,7 +404,7 @@ def test_suspended_reduction_residuals_are_axiom_residuals():
     A = DiffLieAlgebra(aff1(), Matrix.from_rows([[1, 0], [0, 0]]),
                        Fraction(2))
     H = suspend_diff_lie(A)
-    defect = weighted_derivation_residual(A)[0]  # the only basis pair (0,1)
+    defect = weighted_derivation_residual(A).value_on_basis((0, 1))
     res = homotopy_diff_residual(H, 2, [basis_vec(2, 0), basis_vec(2, 1)])
     assert res == vec_scale(-1, defect)
     assert not vec_is_zero(res)
