@@ -31,7 +31,7 @@ from .linalg import CompositionNonzero, Matrix, exact, frac, vec_is_zero, \
 from . import FLAVORS
 from .liealg import adjoint_rep, rho_lambda, semidirect_bracket
 from .multilinear import AltMap, ArityMismatch, _sym_sort, \
-    altmap1_from_matrix, matrix_from_altmap1, pullback
+    altmap1_from_matrix, pullback
 
 
 class UnknownFlavor(Exception):
@@ -237,6 +237,26 @@ def difflie_differential(A, rep, n, tilde=False):
     return _exact_rows(out)
 
 
+def planned_cells(gdim, vdim, flavor, max_degree):
+    """The matrix cells, rows times columns summed over d[0..N-1], of the
+    differentials that CochainComplexSpec builds for the flavor and
+    N = max_degree on dim g = gdim and dim V = vdim, read off the binomials
+    of cochain_dim before anything is built; the shapes are those of
+    ce_differential and difflie_differential, whose degrees above
+    dim + 1 are empty."""
+    total = 0
+    for n in range(max_degree):
+        lie_src = cochain_dim(gdim, vdim, n)
+        lie_tgt = cochain_dim(gdim, vdim, n + 1)
+        if flavor in ("ce", "do"):
+            total += lie_tgt * lie_src
+        elif n or flavor != "tilde":
+            op_src = 0 if n == 0 or (flavor == "tilde" and n == 1) else \
+                cochain_dim(gdim, vdim, n - 1)
+            total += (lie_tgt + lie_src) * (lie_src + op_src)
+    return total
+
+
 class CochainComplexSpec:
     """A validated complex: the differentials that H^0..H^{N-1} rest on,
     d[n] from n-cochains to (n+1)-cochains for 0 <= n < N = max_degree,
@@ -321,14 +341,14 @@ def pair_residual(A, rep, pair):
 
 
 def pair_primitive(A, rep, pair):
-    """A linear map phi: g -> V, as a matrix, whose truncated differential
-    (phi as a 1-cochain with zero operator part) is the degree-2 pair, or
+    """A 1-cochain phi: g -> V, an arity-1 map, whose truncated
+    differential (phi with zero operator part) is the degree-2 pair, or
     None when the pair has no such primitive.  The solve is linear in the
     pair, so the negated pair gives the negated phi."""
     x = difflie_differential(A, rep, 1, tilde=True).solve(pair.coords())
     if x is None:
         return None
-    return matrix_from_altmap1(coords_to_altmap(x, A.dim, rep.space_dim, 1))
+    return coords_to_altmap(x, A.dim, rep.space_dim, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 inputs, and its handler, from those inputs and the options to (exit code,
 report); ``run`` runs one on the parsed command line and prints the report.
 
+The readers of ``cohomology`` and ``extension classify`` also admit their
+document by the planned size of its complex (``MAX_CELLS``), before any
+computation starts.
+
 ``cli.main`` imports this module only once the command line parses, so the
 parse path loads none of it: not the wire readers, the scalars or ``json``.
 Each reader and handler imports the modules of its own computation, so a
@@ -12,7 +16,7 @@ import json
 import sys
 from itertools import combinations
 
-from .linalg import CompositionNonzero, fmt_scalar, vec_is_zero
+from .linalg import CompositionNonzero, Matrix, fmt_scalar, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, SchemaError,
                      _matrix_to_json, adjoint_rep, altmap_from_json,
                      altmap_to_json, difflie_from_json, difflie_to_json,
@@ -20,7 +24,8 @@ from .liealg import (AxiomFailure, DiffLieAlgebra, SchemaError,
                      read_list, read_map, read_matrix, read_object,
                      read_scalar, rep_from_json, rep_residuals, rep_to_json,
                      weighted_derivation_residual)
-from .multilinear import AltMap, GradedSymMap, GradedVectorSpace
+from .multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
+    altmap1_from_matrix, matrix_from_altmap1
 
 
 def _fmt_vec(v):
@@ -57,6 +62,34 @@ def _algebra_rep(obj, args):
     return A, (rep_from_json(obj["rep"], A.dim) if "rep" in obj else None)
 
 
+# The most matrix cells, summed over the differentials, that `cohomology`
+# and `extension classify` may plan; above it they exit 2 before building
+# anything.  The largest bench complex, sl2 (+) aff1 in the catalog basis
+# at --max-degree 4, plans 17 400 cells, and Whitehead's sl2^3 at
+# max-degree 4, the largest complex of the tests, 2 515 860.  A 40-dim
+# abelian algebra at the default --max-degree 4 plans 1 741 300 897 600,
+# more than memory holds: without this check it allocates until the
+# process is killed or runs out of memory.
+MAX_CELLS = 10 ** 7
+
+
+def _admit(gdim, vdim, flavor, max_degree):
+    """Raise ValueError when the differentials of CochainComplexSpec on
+    dim g = gdim and dim V = vdim plan more than MAX_CELLS cells."""
+    from .cohomology import planned_cells
+    cells = planned_cells(gdim, vdim, flavor, max_degree)
+    if cells > MAX_CELLS:
+        raise ValueError("the cochain differentials plan %d matrix cells, "
+                         "above the budget of %d" % (cells, MAX_CELLS))
+
+
+def _read_cohomology(obj, args):
+    A, rep = _algebra_rep(obj, args)
+    _admit(A.dim, A.dim if rep is None else rep.space_dim, args.flavor,
+           args.max_degree)
+    return A, rep
+
+
 def _read_extension(obj, args):
     if args.action == "extract":
         only_keys(obj, "", ("total", "gdim", "vdim"))
@@ -69,6 +102,8 @@ def _read_extension(obj, args):
     A = difflie_from_json(*field(obj, "base"))
     rep = rep_from_json(field(obj, "rep")[0], A.dim)
     if args.action == "classify":
+        # the complex that extensions.classify builds
+        _admit(A.dim, rep.space_dim, "tilde", 3)
         return A, rep
     return (A, rep,
             altmap_from_json(*field(obj, "psi"), A.dim, rep.space_dim, 2),
@@ -83,7 +118,8 @@ def _read_deformation(obj, args):
           for m in read_list(obj.get("mu", []), "mu")]
     d = [read_matrix(*m, A.dim, A.dim)
          for m in read_list(obj.get("d", []), "d")]
-    return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
+    return TruncatedDeformation(A, [A.algebra.bracket] + mu,
+                                [altmap1_from_matrix(m) for m in [A.d] + d])
 
 
 # The largest dimension key-formula and morphism-check accept.  Their
@@ -280,8 +316,15 @@ def cmd_deform(D, args):
     except Obstructed as e:
         return 1, {"action": "rigidify", "trivialized": False,
                    "obstructed_at_order": e.order}
+    # each iso {c: phi_c} as the matrices [Id, phi_1, .., phi_r], r its top
+    # order, zero at the orders it misses
+    dim = D.base.dim
     return 0, {"action": "rigidify", "trivialized": True,
-               "isos": [[_matrix_to_json(m) for m in i.phi] for i in isos]}
+               "isos": [[_matrix_to_json(m) for m in [Matrix.identity(dim)] +
+                         [matrix_from_altmap1(phi[c]) if c in phi
+                          else Matrix.zero(dim, dim)
+                          for c in range(1, max(phi, default=0) + 1)]]
+                        for phi in isos]}
 
 
 def cmd_homotopy_check(H, args):
@@ -298,7 +341,7 @@ def cmd_homotopy_check(H, args):
 # handler, from those inputs and the options to (exit code, report)
 HANDLERS = {
     "check-axioms": (_algebra_rep, cmd_check_axioms),
-    "cohomology": (_algebra_rep, cmd_cohomology),
+    "cohomology": (_read_cohomology, cmd_cohomology),
     "mc-check": (_algebra, cmd_mc_check),
     "twist": (_algebra, cmd_twist),
     "key-formula": (_read_dim, cmd_key_formula),

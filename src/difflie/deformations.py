@@ -18,24 +18,23 @@ order.
 The order-1 pair of a deformation is a degree-2 cocycle of the combined
 complex with adjoint coefficients; clearing it by a formal isomorphism
 Id + phi t^r is a linear solve, obstructed exactly by its cohomology class.
-Pulling a deformation back along Phi_t = Id + sum_{c>=1} phi_c t^c
-(apply_formal_iso) solves Phi f' = f(Phi .., Phi) order by order, for
-f = mu and for f = d.  With phi = {c: phi_c} as arity-1 maps,
-f(Phi .., Phi) is f plus the pointed insertions of phi's into its
-slots, the weight-1 pointed family of (f, phi), and Phi f' is f' plus
-phi o-bar f'.  Since phi_0 = Id each order is explicit, so the series
-Phi^{-1} is never formed and each product phi_c o-bar f'_k is computed
-once:
+A formal isomorphism Phi_t = Id + sum_{c>=1} phi_c t^c is the family
+phi = {c: phi_c} of arity-1 maps: phi_0 = Id is implicit and a missing
+order is zero, as in every family sum of nr.  Pulling a deformation back
+along it (apply_formal_iso) solves Phi f' = f(Phi .., Phi) order by order,
+for f = mu and for f = d.  f(Phi .., Phi) is f plus the pointed insertions
+of phi's into its slots, the weight-1 pointed family of (f, phi), and
+Phi f' is f' plus phi o-bar f'.  Since phi_0 = Id each order is explicit,
+so the series Phi^{-1} is never formed and each product phi_c o-bar f'_k
+is computed once:
 
   f'_n = f_n + pointed_family(f, phi, n, 1) - pointed_family(phi, f', n, 0),
 
 f' holding the orders below n.
 """
 
-from .linalg import Matrix
 from .liealg import AxiomFailure, adjoint_rep
-from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix, \
-    matrix_from_altmap1
+from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
 from .nr import operator_family, pointed_family
 
 
@@ -57,7 +56,8 @@ class Obstructed(Exception):
 
 
 class TruncatedDeformation:
-    """mu = [mu_0..mu_N] (arity-2 maps), d = [d_0..d_N] (matrices)."""
+    """mu = [mu_0..mu_N] (arity-2 maps) and d = [d_0..d_N] (arity-1 maps),
+    all on the base space."""
 
     def __init__(self, base, mu, d):
         dim = base.dim
@@ -65,11 +65,11 @@ class TruncatedDeformation:
             raise ValueError("mu and d must list the same number of orders")
         if any((m.arity, m.src_dim, m.tgt_dim) != (2, dim, dim) for m in mu):
             raise ValueError("each mu_i must be a bracket on the base space")
-        if any((m.rows, m.cols) != (dim, dim) for m in d):
+        if any((m.arity, m.src_dim, m.tgt_dim) != (1, dim, dim) for m in d):
             raise ValueError("each d_i must be a %d x %d matrix" % (dim, dim))
         if not (mu[0] - base.algebra.bracket).is_zero():
             raise ValueError("order-0 bracket must be the base bracket")
-        if d[0] != base.d:
+        if not (d[0] - altmap1_from_matrix(base.d)).is_zero():
             raise ValueError("order-0 operator must be the base operator")
         self.base = base
         self.order = len(mu) - 1
@@ -77,28 +77,11 @@ class TruncatedDeformation:
         self.d = list(d)
 
 
-class FormalIso:
-    """phi = [phi_0..phi_N] with phi_0 = Id."""
-
-    def __init__(self, phi):
-        if not phi or phi[0] != Matrix.identity(phi[0].rows):
-            raise ValueError("phi_0 of a formal isomorphism must be the "
-                             "identity")
-        self.phi = list(phi)
-        self.order = len(phi) - 1
-
-
-def _maps(matrices, start=0):
-    """{order: arity-1 map} of a series of matrices, from order start."""
-    return dict(enumerate(map(altmap1_from_matrix, matrices), start))
-
-
 def deformation_residuals(D):
     """Per-order residual pairs [(jacobi: arity-3 map, operator: arity-2
     map)], order 0..N: minus the weight-n families of nr; the deformation
     equations hold iff all are zero."""
-    mu = dict(enumerate(D.mu))
-    d = _maps(D.d)
+    mu, d = dict(enumerate(D.mu)), dict(enumerate(D.d))
     space, lam = D.mu[0].space, D.base.weight
     return [(-pointed_family(mu, mu, n, 0, 3, 2, space),
              -operator_family(mu, d, n, lam, 2, 1, space))
@@ -126,39 +109,36 @@ def infinitesimal(D):
     residual in the adjoint complex; residual is zero for any valid
     deformation."""
     _require_equations(D, 1)
-    dim = D.base.dim
-    mu1 = D.mu[1] if D.order >= 1 else AltMap(2, dim, dim)
-    d1 = D.d[1] if D.order >= 1 else Matrix.zero(dim, dim)
     from .cohomology import CocyclePair, pair_residual
-    pair = CocyclePair(mu1, altmap1_from_matrix(d1))
+    dim = D.base.dim
+    pair = CocyclePair(D.mu[1], D.d[1]) if D.order >= 1 else \
+        CocyclePair(AltMap(2, dim, dim), AltMap(1, dim, dim))
     return pair, pair_residual(D.base, adjoint_rep(D.base), pair)
 
 
-def apply_formal_iso(D, Phi):
-    """Pull back along Phi_t: the deformation (mu', d') with
+def apply_formal_iso(D, phi):
+    """Pull back along Phi_t = Id + sum_c phi_c t^c, phi = {c: phi_c} the
+    arity-1 maps of its orders c >= 1: the deformation (mu', d') with
     Phi mu'(x, y) = mu(Phi x, Phi y) and Phi d' = d Phi, truncated at the
     order of D.
 
-    Each series f, as a family {order: map} (d as arity-1 maps), goes
-    through the one formula of the module docstring, phi the terms of order
-    c >= 1 of Phi as arity-1 maps; d' goes back to matrices.
-    Raises DimensionMismatch when a term of Phi is not dim x dim."""
-    N, dim = D.order, D.base.dim
-    if any((p.rows, p.cols) != (dim, dim) for p in Phi.phi):
+    Each series f, as a family {order: map}, goes through the one formula
+    of the module docstring.  Raises DimensionMismatch when a phi_c is not
+    a map on the base space."""
+    dim = D.base.dim
+    if any((p.arity, p.src_dim, p.tgt_dim) != (1, dim, dim)
+           for p in phi.values()):
         raise DimensionMismatch("each phi_c must be a %d x %d matrix"
                                 % (dim, dim))
-    phi = _maps(Phi.phi[1:N + 1], 1)
     pulled = []
-    for f in (dict(enumerate(D.mu)), _maps(D.d)):
+    for f in (dict(enumerate(D.mu)), dict(enumerate(D.d))):
         new = {}
         for n, fn in f.items():
             shape = (fn.arity, fn.degree, fn.space)
             new[n] = fn + pointed_family(f, phi, n, 1, *shape) \
                 - pointed_family(phi, new, n, 0, *shape)
         pulled.append(list(new.values()))
-    mu, d = pulled
-    return TruncatedDeformation(D.base, mu,
-                                [matrix_from_altmap1(m) for m in d])
+    return TruncatedDeformation(D.base, *pulled)
 
 
 def first_nontrivial_order(D):
@@ -169,32 +149,30 @@ def first_nontrivial_order(D):
 
 
 def _clear_order(D, r):
-    """(Id - phi t^r, pulled-back deformation) clearing the order-r pair of
-    D, whose lower orders are zero; Obstructed when that pair is not a
+    """({r: -phi}, pulled-back deformation) clearing the order-r pair of D,
+    whose lower orders are zero; Obstructed when that pair is not a
     coboundary."""
     from .cohomology import CocyclePair, pair_primitive
-    dim = D.base.dim
-    pair = CocyclePair(D.mu[r], altmap1_from_matrix(D.d[r]))
+    pair = CocyclePair(D.mu[r], D.d[r])
     phi = pair_primitive(D.base, adjoint_rep(D.base), pair)
     if phi is None:
         raise Obstructed(pair, r)
     # pulling back along Id - phi t^r subtracts d~1 phi = pair at order r
-    phis = [Matrix.identity(dim)] + \
-        [Matrix.zero(dim, dim)] * (r - 1) + [-phi]
-    iso = FormalIso(phis)
+    iso = {r: -phi}
     return iso, apply_formal_iso(D, iso)
 
 
 def rigidify_step(D):
     """Clear the lowest nonzero order by a formal isomorphism Id + phi t^r.
 
-    Returns (iso, transformed deformation); when the order-r pair is not a
+    Returns (iso, transformed deformation), iso the family {r: -phi}, or
+    {} when D has no nonzero order; when the order-r pair is not a
     coboundary raises Obstructed with that pair.  Requires the deformation
     equations to hold through the truncation order."""
     _require_equations(D, D.order)
     r = first_nontrivial_order(D)
     if r is None:
-        return FormalIso([Matrix.identity(D.base.dim)]), D
+        return {}, D
     return _clear_order(D, r)
 
 

@@ -166,6 +166,7 @@ def equivalence_witness(E1, E2, phi=None):
                              CocyclePair(psi1 - psi2, chi1 - chi2))
         if phi is None:
             return False, None
+        phi = matrix_from_altmap1(phi)
     N = E1.total.dim
     zeta = Matrix.identity(N) + E1.i * phi * E1.p
     if zeta * E1.i != E2.i or E2.p * zeta != E1.p:

@@ -14,7 +14,7 @@ from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
 from difflie.extensions import build_extension, split_extension
 from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
-from difflie.multilinear import AltMap, pullback
+from difflie.multilinear import AltMap, altmap1_from_matrix, pullback
 from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                             LieActTriple, adjoint_rep, relative_diff_residual,
                             rho_lambda, semidirect_bracket)
@@ -211,12 +211,23 @@ def random_rep(rng, A, max_dim=3):
     return rep
 
 
+def deformation(base, mu, d):
+    """The deformation of the brackets mu and the operators d, the d_i
+    given as matrices."""
+    return TruncatedDeformation(base, mu, [altmap1_from_matrix(m) for m in d])
+
+
+def formal_iso(phis):
+    """The formal isomorphism Id + phi_1 t + .. + phi_r t^r of the matrices
+    phis = [phi_1, .., phi_r], as the family {c: phi_c} of arity-1 maps."""
+    return {c: altmap1_from_matrix(m) for c, m in enumerate(phis, 1)}
+
+
 def constant_deformation(base, order):
     """The base structure with zero terms up to the order."""
     dim = base.dim
     mu = [base.algebra.bracket] + [AltMap(2, dim, dim)] * order
-    d = [base.d] + [Matrix.zero(dim, dim)] * order
-    return TruncatedDeformation(base, mu, d)
+    return deformation(base, mu, [base.d] + [Matrix.zero(dim, dim)] * order)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from difflie.linfty import (AbsoluteStructure, Term,
                             project_a_rel, relative_structure, twist_l1_formal)
 from difflie.extensions import (equivalence_witness, extract_cocycle,
                                 matrix_from_altmap1, altmap1_from_matrix)
-from difflie.deformations import (FormalIso, TruncatedDeformation,
+from difflie.deformations import (TruncatedDeformation,
                                   apply_formal_iso, deformation_residuals,
                                   failed_equations, first_nontrivial_order,
                                   infinitesimal, rigidify)
@@ -40,7 +40,8 @@ from difflie.homotopy import (HomotopyDiffLie, homotopy_mc_check,
                               lambda_rescale, linfty_residual,
                               residual_tables, suspend_diff_lie)
 from samples import (WEIGHTS, abelian, aff1, heisenberg, sl2,
-                     built_extension, constant_deformation, rand_matrix,
+                     built_extension, constant_deformation, deformation,
+                     formal_iso, rand_matrix,
                      random_diff_lie, random_lieact, random_relative_operator,
                      random_rep, trivial_rep)
 
@@ -390,11 +391,11 @@ def test_criterion_07_extensions(rng):
 
 def order1_deformation(A, pair):
     return TruncatedDeformation(A, [A.algebra.bracket, pair.f],
-                                [A.d, matrix_from_altmap1(pair.g)])
+                                [altmap1_from_matrix(A.d), pair.g])
 
 
 def order2_coords(A, mu_list, d_list):
-    D = TruncatedDeformation(A, mu_list, d_list)
+    D = deformation(A, mu_list, d_list)
     jac, op = deformation_residuals(D)[2]
     dim = A.dim
     return altmap_to_coords(jac) + altmap_to_coords(op)
@@ -430,8 +431,7 @@ def complete_to_order2(A, pair):
     mu2 = coords_to_altmap(x[:n2], dim, dim, 2)
     d2 = Matrix(dim, dim, [[x[n2 + i * dim + j] for j in range(dim)]
                            for i in range(dim)])
-    return TruncatedDeformation(A, [A.algebra.bracket, mu1, mu2],
-                                [A.d, d1, d2])
+    return deformation(A, [A.algebra.bracket, mu1, mu2], [A.d, d1, d2])
 
 
 def rigidifies(D):
@@ -458,7 +458,7 @@ def test_criterion_08_deformations(rng):
             bad.append(("infinitesimal cocycle", A.dim))
         # equivalent deformations: infinitesimals differ by a coboundary
         phi1 = rand_matrix(rng, A.dim, A.dim)
-        D2 = apply_formal_iso(D, FormalIso([Matrix.identity(A.dim), phi1]))
+        D2 = apply_formal_iso(D, formal_iso([phi1]))
         got2, _ = infinitesimal(D2)
         diff = CocyclePair(got2.f - got.f, got2.g - got.g).coords()
         d1 = difflie_differential(A, adjoint_rep(A), 1, tilde=True)
@@ -488,8 +488,7 @@ def test_criterion_08_deformations(rng):
     if cleared < 1:
         bad.append("no kernel pairs exercised")
     for _ in range(5):
-        iso = FormalIso([Matrix.identity(3), rand_matrix(rng, 3, 3),
-                         rand_matrix(rng, 3, 3)])
+        iso = formal_iso([rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)])
         D = apply_formal_iso(constant_deformation(A, 2), iso)
         if failed_equations(D) or not rigidifies(D):
             bad.append("pulled-back constant not rigidified")

@@ -240,13 +240,14 @@ def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
 def test_deform_verify_and_rigidify(tmp_path, capsys):
     # rigid fixture: weight -1, identity operator on a simple algebra
     A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
-    from difflie.deformations import FormalIso, apply_formal_iso
+    from difflie.deformations import apply_formal_iso
+    from difflie.multilinear import altmap1_from_matrix, matrix_from_altmap1
     phi1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
     D = apply_formal_iso(constant_deformation(A, 2),
-                         FormalIso([Matrix.identity(3), phi1]))
+                         {1: altmap1_from_matrix(phi1)})
     doc = {"base": difflie_to_json(A),
            "mu": [altmap_to_json(m) for m in D.mu[1:]],
-           "d": [[[str(x) for x in row] for row in m.data]
+           "d": [[[str(x) for x in row] for row in matrix_from_altmap1(m).data]
                  for m in D.d[1:]]}
     path = write(tmp_path, "d.json", doc)
     rc, rep, _ = run(capsys, ["deform", "verify", path])

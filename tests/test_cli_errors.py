@@ -78,16 +78,18 @@ def test_exit_2_cases_hold_without_asserts():
         assert len(proc.stderr.splitlines()) == 1, (case["name"], proc.stderr)
 
 
-def test_out_of_memory_exits_2_with_one_line(tmp_path):
-    # the 24-dimensional abelian algebra has 576 entries in d, all zero,
-    # but its cohomology at the default --max-degree 4 needs far more than
-    # 300 MiB; under that address-space limit the run ends in MemoryError,
-    # which must be one line, not a traceback
+def _abelian(dim):
+    """The abelian algebra of the dimension with d = 0, at weight 0."""
+    return {"dim": dim, "brackets": [], "weight": 0,
+            "d": [[0] * dim] * dim}
+
+
+def _run_capped(tmp_path, argv, doc, limit, timeout):
+    """The CLI call argv + [path of doc], in a fresh interpreter under an
+    address-space limit of limit bytes and the timeout in seconds."""
     resource = pytest.importorskip("resource")
-    limit = 300 * 2 ** 20
-    doc = tmp_path / "abelian24.json"
-    doc.write_text(json.dumps({"dim": 24, "brackets": [], "weight": 0,
-                               "d": [[0] * 24] * 24}))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -95,10 +97,50 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     flags = ["-O"] if sys.flags.optimize else []
     proc = subprocess.run([sys.executable] + flags +
-                          ["-c", CLI, "cohomology", str(doc)],
+                          ["-c", CLI] + argv + [str(path)],
                           env=env, capture_output=True, text=True,
-                          timeout=120, preexec_fn=cap)
+                          timeout=timeout, preexec_fn=cap)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: out of memory")
     assert len(proc.stderr.splitlines()) == 1
+    return proc.stderr
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # extension build plans no size before it works: the 24-dimensional
+    # abelian algebra with a 24-dimensional trivial representation passes
+    # the axioms at once, but the degree-2 combined differential of its
+    # cocycle check has 55 200 x 7 200 cells, far more than 300 MiB hold;
+    # under that address-space limit the run ends in MemoryError, which
+    # must be one line, not a traceback
+    dim = 24
+    zero = [[0] * dim] * dim
+    doc = {"base": _abelian(dim),
+           "rep": {"rep_dim": dim, "dV": zero,
+                   "rho": {str(i + 1): zero for i in range(dim)}},
+           "psi": {"arity": 2, "coeffs": {}},
+           "chi": {"arity": 1, "coeffs": {}}}
+    err = _run_capped(tmp_path, ["extension", "build"], doc, 300 * 2 ** 20,
+                      120)
+    assert err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("argv, doc, cells", [
+    # 1 600 entries of d, all zero; --max-degree 4 by default
+    (["cohomology"], _abelian(40), 1741300897600),
+    # a 40-dimensional trivial representation; extension classify builds
+    # its tilde complex through degree 3
+    (["extension", "classify"],
+     {"base": _abelian(40),
+      "rep": {"rep_dim": 40, "dV": _abelian(40)["d"],
+              "rho": {str(i + 1): _abelian(40)["d"] for i in range(40)}}},
+     14038400000)], ids=["cohomology", "extension-classify"])
+def test_complex_above_the_budget_exits_2_before_building(tmp_path, argv,
+                                                          doc, cells):
+    # the planned differentials of these small documents hold far more
+    # cells than memory; the command rejects them from the plan, so the
+    # run ends well within a 1 GiB address space and the timeout
+    err = _run_capped(tmp_path, argv, doc, 2 ** 30, 60)
+    from difflie.commands import MAX_CELLS
+    assert err == ("error: the cochain differentials plan %d matrix cells, "
+                   "above the budget of %d\n" % (cells, MAX_CELLS))

@@ -6,7 +6,7 @@ import pytest
 from difflie.linalg import (Matrix, basis_vec, homology_dim, vec_add,
                             vec_is_zero)
 from difflie.liealg import DiffLieAlgebra, adjoint_rep, trivial_extension
-from difflie.multilinear import AltMap, ArityMismatch, matrix_from_altmap1
+from difflie.multilinear import AltMap, ArityMismatch
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, _twisted_l1, altmap_to_coords,
                                 ce_apply, ce_differential, cochain_dim, cochain_keys,
@@ -14,7 +14,7 @@ from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 delta_apply, delta_matrix, do_differential,
                                 difflie_differential, pair_dim,
                                 pair_primitive, pair_residual,
-                                twist_bridge_residual)
+                                planned_cells, twist_bridge_residual)
 from samples import (abelian, aff1, sl2, rand_vec, random_diff_lie,
                      random_rep, trivial_rep)
 
@@ -293,8 +293,7 @@ def test_pair_helpers_match_full_complex_and_solve(rng):
             if x is None:
                 assert got is None and neg is None
             else:
-                assert got == matrix_from_altmap1(
-                    coords_to_altmap(x, gdim, vdim, 1))
+                assert got == coords_to_altmap(x, gdim, vdim, 1)
                 assert neg == -got
 
 
@@ -435,3 +434,22 @@ def test_embedding_commutes(rng):
         rep = random_rep(rng, A, max_dim=2)
         for n in range(3):
             assert embedding_commutes_residual(A, rep, n).is_zero()
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_planned_cells_are_the_built_shapes(rng, flavor):
+    # the plan that cohomology and extension classify admit by is the sum
+    # of the shapes CochainComplexSpec builds, also at degrees above
+    # dim + 1, where it builds 0 x 0 matrices
+    sl2_id = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    fixtures = [(aff1_d(), trivial_rep(aff1_d(), 1)),
+                (sl2_id, adjoint_rep(sl2_id))]
+    for _ in range(3):
+        A = random_diff_lie(rng, max_dim=3)
+        fixtures.append((A, random_rep(rng, A, max_dim=2)))
+    for A, rep in fixtures:
+        for max_degree in (1, 2, A.dim + 3):
+            spec = CochainComplexSpec(A, rep, flavor, max_degree)
+            assert planned_cells(A.dim, rep.space_dim, flavor,
+                                 max_degree) == \
+                sum(m.rows * m.cols for m in spec.d)

@@ -1,16 +1,21 @@
 """The zero-skipping deformation kernels against their dense definitions.
 
-``deformation_residuals`` and ``apply_formal_iso`` read d_l and phi_c as
-arity-1 maps and go through the weight-graded family sums
+A deformation holds its operators d_l, and a formal isomorphism its terms
+phi_c, as arity-1 maps.  ``deformation_residuals`` and ``apply_formal_iso``
+go through the weight-graded family sums
 ``nr.pointed_family`` (at lambda = 0 the summed circle products) and
 ``nr.operator_family``, which drop the zero terms of every series.  The
 oracles below are basis-vector versions, with every bilinear value expanded
 over all pairs of basis vectors and every matrix applied by a dense row
-sum, so they share no kernel with the code under test.  Results are
-compared map for map, as rationals, and every scalar must keep the
-int-or-Fraction contract.
+sum, so they share no kernel with the code under test; they read the
+operators and the isomorphisms as matrices.  Results are compared map for
+map, as rationals, and every scalar must keep the int-or-Fraction
+contract.  The deformation module itself names no matrix: only its
+constructor reads one, the base operator.
 """
 
+import ast
+import os
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,12 +26,13 @@ from difflie import nr
 from difflie.linalg import Matrix, basis_vec, exact, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_support, vec_zero
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
-    altmap1_from_matrix
-from difflie.deformations import (FormalIso, NotDeformation,
-                                  TruncatedDeformation, apply_formal_iso,
-                                  deformation_residuals, failed_equations, first_nontrivial_order,
+    matrix_from_altmap1
+from difflie.deformations import (NotDeformation, TruncatedDeformation,
+                                  apply_formal_iso, deformation_residuals,
+                                  failed_equations, first_nontrivial_order,
                                   rigidify, rigidify_step)
-from samples import constant_deformation, rand_matrix, random_diff_lie
+from samples import (constant_deformation, deformation, formal_iso,
+                     rand_matrix, random_diff_lie)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +53,22 @@ def bilinear(f, u, v):
     return out
 
 
+def matrices(maps):
+    return [matrix_from_altmap1(f) for f in maps]
+
+
+def iso_matrices(phi, dim):
+    """The series [Id, phi_1, .., phi_r] of a family {c: phi_c}, r its top
+    order, as matrices."""
+    return [Matrix.identity(dim)] + [
+        matrix_from_altmap1(phi[c]) if c in phi else Matrix.zero(dim, dim)
+        for c in range(1, max(phi, default=0) + 1)]
+
+
 def oracle_residuals(D):
     dim = D.base.dim
     lam = D.base.weight
+    d = matrices(D.d)
     out = []
     for n in range(D.order + 1):
         jac = AltMap(3, dim, dim)
@@ -68,7 +87,7 @@ def oracle_residuals(D):
             x, y = (basis_vec(dim, k) for k in key)
             total = vec_zero(dim)
             for k in range(n + 1):
-                dl = D.d[n - k]
+                dl = d[n - k]
                 total = vec_add(total,
                                 dense_matvec(dl, bilinear(D.mu[k], x, y)))
                 total = vec_sub(total,
@@ -80,8 +99,8 @@ def oracle_residuals(D):
                     for l in range(n - k + 1):
                         m = n - k - l
                         total = vec_sub(total, vec_scale(lam, bilinear(
-                            D.mu[k], dense_matvec(D.d[l], x),
-                            dense_matvec(D.d[m], y))))
+                            D.mu[k], dense_matvec(d[l], x),
+                            dense_matvec(d[m], y))))
             if not vec_is_zero(total):
                 op.coeffs[key] = total
         out.append((jac, op))
@@ -100,9 +119,11 @@ def oracle_inverse_series(phi, order):
 
 
 def oracle_iso(D, phi):
-    """(mu', d') of the pull-back along the series phi."""
+    """(mu', d') of the pull-back along the series phi of matrices, d' as
+    matrices."""
     N = D.order
     dim = D.base.dim
+    d = matrices(D.d)
     psi = oracle_inverse_series(phi, N)
 
     def phi_at(k):
@@ -132,7 +153,7 @@ def oracle_iso(D, phi):
             for b in range(n - a + 1):
                 pc = phi_at(n - a - b)
                 if pc is not None:
-                    acc = acc + psi[a] * D.d[b] * pc
+                    acc = acc + psi[a] * d[b] * pc
         d_new.append(acc)
     return mu_new, d_new
 
@@ -164,8 +185,7 @@ def dense_matrix(rng, dim):
 def valid_deformation(rng, A, order):
     phi = [Matrix.identity(A.dim)] + [rand_matrix(rng, A.dim, A.dim)
                                       for _ in range(order)]
-    mu, d = oracle_iso(constant_deformation(A, order), phi)
-    return TruncatedDeformation(A, mu, d)
+    return deformation(A, *oracle_iso(constant_deformation(A, order), phi))
 
 
 def broken_deformation(rng, A, order):
@@ -177,7 +197,7 @@ def broken_deformation(rng, A, order):
         mu.append(rand_alt2(rng, dim) if k % 2 else AltMap(2, dim, dim))
         d.append(rand_matrix(rng, dim, dim) if k != 2
                  else Matrix.zero(dim, dim))
-    return TruncatedDeformation(A, mu, d)
+    return deformation(A, mu, d)
 
 
 def deformations(rng):
@@ -239,13 +259,11 @@ def test_apply_formal_iso_matches_oracle(rng, kind):
         for order in (1, 3):
             Dt = TruncatedDeformation(D.base, D.mu[:order + 1],
                                       D.d[:order + 1])
-            new = apply_formal_iso(Dt, FormalIso(phi))
+            new = apply_formal_iso(Dt, formal_iso(phi[1:]))
             mu_old, d_old = oracle_iso(Dt, phi)
             assert [m.coeffs for m in new.mu] == [m.coeffs for m in mu_old]
-            assert new.d == d_old
-            assert exact_only(new.mu)
-            assert all(exact_scalar(x)
-                       for m in new.d for row in m.data for x in row)
+            assert matrices(new.d) == d_old
+            assert exact_only(new.mu + new.d)
 
 
 def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
@@ -271,8 +289,9 @@ def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
             phi = [Matrix.identity(A.dim), dense_matrix(rng, A.dim)] + \
                 [rand_matrix(rng, A.dim, A.dim) for _ in range(order - 1)]
             del inner_arities[:]
-            phis[:] = [altmap1_from_matrix(m) for m in phi[1:]]
-            new = apply_formal_iso(D, FormalIso(phi))
+            iso = formal_iso(phi[1:])
+            phis[:] = iso.values()
+            new = apply_formal_iso(D, iso)
             for arity, series in ((2, new.mu), (1, new.d)):
                 expected = sum(1 for c in range(1, order + 1)
                                for k in range(order + 1 - c)
@@ -294,9 +313,9 @@ def test_rigidify_steps_match_oracle(rng):
         while first_nontrivial_order(D) is not None and steps <= D.order:
             assert_residuals_match(D)
             iso, D2 = rigidify_step(D)
-            mu_old, d_old = oracle_iso(D, iso.phi)
+            mu_old, d_old = oracle_iso(D, iso_matrices(iso, A.dim))
             assert [m.coeffs for m in D2.mu] == [m.coeffs for m in mu_old]
-            assert D2.d == d_old
+            assert matrices(D2.d) == d_old
             D = D2
             steps += 1
         assert first_nontrivial_order(D) is None and steps >= 1
@@ -317,9 +336,56 @@ def test_rigidify_checks_once_and_matches_the_step_loop(rng):
                 iso, E = rigidify_step(E)
                 isos.append(iso)
             assert failed_equations(E) == [] and isos
-            assert [i.phi for i in rigidify(D)] == [i.phi for i in isos]
+            assert rigidify(D) == isos
             with pytest.raises(NotDeformation):
                 rigidify(broken_deformation(rng, A, 3))
+
+
+DEFORMATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "src", "difflie", "deformations.py")
+
+
+def matrix_uses(source):
+    """(the names of Matrix and matrix_from_altmap1 that the source reads
+    or imports, the enclosing Class.function of each read of
+    altmap1_from_matrix, called or passed on)."""
+    names, readers = set(), []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = where + (node.name,)
+        read = [node.id] if isinstance(node, ast.Name) else \
+            [node.attr] if isinstance(node, ast.Attribute) else []
+        names.update(read + ([a.name for a in node.names]
+                             if isinstance(node, ast.ImportFrom) else []))
+        if "altmap1_from_matrix" in read:
+            readers.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), ())
+    return names & {"Matrix", "matrix_from_altmap1"}, readers
+
+
+def test_deformations_name_no_matrix():
+    # operators and formal isomorphisms are arity-1 maps from reader to
+    # report: the one conversion of the module reads the base operator
+    with open(DEFORMATIONS) as fh:
+        assert matrix_uses(fh.read()) == (set(),
+                                          ["TruncatedDeformation.__init__"])
+
+
+def test_matrix_uses_are_seen():
+    snippet = ("from .linalg import Matrix\n"
+               "class T:\n"
+               "    def __init__(self, m):\n"
+               "        self.d = multilinear.altmap1_from_matrix(m)\n"
+               "def _maps(ms):\n"
+               "    return dict(enumerate(map(altmap1_from_matrix, ms)))\n"
+               "def back(f):\n"
+               "    return multilinear.matrix_from_altmap1(f)\n")
+    assert matrix_uses(snippet) == ({"Matrix", "matrix_from_altmap1"},
+                                    ["T.__init__", "_maps"])
 
 
 def basis_expansion(f, heads, tail=()):

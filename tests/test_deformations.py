@@ -5,18 +5,19 @@ import pytest
 from conftest import kernel_basis
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import DiffLieAlgebra, adjoint_rep
-from difflie.multilinear import AltMap, DimensionMismatch
+from difflie.multilinear import AltMap, DimensionMismatch, \
+    altmap1_from_matrix
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
-                                coords_to_altmap, pair_residual)
-from difflie.deformations import (FormalIso, NotDeformation, Obstructed,
+                                altmap_to_coords, coords_to_altmap,
+                                pair_residual)
+from difflie.deformations import (NotDeformation, Obstructed,
                                   TruncatedDeformation, apply_formal_iso,
                                   deformation_residuals, failed_equations,
                                   first_nontrivial_order, infinitesimal,
                                   rigidify, rigidify_step)
-from difflie.extensions import matrix_from_altmap1
-from samples import (abelian, aff1, sl2, constant_deformation, rand_matrix,
-                     random_diff_lie)
-from test_deformation_kernels import oracle_inverse_series
+from samples import (abelian, aff1, sl2, constant_deformation, deformation,
+                     formal_iso, rand_matrix, random_diff_lie)
+from test_deformation_kernels import iso_matrices, oracle_inverse_series
 
 
 def aff1_d(lam=2):
@@ -25,15 +26,17 @@ def aff1_d(lam=2):
 
 
 def order1_deformation(A, pair):
-    mu1 = pair.f
-    d1 = matrix_from_altmap1(pair.g)
-    return TruncatedDeformation(A, [A.algebra.bracket, mu1], [A.d, d1])
+    return TruncatedDeformation(A, [A.algebra.bracket, pair.f],
+                                [altmap1_from_matrix(A.d), pair.g])
 
 
 def rand_iso(rng, dim, order):
-    phis = [Matrix.identity(dim)] + \
-        [rand_matrix(rng, dim, dim) for _ in range(order)]
-    return FormalIso(phis)
+    return formal_iso([rand_matrix(rng, dim, dim) for _ in range(order)])
+
+
+def same_series(D, E):
+    return D.order == E.order and \
+        all((a - b).is_zero() for a, b in zip(D.mu + D.d, E.mu + E.d))
 
 
 def test_constant_deformation_valid(rng):
@@ -49,8 +52,8 @@ def test_order_zero_residuals_detect_broken_base():
     A = aff1_d()
     broken = AltMap(2, 2, 2)
     broken[(0, 1)] = [1, 0]
-    D = TruncatedDeformation(A, [A.algebra.bracket, AltMap(2, 2, 2)],
-                             [A.d, Matrix.identity(2)])
+    D = deformation(A, [A.algebra.bracket, AltMap(2, 2, 2)],
+                    [A.d, Matrix.identity(2)])
     res = deformation_residuals(D)
     jac0, op0 = res[0]
     assert jac0.is_zero() and op0.is_zero()  # base itself is fine
@@ -88,8 +91,8 @@ def test_infinitesimal_requires_deformation(rng):
         A = aff1_d()
         mu1 = AltMap(2, 2, 2)
         mu1[(0, 1)] = [rng.randrange(-2, 3), rng.randrange(-2, 3)]
-        D = TruncatedDeformation(A, [A.algebra.bracket, mu1],
-                                 [A.d, rand_matrix(rng, 2, 2)])
+        D = deformation(A, [A.algebra.bracket, mu1],
+                        [A.d, rand_matrix(rng, 2, 2)])
         try:
             _, res = infinitesimal(D)
             assert vec_is_zero(res)
@@ -109,11 +112,7 @@ def test_coboundary_deformation_infinitesimal(rng):
         pair, res = infinitesimal(D)
         assert vec_is_zero(res)
         d1 = difflie_differential(A, adjoint_rep(A), 1, tilde=True)
-        phi_coords = []
-        for j in range(dim):
-            phi_coords.extend(iso.phi[1].data[i][j] for i in range(dim))
-        expected = d1.matvec(phi_coords)
-        assert pair.coords() == expected
+        assert pair.coords() == d1.matvec(altmap_to_coords(iso[1]))
 
 
 def test_operator_only_deformation_one_cocycle(rng):
@@ -130,9 +129,9 @@ def test_operator_only_deformation_one_cocycle(rng):
         if not basis:
             continue
         coords = basis[rng.randrange(len(basis))]
-        d1 = matrix_from_altmap1(coords_to_altmap(coords, dim, dim, 1))
         D = TruncatedDeformation(A, [A.algebra.bracket, AltMap(2, dim, dim)],
-                                 [A.d, d1])
+                                 [altmap1_from_matrix(A.d),
+                                  coords_to_altmap(coords, dim, dim, 1)])
         jac, op = deformation_residuals(D)[1]
         assert jac.is_zero() and op.is_zero()
         hits += 1
@@ -140,22 +139,34 @@ def test_operator_only_deformation_one_cocycle(rng):
 
 
 def test_apply_identity_iso(rng):
-    A = random_diff_lie(rng, max_dim=3)
-    D = constant_deformation(A, 2)
-    ident = FormalIso([Matrix.identity(A.dim)])
-    D2 = apply_formal_iso(D, ident)
-    assert all((a - b).is_zero() for a, b in zip(D2.mu, D.mu))
-    assert D2.d == D.d
+    # the identity is the empty family: every order of phi is missing
+    for _ in range(3):
+        A = random_diff_lie(rng, max_dim=3)
+        D = apply_formal_iso(constant_deformation(A, 2),
+                             rand_iso(rng, A.dim, 2))
+        assert same_series(apply_formal_iso(D, {}), D)
+
+
+def test_apply_ignores_orders_above_the_truncation(rng):
+    # terms of phi above the order N of D reach no order of D, so the
+    # family with terms at N + 1 and N + 2 pulls D back as its cut at N
+    for N in (1, 2):
+        A = random_diff_lie(rng, max_dim=3)
+        D = apply_formal_iso(constant_deformation(A, N),
+                             rand_iso(rng, A.dim, N))
+        phi = rand_iso(rng, A.dim, N + 2)
+        cut = {c: p for c, p in phi.items() if c <= N}
+        assert same_series(apply_formal_iso(D, phi),
+                           apply_formal_iso(D, cut))
 
 
 @pytest.mark.parametrize("phi", [
-    [Matrix.identity(2), Matrix.from_rows([[1, 1], [1, 1]])],
-    [Matrix.identity(4), Matrix.from_rows([[1] * 4] * 4)],
-    [Matrix.identity(4)]], ids=["2x2", "4x4", "identity-4x4"])
+    Matrix.from_rows([[1, 1], [1, 1]]), Matrix.from_rows([[1] * 4] * 4),
+    Matrix.identity(4)], ids=["2x2", "4x4", "identity-4x4"])
 def test_apply_rejects_mis_sized_iso(phi):
     A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
     with pytest.raises(DimensionMismatch):
-        apply_formal_iso(constant_deformation(A, 1), FormalIso(phi))
+        apply_formal_iso(constant_deformation(A, 1), formal_iso([phi]))
 
 
 def test_iso_round_trip(rng):
@@ -164,11 +175,9 @@ def test_iso_round_trip(rng):
         dim = A.dim
         iso = rand_iso(rng, dim, 2)
         D = apply_formal_iso(constant_deformation(A, 2), iso)
-        back = apply_formal_iso(D, FormalIso(
-            oracle_inverse_series(iso.phi, 2)))
-        C = constant_deformation(A, 2)
-        assert all((a - b).is_zero() for a, b in zip(back.mu, C.mu))
-        assert back.d == C.d
+        inverse = oracle_inverse_series(iso_matrices(iso, dim), 2)
+        back = apply_formal_iso(D, formal_iso(inverse[1:]))
+        assert same_series(back, constant_deformation(A, 2))
 
 
 def test_equivalence_preserves_equations(rng):
@@ -183,7 +192,7 @@ def test_rigidify_trivial_is_identity():
     A = aff1_d()
     D = constant_deformation(A, 2)
     iso, D2 = rigidify_step(D)
-    assert iso.order == 0
+    assert iso == {}
     assert first_nontrivial_order(D2) is None
 
 
@@ -218,8 +227,7 @@ def test_obstructed_class_raises():
     A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), Fraction(1))
     mu1 = AltMap(2, 2, 2)
     mu1[(0, 1)] = [1, 0]  # a bracket deformation: not exact for abelian g
-    D = TruncatedDeformation(A, [A.algebra.bracket, mu1],
-                             [A.d, Matrix.zero(2, 2)])
+    D = deformation(A, [A.algebra.bracket, mu1], [A.d, Matrix.zero(2, 2)])
     assert not failed_equations(D)
     for clear in (rigidify_step, rigidify):
         with pytest.raises(Obstructed) as exc:

@@ -430,9 +430,9 @@ def test_scrambled_rational_differential_is_certified():
     assert m.matvec(m.solve(b)) == b
 
 
-# each call has mismatched shapes (or a phi_0 that is not the identity, an
-# argument count that is not the arity, a term kind that does not exist)
-# and must raise ValueError, also under -O
+# each call has mismatched shapes (or an argument count that is not the
+# arity, a term kind that does not exist) and must raise ValueError, also
+# under -O
 SHAPE_ERRORS = {
     "add": "Matrix.zero(2, 3) + Matrix.zero(3, 2)",
     "sub": "Matrix.zero(2, 3) - Matrix.zero(2, 2)",
@@ -441,8 +441,6 @@ SHAPE_ERRORS = {
     "solve": "Matrix.zero(2, 3).solve([1, 2, 3])",
     "block": "Matrix.block([[Matrix.zero(2, 2), Matrix.zero(3, 2)]])",
     "homology_dim": "homology_dim(Matrix.zero(2, 3), Matrix.zero(2, 2))",
-    "formal_iso": "FormalIso([Matrix.zero(2, 2)])",
-    "formal_iso_empty": "FormalIso([])",
     "map_add": "AltMap(2, 2, 2) + AltMap(1, 2, 2)",
     "linfty_arity": "HomotopyDiffLie(suspend_space(2), {2: AltMap(1, 2, 2)}, "
                     "{}, 0)",
@@ -451,7 +449,6 @@ SHAPE_ERRORS = {
     "operator_args": "homotopy_diff_residual(H, 1, [[1, 0], [0, 1]])",
 }
 SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
-                 "from difflie.deformations import FormalIso\n"
                  "from difflie.homotopy import HomotopyDiffLie, "
                  "homotopy_diff_residual, linfty_residual\n"
                  "from difflie.linfty import Term\n"

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import exact_scalar, filled, kernel_basis
-from difflie.deformations import (FormalIso, TruncatedDeformation,
-                                  apply_formal_iso, deformation_residuals)
+from difflie.deformations import (TruncatedDeformation, apply_formal_iso,
+                                  deformation_residuals)
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, rescale_operator
 from difflie.linalg import Matrix, div, exact, frac, parse_scalar
 from difflie.linfty import key_formula_check
-from difflie.multilinear import AltMap, GradedSymMap
+from difflie.multilinear import AltMap, GradedSymMap, altmap1_from_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")
@@ -178,15 +178,15 @@ def deformations(draw):
     mu = [draw(alt_maps(2, dim)) for _ in range(order + 1)]
     d = [draw(matrices(dim, dim)) for _ in range(order + 1)]
     A = DiffLieAlgebra(LieAlgebra(dim, mu[0]), d[0], lam)
-    return TruncatedDeformation(A, mu, d)
+    return TruncatedDeformation(A, mu, [altmap1_from_matrix(m) for m in d])
 
 
 def _forced_deformation(D):
     A = DiffLieAlgebra(LieAlgebra(D.base.dim, _forced_map(D.mu[0])),
-                       _forced_matrix(D.d[0]), 0)
+                       _forced_matrix(D.base.d), 0)
     A.weight = Fraction(D.base.weight)
     return TruncatedDeformation(A, [_forced_map(m) for m in D.mu],
-                                [_forced_matrix(m) for m in D.d])
+                                [_forced_map(m) for m in D.d])
 
 
 @given(deformations(), st.data())
@@ -196,13 +196,12 @@ def test_deformation_kernels_int_route_matches_fraction_route(D, data):
     assert [(j.coeffs, o.coeffs) for j, o in res] == \
         [(j.coeffs, o.coeffs) for j, o in res_f]
     dim = D.base.dim
-    phi = [Matrix.identity(dim)] + [data.draw(matrices(dim, dim))
-                                    for _ in range(data.draw(
-                                        st.integers(1, 2)))]
-    new = apply_formal_iso(D, FormalIso(phi))
-    new_f = apply_formal_iso(F, FormalIso([_forced_matrix(p) for p in phi]))
+    phi = {c: altmap1_from_matrix(data.draw(matrices(dim, dim)))
+           for c in range(1, data.draw(st.integers(1, 2)) + 1)}
+    new = apply_formal_iso(D, phi)
+    new_f = apply_formal_iso(F, {c: _forced_map(p) for c, p in phi.items()})
     assert [m.coeffs for m in new.mu] == [m.coeffs for m in new_f.mu]
-    assert new.d == new_f.d
+    assert [m.coeffs for m in new.d] == [m.coeffs for m in new_f.d]
     _no_float(res, res_f, new, new_f)
     assert all(exact_scalar(x) for x in _scalars((res, new)))
 

@@ -20,7 +20,8 @@ from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
 from difflie.linalg import Matrix, invert_matrix
 from difflie.linfty import iota_M, key_formula_check
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
-                                 GradedSymMap, GradedVectorSpace)
+                                 GradedSymMap, GradedVectorSpace,
+                                 altmap1_from_matrix)
 from samples import aff1
 
 BASE = DiffLieAlgebra(aff1(), Matrix.zero(2, 2), 1)
@@ -44,17 +45,18 @@ CASES = [
      "mu and d must list the same number of orders"),
     ("deformation-bracket-shape",
      lambda: TruncatedDeformation(BASE, [AltMap(2, 3, 3)],
-                                  [Matrix.zero(2, 2)]), ValueError,
+                                  [AltMap(1, 2, 2)]), ValueError,
      "each mu_i must be a bracket on the base space"),
     ("deformation-operator-shape",
-     lambda: TruncatedDeformation(BASE, [BR], [Matrix.zero(3, 3)]),
+     lambda: TruncatedDeformation(BASE, [BR], [AltMap(1, 3, 3)]),
      ValueError, "each d_i must be a 2 x 2 matrix"),
     ("deformation-order-0-bracket",
      lambda: TruncatedDeformation(BASE, [AltMap(2, 2, 2)],
-                                  [Matrix.zero(2, 2)]), ValueError,
+                                  [AltMap(1, 2, 2)]), ValueError,
      "order-0 bracket must be the base bracket"),
     ("deformation-order-0-operator",
-     lambda: TruncatedDeformation(BASE, [BR], [Matrix.identity(2)]),
+     lambda: TruncatedDeformation(BASE, [BR],
+                                  [altmap1_from_matrix(Matrix.identity(2))]),
      ValueError, "order-0 operator must be the base operator"),
     ("extension-shape",
      lambda: AbelianExtension(TOTAL, Matrix.zero(2, 1), P, S),
