@@ -27,11 +27,11 @@ from itertools import combinations, product
 from math import comb
 
 from .linalg import CompositionNonzero, Matrix, exact, frac, vec_is_zero, \
-    vec_zero, basis_vec
+    vec_support, vec_zero, basis_vec
 from . import FLAVORS
 from .liealg import adjoint_rep, rho_lambda, semidirect_bracket
 from .multilinear import AltMap, ArityMismatch, _sym_sort, \
-    altmap1_from_matrix, pullback
+    matrix_from_altmap1, pullback
 
 
 class UnknownFlavor(Exception):
@@ -85,7 +85,7 @@ def ce_apply(L, rep, f):
     inc_g = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
     inc_v = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
     f_hat = pullback(f, inc_g.transpose(), inc_v)
-    mu = semidirect_bracket(gdim, vdim, rep.rho, L.bracket)
+    mu = semidirect_bracket(L.bracket, rep.rho)
     return pullback(nr_bracket(mu, f_hat), inc_g, inc_v.transpose())
 
 
@@ -93,9 +93,9 @@ def delta_apply(A, rep, f):
     """The connecting map delta on an n-cochain f: the pointed insertion of
     d into f, with weight lambda^(k-1) on k slots, minus d_V after f."""
     from .nr import pointed_family
-    n, d = f.arity, altmap1_from_matrix(A.d)
-    return pointed_family({0: f}, {0: d}, 0, A.weight, n, n - 1, f.space) - \
-        pullback(f, Matrix.identity(A.dim), rep.dV)
+    n = f.arity
+    return pointed_family({0: f}, {0: A.d}, 0, A.weight, n, n - 1, f.space) - \
+        pullback(f, Matrix.identity(A.dim), matrix_from_altmap1(rep.dV))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +105,14 @@ def delta_apply(A, rep, f):
 
 def _add_ce(out, r0, c0, sign, L, rho, vdim, n):
     """Add sign times the matrix of the Chevalley-Eilenberg coboundary on
-    n-cochains, with coefficients rho (one vdim x vdim matrix per basis
-    vector of L), into out with its corner at row r0, column c0."""
+    n-cochains, with coefficients the action rho on g (+) V, into out with
+    its corner at row r0, column c0."""
     gdim = L.dim
     src = {key: k for k, key in enumerate(cochain_keys(gdim, n))}
     odd = (True,) * gdim
-    rho_nz = [[(s, t, x) for s, row in enumerate(m.data)
-               for t, x in enumerate(row) if x] for m in rho]
+    rho_nz = [[] for _ in range(gdim)]
+    for (i, v), vec in rho.coeffs.items():
+        rho_nz[i] += [(s, v - gdim, x) for s, x in enumerate(vec) if x]
     br_nz = {key: [(c, x) for c, x in enumerate(vec) if x]
              for key, vec in L.bracket.coeffs.items()}
     data = out.data
@@ -148,11 +149,9 @@ def _add_delta(out, r0, c0, sign, A, rep, n):
     keys = cochain_keys(gdim, n)
     src = {key: k for k, key in enumerate(keys)}
     odd = (True,) * gdim
-    dV_nz = [(s, t, x) for s, row in enumerate(rep.dV.data)
-             for t, x in enumerate(row) if x]
-    d = A.d.data
-    dcols = [[(i, d[i][j]) for i in range(gdim) if d[i][j]]
-             for j in range(gdim)]
+    dV_nz = [(s, t, x) for (t,), col in rep.dV.coeffs.items()
+             for s, x in enumerate(col) if x]
+    dcols = [vec_support(A.d.value_on_basis((j,))) for j in range(gdim)]
     data = out.data
     for k, K in enumerate(keys):
         r = r0 + k * vdim
@@ -335,9 +334,12 @@ class CocyclePair:
 
 
 def pair_residual(A, rep, pair):
-    """The combined differential of (A, rep) applied to the pair, as a
-    coordinate vector in degree n+1; zero exactly for cocycles."""
-    return difflie_differential(A, rep, pair.f.arity).matvec(pair.coords())
+    """The combined differential of (A, rep) on the pair (f, g), (d_ce f,
+    -delta f - d_do g) in degree-(n+1) coordinates, read off the
+    coboundaries of f and g; zero exactly for cocycles."""
+    L, do = A.algebra, rho_lambda(rep, A)
+    return altmap_to_coords(ce_apply(L, rep, pair.f)) + altmap_to_coords(
+        -delta_apply(A, rep, pair.f) - ce_apply(L, do, pair.g))
 
 
 def pair_primitive(A, rep, pair):
@@ -361,9 +363,9 @@ def _twisted_l1(A, pair):
     its two terms."""
     from .linfty import AbsoluteStructure, Term, twist_l1_formal
     struct = AbsoluteStructure(A.weight)
-    mu, dmap = A.algebra.bracket, altmap1_from_matrix(A.d)
-    fs, fa = twist_l1_formal(struct, mu, dmap, Term("s", pair.f))
-    gs, ga = twist_l1_formal(struct, mu, dmap, Term("a", pair.g))
+    mu = A.algebra.bracket
+    fs, fa = twist_l1_formal(struct, mu, A.d, Term("s", pair.f))
+    gs, ga = twist_l1_formal(struct, mu, A.d, Term("a", pair.g))
     return altmap_to_coords(fs + gs) + altmap_to_coords(fa + ga)
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 from itertools import combinations
 
-from .linalg import CompositionNonzero, Matrix, fmt_scalar, vec_is_zero
+from .linalg import CompositionNonzero, fmt_scalar, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, SchemaError,
                      _matrix_to_json, adjoint_rep, altmap_from_json,
                      altmap_to_json, difflie_from_json, difflie_to_json,
@@ -25,7 +25,7 @@ from .liealg import (AxiomFailure, DiffLieAlgebra, SchemaError,
                      read_scalar, rep_from_json, rep_residuals, rep_to_json,
                      weighted_derivation_residual)
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
-    altmap1_from_matrix, matrix_from_altmap1
+    altmap1_from_matrix, identity_map
 
 
 def _fmt_vec(v):
@@ -116,10 +116,9 @@ def _read_deformation(obj, args):
     A = difflie_from_json(*field(obj, "base"))
     mu = [altmap_from_json(*m, A.dim, A.dim, 2)
           for m in read_list(obj.get("mu", []), "mu")]
-    d = [read_matrix(*m, A.dim, A.dim)
+    d = [altmap1_from_matrix(read_matrix(*m, A.dim, A.dim))
          for m in read_list(obj.get("d", []), "d")]
-    return TruncatedDeformation(A, [A.algebra.bracket] + mu,
-                                [altmap1_from_matrix(m) for m in [A.d] + d])
+    return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
 
 
 # The largest dimension key-formula and morphism-check accept.  Their
@@ -179,8 +178,9 @@ def cmd_check_axioms(inputs, args):
     ok = not jac and not op
     if rep is not None:
         rep_bad = {}
-        for name, mats in rep_residuals(A, rep).items():
-            nz = [i + 1 for i, m in enumerate(mats) if not m.is_zero()]
+        for name, residuals in rep_residuals(A, rep).items():
+            nz = [i + 1 for i, cols in enumerate(residuals)
+                  if not all(map(vec_is_zero, cols))]
             if nz:
                 rep_bad[name] = nz
         report["rep_nonzero"] = rep_bad
@@ -320,9 +320,9 @@ def cmd_deform(D, args):
     # order, zero at the orders it misses
     dim = D.base.dim
     return 0, {"action": "rigidify", "trivialized": True,
-               "isos": [[_matrix_to_json(m) for m in [Matrix.identity(dim)] +
-                         [matrix_from_altmap1(phi[c]) if c in phi
-                          else Matrix.zero(dim, dim)
+               "isos": [[_matrix_to_json(f, [(j,) for j in range(dim)])
+                         for f in [identity_map(dim)] +
+                         [phi.get(c, AltMap(1, dim, dim))
                           for c in range(1, max(phi, default=0) + 1)]]
                         for phi in isos]}
 

@@ -34,7 +34,7 @@ f' holding the orders below n.
 """
 
 from .liealg import AxiomFailure, adjoint_rep
-from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
+from .multilinear import AltMap, DimensionMismatch
 from .nr import operator_family, pointed_family
 
 
@@ -69,7 +69,7 @@ class TruncatedDeformation:
             raise ValueError("each d_i must be a %d x %d matrix" % (dim, dim))
         if not (mu[0] - base.algebra.bracket).is_zero():
             raise ValueError("order-0 bracket must be the base bracket")
-        if not (d[0] - altmap1_from_matrix(base.d)).is_zero():
+        if not (d[0] - base.d).is_zero():
             raise ValueError("order-0 operator must be the base operator")
         self.base = base
         self.order = len(mu) - 1

@@ -6,7 +6,7 @@ An extension is always presented on the split underlying space g (+) V with
 the inclusion i, projection p and a chosen section s as matrices; the kernel
 carries the zero bracket.  Every structure read is a multilinear.pullback:
 the bracket in the basis (s, i), valued in (p, t), carries the kernel
-checks and rho; the base bracket and psi are its pullbacks along s.
+checks and rho; the base, psi and chi are pullbacks along s, d_V along i.
 
 A total built from a 2-cocycle is certified by the 2-cocycle <-> extension
 correspondence (build_extension), so it is not validated again.
@@ -14,9 +14,9 @@ correspondence (build_extension), so it is not validated again.
 
 from .linalg import Matrix, invert_matrix, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
-                     LieAlgebra, _matrices, is_diff_lie_algebra,
-                     semidirect_bracket, trivial_extension)
-from .multilinear import altmap1_from_matrix, matrix_from_altmap1, pullback
+                     LieAlgebra, is_diff_lie_algebra, semidirect_bracket,
+                     semidirect_operator, trivial_extension)
+from .multilinear import AltMap, matrix_from_altmap1, pullback
 
 
 class InvalidExtension(AxiomFailure):
@@ -64,7 +64,7 @@ class AbelianExtension:
             raise InvalidExtension("total space axioms fail")
         # the kernel must be abelian and an ideal preserved by the operator;
         # split is the bracket in the basis (s, i), valued in (p, t)
-        if not (p * total.d * i).is_zero():
+        if not pullback(total.d, i, p).is_zero():
             raise InvalidExtension("operator does not preserve kernel")
         self.split = pullback(total.algebra.bracket, basis, inv)
         g = self.gdim
@@ -77,8 +77,8 @@ class AbelianExtension:
     def base(self):
         """The induced differential Lie algebra structure on g."""
         br = pullback(self.total.algebra.bracket, self.s, self.p)
-        d_g = self.p * self.total.d * self.s
-        return DiffLieAlgebra(LieAlgebra(self.gdim, br), d_g,
+        return DiffLieAlgebra(LieAlgebra(self.gdim, br),
+                              pullback(self.total.d, self.s, self.p),
                               self.total.weight)
 
 
@@ -94,11 +94,13 @@ def extract_cocycle(E):
     V is d-stable (p d i = 0), so d i v = i d_V v and d s x = s d_g x +
     i chi(x), and the operator identity on (s x, i v) is
     d_V rho(x) = rho(d_g x) + rho(x) d_V + lambda rho(d_g x) d_V."""
-    rho = _matrices(E.split, [(x,) for x in range(E.gdim)], E.gdim, E.vdim)
-    rep = DiffRepresentation(E.vdim, rho, E.t * E.total.d * E.i)
+    g = E.gdim
+    rho = AltMap(2, g + E.vdim, E.vdim)
+    rho.coeffs = {key: vec[g:] for key, vec in E.split.coeffs.items()
+                  if key[1] >= g}
+    rep = DiffRepresentation(rho, pullback(E.total.d, E.i, E.t))
     psi = pullback(E.total.algebra.bracket, E.s, E.t)
-    chi_m = E.t * E.total.d * E.s
-    return rep, psi, altmap1_from_matrix(chi_m)
+    return rep, psi, pullback(E.total.d, E.s, E.t)
 
 
 def check_coefficients(g, rep):
@@ -123,18 +125,14 @@ def build_extension(g, rep, psi, chi):
     condition.  Past both, V is an abelian d-stable ideal by construction,
     and the total's axioms hold on g-inputs exactly for 2-cocycles and on
     V-inputs exactly for representations, so split_extension accepts it."""
-    gdim, vdim = g.dim, rep.space_dim
     from .cohomology import CocyclePair, pair_residual
     check_coefficients(g, rep)
     res = pair_residual(g, rep, CocyclePair(psi, chi))
     if not vec_is_zero(res):
         raise NotCocycle(res)
-    br = semidirect_bracket(gdim, vdim, rep.rho, g.algebra.bracket, psi)
-    d_hat = Matrix.block([
-        [g.d, Matrix.zero(gdim, vdim)],
-        [matrix_from_altmap1(chi), rep.dV],
-    ])
-    return DiffLieAlgebra(LieAlgebra(gdim + vdim, br), d_hat, g.weight)
+    br = semidirect_bracket(g.algebra.bracket, rep.rho, psi)
+    return DiffLieAlgebra(LieAlgebra(g.dim + rep.space_dim, br),
+                          semidirect_operator(g.d, chi, rep.dV), g.weight)
 
 
 def split_extension(total, gdim, vdim):
@@ -171,11 +169,10 @@ def equivalence_witness(E1, E2, phi=None):
     zeta = Matrix.identity(N) + E1.i * phi * E1.p
     if zeta * E1.i != E2.i or E2.p * zeta != E1.p:
         return False, None
-    if zeta * E1.total.d != E2.total.d * zeta:
-        return False, None
-    if pullback(E1.total.algebra.bracket, Matrix.identity(N), zeta) != \
-            pullback(E2.total.algebra.bracket, zeta):
-        return False, None
+    for f1, f2 in ((E1.total.d, E2.total.d),
+                   (E1.total.algebra.bracket, E2.total.algebra.bracket)):
+        if pullback(f1, Matrix.identity(N), zeta) != pullback(f2, zeta):
+            return False, None
     return True, phi
 
 

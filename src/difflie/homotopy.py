@@ -43,7 +43,7 @@ from math import factorial
 
 from . import nr
 from .linalg import div, frac, vec_is_zero
-from .multilinear import GradedSymMap, altmap1_from_matrix
+from .multilinear import GradedSymMap
 
 
 class DegreeMismatch(Exception):
@@ -131,8 +131,7 @@ def suspend_diff_lie(A):
     mu_2 the bracket, D_1 the operator, same weight.  Both residual
     families vanish exactly when the ungraded axioms hold."""
     mu2 = A.algebra.bracket  # already the degree-1 map on the suspension
-    return HomotopyDiffLie(mu2.space, {2: mu2}, {1: altmap1_from_matrix(A.d)},
-                           A.weight)
+    return HomotopyDiffLie(mu2.space, {2: mu2}, {1: A.d}, A.weight)
 
 
 def homotopy_mc_check(H, max_n=None):

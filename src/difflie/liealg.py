@@ -22,10 +22,11 @@ map it reads.
 
 from itertools import combinations
 
-from .linalg import (Matrix, div, frac, fmt_scalar, mat_combination,
-                     parse_scalar, vec_zero, vec_is_zero)
+from .linalg import (Matrix, div, frac, fmt_scalar, parse_scalar, vec_zero,
+                     vec_is_zero)
 from .multilinear import (AltMap, ArityMismatch, DimensionMismatch,
-                          altmap1_from_matrix)
+                          altmap1_from_matrix, identity_map,
+                          matrix_from_altmap1, pullback)
 
 
 class ZeroScale(Exception):
@@ -50,22 +51,17 @@ class LieAlgebra:
             raise DimensionMismatch("bracket dimensions")
         self.bracket = bracket
 
-    def ad(self, i):
-        """Matrix of ad(x_i) acting on g."""
-        return _matrices(self.bracket, [(i,)], 0, self.dim)[0]
-
 
 def _values(f, keys, lo=0):
     """The entries from lo on of the values of f on the basis tuples keys."""
     return [f.value_on_basis(key)[lo:] for key in keys]
 
 
-def _matrices(f, keys, lo, size):
-    """For each tuple of keys, the size x size matrix whose column a is the
-    part from lo on of f on that tuple followed by basis index lo + a."""
-    return [Matrix(size, size, _values(f, [key + (lo + a,)
-                                            for a in range(size)], lo))
-            .transpose() for key in keys]
+def _columns(f, keys, lo):
+    """For each tuple of keys, _values of f on that tuple followed by each
+    basis index from lo on: f on g (+) V at one V-input, lo = dim g."""
+    return [_values(f, [key + (a,) for a in range(lo, f.src_dim)], lo)
+            for key in keys]
 
 
 def jacobi_residual(L):
@@ -81,11 +77,11 @@ def is_lie_algebra(L):
 
 
 class DiffLieAlgebra:
-    """A Lie algebra with a weighted differential operator d and weight."""
+    """A Lie algebra with a weighted differential operator d: g -> g."""
 
     def __init__(self, algebra, d, weight):
-        if not d.rows == d.cols == algebra.dim:
-            raise DimensionMismatch("operator matrix shape")
+        if (d.arity, d.src_dim, d.tgt_dim) != (1, algebra.dim, algebra.dim):
+            raise DimensionMismatch("the operator is not a map g -> g")
         self.algebra = algebra
         self.d = d
         self.weight = frac(weight)
@@ -100,9 +96,8 @@ def weighted_derivation_residual(A):
     - lambda [dx,dy] of A: minus its weight-0 operator family, an arity-2
     map."""
     from .nr import operator_family
-    return -operator_family({0: A.algebra.bracket},
-                            {0: altmap1_from_matrix(A.d)}, 0, A.weight, 2, 1,
-                            A.algebra.bracket.space)
+    return -operator_family({0: A.algebra.bracket}, {0: A.d}, 0, A.weight,
+                            2, 1, A.algebra.bracket.space)
 
 
 def is_diff_lie_algebra(A):
@@ -119,85 +114,102 @@ def rescale_operator(A, kappa):
                           div(A.weight, kappa))
 
 
+def _check_action(rho, gdim, vdim):
+    """Raise DimensionMismatch unless rho is an action g (+) V -> V: an
+    arity-2 map whose keys are (x, v), x in g and v in V."""
+    if gdim < 0 or (rho.arity, rho.src_dim, rho.tgt_dim) != (
+            2, gdim + vdim, vdim) or any(x >= gdim or v < gdim
+                                         for x, v in rho.coeffs):
+        raise DimensionMismatch("not an action g (+) V -> V")
+
+
 class DiffRepresentation:
-    """Representation (V, rho, d_V) over a differential Lie algebra.
+    """Representation (V, rho, d_V) over a differential Lie algebra g: the
+    action rho, with rho(x)v its value on (x, v), and d_V: V -> V."""
 
-    rho: list of space_dim x space_dim matrices, one per basis vector of g.
-    """
-
-    def __init__(self, space_dim, rho, dV):
-        self.space_dim = space_dim
-        self.rho = list(rho)
-        for m in self.rho:
-            if m.rows != space_dim or m.cols != space_dim:
-                raise DimensionMismatch("rho matrix shape")
-        if not dV.rows == dV.cols == space_dim:
-            raise DimensionMismatch("dV matrix shape")
-        self.dV = dV
+    def __init__(self, rho, dV):
+        if (dV.arity, dV.src_dim) != (1, dV.tgt_dim):
+            raise DimensionMismatch("dV is not a map V -> V")
+        _check_action(rho, rho.src_dim - dV.src_dim, dV.src_dim)
+        self.space_dim, self.rho, self.dV = dV.src_dim, rho, dV
 
 
 def rep_residuals(A, rep):
     """Homomorphism + weighted compatibility residuals of a representation.
 
-    Returns {"hom": [matrices], "compat": [matrices]}:
+    Returns {"hom": [...], "compat": [...]}, each entry a map V -> V by its
+    columns:
       hom:    rho([x,y]) - rho(x)rho(y) + rho(y)rho(x) over pairs
       compat: d_V rho(x) - rho(dx) - rho(x) d_V - lambda rho(dx) d_V per basis x
-    read off the trivial extension g (+) V at one V-input: column v of hom is
-    its Jacobiator on (x, y, v), column v of compat its weighted Leibniz
+    read off the trivial extension g (+) V at one V-input: column v of hom
+    is its Jacobiator on (x, y, v), column v of compat its weighted Leibniz
     defect on (x, v).
     """
-    n, m = A.dim, rep.space_dim
+    n = A.dim
     E = trivial_extension(A, rep)
-    return {"hom": _matrices(jacobi_residual(E.algebra),
-                             combinations(range(n), 2), n, m),
-            "compat": _matrices(weighted_derivation_residual(E),
-                                [(i,) for i in range(n)], n, m)}
+    return {"hom": _columns(jacobi_residual(E.algebra),
+                            combinations(range(n), 2), n),
+            "compat": _columns(weighted_derivation_residual(E),
+                               [(i,) for i in range(n)], n)}
 
 
 def rho_lambda(rep, A):
-    """The shifted representation rho_lambda(x) = rho(x + lambda d x), x_i
-    + lambda d x_i being column i of Id + lambda d."""
-    e = Matrix.identity(A.dim) + A.d.scale(A.weight)
-    return DiffRepresentation(rep.space_dim, [
-        mat_combination(x, rep.rho, rep.space_dim)
-        for x in e.transpose().data], rep.dV)
+    """The shifted representation rho_lambda(x) = rho(x + lambda d x): the
+    action pulled back along Id + lambda d on its g slot (and Id on V)."""
+    n, m = A.dim, rep.space_dim
+    shift = semidirect_operator(A.d.scale(A.weight), AltMap(1, n, m),
+                                AltMap(1, m, m))
+    return DiffRepresentation(pullback(rep.rho, matrix_from_altmap1(
+        identity_map(n + m) + shift)), rep.dV)
 
 
 def adjoint_rep(A):
-    """rho = ad, d_V = d."""
-    return DiffRepresentation(A.dim, [A.algebra.ad(i) for i in range(A.dim)],
-                              A.d)
+    """rho = ad, d_V = d: the action (x, v) -> [x, v] is the bracket, with
+    its second input in the copy V of g."""
+    n = A.dim
+    rho = AltMap(2, 2 * n, n)
+    for (i, j), vec in A.algebra.bracket.coeffs.items():
+        rho.coeffs[(i, n + j)] = vec[:]
+        rho.coeffs[(j, n + i)] = [-x for x in vec]
+    return DiffRepresentation(rho, A.d)
 
 
-def semidirect_bracket(gdim, vdim, rho, g_bracket, psi=None, h_bracket=None):
+def _on_sum(arity, gdim, vdim, parts):
+    """The map of the arity on g (+) V that the parts (f, shift, lo) write:
+    f on each key, at entries lo.. of that key shifted by shift (gdim for
+    inputs in V).  An absent part (None) is zero; no two share an entry."""
+    out = AltMap(arity, gdim + vdim, gdim + vdim)
+    for f, shift, lo in parts:
+        for key, vec in ({} if f is None else f.coeffs).items():
+            val = out.coeffs.setdefault(tuple(i + shift for i in key),
+                                        vec_zero(gdim + vdim))
+            val[lo:lo + len(vec)] = vec
+    return out
+
+
+def semidirect_bracket(g_bracket, rho, psi=None, h_bracket=None):
     """The bracket on g (+) V with [x, y] = g_bracket(x, y) + psi(x, y)
-    (psi valued in V), [x, v] = rho(x) v and [u, v] = h_bracket(u, v) on V;
-    an absent part is zero."""
-    N = gdim + vdim
-    b = AltMap(2, N, N)
-    for key in combinations(range(gdim), 2):
-        vval = vec_zero(vdim) if psi is None else psi.value_on_basis(key)
-        b[key] = g_bracket.value_on_basis(key) + vval
-    for i in range(gdim):
-        for a in range(vdim):
-            col = [rho[i].data[r][a] for r in range(vdim)]
-            if not vec_is_zero(col):
-                b.coeffs[(i, gdim + a)] = vec_zero(gdim) + col
-    if h_bracket is not None:
-        for (a, c), vec in h_bracket.coeffs.items():
-            b.coeffs[(gdim + a, gdim + c)] = vec_zero(gdim) + list(vec)
-    return b
+    (psi valued in V), [x, v] = rho(x, v) for the action rho and
+    [u, v] = h_bracket(u, v) on V; an absent part is zero."""
+    n, m = g_bracket.src_dim, rho.tgt_dim
+    return _on_sum(2, n, m, [(g_bracket, 0, 0), (psi, 0, n), (rho, 0, n),
+                             (h_bracket, n, n)])
+
+
+def semidirect_operator(d_g, chi, d_V):
+    """The operator x + v -> d_g x + chi(x) + d_V v on g (+) V, for the maps
+    d_g: g -> g, chi: g -> V and d_V: V -> V."""
+    n, m = d_g.src_dim, d_V.src_dim
+    return _on_sum(1, n, m, [(d_g, 0, 0), (chi, 0, n), (d_V, n, n)])
 
 
 def trivial_extension(A, rep):
     """The differential Lie algebra g (+) V with bracket
     {x+u, y+v} = [x,y] + rho(x)v - rho(y)u and operator d_g + d_V."""
     n, m = A.dim, rep.space_dim
-    alg = LieAlgebra(n + m, semidirect_bracket(n, m, rep.rho,
-                                               A.algebra.bracket))
-    d = Matrix.block([[A.d, Matrix.zero(n, m)],
-                      [Matrix.zero(m, n), rep.dV]])
-    return DiffLieAlgebra(alg, d, A.weight)
+    alg = LieAlgebra(n + m, semidirect_bracket(A.algebra.bracket, rep.rho))
+    return DiffLieAlgebra(alg, semidirect_operator(A.d, AltMap(1, n, m),
+                                                   rep.dV), A.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +217,18 @@ def trivial_extension(A, rep):
 
 
 class LieActTriple:
-    """(g, h, rho) with rho: g -> Der(h) a Lie algebra homomorphism."""
+    """(g, h, rho) with rho: g -> Der(h) a Lie algebra homomorphism, given
+    as the action map on g (+) h into h with keys (x, u)."""
 
     def __init__(self, g, h, rho):
-        self.g = g
-        self.h = h
-        self.rho = list(rho)
-        if len(self.rho) != g.dim:
-            raise DimensionMismatch("one rho matrix per basis vector of g")
-        for m in self.rho:
-            if m.rows != h.dim or m.cols != h.dim:
-                raise DimensionMismatch("rho matrix shape")
+        _check_action(rho, g.dim, h.dim)
+        self.g, self.h, self.rho = g, h, rho
 
 
 def lieact_residuals(T):
     """Homomorphism residuals and derivation-of-h residuals.
 
-    hom:        rho([x,y]_g) - [rho(x), rho(y)] over g-pairs
+    hom:        rho([x,y]_g) - [rho(x), rho(y)] over g-pairs, as columns
     derivation: rho(x)[u,v]_h - [rho(x)u, v]_h - [u, rho(x)v]_h per basis x, u<v
     read off the Jacobiator of the semidirect product g (+) h of weight 1:
     column u of hom is its value on (x, y, u), and the derivation residual
@@ -231,23 +238,23 @@ def lieact_residuals(T):
     jac = jacobi_residual(semidirect_weighted(T, 1))
     der = [(i, n + a, n + b) for i in range(n)
            for a, b in combinations(range(m), 2)]
-    return {"hom": _matrices(jac, combinations(range(n), 2), n, m),
+    return {"hom": _columns(jac, combinations(range(n), 2), n),
             "derivation": _values(-jac, der, n)}
 
 
 def is_lieact(T):
     res = lieact_residuals(T)
-    return (all(m.is_zero() for m in res["hom"])
-            and all(vec_is_zero(v) for v in res["derivation"]))
+    return all(vec_is_zero(v) for cols in res["hom"] + [res["derivation"]]
+               for v in cols)
 
 
 def relative_diff_residual(T, D, lam):
-    """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs: the
-    h-part of the weighted Leibniz defect of lift_tilde_D(T, D, lam) on
-    g-pairs."""
-    if D.rows != T.h.dim or D.cols != T.g.dim:
-        raise DimensionMismatch("relative operator shape")
+    """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs, for
+    the arity-1 map D: g -> h: the h-part of the weighted Leibniz defect of
+    lift_tilde_D(T, D, lam) on g-pairs."""
     n = T.g.dim
+    if (D.arity, D.src_dim, D.tgt_dim) != (1, n, T.h.dim):
+        raise DimensionMismatch("the relative operator is not a map g -> h")
     return _values(weighted_derivation_residual(lift_tilde_D(T, D, lam)),
                    combinations(range(n), 2), n)
 
@@ -255,9 +262,8 @@ def relative_diff_residual(T, D, lam):
 def semidirect_weighted(T, lam):
     """Lie algebra on g (+) h:
     [x+u, y+v] = [x,y]_g + rho(x)v - rho(y)u + lambda [u,v]_h."""
-    n, m = T.g.dim, T.h.dim
-    return LieAlgebra(n + m, semidirect_bracket(
-        n, m, T.rho, T.g.bracket, h_bracket=T.h.bracket.scale(lam)))
+    return LieAlgebra(T.g.dim + T.h.dim, semidirect_bracket(
+        T.g.bracket, T.rho, h_bracket=T.h.bracket.scale(lam)))
 
 
 def lift_tilde_D(T, D, lam):
@@ -268,12 +274,9 @@ def lift_tilde_D(T, D, lam):
     precisely when D is a relative differential operator of weight lam
     (for lam = 0 the weighted term on the product vanishes and the
     equivalence degenerates correctly as well)."""
-    lam = frac(lam)
-    n, m = T.g.dim, T.h.dim
-    alg = semidirect_weighted(T, lam)
-    d = Matrix.block([[Matrix.zero(n, n), Matrix.zero(n, m)],
-                      [D, Matrix.identity(m).scale(-1)]])
-    return DiffLieAlgebra(alg, d, 1)
+    n = T.g.dim
+    return DiffLieAlgebra(semidirect_weighted(T, lam), semidirect_operator(
+        AltMap(1, n, n), D, -identity_map(T.h.dim)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +390,11 @@ def read_map(value, where, f):
                      for key, vec, at in read_object(value, where)])
 
 
-def _matrix_to_json(m):
-    return [[fmt_scalar(x) for x in row] for row in m.data]
+def _matrix_to_json(f, keys):
+    """The rows of the matrix whose column j is f on the basis tuple
+    keys[j]."""
+    cols = _values(f, keys)
+    return [[fmt_scalar(c[r]) for c in cols] for r in range(f.tgt_dim)]
 
 
 def difflie_to_json(A):
@@ -396,7 +402,7 @@ def difflie_to_json(A):
     return {"dim": A.dim, "weight": fmt_scalar(A.weight),
             "brackets": [[i + 1, j + 1, [fmt_scalar(c) for c in vec]]
                          for (i, j), vec in brackets],
-            "d": _matrix_to_json(A.d)}
+            "d": _matrix_to_json(A.d, [(j,) for j in range(A.dim)])}
 
 
 def difflie_from_json(obj, where="", extra=()):
@@ -406,7 +412,7 @@ def difflie_from_json(obj, where="", extra=()):
     dim = read_int(*field(obj, "dim", where))
     # d first: its dim rows are in the document, so no dim-sized space is
     # allocated for a dim the document does not back
-    d = read_matrix(*field(obj, "d", where), dim, dim)
+    d = altmap1_from_matrix(read_matrix(*field(obj, "d", where), dim, dim))
     entries = [read_list(*entry, 3)
                for entry in read_list(*field(obj, "brackets", where))]
     bracket = _fill(AltMap(2, dim, dim), [
@@ -417,10 +423,11 @@ def difflie_from_json(obj, where="", extra=()):
 
 
 def rep_to_json(rep):
-    return {"rep_dim": rep.space_dim,
-            "rho": {str(i + 1): _matrix_to_json(m)
-                    for i, m in enumerate(rep.rho)},
-            "dV": _matrix_to_json(rep.dV)}
+    n, g = rep.space_dim, rep.rho.src_dim - rep.space_dim
+    return {"rep_dim": n,
+            "rho": {str(i + 1): _matrix_to_json(
+                rep.rho, [(i, g + a) for a in range(n)]) for i in range(g)},
+            "dV": _matrix_to_json(rep.dV, [(a,) for a in range(n)])}
 
 
 def rep_from_json(obj, g_dim):
@@ -431,10 +438,13 @@ def rep_from_json(obj, g_dim):
     if set(_typed(rho, at, dict)) != {str(i + 1) for i in range(g_dim)}:
         raise SchemaError("%s needs one matrix for each of 1..%d"
                           % (at, g_dim))
-    return DiffRepresentation(
-        n, [read_matrix(*field(rho, str(i + 1), at), n, n)
-            for i in range(g_dim)],
-        read_matrix(*field(obj, "dV", where), n, n))
+    action = AltMap(2, g_dim + n, n)
+    for i in range(g_dim):  # column a of rho[i] is the action on (x_i, v_a)
+        m = read_matrix(*field(rho, str(i + 1), at), n, n)
+        for (a,), col in altmap1_from_matrix(m).coeffs.items():
+            action.coeffs[(i, g_dim + a)] = col
+    return DiffRepresentation(action, altmap1_from_matrix(
+        read_matrix(*field(obj, "dV", where), n, n)))
 
 
 def altmap_to_json(f):

@@ -361,16 +361,6 @@ def invert_matrix(m):
     return Matrix._of(n, n, [row[n:] for row in R.data])
 
 
-def mat_combination(coeffs, mats, n):
-    """sum_i coeffs[i] * mats[i] as an n x n matrix, over the nonzero
-    coefficients."""
-    out = Matrix.zero(n, n)
-    for c, m in zip(coeffs, mats):
-        if c != 0:
-            out = out + m.scale(c)
-    return out
-
-
 def homology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for a two-step complex at the middle spot.
 

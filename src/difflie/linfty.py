@@ -33,9 +33,9 @@ alpha = (sS, A) of degree 0, cut where the brackets vanish.
 from itertools import combinations
 from math import factorial
 
-from .linalg import Matrix, div, frac, vec_zero, vec_is_zero
-from .liealg import semidirect_bracket
-from .multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
+from .linalg import div, frac, vec_zero, vec_is_zero
+from .liealg import semidirect_bracket, semidirect_operator
+from .multilinear import AltMap, DimensionMismatch
 from .nr import circ_bar, insertion_sum, nr_bracket
 
 
@@ -265,13 +265,6 @@ def relative_structure(gdim, lam):
     return DerivedBrackets(lambda F: project_a_rel(F, gdim), lam)
 
 
-def pack_D(D, gdim, hdim):
-    """D: g -> h as an a'-element of the big space."""
-    return altmap1_from_matrix(Matrix.block([
-        [Matrix.zero(gdim, gdim + hdim)],
-        [D, Matrix.zero(hdim, hdim)]]))
-
-
 # ---------------------------------------------------------------------------
 # Maurer-Cartan residuals, checks, and twisting of formal structures
 
@@ -312,18 +305,18 @@ def mc_residual_formal(struct, S, A):
 def mc_check_absolute(pi, D, lam):
     """(s pi, D) is MC in the absolute structure iff (g, pi, D) is a
     differential Lie algebra of weight lam.  Returns (bool, residual pair)."""
-    res = mc_residual_formal(AbsoluteStructure(lam), pi,
-                             altmap1_from_matrix(D))
+    res = mc_residual_formal(AbsoluteStructure(lam), pi, D)
     return all(f.is_zero() for f in res), res
 
 
-def mc_check_relative(pi, rho_mats, mu, D, lam):
+def mc_check_relative(pi, rho, mu, D, lam):
     """(s(pi+rho+mu), D) is MC in the relative structure iff (g,h,rho) is a
     LieAct triple and D a relative differential operator of weight lam."""
     gdim, hdim = pi.src_dim, mu.src_dim
-    chi = semidirect_bracket(gdim, hdim, rho_mats, pi, h_bracket=mu)
-    res = mc_residual_formal(relative_structure(gdim, lam), chi,
-                             pack_D(D, gdim, hdim))
+    chi = semidirect_bracket(pi, rho, h_bracket=mu)
+    D_hat = semidirect_operator(AltMap(1, gdim, gdim), D,
+                                AltMap(1, hdim, hdim))
+    res = mc_residual_formal(relative_structure(gdim, lam), chi, D_hat)
     return all(f.is_zero() for f in res), res
 
 

@@ -17,8 +17,8 @@ relabelling.
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from .linalg import (Matrix, exact, frac, vec_zero, vec_add, vec_scale,
-                     vec_is_zero, vec_support)
+from .linalg import (Matrix, basis_vec, exact, frac, vec_zero, vec_add,
+                     vec_scale, vec_is_zero, vec_support)
 
 
 class ArityMismatch(ValueError):
@@ -263,6 +263,13 @@ def altmap1_from_matrix(m):
         col = [m.data[i][j] for i in range(m.rows)]
         if not vec_is_zero(col):
             f.coeffs[(j,)] = col
+    return f
+
+
+def identity_map(dim):
+    """The identity of a space of dimension dim, as an arity-1 map."""
+    f = AltMap(1, dim, dim)
+    f.coeffs = {(j,): basis_vec(dim, j) for j in range(dim)}
     return f
 
 

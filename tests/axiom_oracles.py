@@ -6,13 +6,27 @@ one differential Lie algebra (``nr.pointed_family`` at lambda = 0 and
 equations.
 These are the direct formulas it replaced: each bracket and operator is
 applied to basis vectors one term at a time, so they share no code with the
-insertion kernel.  They return the same shapes as the liealg readers.
+insertion kernel.  They read the operators and actions as matrices and
+return the shapes of the liealg readers, with a matrix where a reader
+returns an arity-1 map.
 """
 
 from itertools import combinations
 
-from difflie.linalg import (basis_vec, frac, mat_combination, vec_add,
-                            vec_scale, vec_sub)
+from difflie.linalg import (Matrix, basis_vec, frac, vec_add, vec_scale,
+                            vec_sub)
+from difflie.multilinear import matrix_from_altmap1
+from samples import rho_matrices
+
+
+def mat_combination(coeffs, mats, n):
+    """sum_i coeffs[i] * mats[i] as an n x n matrix, over the nonzero
+    coefficients."""
+    out = Matrix.zero(n, n)
+    for c, m in zip(coeffs, mats):
+        if c != 0:
+            out = out + m.scale(c)
+    return out
 
 
 def jacobi_oracle(L):
@@ -30,7 +44,7 @@ def jacobi_oracle(L):
 
 def derivation_oracle(A):
     """d[x,y] - [dx,y] - [x,dy] - lambda [dx,dy] over basis pairs i < j."""
-    L, d, lam = A.algebra, A.d, A.weight
+    L, d, lam = A.algebra, matrix_from_altmap1(A.d), A.weight
     out = []
     for i, j in combinations(range(A.dim), 2):
         x, y = basis_vec(A.dim, i), basis_vec(A.dim, j)
@@ -54,17 +68,19 @@ def hom_oracle(rho, L):
 
 
 def rep_oracle(A, rep):
-    """{"hom": [...], "compat": [...]} as liealg.rep_residuals;
+    """{"hom": [...], "compat": [...]} as liealg.rep_residuals, as
+    matrices;
     compat: d_V rho(x) - rho(dx) - rho(x) d_V - lambda rho(dx) d_V."""
     lam = A.weight
+    rho, dV = rho_matrices(rep.rho, A.dim), matrix_from_altmap1(rep.dV)
+    d = matrix_from_altmap1(A.d)
     compat = []
     for i in range(A.dim):
-        rdx = mat_combination(A.d.matvec(basis_vec(A.dim, i)), rep.rho,
+        rdx = mat_combination(d.matvec(basis_vec(A.dim, i)), rho,
                               rep.space_dim)
-        r = rep.dV * rep.rho[i] - rdx - rep.rho[i] * rep.dV \
-            - (rdx * rep.dV).scale(lam)
+        r = dV * rho[i] - rdx - rho[i] * dV - (rdx * dV).scale(lam)
         compat.append(r)
-    return {"hom": hom_oracle(rep.rho, A.algebra), "compat": compat}
+    return {"hom": hom_oracle(rho, A.algebra), "compat": compat}
 
 
 def is_diff_representation(A, rep):
@@ -78,27 +94,29 @@ def is_diff_representation(A, rep):
 def lieact_oracle(T):
     """{"hom": [...], "derivation": [...]} as liealg.lieact_residuals;
     derivation: rho(x)[u,v]_h - [rho(x)u, v]_h - [u, rho(x)v]_h."""
+    rho = rho_matrices(T.rho, T.g.dim)
     der = []
     for i in range(T.g.dim):
         for a, b in combinations(range(T.h.dim), 2):
             u, v = basis_vec(T.h.dim, a), basis_vec(T.h.dim, b)
-            r = T.rho[i].matvec(T.h.bracket.evaluate([u, v]))
-            r = vec_sub(r, T.h.bracket.evaluate([T.rho[i].matvec(u), v]))
-            r = vec_sub(r, T.h.bracket.evaluate([u, T.rho[i].matvec(v)]))
+            r = rho[i].matvec(T.h.bracket.evaluate([u, v]))
+            r = vec_sub(r, T.h.bracket.evaluate([rho[i].matvec(u), v]))
+            r = vec_sub(r, T.h.bracket.evaluate([u, rho[i].matvec(v)]))
             der.append(r)
-    return {"hom": hom_oracle(T.rho, T.g), "derivation": der}
+    return {"hom": hom_oracle(rho, T.g), "derivation": der}
 
 
 def relative_oracle(T, D, lam):
     """D[x,y]_g - rho(x)Dy + rho(y)Dx - lambda [Dx,Dy]_h over g-pairs."""
     lam = frac(lam)
+    D, rho = matrix_from_altmap1(D), rho_matrices(T.rho, T.g.dim)
     out = []
     for i, j in combinations(range(T.g.dim), 2):
         x, y = basis_vec(T.g.dim, i), basis_vec(T.g.dim, j)
         Dx, Dy = D.matvec(x), D.matvec(y)
         r = D.matvec(T.g.bracket.evaluate([x, y]))
-        r = vec_sub(r, mat_combination(x, T.rho, T.h.dim).matvec(Dy))
-        r = vec_add(r, mat_combination(y, T.rho, T.h.dim).matvec(Dx))
+        r = vec_sub(r, mat_combination(x, rho, T.h.dim).matvec(Dy))
+        r = vec_add(r, mat_combination(y, rho, T.h.dim).matvec(Dx))
         r = vec_sub(r, vec_scale(lam, T.h.bracket.evaluate([Dx, Dy])))
         out.append(r)
     return out

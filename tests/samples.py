@@ -14,7 +14,8 @@ from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
 from difflie.extensions import build_extension, split_extension
 from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
-from difflie.multilinear import AltMap, altmap1_from_matrix, pullback
+from difflie.multilinear import AltMap, altmap1_from_matrix, \
+    matrix_from_altmap1, pullback
 from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                             LieActTriple, adjoint_rep, relative_diff_residual,
                             rho_lambda, semidirect_bracket)
@@ -56,6 +57,59 @@ def rand_unimodular(rng, n, steps=6):
 
 
 # ---------------------------------------------------------------------------
+# operators and actions given as matrices: the package holds them as maps,
+# and these build or read the maps from the matrices the fixtures draw
+
+
+def diff_lie(L, d, lam):
+    """The differential Lie algebra of L, the operator matrix d and the
+    weight lam."""
+    return DiffLieAlgebra(L, altmap1_from_matrix(d), lam)
+
+
+def action(mats, vdim):
+    """The action map on g (+) V into V of the vdim x vdim matrices
+    rho(x_i), one per basis vector of g: its value on (x_i, v_a) is column
+    a of mats[i]."""
+    gdim = len(mats)
+    rho = AltMap(2, gdim + vdim, vdim)
+    for i, m in enumerate(mats):
+        for (a,), col in altmap1_from_matrix(m).coeffs.items():
+            rho.coeffs[(i, gdim + a)] = col
+    return rho
+
+
+def rep_of(mats, dV):
+    """The representation of the matrices rho(x_i) and the matrix d_V."""
+    return DiffRepresentation(action(mats, dV.rows), altmap1_from_matrix(dV))
+
+
+def rho_matrices(rho, gdim):
+    """The matrices rho(x_i) of an action map of a gdim-dimensional
+    algebra: column a of the i-th is its value on (x_i, v_a)."""
+    vdim = rho.tgt_dim
+    return [Matrix(vdim, vdim, [[rho.value_on_basis((i, gdim + a))[s]
+                                 for a in range(vdim)]
+                                for s in range(vdim)])
+            for i in range(gdim)]
+
+
+def ad_matrices(L):
+    """The matrices ad(x_i) of L, column a of the i-th [x_i, x_a]: the
+    per-basis route that adjoint_rep's action, the bracket itself,
+    replaced."""
+    n = L.dim
+    return [Matrix(n, n, [[L.bracket.value_on_basis((i, a))[s]
+                           for a in range(n)] for s in range(n)])
+            for i in range(n)]
+
+
+def ad_action(L):
+    """The adjoint action of L as a map on L (+) L."""
+    return adjoint_rep(DiffLieAlgebra(L, AltMap(1, L.dim, L.dim), 0)).rho
+
+
+# ---------------------------------------------------------------------------
 # catalog Lie algebras
 
 
@@ -82,7 +136,7 @@ def sl2():
 def direct_sum(a, b):
     n, m = a.dim, b.dim
     return LieAlgebra(n + m, semidirect_bracket(
-        n, m, [Matrix.zero(m, m)] * n, a.bracket, h_bracket=b.bracket))
+        a.bracket, AltMap(2, n + m, m), h_bracket=b.bracket))
 
 
 def conjugate_algebra(L, P, Pinv=None):
@@ -101,7 +155,7 @@ def derivation_basis(L):
     exactly when it is a relative operator for rho = ad acting on the
     space of L with zero bracket."""
     return relative_operator_basis(LieActTriple(
-        L, abelian(L.dim), [L.ad(i) for i in range(L.dim)]))
+        L, abelian(L.dim), ad_action(L)))
 
 
 def _endomorphism_samples(name, L, rng):
@@ -165,14 +219,14 @@ def catalog_diff_lie(rng, lam, max_dim=4):
         else:
             e = rng.choice(_endomorphism_samples(name, L, rng))
             d = (e - Matrix.identity(L.dim)).scale(div(1, lam))
-    return DiffLieAlgebra(L, d, lam)
+    return diff_lie(L, d, lam)
 
 
 def conjugate_diff_lie(A, P, Pinv=None):
     if Pinv is None:
         Pinv = invert_matrix(P)
     return DiffLieAlgebra(conjugate_algebra(A.algebra, P, Pinv),
-                          Pinv * A.d * P, A.weight)
+                          pullback(A.d, P, Pinv), A.weight)
 
 
 def random_diff_lie(rng, lam=None, max_dim=4):
@@ -188,8 +242,8 @@ def trivial_rep(A, space_dim, dV=None):
     """rho = 0 with an arbitrary d_V (default 0)."""
     if dV is None:
         dV = Matrix.zero(space_dim, space_dim)
-    return DiffRepresentation(
-        space_dim, [Matrix.zero(space_dim, space_dim)] * A.dim, dV)
+    return DiffRepresentation(AltMap(2, A.dim + space_dim, space_dim),
+                              altmap1_from_matrix(dV))
 
 
 def random_rep(rng, A, max_dim=3):
@@ -203,12 +257,15 @@ def random_rep(rng, A, max_dim=3):
     else:
         rep = rho_lambda(adjoint_rep(A), A)
     if rng.random() < 0.5:
-        Q = rand_unimodular(rng, rep.space_dim)
-        Qinv = invert_matrix(Q)
-        rep = DiffRepresentation(rep.space_dim,
-                                 [Qinv * r * Q for r in rep.rho],
-                                 Qinv * rep.dV * Q)
+        rep = conjugate_rep(rep, A.dim, rand_unimodular(rng, rep.space_dim))
     return rep
+
+
+def conjugate_rep(rep, gdim, Q):
+    """The same representation in the basis Q v_a of V."""
+    Qinv = invert_matrix(Q)
+    return rep_of([Qinv * r * Q for r in rho_matrices(rep.rho, gdim)],
+                  Qinv * matrix_from_altmap1(rep.dV) * Q)
 
 
 def deformation(base, mu, d):
@@ -227,7 +284,8 @@ def constant_deformation(base, order):
     """The base structure with zero terms up to the order."""
     dim = base.dim
     mu = [base.algebra.bracket] + [AltMap(2, dim, dim)] * order
-    return deformation(base, mu, [base.d] + [Matrix.zero(dim, dim)] * order)
+    return deformation(base, mu, [matrix_from_altmap1(base.d)] +
+                       [Matrix.zero(dim, dim)] * order)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +298,13 @@ def random_lieact(rng, max_dim=3):
     A = random_diff_lie(rng, rng.choice(WEIGHTS), max_dim)
     g = A.algebra
     if kind == "self_ad":
-        return LieActTriple(g, g, [g.ad(i) for i in range(g.dim)])
+        return LieActTriple(g, g, ad_action(g))
     if kind == "abelian_h":
         # h = underlying space of g with zero bracket, rho = ad
-        h = abelian(g.dim)
-        return LieActTriple(g, h, [g.ad(i) for i in range(g.dim)])
+        return LieActTriple(g, abelian(g.dim), ad_action(g))
     m = rng.randrange(1, max_dim + 1)
     h = rng.choice([abelian(m), aff1(), heisenberg()])
-    return LieActTriple(g, h, [Matrix.zero(h.dim, h.dim)] * g.dim)
+    return LieActTriple(g, h, AltMap(2, g.dim + h.dim, h.dim))
 
 
 def relative_operator_basis(T):
@@ -257,8 +314,8 @@ def relative_operator_basis(T):
     cols = []
     for a in range(m):
         for b in range(n):
-            unit = Matrix.zero(m, n)
-            unit.data[a][b] = 1
+            unit = AltMap(1, n, m)
+            unit[(b,)] = [int(a == c) for c in range(m)]
             cols.append([x for r in relative_diff_residual(T, unit, 0)
                          for x in r])
     system = Matrix(m * n, len(cols[0]), cols).transpose()
@@ -268,7 +325,11 @@ def relative_operator_basis(T):
 
 def random_relative_operator(rng, T, lam):
     """A valid relative differential operator of weight lam for T, if we can
-    produce one cheaply; otherwise the zero operator."""
+    produce one cheaply; otherwise the zero operator; an arity-1 map."""
+    return altmap1_from_matrix(_relative_operator_matrix(rng, T, lam))
+
+
+def _relative_operator_matrix(rng, T, lam):
     lam = frac(lam)
     n, m = T.g.dim, T.h.dim
     if all(vec_is_zero(v) for v in T.h.bracket.coeffs.values()):
@@ -277,8 +338,7 @@ def random_relative_operator(rng, T, lam):
         for b in basis:
             D = D + b.scale(rand_int(rng, -2, 2))
         return D
-    same_ad = (T.h.dim == T.g.dim
-               and all(T.rho[i] == T.g.ad(i) for i in range(T.g.dim)))
+    same_ad = T.h.dim == T.g.dim and T.rho == ad_action(T.g)
     if same_ad:
         # any weight-lam operator on g works
         if lam == 0:

@@ -31,16 +31,16 @@ from conftest import exact_scalar
 import difflie
 from difflie import liealg
 from difflie.cli import main
-from difflie.linalg import Matrix, vec_is_zero
-from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
-                            LieAlgebra, is_diff_lie_algebra, is_lie_algebra,
-                            is_lieact, jacobi_residual, lieact_residuals,
-                            relative_diff_residual, rep_residuals,
+from difflie.linalg import vec_is_zero
+from difflie.liealg import (LieActTriple, LieAlgebra, is_diff_lie_algebra,
+                            is_lie_algebra, is_lieact, jacobi_residual,
+                            lieact_residuals, relative_diff_residual,
+                            rep_residuals,
                             weighted_derivation_residual)
-from difflie.multilinear import AltMap, DimensionMismatch
-from samples import (WEIGHTS, rand_matrix, rand_vec, random_diff_lie,
-                     random_lieact, random_relative_operator,
-                     random_rep)
+from difflie.multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
+from samples import (WEIGHTS, action, diff_lie, rand_matrix,
+                     rand_vec, random_diff_lie, random_lieact,
+                     random_relative_operator, random_rep, rep_of)
 
 
 def rand_bracket(rng, dim):
@@ -58,11 +58,10 @@ def algebras(rng, lam):
     for _ in range(3):
         A = random_diff_lie(rng, lam, max_dim=4)
         out.append(A)
-        out.append(DiffLieAlgebra(A.algebra, rand_matrix(rng, A.dim, A.dim),
-                                  lam))
+        out.append(diff_lie(A.algebra, rand_matrix(rng, A.dim, A.dim), lam))
         dim = rng.randrange(2, 5)
-        out.append(DiffLieAlgebra(rand_bracket(rng, dim),
-                                  rand_matrix(rng, dim, dim), lam))
+        out.append(diff_lie(rand_bracket(rng, dim),
+                            rand_matrix(rng, dim, dim), lam))
     return out
 
 
@@ -70,9 +69,8 @@ def reps(rng, A):
     """A valid representation when A is valid, and random rho and d_V."""
     m = rng.randrange(1, 4)
     return [random_rep(rng, A),
-            DiffRepresentation(m, [rand_matrix(rng, m, m)
-                                   for _ in range(A.dim)],
-                               rand_matrix(rng, m, m))]
+            rep_of([rand_matrix(rng, m, m) for _ in range(A.dim)],
+                   rand_matrix(rng, m, m))]
 
 
 def triples(rng):
@@ -81,17 +79,13 @@ def triples(rng):
     T = random_lieact(rng)
     m = T.h.dim
     return [T,
-            LieActTriple(T.g, T.h, [rand_matrix(rng, m, m)
-                                    for _ in range(T.g.dim)]),
+            LieActTriple(T.g, T.h, action([rand_matrix(rng, m, m)
+                                           for _ in range(T.g.dim)], m)),
             LieActTriple(T.g, rand_bracket(rng, m), T.rho)]
 
 
 def exact_vectors(vecs):
     return all(exact_scalar(x) for v in vecs for x in v)
-
-
-def exact_matrices(mats):
-    return exact_vectors(row for m in mats for row in m.data)
 
 
 def basis_values(f, n):
@@ -135,9 +129,12 @@ def test_rep_residuals_match_oracle():
         for A in algebras(rng, lam):
             for rep in reps(rng, A):
                 res = rep_residuals(A, rep)
-                assert res == rep_oracle(A, rep)
-                assert exact_matrices(res["hom"] + res["compat"])
-                flags = tuple(all(m.is_zero() for m in res[k])
+                assert res == {k: [m.transpose().data for m in mats]
+                               for k, mats in rep_oracle(A, rep).items()}
+                cols = [c for k in ("hom", "compat") for m in res[k]
+                        for c in m]
+                assert exact_vectors(cols)
+                flags = tuple(all(vec_is_zero(c) for m in res[k] for c in m)
                               for k in ("hom", "compat"))
                 assert is_diff_representation(A, rep) == all(flags)
                 seen.add((lam != 0,) + flags)
@@ -151,10 +148,12 @@ def test_lieact_residuals_match_oracle():
     for _ in range(8):
         for T in triples(rng):
             res = lieact_residuals(T)
-            assert res == lieact_oracle(T)
-            assert exact_matrices(res["hom"])
+            oracle = lieact_oracle(T)
+            assert res == dict(oracle, hom=[m.transpose().data
+                                            for m in oracle["hom"]])
+            assert exact_vectors(c for m in res["hom"] for c in m)
             assert exact_vectors(res["derivation"])
-            flags = (all(m.is_zero() for m in res["hom"]),
+            flags = (all(vec_is_zero(c) for m in res["hom"] for c in m),
                      all(vec_is_zero(v) for v in res["derivation"]))
             assert is_lieact(T) == all(flags)
             seen.add(flags)
@@ -168,7 +167,8 @@ def test_relative_residual_matches_oracle():
         for _ in range(4):
             for T in triples(rng):
                 for D in (random_relative_operator(rng, T, lam),
-                          rand_matrix(rng, T.h.dim, T.g.dim)):
+                          altmap1_from_matrix(
+                              rand_matrix(rng, T.h.dim, T.g.dim))):
                     res = relative_diff_residual(T, D, lam)
                     assert res == relative_oracle(T, D, lam)
                     assert exact_vectors(res)
@@ -180,7 +180,7 @@ def test_relative_residual_matches_oracle():
 def test_relative_residual_checks_the_operator_shape():
     T = random_lieact(random.Random(15))
     with pytest.raises(DimensionMismatch):
-        relative_diff_residual(T, Matrix.zero(T.h.dim + 1, T.g.dim), 1)
+        relative_diff_residual(T, AltMap(1, T.g.dim, T.h.dim + 1), 1)
 
 
 # ---------------------------------------------------------------------------

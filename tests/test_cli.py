@@ -5,10 +5,11 @@ from fractions import Fraction
 from difflie import linfty
 from difflie.cli import main
 from difflie.linalg import Matrix
-from difflie.liealg import (DiffLieAlgebra, difflie_to_json, rep_to_json,
+from difflie.liealg import (difflie_to_json, rep_to_json,
                             altmap_to_json, adjoint_rep)
 from difflie.multilinear import AltMap
-from samples import abelian, aff1, constant_deformation, sl2, trivial_rep
+from samples import (abelian, aff1, constant_deformation, diff_lie, sl2,
+                     trivial_rep)
 
 
 def write(tmp_path, name, obj):
@@ -18,8 +19,8 @@ def write(tmp_path, name, obj):
 
 
 def aff1_doc(weight="3"):
-    A = DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                       Fraction(weight))
+    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+                 Fraction(weight))
     return difflie_to_json(A)
 
 
@@ -37,8 +38,8 @@ def test_check_axioms_valid(tmp_path, capsys):
 
 
 def test_check_axioms_corrupted_names_triple(tmp_path, capsys):
-    doc = difflie_to_json(DiffLieAlgebra(sl2(), Matrix.zero(3, 3),
-                                         Fraction(0)))
+    doc = difflie_to_json(diff_lie(sl2(), Matrix.zero(3, 3),
+                                   Fraction(0)))
     doc["brackets"][0][2][0] = "7"  # corrupt one structure constant
     path = write(tmp_path, "bad.json", doc)
     rc, rep, _ = run(capsys, ["check-axioms", path])
@@ -53,8 +54,8 @@ def test_check_axioms_malformed_json(tmp_path, capsys):
 
 
 def test_check_axioms_with_rep(tmp_path, capsys):
-    A = DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                       Fraction(3))
+    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+                 Fraction(3))
     doc = aff1_doc()
     doc["rep"] = rep_to_json(adjoint_rep(A))
     path = write(tmp_path, "ar.json", doc)
@@ -68,8 +69,8 @@ def test_check_axioms_with_rep(tmp_path, capsys):
 
 
 def test_cohomology_abelian_line(tmp_path, capsys):
-    doc = difflie_to_json(DiffLieAlgebra(abelian(1), Matrix.zero(1, 1),
-                                         Fraction(1)))
+    doc = difflie_to_json(diff_lie(abelian(1), Matrix.zero(1, 1),
+                                   Fraction(1)))
     path = write(tmp_path, "l.json", doc)
     rc, rep, _ = run(capsys, ["cohomology", path, "--flavor", "difflie"])
     assert rc == 0 and rep["d_squared_ok"]
@@ -77,9 +78,9 @@ def test_cohomology_abelian_line(tmp_path, capsys):
 
 
 def test_cohomology_do_weight_zero_equals_ce(tmp_path, capsys):
-    doc = difflie_to_json(DiffLieAlgebra(aff1(),
-                                         Matrix.from_rows([[0, 0], [0, 1]]),
-                                         Fraction(0)))
+    doc = difflie_to_json(diff_lie(aff1(),
+                                   Matrix.from_rows([[0, 0], [0, 1]]),
+                                   Fraction(0)))
     path = write(tmp_path, "w0.json", doc)
     _, ce, _ = run(capsys, ["cohomology", path, "--flavor", "ce"])
     _, do, _ = run(capsys, ["cohomology", path, "--flavor", "do"])
@@ -88,8 +89,8 @@ def test_cohomology_do_weight_zero_equals_ce(tmp_path, capsys):
 
 def test_cohomology_tilde_agrees_from_degree_three(tmp_path, capsys):
     path = write(tmp_path, "s.json",
-                 difflie_to_json(DiffLieAlgebra(sl2(), Matrix.identity(3),
-                                                Fraction(-1))))
+                 difflie_to_json(diff_lie(sl2(), Matrix.identity(3),
+                                          Fraction(-1))))
     _, full, _ = run(capsys, ["cohomology", path, "--flavor", "difflie",
                               "--max-degree", "4"])
     _, tilde, _ = run(capsys, ["cohomology", path, "--flavor", "tilde",
@@ -193,7 +194,7 @@ def test_morphism_check(tmp_path, capsys):
 
 
 def ext_fixture_docs():
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), Fraction(1))
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), Fraction(1))
     rep = trivial_rep(A, 1)
     psi = AltMap(2, 2, 1)
     psi[(0, 1)] = [1]
@@ -223,8 +224,8 @@ def test_extension_build_extract_classify(tmp_path, capsys):
 
 
 def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
-    A = DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                       Fraction(2))
+    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+                 Fraction(2))
     rep = adjoint_rep(A)
     psi = AltMap(2, 2, 2)
     psi[(0, 1)] = [1, 0]
@@ -239,7 +240,7 @@ def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
 
 def test_deform_verify_and_rigidify(tmp_path, capsys):
     # rigid fixture: weight -1, identity operator on a simple algebra
-    A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
     from difflie.deformations import apply_formal_iso
     from difflie.multilinear import altmap1_from_matrix, matrix_from_altmap1
     phi1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
@@ -257,7 +258,7 @@ def test_deform_verify_and_rigidify(tmp_path, capsys):
 
 
 def test_deform_rigidify_obstructed(tmp_path, capsys):
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), Fraction(1))
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), Fraction(1))
     mu1 = AltMap(2, 2, 2)
     mu1[(0, 1)] = [1, 0]
     doc = {"base": difflie_to_json(A),

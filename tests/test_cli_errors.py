@@ -85,8 +85,9 @@ def _abelian(dim):
 
 
 def _run_capped(tmp_path, argv, doc, limit, timeout):
-    """The CLI call argv + [path of doc], in a fresh interpreter under an
-    address-space limit of limit bytes and the timeout in seconds."""
+    """The finished CLI call argv + [path of doc], in a fresh interpreter
+    under an address-space limit of limit bytes and the timeout in
+    seconds."""
     resource = pytest.importorskip("resource")
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -96,10 +97,14 @@ def _run_capped(tmp_path, argv, doc, limit, timeout):
 
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     flags = ["-O"] if sys.flags.optimize else []
-    proc = subprocess.run([sys.executable] + flags +
+    return subprocess.run([sys.executable] + flags +
                           ["-c", CLI] + argv + [str(path)],
                           env=env, capture_output=True, text=True,
                           timeout=timeout, preexec_fn=cap)
+
+
+def _one_error_line(proc):
+    """The one stderr line of an exit-2 call with nothing on stdout."""
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -107,12 +112,22 @@ def _run_capped(tmp_path, argv, doc, limit, timeout):
 
 
 def test_out_of_memory_exits_2_with_one_line(tmp_path):
-    # extension build plans no size before it works: the 24-dimensional
-    # abelian algebra with a 24-dimensional trivial representation passes
-    # the axioms at once, but the degree-2 combined differential of its
-    # cocycle check has 55 200 x 7 200 cells, far more than 300 MiB hold;
-    # under that address-space limit the run ends in MemoryError, which
-    # must be one line, not a traceback
+    # twist plans no size before it works: the 24-dimensional abelian
+    # algebra passes at once, but its degree-n bridges at the default
+    # --max-degree 3 build the combined differential and one twisted l_1
+    # per basis pair, far more than 300 MiB hold; under that address-space
+    # limit the run ends in MemoryError, which must be one line, not a
+    # traceback
+    proc = _run_capped(tmp_path, ["twist"], _abelian(24), 300 * 2 ** 20, 120)
+    assert _one_error_line(proc).startswith("error: out of memory")
+
+
+def test_extension_build_checks_its_cocycle_within_a_memory_cap(tmp_path):
+    # the cocycle check of extension build reads the pair's residual off
+    # the coboundaries of its two cochains, so the 24-dimensional abelian
+    # algebra with a 24-dimensional trivial representation, whose degree-2
+    # combined differential has 55 200 x 7 200 cells, builds within
+    # 300 MiB
     dim = 24
     zero = [[0] * dim] * dim
     doc = {"base": _abelian(dim),
@@ -120,9 +135,11 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path):
                    "rho": {str(i + 1): zero for i in range(dim)}},
            "psi": {"arity": 2, "coeffs": {}},
            "chi": {"arity": 1, "coeffs": {}}}
-    err = _run_capped(tmp_path, ["extension", "build"], doc, 300 * 2 ** 20,
-                      120)
-    assert err.startswith("error: out of memory")
+    proc = _run_capped(tmp_path, ["extension", "build"], doc,
+                       300 * 2 ** 20, 120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["cocycle"] is True
 
 
 @pytest.mark.parametrize("argv, doc, cells", [
@@ -140,7 +157,7 @@ def test_complex_above_the_budget_exits_2_before_building(tmp_path, argv,
     # the planned differentials of these small documents hold far more
     # cells than memory; the command rejects them from the plan, so the
     # run ends well within a 1 GiB address space and the timeout
-    err = _run_capped(tmp_path, argv, doc, 2 ** 30, 60)
+    err = _one_error_line(_run_capped(tmp_path, argv, doc, 2 ** 30, 60))
     from difflie.commands import MAX_CELLS
     assert err == ("error: the cochain differentials plan %d matrix cells, "
                    "above the budget of %d\n" % (cells, MAX_CELLS))

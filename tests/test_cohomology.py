@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from conftest import exact_scalar
 from difflie.linalg import (Matrix, basis_vec, homology_dim, vec_add,
                             vec_is_zero)
-from difflie.liealg import DiffLieAlgebra, adjoint_rep, trivial_extension
-from difflie.multilinear import AltMap, ArityMismatch
+from difflie.liealg import adjoint_rep, trivial_extension
+from difflie.multilinear import AltMap, ArityMismatch, matrix_from_altmap1
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, _twisted_l1, altmap_to_coords,
                                 ce_apply, ce_differential, cochain_dim, cochain_keys,
@@ -15,13 +17,13 @@ from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 difflie_differential, pair_dim,
                                 pair_primitive, pair_residual,
                                 planned_cells, twist_bridge_residual)
-from samples import (abelian, aff1, sl2, rand_vec, random_diff_lie,
-                     random_rep, trivial_rep)
+from samples import (WEIGHTS, abelian, aff1, diff_lie, rho_matrices,
+                     rand_matrix, rand_vec, random_diff_lie, random_rep,
+                     rep_of, sl2, trivial_rep)
 
 
 def aff1_d(lam=3):
-    return DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                          Fraction(lam))
+    return diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]), Fraction(lam))
 
 
 def rand_cochain(rng, gdim, vdim, n):
@@ -47,12 +49,12 @@ def test_ce_degree_zero_is_minus_action():
         v = basis_vec(2, t)
         img = coords_to_altmap(m.matvec(v), 2, 2, 1)
         for i in range(2):
-            expected = [-x for x in rep.rho[i].matvec(v)]
+            expected = [-x for x in rho_matrices(rep.rho, 2)[i].matvec(v)]
             assert img.value_on_basis((i,)) == expected
 
 
 def test_ce_trivial_rep_abelian_is_zero():
-    A = DiffLieAlgebra(abelian(3), Matrix.zero(3, 3), 1)
+    A = diff_lie(abelian(3), Matrix.zero(3, 3), 1)
     rep = trivial_rep(A, 2)
     for n in range(4):
         assert ce_differential(A, rep, n).is_zero()
@@ -67,14 +69,14 @@ def test_ce_squares_to_zero_aff1_adjoint():
 
 
 def test_do_weight_zero_equals_ce(rng):
-    A = DiffLieAlgebra(sl2(), Matrix.zero(3, 3), 0)
+    A = diff_lie(sl2(), Matrix.zero(3, 3), 0)
     rep = adjoint_rep(A)
     for n in range(3):
         assert do_differential(A, rep, n) == ce_differential(A, rep, n)
 
 
 def test_do_identity_weight_minus_one_degree_zero():
-    A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
     rep = adjoint_rep(A)
     # rho_lambda(x) = ad(x - d x) = 0, so degree 0 vanishes
     assert do_differential(A, rep, 0).is_zero()
@@ -96,7 +98,7 @@ def test_delta_degree_zero_is_minus_dv():
     f = AltMap(0, 2, 2)
     f[()] = v
     assert delta_apply(A, rep, f).value_on_basis(()) == \
-        [-x for x in rep.dV.matvec(v)]
+        [-x for x in matrix_from_altmap1(rep.dV).matvec(v)]
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -173,7 +175,7 @@ def test_spec_builds_the_reported_differentials_only(rng):
 def test_spec_builds_no_differential_above_dim_plus_one(monkeypatch):
     # C^n = 0 for n > dim + 1, so from degree dim + 2 on d[n] is listed as
     # 0 x 0 without a build: max_degree 50 on sl2 builds at most 5
-    A = DiffLieAlgebra(sl2(), Matrix.zero(3, 3), Fraction(1))
+    A = diff_lie(sl2(), Matrix.zero(3, 3), Fraction(1))
     rep = adjoint_rep(A)
     built = []
     build = CochainComplexSpec._differential
@@ -201,13 +203,13 @@ def test_unknown_flavor():
 
 def test_degree_zero_central_killed_vector():
     # abelian algebra, d = 0: every vector is a 0-cocycle
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), 1)
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), 1)
     spec = CochainComplexSpec(A, adjoint_rep(A), "difflie")
     assert spec.d[0].is_zero()
 
 
 def test_h0_trivial_line():
-    A = DiffLieAlgebra(abelian(1), Matrix.zero(1, 1), 1)
+    A = diff_lie(abelian(1), Matrix.zero(1, 1), 1)
     rep = trivial_rep(A, 1)
     spec = CochainComplexSpec(A, rep, "difflie", max_degree=3)
     assert cohomology_dims(spec)[0] == 1
@@ -295,6 +297,35 @@ def test_pair_helpers_match_full_complex_and_solve(rng):
             else:
                 assert got == coords_to_altmap(x, gdim, vdim, 1)
                 assert neg == -got
+
+
+def test_pair_residual_matches_the_combined_differential():
+    # pair_residual reads the coboundaries of the two cochains instead of
+    # applying the degree-n combined differential: the same rationals of
+    # the same scalar types, in every degree, at every weight, on valid
+    # and random coefficients, for random and zero pairs
+    rng = random.Random(47)
+    for lam in WEIGHTS:
+        for _ in range(4):
+            A = random_diff_lie(rng, lam, max_dim=3)
+            m = rng.randrange(1, 3)
+            for rep in (random_rep(rng, A, max_dim=2),
+                        rep_of([rand_matrix(rng, m, m) for _ in range(A.dim)],
+                               rand_matrix(rng, m, m))):
+                gdim, vdim = A.dim, rep.space_dim
+                for n in (1, 2, 3):
+                    pairs = [CocyclePair(AltMap(n, gdim, vdim),
+                                         AltMap(n - 1, gdim, vdim)),
+                             CocyclePair(rand_cochain(rng, gdim, vdim, n),
+                                         rand_cochain(rng, gdim, vdim, n - 1))]
+                    d = difflie_differential(A, rep, n)
+                    for pair in pairs:
+                        got = pair_residual(A, rep, pair)
+                        want = d.matvec(pair.coords())
+                        assert got == want
+                        assert [type(x) for x in got] == \
+                            [type(x) for x in want]
+                        assert all(exact_scalar(x) for x in got)
 
 
 def test_coboundaries_are_cocycles(rng):
@@ -441,7 +472,7 @@ def test_planned_cells_are_the_built_shapes(rng, flavor):
     # the plan that cohomology and extension classify admit by is the sum
     # of the shapes CochainComplexSpec builds, also at degrees above
     # dim + 1, where it builds 0 x 0 matrices
-    sl2_id = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    sl2_id = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
     fixtures = [(aff1_d(), trivial_rep(aff1_d(), 1)),
                 (sl2_id, adjoint_rep(sl2_id))]
     for _ in range(3):

@@ -10,8 +10,10 @@ over all pairs of basis vectors and every matrix applied by a dense row
 sum, so they share no kernel with the code under test; they read the
 operators and the isomorphisms as matrices.  Results are compared map for
 map, as rationals, and every scalar must keep the int-or-Fraction
-contract.  The deformation module itself names no matrix: only its
-constructor reads one, the base operator.
+contract.  The deformation module names no matrix and converts nothing,
+since the base operator is a map too; the package names Matrix only in
+elimination, basis changes and the wire, and only the readers turn a
+matrix into a map.
 """
 
 import ast
@@ -192,7 +194,7 @@ def broken_deformation(rng, A, order):
     """Random terms at some orders and zero terms at others."""
     dim = A.dim
     mu = [A.algebra.bracket]
-    d = [A.d]
+    d = [matrix_from_altmap1(A.d)]
     for k in range(1, order + 1):
         mu.append(rand_alt2(rng, dim) if k % 2 else AltMap(2, dim, dim))
         d.append(rand_matrix(rng, dim, dim) if k != 2
@@ -341,38 +343,101 @@ def test_rigidify_checks_once_and_matches_the_step_loop(rng):
                 rigidify(broken_deformation(rng, A, 3))
 
 
-DEFORMATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            os.pardir, "src", "difflie", "deformations.py")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src", "difflie")
+CONVERSIONS = ("Matrix", "matrix_from_altmap1", "altmap1_from_matrix")
+# where each name may be read, as {module: enclosing Class.function}, None
+# for anywhere in the module: Matrix only in elimination (linalg), the
+# basis changes of extensions, the cochain differentials and the inclusions
+# of the coboundaries of cohomology, and the wire reader of liealg; a map
+# turned into a matrix only where a pullback moves along it or a witness
+# returns it; and a matrix turned into a map only by the three readers
+ALLOWED = {
+    "Matrix": {"linalg.py": None, "extensions.py": None,
+               "cohomology.py": {"ce_apply", "delta_apply", "ce_differential",
+                                 "delta_matrix", "difflie_differential",
+                                 "CochainComplexSpec.__init__",
+                                 "twist_bridge_residual"},
+               "liealg.py": {"read_matrix"},
+               "multilinear.py": {"matrix_from_altmap1"}},
+    "matrix_from_altmap1": {"cohomology.py": {"delta_apply"},
+                            "extensions.py": {"equivalence_witness"},
+                            "liealg.py": {"rho_lambda"}},
+    "altmap1_from_matrix": {"commands.py": {"_read_deformation"},
+                            "liealg.py": {"difflie_from_json",
+                                          "rep_from_json"}},
+}
+READERS = ["commands.py:_read_deformation", "liealg.py:difflie_from_json",
+           "liealg.py:rep_from_json"]
 
 
 def matrix_uses(source):
-    """(the names of Matrix and matrix_from_altmap1 that the source reads
-    or imports, the enclosing Class.function of each read of
-    altmap1_from_matrix, called or passed on)."""
-    names, readers = set(), []
+    """({name: the enclosing Class.function, "" at module level, of each
+    read of it, called or passed on}, the names the source imports) for
+    the names of CONVERSIONS."""
+    reads, imported = {}, set()
 
     def visit(node, where):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             where = where + (node.name,)
         read = [node.id] if isinstance(node, ast.Name) else \
             [node.attr] if isinstance(node, ast.Attribute) else []
-        names.update(read + ([a.name for a in node.names]
-                             if isinstance(node, ast.ImportFrom) else []))
-        if "altmap1_from_matrix" in read:
-            readers.append(".".join(where))
+        if isinstance(node, ast.ImportFrom):
+            imported.update(a.name for a in node.names)
+        for name in set(read) & set(CONVERSIONS):
+            reads.setdefault(name, []).append(".".join(where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), ())
-    return names & {"Matrix", "matrix_from_altmap1"}, readers
+    return reads, imported & set(CONVERSIONS)
+
+
+def matrix_violations(sources):
+    """"module:where name" of each read or import of a name of CONVERSIONS
+    outside ALLOWED, for the sources {module file: source}."""
+    out = []
+    for module, source in sorted(sources.items()):
+        reads, imported = matrix_uses(source)
+        for name in CONVERSIONS:
+            allowed = ALLOWED[name].get(module, set())
+            if allowed is None:
+                continue
+            if name in imported and not allowed:
+                out.append("%s:import %s" % (module, name))
+            out += ["%s:%s %s" % (module, where, name)
+                    for where in reads.get(name, []) if where not in allowed]
+    return sorted(set(out))
+
+
+def package_sources():
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                sources[name] = fh.read()
+    return sources
 
 
 def test_deformations_name_no_matrix():
     # operators and formal isomorphisms are arity-1 maps from reader to
-    # report: the one conversion of the module reads the base operator
-    with open(DEFORMATIONS) as fh:
-        assert matrix_uses(fh.read()) == (set(),
-                                          ["TruncatedDeformation.__init__"])
+    # report, and the base operator is one too: the module converts nothing
+    with open(os.path.join(SRC, "deformations.py")) as fh:
+        assert matrix_uses(fh.read()) == ({}, set())
+
+
+def test_matrix_is_named_only_in_elimination_basis_changes_and_the_wire():
+    # operators and actions are maps: linfty, homotopy, deformations and nr
+    # name no Matrix and convert nothing, and only the readers turn a
+    # matrix into a map
+    sources = package_sources()
+    assert matrix_violations(sources) == []
+    for module in ("linfty.py", "homotopy.py", "deformations.py", "nr.py"):
+        assert matrix_uses(sources[module]) == ({}, set()), module
+    readers = {"%s:%s" % (module, where) for module, source in sources.items()
+               for where in matrix_uses(source)[0].get("altmap1_from_matrix",
+                                                       [])}
+    assert sorted(readers) == READERS
 
 
 def test_matrix_uses_are_seen():
@@ -384,8 +449,24 @@ def test_matrix_uses_are_seen():
                "    return dict(enumerate(map(altmap1_from_matrix, ms)))\n"
                "def back(f):\n"
                "    return multilinear.matrix_from_altmap1(f)\n")
-    assert matrix_uses(snippet) == ({"Matrix", "matrix_from_altmap1"},
-                                    ["T.__init__", "_maps"])
+    assert matrix_uses(snippet) == (
+        {"altmap1_from_matrix": ["T.__init__", "_maps"],
+         "matrix_from_altmap1": ["back"]}, {"Matrix"})
+    # the per-basis matrices that rho_lambda once combined, put back into
+    # liealg, and a conversion put back into a checker of linfty
+    sources = package_sources()
+    old = "    shift = semidirect_operator("
+    assert sources["liealg.py"].count(old) == 1
+    sources["liealg.py"] = sources["liealg.py"].replace(
+        old, "    e = Matrix.identity(n)\n" + old)
+    old = "AbsoluteStructure(lam), pi, D)"
+    assert sources["linfty.py"].count(old) == 1
+    sources["linfty.py"] = sources["linfty.py"].replace(
+        old, "AbsoluteStructure(lam), pi,\n"
+             "                             altmap1_from_matrix(D))")
+    assert matrix_violations(sources) == [
+        "liealg.py:rho_lambda Matrix",
+        "linfty.py:mc_check_absolute altmap1_from_matrix"]
 
 
 def basis_expansion(f, heads, tail=()):

@@ -4,9 +4,9 @@ import pytest
 
 from conftest import kernel_basis
 from difflie.linalg import Matrix, vec_is_zero
-from difflie.liealg import DiffLieAlgebra, adjoint_rep
+from difflie.liealg import adjoint_rep
 from difflie.multilinear import AltMap, DimensionMismatch, \
-    altmap1_from_matrix
+    matrix_from_altmap1
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 altmap_to_coords, coords_to_altmap,
                                 pair_residual)
@@ -15,19 +15,20 @@ from difflie.deformations import (NotDeformation, Obstructed,
                                   deformation_residuals, failed_equations,
                                   first_nontrivial_order, infinitesimal,
                                   rigidify, rigidify_step)
-from samples import (abelian, aff1, sl2, constant_deformation, deformation,
-                     formal_iso, rand_matrix, random_diff_lie)
+from samples import (abelian, aff1, constant_deformation, deformation,
+                     diff_lie, formal_iso, rand_matrix,
+                     random_diff_lie, sl2)
 from test_deformation_kernels import iso_matrices, oracle_inverse_series
 
 
 def aff1_d(lam=2):
-    return DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                          Fraction(lam))
+    return diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+                    Fraction(lam))
 
 
 def order1_deformation(A, pair):
     return TruncatedDeformation(A, [A.algebra.bracket, pair.f],
-                                [altmap1_from_matrix(A.d), pair.g])
+                                [A.d, pair.g])
 
 
 def rand_iso(rng, dim, order):
@@ -53,7 +54,7 @@ def test_order_zero_residuals_detect_broken_base():
     broken = AltMap(2, 2, 2)
     broken[(0, 1)] = [1, 0]
     D = deformation(A, [A.algebra.bracket, AltMap(2, 2, 2)],
-                    [A.d, Matrix.identity(2)])
+                    [matrix_from_altmap1(A.d), Matrix.identity(2)])
     res = deformation_residuals(D)
     jac0, op0 = res[0]
     assert jac0.is_zero() and op0.is_zero()  # base itself is fine
@@ -92,7 +93,7 @@ def test_infinitesimal_requires_deformation(rng):
         mu1 = AltMap(2, 2, 2)
         mu1[(0, 1)] = [rng.randrange(-2, 3), rng.randrange(-2, 3)]
         D = deformation(A, [A.algebra.bracket, mu1],
-                        [A.d, rand_matrix(rng, 2, 2)])
+                        [matrix_from_altmap1(A.d), rand_matrix(rng, 2, 2)])
         try:
             _, res = infinitesimal(D)
             assert vec_is_zero(res)
@@ -130,7 +131,7 @@ def test_operator_only_deformation_one_cocycle(rng):
             continue
         coords = basis[rng.randrange(len(basis))]
         D = TruncatedDeformation(A, [A.algebra.bracket, AltMap(2, dim, dim)],
-                                 [altmap1_from_matrix(A.d),
+                                 [A.d,
                                   coords_to_altmap(coords, dim, dim, 1)])
         jac, op = deformation_residuals(D)[1]
         assert jac.is_zero() and op.is_zero()
@@ -164,7 +165,7 @@ def test_apply_ignores_orders_above_the_truncation(rng):
     Matrix.from_rows([[1, 1], [1, 1]]), Matrix.from_rows([[1] * 4] * 4),
     Matrix.identity(4)], ids=["2x2", "4x4", "identity-4x4"])
 def test_apply_rejects_mis_sized_iso(phi):
-    A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
     with pytest.raises(DimensionMismatch):
         apply_formal_iso(constant_deformation(A, 1), formal_iso([phi]))
 
@@ -209,7 +210,7 @@ def test_rigidify_clears_coboundary_orders(rng):
 def test_rigid_fixture_clears_any_valid_deformation(rng):
     # weight -1 with the identity operator on a simple algebra has trivial
     # degree-2 cohomology, so every valid order-1 pair rigidifies
-    A = DiffLieAlgebra(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
     spec = CochainComplexSpec(A, adjoint_rep(A), "difflie", max_degree=3)
     cleared = 0
     for coords in kernel_basis(spec.d[2]):
@@ -224,10 +225,11 @@ def test_rigid_fixture_clears_any_valid_deformation(rng):
 
 
 def test_obstructed_class_raises():
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), Fraction(1))
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), Fraction(1))
     mu1 = AltMap(2, 2, 2)
     mu1[(0, 1)] = [1, 0]  # a bracket deformation: not exact for abelian g
-    D = deformation(A, [A.algebra.bracket, mu1], [A.d, Matrix.zero(2, 2)])
+    D = deformation(A, [A.algebra.bracket, mu1],
+                    [matrix_from_altmap1(A.d), Matrix.zero(2, 2)])
     assert not failed_equations(D)
     for clear in (rigidify_step, rigidify):
         with pytest.raises(Obstructed) as exc:

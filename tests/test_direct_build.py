@@ -22,11 +22,11 @@ from difflie.cohomology import (altmap_to_coords, ce_apply, ce_differential,
                                 cochain_dim, coords_to_altmap, delta_apply,
                                 delta_matrix, difflie_differential,
                                 do_differential)
-from difflie.linalg import Matrix, invert_matrix, vec_zero
-from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, adjoint_rep,
-                            rho_lambda)
-from samples import (catalog_diff_lie, conjugate_diff_lie,
-                     rand_matrix, rand_unimodular, random_rep, trivial_rep)
+from difflie.linalg import Matrix, vec_zero
+from difflie.liealg import adjoint_rep, rho_lambda
+from samples import (catalog_diff_lie, conjugate_diff_lie, conjugate_rep,
+                     diff_lie, rand_matrix, rand_unimodular, random_rep,
+                     rep_of, trivial_rep)
 
 
 def operator_matrix(op, gdim, vdim, n, m):
@@ -96,11 +96,8 @@ def trivial_with_dV(rng, A, m=2):
     return trivial_rep(A, m, dV)
 
 
-def conjugated_rep(rng, rep):
-    Q = rand_unimodular(rng, rep.space_dim)
-    Qinv = invert_matrix(Q)
-    return DiffRepresentation(rep.space_dim, [Qinv * r * Q for r in rep.rho],
-                              Qinv * rep.dV * Q)
+def conjugated_rep(rng, A, rep):
+    return conjugate_rep(rep, A.dim, rand_unimodular(rng, rep.space_dim))
 
 
 WEIGHT_CASES = [Fraction(0), Fraction(-2, 3), Fraction(3)]
@@ -121,7 +118,7 @@ def test_dense_conjugated_operator(lam, seed):
     A = catalog_diff_lie(rng, lam)
     A = conjugate_diff_lie(A, rand_unimodular(rng, A.dim))
     check_all_degrees(A, adjoint_rep(A))
-    check_all_degrees(A, conjugated_rep(rng, rho_lambda(adjoint_rep(A), A)))
+    check_all_degrees(A, conjugated_rep(rng, A, rho_lambda(adjoint_rep(A), A)))
 
 
 @pytest.mark.parametrize("lam", WEIGHT_CASES, ids=str)
@@ -130,7 +127,7 @@ def test_non_adjoint_coefficients_with_nonzero_dV(lam):
     A = catalog_diff_lie(rng, lam)
     rep = trivial_with_dV(rng, A)
     check_all_degrees(A, rep)
-    check_all_degrees(A, conjugated_rep(rng, rep))
+    check_all_degrees(A, conjugated_rep(rng, A, rep))
 
 
 def test_operator_and_coefficients_that_fail_the_axioms():
@@ -138,9 +135,8 @@ def test_operator_and_coefficients_that_fail_the_axioms():
     # with the oracle on documents that are no differential Lie algebra
     rng = random.Random(5)
     A = catalog_diff_lie(rng, Fraction(1, 2))
-    B = DiffLieAlgebra(A.algebra, rand_matrix(rng, A.dim, A.dim),
-                       Fraction(5, 7))
-    rep = DiffRepresentation(2, [rand_matrix(rng, 2, 2) for _ in
-                                 range(B.dim)], rand_matrix(rng, 2, 2))
+    B = diff_lie(A.algebra, rand_matrix(rng, A.dim, A.dim), Fraction(5, 7))
+    rep = rep_of([rand_matrix(rng, 2, 2) for _ in range(B.dim)],
+                 rand_matrix(rng, 2, 2))
     check_all_degrees(B, rep)
 

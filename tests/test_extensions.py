@@ -7,18 +7,18 @@ from axiom_oracles import (derivation_oracle, is_diff_representation,
                            jacobi_oracle)
 from conftest import filled, kernel_basis
 from difflie.linalg import Matrix, invert_matrix, vec_is_zero
-from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieAlgebra,
+from difflie.liealg import (DiffRepresentation, LieAlgebra,
                             adjoint_rep, trivial_extension)
-from difflie.multilinear import AltMap
+from difflie.multilinear import AltMap, altmap1_from_matrix
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 cochain_dim, coords_to_altmap,
                                 difflie_differential)
 from difflie.extensions import (AbelianExtension, InvalidExtension,
-                                NotCocycle, altmap1_from_matrix,
-                                build_extension, check_coefficients, classify,
+                                NotCocycle, build_extension,
+                                check_coefficients, classify,
                                 equivalence_witness, extract_cocycle,
                                 split_extension)
-from samples import (WEIGHTS, abelian, aff1, built_extension,
+from samples import (WEIGHTS, abelian, aff1, built_extension, diff_lie,
                      conjugate_diff_lie, rand_matrix, rand_unimodular,
                      random_diff_lie, random_rep, trivial_rep)
 from test_axiom_kernel import algebras, reps
@@ -98,8 +98,8 @@ def test_extracted_coefficients_are_a_representation(rng):
 
 
 def test_build_non_cocycle_raises(rng):
-    A = DiffLieAlgebra(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
-                       Fraction(2))
+    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+                 Fraction(2))
     rep = adjoint_rep(A)
     raised = 0
     for _ in range(8):
@@ -132,19 +132,19 @@ def test_invalid_extension_detected(rng):
     (1, {}, [[0, 1], [0, 0]], "operator does not preserve kernel"),
 ])
 def test_kernel_defects_are_named(gdim, bracket, d, message):
-    total = DiffLieAlgebra(LieAlgebra(2, filled(AltMap(2, 2, 2), bracket)),
-                           Matrix.from_rows(d), 3)
+    total = diff_lie(LieAlgebra(2, filled(AltMap(2, 2, 2), bracket)),
+                     Matrix.from_rows(d), 3)
     with pytest.raises(InvalidExtension, match="^%s$" % message):
         split_extension(total, gdim, 2 - gdim)
 
 
 def test_zero_dimensional_extension():
-    A = DiffLieAlgebra(abelian(0), Matrix.zero(0, 0), 1)
+    A = diff_lie(abelian(0), Matrix.zero(0, 0), 1)
     rep = trivial_rep(A, 0)
     E = built_extension(A, rep, AltMap(2, 0, 0), AltMap(1, 0, 0))
     assert E.total.dim == 0 and E.split.is_zero()
     rep2, psi, chi = extract_cocycle(E)
-    assert rep2.rho == [] and rep2.dV == Matrix.zero(0, 0)
+    assert rep2.rho == AltMap(2, 0, 0) and rep2.dV == AltMap(1, 0, 0)
     assert psi.is_zero() and chi.is_zero()
     assert E.base().dim == 0
 
@@ -211,7 +211,7 @@ def test_inequivalent_extensions_detected():
     # 2-dim abelian g with d = 0, trivial line coefficients: the pair with
     # psi(x,y) = 1 is not a coboundary, so its extension (the Heisenberg
     # algebra) is not equivalent to the product
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), 1)
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), 1)
     rep = trivial_rep(A, 1)
     psi = AltMap(2, 2, 1)
     psi[(0, 1)] = [1]
@@ -225,7 +225,7 @@ def test_inequivalent_extensions_detected():
 def aff1_line_extension(dV=0, vdim=1):
     """aff1 with d = 0, weight 0, extended by the zero pair with trivial
     coefficients of operator dV * Id on a vdim-dimensional V."""
-    A = DiffLieAlgebra(aff1(), Matrix.zero(2, 2), 0)
+    A = diff_lie(aff1(), Matrix.zero(2, 2), 0)
     rep = trivial_rep(A, vdim, Matrix.identity(vdim).scale(dV))
     return built_extension(A, rep, AltMap(2, 2, vdim), AltMap(1, 2, vdim))
 
@@ -259,7 +259,7 @@ def test_equivalence_witness_rejections():
 
 
 def test_classify_line_example():
-    A = DiffLieAlgebra(abelian(1), Matrix.zero(1, 1), 1)
+    A = diff_lie(abelian(1), Matrix.zero(1, 1), 1)
     rep = trivial_rep(A, 1)
     # hand count: degree-2 space is Hom(g,V) = k, both neighboring
     # differentials vanish, so the dimension is 1
@@ -279,7 +279,7 @@ def test_classification_count_sanity():
     # every basis cocycle of the classifying group gives an extension not
     # equivalent to the trivial one, and basis elements are pairwise
     # inequivalent
-    A = DiffLieAlgebra(abelian(2), Matrix.zero(2, 2), 1)
+    A = diff_lie(abelian(2), Matrix.zero(2, 2), 1)
     rep = trivial_rep(A, 1)
     spec = CochainComplexSpec(A, rep, "tilde", max_degree=3)
     kernel = kernel_basis(spec.d[2])
@@ -328,8 +328,8 @@ def test_check_coefficients_agrees_with_the_two_step_check():
         for A in algebras(rng, lam):
             for rep in reps(rng, A):
                 m = rep.space_dim
-                for R in (rep, DiffRepresentation(m, rep.rho,
-                                                  rand_matrix(rng, m, m))):
+                for R in (rep, DiffRepresentation(rep.rho, altmap1_from_matrix(
+                        rand_matrix(rng, m, m)))):
                     verdict = one_pass_verdict(A, R)
                     assert verdict == two_step_verdict(A, R)
                     seen.add(verdict)

@@ -6,7 +6,7 @@ import pytest
 from conftest import basis_of_degree
 from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
-from difflie.liealg import DiffLieAlgebra, LieAlgebra, is_diff_lie_algebra
+from difflie.liealg import LieAlgebra, is_diff_lie_algebra
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.nr import graded_circ_bar
 from difflie.homotopy import (DegreeMismatch, HomotopyDiffLie,
@@ -15,7 +15,7 @@ from difflie.homotopy import (DegreeMismatch, HomotopyDiffLie,
                               linfty_residual, mc_residual, operator_family,
                               residual_tables, suspend_diff_lie, twist)
 from difflie.permutations import koszul_sign, shuffles
-from samples import WEIGHTS, rand_matrix, random_diff_lie
+from samples import WEIGHTS, diff_lie, rand_matrix, random_diff_lie
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +386,9 @@ def test_suspended_diff_lie_reduction_two_sided(rng):
                 for j in range(i + 1, dim):
                     br[(i, j)] = [Fraction(rng.randrange(-2, 3))
                                   for _ in range(dim)]
-            A = DiffLieAlgebra(LieAlgebra(dim, br),
-                               rand_matrix(rng, dim, dim),
-                               WEIGHTS[rng.randrange(len(WEIGHTS))])
+            A = diff_lie(LieAlgebra(dim, br),
+                         rand_matrix(rng, dim, dim),
+                         WEIGHTS[rng.randrange(len(WEIGHTS))])
         ok, _ = homotopy_mc_check(suspend_diff_lie(A))
         assert ok == is_diff_lie_algebra(A)
         agree_true += ok
@@ -401,8 +401,8 @@ def test_suspended_reduction_residuals_are_axiom_residuals():
     # arity-2 operator residual reproduces the weighted Leibniz defect
     from samples import aff1
     from difflie.liealg import weighted_derivation_residual
-    A = DiffLieAlgebra(aff1(), Matrix.from_rows([[1, 0], [0, 0]]),
-                       Fraction(2))
+    A = diff_lie(aff1(), Matrix.from_rows([[1, 0], [0, 0]]),
+                 Fraction(2))
     H = suspend_diff_lie(A)
     defect = weighted_derivation_residual(A).value_on_basis((0, 1))
     res = homotopy_diff_residual(H, 2, [basis_vec(2, 0), basis_vec(2, 1)])

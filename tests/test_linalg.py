@@ -388,17 +388,15 @@ def test_scrambled_rational_differential_is_certified():
     of pivots; so the rows of d and of R span one space, and R is its one
     reduced row echelon form."""
     from difflie.cohomology import difflie_differential
-    from difflie.liealg import DiffLieAlgebra, adjoint_rep, \
-        is_diff_lie_algebra
-    from samples import (aff1, conjugate_algebra, direct_sum,
-                                 rand_unimodular, sl2)
+    from difflie.liealg import adjoint_rep, is_diff_lie_algebra
+    from samples import (aff1, conjugate_algebra, diff_lie, direct_sum,
+                         rand_unimodular, sl2)
     # d = (E - Id) / lam for the endomorphism E projecting onto sl2
     lam = Fraction(3, 2)
     P = rand_unimodular(Random(2), 5, steps=20)
     E = Matrix(5, 5, [[int(i == j < 3) for j in range(5)] for i in range(5)])
     d = invert_matrix(P) * (E - Matrix.identity(5)).scale(1 / lam) * P
-    A = DiffLieAlgebra(conjugate_algebra(direct_sum(sl2(), aff1()), P), d,
-                       lam)
+    A = diff_lie(conjugate_algebra(direct_sum(sl2(), aff1()), P), d, lam)
     assert is_diff_lie_algebra(A)
     m = difflie_differential(A, adjoint_rep(A), 2)
     assert (m.rows, m.cols) == (100, 75)

@@ -27,6 +27,7 @@ from difflie.liealg import DiffLieAlgebra, LieAlgebra, rescale_operator
 from difflie.linalg import Matrix, div, exact, frac, parse_scalar
 from difflie.linfty import key_formula_check
 from difflie.multilinear import AltMap, GradedSymMap, altmap1_from_matrix
+from samples import diff_lie
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")
@@ -177,13 +178,13 @@ def deformations(draw):
     lam = draw(SCALARS)
     mu = [draw(alt_maps(2, dim)) for _ in range(order + 1)]
     d = [draw(matrices(dim, dim)) for _ in range(order + 1)]
-    A = DiffLieAlgebra(LieAlgebra(dim, mu[0]), d[0], lam)
+    A = diff_lie(LieAlgebra(dim, mu[0]), d[0], lam)
     return TruncatedDeformation(A, mu, [altmap1_from_matrix(m) for m in d])
 
 
 def _forced_deformation(D):
     A = DiffLieAlgebra(LieAlgebra(D.base.dim, _forced_map(D.mu[0])),
-                       _forced_matrix(D.base.d), 0)
+                       _forced_map(D.base.d), 0)
     A.weight = Fraction(D.base.weight)
     return TruncatedDeformation(A, [_forced_map(m) for m in D.mu],
                                 [_forced_map(m) for m in D.d])
@@ -248,6 +249,6 @@ def test_rescale_operator_on_ints_is_exact():
     d = Matrix(1, 1, [[1]])
     for lam, kappa, want in [(1, 2, Fraction(1, 2)), (4, 2, 2), (3, -3, -1),
                              (Fraction(1, 2), 3, Fraction(1, 6))]:
-        B = rescale_operator(DiffLieAlgebra(LieAlgebra(1), d, lam), kappa)
+        B = rescale_operator(diff_lie(LieAlgebra(1), d, lam), kappa)
         assert B.weight == want and exact_scalar(B.weight)
-        assert B.d.data == [[kappa]]
+        assert B.d.coeffs == {(0,): [kappa]}

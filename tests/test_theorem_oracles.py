@@ -25,8 +25,8 @@ import pytest
 
 from difflie.cohomology import CochainComplexSpec, cohomology_dims
 from difflie.linalg import Matrix
-from difflie.liealg import DiffLieAlgebra, adjoint_rep
-from samples import (WEIGHTS, conjugate_diff_lie, direct_sum,
+from difflie.liealg import adjoint_rep
+from samples import (WEIGHTS, conjugate_diff_lie, diff_lie, direct_sum,
                      heisenberg, rand_unimodular, sl2, trivial_rep)
 
 
@@ -38,7 +38,7 @@ def sl2_sum(k):
 
 
 def zero_operator(L, lam=0):
-    return DiffLieAlgebra(L, Matrix.zero(L.dim, L.dim), lam)
+    return diff_lie(L, Matrix.zero(L.dim, L.dim), lam)
 
 
 def in_basis(A, scrambled):

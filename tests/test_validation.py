@@ -15,19 +15,19 @@ from conftest import filled
 from difflie.deformations import TruncatedDeformation
 from difflie.extensions import AbelianExtension, InvalidExtension
 from difflie.homotopy import HomotopyDiffLie
-from difflie.liealg import (DiffLieAlgebra, DiffRepresentation, LieActTriple,
-                            LieAlgebra)
+from difflie.liealg import (DiffLieAlgebra, DiffRepresentation,
+                            LieActTriple, LieAlgebra)
 from difflie.linalg import Matrix, invert_matrix
 from difflie.linfty import iota_M, key_formula_check
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
                                  altmap1_from_matrix)
-from samples import aff1
+from samples import aff1, diff_lie
 
-BASE = DiffLieAlgebra(aff1(), Matrix.zero(2, 2), 1)
+BASE = diff_lie(aff1(), Matrix.zero(2, 2), 1)
 BR = aff1().bracket
 # an abelian total space g (+) V with dim g = 2 and dim V = 1
-TOTAL = DiffLieAlgebra(LieAlgebra(3), Matrix.zero(3, 3), 1)
+TOTAL = diff_lie(LieAlgebra(3), Matrix.zero(3, 3), 1)
 P = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
 S = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
 MIXED = GradedVectorSpace([(0, 1), (1, 1)])
@@ -82,20 +82,21 @@ CASES = [
      lambda: LieAlgebra(3, AltMap(2, 2, 2)), DimensionMismatch,
      "bracket dimensions"),
     ("difflie-operator-shape",
-     lambda: DiffLieAlgebra(aff1(), Matrix.zero(3, 3), 1),
-     DimensionMismatch, "operator matrix shape"),
+     lambda: DiffLieAlgebra(aff1(), AltMap(1, 3, 3), 1),
+     DimensionMismatch, "the operator is not a map g -> g"),
     ("rep-rho-shape",
-     lambda: DiffRepresentation(2, [Matrix.zero(3, 3)], Matrix.zero(2, 2)),
-     DimensionMismatch, "rho matrix shape"),
+     lambda: DiffRepresentation(AltMap(2, 4, 3), AltMap(1, 2, 2)),
+     DimensionMismatch, "not an action g (+) V -> V"),
     ("rep-dv-shape",
-     lambda: DiffRepresentation(2, [Matrix.zero(2, 2)], Matrix.zero(3, 3)),
-     DimensionMismatch, "dV matrix shape"),
+     lambda: DiffRepresentation(AltMap(2, 3, 2), AltMap(1, 3, 2)),
+     DimensionMismatch, "dV is not a map V -> V"),
     ("lieact-rho-count",
-     lambda: LieActTriple(aff1(), aff1(), [Matrix.zero(2, 2)]),
-     DimensionMismatch, "one rho matrix per basis vector of g"),
+     lambda: LieActTriple(aff1(), aff1(), AltMap(2, 3, 2)),
+     DimensionMismatch, "not an action g (+) V -> V"),
     ("lieact-rho-shape",
-     lambda: LieActTriple(aff1(), aff1(), [Matrix.zero(3, 3)] * 2),
-     DimensionMismatch, "rho matrix shape"),
+     lambda: LieActTriple(aff1(), aff1(),
+                          filled(AltMap(2, 4, 2), {(0, 1): [1, 0]})),
+     DimensionMismatch, "not an action g (+) V -> V"),
     ("matrix-ragged",
      lambda: Matrix(2, 2, [[1, 2], [3]]), ValueError,
      "matrix shape mismatch"),
