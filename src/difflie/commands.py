@@ -2,9 +2,9 @@
 inputs, and its handler, from those inputs and the options to (exit code,
 report); ``run`` runs one on the parsed command line and prints the report.
 
-The readers of ``cohomology`` and ``extension classify`` also admit their
-document by the planned size of its complex (``MAX_CELLS``), before any
-computation starts.
+The readers of ``cohomology``, ``extension classify`` and ``twist`` also
+admit their document by the planned size of its complex (``MAX_CELLS``),
+before any computation starts.
 
 ``cli.main`` imports this module only once the command line parses, so the
 parse path loads none of it: not the wire readers, the scalars or ``json``.
@@ -62,14 +62,14 @@ def _algebra_rep(obj, args):
     return A, (rep_from_json(obj["rep"], A.dim) if "rep" in obj else None)
 
 
-# The most matrix cells, summed over the differentials, that `cohomology`
-# and `extension classify` may plan; above it they exit 2 before building
-# anything.  The largest bench complex, sl2 (+) aff1 in the catalog basis
-# at --max-degree 4, plans 17 400 cells, and Whitehead's sl2^3 at
-# max-degree 4, the largest complex of the tests, 2 515 860.  A 40-dim
-# abelian algebra at the default --max-degree 4 plans 1 741 300 897 600,
-# more than memory holds: without this check it allocates until the
-# process is killed or runs out of memory.
+# The most matrix cells, summed over the differentials, that `cohomology`,
+# `extension classify` and `twist` may plan; above it they exit 2 before
+# building anything.  The largest bench complex, sl2 (+) aff1 in the
+# catalog basis at --max-degree 4, plans 17 400 cells, and Whitehead's
+# sl2^3 at max-degree 4, the largest complex of the tests, 2 515 860.  A
+# 40-dim abelian algebra at the default --max-degree 4 plans
+# 1 741 300 897 600, more than memory holds: without this check it
+# allocates until the process is killed or runs out of memory.
 MAX_CELLS = 10 ** 7
 
 
@@ -88,6 +88,14 @@ def _read_cohomology(obj, args):
     _admit(A.dim, A.dim if rep is None else rep.space_dim, args.flavor,
            args.max_degree)
     return A, rep
+
+
+def _read_twist(obj, args):
+    A = _algebra(obj, args)
+    # the combined differentials with adjoint coefficients that the
+    # bridges of cmd_twist build, through degree min(max_degree, dim + 1)
+    _admit(A.dim, A.dim, "difflie", min(args.max_degree, A.dim + 1) + 1)
+    return A
 
 
 def _read_extension(obj, args):
@@ -284,8 +292,8 @@ def cmd_morphism_check(inputs, args):
 
 
 def cmd_extension(inputs, args):
-    from .extensions import (NotCocycle, build_extension, classify,
-                             extract_cocycle, split_extension)
+    from .extensions import (AbelianExtension, NotCocycle, build_extension,
+                             classify, extract_cocycle)
     if args.action == "build":
         try:
             total = build_extension(*inputs)
@@ -295,7 +303,7 @@ def cmd_extension(inputs, args):
         return 0, {"action": "build", "cocycle": True,
                    "total": difflie_to_json(total)}
     if args.action == "extract":
-        E = split_extension(*inputs)
+        E = AbelianExtension(*inputs)
         rep, psi, chi = extract_cocycle(E)
         return 0, {"action": "extract", "rep": rep_to_json(rep),
                    "psi": altmap_to_json(psi), "chi": altmap_to_json(chi),
@@ -343,7 +351,7 @@ HANDLERS = {
     "check-axioms": (_algebra_rep, cmd_check_axioms),
     "cohomology": (_read_cohomology, cmd_cohomology),
     "mc-check": (_algebra, cmd_mc_check),
-    "twist": (_algebra, cmd_twist),
+    "twist": (_read_twist, cmd_twist),
     "key-formula": (_read_dim, cmd_key_formula),
     "morphism-check": (_read_pair, cmd_morphism_check),
     "extension": (_read_extension, cmd_extension),

@@ -2,17 +2,19 @@
 representation: building from 2-cocycles, extracting cocycles via sections,
 equivalence testing, and classification by the truncated degree-2 cohomology.
 
-An extension is always presented on the split underlying space g (+) V with
-the inclusion i, projection p and a chosen section s as matrices; the kernel
-carries the zero bracket.  Every structure read is a multilinear.pullback:
-the bracket in the basis (s, i), valued in (p, t), carries the kernel
-checks and rho; the base, psi and chi are pullbacks along s, d_V along i.
+An extension is always presented in the coordinates of g (+) V, V spanned
+by the last coordinates and carrying the zero bracket: i and t are the
+inclusion of V and the projection onto it, s and p those of g, and s is
+the section.  Another section s + i phi is a change of basis of the total
+by Id + i phi p, so it is the same presentation of a conjugated total.
+The kernel checks and rho are read off the total's bracket; the base,
+psi and chi are multilinear.pullbacks along s, d_V along i.
 
 A total built from a 2-cocycle is certified by the 2-cocycle <-> extension
 correspondence (build_extension), so it is not validated again.
 """
 
-from .linalg import Matrix, invert_matrix, vec_is_zero
+from .linalg import Matrix, vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
                      LieAlgebra, is_diff_lie_algebra, semidirect_bracket,
                      semidirect_operator, trivial_extension)
@@ -34,44 +36,31 @@ class NotCocycle(Exception):
 class AbelianExtension:
     """A differential Lie algebra structure on g (+) V with abelian V.
 
-    total: DiffLieAlgebra on the sum; i: V -> total; p: total -> g;
-    s: g -> total a section of p.
+    total: DiffLieAlgebra on the sum, g on the first gdim coordinates and V
+    on the last vdim; s, i: g, V -> total and p, t: total -> g, V are the
+    coordinate inclusions and projections.
     """
 
-    def __init__(self, total, i, p, s):
-        self.total = total
-        self.i = i
-        self.p = p
-        self.s = s
-        self.gdim = p.rows
-        self.vdim = i.cols
-        N = total.dim
-        if i.rows != N or p.cols != N or s.rows != N or s.cols != self.gdim:
-            raise InvalidExtension("shape mismatch")
-        if self.gdim + self.vdim != N:
+    def __init__(self, total, gdim, vdim):
+        if min(gdim, vdim) < 0 or gdim + vdim != total.dim:
             raise InvalidExtension("dimension count is not exact")
-        if not (self.p * self.i).is_zero():
-            raise InvalidExtension("p . i != 0")
-        if self.p * self.s != Matrix.identity(self.gdim):
-            raise InvalidExtension("s is not a section of p")
-        basis = Matrix.block([[s, i]])
-        inv = invert_matrix(basis)
-        if inv is None:
-            raise InvalidExtension("i and s do not split the total space")
-        # s p + i t = Id with t s = 0, t i = Id: the rows of inv are p, t
-        self.t = Matrix(self.vdim, N, inv.data[self.gdim:])
         if not is_diff_lie_algebra(total):
             raise InvalidExtension("total space axioms fail")
-        # the kernel must be abelian and an ideal preserved by the operator;
-        # split is the bracket in the basis (s, i), valued in (p, t)
-        if not pullback(total.d, i, p).is_zero():
+        self.total, self.gdim, self.vdim = total, gdim, vdim
+        self.s = Matrix.block([[Matrix.identity(gdim)],
+                               [Matrix.zero(vdim, gdim)]])
+        self.i = Matrix.block([[Matrix.zero(gdim, vdim)],
+                               [Matrix.identity(vdim)]])
+        self.p, self.t = self.s.transpose(), self.i.transpose()
+        # V must be an abelian ideal preserved by the operator: no g-part of
+        # d on V, no bracket of two V-inputs and no g-part of one with one
+        if not pullback(total.d, self.i, self.p).is_zero():
             raise InvalidExtension("operator does not preserve kernel")
-        self.split = pullback(total.algebra.bracket, basis, inv)
-        g = self.gdim
-        if any(a >= g for a, _ in self.split.coeffs):
+        br = total.algebra.bracket.coeffs
+        if any(a >= gdim for a, _ in br):
             raise InvalidExtension("kernel is not abelian")
-        if any(b >= g and not vec_is_zero(vec[:g])
-               for (_, b), vec in self.split.coeffs.items()):
+        if any(b >= gdim and not vec_is_zero(vec[:gdim])
+               for (_, b), vec in br.items()):
             raise InvalidExtension("kernel is not an ideal")
 
     def base(self):
@@ -83,9 +72,9 @@ class AbelianExtension:
 
 
 def extract_cocycle(E):
-    """The representation and the pair (psi, chi) of a section:
-    psi(x,y) = [s x, s y] - s[x,y], chi(x) = d(s x) - s(d x), both valued in
-    V via t; rho(x)v = t[s x, i v].
+    """The representation and the pair (psi, chi) of the coordinate
+    section: psi(x,y) = [s x, s y] - s[x,y], chi(x) = d(s x) - s(d x), both
+    valued in V via t; rho(x)v = t[s x, i v], read off the bracket.
 
     The induced coefficients are always a differential representation of
     E.base(), so they are not checked.  V is an abelian ideal, so
@@ -96,8 +85,8 @@ def extract_cocycle(E):
     d_V rho(x) = rho(d_g x) + rho(x) d_V + lambda rho(d_g x) d_V."""
     g = E.gdim
     rho = AltMap(2, g + E.vdim, E.vdim)
-    rho.coeffs = {key: vec[g:] for key, vec in E.split.coeffs.items()
-                  if key[1] >= g}
+    rho.coeffs = {key: vec[g:] for key, vec in
+                  E.total.algebra.bracket.coeffs.items() if key[1] >= g}
     rep = DiffRepresentation(rho, pullback(E.total.d, E.i, E.t))
     psi = pullback(E.total.algebra.bracket, E.s, E.t)
     return rep, psi, pullback(E.total.d, E.s, E.t)
@@ -124,7 +113,7 @@ def build_extension(g, rep, psi, chi):
     with the exact residual when (psi, chi) fails the degree-2 cocycle
     condition.  Past both, V is an abelian d-stable ideal by construction,
     and the total's axioms hold on g-inputs exactly for 2-cocycles and on
-    V-inputs exactly for representations, so split_extension accepts it."""
+    V-inputs exactly for representations, so AbelianExtension accepts it."""
     from .cohomology import CocyclePair, pair_residual
     check_coefficients(g, rep)
     res = pair_residual(g, rep, CocyclePair(psi, chi))
@@ -135,20 +124,11 @@ def build_extension(g, rep, psi, chi):
                           semidirect_operator(g.d, chi, rep.dV), g.weight)
 
 
-def split_extension(total, gdim, vdim):
-    """total on g (+) V as an extension with the canonical inclusion of V,
-    projection onto g and section of the projection."""
-    i = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
-    p = Matrix.block([[Matrix.identity(gdim), Matrix.zero(gdim, vdim)]])
-    s = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
-    return AbelianExtension(total, i, p, s)
-
-
 def equivalence_witness(E1, E2, phi=None):
     """Equivalence of two extensions of the same (g, V).
 
-    With phi given: checks that zeta = Id + i . phi . p is an isomorphism of
-    the totals commuting with i and p; returns (ok, phi).  With phi = None:
+    With phi given: checks that zeta = Id + i . phi . p, which fixes i and
+    p, is an isomorphism of the totals; returns (ok, phi).  With phi = None:
     searches for phi by solving the linear system
     (combined differential)(phi) = extracted cocycle difference; returns
     (found, phi_or_None)."""
@@ -167,8 +147,6 @@ def equivalence_witness(E1, E2, phi=None):
         phi = matrix_from_altmap1(phi)
     N = E1.total.dim
     zeta = Matrix.identity(N) + E1.i * phi * E1.p
-    if zeta * E1.i != E2.i or E2.p * zeta != E1.p:
-        return False, None
     for f1, f2 in ((E1.total.d, E2.total.d),
                    (E1.total.algebra.bracket, E2.total.algebra.bracket)):
         if pullback(f1, Matrix.identity(N), zeta) != pullback(f2, zeta):

@@ -17,7 +17,7 @@ multiplies only the vector's nonzero entries by the nonzero entries of each
 row.  Skipping a zero term never changes a sum, so the results are the same
 rationals as the dense formulas.
 
-Elimination (Matrix.rref, behind rank, solve and invert_matrix) is
+Elimination (Matrix.rref, behind rank and solve) is
 fraction-free: each row is scaled once by the lcm of its denominators and
 then eliminated as an integer vector, by integer cross-multiplication in the
 manner of Bareiss (1968), never building a Fraction until the pivot rows are
@@ -346,19 +346,6 @@ def _integer_echelon(R, cols):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def invert_matrix(m):
-    """The inverse of a square matrix, or None when it is singular."""
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("only a square matrix has an inverse")
-    ident = Matrix.identity(n).data
-    R, pivots = Matrix._of(n, 2 * n, [m.data[i] + ident[i]
-                                      for i in range(n)]).rref()
-    if pivots[:n] != list(range(n)):
-        return None
-    return Matrix._of(n, n, [row[n:] for row in R.data])
 
 
 def homology_dim(d_out, d_in):

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
-from difflie.extensions import build_extension, split_extension
-from difflie.linalg import Matrix, div, frac, invert_matrix, vec_is_zero
+from difflie.extensions import AbelianExtension, build_extension
+from difflie.linalg import Matrix, div, frac, vec_is_zero
 from difflie.multilinear import AltMap, altmap1_from_matrix, \
     matrix_from_altmap1, pullback
 from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
@@ -34,6 +34,18 @@ def rand_vec(rng, n, lo=-3, hi=3):
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
     return Matrix(rows, cols, [[rng.randrange(lo, hi + 1)
                                 for _ in range(cols)] for _ in range(rows)])
+
+
+def invert_matrix(m):
+    """The inverse of a square matrix, or None when it is singular: the
+    right half of the reduced row echelon form of [m | Id]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    R, pivots = Matrix.block([[m, Matrix.identity(n)]]).rref()
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(n, n, [row[n:] for row in R.data])
 
 
 def rand_unimodular(rng, n, steps=6):
@@ -355,6 +367,18 @@ def _relative_operator_matrix(rng, T, lam):
 
 def built_extension(A, rep, psi, chi):
     """The total that extensions.build_extension assembles from (psi, chi),
-    as an extension in the canonical split."""
-    return split_extension(build_extension(A, rep, psi, chi), A.dim,
-                           rep.space_dim)
+    as an extension in the coordinates of g (+) V."""
+    return AbelianExtension(build_extension(A, rep, psi, chi), A.dim,
+                            rep.space_dim)
+
+
+def section_change(E, phi):
+    """E read through the section s + i phi, for a vdim x gdim matrix phi:
+    the extension whose total is E's conjugated by zeta = Id + i phi p,
+    whose inverse is Id - i phi p.  zeta fixes i and p and sends the
+    coordinate section s to s + i phi, so the cocycle this extension
+    extracts is the one of the section s + i phi of E."""
+    ident, shift = Matrix.identity(E.total.dim), E.i * phi * E.p
+    return AbelianExtension(conjugate_diff_lie(E.total, ident + shift,
+                                               ident - shift),
+                            E.gdim, E.vdim)

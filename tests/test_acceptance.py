@@ -44,7 +44,7 @@ from samples import (WEIGHTS, abelian, aff1, diff_lie,
                      constant_deformation, deformation, formal_iso,
                      rand_matrix,
                      random_diff_lie, random_lieact, random_relative_operator,
-                     random_rep, trivial_rep)
+                     random_rep, section_change, trivial_rep)
 
 from test_cohomology import bridge, embedding_commutes_residual
 from test_linfty import all_zero, jacobi_holds, project_M_rel
@@ -334,7 +334,6 @@ def cocycle_basis(A, rep):
 
 
 def test_criterion_07_extensions(rng):
-    from difflie.extensions import AbelianExtension
     bad = []
     fixtures = 0
     while fixtures < 20:
@@ -349,17 +348,13 @@ def test_criterion_07_extensions(rng):
         if not ((psi - pair.f).is_zero() and (chi - pair.g).is_zero()
                 and rep2.rho == rep.rho and rep2.dV == rep.dV):
             bad.append(("round trip", gdim, vdim))
-        # changing the section shifts the cocycle by an exact coboundary
+        # changing the section to s + i phi, a conjugation of the total by
+        # Id + i phi p, shifts the cocycle by an exact coboundary
         phi = rand_matrix(rng, vdim, gdim)
-        E2 = AbelianExtension(E.total, E.i, E.p, E.s + E.i * phi)
-        _, psi2, chi2 = extract_cocycle(E2)
+        _, psi2, chi2 = extract_cocycle(section_change(E, phi))
         diff = CocyclePair(psi2 - pair.f, chi2 - pair.g).coords()
         d1 = difflie_differential(A, rep, 1, tilde=True)
-        flat = []
-        for j in range(gdim):
-            vec = altmap1_from_matrix(phi).coeffs.get((j,))
-            flat.extend(vec if vec else [Fraction(0)] * vdim)
-        if diff != d1.matvec(flat):
+        if diff != d1.matvec(altmap_to_coords(altmap1_from_matrix(phi))):
             bad.append(("section change", gdim, vdim))
         # a cohomologous pair yields an equivalent extension
         phi_flat = [Fraction(rng.randrange(-2, 3))

@@ -112,13 +112,18 @@ def _one_error_line(proc):
 
 
 def test_out_of_memory_exits_2_with_one_line(tmp_path):
-    # twist plans no size before it works: the 24-dimensional abelian
-    # algebra passes at once, but its degree-n bridges at the default
-    # --max-degree 3 build the combined differential and one twisted l_1
-    # per basis pair, far more than 300 MiB hold; under that address-space
-    # limit the run ends in MemoryError, which must be one line, not a
-    # traceback
-    proc = _run_capped(tmp_path, ["twist"], _abelian(24), 300 * 2 ** 20, 120)
+    # deform rigidify plans no size before it works: an order-1 operator
+    # term on the 40-dimensional abelian algebra is a valid deformation,
+    # but clearing it solves with the degree-1 truncated differential of
+    # the adjoint complex, 32 800 x 1 600 cells, more than 300 MiB hold;
+    # under that address-space limit the run ends in MemoryError, which
+    # must be one line, not a traceback
+    dim = 40
+    unit = [[int(i == j == 0) for j in range(dim)] for i in range(dim)]
+    doc = {"base": _abelian(dim), "mu": [{"arity": 2, "coeffs": {}}],
+           "d": [unit]}
+    proc = _run_capped(tmp_path, ["deform", "rigidify"], doc,
+                       300 * 2 ** 20, 120)
     assert _one_error_line(proc).startswith("error: out of memory")
 
 
@@ -151,7 +156,11 @@ def test_extension_build_checks_its_cocycle_within_a_memory_cap(tmp_path):
      {"base": _abelian(40),
       "rep": {"rep_dim": 40, "dV": _abelian(40)["d"],
               "rho": {str(i + 1): _abelian(40)["d"] for i in range(40)}}},
-     14038400000)], ids=["cohomology", "extension-classify"])
+     14038400000),
+    # the bridges of twist build the combined differentials with adjoint
+    # coefficients through degree 3, its default --max-degree
+    (["twist"], _abelian(24), 17160494400)],
+    ids=["cohomology", "extension-classify", "twist"])
 def test_complex_above_the_budget_exits_2_before_building(tmp_path, argv,
                                                           doc, cells):
     # the planned differentials of these small documents hold far more

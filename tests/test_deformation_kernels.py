@@ -348,12 +348,15 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 CONVERSIONS = ("Matrix", "matrix_from_altmap1", "altmap1_from_matrix")
 # where each name may be read, as {module: enclosing Class.function}, None
 # for anywhere in the module: Matrix only in elimination (linalg), the
-# basis changes of extensions, the cochain differentials and the inclusions
-# of the coboundaries of cohomology, and the wire reader of liealg; a map
-# turned into a matrix only where a pullback moves along it or a witness
-# returns it; and a matrix turned into a map only by the three readers
+# coordinate maps of an extension and the zeta of its equivalence witness,
+# the cochain differentials and the inclusions of the coboundaries of
+# cohomology, and the wire reader of liealg; a map turned into a matrix
+# only where a pullback moves along it or a witness returns it; and a
+# matrix turned into a map only by the three readers
 ALLOWED = {
-    "Matrix": {"linalg.py": None, "extensions.py": None,
+    "Matrix": {"linalg.py": None,
+               "extensions.py": {"AbelianExtension.__init__",
+                                 "equivalence_witness"},
                "cohomology.py": {"ce_apply", "delta_apply", "ce_differential",
                                  "delta_matrix", "difflie_differential",
                                  "CochainComplexSpec.__init__",
@@ -453,7 +456,8 @@ def test_matrix_uses_are_seen():
         {"altmap1_from_matrix": ["T.__init__", "_maps"],
          "matrix_from_altmap1": ["back"]}, {"Matrix"})
     # the per-basis matrices that rho_lambda once combined, put back into
-    # liealg, and a conversion put back into a checker of linfty
+    # liealg, a conversion put back into a checker of linfty, and a basis
+    # change put back into extract_cocycle
     sources = package_sources()
     old = "    shift = semidirect_operator("
     assert sources["liealg.py"].count(old) == 1
@@ -464,7 +468,12 @@ def test_matrix_uses_are_seen():
     sources["linfty.py"] = sources["linfty.py"].replace(
         old, "AbsoluteStructure(lam), pi,\n"
              "                             altmap1_from_matrix(D))")
+    old = "    rep = DiffRepresentation(rho, pullback(E.total.d, E.i, E.t))"
+    assert sources["extensions.py"].count(old) == 1
+    sources["extensions.py"] = sources["extensions.py"].replace(
+        old, "    inv = Matrix.identity(E.total.dim)\n" + old)
     assert matrix_violations(sources) == [
+        "extensions.py:extract_cocycle Matrix",
         "liealg.py:rho_lambda Matrix",
         "linfty.py:mc_check_absolute altmap1_from_matrix"]
 

@@ -6,29 +6,22 @@ import pytest
 from axiom_oracles import (derivation_oracle, is_diff_representation,
                            jacobi_oracle)
 from conftest import filled, kernel_basis
-from difflie.linalg import Matrix, invert_matrix, vec_is_zero
+from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffRepresentation, LieAlgebra,
                             adjoint_rep, trivial_extension)
 from difflie.multilinear import AltMap, altmap1_from_matrix
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
-                                cochain_dim, coords_to_altmap,
-                                difflie_differential)
+                                altmap_to_coords, cochain_dim,
+                                coords_to_altmap, difflie_differential)
 from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 NotCocycle, build_extension,
                                 check_coefficients, classify,
-                                equivalence_witness, extract_cocycle,
-                                split_extension)
+                                equivalence_witness, extract_cocycle)
 from samples import (WEIGHTS, abelian, aff1, built_extension, diff_lie,
-                     conjugate_diff_lie, rand_matrix, rand_unimodular,
-                     random_diff_lie, random_rep, trivial_rep)
+                     conjugate_diff_lie, invert_matrix, rand_matrix,
+                     rand_unimodular, random_diff_lie, random_rep,
+                     section_change, trivial_rep)
 from test_axiom_kernel import algebras, reps
-
-
-def canonical_maps(gdim, vdim):
-    i = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
-    p = Matrix.block([[Matrix.identity(gdim), Matrix.zero(gdim, vdim)]])
-    s = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
-    return i, p, s
 
 
 def cocycle_basis(A, rep):
@@ -37,16 +30,29 @@ def cocycle_basis(A, rep):
             for v in kernel_basis(spec.d[2])]
 
 
+def coboundary_coords(A, rep, phi):
+    """The coordinates of the truncated coboundary of the 1-cochain of the
+    vdim x gdim matrix phi."""
+    return difflie_differential(A, rep, 1, tilde=True).matvec(
+        altmap_to_coords(altmap1_from_matrix(phi)))
+
+
 def test_trivial_extension_extracts_zero(rng):
+    # the coordinate section extracts the zero pair; the section s + i phi
+    # extracts the coboundary of phi
     A = random_diff_lie(rng, max_dim=3)
     rep = random_rep(rng, A, max_dim=2)
     total = trivial_extension(A, rep)
-    E = AbelianExtension(total, *canonical_maps(A.dim, rep.space_dim))
+    E = AbelianExtension(total, A.dim, rep.space_dim)
     rep2, psi, chi = extract_cocycle(E)
     assert psi.is_zero() and chi.is_zero()
     assert rep2.rho == rep.rho and rep2.dV == rep.dV
     base = E.base()
     assert base.algebra.bracket == A.algebra.bracket and base.d == A.d
+    phi = rand_matrix(rng, rep.space_dim, A.dim)
+    rep3, psi, chi = extract_cocycle(section_change(E, phi))
+    assert CocyclePair(psi, chi).coords() == coboundary_coords(A, rep, phi)
+    assert rep3.rho == rep.rho and rep3.dV == rep.dV
 
 
 def test_build_zero_pair_is_trivial_extension(rng):
@@ -77,8 +83,8 @@ def test_build_extract_round_trip(rng):
 def test_extracted_coefficients_are_a_representation(rng):
     # extract_cocycle does not check its coefficients: an accepted
     # extension always induces a differential representation of its base,
-    # in the canonical split, with a non-canonical section, and in a
-    # random basis of the total space
+    # in the coordinate section, in another section, and in a random basis
+    # of the total space that keeps V on the last coordinates
     for _ in range(8):
         A = random_diff_lie(rng, max_dim=3)
         rep = random_rep(rng, A, max_dim=2)
@@ -87,12 +93,14 @@ def test_extracted_coefficients_are_a_representation(rng):
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
         E = built_extension(A, rep, pair.f, pair.g)
-        s2 = E.s + E.i * rand_matrix(rng, vdim, gdim)
-        U = rand_unimodular(rng, gdim + vdim)
-        Uinv = invert_matrix(U)
-        for F in (E, AbelianExtension(E.total, E.i, E.p, s2),
-                  AbelianExtension(conjugate_diff_lie(E.total, U, Uinv),
-                                   Uinv * E.i, E.p * U, Uinv * s2)):
+        U = Matrix.block([[rand_unimodular(rng, gdim),
+                           Matrix.zero(gdim, vdim)],
+                          [rand_matrix(rng, vdim, gdim),
+                           rand_unimodular(rng, vdim)]])
+        for F in (E, section_change(E, rand_matrix(rng, vdim, gdim)),
+                  AbelianExtension(conjugate_diff_lie(E.total, U,
+                                                      invert_matrix(U)),
+                                   gdim, vdim)):
             rep2, _, _ = extract_cocycle(F)
             assert is_diff_representation(F.base(), rep2)
 
@@ -118,9 +126,12 @@ def test_invalid_extension_detected(rng):
     A = random_diff_lie(rng, max_dim=2)
     rep = random_rep(rng, A, max_dim=2)
     total = trivial_extension(A, rep)
-    i, p, s = canonical_maps(A.dim, rep.space_dim)
-    with pytest.raises(InvalidExtension):
-        AbelianExtension(total, i, p * Fraction(2), s)
+    N = A.dim + rep.space_dim
+    for gdim, vdim in ((A.dim, rep.space_dim + 1), (A.dim + 1, rep.space_dim),
+                       (A.dim - 1, rep.space_dim), (-1, N + 1), (N + 1, -1)):
+        with pytest.raises(InvalidExtension,
+                           match="^dimension count is not exact$"):
+            AbelianExtension(total, gdim, vdim)
 
 
 @pytest.mark.parametrize("gdim, bracket, d, message", [
@@ -135,14 +146,14 @@ def test_kernel_defects_are_named(gdim, bracket, d, message):
     total = diff_lie(LieAlgebra(2, filled(AltMap(2, 2, 2), bracket)),
                      Matrix.from_rows(d), 3)
     with pytest.raises(InvalidExtension, match="^%s$" % message):
-        split_extension(total, gdim, 2 - gdim)
+        AbelianExtension(total, gdim, 2 - gdim)
 
 
 def test_zero_dimensional_extension():
     A = diff_lie(abelian(0), Matrix.zero(0, 0), 1)
     rep = trivial_rep(A, 0)
     E = built_extension(A, rep, AltMap(2, 0, 0), AltMap(1, 0, 0))
-    assert E.total.dim == 0 and E.split.is_zero()
+    assert E.total.dim == 0 and E.total.algebra.bracket.is_zero()
     rep2, psi, chi = extract_cocycle(E)
     assert rep2.rho == AltMap(2, 0, 0) and rep2.dV == AltMap(1, 0, 0)
     assert psi.is_zero() and chi.is_zero()
@@ -159,17 +170,9 @@ def test_section_change_is_coboundary(rng):
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
         E = built_extension(A, rep, pair.f, pair.g)
         phi = rand_matrix(rng, vdim, gdim)
-        s2 = E.s + E.i * phi
-        E2 = AbelianExtension(E.total, E.i, E.p, s2)
-        _, psi2, chi2 = extract_cocycle(E2)
+        _, psi2, chi2 = extract_cocycle(section_change(E, phi))
         diff = CocyclePair(psi2 - pair.f, chi2 - pair.g).coords()
-        d1 = difflie_differential(A, rep, 1, tilde=True)
-        phi_coords = altmap1_from_matrix(phi).coeffs
-        flat = []
-        for j in range(gdim):
-            vec = phi_coords.get((j,))
-            flat.extend(vec if vec else [Fraction(0)] * vdim)
-        assert diff == d1.matvec(flat)
+        assert diff == coboundary_coords(A, rep, phi)
 
 
 def test_equivalence_trivial(rng):
@@ -249,9 +252,6 @@ def test_equivalence_witness_rejections():
         (False, None)
     # other coefficients: d_V = Id instead of 0
     assert equivalence_witness(E, aff1_line_extension(dV=1)) == (False, None)
-    # zeta fixes i, so a second inclusion 2 i is not matched
-    E2i = AbelianExtension(E.total, E.i.scale(2), E.p, E.s)
-    assert equivalence_witness(E, E2i, Matrix.zero(1, 2)) == (False, None)
     # with d_V = Id, phi(x) = 1 gives d zeta x = v but zeta d x = 0
     Ed = aff1_line_extension(dV=1)
     assert equivalence_witness(Ed, Ed, Matrix.from_rows([[1, 0]])) == \
@@ -355,7 +355,7 @@ def test_split_extension_accepts_every_built_total():
                                   mix.g + pair.g.scale(c))
             for pair in pairs + [mix]:
                 total = build_extension(A, rep, pair.f, pair.g)
-                E = split_extension(total, gdim, vdim)
+                E = AbelianExtension(total, gdim, vdim)
                 assert E.total is total
                 rep2, psi, chi = extract_cocycle(E)
                 assert (psi - pair.f).is_zero() and (chi - pair.g).is_zero()
