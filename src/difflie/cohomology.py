@@ -19,19 +19,23 @@ forces.
 
 An n-cochain is an AltMap of arity n for every n >= 0 (a 0-cochain is the
 arity-0 map, whose one key () holds a vector of V); its coordinates, and a
-cocycle pair's, are read off the maps.  The bridge to the twisted formal
-structure is one residual matrix per degree.
+cocycle pair's, are read off the maps.  The coboundaries of one cochain
+move along coordinate maps, arity-1 maps like every other linear map of
+the package.  This module is the only one besides linalg that names
+Matrix: the differentials and their d^2 check, the solve of
+pair_primitive, and the differential that the bridge to the twisted formal
+structure reads, one residual column per basis pair.
 """
 
 from itertools import combinations, product
 from math import comb
 
-from .linalg import CompositionNonzero, Matrix, exact, frac, vec_is_zero, \
-    vec_support, vec_zero, basis_vec
+from .linalg import CompositionNonzero, Matrix, exact, frac, vec_add, \
+    vec_is_zero, vec_support, vec_zero, basis_vec
 from . import FLAVORS
 from .liealg import adjoint_rep, rho_lambda, semidirect_bracket
-from .multilinear import AltMap, ArityMismatch, _sym_sort, \
-    matrix_from_altmap1, pullback
+from .multilinear import AltMap, ArityMismatch, _sym_sort, coordinate_map, \
+    pullback
 
 
 class UnknownFlavor(Exception):
@@ -82,11 +86,12 @@ def ce_apply(L, rep, f):
     g-inputs and projected to V."""
     from .nr import nr_bracket
     gdim, vdim = L.dim, rep.space_dim
-    inc_g = Matrix.block([[Matrix.identity(gdim)], [Matrix.zero(vdim, gdim)]])
-    inc_v = Matrix.block([[Matrix.zero(gdim, vdim)], [Matrix.identity(vdim)]])
-    f_hat = pullback(f, inc_g.transpose(), inc_v)
+    N = gdim + vdim
+    f_hat = pullback(f, coordinate_map(N, gdim, 0),
+                     coordinate_map(vdim, N, gdim))
     mu = semidirect_bracket(L.bracket, rep.rho)
-    return pullback(nr_bracket(mu, f_hat), inc_g, inc_v.transpose())
+    return pullback(nr_bracket(mu, f_hat), coordinate_map(gdim, N, 0),
+                    coordinate_map(N, vdim, -gdim))
 
 
 def delta_apply(A, rep, f):
@@ -95,7 +100,7 @@ def delta_apply(A, rep, f):
     from .nr import pointed_family
     n = f.arity
     return pointed_family({0: f}, {0: A.d}, 0, A.weight, n, n - 1, f.space) - \
-        pullback(f, Matrix.identity(A.dim), matrix_from_altmap1(rep.dV))
+        pullback(f, coordinate_map(A.dim, A.dim, 0), rep.dV)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +375,15 @@ def _twisted_l1(A, pair):
 
 
 def twist_bridge_residual(A, n):
-    """The degree-n bridge residual: the matrix whose column k is l_1 of the
-    absolute structure twisted by (s mu, d) on the k-th basis pair (sf, g),
-    plus the combined differential with adjoint coefficients on that pair.
-    The twisted l_1 is the combined differential up to sign, so the matrix
-    is identically zero."""
+    """The degree-n bridge residual, one column per basis pair (sf, g):
+    l_1 of the absolute structure twisted by (s mu, d) on the k-th pair,
+    plus column k of the combined differential with adjoint coefficients.
+    The twisted l_1 is the combined differential up to sign, so every
+    column is zero."""
     size = pair_dim(A.dim, A.dim, n)
     d = difflie_differential(A, adjoint_rep(A), n)
-    cols = [_twisted_l1(A, CocyclePair.from_coords(basis_vec(size, k),
-                                                   A.dim, A.dim, n))
-            for k in range(size)]
-    return Matrix(size, d.rows, cols).transpose() + d
+    cols = []
+    for k in range(size):
+        pair = CocyclePair.from_coords(basis_vec(size, k), A.dim, A.dim, n)
+        cols.append(vec_add(_twisted_l1(A, pair), [row[k] for row in d.data]))
+    return cols

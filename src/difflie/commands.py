@@ -2,9 +2,9 @@
 inputs, and its handler, from those inputs and the options to (exit code,
 report); ``run`` runs one on the parsed command line and prints the report.
 
-The readers of ``cohomology``, ``extension classify`` and ``twist`` also
-admit their document by the planned size of its complex (``MAX_CELLS``),
-before any computation starts.
+The readers of ``cohomology``, ``extension classify``, ``twist`` and
+``deform rigidify`` also admit their document by the planned size of the
+differentials they build (``MAX_CELLS``), before any computation starts.
 
 ``cli.main`` imports this module only once the command line parses, so the
 parse path loads none of it: not the wire readers, the scalars or ``json``.
@@ -25,7 +25,7 @@ from .liealg import (AxiomFailure, DiffLieAlgebra, SchemaError,
                      read_scalar, rep_from_json, rep_residuals, rep_to_json,
                      weighted_derivation_residual)
 from .multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
-    altmap1_from_matrix, identity_map
+    coordinate_map
 
 
 def _fmt_vec(v):
@@ -63,9 +63,10 @@ def _algebra_rep(obj, args):
 
 
 # The most matrix cells, summed over the differentials, that `cohomology`,
-# `extension classify` and `twist` may plan; above it they exit 2 before
-# building anything.  The largest bench complex, sl2 (+) aff1 in the
-# catalog basis at --max-degree 4, plans 17 400 cells, and Whitehead's
+# `extension classify`, `twist` and `deform rigidify` may plan; above it
+# they exit 2 before building anything.  The largest bench complex,
+# sl2 (+) aff1 in the catalog basis at --max-degree 4, plans 17 400 cells,
+# the largest d~^1 that a bench rigidify solves with 1 875, and Whitehead's
 # sl2^3 at max-degree 4, the largest complex of the tests, 2 515 860.  A
 # 40-dim abelian algebra at the default --max-degree 4 plans
 # 1 741 300 897 600, more than memory holds: without this check it
@@ -73,28 +74,31 @@ def _algebra_rep(obj, args):
 MAX_CELLS = 10 ** 7
 
 
-def _admit(gdim, vdim, flavor, max_degree):
-    """Raise ValueError when the differentials of CochainComplexSpec on
-    dim g = gdim and dim V = vdim plan more than MAX_CELLS cells."""
-    from .cohomology import planned_cells
-    cells = planned_cells(gdim, vdim, flavor, max_degree)
+def _admit(cells):
+    """Raise ValueError when the differentials a command builds plan more
+    than MAX_CELLS cells; cells is read off cohomology.planned_cells."""
     if cells > MAX_CELLS:
         raise ValueError("the cochain differentials plan %d matrix cells, "
                          "above the budget of %d" % (cells, MAX_CELLS))
 
 
 def _read_cohomology(obj, args):
+    from .cohomology import planned_cells
     A, rep = _algebra_rep(obj, args)
-    _admit(A.dim, A.dim if rep is None else rep.space_dim, args.flavor,
-           args.max_degree)
+    _admit(planned_cells(A.dim, A.dim if rep is None else rep.space_dim,
+                         args.flavor, args.max_degree))
     return A, rep
 
 
 def _read_twist(obj, args):
+    from .cohomology import planned_cells
     A = _algebra(obj, args)
-    # the combined differentials with adjoint coefficients that the
-    # bridges of cmd_twist build, through degree min(max_degree, dim + 1)
-    _admit(A.dim, A.dim, "difflie", min(args.max_degree, A.dim + 1) + 1)
+    # the combined differentials d_1 .. d_top with adjoint coefficients, one
+    # per bridge of cmd_twist, top = min(max_degree, dim + 1): those of
+    # d_0 .. d_top less those of d_0
+    top = min(args.max_degree, A.dim + 1)
+    _admit(planned_cells(A.dim, A.dim, "difflie", top + 1) -
+           planned_cells(A.dim, A.dim, "difflie", 1))
     return A
 
 
@@ -110,8 +114,9 @@ def _read_extension(obj, args):
     A = difflie_from_json(*field(obj, "base"))
     rep = rep_from_json(field(obj, "rep")[0], A.dim)
     if args.action == "classify":
+        from .cohomology import planned_cells
         # the complex that extensions.classify builds
-        _admit(A.dim, rep.space_dim, "tilde", 3)
+        _admit(planned_cells(A.dim, rep.space_dim, "tilde", 3))
         return A, rep
     return (A, rep,
             altmap_from_json(*field(obj, "psi"), A.dim, rep.space_dim, 2),
@@ -122,9 +127,14 @@ def _read_deformation(obj, args):
     from .deformations import TruncatedDeformation
     only_keys(obj, "", ("base", "mu", "d"))
     A = difflie_from_json(*field(obj, "base"))
+    if args.action == "rigidify":
+        from .cohomology import planned_cells
+        # each order solves with d~^1 of the adjoint complex, the one
+        # differential of the tilde flavor below degree 2
+        _admit(planned_cells(A.dim, A.dim, "tilde", 2))
     mu = [altmap_from_json(*m, A.dim, A.dim, 2)
           for m in read_list(obj.get("mu", []), "mu")]
-    d = [altmap1_from_matrix(read_matrix(*m, A.dim, A.dim))
+    d = [read_matrix(*m, A.dim, A.dim)
          for m in read_list(obj.get("d", []), "d")]
     return TruncatedDeformation(A, [A.algebra.bracket] + mu, [A.d] + d)
 
@@ -223,10 +233,10 @@ def cmd_twist(A, args):
     bad = []
     # above degree dim + 1 there are no cochain pairs, so no columns
     for n in range(1, min(max_n, dim + 1) + 1):
-        cols = twist_bridge_residual(A, n).transpose().data
         bad.extend({"degree": n, "basis_index": k + 1,
                     "residual": _fmt_vec(col)}
-                   for k, col in enumerate(cols) if not vec_is_zero(col))
+                   for k, col in enumerate(twist_bridge_residual(A, n))
+                   if not vec_is_zero(col))
     report = {"dim": dim, "weight": fmt_scalar(A.weight),
               "max_degree": max_n, "bridge_nonzero": bad,
               "bridge_zero": not bad}
@@ -329,7 +339,7 @@ def cmd_deform(D, args):
     dim = D.base.dim
     return 0, {"action": "rigidify", "trivialized": True,
                "isos": [[_matrix_to_json(f, [(j,) for j in range(dim)])
-                         for f in [identity_map(dim)] +
+                         for f in [coordinate_map(dim, dim, 0)] +
                          [phi.get(c, AltMap(1, dim, dim))
                           for c in range(1, max(phi, default=0) + 1)]]
                         for phi in isos]}

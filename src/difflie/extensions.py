@@ -5,20 +5,23 @@ equivalence testing, and classification by the truncated degree-2 cohomology.
 An extension is always presented in the coordinates of g (+) V, V spanned
 by the last coordinates and carrying the zero bracket: i and t are the
 inclusion of V and the projection onto it, s and p those of g, and s is
-the section.  Another section s + i phi is a change of basis of the total
-by Id + i phi p, so it is the same presentation of a conjugated total.
-The kernel checks and rho are read off the total's bracket; the base,
-psi and chi are multilinear.pullbacks along s, d_V along i.
+the section.  All four are coordinate maps, arity-1 maps like every other
+linear map of the package.  Another section s + i phi is a change of basis
+of the total by Id + i phi p, the operator with parts (Id, phi, Id) of
+g (+) V, so it is the same presentation of a conjugated total.  The kernel
+checks and rho are read off the total's bracket; the base, psi and chi
+are multilinear.pullbacks along s, d_V along i.
 
 A total built from a 2-cocycle is certified by the 2-cocycle <-> extension
 correspondence (build_extension), so it is not validated again.
 """
 
-from .linalg import Matrix, vec_is_zero
+from .linalg import vec_is_zero
 from .liealg import (AxiomFailure, DiffLieAlgebra, DiffRepresentation,
                      LieAlgebra, is_diff_lie_algebra, semidirect_bracket,
                      semidirect_operator, trivial_extension)
-from .multilinear import AltMap, matrix_from_altmap1, pullback
+from .multilinear import AltMap, DimensionMismatch, coordinate_map, \
+    pullback
 
 
 class InvalidExtension(AxiomFailure):
@@ -47,11 +50,10 @@ class AbelianExtension:
         if not is_diff_lie_algebra(total):
             raise InvalidExtension("total space axioms fail")
         self.total, self.gdim, self.vdim = total, gdim, vdim
-        self.s = Matrix.block([[Matrix.identity(gdim)],
-                               [Matrix.zero(vdim, gdim)]])
-        self.i = Matrix.block([[Matrix.zero(gdim, vdim)],
-                               [Matrix.identity(vdim)]])
-        self.p, self.t = self.s.transpose(), self.i.transpose()
+        N = total.dim
+        self.s, self.p = coordinate_map(gdim, N, 0), coordinate_map(N, gdim, 0)
+        self.i = coordinate_map(vdim, N, gdim)
+        self.t = coordinate_map(N, vdim, -gdim)
         # V must be an abelian ideal preserved by the operator: no g-part of
         # d on V, no bracket of two V-inputs and no g-part of one with one
         if not pullback(total.d, self.i, self.p).is_zero():
@@ -127,9 +129,9 @@ def build_extension(g, rep, psi, chi):
 def equivalence_witness(E1, E2, phi=None):
     """Equivalence of two extensions of the same (g, V).
 
-    With phi given: checks that zeta = Id + i . phi . p, which fixes i and
-    p, is an isomorphism of the totals; returns (ok, phi).  With phi = None:
-    searches for phi by solving the linear system
+    With phi, an arity-1 map g -> V, given: checks that zeta = Id + i phi p,
+    which fixes i and p, is an isomorphism of the totals; returns (ok,
+    phi).  With phi = None: searches for phi by solving the linear system
     (combined differential)(phi) = extracted cocycle difference; returns
     (found, phi_or_None)."""
     if (E1.gdim, E1.vdim) != (E2.gdim, E2.vdim):
@@ -144,12 +146,15 @@ def equivalence_witness(E1, E2, phi=None):
                              CocyclePair(psi1 - psi2, chi1 - chi2))
         if phi is None:
             return False, None
-        phi = matrix_from_altmap1(phi)
-    N = E1.total.dim
-    zeta = Matrix.identity(N) + E1.i * phi * E1.p
+    g, v = E1.gdim, E1.vdim
+    if (phi.arity, phi.src_dim, phi.tgt_dim) != (1, g, v):
+        raise DimensionMismatch("phi is not a map g -> V")
+    zeta = semidirect_operator(coordinate_map(g, g, 0), phi,
+                               coordinate_map(v, v, 0))
     for f1, f2 in ((E1.total.d, E2.total.d),
                    (E1.total.algebra.bracket, E2.total.algebra.bracket)):
-        if pullback(f1, Matrix.identity(N), zeta) != pullback(f2, zeta):
+        if pullback(f1, coordinate_map(g + v, g + v, 0), zeta) != \
+                pullback(f2, zeta):
             return False, None
     return True, phi
 

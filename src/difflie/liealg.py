@@ -22,11 +22,10 @@ map it reads.
 
 from itertools import combinations
 
-from .linalg import (Matrix, div, frac, fmt_scalar, parse_scalar, vec_zero,
-                     vec_is_zero)
-from .multilinear import (AltMap, ArityMismatch, DimensionMismatch,
-                          altmap1_from_matrix, identity_map,
-                          matrix_from_altmap1, pullback)
+from .linalg import div, frac, fmt_scalar, parse_scalar, vec_zero, \
+    vec_is_zero
+from .multilinear import AltMap, ArityMismatch, DimensionMismatch, \
+    coordinate_map, pullback
 
 
 class ZeroScale(Exception):
@@ -157,10 +156,9 @@ def rho_lambda(rep, A):
     """The shifted representation rho_lambda(x) = rho(x + lambda d x): the
     action pulled back along Id + lambda d on its g slot (and Id on V)."""
     n, m = A.dim, rep.space_dim
-    shift = semidirect_operator(A.d.scale(A.weight), AltMap(1, n, m),
-                                AltMap(1, m, m))
-    return DiffRepresentation(pullback(rep.rho, matrix_from_altmap1(
-        identity_map(n + m) + shift)), rep.dV)
+    e = coordinate_map(n, n, 0) + A.d.scale(A.weight)
+    along = semidirect_operator(e, AltMap(1, n, m), coordinate_map(m, m, 0))
+    return DiffRepresentation(pullback(rep.rho, along), rep.dV)
 
 
 def adjoint_rep(A):
@@ -276,7 +274,7 @@ def lift_tilde_D(T, D, lam):
     equivalence degenerates correctly as well)."""
     n = T.g.dim
     return DiffLieAlgebra(semidirect_weighted(T, lam), semidirect_operator(
-        AltMap(1, n, n), D, -identity_map(T.h.dim)), 1)
+        AltMap(1, n, n), D, -coordinate_map(T.h.dim, T.h.dim, 0)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,10 @@ def lift_tilde_D(T, D, lam):
 # "psi.coeffs.1,2"), as field(), read_list() and read_object() hand them
 # out, and raises SchemaError naming that field.  Scalars are JSON ints or
 # "p" / "p/q" strings, never floats or bools; no entry may be given twice,
-# and each document kind names the keys it may have (only_keys).
+# and each document kind names the keys it may have (only_keys).  A wire
+# matrix (an operator, one rho(x_i), a deformation term) is read straight
+# into the arity-1 map of its columns, and _matrix_to_json writes a map's
+# columns back as one; no matrix object is built on either side.
 
 
 class SchemaError(ValueError):
@@ -363,8 +364,13 @@ def read_vector(value, where, length):
 
 
 def read_matrix(value, where, rows, cols):
-    return Matrix(rows, cols, [read_vector(*row, cols)
-                               for row in read_list(value, where, rows)])
+    """The arity-1 map from dimension cols to dimension rows whose column
+    j is column j of the wire matrix, a list of rows rows long."""
+    data = [read_vector(*row, cols) for row in read_list(value, where, rows)]
+    f = AltMap(1, cols, rows)
+    f.coeffs = {(j,): list(col) for j, col in enumerate(zip(*data))
+                if not vec_is_zero(col)}
+    return f
 
 
 def _fill(f, entries):
@@ -412,7 +418,7 @@ def difflie_from_json(obj, where="", extra=()):
     dim = read_int(*field(obj, "dim", where))
     # d first: its dim rows are in the document, so no dim-sized space is
     # allocated for a dim the document does not back
-    d = altmap1_from_matrix(read_matrix(*field(obj, "d", where), dim, dim))
+    d = read_matrix(*field(obj, "d", where), dim, dim)
     entries = [read_list(*entry, 3)
                for entry in read_list(*field(obj, "brackets", where))]
     bracket = _fill(AltMap(2, dim, dim), [
@@ -441,10 +447,10 @@ def rep_from_json(obj, g_dim):
     action = AltMap(2, g_dim + n, n)
     for i in range(g_dim):  # column a of rho[i] is the action on (x_i, v_a)
         m = read_matrix(*field(rho, str(i + 1), at), n, n)
-        for (a,), col in altmap1_from_matrix(m).coeffs.items():
+        for (a,), col in m.coeffs.items():
             action.coeffs[(i, g_dim + a)] = col
-    return DiffRepresentation(action, altmap1_from_matrix(
-        read_matrix(*field(obj, "dV", where), n, n)))
+    return DiffRepresentation(action,
+                              read_matrix(*field(obj, "dV", where), n, n))
 
 
 def altmap_to_json(f):

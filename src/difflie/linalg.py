@@ -127,7 +127,9 @@ def basis_vec(n, i):
 
 
 class Matrix:
-    """Dense rational matrix, row-major.
+    """Dense rational matrix, row-major: the cochain differentials of
+    cohomology and their products, ranks and solves.  Every other linear
+    map of the package is an arity-1 multilinear.AltMap.
 
     Treated as immutable after construction; operations return new matrices.
     """
@@ -143,19 +145,6 @@ class Matrix:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix shape mismatch")
             self.data = [[frac(x) for x in row] for row in data]
-
-    @classmethod
-    def from_rows(cls, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, rows)
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
 
     @classmethod
     def zero(cls, rows, cols):
@@ -225,11 +214,6 @@ class Matrix:
         return exact([sum((row[j] * x for j, x in nz if row[j]), 0)
                       for row in self.data])
 
-    def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def is_zero(self):
         return all(vec_is_zero(row) for row in self.data)
 
@@ -267,20 +251,6 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = R.data[r][self.cols]
         return x
-
-    # -- block assembly ---------------------------------------------------
-
-    @classmethod
-    def block(cls, grid):
-        """Assemble from a 2D grid of matrices (shapes must be consistent)."""
-        rows = []
-        for brow in grid:
-            h = brow[0].rows
-            if any(m.rows != h for m in brow):
-                raise ValueError("blocks of one grid row differ in height")
-            for i in range(h):
-                rows.append([x for m in brow for x in m.data[i]])
-        return cls.from_rows(rows) if rows else cls(0, sum(m.cols for m in grid[0]) if grid else 0)
 
 
 def _integer_row(row):

@@ -12,13 +12,18 @@ ones.  AltMap is only the constructor for that case (degree n - 1, one
 shared suspension per dimension), so cochains, Lie brackets and graded
 brackets share every operation below, and the suspension isomorphism is a
 relabelling.
+
+A linear map is the arity-1 AltMap whose value on basis vector j is its
+column j: operators, coordinate inclusions and projections
+(coordinate_map) and the maps that pullback transports along are all of
+this one type, and no matrix is built here.
 """
 
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from .linalg import (Matrix, basis_vec, exact, frac, vec_zero, vec_add,
-                     vec_scale, vec_is_zero, vec_support)
+from .linalg import (basis_vec, exact, frac, vec_zero, vec_add, vec_scale,
+                     vec_is_zero, vec_support)
 
 
 class ArityMismatch(ValueError):
@@ -253,47 +258,41 @@ def suspend_space(dim):
 
 
 # ---------------------------------------------------------------------------
-# arity-1 maps and matrices
+# arity-1 maps: the linear maps along which structure is transported
 
 
-def altmap1_from_matrix(m):
-    """The arity-1 map whose value on basis vector j is column j of m."""
-    f = AltMap(1, m.cols, m.rows)
-    for j in range(m.cols):
-        col = [m.data[i][j] for i in range(m.rows)]
-        if not vec_is_zero(col):
-            f.coeffs[(j,)] = col
-    return f
-
-
-def identity_map(dim):
-    """The identity of a space of dimension dim, as an arity-1 map."""
-    f = AltMap(1, dim, dim)
-    f.coeffs = {(j,): basis_vec(dim, j) for j in range(dim)}
+def coordinate_map(src_dim, tgt_dim, shift):
+    """The arity-1 map that sends basis vector j to basis vector j + shift,
+    and to zero where j + shift is not an index of the target: for a sum
+    g (+) V, the inclusion of V (shift dim g) and the projection onto it
+    (shift -dim g), and the identity at shift 0."""
+    f = AltMap(1, src_dim, tgt_dim)
+    f.coeffs = {(j,): basis_vec(tgt_dim, j + shift)
+                for j in range(max(0, -shift), min(src_dim, tgt_dim - shift))}
     return f
 
 
 def pullback(f, S, T=None):
     """The alternating map (x_1, .., x_n) -> T f(S x_1, .., S x_n) on the
-    source of S: f transported along the linear maps S and T, where T =
-    None is the identity.  Each column of S is read once, and each sorted
-    key of nonzero columns is accumulated once; a key with a zero column
-    is zero."""
-    supports = [vec_support(col) for col in S.transpose().data]
-    out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
-    for key in combinations([j for j, c in enumerate(supports) if c],
+    source of S: f transported along the arity-1 maps S and T, where T =
+    None is the identity.  Each stored value of S is read once, and each
+    sorted key of stored values is accumulated once; a key with a zero
+    value is zero."""
+    if (S.arity, S.tgt_dim) != (1, f.src_dim) or T is not None and \
+            (T.arity, T.src_dim) != (1, f.tgt_dim):
+        raise DimensionMismatch("pullback of a map %d -> %d along maps "
+                                "that do not fit it" % (f.src_dim, f.tgt_dim))
+    supports = {j: vec_support(col) for (j,), col in S.coeffs.items()}
+    out = AltMap(f.arity, S.src_dim, f.tgt_dim if T is None else T.tgt_dim)
+    for key in combinations(sorted(j for j, c in supports.items() if c),
                             f.arity):
         val = vec_zero(f.tgt_dim)
         f.accumulate(val, 1, [supports[x] for x in key])
-        val = exact(val) if T is None else T.matvec(val)
+        if T is not None:
+            head = vec_support(val)
+            val = vec_zero(T.tgt_dim)
+            T.accumulate(val, 1, [head])
+        exact(val)
         if not vec_is_zero(val):
             out.coeffs[key] = val
-    return out
-
-
-def matrix_from_altmap1(f):
-    out = Matrix.zero(f.tgt_dim, f.src_dim)
-    for (j,), vec in f.coeffs.items():
-        for i in range(f.tgt_dim):
-            out.data[i][j] = vec[i]
     return out

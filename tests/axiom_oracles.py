@@ -15,8 +15,7 @@ from itertools import combinations
 
 from difflie.linalg import (Matrix, basis_vec, frac, vec_add, vec_scale,
                             vec_sub)
-from difflie.multilinear import matrix_from_altmap1
-from samples import rho_matrices
+from samples import matrix_from_altmap1, rho_matrices
 
 
 def mat_combination(coeffs, mats, n):

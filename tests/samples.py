@@ -14,8 +14,7 @@ from conftest import filled, kernel_basis
 from difflie.deformations import TruncatedDeformation
 from difflie.extensions import AbelianExtension, build_extension
 from difflie.linalg import Matrix, div, frac, vec_is_zero
-from difflie.multilinear import AltMap, altmap1_from_matrix, \
-    matrix_from_altmap1, pullback
+from difflie.multilinear import AltMap, pullback
 from difflie.liealg import (LieAlgebra, DiffLieAlgebra, DiffRepresentation,
                             LieActTriple, adjoint_rep, relative_diff_residual,
                             rho_lambda, semidirect_bracket)
@@ -36,13 +35,67 @@ def rand_matrix(rng, rows, cols, lo=-3, hi=3):
                                 for _ in range(cols)] for _ in range(rows)])
 
 
+# ---------------------------------------------------------------------------
+# matrices of the fixtures and the oracles: the package keeps Matrix for its
+# cochain differentials and holds every other linear map as an arity-1 map,
+# so the conversions and the assembly of matrices live here
+
+
+def from_rows(rows):
+    """The matrix of the list of rows."""
+    return Matrix(len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def identity_matrix(n):
+    return Matrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(m):
+    return Matrix(m.cols, m.rows, [[row[j] for row in m.data]
+                                   for j in range(m.cols)])
+
+
+def block(grid):
+    """The matrix assembled from a 2D grid of matrices; the blocks of one
+    grid row must have one height."""
+    rows = []
+    for brow in grid:
+        h = brow[0].rows
+        if any(m.rows != h for m in brow):
+            raise ValueError("blocks of one grid row differ in height")
+        for i in range(h):
+            rows.append([x for m in brow for x in m.data[i]])
+    return from_rows(rows) if rows else \
+        Matrix(0, sum(m.cols for m in grid[0]) if grid else 0)
+
+
+def altmap1_from_matrix(m):
+    """The arity-1 map whose value on basis vector j is column j of m."""
+    f = AltMap(1, m.cols, m.rows)
+    for j in range(m.cols):
+        col = [m.data[i][j] for i in range(m.rows)]
+        if not vec_is_zero(col):
+            f.coeffs[(j,)] = col
+    return f
+
+
+def matrix_from_altmap1(f):
+    """The matrix whose column j is the value of the arity-1 map f on basis
+    vector j."""
+    out = Matrix.zero(f.tgt_dim, f.src_dim)
+    for (j,), vec in f.coeffs.items():
+        for i in range(f.tgt_dim):
+            out.data[i][j] = vec[i]
+    return out
+
+
 def invert_matrix(m):
     """The inverse of a square matrix, or None when it is singular: the
     right half of the reduced row echelon form of [m | Id]."""
     n = m.rows
     if m.cols != n:
         raise ValueError("only a square matrix has an inverse")
-    R, pivots = Matrix.block([[m, Matrix.identity(n)]]).rref()
+    R, pivots = block([[m, identity_matrix(n)]]).rref()
     if pivots[:n] != list(range(n)):
         return None
     return Matrix(n, n, [row[n:] for row in R.data])
@@ -50,18 +103,18 @@ def invert_matrix(m):
 
 def rand_unimodular(rng, n, steps=6):
     """Random integer matrix of determinant +-1 (product of elementaries)."""
-    m = Matrix.identity(n)
+    m = identity_matrix(n)
     for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        e = Matrix.identity(n)
+        e = identity_matrix(n)
         e.data[i][j] = rng.randrange(-2, 3)
         m = m * e
     if rng.random() < 0.5 and n > 1:
         i, j = rng.sample(range(n), 2)
-        p = Matrix.identity(n)
+        p = identity_matrix(n)
         p.data[i][i] = p.data[j][j] = 0
         p.data[i][j] = p.data[j][i] = 1
         m = m * p
@@ -155,7 +208,8 @@ def conjugate_algebra(L, P, Pinv=None):
     """The same bracket in the basis P e_i."""
     if Pinv is None:
         Pinv = invert_matrix(P)
-    return LieAlgebra(L.dim, pullback(L.bracket, P, Pinv))
+    return LieAlgebra(L.dim, pullback(L.bracket, altmap1_from_matrix(P),
+                                      altmap1_from_matrix(Pinv)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +227,7 @@ def derivation_basis(L):
 def _endomorphism_samples(name, L, rng):
     """A few Lie algebra endomorphisms of the catalog algebra."""
     n = L.dim
-    out = [Matrix.zero(n, n), Matrix.identity(n)]
+    out = [Matrix.zero(n, n), identity_matrix(n)]
     if name == "abelian":
         out.append(rand_matrix(rng, n, n))
     elif name == "aff1":
@@ -225,12 +279,12 @@ def catalog_diff_lie(rng, lam, max_dim=4):
         elif name == "aff1sum":
             e1 = _endomorphism_samples("aff1", aff1(), rng)[-1]
             k = L.dim - 2
-            e = Matrix.block([[e1, Matrix.zero(2, k)],
-                              [Matrix.zero(k, 2), rand_matrix(rng, k, k)]])
-            d = (e - Matrix.identity(L.dim)).scale(div(1, lam))
+            e = block([[e1, Matrix.zero(2, k)],
+                       [Matrix.zero(k, 2), rand_matrix(rng, k, k)]])
+            d = (e - identity_matrix(L.dim)).scale(div(1, lam))
         else:
             e = rng.choice(_endomorphism_samples(name, L, rng))
-            d = (e - Matrix.identity(L.dim)).scale(div(1, lam))
+            d = (e - identity_matrix(L.dim)).scale(div(1, lam))
     return diff_lie(L, d, lam)
 
 
@@ -238,7 +292,8 @@ def conjugate_diff_lie(A, P, Pinv=None):
     if Pinv is None:
         Pinv = invert_matrix(P)
     return DiffLieAlgebra(conjugate_algebra(A.algebra, P, Pinv),
-                          pullback(A.d, P, Pinv), A.weight)
+                          pullback(A.d, altmap1_from_matrix(P),
+                                   altmap1_from_matrix(Pinv)), A.weight)
 
 
 def random_diff_lie(rng, lam=None, max_dim=4):
@@ -330,7 +385,7 @@ def relative_operator_basis(T):
             unit[(b,)] = [int(a == c) for c in range(m)]
             cols.append([x for r in relative_diff_residual(T, unit, 0)
                          for x in r])
-    system = Matrix(m * n, len(cols[0]), cols).transpose()
+    system = transpose(Matrix(m * n, len(cols[0]), cols))
     return [Matrix(m, n, [v[k * n:(k + 1) * n] for k in range(m)])
             for v in kernel_basis(system)]
 
@@ -360,7 +415,7 @@ def _relative_operator_matrix(rng, T, lam):
                 D = D + b.scale(rand_int(rng, -2, 2))
             return D
         if rng.random() < 0.5:
-            return Matrix.identity(n).scale(div(-1, lam))
+            return identity_matrix(n).scale(div(-1, lam))
         return Matrix.zero(n, n)
     return Matrix.zero(m, n)
 
@@ -378,7 +433,9 @@ def section_change(E, phi):
     whose inverse is Id - i phi p.  zeta fixes i and p and sends the
     coordinate section s to s + i phi, so the cocycle this extension
     extracts is the one of the section s + i phi of E."""
-    ident, shift = Matrix.identity(E.total.dim), E.i * phi * E.p
+    g, v = E.gdim, E.vdim
+    ident = identity_matrix(g + v)
+    shift = block([[Matrix.zero(g, g + v)], [phi, Matrix.zero(v, v)]])
     return AbelianExtension(conjugate_diff_lie(E.total, ident + shift,
                                                ident - shift),
                             E.gdim, E.vdim)

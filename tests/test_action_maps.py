@@ -7,8 +7,8 @@ g (+) V into V whose keys are (x, v).  Before, each was a matrix: rho was
 one matrix per basis vector of g, rho_lambda combined them with the
 columns of Id + lambda d (mat_combination), adjoint_rep read them off
 LieAlgebra.ad, and the operators of the trivial extension, of a built
-extension and of a lifted relative operator were assembled with
-Matrix.block.  Those routes are written out below on matrices and compared
+extension and of a lifted relative operator were assembled from
+blocks (samples.block).  Those routes are written out below on matrices and compared
 exactly, as rationals, with the map routes, over every weight of
 samples.WEIGHTS, on valid and random (axiom-breaking) inputs.
 """
@@ -22,12 +22,13 @@ from difflie.extensions import build_extension
 from difflie.linalg import Matrix, basis_vec, vec_is_zero, vec_zero
 from difflie.liealg import (adjoint_rep, lift_tilde_D, rho_lambda,
                             semidirect_bracket, trivial_extension)
-from difflie.multilinear import AltMap, altmap1_from_matrix, \
-    matrix_from_altmap1
+from difflie.multilinear import AltMap
 from axiom_oracles import mat_combination
-from samples import (WEIGHTS, ad_matrices, diff_lie, rho_matrices,
+from samples import (WEIGHTS, ad_matrices, altmap1_from_matrix, block,
+                     diff_lie, identity_matrix, matrix_from_altmap1,
                      rand_matrix, rand_vec, random_diff_lie, random_lieact,
-                     random_relative_operator, random_rep, rep_of)
+                     random_relative_operator, random_rep, rep_of,
+                     rho_matrices, transpose)
 
 
 def fixtures(rng, lam):
@@ -74,9 +75,9 @@ def test_rho_lambda_matches_the_combination_of_matrices():
         for A, rep in fixtures(rng, lam):
             mats, m = rho_matrices(rep.rho, A.dim), rep.space_dim
             # x_i + lambda d x_i is column i of Id + lambda d
-            e = Matrix.identity(A.dim) + \
+            e = identity_matrix(A.dim) + \
                 matrix_from_altmap1(A.d).scale(A.weight)
-            want = [mat_combination(x, mats, m) for x in e.transpose().data]
+            want = [mat_combination(x, mats, m) for x in transpose(e).data]
             shifted = rho_lambda(rep, A)
             assert rho_matrices(shifted.rho, A.dim) == want
             assert shifted.dV == rep.dV and exact_map(shifted.rho)
@@ -102,7 +103,7 @@ def test_trivial_extension_matches_the_block_matrices():
         for A, rep in fixtures(rng, lam):
             n, m = A.dim, rep.space_dim
             E = trivial_extension(A, rep)
-            assert matrix_from_altmap1(E.d) == Matrix.block([
+            assert matrix_from_altmap1(E.d) == block([
                 [matrix_from_altmap1(A.d), Matrix.zero(n, m)],
                 [Matrix.zero(m, n), matrix_from_altmap1(rep.dV)]])
             assert E.algebra.bracket == old_semidirect_bracket(
@@ -122,7 +123,7 @@ def test_built_extension_matches_the_block_matrices():
             for v in kernel_basis(spec.d[2])[:2]:
                 pair = CocyclePair.from_coords(v, n, m, 2)
                 E = build_extension(A, rep, pair.f, pair.g)
-                assert matrix_from_altmap1(E.d) == Matrix.block([
+                assert matrix_from_altmap1(E.d) == block([
                     [matrix_from_altmap1(A.d), Matrix.zero(n, m)],
                     [matrix_from_altmap1(pair.g),
                      matrix_from_altmap1(rep.dV)]])
@@ -141,9 +142,9 @@ def test_lifted_operator_matches_the_block_matrices():
             for D in (random_relative_operator(rng, T, lam),
                       altmap1_from_matrix(rand_matrix(rng, m, n))):
                 lifted = lift_tilde_D(T, D, lam)
-                assert matrix_from_altmap1(lifted.d) == Matrix.block([
+                assert matrix_from_altmap1(lifted.d) == block([
                     [Matrix.zero(n, n), Matrix.zero(n, m)],
-                    [matrix_from_altmap1(D), Matrix.identity(m).scale(-1)]])
+                    [matrix_from_altmap1(D), identity_matrix(m).scale(-1)]])
                 assert lifted.algebra.bracket == old_semidirect_bracket(
                     n, m, rho_matrices(T.rho, n), T.g.bracket,
                     h_bracket=T.h.bracket.scale(lam))

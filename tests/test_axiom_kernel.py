@@ -37,10 +37,10 @@ from difflie.liealg import (LieActTriple, LieAlgebra, is_diff_lie_algebra,
                             lieact_residuals, relative_diff_residual,
                             rep_residuals,
                             weighted_derivation_residual)
-from difflie.multilinear import AltMap, DimensionMismatch, altmap1_from_matrix
-from samples import (WEIGHTS, action, diff_lie, rand_matrix,
-                     rand_vec, random_diff_lie, random_lieact,
-                     random_relative_operator, random_rep, rep_of)
+from difflie.multilinear import AltMap, DimensionMismatch
+from samples import (WEIGHTS, action, altmap1_from_matrix, diff_lie,
+                     rand_matrix, rand_vec, random_diff_lie, random_lieact,
+                     random_relative_operator, random_rep, rep_of, transpose)
 
 
 def rand_bracket(rng, dim):
@@ -129,7 +129,7 @@ def test_rep_residuals_match_oracle():
         for A in algebras(rng, lam):
             for rep in reps(rng, A):
                 res = rep_residuals(A, rep)
-                assert res == {k: [m.transpose().data for m in mats]
+                assert res == {k: [transpose(m).data for m in mats]
                                for k, mats in rep_oracle(A, rep).items()}
                 cols = [c for k in ("hom", "compat") for m in res[k]
                         for c in m]
@@ -149,7 +149,7 @@ def test_lieact_residuals_match_oracle():
         for T in triples(rng):
             res = lieact_residuals(T)
             oracle = lieact_oracle(T)
-            assert res == dict(oracle, hom=[m.transpose().data
+            assert res == dict(oracle, hom=[transpose(m).data
                                             for m in oracle["hom"]])
             assert exact_vectors(c for m in res["hom"] for c in m)
             assert exact_vectors(res["derivation"])

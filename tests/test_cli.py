@@ -8,8 +8,9 @@ from difflie.linalg import Matrix
 from difflie.liealg import (difflie_to_json, rep_to_json,
                             altmap_to_json, adjoint_rep)
 from difflie.multilinear import AltMap
-from samples import (abelian, aff1, constant_deformation, diff_lie, sl2,
-                     trivial_rep)
+from samples import (abelian, aff1, altmap1_from_matrix, constant_deformation,
+                     diff_lie, from_rows, identity_matrix, matrix_from_altmap1,
+                     sl2, trivial_rep)
 
 
 def write(tmp_path, name, obj):
@@ -19,7 +20,7 @@ def write(tmp_path, name, obj):
 
 
 def aff1_doc(weight="3"):
-    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+    A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]),
                  Fraction(weight))
     return difflie_to_json(A)
 
@@ -54,7 +55,7 @@ def test_check_axioms_malformed_json(tmp_path, capsys):
 
 
 def test_check_axioms_with_rep(tmp_path, capsys):
-    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+    A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]),
                  Fraction(3))
     doc = aff1_doc()
     doc["rep"] = rep_to_json(adjoint_rep(A))
@@ -79,7 +80,7 @@ def test_cohomology_abelian_line(tmp_path, capsys):
 
 def test_cohomology_do_weight_zero_equals_ce(tmp_path, capsys):
     doc = difflie_to_json(diff_lie(aff1(),
-                                   Matrix.from_rows([[0, 0], [0, 1]]),
+                                   from_rows([[0, 0], [0, 1]]),
                                    Fraction(0)))
     path = write(tmp_path, "w0.json", doc)
     _, ce, _ = run(capsys, ["cohomology", path, "--flavor", "ce"])
@@ -89,7 +90,7 @@ def test_cohomology_do_weight_zero_equals_ce(tmp_path, capsys):
 
 def test_cohomology_tilde_agrees_from_degree_three(tmp_path, capsys):
     path = write(tmp_path, "s.json",
-                 difflie_to_json(diff_lie(sl2(), Matrix.identity(3),
+                 difflie_to_json(diff_lie(sl2(), identity_matrix(3),
                                           Fraction(-1))))
     _, full, _ = run(capsys, ["cohomology", path, "--flavor", "difflie",
                               "--max-degree", "4"])
@@ -224,7 +225,7 @@ def test_extension_build_extract_classify(tmp_path, capsys):
 
 
 def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
-    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+    A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]),
                  Fraction(2))
     rep = adjoint_rep(A)
     psi = AltMap(2, 2, 2)
@@ -240,10 +241,9 @@ def test_extension_build_rejects_non_cocycle(tmp_path, capsys):
 
 def test_deform_verify_and_rigidify(tmp_path, capsys):
     # rigid fixture: weight -1, identity operator on a simple algebra
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     from difflie.deformations import apply_formal_iso
-    from difflie.multilinear import altmap1_from_matrix, matrix_from_altmap1
-    phi1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+    phi1 = from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
     D = apply_formal_iso(constant_deformation(A, 2),
                          {1: altmap1_from_matrix(phi1)})
     doc = {"base": difflie_to_json(A),

@@ -111,19 +111,22 @@ def _one_error_line(proc):
     return proc.stderr
 
 
-def test_out_of_memory_exits_2_with_one_line(tmp_path):
-    # deform rigidify plans no size before it works: an order-1 operator
-    # term on the 40-dimensional abelian algebra is a valid deformation,
-    # but clearing it solves with the degree-1 truncated differential of
-    # the adjoint complex, 32 800 x 1 600 cells, more than 300 MiB hold;
-    # under that address-space limit the run ends in MemoryError, which
-    # must be one line, not a traceback
-    dim = 40
+def _rigidify_abelian(dim):
+    """An order-1 operator term on the abelian algebra of the dimension:
+    a valid deformation, which rigidify clears with d~^1 of the adjoint
+    complex."""
     unit = [[int(i == j == 0) for j in range(dim)] for i in range(dim)]
-    doc = {"base": _abelian(dim), "mu": [{"arity": 2, "coeffs": {}}],
-           "d": [unit]}
-    proc = _run_capped(tmp_path, ["deform", "rigidify"], doc,
-                       300 * 2 ** 20, 120)
+    return {"base": _abelian(dim), "mu": [{"arity": 2, "coeffs": {}}],
+            "d": [unit]}
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # key-formula plans no size before it works: at dim 64 its first
+    # sample (--seed 0) draws dense random maps whose insertion sums hold
+    # more than 300 MiB; under that address-space limit the run ends in
+    # MemoryError within seconds, which must be one line, not a traceback
+    proc = _run_capped(tmp_path, ["key-formula", "--order", "1", "--seed",
+                                  "0"], {"dim": 64}, 300 * 2 ** 20, 120)
     assert _one_error_line(proc).startswith("error: out of memory")
 
 
@@ -158,9 +161,12 @@ def test_extension_build_checks_its_cocycle_within_a_memory_cap(tmp_path):
               "rho": {str(i + 1): _abelian(40)["d"] for i in range(40)}}},
      14038400000),
     # the bridges of twist build the combined differentials with adjoint
-    # coefficients through degree 3, its default --max-degree
-    (["twist"], _abelian(24), 17160494400)],
-    ids=["cohomology", "extension-classify", "twist"])
+    # coefficients in degrees 1 .. 3, 3 its default --max-degree
+    (["twist"], _abelian(24), 17160480000),
+    # rigidify solves with d~^1 of the adjoint complex, 32 800 x 1 600
+    # cells, more than 300 MiB hold
+    (["deform", "rigidify"], _rigidify_abelian(40), 52480000)],
+    ids=["cohomology", "extension-classify", "twist", "deform-rigidify"])
 def test_complex_above_the_budget_exits_2_before_building(tmp_path, argv,
                                                           doc, cells):
     # the planned differentials of these small documents hold far more

@@ -8,7 +8,7 @@ from conftest import exact_scalar
 from difflie.linalg import (Matrix, basis_vec, homology_dim, vec_add,
                             vec_is_zero)
 from difflie.liealg import adjoint_rep, trivial_extension
-from difflie.multilinear import AltMap, ArityMismatch, matrix_from_altmap1
+from difflie.multilinear import AltMap, ArityMismatch
 from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 UnknownFlavor, _twisted_l1, altmap_to_coords,
                                 ce_apply, ce_differential, cochain_dim, cochain_keys,
@@ -17,13 +17,14 @@ from difflie.cohomology import (FLAVORS, CochainComplexSpec, CocyclePair,
                                 difflie_differential, pair_dim,
                                 pair_primitive, pair_residual,
                                 planned_cells, twist_bridge_residual)
-from samples import (WEIGHTS, abelian, aff1, diff_lie, rho_matrices,
-                     rand_matrix, rand_vec, random_diff_lie, random_rep,
-                     rep_of, sl2, trivial_rep)
+from samples import (WEIGHTS, abelian, aff1, block, diff_lie, from_rows,
+                     identity_matrix, matrix_from_altmap1, rand_matrix,
+                     rand_vec, random_diff_lie, random_rep, rep_of,
+                     rho_matrices, sl2, transpose, trivial_rep)
 
 
 def aff1_d(lam=3):
-    return diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]), Fraction(lam))
+    return diff_lie(aff1(), from_rows([[0, 0], [0, 1]]), Fraction(lam))
 
 
 def rand_cochain(rng, gdim, vdim, n):
@@ -76,7 +77,7 @@ def test_do_weight_zero_equals_ce(rng):
 
 
 def test_do_identity_weight_minus_one_degree_zero():
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     rep = adjoint_rep(A)
     # rho_lambda(x) = ad(x - d x) = 0, so degree 0 vanishes
     assert do_differential(A, rep, 0).is_zero()
@@ -106,7 +107,7 @@ def test_coboundaries_of_the_zero_cochain_are_V_valued(n):
     # dim V = 3 differs from dim g = 2: the zero cochain's images are the
     # zero cochains into V, of the right arity
     A = aff1_d()
-    rep = trivial_rep(A, 3, Matrix.identity(3))
+    rep = trivial_rep(A, 3, identity_matrix(3))
     zero = AltMap(n, 2, 3)
     assert delta_apply(A, rep, zero) == zero
     assert ce_apply(A.algebra, rep, zero) == AltMap(n + 1, 2, 3)
@@ -236,7 +237,7 @@ def test_tilde_dims_and_high_degrees_agree(rng):
 def test_trivial_rep_h2_equals_tilde_h2(rng):
     for _ in range(3):
         A = random_diff_lie(rng, max_dim=3)
-        rep = trivial_rep(A, 2, Matrix.identity(2))
+        rep = trivial_rep(A, 2, identity_matrix(2))
         full = CochainComplexSpec(A, rep, "difflie")
         tilde = CochainComplexSpec(A, rep, "tilde")
         assert cohomology_dims(full)[2] == cohomology_dims(tilde)[2]
@@ -389,19 +390,18 @@ def test_twist_bridge_random(rng):
 
 def test_twist_bridge_matrix_columns_are_basis_pairs(rng):
     # column k is the bridge residual of the k-th basis pair: the twisted
-    # l_1 of that pair is minus column k of the combined differential
+    # l_1 of that pair plus column k of the combined differential, zero
     for A in [aff1_d()] + [random_diff_lie(rng, max_dim=3) for _ in range(3)]:
         for n in range(1, 4):
-            m = twist_bridge_residual(A, n)
+            cols = twist_bridge_residual(A, n)
             size = pair_dim(A.dim, A.dim, n)
-            assert (m.rows, m.cols) == (pair_dim(A.dim, A.dim, n + 1), size)
-            assert m.is_zero()
             d = difflie_differential(A, adjoint_rep(A), n)
-            cols = d.transpose().data
-            for k in range(size):
+            assert (d.rows, d.cols) == (pair_dim(A.dim, A.dim, n + 1), size)
+            assert [len(col) for col in cols] == [d.rows] * size
+            for k, col in enumerate(transpose(d).data):
                 pair = CocyclePair.from_coords(basis_vec(size, k),
                                                A.dim, A.dim, n)
-                assert vec_add(_twisted_l1(A, pair), cols[k]) == \
+                assert vec_add(_twisted_l1(A, pair), col) == cols[k] == \
                     [0] * d.rows
 
 
@@ -450,7 +450,7 @@ def embedding_commutes_residual(A, rep, n):
         op = extension_embedding(A, rep, m - 1)
         z1 = Matrix.zero(lie.rows, op.cols)
         z2 = Matrix.zero(op.rows, lie.cols)
-        return Matrix.block([[lie, z1], [z2, op]])
+        return block([[lie, z1], [z2, op]])
 
     E_n = embed_block(n)
     E_n1 = embed_block(n + 1)
@@ -472,7 +472,7 @@ def test_planned_cells_are_the_built_shapes(rng, flavor):
     # the plan that cohomology and extension classify admit by is the sum
     # of the shapes CochainComplexSpec builds, also at degrees above
     # dim + 1, where it builds 0 x 0 matrices
-    sl2_id = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    sl2_id = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     fixtures = [(aff1_d(), trivial_rep(aff1_d(), 1)),
                 (sl2_id, adjoint_rep(sl2_id))]
     for _ in range(3):
@@ -484,3 +484,52 @@ def test_planned_cells_are_the_built_shapes(rng, flavor):
             assert planned_cells(A.dim, rep.space_dim, flavor,
                                  max_degree) == \
                 sum(m.rows * m.cols for m in spec.d)
+
+
+def _admitted_cells(read, obj, args, monkeypatch):
+    """The cells that the reader read plans for the document obj and the
+    options args, read off its refusal under a budget of -1 cells."""
+    from difflie import commands
+    monkeypatch.setattr(commands, "MAX_CELLS", -1)
+    with pytest.raises(ValueError) as err:
+        read(obj, args)
+    return int(str(err.value).split(" plan ")[1].split()[0])
+
+
+def test_twist_plans_the_shapes_it_builds(rng, monkeypatch):
+    # the plan that twist admits by is the sum of the shapes of the
+    # combined differentials d_1 .. d_top that its bridges build, top =
+    # min(max_degree, dim + 1); each bridge returns one residual column per
+    # column of its differential, as long as its rows
+    from argparse import Namespace
+    from difflie.commands import _read_twist
+    from difflie.liealg import difflie_to_json
+    fixtures = [aff1_d(), diff_lie(sl2(), identity_matrix(3), Fraction(-1))]
+    fixtures += [random_diff_lie(rng, max_dim=3) for _ in range(3)]
+    for A in fixtures:
+        for max_degree in (1, 2, A.dim + 3):
+            built = 0
+            for n in range(1, min(max_degree, A.dim + 1) + 1):
+                d = difflie_differential(A, adjoint_rep(A), n)
+                cols = twist_bridge_residual(A, n)
+                assert [len(col) for col in cols] == [d.rows] * d.cols
+                built += d.rows * d.cols
+            args = Namespace(weight=None, max_degree=max_degree)
+            assert _admitted_cells(_read_twist, difflie_to_json(A), args,
+                                   monkeypatch) == built
+
+
+def test_rigidify_plans_the_shape_it_solves_with(rng, monkeypatch):
+    # each order of rigidify solves with d~^1 of the adjoint complex
+    # (pair_primitive), and deform rigidify admits by its cells
+    from argparse import Namespace
+    from difflie.commands import _read_deformation
+    from difflie.liealg import difflie_to_json
+    fixtures = [aff1_d(), diff_lie(sl2(), identity_matrix(3), Fraction(-1))]
+    fixtures += [random_diff_lie(rng, max_dim=3) for _ in range(3)]
+    for A in fixtures:
+        d = difflie_differential(A, adjoint_rep(A), 1, tilde=True)
+        assert _admitted_cells(_read_deformation,
+                               {"base": difflie_to_json(A)},
+                               Namespace(action="rigidify"),
+                               monkeypatch) == d.rows * d.cols

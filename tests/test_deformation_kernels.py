@@ -12,8 +12,9 @@ operators and the isomorphisms as matrices.  Results are compared map for
 map, as rationals, and every scalar must keep the int-or-Fraction
 contract.  The deformation module names no matrix and converts nothing,
 since the base operator is a map too; the package names Matrix only in
-elimination, basis changes and the wire, and only the readers turn a
-matrix into a map.
+linalg and in the cochain differentials of cohomology, and no module of it
+converts between matrices and maps: the readers read a wire matrix
+straight into a map.
 """
 
 import ast
@@ -27,14 +28,14 @@ from conftest import exact_scalar
 from difflie import nr
 from difflie.linalg import Matrix, basis_vec, exact, vec_add, vec_is_zero, \
     vec_scale, vec_sub, vec_support, vec_zero
-from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace, \
-    matrix_from_altmap1
+from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.deformations import (NotDeformation, TruncatedDeformation,
                                   apply_formal_iso, deformation_residuals,
                                   failed_equations, first_nontrivial_order,
                                   rigidify, rigidify_step)
 from samples import (constant_deformation, deformation, formal_iso,
-                     rand_matrix, random_diff_lie)
+                     identity_matrix, matrix_from_altmap1, rand_matrix,
+                     random_diff_lie)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def matrices(maps):
 def iso_matrices(phi, dim):
     """The series [Id, phi_1, .., phi_r] of a family {c: phi_c}, r its top
     order, as matrices."""
-    return [Matrix.identity(dim)] + [
+    return [identity_matrix(dim)] + [
         matrix_from_altmap1(phi[c]) if c in phi else Matrix.zero(dim, dim)
         for c in range(1, max(phi, default=0) + 1)]
 
@@ -111,7 +112,7 @@ def oracle_residuals(D):
 
 def oracle_inverse_series(phi, order):
     n_dim = phi[0].rows
-    psi = [Matrix.identity(n_dim)]
+    psi = [identity_matrix(n_dim)]
     for n in range(1, order + 1):
         acc = Matrix.zero(n_dim, n_dim)
         for k in range(1, min(n, len(phi) - 1) + 1):
@@ -185,7 +186,7 @@ def dense_matrix(rng, dim):
 
 
 def valid_deformation(rng, A, order):
-    phi = [Matrix.identity(A.dim)] + [rand_matrix(rng, A.dim, A.dim)
+    phi = [identity_matrix(A.dim)] + [rand_matrix(rng, A.dim, A.dim)
                                       for _ in range(order)]
     return deformation(A, *oracle_iso(constant_deformation(A, order), phi))
 
@@ -246,10 +247,10 @@ def test_residuals_match_oracle(rng):
 
 def iso_series(rng, dim, kind):
     if kind == "dense":
-        return [Matrix.identity(dim)] + [dense_matrix(rng, dim)
+        return [identity_matrix(dim)] + [dense_matrix(rng, dim)
                                          for _ in range(4)]
     r = kind
-    return [Matrix.identity(dim)] + [Matrix.zero(dim, dim)] * (r - 1) + \
+    return [identity_matrix(dim)] + [Matrix.zero(dim, dim)] * (r - 1) + \
         [-rand_matrix(rng, dim, dim)]
 
 
@@ -288,7 +289,7 @@ def test_apply_formal_iso_computes_each_product_once(rng, monkeypatch):
         A = random_diff_lie(rng, lam=lam, max_dim=4)
         for order in (2, 3):
             D = valid_deformation(rng, A, order)
-            phi = [Matrix.identity(A.dim), dense_matrix(rng, A.dim)] + \
+            phi = [identity_matrix(A.dim), dense_matrix(rng, A.dim)] + \
                 [rand_matrix(rng, A.dim, A.dim) for _ in range(order - 1)]
             del inner_arities[:]
             iso = formal_iso(phi[1:])
@@ -347,31 +348,18 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")
 CONVERSIONS = ("Matrix", "matrix_from_altmap1", "altmap1_from_matrix")
 # where each name may be read, as {module: enclosing Class.function}, None
-# for anywhere in the module: Matrix only in elimination (linalg), the
-# coordinate maps of an extension and the zeta of its equivalence witness,
-# the cochain differentials and the inclusions of the coboundaries of
-# cohomology, and the wire reader of liealg; a map turned into a matrix
-# only where a pullback moves along it or a witness returns it; and a
-# matrix turned into a map only by the three readers
+# for anywhere in the module: Matrix only in elimination (linalg) and in the
+# builders of the cochain differentials and the spec that checks and holds
+# them (cohomology); the two conversions nowhere, since every other linear
+# map is an arity-1 map from the wire readers on
 ALLOWED = {
     "Matrix": {"linalg.py": None,
-               "extensions.py": {"AbelianExtension.__init__",
-                                 "equivalence_witness"},
-               "cohomology.py": {"ce_apply", "delta_apply", "ce_differential",
-                                 "delta_matrix", "difflie_differential",
-                                 "CochainComplexSpec.__init__",
-                                 "twist_bridge_residual"},
-               "liealg.py": {"read_matrix"},
-               "multilinear.py": {"matrix_from_altmap1"}},
-    "matrix_from_altmap1": {"cohomology.py": {"delta_apply"},
-                            "extensions.py": {"equivalence_witness"},
-                            "liealg.py": {"rho_lambda"}},
-    "altmap1_from_matrix": {"commands.py": {"_read_deformation"},
-                            "liealg.py": {"difflie_from_json",
-                                          "rep_from_json"}},
+               "cohomology.py": {"ce_differential", "delta_matrix",
+                                 "difflie_differential",
+                                 "CochainComplexSpec.__init__"}},
+    "matrix_from_altmap1": {},
+    "altmap1_from_matrix": {},
 }
-READERS = ["commands.py:_read_deformation", "liealg.py:difflie_from_json",
-           "liealg.py:rep_from_json"]
 
 
 def matrix_uses(source):
@@ -429,18 +417,17 @@ def test_deformations_name_no_matrix():
         assert matrix_uses(fh.read()) == ({}, set())
 
 
-def test_matrix_is_named_only_in_elimination_basis_changes_and_the_wire():
-    # operators and actions are maps: linfty, homotopy, deformations and nr
-    # name no Matrix and convert nothing, and only the readers turn a
-    # matrix into a map
+def test_matrix_is_named_only_in_linalg_and_the_cochain_differentials():
+    # every linear map but the cochain differentials is an arity-1 map: no
+    # module but linalg and cohomology names Matrix, and none converts
     sources = package_sources()
     assert matrix_violations(sources) == []
-    for module in ("linfty.py", "homotopy.py", "deformations.py", "nr.py"):
-        assert matrix_uses(sources[module]) == ({}, set()), module
-    readers = {"%s:%s" % (module, where) for module, source in sources.items()
-               for where in matrix_uses(source)[0].get("altmap1_from_matrix",
-                                                       [])}
-    assert sorted(readers) == READERS
+    for module, source in sources.items():
+        if module not in ("linalg.py", "cohomology.py"):
+            assert matrix_uses(source) == ({}, set()), module
+            assert "Matrix" not in source, module
+    reads, imported = matrix_uses(sources["cohomology.py"])
+    assert set(reads) == imported == {"Matrix"}
 
 
 def test_matrix_uses_are_seen():
@@ -455,14 +442,16 @@ def test_matrix_uses_are_seen():
     assert matrix_uses(snippet) == (
         {"altmap1_from_matrix": ["T.__init__", "_maps"],
          "matrix_from_altmap1": ["back"]}, {"Matrix"})
-    # the per-basis matrices that rho_lambda once combined, put back into
-    # liealg, a conversion put back into a checker of linfty, and a basis
-    # change put back into extract_cocycle
+    # the matrix that rho_lambda once pulled back along, put back into
+    # liealg, a conversion put back into a checker of linfty, a basis
+    # change put back into extract_cocycle, the matrix of the bridge columns
+    # and the conversion of d_V put back into cohomology, and a reader that
+    # converts its matrix again
     sources = package_sources()
-    old = "    shift = semidirect_operator("
+    old = "    along = semidirect_operator("
     assert sources["liealg.py"].count(old) == 1
     sources["liealg.py"] = sources["liealg.py"].replace(
-        old, "    e = Matrix.identity(n)\n" + old)
+        old, "    e = Matrix.zero(n, n)\n" + old)
     old = "AbsoluteStructure(lam), pi, D)"
     assert sources["linfty.py"].count(old) == 1
     sources["linfty.py"] = sources["linfty.py"].replace(
@@ -471,9 +460,28 @@ def test_matrix_uses_are_seen():
     old = "    rep = DiffRepresentation(rho, pullback(E.total.d, E.i, E.t))"
     assert sources["extensions.py"].count(old) == 1
     sources["extensions.py"] = sources["extensions.py"].replace(
-        old, "    inv = Matrix.identity(E.total.dim)\n" + old)
+        old, "    inv = Matrix.zero(E.total.dim, E.total.dim)\n" + old)
+    old = "    return cols\n"
+    assert sources["cohomology.py"].count(old) == 1
+    sources["cohomology.py"] = sources["cohomology.py"].replace(
+        old, "    return Matrix(size, d.rows, cols)\n")
+    old = "pullback(f, coordinate_map(A.dim, A.dim, 0), rep.dV)"
+    assert sources["cohomology.py"].count(old) == 1
+    sources["cohomology.py"] = sources["cohomology.py"].replace(
+        old, "pullback(f, coordinate_map(A.dim, A.dim, 0),\n"
+             "                 altmap1_from_matrix(matrix_from_altmap1("
+             "rep.dV)))")
+    old = "    d = read_matrix(*field(obj, \"d\", where), dim, dim)"
+    assert sources["liealg.py"].count(old) == 1
+    sources["liealg.py"] = sources["liealg.py"].replace(
+        old, "    d = altmap1_from_matrix(read_matrix(*field(obj, \"d\", "
+             "where),\n                                        dim, dim))")
     assert matrix_violations(sources) == [
+        "cohomology.py:delta_apply altmap1_from_matrix",
+        "cohomology.py:delta_apply matrix_from_altmap1",
+        "cohomology.py:twist_bridge_residual Matrix",
         "extensions.py:extract_cocycle Matrix",
+        "liealg.py:difflie_from_json altmap1_from_matrix",
         "liealg.py:rho_lambda Matrix",
         "linfty.py:mc_check_absolute altmap1_from_matrix"]
 

@@ -5,8 +5,7 @@ import pytest
 from conftest import kernel_basis
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import adjoint_rep
-from difflie.multilinear import AltMap, DimensionMismatch, \
-    matrix_from_altmap1
+from difflie.multilinear import AltMap, DimensionMismatch
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 altmap_to_coords, coords_to_altmap,
                                 pair_residual)
@@ -16,13 +15,13 @@ from difflie.deformations import (NotDeformation, Obstructed,
                                   first_nontrivial_order, infinitesimal,
                                   rigidify, rigidify_step)
 from samples import (abelian, aff1, constant_deformation, deformation,
-                     diff_lie, formal_iso, rand_matrix,
-                     random_diff_lie, sl2)
+                     diff_lie, formal_iso, from_rows, identity_matrix,
+                     matrix_from_altmap1, rand_matrix, random_diff_lie, sl2)
 from test_deformation_kernels import iso_matrices, oracle_inverse_series
 
 
 def aff1_d(lam=2):
-    return diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+    return diff_lie(aff1(), from_rows([[0, 0], [0, 1]]),
                     Fraction(lam))
 
 
@@ -54,7 +53,7 @@ def test_order_zero_residuals_detect_broken_base():
     broken = AltMap(2, 2, 2)
     broken[(0, 1)] = [1, 0]
     D = deformation(A, [A.algebra.bracket, AltMap(2, 2, 2)],
-                    [matrix_from_altmap1(A.d), Matrix.identity(2)])
+                    [matrix_from_altmap1(A.d), identity_matrix(2)])
     res = deformation_residuals(D)
     jac0, op0 = res[0]
     assert jac0.is_zero() and op0.is_zero()  # base itself is fine
@@ -162,10 +161,10 @@ def test_apply_ignores_orders_above_the_truncation(rng):
 
 
 @pytest.mark.parametrize("phi", [
-    Matrix.from_rows([[1, 1], [1, 1]]), Matrix.from_rows([[1] * 4] * 4),
-    Matrix.identity(4)], ids=["2x2", "4x4", "identity-4x4"])
+    from_rows([[1, 1], [1, 1]]), from_rows([[1] * 4] * 4),
+    identity_matrix(4)], ids=["2x2", "4x4", "identity-4x4"])
 def test_apply_rejects_mis_sized_iso(phi):
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     with pytest.raises(DimensionMismatch):
         apply_formal_iso(constant_deformation(A, 1), formal_iso([phi]))
 
@@ -210,7 +209,7 @@ def test_rigidify_clears_coboundary_orders(rng):
 def test_rigid_fixture_clears_any_valid_deformation(rng):
     # weight -1 with the identity operator on a simple algebra has trivial
     # degree-2 cohomology, so every valid order-1 pair rigidifies
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     spec = CochainComplexSpec(A, adjoint_rep(A), "difflie", max_degree=3)
     cleared = 0
     for coords in kernel_basis(spec.d[2]):

@@ -24,9 +24,9 @@ from difflie.cohomology import (altmap_to_coords, ce_apply, ce_differential,
                                 do_differential)
 from difflie.linalg import Matrix, vec_zero
 from difflie.liealg import adjoint_rep, rho_lambda
-from samples import (catalog_diff_lie, conjugate_diff_lie, conjugate_rep,
-                     diff_lie, rand_matrix, rand_unimodular, random_rep,
-                     rep_of, trivial_rep)
+from samples import (block, catalog_diff_lie, conjugate_diff_lie,
+                     conjugate_rep, diff_lie, rand_matrix, rand_unimodular,
+                     random_rep, rep_of, trivial_rep)
 
 
 def operator_matrix(op, gdim, vdim, n, m):
@@ -60,16 +60,16 @@ def oracle_difflie(A, rep, n, tilde=False):
     gdim, vdim = A.dim, rep.space_dim
     if tilde and n == 0:
         return Matrix.zero(cochain_dim(gdim, vdim, 1), 0)
-    lie = Matrix.block([[oracle_ce(A, rep, n)],
-                        [oracle_delta(A, rep, n).scale(-1)]])
+    lie = block([[oracle_ce(A, rep, n)],
+                 [oracle_delta(A, rep, n).scale(-1)]])
     if n == 0 or (tilde and n == 1):
         return lie
-    op = Matrix.block([
+    op = block([
         [Matrix.zero(cochain_dim(gdim, vdim, n + 1),
                      cochain_dim(gdim, vdim, n - 1))],
         [oracle_ce(A, rho_lambda(rep, A), n - 1).scale(-1)],
     ])
-    return Matrix.block([[lie, op]])
+    return block([[lie, op]])
 
 
 def assert_same(got, want):

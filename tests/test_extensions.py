@@ -9,7 +9,7 @@ from conftest import filled, kernel_basis
 from difflie.linalg import Matrix, vec_is_zero
 from difflie.liealg import (DiffRepresentation, LieAlgebra,
                             adjoint_rep, trivial_extension)
-from difflie.multilinear import AltMap, altmap1_from_matrix
+from difflie.multilinear import AltMap, DimensionMismatch
 from difflie.cohomology import (CochainComplexSpec, CocyclePair,
                                 altmap_to_coords, cochain_dim,
                                 coords_to_altmap, difflie_differential)
@@ -17,8 +17,9 @@ from difflie.extensions import (AbelianExtension, InvalidExtension,
                                 NotCocycle, build_extension,
                                 check_coefficients, classify,
                                 equivalence_witness, extract_cocycle)
-from samples import (WEIGHTS, abelian, aff1, built_extension, diff_lie,
-                     conjugate_diff_lie, invert_matrix, rand_matrix,
+from samples import (WEIGHTS, abelian, aff1, altmap1_from_matrix, block,
+                     built_extension, conjugate_diff_lie, diff_lie, from_rows,
+                     identity_matrix, invert_matrix, rand_matrix,
                      rand_unimodular, random_diff_lie, random_rep,
                      section_change, trivial_rep)
 from test_axiom_kernel import algebras, reps
@@ -93,10 +94,10 @@ def test_extracted_coefficients_are_a_representation(rng):
         pair = pairs[rng.randrange(len(pairs))] if pairs else \
             CocyclePair(AltMap(2, gdim, vdim), AltMap(1, gdim, vdim))
         E = built_extension(A, rep, pair.f, pair.g)
-        U = Matrix.block([[rand_unimodular(rng, gdim),
-                           Matrix.zero(gdim, vdim)],
-                          [rand_matrix(rng, vdim, gdim),
-                           rand_unimodular(rng, vdim)]])
+        U = block([[rand_unimodular(rng, gdim),
+                    Matrix.zero(gdim, vdim)],
+                   [rand_matrix(rng, vdim, gdim),
+                    rand_unimodular(rng, vdim)]])
         for F in (E, section_change(E, rand_matrix(rng, vdim, gdim)),
                   AbelianExtension(conjugate_diff_lie(E.total, U,
                                                       invert_matrix(U)),
@@ -106,7 +107,7 @@ def test_extracted_coefficients_are_a_representation(rng):
 
 
 def test_build_non_cocycle_raises(rng):
-    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]),
+    A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]),
                  Fraction(2))
     rep = adjoint_rep(A)
     raised = 0
@@ -144,7 +145,7 @@ def test_invalid_extension_detected(rng):
 ])
 def test_kernel_defects_are_named(gdim, bracket, d, message):
     total = diff_lie(LieAlgebra(2, filled(AltMap(2, 2, 2), bracket)),
-                     Matrix.from_rows(d), 3)
+                     from_rows(d), 3)
     with pytest.raises(InvalidExtension, match="^%s$" % message):
         AbelianExtension(total, gdim, 2 - gdim)
 
@@ -180,7 +181,7 @@ def test_equivalence_trivial(rng):
     rep = random_rep(rng, A, max_dim=2)
     E = built_extension(A, rep, AltMap(2, A.dim, rep.space_dim),
                         AltMap(1, A.dim, rep.space_dim))
-    ok, phi = equivalence_witness(E, E, Matrix.zero(rep.space_dim, A.dim))
+    ok, phi = equivalence_witness(E, E, AltMap(1, A.dim, rep.space_dim))
     assert ok and phi.is_zero()
 
 
@@ -229,7 +230,7 @@ def aff1_line_extension(dV=0, vdim=1):
     """aff1 with d = 0, weight 0, extended by the zero pair with trivial
     coefficients of operator dV * Id on a vdim-dimensional V."""
     A = diff_lie(aff1(), Matrix.zero(2, 2), 0)
-    rep = trivial_rep(A, vdim, Matrix.identity(vdim).scale(dV))
+    rep = trivial_rep(A, vdim, identity_matrix(vdim).scale(dV))
     return built_extension(A, rep, AltMap(2, 2, vdim), AltMap(1, 2, vdim))
 
 
@@ -240,7 +241,7 @@ def test_equivalence_witness_compares_brackets(phi, ok):
     # [zeta x, zeta y] = y but zeta [x, y] = y + phi(y) v: zeta preserves
     # the bracket iff phi(y) = 0
     E = aff1_line_extension()
-    phi = Matrix.from_rows(phi)
+    phi = altmap1_from_matrix(from_rows(phi))
     assert equivalence_witness(E, E, phi) == ((True, phi) if ok
                                               else (False, None))
 
@@ -254,8 +255,12 @@ def test_equivalence_witness_rejections():
     assert equivalence_witness(E, aff1_line_extension(dV=1)) == (False, None)
     # with d_V = Id, phi(x) = 1 gives d zeta x = v but zeta d x = 0
     Ed = aff1_line_extension(dV=1)
-    assert equivalence_witness(Ed, Ed, Matrix.from_rows([[1, 0]])) == \
-        (False, None)
+    assert equivalence_witness(Ed, Ed, altmap1_from_matrix(
+        from_rows([[1, 0]]))) == (False, None)
+    # a phi that is not a map g -> V
+    for phi in (AltMap(1, 1, 2), AltMap(1, 2, 2), AltMap(2, 2, 1)):
+        with pytest.raises(DimensionMismatch):
+            equivalence_witness(Ed, Ed, phi)
 
 
 def test_classify_line_example():
@@ -270,7 +275,7 @@ def test_classify_trivial_rep_matches_full_complex(rng):
     from difflie.cohomology import cohomology_dims
     for _ in range(3):
         A = random_diff_lie(rng, max_dim=3)
-        rep = trivial_rep(A, 2, Matrix.identity(2))
+        rep = trivial_rep(A, 2, identity_matrix(2))
         full = CochainComplexSpec(A, rep, "difflie")
         assert classify(A, rep) == cohomology_dims(full)[2]
 

@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 
 from conftest import basis_of_degree
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_is_zero, \
-    vec_scale, vec_sub, vec_zero
+from difflie.linalg import basis_vec, vec_add, vec_is_zero, vec_scale, \
+    vec_sub, vec_zero
 from difflie.liealg import LieAlgebra, is_diff_lie_algebra
 from difflie.multilinear import AltMap, GradedSymMap, GradedVectorSpace
 from difflie.nr import graded_circ_bar
@@ -15,7 +15,7 @@ from difflie.homotopy import (DegreeMismatch, HomotopyDiffLie,
                               linfty_residual, mc_residual, operator_family,
                               residual_tables, suspend_diff_lie, twist)
 from difflie.permutations import koszul_sign, shuffles
-from samples import WEIGHTS, diff_lie, rand_matrix, random_diff_lie
+from samples import WEIGHTS, diff_lie, from_rows, rand_matrix, random_diff_lie
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def test_suspended_reduction_residuals_are_axiom_residuals():
     # arity-2 operator residual reproduces the weighted Leibniz defect
     from samples import aff1
     from difflie.liealg import weighted_derivation_residual
-    A = diff_lie(aff1(), Matrix.from_rows([[1, 0], [0, 0]]),
+    A = diff_lie(aff1(), from_rows([[1, 0], [0, 0]]),
                  Fraction(2))
     H = suspend_diff_lie(A)
     defect = weighted_derivation_residual(A).value_on_basis((0, 1))

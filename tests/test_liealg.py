@@ -8,7 +8,6 @@ from axiom_oracles import (is_diff_representation, mat_combination,
 from conftest import filled, kernel_basis
 from difflie import multilinear
 from difflie.linalg import Matrix, basis_vec, vec_is_zero
-from difflie.multilinear import altmap1_from_matrix, matrix_from_altmap1
 from difflie.liealg import (ZeroScale, adjoint_rep,
                             difflie_from_json, difflie_to_json,
                             is_diff_lie_algebra, is_lie_algebra, is_lieact,
@@ -19,17 +18,18 @@ from difflie.liealg import (ZeroScale, adjoint_rep,
                             semidirect_weighted,
                             trivial_extension,
                             weighted_derivation_residual)
-from samples import (abelian, action, ad_action, aff1, heisenberg, sl2,
-                     diff_lie, direct_sum, rho_matrices,
-                     conjugate_algebra, derivation_basis,
-                     random_diff_lie, random_rep, random_lieact,
-                     random_relative_operator, rand_matrix,
-                     rand_unimodular, trivial_rep, WEIGHTS)
+from samples import (WEIGHTS, abelian, action, ad_action, aff1,
+                     altmap1_from_matrix, conjugate_algebra, derivation_basis,
+                     diff_lie, direct_sum, from_rows, heisenberg,
+                     identity_matrix, matrix_from_altmap1, rand_matrix,
+                     rand_unimodular, random_diff_lie, random_lieact,
+                     random_relative_operator, random_rep, rho_matrices, sl2,
+                     trivial_rep)
 
 
 def aff1_d():
     """aff(1) with d = diag(0,1), valid for every weight."""
-    return diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]), Fraction(3))
+    return diff_lie(aff1(), from_rows([[0, 0], [0, 1]]), Fraction(3))
 
 
 def test_jacobi_catalog():
@@ -54,15 +54,15 @@ def test_weighted_residual_zero_operator():
 
 
 def test_identity_has_weight_minus_one():
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     assert is_diff_lie_algebra(A)
-    B = diff_lie(sl2(), Matrix.identity(3), Fraction(1))
+    B = diff_lie(sl2(), identity_matrix(3), Fraction(1))
     assert not is_diff_lie_algebra(B)
 
 
 def test_aff1_diagonal_operator_any_weight():
     for lam in WEIGHTS:
-        A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]), lam)
+        A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]), lam)
         assert is_diff_lie_algebra(A)
 
 
@@ -73,9 +73,9 @@ def test_rescale_identity_scale():
 
 
 def test_rescale_example():
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     B = rescale_operator(A, 2)
-    assert matrix_from_altmap1(B.d) == Matrix.identity(3).scale(2)
+    assert matrix_from_altmap1(B.d) == identity_matrix(3).scale(2)
     assert B.weight == Fraction(-1, 2)
     assert is_diff_lie_algebra(B)
 
@@ -111,14 +111,14 @@ def test_adjoint_rep_valid():
 
 
 def test_rho_lambda_weight_zero_unchanged():
-    A = diff_lie(aff1(), Matrix.from_rows([[0, 0], [0, 1]]), Fraction(0))
+    A = diff_lie(aff1(), from_rows([[0, 0], [0, 1]]), Fraction(0))
     rep = adjoint_rep(A)
     shifted = rho_lambda(rep, A)
     assert shifted.rho == rep.rho
 
 
 def test_rho_lambda_identity_weight_minus_one_kills():
-    A = diff_lie(sl2(), Matrix.identity(3), Fraction(-1))
+    A = diff_lie(sl2(), identity_matrix(3), Fraction(-1))
     shifted = rho_lambda(adjoint_rep(A), A)
     assert shifted.rho.is_zero()
 
@@ -194,7 +194,7 @@ def test_relative_zero_operator():
 def test_relative_matches_weighted_rule():
     g = sl2()
     T = LieActTriple(g, g, ad_action(g))
-    D = altmap1_from_matrix(Matrix.identity(3))
+    D = altmap1_from_matrix(identity_matrix(3))
     assert all(vec_is_zero(r) for r in relative_diff_residual(T, D, -1))
     assert any(not vec_is_zero(r) for r in relative_diff_residual(T, D, 1))
 
@@ -288,7 +288,7 @@ def explicit_derivation_basis(L):
                         val -= L.bracket.value_on_basis((i, a))[r]
                     coeff[r][col] += val
         rows.extend(coeff)
-    m = Matrix.from_rows(rows) if rows else Matrix.zero(0, n * n)
+    m = from_rows(rows) if rows else Matrix.zero(0, n * n)
     return [Matrix(n, n, [v[k * n:(k + 1) * n] for k in range(n)])
             for v in kernel_basis(m)]
 

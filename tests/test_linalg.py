@@ -9,7 +9,7 @@ from conftest import exact_scalar, kernel_basis
 from difflie.linalg import (CompositionNonzero, Matrix, _integer_echelon,
                             _integer_row, fmt_scalar, homology_dim,
                             parse_scalar)
-from samples import invert_matrix
+from samples import from_rows, identity_matrix, invert_matrix
 
 
 def test_rank_zero_matrix():
@@ -17,15 +17,15 @@ def test_rank_zero_matrix():
 
 
 def test_rank_identity():
-    assert Matrix.identity(4).rank() == 4
+    assert identity_matrix(4).rank() == 4
 
 
 def test_rank_dependent_rows():
-    assert Matrix.from_rows([[1, 2], [2, 4]]).rank() == 1
+    assert from_rows([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(identity_matrix(3)) == []
 
 
 def test_kernel_zero_map():
@@ -33,7 +33,7 @@ def test_kernel_zero_map():
 
 
 def test_kernel_line():
-    (v,) = kernel_basis(Matrix.from_rows([[1, 1]]))
+    (v,) = kernel_basis(from_rows([[1, 1]]))
     assert v in ([Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)])
 
 
@@ -43,23 +43,23 @@ def test_homology_trivial_complex():
 
 
 def test_homology_acyclic():
-    assert homology_dim(Matrix.identity(3), Matrix.zero(3, 3)) == 0
+    assert homology_dim(identity_matrix(3), Matrix.zero(3, 3)) == 0
 
 
 def test_homology_mixed():
-    d_out = Matrix.from_rows([[0, 0]])
-    d_in = Matrix.from_rows([[1], [0]])
+    d_out = from_rows([[0, 0]])
+    d_in = from_rows([[1], [0]])
     assert homology_dim(d_out, d_in) == 1
 
 
 def test_homology_not_a_complex():
     with pytest.raises(CompositionNonzero):
-        homology_dim(Matrix.identity(2), Matrix.identity(2))
+        homology_dim(identity_matrix(2), identity_matrix(2))
 
 
 def test_solve_identity():
     b = [Fraction(5), Fraction(-7)]
-    assert Matrix.identity(2).solve(b) == b
+    assert identity_matrix(2).solve(b) == b
 
 
 def test_solve_inconsistent():
@@ -67,7 +67,7 @@ def test_solve_inconsistent():
 
 
 def test_solve_diagonal():
-    m = Matrix.from_rows([[2, 0], [0, 3]])
+    m = from_rows([[2, 0], [0, 3]])
     assert m.solve([4, 6]) == [Fraction(2), Fraction(2)]
 
 
@@ -195,7 +195,7 @@ def test_elimination_matches_dense_oracle(rng):
     shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
     shapes += [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(60)]
     # square, mostly zero and mostly invertible
-    squares = [Matrix.identity(n) + sparse_matrix(rng, n, n)
+    squares = [identity_matrix(n) + sparse_matrix(rng, n, n)
                for n in (rng.randrange(1, 6) for _ in range(10))]
     inconsistent = inverted = 0
     for m in [sparse_matrix(rng, r, c) for r, c in shapes] + squares:
@@ -218,7 +218,7 @@ def test_elimination_matches_dense_oracle(rng):
             assert (inv is None) == (expected is None)
             if inv is not None:
                 assert inv.data == expected
-                assert m * inv == Matrix.identity(r)
+                assert m * inv == identity_matrix(r)
                 inverted += 1
     assert inconsistent and inverted
 
@@ -333,7 +333,7 @@ def test_invert_matches_textbook_oracle(case):
     if inv is not None:
         assert inv.data == expected
         assert all(exact_scalar(x) for row in inv.data for x in row)
-        assert m * inv == Matrix.identity(n)
+        assert m * inv == identity_matrix(n)
 
 
 @settings(max_examples=100)
@@ -395,7 +395,7 @@ def test_scrambled_rational_differential_is_certified():
     lam = Fraction(3, 2)
     P = rand_unimodular(Random(2), 5, steps=20)
     E = Matrix(5, 5, [[int(i == j < 3) for j in range(5)] for i in range(5)])
-    d = invert_matrix(P) * (E - Matrix.identity(5)).scale(1 / lam) * P
+    d = invert_matrix(P) * (E - identity_matrix(5)).scale(1 / lam) * P
     A = diff_lie(conjugate_algebra(direct_sum(sl2(), aff1()), P), d, lam)
     assert is_diff_lie_algebra(A)
     m = difflie_differential(A, adjoint_rep(A), 2)
@@ -437,9 +437,11 @@ SHAPE_ERRORS = {
     "mul": "Matrix.zero(2, 3) * Matrix.zero(2, 3)",
     "matvec": "Matrix.zero(2, 3).matvec([1, 2])",
     "solve": "Matrix.zero(2, 3).solve([1, 2, 3])",
-    "block": "Matrix.block([[Matrix.zero(2, 2), Matrix.zero(3, 2)]])",
     "homology_dim": "homology_dim(Matrix.zero(2, 3), Matrix.zero(2, 2))",
     "map_add": "AltMap(2, 2, 2) + AltMap(1, 2, 2)",
+    "pullback": "pullback(AltMap(2, 3, 3), AltMap(1, 2, 2))",
+    "pullback_out": "pullback(AltMap(2, 3, 3), AltMap(1, 2, 3), "
+                    "AltMap(1, 2, 2))",
     "linfty_arity": "HomotopyDiffLie(suspend_space(2), {2: AltMap(1, 2, 2)}, "
                     "{}, 0)",
     "term_kind": "Term('x', AltMap(1, 2, 2))",
@@ -450,7 +452,8 @@ SHAPE_IMPORTS = ("from difflie.linalg import Matrix, homology_dim\n"
                  "from difflie.homotopy import HomotopyDiffLie, "
                  "homotopy_diff_residual, linfty_residual\n"
                  "from difflie.linfty import Term\n"
-                 "from difflie.multilinear import AltMap, suspend_space\n"
+                 "from difflie.multilinear import AltMap, pullback, "
+                 "suspend_space\n"
                  "H = HomotopyDiffLie(suspend_space(2), {}, {}, 0)\n")
 
 

@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 
 from axiom_oracles import relative_oracle
-from difflie.linalg import Matrix, basis_vec, vec_is_zero, vec_scale
-from difflie.multilinear import AltMap, altmap1_from_matrix
+from difflie.linalg import basis_vec, vec_is_zero, vec_scale
+from difflie.multilinear import AltMap
 from difflie.homotopy import (HomotopyDiffLie, lambda_rescale, linfty_residual,
                               mc_residual, twist)
 from difflie.linfty import (AbsoluteStructure, DerivedBrackets, Term, _add,
@@ -18,9 +18,10 @@ from difflie.liealg import (is_diff_lie_algebra, is_lieact,
                             semidirect_bracket)
 from difflie.nr import nr_bracket
 from difflie.permutations import koszul_sign, shuffles
-from samples import (aff1, diff_lie, heisenberg, sl2, rand_matrix, rand_vec,
-                     random_diff_lie, random_lieact,
-                     random_relative_operator, WEIGHTS)
+from samples import (WEIGHTS, aff1, altmap1_from_matrix, diff_lie, from_rows,
+                     heisenberg, identity_matrix, rand_matrix, rand_vec,
+                     random_diff_lie, random_lieact, random_relative_operator,
+                     sl2)
 
 
 def parts(terms, c=1):
@@ -146,7 +147,7 @@ def test_l3_on_two_operators_frozen():
     # l_3(s pi, D, D)(x, y) = 2 lambda pi(Dx, Dy)
     g = aff1()
     pi = g.bracket
-    D = Matrix.from_rows([[1, 2], [3, 5]])
+    D = from_rows([[1, 2], [3, 5]])
     for lam in WEIGHTS:
         S = AbsoluteStructure(lam)
         out = S.bracket([sterm(pi), aterm(altmap1_from_matrix(D)),
@@ -175,7 +176,7 @@ def test_l2_matches_nr_bracket(rng):
 
 def test_bracket_vanishes_beyond_arity():
     pi = aff1().bracket  # arity 2, so l_i = 0 for i > 3
-    D = altmap1_from_matrix(Matrix.identity(2))
+    D = altmap1_from_matrix(identity_matrix(2))
     S = AbsoluteStructure(2)
     assert S.bracket([sterm(pi)] + [aterm(D)] * 3) == []
 
@@ -271,8 +272,8 @@ def test_generalized_jacobi_absolute(rng):
         assert jacobi_holds(S, terms)
     # arity 4 on sl2 with the parity-0 operator D = diag(1, 0, 1)
     pi = sterm(sl2().bracket)
-    D = aterm(altmap1_from_matrix(Matrix.from_rows([[1, 0, 0], [0, 0, 0],
-                                                    [0, 0, 1]])))
+    D = aterm(altmap1_from_matrix(from_rows([[1, 0, 0], [0, 0, 0],
+                                             [0, 0, 1]])))
     for lam in WEIGHTS:
         S = AbsoluteStructure(lam)
         for terms in ([pi, D, D, pi], [pi, pi, D, D]):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import basis_of_degree, exact_scalar, filled
-from difflie.linalg import (Matrix, basis_vec, vec_add, vec_is_zero,
-                            vec_scale, vec_zero)
+from difflie.linalg import (Matrix, basis_vec, exact, vec_add, vec_is_zero,
+                            vec_scale, vec_support, vec_zero)
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
                                  GradedSymMap, GradedVectorSpace,
-                                 NonHomogeneousInput, pullback)
+                                 NonHomogeneousInput, coordinate_map,
+                                 pullback)
+from samples import altmap1_from_matrix, from_rows, rand_matrix, transpose
 
 
 def suspension_sign(v_degrees):
@@ -142,10 +144,17 @@ def matrices(rows, cols):
                         lambda data: Matrix(rows, cols, data))
 
 
+def along(f, S, T=None):
+    """pullback(f, S, T) for the matrices S and T (or None), read as the
+    arity-1 maps of their columns."""
+    return pullback(f, altmap1_from_matrix(S),
+                    None if T is None else altmap1_from_matrix(T))
+
+
 @st.composite
 def pullback_cases(draw):
     """A map f of arity 1-3 and linear maps S into its source and T out of
-    its target (or None)."""
+    its target (or None), as matrices."""
     arity = draw(st.integers(1, 3))
     n, m, k = (draw(st.integers(1, 3)) for _ in range(3))
     f = AltMap(arity, m, k)
@@ -162,7 +171,7 @@ def test_pullback_is_transport_along_linear_maps(case):
     # the definition: on every tuple of basis vectors, repeats and any
     # order included, the value is T f(S e_x1, .., S e_xn)
     f, S, T = case
-    g = pullback(f, S, T)
+    g = along(f, S, T)
     n = S.cols
     for key in product(range(n), repeat=f.arity):
         val = f.evaluate([S.matvec(basis_vec(n, x)) for x in key])
@@ -174,7 +183,7 @@ def pullback_by_keys(f, S, T=None):
     """The per-key route pullback replaced, kept as its oracle: every sorted
     key of the source of S through evaluate on the columns of S, zero
     columns included."""
-    cols = S.transpose().data
+    cols = transpose(S).data
     out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
     for key in out.space.spanning_tuples(f.arity):
         val = f.evaluate([cols[x] for x in key])
@@ -200,19 +209,75 @@ def pullback_cases_with_zero_columns(draw):
 
 
 @given(pullback_cases_with_zero_columns())
-@example((sample_altmap(), Matrix.from_rows([[1, 0, 2], [0, 0, 1],
-                                             [3, 0, 0]]), None))
-@example((sample_altmap(), Matrix.zero(3, 2),
-          Matrix.from_rows([[1, 1, 0]])))
-@example((sample_altmap(), Matrix.from_rows([[0, 1, 0, 1], [0, 0, 0, 1],
-                                             [0, Fraction(1, 2), 0, 0]]),
-          Matrix.from_rows([[1, 0, 0], [0, 2, 1]])))
+@example((sample_altmap(), from_rows([[1, 0, 2], [0, 0, 1], [3, 0, 0]]),
+          None))
+@example((sample_altmap(), Matrix.zero(3, 2), from_rows([[1, 1, 0]])))
+@example((sample_altmap(), from_rows([[0, 1, 0, 1], [0, 0, 0, 1],
+                                      [0, Fraction(1, 2), 0, 0]]),
+          from_rows([[1, 0, 0], [0, 2, 1]])))
 @example((filled(AltMap(1, 1, 1), {(0,): [Fraction(3, 2)]}),
-          Matrix.from_rows([[Fraction(2, 3)]]), None))  # an integral Fraction
+          from_rows([[Fraction(2, 3)]]), None))  # an integral Fraction
 def test_pullback_matches_per_key_oracle(case):
     f, S, T = case
-    got = pullback(f, S, T)
+    got = along(f, S, T)
     want = pullback_by_keys(f, S, T)
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)  # same key order
     assert all(exact_scalar(x) for vec in got.coeffs.values() for x in vec)
+
+
+def pullback_by_matrices(f, S, T=None):
+    """The matrix route of pullback, which moved along the matrices S and
+    T (or None) before every linear map became an arity-1 map, kept as the
+    oracle of the map route: the columns of S read once, each sorted key
+    of nonzero columns accumulated once, and T applied by matvec."""
+    supports = [vec_support(col) for col in transpose(S).data]
+    out = AltMap(f.arity, S.cols, f.tgt_dim if T is None else T.rows)
+    for key in combinations([j for j, c in enumerate(supports) if c],
+                            f.arity):
+        val = vec_zero(f.tgt_dim)
+        f.accumulate(val, 1, [supports[x] for x in key])
+        val = exact(val) if T is None else T.matvec(val)
+        if not vec_is_zero(val):
+            out.coeffs[key] = val
+    return out
+
+
+def test_pullback_matches_the_matrix_route(rng):
+    # seeded maps of arity 0-3 along a non-square S, some of whose columns
+    # are zero, with T given (also non-square) and with T = None
+    for _ in range(40):
+        arity, m, k = rng.randrange(4), rng.randrange(1, 5), rng.randrange(1, 4)
+        n = rng.choice([x for x in range(1, 6) if x != m])
+        f = AltMap(arity, m, k)
+        for key in combinations(range(m), arity):
+            if rng.random() < 0.7:
+                f[key] = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                          for _ in range(k)]
+        S = rand_matrix(rng, m, n)
+        for row in S.data:
+            row[rng.randrange(n)] = 0
+        for T in (None, rand_matrix(rng, rng.randrange(1, 5), k)):
+            got, want = along(f, S, T), pullback_by_matrices(f, S, T)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
+            assert all(exact_scalar(x) for vec in got.coeffs.values()
+                       for x in vec)
+
+
+def test_coordinate_maps_include_and_project():
+    # on g (+) V with dim g = 2 and dim V = 3: the inclusions and the
+    # projections compose to the identities and to zero across the sum
+    g, v = 2, 3
+    inc_g, inc_v = coordinate_map(g, g + v, 0), coordinate_map(v, g + v, g)
+    pr_g, pr_v = coordinate_map(g + v, g, 0), coordinate_map(g + v, v, -g)
+    assert coordinate_map(g + v, g + v, 0).coeffs == {
+        (j,): basis_vec(g + v, j) for j in range(g + v)}
+    for pr, inc, ident in ((pr_g, inc_g, True), (pr_v, inc_v, True),
+                           (pr_g, inc_v, False), (pr_v, inc_g, False)):
+        composite = pullback(pr, inc)
+        assert composite == (coordinate_map(inc.src_dim, inc.src_dim, 0)
+                             if ident else AltMap(1, inc.src_dim,
+                                                  pr.tgt_dim))
+    assert coordinate_map(0, 3, 0).is_zero()
+    assert coordinate_map(3, 0, 0).is_zero()

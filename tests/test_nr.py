@@ -2,13 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from difflie.linalg import Matrix, basis_vec, vec_add, vec_scale, vec_sub
+from difflie.linalg import basis_vec, vec_add, vec_scale, vec_sub
 from difflie.multilinear import (AltMap, DimensionMismatch, GradedSymMap,
-                                 GradedVectorSpace, altmap1_from_matrix)
+                                 GradedVectorSpace)
 from difflie.nr import (arity_weights, circ_bar, graded_circ_bar,
                         insertion_sum, nr_bracket, pointed_family)
 from difflie.liealg import is_lie_algebra, LieAlgebra
-from samples import aff1, sl2, heisenberg, rand_vec
+from samples import (aff1, altmap1_from_matrix, from_rows, heisenberg,
+                     identity_matrix, rand_vec, sl2)
 from test_homotopy import rand_graded
 
 
@@ -24,7 +25,7 @@ def test_circ_with_arity_one():
     # f o-bar g (x,y) = f(gx, y) + f(x, gy) for g of arity 1
     L = sl2()
     f = L.bracket
-    gmat = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [3, 0, 1]])
+    gmat = from_rows([[1, 2, 0], [0, 1, 1], [3, 0, 1]])
     g = altmap1_from_matrix(gmat)
     h = circ_bar(f, g)
     for i in range(3):
@@ -52,7 +53,7 @@ def test_circ_with_identity():
     rng = random.Random(3)
     for arity in [1, 2, 3]:
         f = rand_altmap(rng, arity, 4)
-        ident = altmap1_from_matrix(Matrix.identity(4))
+        ident = altmap1_from_matrix(identity_matrix(4))
         assert circ_bar(f, ident) == f.scale(arity)
 
 

@@ -26,8 +26,8 @@ from difflie.deformations import (TruncatedDeformation, apply_formal_iso,
 from difflie.liealg import DiffLieAlgebra, LieAlgebra, rescale_operator
 from difflie.linalg import Matrix, div, exact, frac, parse_scalar
 from difflie.linfty import key_formula_check
-from difflie.multilinear import AltMap, GradedSymMap, altmap1_from_matrix
-from samples import diff_lie
+from difflie.multilinear import AltMap, GradedSymMap
+from samples import altmap1_from_matrix, diff_lie
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "difflie")

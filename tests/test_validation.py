@@ -20,9 +20,9 @@ from difflie.liealg import (DiffLieAlgebra, DiffRepresentation,
 from difflie.linalg import Matrix
 from difflie.linfty import iota_M, key_formula_check
 from difflie.multilinear import (AltMap, ArityMismatch, DimensionMismatch,
-                                 GradedSymMap, GradedVectorSpace,
-                                 altmap1_from_matrix)
-from samples import aff1, diff_lie, invert_matrix
+                                 GradedSymMap, GradedVectorSpace)
+from samples import (aff1, altmap1_from_matrix, diff_lie, identity_matrix,
+                     invert_matrix)
 
 BASE = diff_lie(aff1(), Matrix.zero(2, 2), 1)
 BR = aff1().bracket
@@ -54,7 +54,7 @@ CASES = [
      "order-0 bracket must be the base bracket"),
     ("deformation-order-0-operator",
      lambda: TruncatedDeformation(BASE, [BR],
-                                  [altmap1_from_matrix(Matrix.identity(2))]),
+                                  [altmap1_from_matrix(identity_matrix(2))]),
      ValueError, "order-0 operator must be the base operator"),
     ("extension-dimension-count",
      lambda: AbelianExtension(TOTAL, 2, 2),
